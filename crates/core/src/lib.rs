@@ -51,6 +51,7 @@ pub use xqa_engine::{
 pub use xqa_xmlparse::{
     parse_document, parse_document_with, parse_fragment, serialize_node, serialize_node_with,
     serialize_sequence, serialize_sequence_with, ParseError, ParseOptions, SerializeOptions,
+    MAX_XML_DEPTH,
 };
 
 /// The data-model layer (items, nodes, atomic values).
@@ -63,9 +64,9 @@ pub use xqa_frontend as frontend;
 /// `xqa serve`.
 pub use xqa_service as service;
 
-/// The indexed document-store layer: dictionary-encoded names,
-/// structural interval labels, element postings, typed-value indexes
-/// and the per-path statistics the planner consults.
+/// The indexed document-store layer: element postings and typed-value
+/// indexes over the document's interned names and interval labels, and
+/// the per-path statistics the planner consults.
 pub use xqa_storage as storage;
 
 use xqa_xdm::Sequence;

@@ -8,12 +8,12 @@
 //! This crate compiles a parsed [`Document`] into a compact
 //! [`DocumentStore`]:
 //!
-//! - **Dictionary-encoded QNames** ([`NameId`]): every distinct element
-//!   name is interned once; per-name structures are indexed by the id.
-//! - **Interval labels**: node ids are preorder (the builder guarantees
-//!   it), so each node's subtree is the contiguous id range
-//!   `[id, subtree_end(id)]` — the pre/post interval encoding collapsed
-//!   to one `u32` per node.
+//! - **Names and interval labels come from the document.** The arena
+//!   in `xqa-xdm` interns every name per document ([`NameId`]) and labels
+//!   every node with the end of its preorder interval, so each node's
+//!   subtree is the contiguous id range `[id, subtree_end(id)]`. The
+//!   store keeps neither a name dictionary nor a label vector of its own;
+//!   its per-name structures are indexed by the document's ids.
 //! - **Path index**: per element name, the sorted posting list of node
 //!   ids. `descendant::T` from any origin is a binary search of `T`'s
 //!   postings against the origin's label range.
@@ -34,10 +34,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xqa_xdm::{parse_double, Document, NodeHandle, NodeId, NodeKind, QName};
+use xqa_xdm::{parse_double, Document, NodeId, NodeKind, QName};
 
-/// Interned element-name id; index into the store's name dictionary.
-pub type NameId = u32;
+/// Interned name id: the indexed document's own ([`Document::names`]).
+pub use xqa_xdm::NameId;
 
 /// Global monotonic store version: bumped once per [`DocumentStore`]
 /// built, so "any document changed" is a single `u64` comparison.
@@ -60,26 +60,89 @@ pub struct NameStats {
     pub distinct_values: u64,
 }
 
+/// The leaves of one name that share one string value.
+#[derive(Debug)]
+struct Leaves {
+    /// The value as `xs:double`; meaningful while the name's index is
+    /// `all_numeric`.
+    number: f64,
+    /// Leaf element ids, in document order.
+    ids: Vec<NodeId>,
+}
+
 /// The typed-value index for one element name: leaf string values
 /// dictionary-encoded into postings, plus a numeric mirror when the
 /// whole column parses as `xs:double`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ValueIndex {
     /// Every element of this name qualifies as an indexable leaf.
     complete: bool,
     /// `complete` and every value parses as `xs:double`.
     all_numeric: bool,
-    /// Value dictionary: string → sorted leaf element ids.
-    by_string: HashMap<Arc<str>, Vec<NodeId>>,
+    /// Value dictionary: string → its leaves.
+    by_string: HashMap<Arc<str>, Leaves>,
     /// `(value, leaf element id)` sorted by value then id.
     numeric: Vec<(f64, NodeId)>,
 }
 
 impl ValueIndex {
+    fn new() -> ValueIndex {
+        ValueIndex {
+            complete: true,
+            all_numeric: true,
+            by_string: HashMap::new(),
+            numeric: Vec::new(),
+        }
+    }
+
+    /// Record leaf `id` with string value `value`. A dictionary key is
+    /// allocated, and the value parsed, only the first time it is seen.
+    fn add(&mut self, value: &str, id: NodeId) {
+        if let Some(leaves) = self.by_string.get_mut(value) {
+            leaves.ids.push(id);
+            return;
+        }
+        let mut number = f64::NAN;
+        if self.all_numeric {
+            match parse_double(value) {
+                Ok(v) => number = v,
+                Err(_) => self.all_numeric = false,
+            }
+        }
+        let ids = vec![id];
+        self.by_string
+            .insert(Arc::from(value), Leaves { number, ids });
+    }
+
+    /// An element of this name is not an indexable leaf: no lookup on
+    /// the name can be exact.
+    fn give_up(&mut self) {
+        self.complete = false;
+        self.all_numeric = false;
+        self.by_string = HashMap::new();
+    }
+
+    /// Build the numeric mirror over the name's `leaves` leaves.
+    fn finish(&mut self, leaves: usize) {
+        if !self.all_numeric {
+            return;
+        }
+        // Sized up front: the dictionary iterates in hash order, and
+        // growing by its chunks would make the allocation count vary
+        // from run to run.
+        self.numeric.reserve_exact(leaves);
+        for leaves in self.by_string.values() {
+            self.numeric
+                .extend(leaves.ids.iter().map(|&id| (leaves.number, id)));
+        }
+        self.numeric
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+
     fn bytes(&self) -> u64 {
         let mut total = 0u64;
-        for (value, ids) in &self.by_string {
-            total += value.len() as u64 + (ids.len() * std::mem::size_of::<NodeId>()) as u64;
+        for (value, leaves) in &self.by_string {
+            total += value.len() as u64 + (leaves.ids.len() * std::mem::size_of::<NodeId>()) as u64;
         }
         total + (self.numeric.len() * std::mem::size_of::<(f64, NodeId)>()) as u64
     }
@@ -92,12 +155,8 @@ impl ValueIndex {
 pub struct DocumentStore {
     doc: Arc<Document>,
     version: u64,
-    /// Per node: the last node id inside its subtree (inclusive).
-    subtree_end: Vec<NodeId>,
-    /// Interned element names, indexed by [`NameId`].
-    names: Vec<QName>,
-    by_name: HashMap<QName, NameId>,
-    /// Per [`NameId`]: sorted element node ids.
+    /// Per [`NameId`]: sorted element node ids (empty for a name only
+    /// attributes or PIs carry).
     element_postings: Vec<Vec<NodeId>>,
     /// Per [`NameId`]: the value index over that name's leaves.
     values: Vec<ValueIndex>,
@@ -108,100 +167,49 @@ pub struct DocumentStore {
 }
 
 impl DocumentStore {
-    /// Compile `doc` into its indexed form. One linear pass over the
-    /// arena (plus per-name sorts that are already in document order).
+    /// Compile `doc` into its indexed form: one pass over the arena in
+    /// id order, reading name ids, labels and text spans straight from
+    /// the records (postings come out sorted because ids are preorder).
     pub fn build(doc: &Arc<Document>) -> DocumentStore {
-        let n = doc.len();
+        let names = doc.names().len();
         let mut store = DocumentStore {
             doc: Arc::clone(doc),
             version: STORE_VERSION.fetch_add(1, Ordering::Relaxed) + 1,
-            subtree_end: (0..n as NodeId).collect(),
-            names: Vec::new(),
-            by_name: HashMap::new(),
-            element_postings: Vec::new(),
-            values: Vec::new(),
+            element_postings: vec![Vec::new(); names],
+            values: (0..names).map(|_| ValueIndex::new()).collect(),
             step_counts: HashMap::new(),
             total_elements: 0,
         };
-        // Interval labels: ids are preorder, so a node's subtree is the
-        // contiguous range ending at its last descendant. Walking ids in
-        // reverse and folding each node's end into its parent computes
-        // every label in O(n): by the time a parent is visited, all its
-        // descendants (larger ids) have already propagated upward.
-        for id in (1..n as NodeId).rev() {
-            let node = doc.handle(id).expect("id < doc.len()");
-            if let Some(parent) = node.parent() {
-                let pid = parent.id() as usize;
-                let end = store.subtree_end[id as usize];
-                if end > store.subtree_end[pid] {
-                    store.subtree_end[pid] = end;
-                }
-            }
-        }
-        // Postings, value index and step statistics in one forward pass.
-        for id in 0..n as NodeId {
-            let node = doc.handle(id).expect("id < doc.len()");
-            if node.kind() != NodeKind::Element {
+        for id in 0..doc.len() as NodeId {
+            if doc.kind_of(id) != NodeKind::Element {
                 continue;
             }
-            let name = node.name().expect("elements are named").clone();
-            let name_id = store.intern(name);
+            let name = doc.name_id_of(id).expect("elements are named");
             store.total_elements += 1;
-            store.element_postings[name_id as usize].push(id);
-            if let Some(parent) = node.parent() {
-                if parent.kind() == NodeKind::Element {
-                    let parent_name = parent.name().expect("elements are named").clone();
-                    let parent_id = store.intern(parent_name);
-                    *store.step_counts.entry((parent_id, name_id)).or_insert(0) += 1;
-                }
+            store.element_postings[name as usize].push(id);
+            // Only the document node and elements have element children.
+            if let Some(parent_name) = doc.parent_of(id).and_then(|p| doc.name_id_of(p)) {
+                *store.step_counts.entry((parent_name, name)).or_insert(0) += 1;
             }
-            match leaf_value(&node) {
-                Some(value) => {
-                    let vi = &mut store.values[name_id as usize];
-                    if parse_double(&value).is_err() {
-                        vi.all_numeric = false;
-                    }
-                    vi.by_string.entry(value).or_default().push(id);
-                }
-                None => {
-                    let vi = &mut store.values[name_id as usize];
-                    vi.complete = false;
-                    vi.all_numeric = false;
+            let values = &mut store.values[name as usize];
+            if values.complete {
+                match leaf_value(doc, id) {
+                    Some(value) => values.add(value, id),
+                    None => values.give_up(),
                 }
             }
         }
-        for vi in &mut store.values {
-            if !vi.complete {
-                vi.by_string.clear();
-                continue;
-            }
-            if vi.all_numeric {
-                for (value, ids) in &vi.by_string {
-                    let v = parse_double(value).expect("all_numeric checked every value");
-                    vi.numeric.extend(ids.iter().map(|&id| (v, id)));
-                }
-                vi.numeric
-                    .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            }
+        for (values, postings) in store.values.iter_mut().zip(&store.element_postings) {
+            values.finish(postings.len());
         }
         store
     }
 
-    fn intern(&mut self, name: QName) -> NameId {
-        if let Some(&id) = self.by_name.get(&name) {
-            return id;
-        }
-        let id = self.names.len() as NameId;
-        self.names.push(name.clone());
-        self.by_name.insert(name, id);
-        self.element_postings.push(Vec::new());
-        self.values.push(ValueIndex {
-            complete: true,
-            all_numeric: true,
-            by_string: HashMap::new(),
-            numeric: Vec::new(),
-        });
-        id
+    /// The id of `name` when some element of the document carries it.
+    fn element_name(&self, name: &QName) -> Option<NameId> {
+        self.doc
+            .name_id(name)
+            .filter(|&id| !self.element_postings[id as usize].is_empty())
     }
 
     /// The indexed document.
@@ -216,14 +224,13 @@ impl DocumentStore {
 
     /// The last node id inside `id`'s subtree (inclusive interval label).
     pub fn subtree_end(&self, id: NodeId) -> NodeId {
-        self.subtree_end[id as usize]
+        self.doc.subtree_end(id)
     }
 
     /// Elements in the whole document, by name.
     pub fn element_count(&self, name: &QName) -> u64 {
-        self.by_name
-            .get(name)
-            .map(|&id| self.element_postings[id as usize].len() as u64)
+        self.element_name(name)
+            .map(|id| self.element_postings[id as usize].len() as u64)
             .unwrap_or(0)
     }
 
@@ -231,11 +238,11 @@ impl DocumentStore {
     /// document order: the posting list sliced to the origin's interval
     /// label by two binary searches.
     pub fn descendants_named(&self, origin: NodeId, name: &QName) -> &[NodeId] {
-        let Some(&name_id) = self.by_name.get(name) else {
+        let Some(name_id) = self.element_name(name) else {
             return &[];
         };
         let postings = &self.element_postings[name_id as usize];
-        let end = self.subtree_end[origin as usize];
+        let end = self.doc.subtree_end(origin);
         let lo = postings.partition_point(|&id| id <= origin);
         let hi = postings.partition_point(|&id| id <= end);
         &postings[lo..hi]
@@ -246,8 +253,8 @@ impl DocumentStore {
     /// numeric probes, every value parses as `xs:double` (so the tree
     /// walk could not have raised a cast error the index skips).
     pub fn value_eq_applicable(&self, child: &QName, numeric: bool) -> bool {
-        match self.by_name.get(child) {
-            Some(&id) => {
+        match self.element_name(child) {
+            Some(id) => {
                 let vi = &self.values[id as usize];
                 vi.complete && (!numeric || vi.all_numeric)
             }
@@ -261,13 +268,13 @@ impl DocumentStore {
     /// index cannot answer exactly (some element of that name is not an
     /// indexable leaf).
     pub fn parents_by_string_eq(&self, child: &QName, value: &str) -> Option<Vec<NodeId>> {
-        let &name_id = self.by_name.get(child)?;
+        let name_id = self.element_name(child)?;
         let vi = &self.values[name_id as usize];
         if !vi.complete {
             return None;
         }
-        let leaves = vi.by_string.get(value).map(Vec::as_slice).unwrap_or(&[]);
-        Some(self.parents_of(leaves))
+        let leaves = vi.by_string.get(value).map_or(&[][..], |l| &l.ids);
+        Some(self.parents_of(leaves.iter().copied()))
     }
 
     /// Parents of `child` leaves whose value compares `eq` to `value`
@@ -276,7 +283,7 @@ impl DocumentStore {
     /// double lexical space — the walk would raise where the index
     /// would silently skip).
     pub fn parents_by_numeric_eq(&self, child: &QName, value: f64) -> Option<Vec<NodeId>> {
-        let &name_id = self.by_name.get(child)?;
+        let name_id = self.element_name(child)?;
         let vi = &self.values[name_id as usize];
         if !vi.complete || !vi.all_numeric {
             return None;
@@ -290,15 +297,11 @@ impl DocumentStore {
         let hi = vi
             .numeric
             .partition_point(|&(v, _)| v.total_cmp(&value).is_le());
-        let leaves: Vec<NodeId> = vi.numeric[lo..hi].iter().map(|&(_, id)| id).collect();
-        Some(self.parents_of(&leaves))
+        Some(self.parents_of(vi.numeric[lo..hi].iter().map(|&(_, id)| id)))
     }
 
-    fn parents_of(&self, leaves: &[NodeId]) -> Vec<NodeId> {
-        let mut parents: Vec<NodeId> = leaves
-            .iter()
-            .filter_map(|&id| self.doc.handle(id).and_then(|n| n.parent()).map(|p| p.id()))
-            .collect();
+    fn parents_of(&self, leaves: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
+        let mut parents: Vec<NodeId> = leaves.filter_map(|id| self.doc.parent_of(id)).collect();
         parents.sort_unstable();
         parents.dedup();
         parents
@@ -306,7 +309,7 @@ impl DocumentStore {
 
     /// Per-name statistics for this document.
     pub fn name_stats(&self, name: &QName) -> Option<NameStats> {
-        let &id = self.by_name.get(name)?;
+        let id = self.element_name(name)?;
         let vi = &self.values[id as usize];
         Some(NameStats {
             elements: self.element_postings[id as usize].len() as u64,
@@ -322,8 +325,8 @@ impl DocumentStore {
 
     /// Count of `parent/child` element steps (per-path cardinality).
     pub fn step_count(&self, parent: &QName, child: &QName) -> u64 {
-        match (self.by_name.get(parent), self.by_name.get(child)) {
-            (Some(&p), Some(&c)) => self.step_counts.get(&(p, c)).copied().unwrap_or(0),
+        match (self.doc.name_id(parent), self.doc.name_id(child)) {
+            (Some(p), Some(c)) => self.step_counts.get(&(p, c)).copied().unwrap_or(0),
             _ => 0,
         }
     }
@@ -333,13 +336,11 @@ impl DocumentStore {
         self.total_elements
     }
 
-    /// Approximate heap footprint of the index structures (labels,
-    /// dictionaries, postings, value indexes) — exported on `/metrics`.
+    /// Approximate heap footprint of the index structures (postings,
+    /// value dictionaries, numeric mirrors, step counts) — exported on
+    /// `/metrics`. Names and interval labels are the document's.
     pub fn index_bytes(&self) -> u64 {
-        let mut total = (self.subtree_end.len() * std::mem::size_of::<NodeId>()) as u64;
-        for name in &self.names {
-            total += name.local_part().len() as u64 + std::mem::size_of::<QName>() as u64;
-        }
+        let mut total = 0u64;
         for postings in &self.element_postings {
             total += (postings.len() * std::mem::size_of::<NodeId>()) as u64;
         }
@@ -350,9 +351,14 @@ impl DocumentStore {
         total
     }
 
-    /// Iterate the interned element names.
+    /// Iterate the names of the document's elements.
     pub fn names(&self) -> impl Iterator<Item = &QName> {
-        self.names.iter()
+        self.doc
+            .names()
+            .iter()
+            .zip(&self.element_postings)
+            .filter(|(_, postings)| !postings.is_empty())
+            .map(|(name, _)| name)
     }
 }
 
@@ -360,13 +366,14 @@ impl DocumentStore {
 /// children are exactly one text node, `""` when it has no children at
 /// all. `None` for anything with element/comment/PI content (their
 /// string values concatenate across structure the index does not model).
-fn leaf_value(node: &NodeHandle) -> Option<Arc<str>> {
-    let mut children = node.children();
-    match children.next() {
-        None => Some(Arc::from("")),
-        Some(first) if first.kind() == NodeKind::Text && children.next().is_none() => {
-            Some(Arc::from(first.raw_text().unwrap_or("")))
-        }
+fn leaf_value(doc: &Document, id: NodeId) -> Option<&str> {
+    match doc.first_child_of(id) {
+        None => Some(""),
+        // A text node is a leaf, so one that ends the element's interval
+        // is its only child.
+        Some(child) if child == doc.subtree_end(id) => doc
+            .text_of(child)
+            .filter(|_| doc.kind_of(child) == NodeKind::Text),
         Some(_) => None,
     }
 }

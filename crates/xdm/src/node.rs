@@ -1,24 +1,44 @@
 //! Arena-backed node trees with node identity and document order.
 //!
-//! A [`Document`] owns a flat `Vec<NodeData>`; a node is addressed by its
-//! index ([`NodeId`]). The builder emits nodes in document order
-//! (preorder, attributes directly after their owner element), so document
-//! order within a document is simply `NodeId` order. Each document also
-//! carries a process-unique serial number, giving a stable, total
-//! document order across documents — XQuery leaves inter-document order
-//! implementation-defined but requires it to be stable within a query.
+//! A [`Document`] is three flat vectors and nothing else: one fixed-size
+//! record per node, one text buffer every text node, attribute value,
+//! comment and PI body is a span of, and one table of the distinct names
+//! (a node stores a [`NameId`] into it). A node is addressed by its index
+//! ([`NodeId`]). The builder emits nodes in document order (preorder,
+//! attributes directly after their owner element), so document order
+//! within a document is simply `NodeId` order and every subtree is the
+//! contiguous id range `[id, subtree_end(id)]`. That interval label is
+//! all navigation needs: an element's attributes are the `attrs` ids
+//! after it, its first child follows them, a node's next sibling is
+//! `subtree_end + 1`, and its descendants are the rest of the range. No
+//! node owns a heap object, so dropping a document frees three vectors.
+//!
+//! Each document also carries a process-unique serial number, giving a
+//! stable, total document order across documents — XQuery leaves
+//! inter-document order implementation-defined but requires it to be
+//! stable within a query.
 //!
 //! A [`NodeHandle`] pairs an `Arc<Document>` with a `NodeId`; it is the
 //! value stored inside [`crate::item::Item`]. Cloning a handle is a
 //! refcount bump.
 
 use crate::qname::QName;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 /// Index of a node within its document's arena.
 pub type NodeId = u32;
+
+/// Index of a name within its document's name table. Two nodes of one
+/// document have equal names exactly when their ids are equal.
+pub type NameId = u32;
+
+/// `NodeRec::parent` of a parentless node.
+const NO_PARENT: NodeId = NodeId::MAX;
+/// `NodeRec::name` of an unnamed node.
+const NO_NAME: NameId = NameId::MAX;
 
 /// The seven XDM node kinds (namespace nodes are not modelled).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,19 +57,75 @@ pub enum NodeKind {
     ProcessingInstruction,
 }
 
-/// The data stored per node in the arena.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeData {
-    pub(crate) kind: NodeKind,
-    pub(crate) parent: Option<NodeId>,
-    /// Element/attribute name, or PI target.
-    pub(crate) name: Option<QName>,
-    /// Text content for text/comment/PI nodes, value for attributes.
-    pub(crate) text: Option<Arc<str>>,
-    /// Child *nodes* (attributes excluded) for document/element nodes.
-    pub(crate) children: Vec<NodeId>,
-    /// Attribute nodes for element nodes.
-    pub(crate) attributes: Vec<NodeId>,
+/// The arena record of one node.
+#[derive(Debug, Clone, Copy)]
+struct NodeRec {
+    parent: NodeId,
+    /// Element/attribute name or PI target; `NO_NAME` otherwise.
+    name: NameId,
+    /// Last node id inside this node's subtree (inclusive; attributes
+    /// count as inside their element). A leaf's is its own id.
+    subtree_end: NodeId,
+    /// Where this node's text starts in the document's text buffer. It
+    /// ends where the next record's starts: text is appended in node
+    /// order, and a node without text of its own has an empty span.
+    text_start: u32,
+    /// Attribute count (elements only): the ids right after the element.
+    attrs: u32,
+    kind: NodeKind,
+}
+
+/// The distinct names of one document, in first-use order. Lookup is a
+/// scan while the table is small (a constructed `<r>{...}</r>` row has
+/// two or three names and must not pay for a hash map); past
+/// `LINEAR_NAMES` entries a map takes over, so a document with very many
+/// distinct names still builds in linear time.
+#[derive(Debug, Default)]
+struct NameTable {
+    by_id: Vec<QName>,
+    index: Option<HashMap<QName, NameId>>,
+}
+
+const LINEAR_NAMES: usize = 16;
+
+impl NameTable {
+    fn get(&self, name: &QName) -> Option<NameId> {
+        match &self.index {
+            Some(index) => index.get(name).copied(),
+            None => self
+                .by_id
+                .iter()
+                .position(|n| n == name)
+                .map(|i| i as NameId),
+        }
+    }
+
+    fn intern(&mut self, name: &QName) -> NameId {
+        if let Some(id) = self.get(name) {
+            return id;
+        }
+        let id = NameId::try_from(self.by_id.len())
+            .ok()
+            .filter(|&id| id != NO_NAME)
+            .expect("fewer than 2^32 - 1 distinct names");
+        self.by_id.push(name.clone());
+        match &mut self.index {
+            Some(index) => {
+                index.insert(name.clone(), id);
+            }
+            None if self.by_id.len() > LINEAR_NAMES => {
+                self.index = Some(
+                    self.by_id
+                        .iter()
+                        .enumerate()
+                        .map(|(i, n)| (n.clone(), i as NameId))
+                        .collect(),
+                );
+            }
+            None => {}
+        }
+        id
+    }
 }
 
 static DOC_SERIAL: AtomicU64 = AtomicU64::new(0);
@@ -57,7 +133,9 @@ static DOC_SERIAL: AtomicU64 = AtomicU64::new(0);
 /// An immutable XML document (or constructed tree fragment).
 pub struct Document {
     serial: u64,
-    nodes: Vec<NodeData>,
+    nodes: Vec<NodeRec>,
+    text: String,
+    names: NameTable,
 }
 
 impl fmt::Debug for Document {
@@ -85,7 +163,7 @@ impl Document {
         self.nodes.len() <= 1
     }
 
-    fn data(&self, id: NodeId) -> &NodeData {
+    fn rec(&self, id: NodeId) -> &NodeRec {
         &self.nodes[id as usize]
     }
 
@@ -105,6 +183,76 @@ impl Document {
             doc: Arc::clone(self),
             id,
         })
+    }
+
+    // ---- navigation by id ------------------------------------------------
+    //
+    // What `NodeHandle` answers, without the `Arc` clone per node: the
+    // index build in `xqa-storage` walks whole documents through these.
+    // All of them panic when `id` is not a node of this document.
+
+    /// The kind of node `id`.
+    pub fn kind_of(&self, id: NodeId) -> NodeKind {
+        self.rec(id).kind
+    }
+
+    /// The interned name of node `id` (element/attribute name or PI
+    /// target); [`Document::names`] resolves it.
+    pub fn name_id_of(&self, id: NodeId) -> Option<NameId> {
+        let name = self.rec(id).name;
+        (name != NO_NAME).then_some(name)
+    }
+
+    /// The parent of node `id` (attributes report their owner element).
+    pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
+        let parent = self.rec(id).parent;
+        (parent != NO_PARENT).then_some(parent)
+    }
+
+    /// The last node id inside `id`'s subtree, inclusive: the preorder
+    /// interval label. Attributes lie inside their element's interval.
+    pub fn subtree_end(&self, id: NodeId) -> NodeId {
+        self.rec(id).subtree_end
+    }
+
+    /// The first child of node `id` (attributes are not children).
+    pub fn first_child_of(&self, id: NodeId) -> Option<NodeId> {
+        let rec = self.rec(id);
+        let first = id + rec.attrs + 1;
+        (first <= rec.subtree_end).then_some(first)
+    }
+
+    /// Raw stored text of node `id` (`None` for elements and documents).
+    pub fn text_of(&self, id: NodeId) -> Option<&str> {
+        match self.rec(id).kind {
+            NodeKind::Element | NodeKind::Document => None,
+            _ => Some(self.span(id)),
+        }
+    }
+
+    /// The bytes of the text buffer that belong to node `id`.
+    fn span(&self, id: NodeId) -> &str {
+        &self.text[self.rec(id).text_start as usize..self.span_end(id)]
+    }
+
+    /// Where node `id`'s span ends: where the next record's starts.
+    fn span_end(&self, id: NodeId) -> usize {
+        match self.nodes.get(id as usize + 1) {
+            Some(next) => next.text_start as usize,
+            None => self.text.len(),
+        }
+    }
+
+    /// The distinct names of this document, indexed by [`NameId`].
+    pub fn names(&self) -> &[QName] {
+        &self.names.by_id
+    }
+
+    /// The id `name` is interned under, `None` when no node of this
+    /// document carries it. A name test resolves its name once through
+    /// this and then compares ids.
+    pub fn name_id(&self, name: &QName) -> Option<NameId> {
+        self.names.get(name)
     }
 }
 
@@ -132,8 +280,15 @@ impl fmt::Debug for NodeHandle {
 }
 
 impl NodeHandle {
-    fn data(&self) -> &NodeData {
-        self.doc.data(self.id)
+    fn rec(&self) -> &NodeRec {
+        self.doc.rec(self.id)
+    }
+
+    fn at(&self, id: NodeId) -> NodeHandle {
+        NodeHandle {
+            doc: Arc::clone(&self.doc),
+            id,
+        }
     }
 
     /// The owning document.
@@ -148,20 +303,19 @@ impl NodeHandle {
 
     /// The node kind.
     pub fn kind(&self) -> NodeKind {
-        self.data().kind
+        self.rec().kind
     }
 
     /// Element/attribute name or PI target.
     pub fn name(&self) -> Option<&QName> {
-        self.data().name.as_ref()
+        self.doc
+            .name_id_of(self.id)
+            .map(|name| &self.doc.names.by_id[name as usize])
     }
 
     /// The parent node, if any (attributes report their owner element).
     pub fn parent(&self) -> Option<NodeHandle> {
-        self.data().parent.map(|id| NodeHandle {
-            doc: Arc::clone(&self.doc),
-            id,
-        })
+        self.doc.parent_of(self.id).map(|id| self.at(id))
     }
 
     /// Node identity: same document *and* same arena slot.
@@ -174,33 +328,47 @@ impl NodeHandle {
         (self.doc.serial, self.id).cmp(&(other.doc.serial, other.id))
     }
 
+    /// Ids of the child nodes: the first follows the attributes, each
+    /// next one follows its predecessor's subtree.
+    fn child_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let rec = self.rec();
+        let end = rec.subtree_end;
+        let mut next = self.id + rec.attrs + 1;
+        std::iter::from_fn(move || {
+            (next <= end).then(|| {
+                let id = next;
+                next = self.doc.rec(id).subtree_end + 1;
+                id
+            })
+        })
+    }
+
     /// Child nodes (attributes excluded), in document order.
     pub fn children(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        self.data().children.iter().map(move |&id| NodeHandle {
-            doc: Arc::clone(&self.doc),
-            id,
-        })
+        self.child_ids().map(move |id| self.at(id))
     }
 
     /// Attribute nodes, in the order they were written.
     pub fn attributes(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        self.data().attributes.iter().map(move |&id| NodeHandle {
-            doc: Arc::clone(&self.doc),
-            id,
-        })
+        (self.id + 1..=self.id + self.rec().attrs).map(move |id| self.at(id))
     }
 
     /// The attribute with the given name, if present.
     pub fn attribute(&self, name: &QName) -> Option<NodeHandle> {
-        self.attributes().find(|a| a.name() == Some(name))
+        let name = self.doc.name_id(name)?;
+        (self.id + 1..=self.id + self.rec().attrs)
+            .find(|&id| self.doc.rec(id).name == name)
+            .map(|id| self.at(id))
     }
 
     /// Descendant nodes in document order (self excluded, attributes
     /// excluded), i.e. the `descendant::node()` axis.
     pub fn descendants(&self) -> Descendants {
+        let rec = self.rec();
         Descendants {
             doc: Arc::clone(&self.doc),
-            stack: self.data().children.iter().rev().copied().collect(),
+            next: self.id + rec.attrs + 1,
+            end: rec.subtree_end,
         }
     }
 
@@ -218,32 +386,23 @@ impl NodeHandle {
     /// - text/comment/PI/attribute: the stored text,
     /// - element/document: concatenation of descendant text nodes.
     pub fn string_value(&self) -> String {
-        match self.kind() {
-            NodeKind::Text
-            | NodeKind::Comment
-            | NodeKind::ProcessingInstruction
-            | NodeKind::Attribute => self.data().text.as_deref().unwrap_or("").to_string(),
-            NodeKind::Element | NodeKind::Document => {
+        match self.doc.text_of(self.id) {
+            Some(text) => text.to_string(),
+            None => {
                 let mut out = String::new();
-                self.accumulate_text(&mut out);
+                for id in self.id + 1..=self.rec().subtree_end {
+                    if self.doc.rec(id).kind == NodeKind::Text {
+                        out.push_str(self.doc.span(id));
+                    }
+                }
                 out
-            }
-        }
-    }
-
-    fn accumulate_text(&self, out: &mut String) {
-        for child in self.children() {
-            match child.kind() {
-                NodeKind::Text => out.push_str(child.data().text.as_deref().unwrap_or("")),
-                NodeKind::Element => child.accumulate_text(out),
-                _ => {}
             }
         }
     }
 
     /// Raw stored text (None for elements/documents).
     pub fn raw_text(&self) -> Option<&str> {
-        self.data().text.as_deref()
+        self.doc.text_of(self.id)
     }
 
     /// Child *elements* with the given local name (fast path for the
@@ -252,29 +411,41 @@ impl NodeHandle {
         &'a self,
         name: &'a QName,
     ) -> impl Iterator<Item = NodeHandle> + 'a {
-        self.children()
-            .filter(move |c| c.kind() == NodeKind::Element && c.name() == Some(name))
+        // An absent name matches no record: `NO_NAME` is what unnamed
+        // nodes carry, and those are not elements.
+        let name = self.doc.name_id(name).unwrap_or(NO_NAME);
+        self.child_ids()
+            .filter(move |&id| {
+                let rec = self.doc.rec(id);
+                rec.name == name && rec.kind == NodeKind::Element
+            })
+            .map(move |id| self.at(id))
     }
 }
 
-/// Iterator over descendants in document order.
+/// Iterator over descendants in document order: the ids of the origin's
+/// interval, attributes skipped.
 pub struct Descendants {
     doc: Arc<Document>,
-    stack: Vec<NodeId>,
+    next: NodeId,
+    end: NodeId,
 }
 
 impl Iterator for Descendants {
     type Item = NodeHandle;
 
     fn next(&mut self) -> Option<NodeHandle> {
-        let id = self.stack.pop()?;
-        let data = self.doc.data(id);
-        // Push children in reverse so the leftmost child pops first.
-        self.stack.extend(data.children.iter().rev().copied());
-        Some(NodeHandle {
-            doc: Arc::clone(&self.doc),
-            id,
-        })
+        while self.next <= self.end {
+            let id = self.next;
+            self.next += 1;
+            if self.doc.rec(id).kind != NodeKind::Attribute {
+                return Some(NodeHandle {
+                    doc: Arc::clone(&self.doc),
+                    id,
+                });
+            }
+        }
+        None
     }
 }
 
@@ -283,25 +454,26 @@ impl Document {
     /// result of a computed attribute constructor evaluated outside an
     /// element). Returns the attribute's handle.
     pub fn standalone_attribute(name: QName, value: impl Into<Arc<str>>) -> NodeHandle {
-        let doc_node = NodeData {
-            kind: NodeKind::Document,
-            parent: None,
-            name: None,
-            text: None,
-            children: Vec::new(),
-            attributes: Vec::new(),
+        let leaf = |kind, name| NodeRec {
+            parent: NO_PARENT,
+            name,
+            subtree_end: 0,
+            text_start: 0,
+            attrs: 0,
+            kind,
         };
-        let attr = NodeData {
-            kind: NodeKind::Attribute,
-            parent: None,
-            name: Some(name),
-            text: Some(value.into()),
-            children: Vec::new(),
-            attributes: Vec::new(),
-        };
+        // The attribute is outside the document node's interval: it is
+        // nobody's attribute and nobody's descendant.
+        let mut attr = leaf(NodeKind::Attribute, 0);
+        attr.subtree_end = 1;
         let doc = Arc::new(Document {
             serial: DOC_SERIAL.fetch_add(1, AtomicOrdering::Relaxed),
-            nodes: vec![doc_node, attr],
+            nodes: vec![leaf(NodeKind::Document, NO_NAME), attr],
+            text: value.into().to_string(),
+            names: NameTable {
+                by_id: vec![name],
+                index: None,
+            },
         });
         NodeHandle { doc, id: 1 }
     }
@@ -328,9 +500,11 @@ impl Document {
 /// assert_eq!(book.attribute(&QName::local("year")).unwrap().string_value(), "1993");
 /// ```
 pub struct DocumentBuilder {
-    nodes: Vec<NodeData>,
-    /// Open element stack (document node is the bottom entry).
-    open: Vec<NodeId>,
+    nodes: Vec<NodeRec>,
+    text: String,
+    names: NameTable,
+    /// The innermost open node (the document node when no element is).
+    current: NodeId,
     /// True until the first non-attribute content of the innermost
     /// open element has been written.
     attrs_allowed: bool,
@@ -345,44 +519,63 @@ impl Default for DocumentBuilder {
 impl DocumentBuilder {
     /// Start an empty document.
     pub fn new() -> DocumentBuilder {
-        let doc_node = NodeData {
-            kind: NodeKind::Document,
-            parent: None,
-            name: None,
-            text: None,
-            children: Vec::new(),
-            attributes: Vec::new(),
-        };
-        DocumentBuilder {
-            nodes: vec![doc_node],
-            open: vec![0],
+        let mut b = DocumentBuilder {
+            nodes: Vec::new(),
+            text: String::new(),
+            names: NameTable::default(),
+            current: 0,
             attrs_allowed: false,
-        }
+        };
+        b.push(NodeKind::Document, NO_NAME);
+        b.nodes[0].parent = NO_PARENT;
+        b
     }
 
-    fn push(&mut self, data: NodeData) -> NodeId {
-        let id = self.nodes.len() as NodeId;
-        self.nodes.push(data);
+    /// Append a record for a leaf child of the current node; an element
+    /// extends its interval when it is closed.
+    fn push(&mut self, kind: NodeKind, name: NameId) -> NodeId {
+        assert!(
+            name == NO_NAME || (name as usize) < self.names.by_id.len(),
+            "name id from another builder"
+        );
+        let id = NodeId::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != NO_PARENT)
+            .expect("fewer than 2^32 - 1 nodes per document");
+        let text_start =
+            u32::try_from(self.text.len()).expect("less than 4 GiB of text per document");
+        self.nodes.push(NodeRec {
+            parent: self.current,
+            name,
+            subtree_end: id,
+            text_start,
+            attrs: 0,
+            kind,
+        });
         id
     }
 
-    fn current(&self) -> NodeId {
-        *self.open.last().expect("builder always has an open node")
+    /// Intern `name` in the document under construction. The id is what
+    /// [`start_element_id`](Self::start_element_id) and
+    /// [`attribute_id`](Self::attribute_id) take, so a caller that sees
+    /// the same names over and over (the XML parser) resolves each once.
+    pub fn intern(&mut self, name: &QName) -> NameId {
+        self.names.intern(name)
     }
 
     /// Open a new element as a child of the current node.
     pub fn start_element(&mut self, name: QName) -> &mut Self {
-        let parent = self.current();
-        let id = self.push(NodeData {
-            kind: NodeKind::Element,
-            parent: Some(parent),
-            name: Some(name),
-            text: None,
-            children: Vec::new(),
-            attributes: Vec::new(),
-        });
-        self.nodes[parent as usize].children.push(id);
-        self.open.push(id);
+        let name = self.names.intern(&name);
+        self.start_element_id(name)
+    }
+
+    /// [`start_element`](Self::start_element) with an interned name.
+    ///
+    /// # Panics
+    /// Panics if `name` did not come from [`intern`](Self::intern) on
+    /// this builder.
+    pub fn start_element_id(&mut self, name: NameId) -> &mut Self {
+        self.current = self.push(NodeKind::Element, name);
         self.attrs_allowed = true;
         self
     }
@@ -393,24 +586,28 @@ impl DocumentBuilder {
     /// Panics if content has already been written to the element, or if
     /// no element is open — both indicate a builder-usage bug.
     pub fn attribute(&mut self, name: QName, value: impl Into<Arc<str>>) -> &mut Self {
+        let name = self.names.intern(&name);
+        self.attribute_id(name, &value.into())
+    }
+
+    /// [`attribute`](Self::attribute) with an interned name and a
+    /// borrowed value.
+    ///
+    /// # Panics
+    /// As [`attribute`](Self::attribute), and if `name` did not come
+    /// from [`intern`](Self::intern) on this builder.
+    pub fn attribute_id(&mut self, name: NameId, value: &str) -> &mut Self {
         assert!(
             self.attrs_allowed,
             "attributes must precede element content"
         );
-        let owner = self.current();
         assert!(
-            self.nodes[owner as usize].kind == NodeKind::Element,
+            self.nodes[self.current as usize].kind == NodeKind::Element,
             "attributes require an open element"
         );
-        let id = self.push(NodeData {
-            kind: NodeKind::Attribute,
-            parent: Some(owner),
-            name: Some(name),
-            text: Some(value.into()),
-            children: Vec::new(),
-            attributes: Vec::new(),
-        });
-        self.nodes[owner as usize].attributes.push(id);
+        self.push(NodeKind::Attribute, name);
+        self.text.push_str(value);
+        self.nodes[self.current as usize].attrs += 1;
         self
     }
 
@@ -421,44 +618,22 @@ impl DocumentBuilder {
             return self;
         }
         self.attrs_allowed = false;
-        let parent = self.current();
-        // Merge with a trailing text sibling if present.
-        if let Some(&last) = self.nodes[parent as usize].children.last() {
-            if self.nodes[last as usize].kind == NodeKind::Text {
-                let existing = self.nodes[last as usize]
-                    .text
-                    .take()
-                    .unwrap_or_else(|| Arc::from(""));
-                let merged: Arc<str> = Arc::from(format!("{existing}{value}"));
-                self.nodes[last as usize].text = Some(merged);
-                return self;
-            }
+        // A text node is a leaf, so when the current node's last child
+        // is one it is also the arena's last record, and its span ends
+        // where the buffer does: appending to the buffer merges.
+        let last = self.nodes.last().expect("the document node");
+        if !(last.kind == NodeKind::Text && last.parent == self.current) {
+            self.push(NodeKind::Text, NO_NAME);
         }
-        let id = self.push(NodeData {
-            kind: NodeKind::Text,
-            parent: Some(parent),
-            name: None,
-            text: Some(Arc::from(value)),
-            children: Vec::new(),
-            attributes: Vec::new(),
-        });
-        self.nodes[parent as usize].children.push(id);
+        self.text.push_str(value);
         self
     }
 
     /// Append a comment node.
     pub fn comment(&mut self, value: impl Into<Arc<str>>) -> &mut Self {
         self.attrs_allowed = false;
-        let parent = self.current();
-        let id = self.push(NodeData {
-            kind: NodeKind::Comment,
-            parent: Some(parent),
-            name: None,
-            text: Some(value.into()),
-            children: Vec::new(),
-            attributes: Vec::new(),
-        });
-        self.nodes[parent as usize].children.push(id);
+        self.push(NodeKind::Comment, NO_NAME);
+        self.text.push_str(&value.into());
         self
     }
 
@@ -469,16 +644,9 @@ impl DocumentBuilder {
         value: impl Into<Arc<str>>,
     ) -> &mut Self {
         self.attrs_allowed = false;
-        let parent = self.current();
-        let id = self.push(NodeData {
-            kind: NodeKind::ProcessingInstruction,
-            parent: Some(parent),
-            name: Some(target),
-            text: Some(value.into()),
-            children: Vec::new(),
-            attributes: Vec::new(),
-        });
-        self.nodes[parent as usize].children.push(id);
+        let target = self.names.intern(&target);
+        self.push(NodeKind::ProcessingInstruction, target);
+        self.text.push_str(&value.into());
         self
     }
 
@@ -487,8 +655,11 @@ impl DocumentBuilder {
     /// # Panics
     /// Panics when no element is open.
     pub fn end_element(&mut self) -> &mut Self {
-        assert!(self.open.len() > 1, "end_element with no open element");
-        self.open.pop();
+        assert!(self.current != 0, "end_element with no open element");
+        let last = (self.nodes.len() - 1) as NodeId;
+        let element = &mut self.nodes[self.current as usize];
+        element.subtree_end = last;
+        self.current = element.parent;
         self.attrs_allowed = false;
         self
     }
@@ -497,60 +668,70 @@ impl DocumentBuilder {
     /// This is how element constructors copy enclosed content: the copy
     /// receives fresh node identities, per the XQuery construction rules.
     pub fn copy_node(&mut self, node: &NodeHandle) -> &mut Self {
+        let src = &*node.doc;
         match node.kind() {
             NodeKind::Document => {
-                for child in node.children() {
-                    self.copy_node(&child);
+                for child in node.child_ids() {
+                    self.copy_subtree(src, child);
                 }
-            }
-            NodeKind::Element => {
-                self.start_element(node.name().expect("element has a name").clone());
-                for attr in node.attributes() {
-                    self.attribute(
-                        attr.name().expect("attribute has a name").clone(),
-                        attr.raw_text().unwrap_or(""),
-                    );
-                }
-                for child in node.children() {
-                    self.copy_node(&child);
-                }
-                self.end_element();
             }
             NodeKind::Attribute => {
-                self.attribute(
-                    node.name().expect("attribute has a name").clone(),
-                    node.raw_text().unwrap_or(""),
-                );
+                let name = self
+                    .names
+                    .intern(node.name().expect("attribute has a name"));
+                self.attribute_id(name, src.span(node.id));
             }
-            NodeKind::Text => {
-                self.text(node.raw_text().unwrap_or(""));
-            }
-            NodeKind::Comment => {
-                self.comment(node.raw_text().unwrap_or(""));
-            }
-            NodeKind::ProcessingInstruction => {
-                self.processing_instruction(
-                    node.name().expect("PI has a target").clone(),
-                    node.raw_text().unwrap_or(""),
-                );
-            }
+            _ => self.copy_subtree(src, node.id),
         }
         self
+    }
+
+    /// Copy the records of `root`'s interval, rebased onto the end of
+    /// this arena, and its slice of the text buffer in one piece.
+    fn copy_subtree(&mut self, src: &Document, root: NodeId) {
+        if src.rec(root).kind == NodeKind::Text {
+            // May merge with a preceding text sibling.
+            self.text(src.span(root));
+            return;
+        }
+        self.attrs_allowed = false;
+        let end = src.rec(root).subtree_end;
+        let text_lo = src.rec(root).text_start;
+        let text = &src.text[text_lo as usize..src.span_end(end)];
+        u32::try_from(self.text.len() + text.len()).expect("less than 4 GiB of text per document");
+        let base = self.nodes.len() as NodeId;
+        for id in root..=end {
+            let rec = *src.rec(id);
+            let name = match rec.name {
+                NO_NAME => NO_NAME,
+                name => self.names.intern(&src.names.by_id[name as usize]),
+            };
+            // `push` made it a leaf child of the current node starting
+            // at the end of the text buffer, which is right for `root`.
+            let copy = self.push(rec.kind, name);
+            let copied = &mut self.nodes[copy as usize];
+            if id != root {
+                copied.parent = rec.parent - root + base;
+            }
+            copied.subtree_end = rec.subtree_end - root + base;
+            copied.text_start += rec.text_start - text_lo;
+            copied.attrs = rec.attrs;
+        }
+        self.text.push_str(text);
     }
 
     /// Finish construction, producing the immutable document.
     ///
     /// # Panics
     /// Panics if elements remain open.
-    pub fn finish(self) -> Arc<Document> {
-        assert!(
-            self.open.len() == 1,
-            "finish with {} unclosed element(s)",
-            self.open.len() - 1
-        );
+    pub fn finish(mut self) -> Arc<Document> {
+        assert!(self.current == 0, "finish with unclosed element(s)");
+        self.nodes[0].subtree_end = (self.nodes.len() - 1) as NodeId;
         Arc::new(Document {
             serial: DOC_SERIAL.fetch_add(1, AtomicOrdering::Relaxed),
             nodes: self.nodes,
+            text: self.text,
+            names: self.names,
         })
     }
 }

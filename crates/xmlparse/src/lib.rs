@@ -12,7 +12,9 @@ pub mod parser;
 pub mod serializer;
 
 pub use error::{ParseError, ParseResult};
-pub use parser::{parse_document, parse_document_with, parse_fragment, ParseOptions};
+pub use parser::{
+    parse_document, parse_document_with, parse_fragment, ParseOptions, MAX_XML_DEPTH,
+};
 pub use serializer::{
     escape_attr, escape_text, serialize_node, serialize_node_with, serialize_sequence,
     serialize_sequence_with, SequenceSerializer, SerializeOptions,

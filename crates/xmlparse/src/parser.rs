@@ -9,10 +9,20 @@
 //! Not supported (rejected with a clear error): external entities,
 //! custom entity declarations. Namespaces are *lexical only*: prefixes
 //! are kept on names but no URI resolution is performed.
+//!
+//! The parser scans bytes, not `char`s. Every delimiter it looks for is
+//! ASCII and no ASCII byte occurs inside a multi-byte UTF-8 sequence, so
+//! each position it stops at is a `char` boundary of the input `&str`.
+//! Text between two delimiters is appended to the document's text buffer
+//! as one slice; only a run that holds a reference, a CDATA section, a
+//! carriage return or a `]` is decoded piece by piece first. A name is
+//! looked up by its bytes in one table and becomes a [`NameId`]; an end
+//! tag is compared with its start tag as bytes.
 
 use crate::error::{ParseError, ParseResult};
+use std::collections::HashMap;
 use std::sync::Arc;
-use xqa_xdm::node::{Document, DocumentBuilder};
+use xqa_xdm::node::{Document, DocumentBuilder, NameId};
 use xqa_xdm::qname::QName;
 
 /// Parser configuration.
@@ -52,18 +62,15 @@ pub fn parse_document(input: &str) -> ParseResult<Arc<Document>> {
 
 /// Parse a complete XML document with explicit options.
 pub fn parse_document_with(input: &str, options: ParseOptions) -> ParseResult<Arc<Document>> {
-    let mut p = Parser::new(input, options);
+    let mut p = Parser::new(input, options)?;
     p.skip_prolog()?;
     let mut roots = 0usize;
     loop {
-        p.skip_misc();
-        if p.at_end() {
-            break;
-        }
-        if p.peek_str("<") {
-            p.parse_content_item(&mut roots, true)?;
-        } else {
-            return Err(p.error("text content is not allowed at document top level"));
+        p.skip_ws();
+        match p.peek() {
+            None => break,
+            Some(b'<') => roots += usize::from(p.parse_markup()?),
+            Some(_) => return Err(p.error("text content is not allowed at document top level")),
         }
     }
     if roots == 0 {
@@ -82,16 +89,18 @@ pub fn parse_document_with(input: &str, options: ParseOptions) -> ParseResult<Ar
 /// Parse an XML *fragment*: zero or more elements plus bare text,
 /// wrapped under a synthetic document node. Handy in tests.
 pub fn parse_fragment(input: &str) -> ParseResult<Arc<Document>> {
-    let options = ParseOptions::default();
-    let mut p = Parser::new(input, options);
+    let mut p = Parser::new(input, ParseOptions::default())?;
     p.skip_prolog()?;
-    let mut roots = 0usize;
-    while !p.at_end() {
-        if p.peek_str("<") {
-            p.parse_content_item(&mut roots, true)?;
+    if input[..p.pos].bytes().all(is_xml_space) {
+        // No declaration or doctype: leading whitespace belongs to the
+        // first run of text.
+        p.pos = 0;
+    }
+    while let Some(b) = p.peek() {
+        if b == b'<' {
+            p.parse_markup()?;
         } else {
-            let text = p.parse_char_data()?;
-            p.emit_text(&text);
+            p.parse_text()?;
         }
     }
     Ok(p.builder.finish())
@@ -99,7 +108,32 @@ pub fn parse_fragment(input: &str) -> ParseResult<Arc<Document>> {
 
 /// Maximum element nesting depth (guards against stack overflow on
 /// adversarial input; real documents stay far below this).
-const MAX_XML_DEPTH: usize = 256;
+pub const MAX_XML_DEPTH: usize = 256;
+
+const CDATA_START: &str = "<![CDATA[";
+
+/// The XML `S` production.
+fn is_xml_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
+/// The XML `Char` production: what a character reference may name.
+fn is_xml_char(c: char) -> bool {
+    matches!(c, '\t' | '\n' | '\r' | ' '..='\u{D7FF}' | '\u{E000}'..='\u{FFFD}' | '\u{10000}'..)
+}
+
+/// Append `text` with `\r\n` and lone `\r` turned into `\n` (XML 1.0
+/// §2.11).
+fn push_eol_normalized(out: &mut String, text: &str) {
+    let mut rest = text;
+    while let Some(cr) = rest.find('\r') {
+        out.push_str(&rest[..cr]);
+        out.push('\n');
+        rest = &rest[cr + 1..];
+        rest = rest.strip_prefix('\n').unwrap_or(rest);
+    }
+    out.push_str(rest);
+}
 
 struct Parser<'a> {
     input: &'a str,
@@ -108,22 +142,31 @@ struct Parser<'a> {
     depth: usize,
     options: ParseOptions,
     builder: DocumentBuilder,
+    /// Every name seen so far, as written, with its id in `builder`.
+    names: HashMap<&'a str, NameId>,
+    /// Decoded text of the run or attribute value being parsed, when it
+    /// is not a slice of the input (reused across runs).
+    scratch: String,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str, options: ParseOptions) -> Parser<'a> {
-        Parser {
+    fn new(input: &'a str, options: ParseOptions) -> ParseResult<Parser<'a>> {
+        // A document has at most one node and one byte of text per input
+        // byte, so this bound keeps every node id and text offset in the
+        // arena's `u32`s.
+        if u32::try_from(input.len()).is_err() {
+            return Err(ParseError::new(0, 0, "input is larger than 4 GiB"));
+        }
+        Ok(Parser {
             input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
             options,
             builder: DocumentBuilder::new(),
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
+            names: HashMap::new(),
+            scratch: String::new(),
+        })
     }
 
     fn peek(&self) -> Option<u8> {
@@ -131,7 +174,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek_str(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
+        self.bytes[self.pos..].starts_with(s.as_bytes())
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -147,6 +190,28 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.error(format!("expected {s:?}")))
         }
+    }
+
+    /// Advance to the first byte `stop` accepts (or the end of input) and
+    /// return the slice passed over. `stop` must accept either no
+    /// non-ASCII byte or all of them: then it stops on an ASCII byte or
+    /// on the lead byte of a sequence, and both ends of the slice are
+    /// `char` boundaries.
+    fn take_until(&mut self, stop: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        self.pos = self.bytes[start..]
+            .iter()
+            .position(|&b| stop(b))
+            .map_or(self.bytes.len(), |i| start + i);
+        &self.input[start..self.pos]
+    }
+
+    /// Skip past the next occurrence of `end` and return what precedes it.
+    fn take_through(&mut self, end: &str, unterminated: &str) -> ParseResult<&'a str> {
+        let rest = &self.input[self.pos..];
+        let len = rest.find(end).ok_or_else(|| self.error(unterminated))?;
+        self.pos += len + end.len();
+        Ok(&rest[..len])
     }
 
     fn line_col(&self) -> (u32, u32) {
@@ -169,21 +234,16 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
+        self.take_until(|b| !is_xml_space(b));
     }
 
     /// Skip the XML declaration and doctype, if present.
     fn skip_prolog(&mut self) -> ParseResult<()> {
         self.skip_ws();
         if self.peek_str("<?xml") {
-            let end = self.input[self.pos..]
-                .find("?>")
-                .ok_or_else(|| self.error("unterminated XML declaration"))?;
-            self.pos += end + 2;
+            self.take_through("?>", "unterminated XML declaration")?;
         }
-        self.skip_misc();
+        self.skip_ws();
         if self.peek_str("<!DOCTYPE") {
             // Skip to the matching '>' (internal subsets with nested
             // brackets are handled by bracket counting).
@@ -201,50 +261,46 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    /// Skip whitespace between top-level constructs.
-    fn skip_misc(&mut self) {
-        self.skip_ws();
-    }
-
-    /// Parse one item of content starting with `<`: element, comment,
-    /// PI, or CDATA. `top_level` restricts what is allowed and counts
-    /// root elements.
-    fn parse_content_item(&mut self, roots: &mut usize, top_level: bool) -> ParseResult<()> {
+    /// Parse one item starting with `<` that is not an end tag or, inside
+    /// an element, a CDATA section: a comment, a PI or an element.
+    /// Returns whether it was an element.
+    fn parse_markup(&mut self) -> ParseResult<bool> {
         debug_assert!(self.peek() == Some(b'<'));
         if self.peek_str("<!--") {
-            self.parse_comment()
+            self.parse_comment().map(|()| false)
         } else if self.peek_str("<?") {
-            self.parse_pi()
-        } else if self.peek_str("<![CDATA[") {
-            if top_level {
-                return Err(self.error("CDATA is not allowed at document top level"));
-            }
-            let text = self.parse_cdata()?;
-            self.builder.text(&text);
-            Ok(())
+            self.parse_pi().map(|()| false)
+        } else if self.peek_str(CDATA_START) {
+            // Element content hands its CDATA sections to `parse_text`.
+            Err(self.error("CDATA is not allowed at document top level"))
         } else if self.peek_str("</") {
             Err(self.error("unexpected end tag"))
         } else {
-            if top_level {
-                *roots += 1;
-            }
-            self.parse_element()
+            self.parse_element().map(|()| true)
         }
     }
 
-    fn parse_name(&mut self) -> ParseResult<QName> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            let c = b as char;
-            if c.is_ascii_whitespace() || matches!(c, '=' | '>' | '/' | '<' | '?' | '"' | '\'') {
-                break;
-            }
-            // Multi-byte UTF-8 is allowed in names; advance a full char.
-            let ch = self.input[self.pos..].chars().next().unwrap();
-            self.pos += ch.len_utf8();
+    /// The name at the cursor, as written.
+    fn take_name(&mut self) -> &'a str {
+        self.take_until(|b| {
+            b.is_ascii_whitespace() || matches!(b, b'=' | b'>' | b'/' | b'<' | b'?' | b'"' | b'\'')
+        })
+    }
+
+    fn invalid_name(&self, raw: &str) -> ParseError {
+        self.error(format!("invalid name {raw:?}"))
+    }
+
+    /// Resolve a name as written to its id in the document, validating
+    /// and interning it the first time it is seen.
+    fn intern(&mut self, raw: &'a str) -> ParseResult<NameId> {
+        if let Some(&id) = self.names.get(raw) {
+            return Ok(id);
         }
-        let raw = &self.input[start..self.pos];
-        QName::parse(raw).ok_or_else(|| self.error(format!("invalid name {raw:?}")))
+        let name = QName::parse(raw).ok_or_else(|| self.invalid_name(raw))?;
+        let id = self.builder.intern(&name);
+        self.names.insert(raw, id);
+        Ok(id)
     }
 
     fn parse_element(&mut self) -> ParseResult<()> {
@@ -261,8 +317,9 @@ impl<'a> Parser<'a> {
 
     fn parse_element_inner(&mut self) -> ParseResult<()> {
         self.expect_str("<")?;
-        let name = self.parse_name()?;
-        self.builder.start_element(name.clone());
+        let name = self.take_name();
+        let id = self.intern(name)?;
+        self.builder.start_element_id(id);
         // Attributes.
         loop {
             self.skip_ws();
@@ -277,121 +334,175 @@ impl<'a> Parser<'a> {
                     return Ok(());
                 }
                 Some(_) => {
-                    let attr_name = self.parse_name()?;
+                    let attr = self.take_name();
+                    let attr = self.intern(attr)?;
                     self.skip_ws();
                     self.expect_str("=")?;
                     self.skip_ws();
-                    let value = self.parse_attr_value()?;
-                    self.builder.attribute(attr_name, value);
+                    self.parse_attr_value(attr)?;
                 }
                 None => return Err(self.error("unterminated start tag")),
             }
         }
         // Content.
         loop {
-            if self.at_end() {
-                return Err(self.error(format!("unterminated element <{name}>")));
-            }
-            if self.peek_str("</") {
-                self.expect_str("</")?;
-                let end_name = self.parse_name()?;
-                if end_name != name {
-                    return Err(
-                        self.error(format!("mismatched end tag </{end_name}> for <{name}>"))
-                    );
+            match self.peek() {
+                None => return Err(self.error(format!("unterminated element <{name}>"))),
+                Some(b'<') if self.peek_str("</") => return self.parse_end_tag(name),
+                Some(b'<') if !self.peek_str(CDATA_START) => {
+                    self.parse_markup()?;
                 }
-                self.skip_ws();
-                self.expect_str(">")?;
-                self.builder.end_element();
-                return Ok(());
-            }
-            if self.peek() == Some(b'<') {
-                let mut dummy = 0;
-                self.parse_content_item(&mut dummy, false)?;
-            } else {
-                let text = self.parse_char_data()?;
-                self.emit_text(&text);
+                Some(_) => self.parse_text()?,
             }
         }
     }
 
+    fn parse_end_tag(&mut self, open: &str) -> ParseResult<()> {
+        self.expect_str("</")?;
+        let name = self.take_name();
+        if name != open {
+            QName::parse(name).ok_or_else(|| self.invalid_name(name))?;
+            return Err(self.error(format!("mismatched end tag </{name}> for <{open}>")));
+        }
+        self.skip_ws();
+        self.expect_str(">")?;
+        self.builder.end_element();
+        Ok(())
+    }
+
+    /// Append a run of character data as a text node, unless it is
+    /// whitespace only and those are being dropped.
     fn emit_text(&mut self, text: &str) {
-        if self.options.strip_whitespace_only_text && text.chars().all(|c| c.is_ascii_whitespace())
-        {
+        if self.options.strip_whitespace_only_text && text.bytes().all(is_xml_space) {
             return;
         }
         self.builder.text(text);
     }
 
-    fn parse_attr_value(&mut self) -> ParseResult<String> {
+    /// Parse one run of character data: everything up to the next tag,
+    /// comment or PI, CDATA sections and references included.
+    fn parse_text(&mut self) -> ParseResult<()> {
+        let is_special = |b: u8| matches!(b, b'<' | b'&' | b'\r' | b']');
+        let plain = self.take_until(is_special);
+        if self.peek().is_none() || (self.peek() == Some(b'<') && !self.peek_str(CDATA_START)) {
+            self.emit_text(plain);
+            return Ok(());
+        }
+        let mut run = std::mem::take(&mut self.scratch);
+        run.clear();
+        run.push_str(plain);
+        let result = loop {
+            match self.peek() {
+                Some(b'<') if self.peek_str(CDATA_START) => {
+                    if self.depth == 0 {
+                        break Err(self.error("CDATA is not allowed at document top level"));
+                    }
+                    self.pos += CDATA_START.len();
+                    match self.take_through("]]>", "unterminated CDATA section") {
+                        Ok(text) => push_eol_normalized(&mut run, text),
+                        Err(e) => break Err(e),
+                    }
+                }
+                None | Some(b'<') => break Ok(()),
+                Some(b'&') => match self.parse_entity() {
+                    Ok(c) => run.push(c),
+                    Err(e) => break Err(e),
+                },
+                Some(b'\r') => {
+                    self.pos += 1;
+                    if self.peek() == Some(b'\n') {
+                        self.pos += 1;
+                    }
+                    run.push('\n');
+                }
+                Some(b']') if self.peek_str("]]>") => {
+                    break Err(self.error("']]>' is not allowed in character data"));
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    run.push(']');
+                }
+                Some(_) => run.push_str(self.take_until(is_special)),
+            }
+        };
+        if result.is_ok() {
+            self.emit_text(&run);
+        }
+        self.scratch = run;
+        result
+    }
+
+    /// Parse a quoted attribute value and add the attribute `name` to the
+    /// open element. A literal tab, newline or carriage return becomes a
+    /// space (XML 1.0 §3.3.3; `\r\n` is one line end, so one space).
+    fn parse_attr_value(&mut self, name: NameId) -> ParseResult<()> {
         let quote = match self.bump() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.error("expected quoted attribute value")),
         };
-        let mut out = String::new();
-        loop {
+        let is_special =
+            move |b: u8| b == quote || matches!(b, b'<' | b'&' | b'\t' | b'\n' | b'\r');
+        let plain = self.take_until(is_special);
+        if self.peek() == Some(quote) {
+            self.pos += 1;
+            self.builder.attribute_id(name, plain);
+            return Ok(());
+        }
+        let mut value = std::mem::take(&mut self.scratch);
+        value.clear();
+        value.push_str(plain);
+        let result = loop {
             match self.peek() {
-                None => return Err(self.error("unterminated attribute value")),
+                None => break Err(self.error("unterminated attribute value")),
                 Some(b) if b == quote => {
                     self.pos += 1;
-                    return Ok(out);
+                    break Ok(());
                 }
-                Some(b'<') => return Err(self.error("'<' is not allowed in attribute values")),
-                Some(b'&') => out.push(self.parse_entity()?),
-                Some(_) => {
-                    let ch = self.input[self.pos..].chars().next().unwrap();
-                    self.pos += ch.len_utf8();
-                    out.push(ch);
+                Some(b'<') => break Err(self.error("'<' is not allowed in attribute values")),
+                Some(b'&') => match self.parse_entity() {
+                    Ok(c) => value.push(c),
+                    Err(e) => break Err(e),
+                },
+                Some(b'\r') if self.bytes.get(self.pos + 1) == Some(&b'\n') => self.pos += 1,
+                Some(b'\t' | b'\n' | b'\r') => {
+                    self.pos += 1;
+                    value.push(' ');
                 }
+                Some(_) => value.push_str(self.take_until(is_special)),
             }
+        };
+        if result.is_ok() {
+            self.builder.attribute_id(name, &value);
         }
+        self.scratch = value;
+        result
     }
 
-    fn parse_char_data(&mut self) -> ParseResult<String> {
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None | Some(b'<') => return Ok(out),
-                Some(b'&') => out.push(self.parse_entity()?),
-                Some(_) => {
-                    if self.peek_str("]]>") {
-                        return Err(self.error("']]>' is not allowed in character data"));
-                    }
-                    let ch = self.input[self.pos..].chars().next().unwrap();
-                    self.pos += ch.len_utf8();
-                    out.push(ch);
-                }
-            }
-        }
-    }
-
+    /// Parse `&name;`, `&#N;` or `&#xN;` into the character it stands for.
     fn parse_entity(&mut self) -> ParseResult<char> {
         debug_assert!(self.peek() == Some(b'&'));
         self.pos += 1;
-        let end = self.input[self.pos..]
-            .find(';')
-            .ok_or_else(|| self.error("unterminated entity reference"))?;
-        let name = &self.input[self.pos..self.pos + end];
-        self.pos += end + 1;
+        let name = self.take_until(|b| !(b.is_ascii_alphanumeric() || b == b'#'));
+        if self.bump() != Some(b';') {
+            return Err(self.error("unterminated entity reference"));
+        }
+        // The name scan above stops at a sign, so `from_str_radix` never
+        // sees the leading `+` it would accept.
+        let char_ref = |digits: &str, radix: u32| {
+            let code = u32::from_str_radix(digits, radix)
+                .map_err(|_| self.error(format!("invalid character reference &{name};")))?;
+            char::from_u32(code)
+                .filter(|&c| is_xml_char(c))
+                .ok_or_else(|| self.error(format!("invalid code point &{name};")))
+        };
         match name {
             "lt" => Ok('<'),
             "gt" => Ok('>'),
             "amp" => Ok('&'),
             "apos" => Ok('\''),
             "quot" => Ok('"'),
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                let code = u32::from_str_radix(&name[2..], 16)
-                    .map_err(|_| self.error(format!("invalid character reference &{name};")))?;
-                char::from_u32(code)
-                    .ok_or_else(|| self.error(format!("invalid code point &{name};")))
-            }
-            _ if name.starts_with('#') => {
-                let code = name[1..]
-                    .parse::<u32>()
-                    .map_err(|_| self.error(format!("invalid character reference &{name};")))?;
-                char::from_u32(code)
-                    .ok_or_else(|| self.error(format!("invalid code point &{name};")))
-            }
+            _ if name.starts_with("#x") || name.starts_with("#X") => char_ref(&name[2..], 16),
+            _ if name.starts_with('#') => char_ref(&name[1..], 10),
             _ => Err(self.error(format!(
                 "unknown entity &{name}; (external entities unsupported)"
             ))),
@@ -400,14 +511,12 @@ impl<'a> Parser<'a> {
 
     fn parse_comment(&mut self) -> ParseResult<()> {
         self.expect_str("<!--")?;
-        let end = self.input[self.pos..]
-            .find("-->")
-            .ok_or_else(|| self.error("unterminated comment"))?;
-        let text = &self.input[self.pos..self.pos + end];
+        let start = self.pos;
+        let text = self.take_through("-->", "unterminated comment")?;
         if text.contains("--") {
+            self.pos = start;
             return Err(self.error("'--' is not allowed inside comments"));
         }
-        self.pos += end + 3;
         if self.options.keep_comments {
             self.builder.comment(text);
         }
@@ -416,30 +525,17 @@ impl<'a> Parser<'a> {
 
     fn parse_pi(&mut self) -> ParseResult<()> {
         self.expect_str("<?")?;
-        let target = self.parse_name()?;
-        if target.local_part().eq_ignore_ascii_case("xml") && target.prefix().is_none() {
+        let raw = self.take_name();
+        let target = QName::parse(raw).ok_or_else(|| self.invalid_name(raw))?;
+        if raw.eq_ignore_ascii_case("xml") {
             return Err(self.error("'<?xml' is only allowed at the start of the document"));
         }
         self.skip_ws();
-        let end = self.input[self.pos..]
-            .find("?>")
-            .ok_or_else(|| self.error("unterminated processing instruction"))?;
-        let data = &self.input[self.pos..self.pos + end];
-        self.pos += end + 2;
+        let data = self.take_through("?>", "unterminated processing instruction")?;
         if self.options.keep_processing_instructions {
             self.builder.processing_instruction(target, data);
         }
         Ok(())
-    }
-
-    fn parse_cdata(&mut self) -> ParseResult<String> {
-        self.expect_str("<![CDATA[")?;
-        let end = self.input[self.pos..]
-            .find("]]>")
-            .ok_or_else(|| self.error("unterminated CDATA section"))?;
-        let text = self.input[self.pos..self.pos + end].to_string();
-        self.pos += end + 3;
-        Ok(text)
     }
 }
 
@@ -554,12 +650,93 @@ mod tests {
         assert!(parse_document("<a>&nbsp;</a>").is_err(), "unknown entity");
         assert!(parse_document("<1tag/>").is_err());
         assert!(parse_document("<a><!-- -- --></a>").is_err());
+        // Character references outside the XML `Char` production.
+        for bad in ["&#0;", "&#x1;", "&#8;", "&#xB;", "&#x1F;", "&#xD800;"] {
+            let bad = format!("<a>{bad}</a>");
+            assert!(parse_document(&bad).is_err(), "{bad}");
+        }
+        for bad in ["&#xFFFE;", "&#xFFFF;", "&#x110000;", "&#99999999999;"] {
+            let bad = format!("<a b='{bad}'/>");
+            assert!(parse_document(&bad).is_err(), "{bad}");
+        }
+        // Signed and empty forms `from_str_radix` / `parse` would take.
+        for bad in ["&#x+41;", "&#+65;", "&#-65;", "&#x;", "&#;", "&#x-1;"] {
+            let err = parse_document(&format!("<a>\n{bad}</a>")).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}: {err}");
+        }
+        assert_eq!(
+            parse_document("<a>&#9;&#xA;&#13;&#x20;&#xD7FF;&#xE000;&#xFFFD;&#x10000;</a>")
+                .unwrap()
+                .root()
+                .string_value(),
+            "\t\n\r \u{D7FF}\u{E000}\u{FFFD}\u{10000}"
+        );
+    }
+
+    /// XML 1.0 §2.11: `\r\n` and a lone `\r` reach the application as
+    /// `\n`, so a CRLF file parses deep-equal to its LF twin.
+    #[test]
+    fn line_ends_are_normalized() {
+        let lf = "<r a='1'>\n<t>one\ntwo\n\nthree</t>\n<c><![CDATA[x\ny\n]]></c>\n</r>";
+        let crlf = lf.replace('\n', "\r\n");
+        let cr = lf.replace('\n', "\r");
+        let expected = parse_document(lf).unwrap();
+        let t = expected.root().descendants().nth(1).unwrap();
+        assert_eq!(t.string_value(), "one\ntwo\n\nthree");
+        for twin in [crlf, cr] {
+            let doc = parse_document(&twin).unwrap();
+            assert!(
+                xqa_xdm::node_deep_equal(&doc.root(), &expected.root()),
+                "{twin:?}"
+            );
+        }
+        // A referenced carriage return is data, not a line end.
+        let doc = parse_document("<t>a&#13;\r\nb</t>").unwrap();
+        assert_eq!(doc.root().string_value(), "a\r\nb");
+    }
+
+    /// XML 1.0 §3.3.3: a literal tab or line end in an attribute value is
+    /// a space; a referenced one is kept.
+    #[test]
+    fn attribute_values_are_normalized() {
+        let doc = parse_document("<r a='x\ty\nz\r\nw\rv' b=\"&#9;&#10;&#13;\"/>").unwrap();
+        let r = doc.root().children().next().unwrap();
+        let values: Vec<String> = r.attributes().map(|a| a.string_value()).collect();
+        assert_eq!(values, ["x y z w v", "\t\n\r"]);
+    }
+
+    #[test]
+    fn whitespace_only_runs_are_judged_after_decoding() {
+        // A referenced space is still whitespace; a CDATA section is part
+        // of the run around it.
+        let a = |xml| {
+            let doc = parse_document(xml).unwrap();
+            let a = doc.root().children().next().unwrap();
+            a.children().map(|c| c.string_value()).collect::<Vec<_>>()
+        };
+        assert!(a("<a> &#32;\r\n</a>").is_empty());
+        assert!(a("<a> <![CDATA[ ]]> </a>").is_empty());
+        assert_eq!(a("<a> <![CDATA[x]]> </a>"), [" x "]);
+        assert_eq!(a("<a>x]y]]z<![CDATA[]]]]><![CDATA[>]]></a>"), ["x]y]]z]]>"]);
+        assert!(parse_document("<a>x]]>y</a>").is_err());
+    }
+
+    #[test]
+    fn multibyte_text_names_and_values_survive_byte_scanning() {
+        let doc = parse_document("<é ü='ö&amp;ß'>日本&lt;語\r\n𝄞]</é>").unwrap();
+        let e = doc.root().children().next().unwrap();
+        assert_eq!(e.name().unwrap().local_part(), "é");
+        assert_eq!(e.attributes().next().unwrap().string_value(), "ö&ß");
+        assert_eq!(e.string_value(), "日本<語\n𝄞]");
     }
 
     #[test]
     fn fragment_allows_multiple_roots_and_text() {
         let doc = parse_fragment("<a/>text<b/>").unwrap();
         assert_eq!(doc.root().children().count(), 3);
+        let doc = parse_fragment(" \n<a/> text").unwrap();
+        assert_eq!(doc.root().children().count(), 2);
+        assert_eq!(parse_fragment(" t").unwrap().root().string_value(), " t");
     }
 
     #[test]

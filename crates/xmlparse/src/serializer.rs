@@ -184,7 +184,9 @@ fn write_element(out: &mut String, node: &NodeHandle, options: &SerializeOptions
     let _ = write!(out, "</{name}>");
 }
 
-/// Escape character data: `&`, `<`, `>` (the latter for `]]>` safety).
+/// Escape character data: `&`, `<`, `>` (the latter for `]]>` safety),
+/// and a carriage return as a character reference, because the parser
+/// reads a literal one as a line end (XML 1.0 §2.11).
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -192,13 +194,16 @@ pub fn escape_text(s: &str) -> String {
             '&' => out.push_str("&amp;"),
             '<' => out.push_str("&lt;"),
             '>' => out.push_str("&gt;"),
+            '\r' => out.push_str("&#13;"),
             _ => out.push(c),
         }
     }
     out
 }
 
-/// Escape attribute values: also `"`.
+/// Escape attribute values: `&`, `<`, `"`, and tab, newline and
+/// carriage return as character references, because the parser reads
+/// literal ones as spaces (XML 1.0 §3.3.3).
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -206,6 +211,9 @@ pub fn escape_attr(s: &str) -> String {
             '&' => out.push_str("&amp;"),
             '<' => out.push_str("&lt;"),
             '"' => out.push_str("&quot;"),
+            '\t' => out.push_str("&#9;"),
+            '\n' => out.push_str("&#10;"),
+            '\r' => out.push_str("&#13;"),
             _ => out.push(c),
         }
     }
@@ -263,6 +271,8 @@ mod tests {
             escape_attr(r#"say "hi" & <go>"#),
             "say &quot;hi&quot; &amp; &lt;go>"
         );
+        assert_eq!(escape_text("a\r\nb\tc"), "a&#13;\nb\tc");
+        assert_eq!(escape_attr("a\r\nb\tc"), "a&#13;&#10;b&#9;c");
     }
 
     #[test]

@@ -39,9 +39,11 @@ enum Tree {
 const NAMES: [&str; 6] = ["book", "title", "author", "sale", "region", "price"];
 const ATTR_NAMES: [&str; 4] = ["id", "year", "month", "kind"];
 /// Text alphabet includes XML-significant characters to exercise
-/// escaping; generated strings are never whitespace-only (the parser
-/// strips whitespace-only text nodes by default).
-const TEXT_CHARS: &[u8] = b"abcXYZ019<>&'\" ";
+/// escaping, and the three the parser normalizes (XML 1.0 §2.11 and
+/// §3.3.3), which the serializer must write as character references;
+/// generated strings are never whitespace-only (the parser strips
+/// whitespace-only text nodes by default).
+const TEXT_CHARS: &[u8] = b"abcXYZ019<>&'\" \r\n\t";
 
 fn gen_text(rng: &mut Rng) -> String {
     loop {
@@ -149,6 +151,27 @@ fn roundtrip_preserves_deep_equality() {
             node_deep_equal(&doc.root(), &reparsed.root()),
             "round-trip changed the tree: {text}"
         );
+    }
+}
+
+/// A file saved with CRLF (or bare CR) line ends parses deep-equal to
+/// its LF twin: every literal line end is normalized, and the ones that
+/// are data were written as references.
+#[test]
+fn crlf_twin_parses_deep_equal() {
+    let mut rng = Rng(0xF3);
+    for _ in 0..128 {
+        let tree = gen_tree(&mut rng, 4);
+        let doc = build(&tree);
+        let text = serialize_node(&doc.root());
+        for line_end in ["\r\n", "\r"] {
+            let twin = text.replace('\n', line_end);
+            let reparsed = parse_document(&twin).unwrap();
+            assert!(
+                node_deep_equal(&doc.root(), &reparsed.root()),
+                "{line_end:?} twin changed the tree: {twin:?}"
+            );
+        }
     }
 }
 
