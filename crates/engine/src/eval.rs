@@ -27,11 +27,15 @@ const MAX_RECURSION: usize = 64;
 
 /// Execute a compiled query against a dynamic context.
 pub fn execute(query: &CompiledQuery, dynamic: &DynamicContext) -> EngineResult<Sequence> {
-    with_run_accounting(dynamic, || execute_inner(query, dynamic))
+    with_run_accounting(dynamic, || {
+        let interp = Interpreter::new(query, dynamic)?;
+        let mut env = Env::new(query.frame_size, initial_focus(dynamic));
+        interp.eval(&query.body, &mut env)
+    })
 }
 
-/// Streaming twin of [`execute`]: instead of materializing the result,
-/// each pipeline batch of result items is handed to `emit` as it is
+/// [`execute`] into a sink: instead of materializing the result, each
+/// pipeline batch of result items is handed to `emit` as it is
 /// produced. Returns the total item count. Counter and profiler
 /// bookkeeping matches [`execute`] exactly, so `--stats` totals and
 /// flight records look the same whether a request streamed or not.
@@ -41,19 +45,7 @@ pub fn execute_streaming(
     emit: &mut dyn FnMut(&[Item]) -> EngineResult<()>,
 ) -> EngineResult<u64> {
     with_run_accounting(dynamic, || {
-        let mut interp = Interpreter {
-            query,
-            dynamic,
-            globals: Vec::new(),
-            depth: Cell::new(0),
-            stats: &dynamic.stats,
-            parallel_ok: true,
-        };
-        for g in &query.globals {
-            let mut env = Env::new(g.frame_size, initial_focus(dynamic));
-            let v = interp.eval(&g.init, &mut env)?;
-            interp.globals.push(v);
-        }
+        let interp = Interpreter::new(query, dynamic)?;
         let mut env = Env::new(query.frame_size, initial_focus(dynamic));
         match &query.body {
             // A FLWOR body streams straight off the pipeline sink.
@@ -111,24 +103,6 @@ fn with_run_accounting<T>(
     result
 }
 
-fn execute_inner(query: &CompiledQuery, dynamic: &DynamicContext) -> EngineResult<Sequence> {
-    let mut interp = Interpreter {
-        query,
-        dynamic,
-        globals: Vec::new(),
-        depth: Cell::new(0),
-        stats: &dynamic.stats,
-        parallel_ok: true,
-    };
-    for g in &query.globals {
-        let mut env = Env::new(g.frame_size, initial_focus(dynamic));
-        let v = interp.eval(&g.init, &mut env)?;
-        interp.globals.push(v);
-    }
-    let mut env = Env::new(query.frame_size, initial_focus(dynamic));
-    interp.eval(&query.body, &mut env)
-}
-
 fn initial_focus(dynamic: &DynamicContext) -> Option<Focus> {
     dynamic.context_item().map(|item| Focus {
         item: item.clone(),
@@ -172,6 +146,28 @@ pub(crate) struct Interpreter<'a> {
 }
 
 impl<'a> Interpreter<'a> {
+    /// The root interpreter of one run, its globals evaluated in
+    /// declaration order.
+    pub(crate) fn new(
+        query: &'a CompiledQuery,
+        dynamic: &'a DynamicContext,
+    ) -> EngineResult<Interpreter<'a>> {
+        let mut interp = Interpreter {
+            query,
+            dynamic,
+            globals: Vec::new(),
+            depth: Cell::new(0),
+            stats: &dynamic.stats,
+            parallel_ok: true,
+        };
+        for g in &query.globals {
+            let mut env = Env::new(g.frame_size, initial_focus(dynamic));
+            let v = interp.eval(&g.init, &mut env)?;
+            interp.globals.push(v);
+        }
+        Ok(interp)
+    }
+
     /// A worker-thread clone of this interpreter: shares the compiled
     /// query, dynamic context, and evaluated globals, but counts into
     /// its own stats sink and may not re-parallelize.

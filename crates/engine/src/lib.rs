@@ -69,10 +69,11 @@ pub struct EngineOptions {
     /// Degree of intra-query parallelism for the streaming pipeline.
     /// `0` (the default) resolves at run time via the `XQA_THREADS`
     /// environment variable, falling back to
-    /// `std::thread::available_parallelism`. `1` forces the exact
-    /// single-threaded legacy execution path. Values above 1 split the
-    /// outermost `for` binding sequence into morsels executed by that
-    /// many scoped worker threads; output is byte-identical to serial.
+    /// `std::thread::available_parallelism`. `1` runs the whole
+    /// pipeline on the calling thread. Values above 1 split an
+    /// outermost `for` binding sequence of more than one morsel across
+    /// that many scoped worker threads (the same operators, one breaker
+    /// partial per worker, merged); output is byte-identical to serial.
     pub threads: usize,
     /// How leading `descendant::T` path steps are executed (see
     /// [`AccessPathMode`]). `Auto` (the default) consults the catalog

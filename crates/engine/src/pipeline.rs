@@ -11,39 +11,49 @@
 //!   bindings layered over the shared parent frame, instead of a full
 //!   frame snapshot. Cloning a tuple clones a handful of [`Sequence`]
 //!   handles — O(1) each, sharing the backing storage.
-//! - `ForScan`, `LetBind`, `Filter`, `CountBind` and `WindowScan`
-//!   stream; [`GroupConsume`] and [`OrderBy`] are pipeline *breakers*
-//!   that drain their input before emitting.
+//! - `ForScan`, `LetBind`, `Filter`, `HashJoin`, `CountBind` and
+//!   `WindowScan` stream; `group by` and `order by` lower to the
+//!   [`Breaker`] operator, which drains its input into a
+//!   [`partial::Partial`] before emitting.
 //! - When the top-k rewrite ([`crate::rewrite::pushdown_topk`]) has set
-//!   [`OrderByIr::limit`], `OrderBy` keeps a bounded binary heap of k
-//!   tuples instead of sorting the whole input: O(n log k) comparisons,
-//!   O(k) kept tuples.
+//!   [`OrderByIr::limit`], the `order by` partial keeps a bounded binary
+//!   heap of k tuples instead of sorting the whole input: O(n log k)
+//!   comparisons, O(k) kept tuples.
+//!
+//! There is one driver, [`drive`]: [`build_chain`] lowers clauses to
+//! operators, `return_at` pulls the chain into a [`Sink`] that either
+//! collects one `Sequence` or emits batch by batch. When more than one
+//! thread is available and the outer `for` binds more than one
+//! [`MORSEL`], an [`exchange`] runs the chain up to the first breaker on
+//! worker threads, one partial per worker, and merges the partials; the
+//! serial pipeline is the same chain with a single partial that never
+//! merges, run on the calling thread.
 //!
 //! In-place slot writes are sound because the compiler never reuses slot
 //! numbers: dropping a binding from scope only hides it, so every
 //! binding in a body has a globally unique slot ([`Ir::Quantified`]
 //! evaluation already relies on the same contract).
 
+mod partial;
+
 use crate::bytecode::{ExprPlan, ExprProgram};
-use crate::context::{EvalStats, Focus};
+use crate::context::EvalStats;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{opt_atomic, untyped_to_string, Env, Interpreter};
 use crate::ir::*;
-use crate::keys::{atomic_key, GroupIndex};
-use crate::profile::{OpKind, OpProfile, PipelineProfile, Span};
+use crate::keys::atomic_key;
+use crate::profile::{Clock, OpKind, OpProfile, PipelineProfile, Span};
 use crate::types::matches_seq_type;
+use partial::Partial;
 use std::cell::Cell;
-use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, OnceLock};
 use xqa_xdm::sequence::SequenceIntoIter;
-use xqa_xdm::{
-    deep_equal, effective_boolean_value, AtomicValue, ErrorCode, Item, Sequence, SequenceBuilder,
-};
-
-use crate::flwor::{compare_order_keys, sort_keyed, OrderKeys};
+use xqa_xdm::{effective_boolean_value, AtomicValue, ErrorCode, Item, Sequence, SequenceBuilder};
 
 /// Tuples per batch. Large enough to amortize the virtual `next_batch`
 /// call, small enough that a streaming chain stays cache-resident.
@@ -56,10 +66,11 @@ pub(crate) const BATCH: usize = 64;
 pub(crate) const MORSEL: usize = 1024;
 
 /// Global position of a tuple in the serial stream: (morsel index,
-/// emission ordinal within the morsel). Morsels are contiguous chunks
-/// and each morsel's chain runs serially, so sorting by tag restores
-/// exactly the serial tuple order — the stable-sort / first-appearance
-/// tie-breaking the serial path gets for free.
+/// ordinal among the tuples its partial absorbed). Morsels are
+/// contiguous chunks and each morsel's chain runs serially into one
+/// partial, so sorting by tag restores exactly the serial tuple order —
+/// the stable-sort / first-appearance tie-breaking one partial
+/// absorbing the whole stream gets for free.
 type Tag = (usize, usize);
 
 /// A copy-on-write tuple: bindings this FLWOR has made, layered over the
@@ -105,146 +116,70 @@ pub(crate) trait TupleSource {
 
 type BoxSource<'p> = Box<dyn TupleSource + 'p>;
 
-/// Evaluate a FLWOR through the streaming pipeline. When profiling is
-/// enabled on the dynamic context, every operator is wrapped in an
-/// [`Instrumented`] decorator and the measured chain is recorded into
-/// the context's profiler after the run.
-///
-/// A parallel-eligible chain (see [`crate::ir::parallel_eligible`])
-/// running where more than one thread is available evaluates the outer
-/// `for` binding sequence up front: inputs larger than one [`MORSEL`]
-/// go to the morsel-parallel executor, smaller ones feed the already
-/// evaluated items through the ordinary serial chain.
-pub(crate) fn run(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineResult<Sequence> {
-    debug_assert_eq!(f.plan.len(), f.clauses.len());
-    if f.parallel && interp.parallel_ok {
-        let threads = crate::resolve_threads(interp.query.threads);
-        if threads > 1 {
-            let ClauseIr::For { expr, .. } = &f.clauses[0] else {
-                unreachable!("parallel-eligible FLWOR starts with a for clause");
-            };
-            let items = interp.eval(expr, env)?;
-            if items.len() > MORSEL {
-                return run_parallel(interp, f, env, items, threads);
-            }
-            return run_serial(interp, f, env, Some(items));
-        }
-    }
-    run_serial(interp, f, env, None)
-}
-
-/// The single-threaded pipeline: the exact legacy execution path. When
-/// `seed` carries an already evaluated outer binding sequence (the
-/// too-small-to-split parallel fallback), the outermost `ForScan`
-/// starts pre-seeded instead of evaluating its expression again.
-fn run_serial(
-    interp: &Interpreter,
-    f: &FlworIr,
-    env: &mut Env,
-    mut seed: Option<Sequence>,
-) -> EngineResult<Sequence> {
-    let profiler = interp.dynamic.profiler().cloned();
-    let mut counters: Vec<Rc<OpCounters>> = Vec::new();
-    let cells = join_cells(f);
-    let mut source: BoxSource = Box::new(Singleton { done: false });
-    for (i, clause) in f.clauses.iter().enumerate() {
-        source = match (i, seed.take(), clause) {
-            (
-                0,
-                Some(items),
-                ClauseIr::For {
-                    slot,
-                    at_slot,
-                    ty,
-                    expr,
-                },
-            ) => Box::new(ForScan {
-                input: source,
-                slot: *slot,
-                at_slot: *at_slot,
-                ty: ty.as_ref(),
-                expr,
-                expr_eval: ExprEval::new(flwor_plan(f, 0)),
-                batch: Vec::new().into_iter(),
-                items: items.into_iter(),
-                item_pos: 0,
-                base: Tuple::default(),
-                input_done: true,
-            }),
-            (_, _, clause) => {
-                clause_source(clause, flwor_plan(f, i), join_at(f, &cells, i), source)
-            }
-        };
-        if profiler.is_some() {
-            let c = Rc::new(OpCounters::default());
-            counters.push(Rc::clone(&c));
-            source = Box::new(Instrumented {
-                input: source,
-                counters: c,
-            });
-        }
-    }
-    let sink = ReturnAt {
-        at: f.return_at,
-        expr: &f.return_expr,
-    };
-    match profiler {
-        None => sink.execute(source, interp, env).map(|(seq, _)| seq),
-        Some(profiler) => {
-            let clock = Arc::clone(interp.dynamic.clock());
-            let start = clock.now_nanos();
-            let (seq, sink_stats) = sink.execute(source, interp, env)?;
-            let total = clock.now_nanos().saturating_sub(start);
-            let p = build_profile(f, &counters, sink_stats, total);
-            profiler.add_span(serial_span(&p, start, total));
-            profiler.record(p);
-            Ok(seq)
-        }
-    }
-}
-
 /// Batch sink for the streaming execution path: receives each
 /// non-empty result batch in pipeline order. An `Err` aborts the run
 /// (used by the serving layer to propagate socket write failures).
 pub(crate) type EmitBatch<'e> = dyn FnMut(&[Item]) -> EngineResult<()> + 'e;
 
-/// Streaming twin of [`run`]: instead of materializing the full result
-/// `Sequence`, each pipeline batch's return-expression output is handed
-/// to `emit` as soon as the batch is pulled. Returns the total number
-/// of items emitted.
-///
-/// The morsel-parallel executor's deterministic merges need the whole
-/// result before anything can be emitted in order, so the parallel path
-/// materializes exactly as [`run`] does and then feeds the merged
-/// sequence out in [`BATCH`]-sized chunks — the emitted bytes match the
-/// serial path either way.
+/// Where a pipeline's result items go. Without `emit` they collect in
+/// `out`, which the caller builds into one `Sequence` at the end; with
+/// it, `out` only ever holds the batch in flight.
+struct Sink<'a, 'e> {
+    out: SequenceBuilder,
+    emit: Option<&'a mut EmitBatch<'e>>,
+    /// Items handed to `emit` so far.
+    items: u64,
+}
+
+impl<'a, 'e> Sink<'a, 'e> {
+    fn new(emit: Option<&'a mut EmitBatch<'e>>) -> Self {
+        Sink {
+            out: SequenceBuilder::new(),
+            emit,
+            items: 0,
+        }
+    }
+
+    /// One batch's (or one morsel fragment's) items are all in `out`:
+    /// when emitting, hand them over.
+    fn end_batch(&mut self) -> EngineResult<()> {
+        let Some(emit) = self.emit.as_mut() else {
+            return Ok(());
+        };
+        let seq = std::mem::take(&mut self.out).build();
+        if !seq.is_empty() {
+            self.items += seq.len() as u64;
+            emit(&seq)?;
+        }
+        Ok(())
+    }
+}
+
+/// Evaluate a FLWOR through the streaming pipeline into one `Sequence`.
+pub(crate) fn run(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineResult<Sequence> {
+    let mut sink = Sink::new(None);
+    drive(interp, f, env, &mut sink)?;
+    Ok(sink.out.build())
+}
+
+/// Evaluate a FLWOR handing each batch's return-expression output to
+/// `emit` as soon as the batch is pulled (behind a parallel exchange:
+/// each morsel's, in morsel order, as soon as it and every earlier
+/// morsel are done). Returns the total number of items emitted.
 pub(crate) fn run_streaming(
     interp: &Interpreter,
     f: &FlworIr,
     env: &mut Env,
     emit: &mut EmitBatch,
 ) -> EngineResult<u64> {
-    debug_assert_eq!(f.plan.len(), f.clauses.len());
-    if f.parallel && interp.parallel_ok {
-        let threads = crate::resolve_threads(interp.query.threads);
-        if threads > 1 {
-            let ClauseIr::For { expr, .. } = &f.clauses[0] else {
-                unreachable!("parallel-eligible FLWOR starts with a for clause");
-            };
-            let items = interp.eval(expr, env)?;
-            if items.len() > MORSEL {
-                let seq = run_parallel(interp, f, env, items, threads)?;
-                return emit_sequence(&seq, emit);
-            }
-            return run_serial_stream(interp, f, env, Some(items), emit);
-        }
-    }
-    run_serial_stream(interp, f, env, None, emit)
+    let mut sink = Sink::new(Some(emit));
+    drive(interp, f, env, &mut sink)?;
+    Ok(sink.items)
 }
 
 /// Feed an already materialized sequence through `emit` in
-/// [`BATCH`]-sized chunks. Used wherever a streaming caller hits a
-/// path that must materialize (parallel merges, non-FLWOR bodies).
+/// [`BATCH`]-sized chunks: what a streaming caller does with a
+/// non-FLWOR body, which has no tuple pipeline to tap.
 pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResult<u64> {
     for chunk in seq.chunks(BATCH) {
         if !chunk.is_empty() {
@@ -254,74 +189,144 @@ pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResul
     Ok(seq.len() as u64)
 }
 
-/// Streaming twin of [`run_serial`]: identical operator chain and
-/// profiling, but the sink emits per-batch instead of building one
-/// `Sequence`.
-fn run_serial_stream(
-    interp: &Interpreter,
-    f: &FlworIr,
-    env: &mut Env,
-    mut seed: Option<Sequence>,
-    emit: &mut EmitBatch,
-) -> EngineResult<u64> {
-    let profiler = interp.dynamic.profiler().cloned();
-    let mut counters: Vec<Rc<OpCounters>> = Vec::new();
+/// The one FLWOR driver. When profiling is enabled on the dynamic
+/// context, every operator is wrapped in an [`Instrumented`] decorator
+/// and the measured chain is recorded into the context's profiler after
+/// the run.
+///
+/// A parallel-eligible chain (see [`crate::ir::parallel_eligible`])
+/// running where more than one thread is available evaluates the outer
+/// `for` binding sequence up front, through that clause's own
+/// [`ExprEval`] as `ForScan` would: inputs larger than one [`MORSEL`]
+/// go through the [`exchange`] and the calling thread runs only what
+/// follows the first breaker, smaller ones seed the ordinary chain.
+fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> EngineResult<()> {
+    debug_assert_eq!(f.plan.len(), f.clauses.len());
+    let n = f.clauses.len();
     let cells = join_cells(f);
-    let mut source: BoxSource = Box::new(Singleton { done: false });
-    for (i, clause) in f.clauses.iter().enumerate() {
-        source = match (i, seed.take(), clause) {
-            (
-                0,
-                Some(items),
-                ClauseIr::For {
-                    slot,
-                    at_slot,
-                    ty,
-                    expr,
-                },
-            ) => Box::new(ForScan {
-                input: source,
-                slot: *slot,
-                at_slot: *at_slot,
-                ty: ty.as_ref(),
-                expr,
-                expr_eval: ExprEval::new(flwor_plan(f, 0)),
-                batch: Vec::new().into_iter(),
-                items: items.into_iter(),
-                item_pos: 0,
-                base: Tuple::default(),
-                input_done: true,
-            }),
-            (_, _, clause) => {
-                clause_source(clause, flwor_plan(f, i), join_at(f, &cells, i), source)
-            }
-        };
-        if profiler.is_some() {
-            let c = Rc::new(OpCounters::default());
-            counters.push(Rc::clone(&c));
-            source = Box::new(Instrumented {
-                input: source,
-                counters: c,
-            });
-        }
-    }
-    let sink = ReturnAt {
-        at: f.return_at,
-        expr: &f.return_expr,
+    let profiler = interp.dynamic.profiler().cloned();
+    let clock = profiling_clock(interp);
+    let counters = op_counters(clock.is_some(), n);
+
+    let threads = if f.parallel && interp.parallel_ok {
+        crate::resolve_threads(interp.query.threads)
+    } else {
+        1
     };
-    match profiler {
-        None => sink.stream(source, interp, env, emit).map(|(n, _)| n),
-        Some(profiler) => {
-            let clock = Arc::clone(interp.dynamic.clock());
-            let start = clock.now_nanos();
-            let (items, sink_stats) = sink.stream(source, interp, env, emit)?;
-            let total = clock.now_nanos().saturating_sub(start);
-            let p = build_profile(f, &counters, sink_stats, total);
-            profiler.add_span(serial_span(&p, start, total));
-            profiler.record(p);
-            Ok(items)
-        }
+    let mut seed = None;
+    if threads > 1 {
+        let ClauseIr::For { expr, .. } = &f.clauses[0] else {
+            unreachable!("parallel-eligible FLWOR starts with a for clause");
+        };
+        let mut outer = ExprEval::new(flwor_plan(f, 0));
+        seed = Some(outer.eval(expr, interp, env)?);
+        outer.flush(interp.stats);
     }
+
+    let start = clock.as_ref().map(|c| c.now_nanos());
+    let mut exchanged = None;
+    let source = match seed {
+        Some(items) if items.len() > MORSEL => {
+            let (merged, profile) = exchange(interp, f, env, &items, threads, &cells, sink)?;
+            let cut = profile.cut;
+            exchanged = Some(profile);
+            merged.map(|partial| {
+                // A tagged collect (`cut == n`) is no clause and gets
+                // no profile row: `counters` has no entry for it.
+                let breaker = Box::new(Breaker {
+                    input: Box::new(Singleton { done: true }),
+                    partial: Some(partial),
+                    output: Vec::new().into_iter(),
+                });
+                let breaker = instrument(breaker, counters.get(cut));
+                build_chain(f, cut + 1..n, breaker, None, &cells, &counters)
+            })
+        }
+        seed => Some(build_chain(
+            f,
+            0..n,
+            Box::new(Singleton { done: false }),
+            seed.map(|items| (items, 0)),
+            &cells,
+            &counters,
+        )),
+    };
+    // `None`: the exchange's workers evaluated `return` themselves and
+    // their fragments are already in the sink.
+    let sink_stats = match source {
+        Some(source) => Some(return_at(f, source, interp, env, sink)?),
+        None => None,
+    };
+    if let (Some(profiler), Some(clock), Some(start)) = (profiler, clock, start) {
+        let total = clock.now_nanos().saturating_sub(start);
+        let tail = counters.iter().map(|c| c.get()).collect();
+        let p = build_profile(f, tail, exchanged.as_ref(), sink_stats, total);
+        profiler.add_span(pipeline_span(&p, start, total, exchanged));
+        profiler.record(p);
+    }
+    Ok(())
+}
+
+/// Lower clauses `range` of `f` onto `input`, each operator metered by
+/// its entry in `counters` (empty when not profiling). `seed` is the
+/// already evaluated binding sequence of the range's first clause —
+/// the outer `for` — with the ordinal its `at` positions start after.
+fn build_chain<'p>(
+    f: &'p FlworIr,
+    range: Range<usize>,
+    input: BoxSource<'p>,
+    mut seed: Option<(Sequence, i64)>,
+    cells: &[Option<JoinCell>],
+    counters: &[Rc<Cell<OpCounters>>],
+) -> BoxSource<'p> {
+    let mut source = input;
+    for i in range {
+        let lowered = clause_source(
+            &f.clauses[i],
+            flwor_plan(f, i),
+            join_at(f, cells, i),
+            source,
+            seed.take(),
+        );
+        source = instrument(lowered, counters.get(i));
+    }
+    source
+}
+
+/// The pipeline sink: pulls tuples, binds the §4 output ordinal
+/// (`return at $rank`, numbered *after* any order by) and evaluates the
+/// return expression per tuple into `sink`, batch by batch.
+fn return_at(
+    f: &FlworIr,
+    mut source: BoxSource<'_>,
+    interp: &Interpreter,
+    env: &mut Env,
+    sink: &mut Sink,
+) -> EngineResult<SinkStats> {
+    let mut stats = SinkStats::default();
+    let mut ordinal = 0i64;
+    while let Some(batch) = source.next_batch(interp, env)? {
+        stats.batches += 1;
+        stats.tuples += batch.len() as u64;
+        for t in batch {
+            t.apply(env);
+            ordinal += 1;
+            if let Some(at) = f.return_at {
+                env.slots[at] = Sequence::one(ordinal);
+            }
+            sink.out.append(interp.eval(&f.return_expr, env)?);
+        }
+        sink.end_batch()?;
+    }
+    Ok(stats)
+}
+
+/// What the sink consumed: the operator-level counters for `ReturnAt`'s
+/// row in the profile.
+#[derive(Debug, Default, Clone, Copy)]
+struct SinkStats {
+    batches: u64,
+    tuples: u64,
 }
 
 /// The clause's compiled-expression plan, tolerating the empty table
@@ -402,12 +407,15 @@ impl<'p> ExprEval<'p> {
 /// mode). A clause whose plan slot the join-unnesting rewrite marked
 /// [`PlanOpIr::HashJoin`] lowers to the hash-join operator instead of
 /// its nested form; `join` carries the annotation plus the run-scoped
-/// build-table cell shared by every lowering of the same clause.
+/// build-table cell shared by every lowering of the same clause. A
+/// `for` given a `seed` (see [`build_chain`]) starts out holding it
+/// and never pulls `input` or evaluates its expression.
 fn clause_source<'p>(
     clause: &'p ClauseIr,
     plan: Option<&'p ExprPlan>,
     join: Option<(&'p JoinIr, JoinCell)>,
     input: BoxSource<'p>,
+    seed: Option<(Sequence, i64)>,
 ) -> BoxSource<'p> {
     if let Some((j, cell)) = join {
         return Box::new(HashJoin {
@@ -423,19 +431,23 @@ fn clause_source<'p>(
             at_slot,
             ty,
             expr,
-        } => Box::new(ForScan {
-            input,
-            slot: *slot,
-            at_slot: *at_slot,
-            ty: ty.as_ref(),
-            expr,
-            expr_eval: ExprEval::new(plan),
-            batch: Vec::new().into_iter(),
-            items: Sequence::Empty.into_iter(),
-            item_pos: 0,
-            base: Tuple::default(),
-            input_done: false,
-        }),
+        } => {
+            let input_done = seed.is_some();
+            let (items, item_pos) = seed.unwrap_or_default();
+            Box::new(ForScan {
+                input,
+                slot: *slot,
+                at_slot: *at_slot,
+                ty: ty.as_ref(),
+                expr,
+                expr_eval: ExprEval::new(plan),
+                batch: Vec::new().into_iter(),
+                items: items.into_iter(),
+                item_pos,
+                base: Tuple::default(),
+                input_done,
+            })
+        }
         ClauseIr::Let { slot, ty, expr } => Box::new(LetBind {
             input,
             slot: *slot,
@@ -454,39 +466,58 @@ fn clause_source<'p>(
             n: 0,
         }),
         ClauseIr::Window(w) => Box::new(WindowScan { input, w }),
-        ClauseIr::GroupBy(g) => Box::new(GroupConsume {
+        ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_) => Box::new(Breaker {
             input,
-            g,
+            partial: Partial::for_clause(clause),
             output: Vec::new().into_iter(),
-            consumed: false,
-        }),
-        ClauseIr::OrderBy(ob) => Box::new(OrderBy {
-            input,
-            ob,
-            output: Vec::new().into_iter(),
-            consumed: false,
         }),
     }
 }
 
-/// Interior-mutable counters for one instrumented operator. `Rc<Cell>`
-/// (not atomics) because one pipeline runs on one thread and
-/// [`TupleSource`] is not `Send`.
-#[derive(Debug, Default)]
+/// What one instrumented operator measured. Shared as `Rc<Cell<_>>`
+/// (not atomics) because one chain runs on one thread and
+/// [`TupleSource`] is not `Send`; workers hand plain copies back.
+#[derive(Debug, Clone, Copy, Default)]
 struct OpCounters {
-    batches: Cell<u64>,
-    tuples_out: Cell<u64>,
+    batches: u64,
+    tuples_out: u64,
     /// Cumulative time spent in this operator *and everything upstream*
     /// of it (`next_batch` pulls recursively); self time is recovered by
     /// subtracting the input operator's cumulative time.
-    cum_nanos: Cell<u64>,
+    cum_nanos: u64,
+}
+
+/// The injected clock when this run is profiled; `None` keeps every
+/// clock read off the unprofiled path.
+fn profiling_clock(interp: &Interpreter) -> Option<Arc<dyn Clock>> {
+    let profiled = interp.dynamic.profiler().is_some();
+    profiled.then(|| Arc::clone(interp.dynamic.clock()))
+}
+
+/// One zeroed counter per clause of an `n`-clause FLWOR when profiling
+/// (indexed by clause, whichever clauses the chain ends up running),
+/// none otherwise.
+fn op_counters(profiling: bool, n: usize) -> Vec<Rc<Cell<OpCounters>>> {
+    let n = if profiling { n } else { 0 };
+    (0..n).map(|_| Rc::default()).collect()
 }
 
 /// Decorator that meters the operator below it: batches, tuples and
 /// wall time per `next_batch` call, read from the injected clock.
 struct Instrumented<'p> {
     input: BoxSource<'p>,
-    counters: Rc<OpCounters>,
+    counters: Rc<Cell<OpCounters>>,
+}
+
+/// Wrap `source` in an [`Instrumented`] when a counter is given.
+fn instrument<'p>(source: BoxSource<'p>, counters: Option<&Rc<Cell<OpCounters>>>) -> BoxSource<'p> {
+    match counters {
+        Some(c) => Box::new(Instrumented {
+            input: source,
+            counters: Rc::clone(c),
+        }),
+        None => source,
+    }
 }
 
 impl TupleSource for Instrumented<'_> {
@@ -499,70 +530,124 @@ impl TupleSource for Instrumented<'_> {
         let start = clock.now_nanos();
         let result = self.input.next_batch(interp, env);
         let elapsed = clock.now_nanos().saturating_sub(start);
-        let c = &self.counters;
-        c.cum_nanos.set(c.cum_nanos.get() + elapsed);
+        let mut c = self.counters.get();
+        c.cum_nanos += elapsed;
         if let Ok(Some(batch)) = &result {
-            c.batches.set(c.batches.get() + 1);
-            c.tuples_out.set(c.tuples_out.get() + batch.len() as u64);
+            c.batches += 1;
+            c.tuples_out += batch.len() as u64;
         }
+        self.counters.set(c);
         result
     }
 }
 
 /// Assemble the measured operator chain for one pipeline execution.
-/// Self time per operator = its cumulative time minus its input's;
-/// tuples_in = the input operator's tuples_out (the `Singleton` root
-/// seeds exactly one tuple).
+/// `tail` is the calling thread's chain and `exchange` carries the
+/// workers' chains, every chain with one entry per clause (zero where
+/// it did not run the clause). Per chain, self time per operator = its
+/// cumulative time minus its input's; tuples_in = the input operator's
+/// tuples_out (the `Singleton` root seeds exactly one tuple).
+///
+/// Rows sum over the chains, so behind an exchange their batch and
+/// tuple counts are exact and their nanos are *CPU time across all
+/// workers* (the pipeline total stays wall time; `workers` in the
+/// profile flags the discrepancy for renderers). Worker time spent
+/// outside the chains — absorbing into partials, or evaluating
+/// `return` — and the coordinator's merge go to the breaker's row, or
+/// to the sink's when there is no breaker.
 fn build_profile(
     f: &FlworIr,
-    counters: &[Rc<OpCounters>],
-    sink_stats: SinkStats,
+    tail: Vec<OpCounters>,
+    exchange: Option<&ExchangeProfile>,
+    sink_stats: Option<SinkStats>,
     total_nanos: u64,
 ) -> PipelineProfile {
-    let mut ops = Vec::with_capacity(counters.len() + 1);
+    let n = f.clauses.len();
+    let (cut, outside) = exchange.map_or((n, 0), |x| {
+        let pulled: u64 = x.chains.iter().map(|c| c[x.cut - 1].cum_nanos).sum();
+        (x.cut, x.loop_nanos.saturating_sub(pulled) + x.merge_nanos)
+    });
+    let chains: Vec<&Vec<OpCounters>> = exchange
+        .iter()
+        .flat_map(|x| &x.chains)
+        .chain([&tail])
+        .collect();
+    let mut ops = Vec::with_capacity(n + 1);
     let mut upstream_out = 1u64;
-    let mut upstream_cum = 0u64;
-    for (i, (clause, c)) in f.clauses.iter().zip(counters).enumerate() {
-        let cum = c.cum_nanos.get();
-        ops.push(OpProfile {
+    for (i, clause) in f.clauses.iter().enumerate() {
+        let mut op = OpProfile {
             kind: clause_op_kind(clause, join_ir(f, i)),
             detail: clause_op_detail(clause, join_ir(f, i)),
-            batches: c.batches.get(),
+            batches: 0,
             tuples_in: upstream_out,
-            tuples_out: c.tuples_out.get(),
-            nanos: cum.saturating_sub(upstream_cum),
+            tuples_out: 0,
+            nanos: if i == cut { outside } else { 0 },
             estimate: f.estimates.get(i).copied().flatten(),
-        });
-        upstream_out = c.tuples_out.get();
-        upstream_cum = cum;
+        };
+        for c in &chains {
+            op.batches += c[i].batches;
+            op.tuples_out += c[i].tuples_out;
+            let upstream_cum = if i > 0 { c[i - 1].cum_nanos } else { 0 };
+            op.nanos += c[i].cum_nanos.saturating_sub(upstream_cum);
+        }
+        upstream_out = op.tuples_out;
+        ops.push(op);
     }
+    let accounted: u64 = ops.iter().map(|o| o.nanos).sum();
+    let (batches, tuples_out, nanos) = match sink_stats {
+        Some(s) => (s.batches, s.tuples, total_nanos.saturating_sub(accounted)),
+        // No sink ran on the calling thread: the workers evaluated the
+        // return expression; mirror the chain's top row.
+        None => (
+            chains.iter().map(|c| c[n - 1].batches).sum(),
+            upstream_out,
+            outside,
+        ),
+    };
     ops.push(OpProfile {
         kind: OpKind::ReturnAt,
         detail: String::new(),
-        batches: sink_stats.batches,
+        batches,
         tuples_in: upstream_out,
-        tuples_out: sink_stats.tuples,
-        nanos: total_nanos.saturating_sub(upstream_cum),
-        estimate: f.estimates.get(f.clauses.len()).copied().flatten(),
+        tuples_out,
+        nanos,
+        estimate: f.estimates.get(n).copied().flatten(),
     });
     PipelineProfile {
         executions: 1,
-        workers: 1,
+        workers: exchange.map_or(1, |x| x.chains.len() as u64),
         ops,
     }
 }
 
-/// Lay a serial execution's operator chain out as a span timeline.
-/// The pipeline interleaves its operators batch-at-a-time, so exact
-/// per-operator intervals don't exist; the children are placed
-/// end-to-end by measured self time instead, preserving durations.
-fn serial_span(p: &PipelineProfile, start_nanos: u64, total_nanos: u64) -> Span {
+/// Lay one execution out as a span timeline. A chain interleaves its
+/// operators batch-at-a-time, so exact per-operator intervals don't
+/// exist: without an exchange the children are the operators placed
+/// end-to-end by measured self time, preserving durations. With one
+/// they are the real loop interval of every morsel worker (attributed
+/// by worker id) plus the coordinator's merge interval.
+fn pipeline_span(
+    p: &PipelineProfile,
+    start_nanos: u64,
+    total_nanos: u64,
+    exchange: Option<ExchangeProfile>,
+) -> Span {
     let mut root = Span::leaf("pipeline", start_nanos, start_nanos + total_nanos);
-    let mut at = start_nanos;
-    for op in &p.ops {
-        let end = at + op.nanos;
-        root.children.push(Span::leaf(op.label(), at, end));
-        at = end;
+    match exchange {
+        Some(x) => {
+            root.children = x.spans;
+            let merge_end = x.merge_start + x.merge_nanos;
+            root.children
+                .push(Span::leaf("merge", x.merge_start, merge_end));
+        }
+        None => {
+            let mut at = start_nanos;
+            for op in &p.ops {
+                let end = at + op.nanos;
+                root.children.push(Span::leaf(op.label(), at, end));
+                at = end;
+            }
+        }
     }
     root
 }
@@ -1325,366 +1410,33 @@ fn bind_cond_slots(t: &mut Tuple, frame: &[Sequence], cond: &WindowCondIr) {
     }
 }
 
-/// `group by ... nest ...`: pipeline breaker. Drains the input into a
-/// hash aggregation ([`GroupIndex`], scratch-buffer key building), then
-/// emits one tuple per group in first-appearance order.
-struct GroupConsume<'p> {
+/// `group by ... nest ...` and `order by`: the pipeline breakers. The
+/// first pull drains the input into the clause's [`Partial`] as one
+/// morsel and finishes it: a hash aggregation emitting one tuple per
+/// group in first-appearance order, or a full stable sort, or — when
+/// the top-k rewrite set a limit — the k least tuples. Behind an
+/// [`exchange`] the partial arrives already filled and merged, and the
+/// input is exhausted from the start.
+struct Breaker<'p> {
     input: BoxSource<'p>,
-    g: &'p GroupByIr,
+    /// `None` once finished into `output`.
+    partial: Option<Partial<'p>>,
     output: std::vec::IntoIter<Tuple>,
-    consumed: bool,
 }
 
-struct GroupState {
-    /// One key sequence per grouping variable.
-    keys: Vec<Sequence>,
-    /// The first member tuple (source of outer-variable values for the
-    /// output tuple; pre-group slots in it are hidden by the compiler's
-    /// §3.2 scope rule).
-    base: Tuple,
-    /// Collected nest entries: per nest binding, per member.
-    nests: Vec<Vec<(OrderKeys, Sequence)>>,
-}
-
-impl GroupConsume<'_> {
-    fn consume(&mut self, interp: &Interpreter, env: &mut Env) -> EngineResult<()> {
-        let g = self.g;
-        let stats = &interp.stats;
-        let has_using = g.keys.iter().any(|k| k.using.is_some());
-        let mut groups: Vec<GroupState> = Vec::new();
-        let mut index = GroupIndex::new();
-        let mut scratch = String::new();
-        let mut consumed = 0u64;
-
-        while let Some(batch) = self.input.next_batch(interp, env)? {
-            consumed += batch.len() as u64;
-            for t in batch {
-                t.apply(env);
-                let mut key_vals: Vec<Sequence> = Vec::with_capacity(g.keys.len());
-                for key in &g.keys {
-                    key_vals.push(interp.eval(&key.expr, env)?);
-                }
-                let mut nest_vals: Vec<(OrderKeys, Sequence)> = Vec::with_capacity(g.nests.len());
-                for nest in &g.nests {
-                    let value = interp.eval(&nest.expr, env)?;
-                    let okeys = match &nest.order_by {
-                        Some(ob) => interp.order_keys(&ob.specs, env)?,
-                        None => Vec::new(),
-                    };
-                    nest_vals.push((okeys, value));
-                }
-
-                let group_idx = if has_using {
-                    // Custom equality (§3.3): linear scan with the
-                    // user-supplied comparator for `using` keys and
-                    // deep-equal for the rest.
-                    let mut found = None;
-                    'groups: for (gi, group) in groups.iter().enumerate() {
-                        for (key, (stored, candidate)) in
-                            g.keys.iter().zip(group.keys.iter().zip(&key_vals))
-                        {
-                            let equal = match key.using {
-                                Some(fid) => {
-                                    let result = interp.call_user_values(
-                                        fid,
-                                        vec![stored.clone(), candidate.clone()],
-                                    )?;
-                                    effective_boolean_value(&result).map_err(EngineError::from)?
-                                }
-                                None => deep_equal(stored, candidate),
-                            };
-                            if !equal {
-                                continue 'groups;
-                            }
-                        }
-                        found = Some(gi);
-                        break;
-                    }
-                    found
-                } else {
-                    index
-                        .find_or_insert_buf(&mut scratch, &key_vals, groups.len(), |i| {
-                            groups[i].keys.as_slice()
-                        })
-                        .ok()
-                };
-
-                match group_idx {
-                    Some(gi) => {
-                        for (slot, entry) in groups[gi].nests.iter_mut().zip(nest_vals) {
-                            slot.push(entry);
-                        }
-                    }
-                    None => {
-                        groups.push(GroupState {
-                            keys: key_vals,
-                            base: t,
-                            nests: nest_vals.into_iter().map(|e| vec![e]).collect(),
-                        });
-                    }
-                }
-            }
-        }
-
-        stats.add_tuples_grouped(consumed);
-        stats.add_groups_emitted(groups.len() as u64);
-
-        self.output = emit_groups(g, groups)?.into_iter();
-        Ok(())
-    }
-}
-
-/// One output tuple per group, in first-appearance order (stable,
-/// matching the materializing path): bind the key slots and the sorted,
-/// concatenated nest sequences onto each group's base tuple.
-fn emit_groups(g: &GroupByIr, groups: Vec<GroupState>) -> EngineResult<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(groups.len());
-    for group in groups {
-        let mut t = group.base;
-        for (key, vals) in g.keys.iter().zip(group.keys) {
-            t.bind(key.slot, vals);
-        }
-        for (nest, mut entries) in g.nests.iter().zip(group.nests) {
-            if let Some(ob) = &nest.order_by {
-                sort_keyed(&mut entries, &ob.specs)?;
-            }
-            let mut seq = SequenceBuilder::new();
-            for (_, vals) in entries {
-                // Nest values concatenate into one flat sequence —
-                // "merged and lose their individual identity" (§3.1).
-                // A single-member nest adopts its value's storage whole.
-                seq.append(vals);
-            }
-            t.bind(nest.slot, seq.build());
-        }
-        out.push(t);
-    }
-    Ok(out)
-}
-
-impl TupleSource for GroupConsume<'_> {
+impl TupleSource for Breaker<'_> {
     fn next_batch(
         &mut self,
         interp: &Interpreter,
         env: &mut Env,
     ) -> EngineResult<Option<Vec<Tuple>>> {
-        if !self.consumed {
-            self.consumed = true;
-            self.consume(interp, env)?;
+        if let Some(mut partial) = self.partial.take() {
+            partial.drain(self.input.as_mut(), 0, interp, env)?;
+            self.output = partial.finish(interp)?.into_iter();
         }
-        Ok(drain_batch(&mut self.output))
-    }
-}
-
-/// `order by`: pipeline breaker. Full stable sort, or — when the top-k
-/// rewrite set a limit — a bounded binary heap that keeps only the k
-/// least tuples seen so far.
-struct OrderBy<'p> {
-    input: BoxSource<'p>,
-    ob: &'p OrderByIr,
-    output: std::vec::IntoIter<Tuple>,
-    consumed: bool,
-}
-
-impl OrderBy<'_> {
-    fn consume(&mut self, interp: &Interpreter, env: &mut Env) -> EngineResult<()> {
-        let specs = &self.ob.specs;
-        let sorted = match self.ob.limit {
-            Some(k) => {
-                let mut heap = TopKHeap::new(specs, k);
-                let mut pruned = 0u64;
-                let mut seq = 0usize;
-                while let Some(batch) = self.input.next_batch(interp, env)? {
-                    for t in batch {
-                        t.apply(env);
-                        let keys = interp.order_keys(specs, env)?;
-                        // An offer against a full heap prunes exactly one
-                        // tuple: the newcomer (rejected) or an eviction.
-                        let was_full = heap.saturated();
-                        heap.offer(keys, (0, seq), t)?;
-                        seq += 1;
-                        if was_full {
-                            pruned += 1;
-                        }
-                    }
-                }
-                interp.stats.add_tuples_pruned_topk(pruned);
-                heap.into_sorted()?
-            }
-            None => {
-                let mut keyed: Vec<(OrderKeys, Tuple)> = Vec::new();
-                while let Some(batch) = self.input.next_batch(interp, env)? {
-                    for t in batch {
-                        t.apply(env);
-                        let keys = interp.order_keys(specs, env)?;
-                        keyed.push((keys, t));
-                    }
-                }
-                sort_keyed(&mut keyed, specs)?;
-                keyed.into_iter().map(|(_, t)| t).collect()
-            }
-        };
-        self.output = sorted.into_iter();
-        Ok(())
-    }
-}
-
-impl TupleSource for OrderBy<'_> {
-    fn next_batch(
-        &mut self,
-        interp: &Interpreter,
-        env: &mut Env,
-    ) -> EngineResult<Option<Vec<Tuple>>> {
-        if !self.consumed {
-            self.consumed = true;
-            self.consume(interp, env)?;
-        }
-        Ok(drain_batch(&mut self.output))
-    }
-}
-
-/// Emit up to [`BATCH`] tuples from a breaker's buffered output.
-fn drain_batch(output: &mut std::vec::IntoIter<Tuple>) -> Option<Vec<Tuple>> {
-    let mut out = Vec::with_capacity(BATCH.min(output.len()));
-    for t in output.by_ref() {
-        out.push(t);
-        if out.len() >= BATCH {
-            break;
-        }
-    }
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
-    }
-}
-
-/// A bounded max-heap of the k least `(keys, tag)` entries, with a
-/// *fallible* comparator (order keys of mixed type raise `XPTY0004`,
-/// which `std::collections::BinaryHeap` cannot propagate — hence the
-/// hand-rolled sift loops). The [`Tag`] breaks ties by global input
-/// order, so the survivors are exactly the first k of a full stable
-/// sort — on the serial path tags are `(0, seq)`, in a parallel worker
-/// they carry the morsel index.
-struct TopKHeap<'p> {
-    specs: &'p [OrderSpecIr],
-    k: usize,
-    /// Max-heap: `entries[0]` is the greatest survivor.
-    entries: Vec<(OrderKeys, Tag, Tuple)>,
-}
-
-impl<'p> TopKHeap<'p> {
-    fn new(specs: &'p [OrderSpecIr], k: usize) -> Self {
-        TopKHeap {
-            specs,
-            k,
-            entries: Vec::with_capacity(k.min(1024)),
-        }
-    }
-
-    /// Whether the heap is full (every further offer prunes a tuple).
-    fn saturated(&self) -> bool {
-        self.entries.len() >= self.k
-    }
-
-    /// Is entry `a` strictly greater than `b` under (keys, tag)?
-    fn greater(
-        &self,
-        a: &(OrderKeys, Tag, Tuple),
-        b: &(OrderKeys, Tag, Tuple),
-    ) -> EngineResult<bool> {
-        Ok(match compare_order_keys(&a.0, &b.0, self.specs)? {
-            Ordering::Greater => true,
-            Ordering::Less => false,
-            Ordering::Equal => a.1 > b.1,
-        })
-    }
-
-    /// Offer a tuple; returns whether it was kept.
-    fn offer(&mut self, keys: OrderKeys, tag: Tag, tuple: Tuple) -> EngineResult<bool> {
-        let entry = (keys, tag, tuple);
-        if self.k == 0 {
-            return Ok(false);
-        }
-        if self.entries.len() < self.k {
-            self.entries.push(entry);
-            self.sift_up(self.entries.len() - 1)?;
-            return Ok(true);
-        }
-        if self.greater(&entry, &self.entries[0])? {
-            // Not among the k least: reject.
-            return Ok(false);
-        }
-        self.entries[0] = entry;
-        self.sift_down(0)?;
-        Ok(true)
-    }
-
-    fn sift_up(&mut self, mut i: usize) -> EngineResult<()> {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.greater(&self.entries[i], &self.entries[parent])? {
-                self.entries.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn sift_down(&mut self, mut i: usize) -> EngineResult<()> {
-        let n = self.entries.len();
-        loop {
-            let mut largest = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < n && self.greater(&self.entries[child], &self.entries[largest])? {
-                    largest = child;
-                }
-            }
-            if largest == i {
-                return Ok(());
-            }
-            self.entries.swap(i, largest);
-            i = largest;
-        }
-    }
-
-    /// The surviving tuples in ascending (keys, tag) order.
-    fn into_sorted(self) -> EngineResult<Vec<Tuple>> {
-        let specs = self.specs;
-        let mut entries = self.entries;
-        sort_tagged(&mut entries, specs)?;
-        Ok(entries.into_iter().map(|(_, _, t)| t).collect())
-    }
-
-    /// The raw surviving entries (the parallel merge sorts them with the
-    /// other workers' survivors before dropping the tags).
-    fn into_entries(self) -> Vec<(OrderKeys, Tag, Tuple)> {
-        self.entries
-    }
-}
-
-/// Stable sort of tagged entries by (order keys, tag), capturing the
-/// first comparator failure instead of unwinding mid-sort.
-fn sort_tagged(entries: &mut [(OrderKeys, Tag, Tuple)], specs: &[OrderSpecIr]) -> EngineResult<()> {
-    let mut failure: Option<EngineError> = None;
-    entries.sort_by(|a, b| {
-        if failure.is_some() {
-            return Ordering::Equal;
-        }
-        match compare_order_keys(&a.0, &b.0, specs) {
-            Ok(Ordering::Equal) => a.1.cmp(&b.1),
-            Ok(ord) => ord,
-            Err(e) => {
-                failure = Some(e);
-                Ordering::Equal
-            }
-        }
-    });
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
+        // Emit up to BATCH tuples of the buffered output.
+        let out: Vec<Tuple> = self.output.by_ref().take(BATCH).collect();
+        Ok(if out.is_empty() { None } else { Some(out) })
     }
 }
 
@@ -1694,117 +1446,68 @@ fn sort_tagged(entries: &mut [(OrderKeys, Tag, Tuple)], specs: &[OrderSpecIr]) -
 // streaming clauses up to at most one breaker) is split at the breaker:
 // workers claim [`MORSEL`]-sized chunks of the outer binding sequence
 // from a shared atomic counter and run their own clone of the streaming
-// chain into a *partitioned* breaker state (per-worker hash tables or
-// top-k heaps). The coordinator merges the partials back into the exact
-// serial tuple order — every tuple carries a [`Tag`] — and feeds any
-// clauses after the breaker, plus the `return` sink, serially.
+// chain into a *partitioned* breaker state, one [`Partial`] per worker.
+// The coordinator merges the partials — every tuple carries a [`Tag`],
+// so finishing the merged partial yields the exact serial tuple order —
+// and feeds any clauses after the breaker, plus the `return` sink,
+// serially. A chain with no breaker and no `return at` has nothing to
+// merge: workers evaluate `return` themselves and the coordinator —
+// the calling thread, which is also the first worker — hands each
+// morsel's fragment to the sink, in morsel order, between its own
+// morsels.
 
-/// A per-worker group: [`GroupState`] plus the tags the merge needs to
-/// restore serial first-appearance order and per-group nest order.
-struct WGroup {
-    keys: Vec<Sequence>,
-    base: Tuple,
-    /// Tag of the group's first member seen by this worker; the merged
-    /// group keeps the base/keys of the globally smallest tag.
-    first: Tag,
-    /// Per nest binding, per member: tagged so merged entries can be
-    /// re-sorted into serial arrival order before any nest `order by`.
-    nests: Vec<Vec<(Tag, OrderKeys, Sequence)>>,
-}
-
-/// What one worker hands back to the coordinator.
-enum WorkerOutput {
-    /// No breaker, no `return at`: fully evaluated per-morsel output
-    /// fragments, keyed by morsel index for ordered concatenation.
-    Seqs(Vec<(usize, Sequence)>),
-    /// No breaker but `return at $rank`: tagged tuples; ranks are
-    /// assigned by the serial sink after the order-restoring merge.
-    Tuples(Vec<(Tag, Tuple)>),
-    /// Partitioned hash aggregation for a `group by` breaker.
-    Groups(Vec<WGroup>),
-    /// Locally sorted run (or top-k survivors) for an `order by`.
-    Runs(Vec<(OrderKeys, Tag, Tuple)>),
-}
-
-/// A plain-data snapshot of one [`OpCounters`] (`Rc` is not `Send`, so
-/// workers snapshot before returning).
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterSnap {
-    batches: u64,
-    tuples_out: u64,
-    cum_nanos: u64,
-}
-
-/// Everything a worker thread reports back.
-struct WorkerReport {
-    /// The partial output, or the first error with the index of the
-    /// morsel that raised it (the coordinator keeps the smallest).
-    output: Result<WorkerOutput, (usize, EngineError)>,
-    /// Per-chain-operator counter snapshots (empty when not profiling).
-    counters: Vec<CounterSnap>,
-    /// Wall time this worker spent in its claim loop (0 when not
-    /// profiling — no clock reads off the profiled path).
+/// What an [`exchange`] measured, for [`build_profile`] and
+/// [`pipeline_span`]. Clock-derived fields are zero and the vectors
+/// empty when not profiling.
+struct ExchangeProfile {
+    /// The clause index the chain was split at.
+    cut: usize,
+    /// Per worker, its chain's counters (one entry per clause).
+    chains: Vec<Vec<OpCounters>>,
+    /// Per worker, its claim loop's real interval.
+    spans: Vec<Span>,
+    /// Wall time the workers spent in their claim loops, summed.
     loop_nanos: u64,
-    /// The loop's (start, end) readings on the shared profiling clock,
-    /// for the span timeline (`None` when not profiling).
+    merge_start: u64,
+    merge_nanos: u64,
+}
+
+/// Everything a worker reports back.
+struct WorkerReport<'p> {
+    /// The worker's partial (`None` in fragment mode), or its first
+    /// error with the index of the morsel that raised it.
+    outcome: Result<Option<Partial<'p>>, (usize, EngineError)>,
+    counters: Vec<OpCounters>,
+    /// The claim loop's (start, end) readings on the shared profiling
+    /// clock (`None` when not profiling — no clock reads off the
+    /// profiled path).
     loop_span: Option<(u64, u64)>,
 }
 
-/// A worker's breaker-side accumulator, chosen from the clause at the
-/// split point.
-enum Acc<'p> {
-    Seqs(Vec<(usize, Sequence)>),
-    Tuples(Vec<(Tag, Tuple)>),
-    Groups {
-        g: &'p GroupByIr,
-        groups: Vec<WGroup>,
-        index: GroupIndex,
-        scratch: String,
-        consumed: u64,
-    },
-    TopK {
-        heap: TopKHeap<'p>,
-        pruned: u64,
-    },
-    Runs {
-        entries: Vec<(OrderKeys, Tag, Tuple)>,
-        specs: &'p [OrderSpecIr],
-    },
-}
-
-/// Coordinator-side source replaying merged breaker output into the
-/// clauses after the split point (and the sink).
-struct Replay {
-    output: std::vec::IntoIter<Tuple>,
-}
-
-impl TupleSource for Replay {
-    fn next_batch(&mut self, _: &Interpreter, _: &mut Env) -> EngineResult<Option<Vec<Tuple>>> {
-        Ok(drain_batch(&mut self.output))
-    }
-}
-
-/// Morsel-parallel execution of an eligible FLWOR over an already
-/// evaluated outer binding sequence.
-fn run_parallel(
+/// Morsel-parallel execution of an eligible FLWOR's clauses up to its
+/// first breaker, over its already evaluated outer binding sequence.
+/// Returns the merged partial of that breaker (a tagged collect when
+/// the chain has none but ranks its output), or `None` after handing
+/// every morsel's `return` fragment to `sink` in morsel order.
+fn exchange<'p>(
     interp: &Interpreter,
-    f: &FlworIr,
+    f: &'p FlworIr,
     env: &mut Env,
-    items: Sequence,
+    items: &[Item],
     threads: usize,
-) -> EngineResult<Sequence> {
+    cells: &[Option<JoinCell>],
+    sink: &mut Sink,
+) -> EngineResult<(Option<Partial<'p>>, ExchangeProfile)> {
     // The split point: the first breaker, or the whole chain. Clauses
-    // after the breaker (and the sink) run serially on the merged,
-    // serial-order stream, so they need no eligibility restrictions of
-    // their own.
+    // after the breaker (and the sink) run on the calling thread over
+    // the merged, serial-order stream, so they need no eligibility
+    // restrictions of their own.
     let cut = f
         .clauses
         .iter()
         .position(|c| matches!(c, ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_)))
         .unwrap_or(f.clauses.len());
-    let morsel_count = items.len().div_ceil(MORSEL);
-    let workers = threads.min(morsel_count);
-    let cells = join_cells(f);
+    let workers = threads.min(items.len().div_ceil(MORSEL));
     // Pre-build a join table sitting directly behind the outer `for`
     // with the morsel-partitioned parallel build. Safe to build eagerly
     // only there: the outer binding has items (> MORSEL) and an
@@ -1821,46 +1524,66 @@ fn run_parallel(
             }
         }
     }
-    let profiler = interp.dynamic.profiler().cloned();
-    let profiling = profiler.is_some();
-    let clock = profiling.then(|| Arc::clone(interp.dynamic.clock()));
-    let total_start = clock.as_ref().map(|c| c.now_nanos());
-
-    let next = AtomicUsize::new(0);
-    let error_floor = AtomicUsize::new(usize::MAX);
+    let clock = profiling_clock(interp);
+    let morsels = Morsels {
+        f,
+        cut,
+        items,
+        cells,
+        next: AtomicUsize::new(0),
+        error_floor: AtomicUsize::new(usize::MAX),
+    };
     // One private stats sink per worker, merged once after the join:
     // a single `add_snapshot` call per worker per query instead of
     // contended per-batch atomics on the shared sink.
     let worker_stats: Vec<EvalStats> = (0..workers).map(|_| EvalStats::default()).collect();
-    let items_ref: &[Item] = &items;
+    let (tx, rx) = mpsc::channel::<(usize, Sequence)>();
     let mut reports: Vec<WorkerReport> = Vec::with_capacity(workers);
+    let mut sunk: EngineResult<()> = Ok(());
     std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for ws in &worker_stats {
-            // Interpreter is Send but not Sync (its recursion-depth
-            // Cell): fork on the coordinator, move into the thread.
-            let winterp = interp.fork(ws);
-            let wslots = env.slots.clone();
-            let wfocus = env.focus.clone();
-            let next = &next;
-            let error_floor = &error_floor;
-            let cells = &cells;
-            handles.push(s.spawn(move || {
-                run_worker(
-                    winterp,
-                    f,
-                    cut,
-                    items_ref,
-                    morsel_count,
-                    next,
-                    error_floor,
-                    wslots,
-                    wfocus,
-                    profiling,
-                    cells,
-                )
-            }));
-        }
+        // Interpreter is Send but not Sync (its recursion-depth Cell):
+        // fork on the coordinator, move into the thread.
+        let mut forks = worker_stats.iter().map(|ws| {
+            let wenv = Env {
+                slots: env.slots.clone(),
+                focus: env.focus.clone(),
+            };
+            (interp.fork(ws), wenv, tx.clone())
+        });
+        // The calling thread is the first worker, so `threads` bounds
+        // the threads that run, not only the ones spawned.
+        let (interp0, env0, tx0) = forks.next().expect("at least one worker");
+        let handles: Vec<_> = forks
+            .map(|(winterp, wenv, wtx)| {
+                let morsels = &morsels;
+                s.spawn(move || morsels.work(winterp, wenv, wtx, &mut || ()))
+            })
+            .collect();
+        drop(tx);
+        // Fragments arrive in completion order; hold each until every
+        // earlier morsel's has gone to the sink.
+        let mut pending: HashMap<usize, Sequence> = HashMap::new();
+        let mut next_out = 0usize;
+        let mut deliver = |(m, frag): (usize, Sequence)| {
+            pending.insert(m, frag);
+            while let Some(frag) = pending.remove(&next_out) {
+                next_out += 1;
+                if sunk.is_ok() {
+                    sink.out.append(frag);
+                    sunk = sink.end_batch();
+                    if sunk.is_err() {
+                        // Nobody is listening: stop claiming morsels.
+                        morsels.error_floor.store(0, AtomicOrdering::Relaxed);
+                    }
+                }
+            }
+        };
+        // Between its own morsels this thread delivers what has
+        // arrived; once it runs out of morsels it waits for the rest
+        // (the channel closes when the last worker drops its sender).
+        let mut arrived = || rx.try_iter().for_each(&mut deliver);
+        reports.push(morsels.work(interp0, env0, tx0, &mut arrived));
+        rx.iter().for_each(&mut deliver);
         for h in handles {
             reports.push(h.join().expect("parallel pipeline worker panicked"));
         }
@@ -1868,26 +1591,36 @@ fn run_parallel(
     for ws in &worker_stats {
         interp.stats.add_snapshot(&ws.snapshot());
     }
+    sunk?;
 
-    let mut outputs: Vec<WorkerOutput> = Vec::with_capacity(workers);
-    let mut snaps: Vec<Vec<CounterSnap>> = Vec::with_capacity(workers);
-    let mut worker_loop_nanos = 0u64;
-    let mut worker_spans: Vec<Span> = Vec::new();
+    let mut profile = ExchangeProfile {
+        cut,
+        chains: Vec::with_capacity(workers),
+        spans: Vec::new(),
+        loop_nanos: 0,
+        merge_start: clock.as_ref().map_or(0, |c| c.now_nanos()),
+        merge_nanos: 0,
+    };
+    let mut merged: Option<Partial> = None;
     let mut first_error: Option<(usize, EngineError)> = None;
     for (wid, r) in reports.into_iter().enumerate() {
-        worker_loop_nanos += r.loop_nanos;
-        if let Some((s, e)) = r.loop_span {
-            worker_spans.push(Span {
+        if let Some((start, end)) = r.loop_span {
+            profile.loop_nanos += end.saturating_sub(start);
+            profile.spans.push(Span {
                 name: "worker".to_string(),
-                start_nanos: s,
-                end_nanos: e,
+                start_nanos: start,
+                end_nanos: end,
                 worker: Some(wid as u64),
                 children: Vec::new(),
             });
         }
-        snaps.push(r.counters);
-        match r.output {
-            Ok(o) => outputs.push(o),
+        profile.chains.push(r.counters);
+        match r.outcome {
+            Ok(None) => {}
+            Ok(Some(partial)) => match &mut merged {
+                Some(m) => m.merge(partial),
+                None => merged = Some(partial),
+            },
             // Keep the error from the smallest morsel index: tuple
             // results are independent, so that is exactly the error the
             // serial pipeline would have raised first.
@@ -1900,688 +1633,115 @@ fn run_parallel(
     if let Some((_, e)) = first_error {
         return Err(e);
     }
-
-    let merge_start = clock.as_ref().map(|c| c.now_nanos());
-
-    if cut == f.clauses.len() && f.return_at.is_none() {
-        // Fully streamed: concatenate per-morsel fragments in order.
-        let mut frags: Vec<(usize, Sequence)> = Vec::new();
-        for o in outputs {
-            let WorkerOutput::Seqs(v) = o else {
-                unreachable!("worker output mode mismatch");
-            };
-            frags.extend(v);
-        }
-        frags.sort_unstable_by_key(|(m, _)| *m);
-        let mut out = SequenceBuilder::new();
-        for (_, frag) in frags {
-            out.append(frag);
-        }
-        let out = out.build();
-        if let (Some(profiler), Some(clock), Some(start)) = (&profiler, &clock, total_start) {
-            let merge_nanos = clock
-                .now_nanos()
-                .saturating_sub(merge_start.unwrap_or_default());
-            let total = clock.now_nanos().saturating_sub(start);
-            profiler.add_span(parallel_span(
-                start,
-                start + total,
-                worker_spans,
-                merge_start.unwrap_or_default(),
-                merge_nanos,
-            ));
-            profiler.record(build_parallel_profile(
-                f,
-                cut,
-                workers,
-                &snaps,
-                worker_loop_nanos,
-                merge_nanos,
-                None,
-                None,
-                total,
-            ));
-        }
-        return Ok(out);
+    if let Some(c) = &clock {
+        profile.merge_nanos = c.now_nanos().saturating_sub(profile.merge_start);
     }
-
-    // Merge the partials back into the exact serial-order tuple stream.
-    let merged: Vec<Tuple> = if cut == f.clauses.len() {
-        // No breaker, but `return at` needs globally ranked tuples.
-        let mut tagged: Vec<(Tag, Tuple)> = Vec::new();
-        for o in outputs {
-            let WorkerOutput::Tuples(v) = o else {
-                unreachable!("worker output mode mismatch");
-            };
-            tagged.extend(v);
-        }
-        tagged.sort_unstable_by_key(|(tag, _)| *tag);
-        tagged.into_iter().map(|(_, t)| t).collect()
-    } else {
-        match &f.clauses[cut] {
-            ClauseIr::GroupBy(g) => {
-                let mut merged: Vec<WGroup> = Vec::new();
-                let mut index = GroupIndex::new();
-                let mut scratch = String::new();
-                for o in outputs {
-                    let WorkerOutput::Groups(groups) = o else {
-                        unreachable!("worker output mode mismatch");
-                    };
-                    for wg in groups {
-                        let hit = index
-                            .find_or_insert_buf(&mut scratch, &wg.keys, merged.len(), |i| {
-                                merged[i].keys.as_slice()
-                            })
-                            .ok();
-                        match hit {
-                            Some(gi) => {
-                                let dst = &mut merged[gi];
-                                for (slot, mut entries) in dst.nests.iter_mut().zip(wg.nests) {
-                                    slot.append(&mut entries);
-                                }
-                                if wg.first < dst.first {
-                                    // Serial semantics: the group's base
-                                    // tuple and key values come from its
-                                    // globally first member. The keys are
-                                    // deep-equal (same canonical string),
-                                    // so the index stays valid.
-                                    dst.first = wg.first;
-                                    dst.keys = wg.keys;
-                                    dst.base = wg.base;
-                                }
-                            }
-                            None => merged.push(wg),
-                        }
-                    }
-                }
-                // First-appearance order across the whole input.
-                merged.sort_unstable_by_key(|wg| wg.first);
-                interp.stats.add_groups_emitted(merged.len() as u64);
-                let mut states = Vec::with_capacity(merged.len());
-                for wg in merged {
-                    let mut nests = Vec::with_capacity(wg.nests.len());
-                    for mut entries in wg.nests {
-                        // Serial arrival order first; any nest `order by`
-                        // then stable-sorts on top (emit_groups).
-                        entries.sort_unstable_by_key(|e| e.0);
-                        nests.push(
-                            entries
-                                .into_iter()
-                                .map(|(_, okeys, v)| (okeys, v))
-                                .collect::<Vec<_>>(),
-                        );
-                    }
-                    states.push(GroupState {
-                        keys: wg.keys,
-                        base: wg.base,
-                        nests,
-                    });
-                }
-                emit_groups(g, states)?
-            }
-            ClauseIr::OrderBy(ob) => {
-                let mut entries: Vec<(OrderKeys, Tag, Tuple)> = Vec::new();
-                for o in outputs {
-                    let WorkerOutput::Runs(v) = o else {
-                        unreachable!("worker output mode mismatch");
-                    };
-                    entries.extend(v);
-                }
-                sort_tagged(&mut entries, &ob.specs)?;
-                if let Some(k) = ob.limit {
-                    if entries.len() > k {
-                        // Workers already counted their local prunes;
-                        // the cross-worker survivors cut here complete
-                        // the serial total of n − k.
-                        interp
-                            .stats
-                            .add_tuples_pruned_topk((entries.len() - k) as u64);
-                        entries.truncate(k);
-                    }
-                }
-                entries.into_iter().map(|(_, _, t)| t).collect()
-            }
-            _ => unreachable!("cut points at a breaker clause"),
-        }
-    };
-    let merge_nanos = match (&clock, merge_start) {
-        (Some(c), Some(s)) => c.now_nanos().saturating_sub(s),
-        _ => 0,
-    };
-
-    let has_breaker = cut < f.clauses.len();
-    let mut source: BoxSource = Box::new(Replay {
-        output: merged.into_iter(),
-    });
-    let replay_counter = (profiling && has_breaker).then(|| Rc::new(OpCounters::default()));
-    if let Some(c) = &replay_counter {
-        source = Box::new(Instrumented {
-            input: source,
-            counters: Rc::clone(c),
-        });
-    }
-    let mut down_counters: Vec<Rc<OpCounters>> = Vec::new();
-    if has_breaker {
-        for (j, clause) in f.clauses[cut + 1..].iter().enumerate() {
-            source = clause_source(
-                clause,
-                flwor_plan(f, cut + 1 + j),
-                join_at(f, &cells, cut + 1 + j),
-                source,
-            );
-            if profiling {
-                let c = Rc::new(OpCounters::default());
-                down_counters.push(Rc::clone(&c));
-                source = Box::new(Instrumented {
-                    input: source,
-                    counters: c,
-                });
-            }
-        }
-    }
-    let sink = ReturnAt {
-        at: f.return_at,
-        expr: &f.return_expr,
-    };
-    let (seq, sink_stats) = sink.execute(source, interp, env)?;
-    if let (Some(profiler), Some(clock), Some(start)) = (&profiler, &clock, total_start) {
-        let total = clock.now_nanos().saturating_sub(start);
-        profiler.add_span(parallel_span(
-            start,
-            start + total,
-            worker_spans,
-            merge_start.unwrap_or_default(),
-            merge_nanos,
-        ));
-        profiler.record(build_parallel_profile(
-            f,
-            cut,
-            workers,
-            &snaps,
-            worker_loop_nanos,
-            merge_nanos,
-            replay_counter
-                .as_ref()
-                .map(|c| (c.as_ref(), down_counters.as_slice())),
-            Some(sink_stats),
-            total,
-        ));
-    }
-    Ok(seq)
+    Ok((merged, profile))
 }
 
-/// One worker thread: claim morsels until the input (or the error
-/// floor) is exhausted, streaming each through a private chain into the
-/// breaker-side accumulator.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    interp: Interpreter,
-    f: &FlworIr,
+/// The state the workers of one [`exchange`] share.
+struct Morsels<'a, 'p> {
+    f: &'p FlworIr,
     cut: usize,
-    items: &[Item],
-    morsel_count: usize,
-    next: &AtomicUsize,
-    error_floor: &AtomicUsize,
-    slots: Vec<Sequence>,
-    focus: Option<Focus>,
-    profiling: bool,
-    cells: &[Option<JoinCell>],
-) -> WorkerReport {
-    let clock = profiling.then(|| Arc::clone(interp.dynamic.clock()));
-    let loop_start = clock.as_ref().map(|c| c.now_nanos());
-    let mut env = Env { slots, focus };
-    let counters: Option<Vec<Rc<OpCounters>>> =
-        profiling.then(|| (0..cut).map(|_| Rc::new(OpCounters::default())).collect());
-    let mut acc = match (f.clauses.get(cut), f.return_at) {
-        (None, None) => Acc::Seqs(Vec::new()),
-        (None, Some(_)) => Acc::Tuples(Vec::new()),
-        (Some(ClauseIr::GroupBy(g)), _) => Acc::Groups {
-            g,
-            groups: Vec::new(),
-            index: GroupIndex::new(),
-            scratch: String::new(),
-            consumed: 0,
-        },
-        (Some(ClauseIr::OrderBy(ob)), _) => match ob.limit {
-            Some(k) => Acc::TopK {
-                heap: TopKHeap::new(&ob.specs, k),
-                pruned: 0,
-            },
-            None => Acc::Runs {
-                entries: Vec::new(),
-                specs: &ob.specs,
-            },
-        },
-        (Some(_), _) => unreachable!("cut points at a breaker clause"),
-    };
-    let mut result: Result<(), (usize, EngineError)> = Ok(());
-    loop {
-        let m = next.fetch_add(1, AtomicOrdering::Relaxed);
-        // Claims are monotonic, so every index below a claimed `m` is
-        // already owned by someone; past the error floor there is no
-        // point doing work whose output will be discarded.
-        if m >= morsel_count || m > error_floor.load(AtomicOrdering::Relaxed) {
-            break;
-        }
-        if let Err(e) = process_morsel(
-            &interp, f, cut, items, m, &mut env, &mut acc, &counters, cells,
-        ) {
-            error_floor.fetch_min(m, AtomicOrdering::Relaxed);
-            result = Err((m, e));
-            break;
-        }
-    }
-    // Fold breaker-local tallies into this worker's private stats sink
-    // exactly once (the coordinator merges each sink with one
-    // add_snapshot call).
-    let output = match result {
-        Err(e) => Err(e),
-        Ok(()) => match acc {
-            Acc::Seqs(v) => Ok(WorkerOutput::Seqs(v)),
-            Acc::Tuples(v) => Ok(WorkerOutput::Tuples(v)),
-            Acc::Groups {
-                groups, consumed, ..
-            } => {
-                interp.stats.add_tuples_grouped(consumed);
-                Ok(WorkerOutput::Groups(groups))
-            }
-            Acc::TopK { heap, pruned } => {
-                interp.stats.add_tuples_pruned_topk(pruned);
-                Ok(WorkerOutput::Runs(heap.into_entries()))
-            }
-            Acc::Runs { mut entries, specs } => match sort_tagged(&mut entries, specs) {
-                Ok(()) => Ok(WorkerOutput::Runs(entries)),
-                Err(e) => {
-                    let m = entries.iter().map(|e| e.1 .0).min().unwrap_or(0);
-                    error_floor.fetch_min(m, AtomicOrdering::Relaxed);
-                    Err((m, e))
-                }
-            },
-        },
-    };
-    let counters = counters
-        .map(|cs| {
-            cs.iter()
-                .map(|c| CounterSnap {
-                    batches: c.batches.get(),
-                    tuples_out: c.tuples_out.get(),
-                    cum_nanos: c.cum_nanos.get(),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let (loop_nanos, loop_span) = match (&clock, loop_start) {
-        (Some(c), Some(s)) => {
-            let end = c.now_nanos();
-            (end.saturating_sub(s), Some((s, end)))
-        }
-        _ => (0, None),
-    };
-    // Drain this thread's sequence-copy counters into the worker's
-    // private sink so the coordinator's single add_snapshot merge picks
-    // them up (the thread dies with the scope; counts would be lost).
-    let (copied, shared) = xqa_xdm::take_seq_counters();
-    interp.stats.add_seq_counters(copied, shared);
-    WorkerReport {
-        output,
-        counters,
-        loop_nanos,
-        loop_span,
-    }
+    /// The outer `for` binding sequence, claimed a [`MORSEL`] at a time.
+    items: &'a [Item],
+    cells: &'a [Option<JoinCell>],
+    /// The next unclaimed morsel index.
+    next: AtomicUsize,
+    /// The smallest morsel index that raised so far (0 once the sink
+    /// failed): nothing past it is worth claiming.
+    error_floor: AtomicUsize,
 }
 
-/// Stream one morsel through a fresh clone of the pre-breaker chain
-/// into the worker's accumulator. The seeded `ForScan` starts its `at`
-/// ordinals at the morsel's global offset, so positional variables are
-/// identical to the serial run.
-#[allow(clippy::too_many_arguments)]
-fn process_morsel(
-    interp: &Interpreter,
-    f: &FlworIr,
-    cut: usize,
-    items: &[Item],
-    m: usize,
-    env: &mut Env,
-    acc: &mut Acc,
-    counters: &Option<Vec<Rc<OpCounters>>>,
-    cells: &[Option<JoinCell>],
-) -> EngineResult<()> {
-    let lo = m * MORSEL;
-    let hi = items.len().min(lo + MORSEL);
-    // ForScan owns its item iterator, so the morsel slice is cloned
-    // into the worker here; `Item` is an Arc-backed handle.
-    let morsel = Sequence::from_slice(&items[lo..hi]);
-    let ClauseIr::For {
-        slot,
-        at_slot,
-        ty,
-        expr,
-    } = &f.clauses[0]
-    else {
-        unreachable!("parallel-eligible FLWOR starts with a for clause");
-    };
-    let mut source: BoxSource = Box::new(ForScan {
-        input: Box::new(Singleton { done: true }),
-        slot: *slot,
-        at_slot: *at_slot,
-        ty: ty.as_ref(),
-        expr,
-        expr_eval: ExprEval::new(flwor_plan(f, 0)),
-        batch: Vec::new().into_iter(),
-        items: morsel.into_iter(),
-        item_pos: lo as i64,
-        base: Tuple::default(),
-        input_done: true,
-    });
-    if let Some(cs) = counters {
-        source = Box::new(Instrumented {
-            input: source,
-            counters: Rc::clone(&cs[0]),
-        });
+impl<'p> Morsels<'_, 'p> {
+    /// One worker: claim morsels until the input (or the error floor)
+    /// is exhausted, streaming each through a private chain into this
+    /// worker's partial — or, in fragment mode, through `return` and
+    /// down `tx`. `between_morsels` runs after every finished morsel
+    /// (the calling thread, itself a worker, delivers fragments there).
+    fn work(
+        &self,
+        interp: Interpreter,
+        mut env: Env,
+        tx: Sender<(usize, Sequence)>,
+        between_morsels: &mut dyn FnMut(),
+    ) -> WorkerReport<'p> {
+        let clock = profiling_clock(&interp);
+        let loop_start = clock.as_ref().map(|c| c.now_nanos());
+        let counters = op_counters(clock.is_some(), self.f.clauses.len());
+        let mut partial = match self.f.clauses.get(self.cut) {
+            Some(breaker) => Partial::for_clause(breaker),
+            None => self.f.return_at.map(|_| Partial::collect()),
+        };
+        let morsel_count = self.items.len().div_ceil(MORSEL);
+        let mut error = None;
+        loop {
+            let m = self.next.fetch_add(1, AtomicOrdering::Relaxed);
+            // Claims are monotonic, so every index below a claimed `m` is
+            // already owned by someone; past the error floor there is no
+            // point doing work whose output will be discarded.
+            if m >= morsel_count || m > self.error_floor.load(AtomicOrdering::Relaxed) {
+                break;
+            }
+            let done = self.run_morsel(m, &interp, &mut env, partial.as_mut(), &tx, &counters);
+            if let Err(e) = done {
+                self.error_floor.fetch_min(m, AtomicOrdering::Relaxed);
+                error = Some((m, e));
+                break;
+            }
+            between_morsels();
+        }
+        let loop_span = loop_start.zip(clock).map(|(s, c)| (s, c.now_nanos()));
+        // Drain this thread's sequence-copy counters into the worker's
+        // private sink so the coordinator's single add_snapshot merge picks
+        // them up (the thread dies with the scope; counts would be lost).
+        let (copied, shared) = xqa_xdm::take_seq_counters();
+        interp.stats.add_seq_counters(copied, shared);
+        WorkerReport {
+            outcome: match error {
+                Some(e) => Err(e),
+                None => Ok(partial),
+            },
+            counters: counters.iter().map(|c| c.get()).collect(),
+            loop_span,
+        }
     }
-    for (i, clause) in f.clauses[1..cut].iter().enumerate() {
-        source = clause_source(
-            clause,
-            flwor_plan(f, i + 1),
-            join_at(f, cells, i + 1),
-            source,
+
+    /// Stream morsel `m` through a fresh clone of the pre-breaker
+    /// chain. The seeded `ForScan` starts its `at` ordinals at the
+    /// morsel's global offset, so positional variables are identical to
+    /// the serial run.
+    fn run_morsel(
+        &self,
+        m: usize,
+        interp: &Interpreter,
+        env: &mut Env,
+        partial: Option<&mut Partial<'p>>,
+        tx: &Sender<(usize, Sequence)>,
+        counters: &[Rc<Cell<OpCounters>>],
+    ) -> EngineResult<()> {
+        let lo = m * MORSEL;
+        let hi = self.items.len().min(lo + MORSEL);
+        // ForScan owns its item iterator, so the morsel slice is cloned
+        // into the worker here; `Item` is an Arc-backed handle.
+        let seed = (Sequence::from_slice(&self.items[lo..hi]), lo as i64);
+        let mut chain = build_chain(
+            self.f,
+            0..self.cut,
+            Box::new(Singleton { done: true }),
+            Some(seed),
+            self.cells,
+            counters,
         );
-        if let Some(cs) = counters {
-            source = Box::new(Instrumented {
-                input: source,
-                counters: Rc::clone(&cs[i + 1]),
-            });
-        }
-    }
-    let mut seq_in_morsel = 0usize;
-    match acc {
-        Acc::Seqs(frags) => {
-            let mut frag = SequenceBuilder::new();
-            while let Some(batch) = source.next_batch(interp, env)? {
-                for t in batch {
-                    t.apply(env);
-                    frag.append(interp.eval(&f.return_expr, env)?);
-                }
-            }
-            frags.push((m, frag.build()));
-        }
-        Acc::Tuples(tuples) => {
-            while let Some(batch) = source.next_batch(interp, env)? {
-                for t in batch {
-                    tuples.push(((m, seq_in_morsel), t));
-                    seq_in_morsel += 1;
-                }
+        match partial {
+            Some(partial) => partial.drain(chain.as_mut(), m, interp, env),
+            None => {
+                let mut fragment = Sink::new(None);
+                return_at(self.f, chain, interp, env, &mut fragment)?;
+                // The receiver outlives every worker; a send cannot fail.
+                let _ = tx.send((m, fragment.out.build()));
+                Ok(())
             }
         }
-        Acc::Groups {
-            g,
-            groups,
-            index,
-            scratch,
-            consumed,
-        } => {
-            while let Some(batch) = source.next_batch(interp, env)? {
-                *consumed += batch.len() as u64;
-                for t in batch {
-                    t.apply(env);
-                    let mut key_vals: Vec<Sequence> = Vec::with_capacity(g.keys.len());
-                    for key in &g.keys {
-                        key_vals.push(interp.eval(&key.expr, env)?);
-                    }
-                    let tag = (m, seq_in_morsel);
-                    seq_in_morsel += 1;
-                    let mut nest_vals: Vec<(Tag, OrderKeys, Sequence)> =
-                        Vec::with_capacity(g.nests.len());
-                    for nest in &g.nests {
-                        let value = interp.eval(&nest.expr, env)?;
-                        let okeys = match &nest.order_by {
-                            Some(ob) => interp.order_keys(&ob.specs, env)?,
-                            None => Vec::new(),
-                        };
-                        nest_vals.push((tag, okeys, value));
-                    }
-                    let hit = index
-                        .find_or_insert_buf(scratch, &key_vals, groups.len(), |i| {
-                            groups[i].keys.as_slice()
-                        })
-                        .ok();
-                    match hit {
-                        Some(gi) => {
-                            for (slot, entry) in groups[gi].nests.iter_mut().zip(nest_vals) {
-                                slot.push(entry);
-                            }
-                        }
-                        None => {
-                            groups.push(WGroup {
-                                keys: key_vals,
-                                base: t,
-                                first: tag,
-                                nests: nest_vals.into_iter().map(|e| vec![e]).collect(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Acc::TopK { heap, pruned } => {
-            while let Some(batch) = source.next_batch(interp, env)? {
-                for t in batch {
-                    t.apply(env);
-                    let keys = interp.order_keys(heap.specs, env)?;
-                    let was_full = heap.saturated();
-                    heap.offer(keys, (m, seq_in_morsel), t)?;
-                    seq_in_morsel += 1;
-                    if was_full {
-                        *pruned += 1;
-                    }
-                }
-            }
-        }
-        Acc::Runs { entries, specs } => {
-            while let Some(batch) = source.next_batch(interp, env)? {
-                for t in batch {
-                    t.apply(env);
-                    let keys = interp.order_keys(specs, env)?;
-                    entries.push((keys, (m, seq_in_morsel), t));
-                    seq_in_morsel += 1;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The span timeline of a parallel execution: the real loop interval
-/// of every morsel worker (attributed by worker id) plus the
-/// coordinator's merge interval, under one pipeline root.
-fn parallel_span(
-    start_nanos: u64,
-    end_nanos: u64,
-    workers: Vec<Span>,
-    merge_start: u64,
-    merge_nanos: u64,
-) -> Span {
-    let mut root = Span::leaf("pipeline", start_nanos, end_nanos);
-    root.children = workers;
-    root.children
-        .push(Span::leaf("merge", merge_start, merge_start + merge_nanos));
-    root
-}
-
-/// Assemble the profile of a parallel pipeline execution. Rows for the
-/// worker-side chain sum the per-worker counters, so their batch and
-/// tuple counts are exact and their nanos are *CPU time across all
-/// workers* (the pipeline total stays wall time; `workers` in the
-/// profile flags the discrepancy for renderers). The breaker row, when
-/// present, collects the workers' accumulator time, the coordinator
-/// merge and the replay drain.
-#[allow(clippy::too_many_arguments)]
-fn build_parallel_profile(
-    f: &FlworIr,
-    cut: usize,
-    workers: usize,
-    snaps: &[Vec<CounterSnap>],
-    worker_loop_nanos: u64,
-    merge_nanos: u64,
-    breaker: Option<(&OpCounters, &[Rc<OpCounters>])>,
-    sink_stats: Option<SinkStats>,
-    total_nanos: u64,
-) -> PipelineProfile {
-    let mut ops = Vec::with_capacity(f.clauses.len() + 1);
-    let mut upstream_out = 1u64;
-    for (i, clause) in f.clauses[..cut].iter().enumerate() {
-        let mut batches = 0u64;
-        let mut out = 0u64;
-        let mut self_nanos = 0u64;
-        for w in snaps {
-            batches += w[i].batches;
-            out += w[i].tuples_out;
-            let prev = if i > 0 { w[i - 1].cum_nanos } else { 0 };
-            self_nanos += w[i].cum_nanos.saturating_sub(prev);
-        }
-        ops.push(OpProfile {
-            kind: clause_op_kind(clause, join_ir(f, i)),
-            detail: clause_op_detail(clause, join_ir(f, i)),
-            batches,
-            tuples_in: upstream_out,
-            tuples_out: out,
-            nanos: self_nanos,
-            estimate: f.estimates.get(i).copied().flatten(),
-        });
-        upstream_out = out;
-    }
-    // Worker time not spent pulling the chain went into the breaker
-    // accumulator (or, with no breaker, the return expression).
-    let top_cum: u64 = snaps.iter().map(|w| w[cut - 1].cum_nanos).sum();
-    let acc_nanos = worker_loop_nanos.saturating_sub(top_cum);
-    if let Some((replay, down)) = breaker {
-        let clause = &f.clauses[cut];
-        ops.push(OpProfile {
-            kind: clause_op_kind(clause, join_ir(f, cut)),
-            detail: clause_op_detail(clause, join_ir(f, cut)),
-            batches: replay.batches.get(),
-            tuples_in: upstream_out,
-            tuples_out: replay.tuples_out.get(),
-            nanos: acc_nanos + merge_nanos + replay.cum_nanos.get(),
-            estimate: f.estimates.get(cut).copied().flatten(),
-        });
-        upstream_out = replay.tuples_out.get();
-        let mut prev_cum = replay.cum_nanos.get();
-        for (j, (clause, c)) in f.clauses[cut + 1..].iter().zip(down).enumerate() {
-            let cum = c.cum_nanos.get();
-            ops.push(OpProfile {
-                kind: clause_op_kind(clause, join_ir(f, cut + 1 + j)),
-                detail: clause_op_detail(clause, join_ir(f, cut + 1 + j)),
-                batches: c.batches.get(),
-                tuples_in: upstream_out,
-                tuples_out: c.tuples_out.get(),
-                nanos: cum.saturating_sub(prev_cum),
-                estimate: f.estimates.get(cut + 1 + j).copied().flatten(),
-            });
-            upstream_out = c.tuples_out.get();
-            prev_cum = cum;
-        }
-    }
-    let (sink_batches, sink_tuples) = match sink_stats {
-        Some(s) => (s.batches, s.tuples),
-        // No sink ran on the coordinator: the workers evaluated the
-        // return expression; mirror the chain's top row.
-        None => (snaps.iter().map(|w| w[cut - 1].batches).sum(), upstream_out),
-    };
-    let accounted: u64 = ops.iter().map(|o| o.nanos).sum();
-    let sink_nanos = match sink_stats {
-        None => acc_nanos + merge_nanos,
-        Some(_) => total_nanos.saturating_sub(accounted),
-    };
-    ops.push(OpProfile {
-        kind: OpKind::ReturnAt,
-        detail: String::new(),
-        batches: sink_batches,
-        tuples_in: upstream_out,
-        tuples_out: sink_tuples,
-        nanos: sink_nanos,
-        estimate: f.estimates.get(f.clauses.len()).copied().flatten(),
-    });
-    PipelineProfile {
-        executions: 1,
-        workers: workers as u64,
-        ops,
-    }
-}
-
-/// The pipeline sink: pulls tuples, binds the §4 output ordinal
-/// (`return at $rank`, numbered *after* any order by) and evaluates the
-/// return expression per tuple.
-struct ReturnAt<'p> {
-    at: Option<Slot>,
-    expr: &'p Ir,
-}
-
-/// What the sink consumed: the operator-level counters for `ReturnAt`'s
-/// row in the profile.
-#[derive(Debug, Default, Clone, Copy)]
-struct SinkStats {
-    batches: u64,
-    tuples: u64,
-}
-
-impl ReturnAt<'_> {
-    fn execute(
-        &self,
-        mut source: BoxSource<'_>,
-        interp: &Interpreter,
-        env: &mut Env,
-    ) -> EngineResult<(Sequence, SinkStats)> {
-        let mut out = SequenceBuilder::new();
-        let mut stats = SinkStats::default();
-        let mut ordinal = 0i64;
-        while let Some(batch) = source.next_batch(interp, env)? {
-            stats.batches += 1;
-            stats.tuples += batch.len() as u64;
-            for t in batch {
-                t.apply(env);
-                ordinal += 1;
-                if let Some(at) = self.at {
-                    env.slots[at] = Sequence::one(ordinal);
-                }
-                out.append(interp.eval(self.expr, env)?);
-            }
-        }
-        Ok((out.build(), stats))
-    }
-
-    /// Streaming variant of [`execute`](Self::execute): the return
-    /// expression's output for each input batch is built into its own
-    /// small `Sequence` and emitted as soon as the batch is processed,
-    /// so the first result bytes leave before later batches are pulled.
-    fn stream(
-        &self,
-        mut source: BoxSource<'_>,
-        interp: &Interpreter,
-        env: &mut Env,
-        emit: &mut EmitBatch,
-    ) -> EngineResult<(u64, SinkStats)> {
-        let mut stats = SinkStats::default();
-        let mut ordinal = 0i64;
-        let mut items = 0u64;
-        while let Some(batch) = source.next_batch(interp, env)? {
-            stats.batches += 1;
-            stats.tuples += batch.len() as u64;
-            let mut out = SequenceBuilder::new();
-            for t in batch {
-                t.apply(env);
-                ordinal += 1;
-                if let Some(at) = self.at {
-                    env.slots[at] = Sequence::one(ordinal);
-                }
-                out.append(interp.eval(self.expr, env)?);
-            }
-            let seq = out.build();
-            if !seq.is_empty() {
-                items += seq.len() as u64;
-                emit(&seq)?;
-            }
-        }
-        Ok((items, stats))
     }
 }

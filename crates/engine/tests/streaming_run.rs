@@ -215,3 +215,90 @@ fn streaming_run_reports_stats_like_buffered() {
     assert_eq!(streamed.tuples_grouped, buffered.tuples_grouped);
     assert!(streamed.tuples_grouped > 0);
 }
+
+/// Streams `query` at `threads`, which must fail, and returns the
+/// serialized bytes that reached the sink plus the error.
+fn failing_stream(query: &str, threads: usize) -> (String, StreamError) {
+    let engine = Engine::with_options(EngineOptions {
+        threads,
+        ..EngineOptions::default()
+    });
+    let plan = engine.compile(query).unwrap();
+    let ctx = DynamicContext::new();
+    let mut ser = SequenceSerializer::new(SerializeOptions::default());
+    let mut out = String::new();
+    let err = plan
+        .run_streaming(&ctx, &mut |items| {
+            ser.push(items, &mut out);
+            Ok(())
+        })
+        .expect_err("division by zero must fail");
+    (out, err)
+}
+
+#[test]
+fn parallel_error_after_emission_truncates_a_serial_prefix() {
+    // Fails at $x = 4500, in the fifth morsel: the four before it reach
+    // the sink first, in order, while the serial stream gets 70 batches
+    // (4480 items) out.
+    let query = "for $x in 1 to 5000 return 1 div (4500 - $x)";
+    let (serial_out, serial_err) = failing_stream(query, 1);
+    let (parallel_out, parallel_err) = failing_stream(query, 4);
+    let StreamError::MidStream {
+        error: serial_error,
+        ..
+    } = serial_err
+    else {
+        panic!("expected serial MidStream, got {serial_err:?}");
+    };
+    match parallel_err {
+        StreamError::MidStream {
+            error,
+            items_emitted,
+        } => {
+            assert_eq!(error.code(), serial_error.code());
+            assert!(items_emitted >= 1024, "only {items_emitted} items emitted");
+        }
+        other => panic!("expected MidStream, got {other:?}"),
+    }
+    assert!(!parallel_out.is_empty());
+    assert!(
+        serial_out.starts_with(&parallel_out),
+        "parallel stream is not a prefix of the serial one"
+    );
+}
+
+#[test]
+fn parallel_sink_failure_classifies_as_sink_error_and_stops_the_workers() {
+    const ITEMS: u64 = 300_000;
+    let engine = Engine::with_options(EngineOptions {
+        threads: 4,
+        ..EngineOptions::default()
+    });
+    let plan = engine
+        .compile(&format!("for $x in 1 to {ITEMS} return <n>{{$x}}</n>"))
+        .unwrap();
+    let ctx = DynamicContext::new();
+    let err = plan
+        .run_streaming(&ctx, &mut |_| {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::BrokenPipe,
+                "client hung up",
+            ))
+        })
+        .expect_err("sink failure must surface");
+    match err {
+        StreamError::Sink {
+            error,
+            items_emitted,
+        } => {
+            assert_eq!(error.kind(), std::io::ErrorKind::BrokenPipe);
+            assert_eq!(items_emitted, 0);
+        }
+        other => panic!("expected Sink, got {other:?}"),
+    }
+    // The first fragment's failure stops the claiming of morsels: only
+    // the ones in flight are finished.
+    let produced = ctx.stats.snapshot().tuples_produced;
+    assert!(produced < ITEMS, "all {produced} tuples were produced");
+}

@@ -203,10 +203,14 @@ fn parallel_clients_match_one_shot_results_and_metrics_aggregate() {
     assert_eq!(metric(&metrics, "xqa_query_requests_total") as u64, 20);
     assert_eq!(metric(&metrics, "xqa_query_ok_total") as u64, 20);
     assert_eq!(metric(&metrics, "xqa_query_errors_total") as u64, 0);
-    // 14 distinct queries -> 6 cache hits out of 20 lookups.
-    assert_eq!(metric(&metrics, "xqa_plan_cache_hits_total") as u64, 6);
-    assert_eq!(metric(&metrics, "xqa_plan_cache_misses_total") as u64, 14);
-    assert!(metric(&metrics, "xqa_plan_cache_hit_rate") > 0.0);
+    // 14 distinct queries -> 6 cache hits out of 20 lookups, fewer
+    // when two clients miss on the same text at the same time (both
+    // compile; the cache does not single-flight).
+    let hits = metric(&metrics, "xqa_plan_cache_hits_total") as u64;
+    let misses = metric(&metrics, "xqa_plan_cache_misses_total") as u64;
+    assert_eq!(hits + misses, 20);
+    assert!((14..=20).contains(&misses), "misses = {misses}");
+    assert_eq!(metric(&metrics, "xqa_plan_cache_hit_rate") > 0.0, hits > 0);
     assert_eq!(metric(&metrics, "xqa_query_latency_us_count") as u64, 20);
     // The group-by queries ran through the grouping operator; the
     // per-request snapshots folded into the service totals.
@@ -221,9 +225,9 @@ fn parallel_clients_match_one_shot_results_and_metrics_aggregate() {
         4 * 7
     );
     // All `//order/lineitem` plans fused their descendant steps; the
-    // counter counts compilations (14 misses), not requests.
+    // counter counts compilations (one per miss), not requests.
     let fused = metric(&metrics, "xqa_rewrite_fired_total{rewrite=\"path-fusion\"}") as u64;
-    assert!((1..=14).contains(&fused), "fused = {fused}");
+    assert!((1..=misses).contains(&fused), "fused = {fused}");
     // No positional bounds in this traffic, so no top-k pushdown.
     assert_eq!(
         metric(
