@@ -21,7 +21,7 @@ fn bench_detection_rewrite() {
     let ctx = dataset.context();
     let plain = Engine::new();
     let detecting = Engine::with_options(EngineOptions {
-        detect_implicit_groupby: true,
+        hints: "implicit-groupby=on".parse().unwrap(),
         ..Default::default()
     });
     let q_src = q_query(&["shipmode"]);

@@ -16,7 +16,7 @@
 //! a derived `<label>/speedup` record carrying `speedup_vs_tree`; CI
 //! enforces the ≥1.3x floor on the comparison-heavy rows.
 
-use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions, ExprEvalMode};
+use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions};
 use xqa_bench::harness::Harness;
 
 /// Item counts for the `1 to N` sweeps.
@@ -27,14 +27,12 @@ const SIZES: [usize; 3] = [10_000, 50_000, 100_000];
 /// from morsel scheduling.
 fn engines() -> (Engine, Engine) {
     let bytecode = Engine::with_options(EngineOptions {
-        expr_eval: ExprEvalMode::Bytecode,
+        hints: "expr=bytecode".parse().unwrap(),
         threads: 1,
-        ..Default::default()
     });
     let tree = Engine::with_options(EngineOptions {
-        expr_eval: ExprEvalMode::Tree,
+        hints: "expr=tree".parse().unwrap(),
         threads: 1,
-        ..Default::default()
     });
     (bytecode, tree)
 }

@@ -16,7 +16,7 @@
 //! derived `<label>/speedup` record carrying `speedup_vs_nested`; CI
 //! enforces the ≥5x floor on the largest two-collection row.
 
-use xqa::{parse_document, serialize_sequence, DynamicContext, Engine, EngineOptions, JoinMode};
+use xqa::{parse_document, serialize_sequence, DynamicContext, Engine, EngineOptions};
 use xqa_bench::harness::Harness;
 use xqa_bench::Dataset;
 
@@ -34,11 +34,11 @@ const TWO_COLLECTION: &str = "for $r in doc(\"rates\")//rate \
 
 fn engines() -> (Engine, Engine) {
     let hash = Engine::with_options(EngineOptions {
-        join: JoinMode::Hash,
+        hints: "join=hash".parse().unwrap(),
         ..Default::default()
     });
     let nested = Engine::with_options(EngineOptions {
-        join: JoinMode::Nested,
+        hints: "join=nested".parse().unwrap(),
         ..Default::default()
     });
     (hash, nested)

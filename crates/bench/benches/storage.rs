@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use xqa::storage::CatalogStatistics;
-use xqa::{serialize_sequence, AccessPathMode, DynamicContext, Engine, EngineOptions};
+use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions};
 use xqa_bench::harness::Harness;
 use xqa_bench::Dataset;
 
@@ -28,12 +28,12 @@ const LINEITEMS: [usize; 3] = [700, 2_000, 7_000];
 
 fn engines(stats: &Arc<CatalogStatistics>) -> (Engine, Engine) {
     let index = Engine::with_options(EngineOptions {
-        access_path: AccessPathMode::Index,
+        hints: "access=index".parse().unwrap(),
         ..Default::default()
     })
     .with_statistics(Arc::clone(stats));
     let walk = Engine::with_options(EngineOptions {
-        access_path: AccessPathMode::Walk,
+        hints: "access=walk".parse().unwrap(),
         ..Default::default()
     })
     .with_statistics(Arc::clone(stats));

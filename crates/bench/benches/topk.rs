@@ -73,7 +73,7 @@ fn rank_groups_query(key: &str, k: usize) -> String {
 fn engines() -> (Engine, Engine) {
     let with_pushdown = Engine::new();
     let full_sort = Engine::with_options(EngineOptions {
-        topk_pushdown: false,
+        hints: "topk=off".parse().unwrap(),
         ..Default::default()
     });
     (with_pushdown, full_sort)

@@ -188,7 +188,7 @@ fn ablation() {
     let q_src = q_query(&["shipmode"]);
     let plain = Engine::new();
     let detecting = Engine::with_options(EngineOptions {
-        detect_implicit_groupby: true,
+        hints: "implicit-groupby=on".parse().unwrap(),
         ..Default::default()
     });
     let t_q = bench_compiled(&plain.compile(&q_src).unwrap(), &ctx);
@@ -254,7 +254,7 @@ fn topk(sizes: &[usize]) {
     println!("query: {query}\n");
     let streaming = Engine::new();
     let full_sort = Engine::with_options(EngineOptions {
-        topk_pushdown: false,
+        hints: "topk=off".parse().unwrap(),
         ..Default::default()
     });
     println!(

@@ -16,13 +16,10 @@
 //!                               rewrites, stats, profile with spans and
 //!                               q-errors, trace events) to FILE
 //!       --deterministic-clock   profile with a fixed-tick clock (for tests)
-//!       --detect-groupby        enable the implicit group-by rewrite
 //!       --threads N             intra-query parallelism (default: all cores;
 //!                               1 = serial)
-//!       --expr-eval MODE        scalar expression evaluation: auto | bytecode
-//!                               | tree (default auto)
-//!       --join MODE             joinable nested-FLWOR execution: auto | hash
-//!                               | nested (default auto)
+//!       --hint K=V[,K=V...]     pin planner decisions (`--help` lists the
+//!                               hints; XQA_HINTS supplies the ones left absent)
 //!   -h, --help                  this help
 //!
 //! xqa serve [OPTIONS]           start the HTTP query service
@@ -47,17 +44,15 @@
 //!       --flight-recorder-capacity N
 //!                               per-query records kept for /debug/* endpoints
 //!                               (default 256; 0 disables the recorder)
-//!       --detect-groupby        as above
-//!       --expr-eval MODE        as above (auto|bytecode|tree)
-//!       --join MODE             as above (auto|hash|nested)
+//!       --hint K=V[,K=V...]     as above
 //! ```
 
 use std::process::ExitCode;
 use std::sync::Arc;
 use xqa::{
-    parse_document, serialize_sequence_with, AccessPathMode, Clock, DynamicContext, Engine,
-    EngineOptions, ExprEvalMode, JoinMode, MonotonicClock, SerializeOptions, TickClock, TracePhase,
-    TraceRing, TraceSink, Tracer,
+    parse_document, serialize_sequence_with, Clock, DynamicContext, Engine, EngineOptions,
+    MonotonicClock, PlanHints, SerializeOptions, TickClock, TracePhase, TraceRing, TraceSink,
+    Tracer,
 };
 use xqa_service::{DocumentCatalog, Server, ServiceConfig};
 
@@ -83,11 +78,8 @@ struct Args {
     trace_json: Option<String>,
     diag_json: Option<String>,
     deterministic_clock: bool,
-    detect_groupby: bool,
     threads: usize,
-    access_path: AccessPathMode,
-    expr_eval: ExprEvalMode,
-    join: JoinMode,
+    hints: PlanHints,
 }
 
 const USAGE: &str = "usage: xqa [OPTIONS] <query.xq | -q QUERY> [input.xml]
@@ -114,22 +106,10 @@ options:
                             compile/execute trace events
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
-      --detect-groupby      enable the implicit group-by detection rewrite
       --threads N           intra-query parallelism: worker threads for
                             eligible FLWORs (default: all cores, or
                             XQA_THREADS; 1 = serial)
-      --access-path MODE    scan access path: auto (statistics decide),
-                            walk (always tree-walk), index (force index
-                            scans); default auto, overridable with
-                            XQA_FORCE_ACCESS_PATH
-      --expr-eval MODE      scalar expression evaluation: auto (bytecode
-                            where lowering succeeds), bytecode (same,
-                            explicit), tree (always tree-walk); default
-                            auto, overridable with XQA_FORCE_EXPR_EVAL
-      --join MODE           joinable nested-FLWOR execution: auto
-                            (statistics decide), hash (always unnest to a
-                            hash join), nested (never); default auto,
-                            overridable with XQA_FORCE_JOIN
+      --hint K=V[,K=V...]   pin planner decisions (hints below)
   -h, --help                show this help
 serve options:
       --addr HOST:PORT      bind address (default 127.0.0.1:8399)
@@ -153,9 +133,20 @@ serve options:
                             /debug/queries, /debug/query/<id> and
                             /debug/plans endpoints (default 256;
                             0 disables the recorder)
-      --access-path MODE    as above (auto|walk|index)
-      --expr-eval MODE      as above (auto|bytecode|tree)
-      --join MODE           as above (auto|hash|nested)";
+      --hint K=V[,K=V...]   pin planner decisions (hints below)
+hints (--hint on run and serve; XQA_HINTS in the environment, same grammar,
+supplies the hints --hint leaves absent):
+";
+
+fn usage() -> String {
+    format!("{USAGE}{}", PlanHints::table())
+}
+
+/// The value of `--hint`.
+fn parse_hint_spec(spec: Option<String>) -> Result<PlanHints, String> {
+    spec.ok_or("--hint requires KEY=VALUE[,KEY=VALUE...]")?
+        .parse()
+}
 
 fn parse_doc_spec(spec: &str) -> Result<(String, String), String> {
     let (name, file) = spec
@@ -194,17 +185,14 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         trace_json: None,
         diag_json: None,
         deterministic_clock: false,
-        detect_groupby: false,
         threads: 0,
-        access_path: AccessPathMode::Auto,
-        expr_eval: ExprEvalMode::Auto,
-        join: JoinMode::Auto,
+        hints: PlanHints::default(),
     };
     let mut it = raw;
     let mut positional: Vec<String> = Vec::new();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "-h" | "--help" => return Err(USAGE.to_string()),
+            "-h" | "--help" => return Err(usage()),
             "-q" | "--query" => {
                 args.query_text = Some(it.next().ok_or_else(|| format!("{arg} requires a value"))?);
             }
@@ -233,7 +221,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.diag_json = Some(it.next().ok_or("--diag-json requires a file")?);
             }
             "--deterministic-clock" => args.deterministic_clock = true,
-            "--detect-groupby" => args.detect_groupby = true,
             "--threads" => {
                 let n = it.next().ok_or("--threads requires a number")?;
                 args.threads = n.parse().map_err(|_| format!("invalid thread count {n}"))?;
@@ -241,21 +228,7 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--access-path" => {
-                let mode = it.next().ok_or("--access-path requires a mode")?;
-                args.access_path = AccessPathMode::parse(&mode)
-                    .ok_or_else(|| format!("invalid access path {mode} (auto|walk|index)"))?;
-            }
-            "--expr-eval" => {
-                let mode = it.next().ok_or("--expr-eval requires a mode")?;
-                args.expr_eval = ExprEvalMode::parse(&mode)
-                    .ok_or_else(|| format!("invalid expr eval mode {mode} (auto|bytecode|tree)"))?;
-            }
-            "--join" => {
-                let mode = it.next().ok_or("--join requires a mode")?;
-                args.join = JoinMode::parse(&mode)
-                    .ok_or_else(|| format!("invalid join mode {mode} (auto|hash|nested)"))?;
-            }
+            "--hint" => args.hints = parse_hint_spec(it.next())?,
             other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             other => positional.push(other.to_string()),
         }
@@ -326,12 +299,8 @@ fn run(args: &Args) -> Result<(), String> {
         ctx.stores().map(Arc::as_ref),
     ));
     let engine = Engine::with_options(EngineOptions {
-        detect_implicit_groupby: args.detect_groupby,
         threads: args.threads,
-        access_path: args.access_path,
-        expr_eval: args.expr_eval,
-        join: args.join,
-        ..Default::default()
+        hints: args.hints,
     })
     .with_statistics(statistics);
     let trace_ring = (args.trace_json.is_some() || args.diag_json.is_some())
@@ -408,9 +377,10 @@ fn run(args: &Args) -> Result<(), String> {
             .collect::<Vec<_>>()
             .join(",");
         let diag = format!(
-            "{{\"fingerprint\":\"{:016x}\",\"rewrites\":[{rewrites}],\"stats\":{},\
-             \"profile\":{},\"trace\":{}}}",
+            "{{\"fingerprint\":\"{:016x}\",\"hints\":\"{}\",\"rewrites\":[{rewrites}],\
+             \"stats\":{},\"profile\":{},\"trace\":{}}}",
             query.fingerprint(),
+            query.hints(),
             ctx.stats.snapshot().to_json(),
             profile.as_ref().expect("profiling enabled").to_json(),
             trace_ring
@@ -435,10 +405,7 @@ struct ServeArgs {
     max_requests_per_conn: usize,
     slow_query_ms: Option<u64>,
     flight_recorder_capacity: usize,
-    detect_groupby: bool,
-    access_path: AccessPathMode,
-    expr_eval: ExprEvalMode,
-    join: JoinMode,
+    hints: PlanHints,
 }
 
 fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, String> {
@@ -455,15 +422,12 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
         max_requests_per_conn: ServiceConfig::default().max_requests_per_conn,
         slow_query_ms: None,
         flight_recorder_capacity: ServiceConfig::default().flight_recorder_capacity,
-        detect_groupby: false,
-        access_path: AccessPathMode::Auto,
-        expr_eval: ExprEvalMode::Auto,
-        join: JoinMode::Auto,
+        hints: PlanHints::default(),
     };
     let mut it = raw;
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "-h" | "--help" => return Err(USAGE.to_string()),
+            "-h" | "--help" => return Err(usage()),
             "--addr" => {
                 args.addr = it.next().ok_or("--addr requires HOST:PORT")?;
             }
@@ -530,22 +494,7 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
                 args.flight_recorder_capacity =
                     n.parse().map_err(|_| format!("invalid capacity {n}"))?;
             }
-            "--detect-groupby" => args.detect_groupby = true,
-            "--access-path" => {
-                let mode = it.next().ok_or("--access-path requires a mode")?;
-                args.access_path = AccessPathMode::parse(&mode)
-                    .ok_or_else(|| format!("invalid access path {mode} (auto|walk|index)"))?;
-            }
-            "--expr-eval" => {
-                let mode = it.next().ok_or("--expr-eval requires a mode")?;
-                args.expr_eval = ExprEvalMode::parse(&mode)
-                    .ok_or_else(|| format!("invalid expr eval mode {mode} (auto|bytecode|tree)"))?;
-            }
-            "--join" => {
-                let mode = it.next().ok_or("--join requires a mode")?;
-                args.join = JoinMode::parse(&mode)
-                    .ok_or_else(|| format!("invalid join mode {mode} (auto|hash|nested)"))?;
-            }
+            "--hint" => args.hints = parse_hint_spec(it.next())?,
             other => return Err(format!("unknown serve option {other}")),
         }
     }
@@ -571,12 +520,8 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
         workers: args.workers,
         plan_cache_capacity: args.cache_size,
         engine_options: EngineOptions {
-            detect_implicit_groupby: args.detect_groupby,
             threads: args.query_threads,
-            access_path: args.access_path,
-            expr_eval: args.expr_eval,
-            join: args.join,
-            ..Default::default()
+            hints: args.hints,
         },
         max_queue: args.max_queue,
         max_inflight_per_client: args.max_inflight_per_client,

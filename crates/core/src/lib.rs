@@ -43,10 +43,10 @@
 #![warn(missing_docs)]
 
 pub use xqa_engine::{
-    resolve_access_path, resolve_expr_eval, resolve_join, resolve_threads, AccessPathMode, Clock,
-    DynamicContext, Engine, EngineError, EngineOptions, EngineResult, EvalStats, EvalStatsSnapshot,
-    ExprEvalMode, Focus, JoinMode, MonotonicClock, OpKind, PreparedQuery, QueryProfile,
-    RewriteKind, RewriteNote, TickClock, TraceEvent, TracePhase, TraceRing, TraceSink, Tracer,
+    resolve_threads, Clock, DynamicContext, Engine, EngineError, EngineOptions, EngineResult,
+    EvalStats, EvalStatsSnapshot, Focus, MonotonicClock, OpKind, PlanHints, PreparedQuery,
+    QueryProfile, RewriteKind, RewriteNote, TickClock, TraceEvent, TracePhase, TraceRing,
+    TraceSink, Tracer,
 };
 pub use xqa_xmlparse::{
     parse_document, parse_document_with, parse_fragment, serialize_node, serialize_node_with,

@@ -113,7 +113,7 @@ fn doc_registration() {
 }
 
 #[test]
-fn detect_groupby_announces_rewrite() {
+fn implicit_groupby_hint_announces_rewrite() {
     let input = write_temp(
         "orders.xml",
         "<orders><order><lineitem><m>A</m></lineitem><lineitem><m>A</m></lineitem>\
@@ -125,7 +125,8 @@ fn detect_groupby_announces_rewrite() {
             "for $a in distinct-values(//order/lineitem/m) \
              let $items := for $i in //order/lineitem where $i/m = $a return $i \
              return <r>{$a}|{count($items)}</r>",
-            "--detect-groupby",
+            "--hint",
+            "implicit-groupby=on",
         ])
         .arg(&input)
         .output()
@@ -160,7 +161,16 @@ fn missing_input_file_reports_cleanly() {
 fn help_and_unknown_flags() {
     let out = xqa().arg("--help").output().expect("run xqa");
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: xqa"));
+    let help = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(help.contains("usage: xqa"));
+    // `--hint` / `XQA_HINTS` are documented once, from the key list the
+    // parser reads; the README carries the same table.
+    let table = xqa::PlanHints::table();
+    assert!(help.contains(&table), "{help}");
+    assert!(
+        include_str!("../../../README.md").contains(&table),
+        "README.md hint table drifted from PlanHints::table():\n{table}"
+    );
     let out = xqa()
         .args(["--frobnicate", "-q", "1"])
         .output()
@@ -298,7 +308,7 @@ fn serve_answers_queries_like_one_shot_runs() {
 }
 
 #[test]
-fn join_flag_controls_unnesting() {
+fn hint_flag_controls_unnesting() {
     let input = write_temp(
         "join.xml",
         "<r><order><lineitem><shipmode>AIR</shipmode></lineitem>\
@@ -309,9 +319,14 @@ fn join_flag_controls_unnesting() {
                  let $items := for $li in //order/lineitem where $li/shipmode = $m return $li \
                  order by string($m) \
                  return <g>{string($m)}:{count($items)}</g>";
-    let run = |mode: &str| {
-        let out = xqa()
-            .args(["-q", query, "--explain", "--join", mode])
+    let run = |hint: &[&str], env: Option<&str>| {
+        let mut cmd = xqa();
+        if let Some(env) = env {
+            cmd.env("XQA_HINTS", env);
+        }
+        let out = cmd
+            .args(["-q", query, "--explain"])
+            .args(hint)
             .arg(&input)
             .output()
             .expect("run xqa");
@@ -326,22 +341,57 @@ fn join_flag_controls_unnesting() {
         );
         String::from_utf8_lossy(&out.stderr).into_owned()
     };
-    assert!(run("hash").contains("[hash join"), "hash mode must unnest");
+    let hash = ["--hint", "join=hash"];
+    let nested = ["--hint", "join=nested"];
     assert!(
-        !run("nested").contains("[hash join"),
-        "nested mode must not unnest"
+        run(&hash, None).contains("[hash join"),
+        "join=hash must unnest"
     );
-    // The CLI builds catalog statistics from the input, so auto mode
-    // unnests too.
-    assert!(run("auto").contains("[hash join"), "auto mode must unnest");
-    let bad = xqa()
-        .args(["-q", "1", "--join", "sideways"])
+    assert!(
+        !run(&nested, None).contains("[hash join"),
+        "join=nested must not unnest"
+    );
+    // The CLI builds catalog statistics from the input, so without a
+    // hint the planner unnests too.
+    assert!(run(&[], None).contains("[hash join"), "no hint must unnest");
+    // XQA_HINTS supplies the hint --hint leaves absent, and only then.
+    assert!(!run(&[], Some("join=nested")).contains("[hash join"));
+    assert!(run(&hash, Some("join=nested")).contains("[hash join"));
+    assert!(!run(&nested, Some("join=hash")).contains("[hash join"));
+    // --diag-json records the effective hints.
+    let diag = write_temp("diag.json", "");
+    let out = xqa()
+        .args(["-q", "1", "--hint", "join=nested", "--diag-json"])
+        .arg(&diag)
+        .env("XQA_HINTS", "join=hash,expr=tree")
         .output()
         .expect("run xqa");
-    assert!(!bad.status.success());
+    assert!(out.status.success());
+    let diag = std::fs::read_to_string(&diag).expect("diag file");
     assert!(
-        String::from_utf8_lossy(&bad.stderr).contains("invalid join mode"),
-        "{}",
-        String::from_utf8_lossy(&bad.stderr)
+        diag.contains("\"hints\":\"join=nested,expr=tree\""),
+        "{diag}"
+    );
+    // A malformed --hint is a usage error, on run and on serve; a
+    // malformed XQA_HINTS fails the compile.
+    for args in [
+        vec!["-q", "1", "--hint", "join=sideways"],
+        vec!["serve", "--hint", "join=sideways"],
+    ] {
+        let bad = xqa().args(&args).output().expect("run xqa");
+        assert_eq!(bad.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&bad.stderr).into_owned();
+        assert!(stderr.contains("join=hash|nested"), "{args:?}: {stderr}");
+    }
+    let bad = xqa()
+        .args(["-q", "1"])
+        .env("XQA_HINTS", "jion=hash")
+        .output()
+        .expect("run xqa");
+    assert_eq!(bad.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&bad.stderr).into_owned();
+    assert!(
+        stderr.contains("XQA_HINTS: invalid hint `jion=hash`"),
+        "{stderr}"
     );
 }

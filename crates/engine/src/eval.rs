@@ -139,10 +139,11 @@ pub(crate) struct Interpreter<'a> {
     /// context stats once at pipeline close, so `--stats` totals don't
     /// interleave mid-query across parallel workers.
     pub(crate) stats: &'a EvalStats,
-    /// Whether this interpreter may spawn morsel workers. False in
-    /// forked workers, so nested FLWORs inside a parallel region run
-    /// serially instead of oversubscribing.
-    pub(crate) parallel_ok: bool,
+    /// Threads a parallel-eligible FLWOR may use: the query's degree
+    /// of parallelism, resolved once for the run. 1 in forked workers,
+    /// so nested FLWORs inside a parallel region run serially instead
+    /// of oversubscribing.
+    pub(crate) threads: usize,
 }
 
 impl<'a> Interpreter<'a> {
@@ -158,7 +159,7 @@ impl<'a> Interpreter<'a> {
             globals: Vec::new(),
             depth: Cell::new(0),
             stats: &dynamic.stats,
-            parallel_ok: true,
+            threads: crate::resolve_threads(query.threads),
         };
         for g in &query.globals {
             let mut env = Env::new(g.frame_size, initial_focus(dynamic));
@@ -178,7 +179,7 @@ impl<'a> Interpreter<'a> {
             globals: self.globals.clone(),
             depth: Cell::new(self.depth.get()),
             stats,
-            parallel_ok: false,
+            threads: 1,
         }
     }
 

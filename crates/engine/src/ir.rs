@@ -249,7 +249,7 @@ pub struct FlworIr {
     /// [`crate::rewrite::detect_join_unnest`]. `Some` on a `let` or
     /// `where` clause whose nested equality predicate was unnested to a
     /// [`PlanOpIr::HashJoin`]; the clause's original IR is kept intact
-    /// so the nested-loop plan remains available (`--join nested`
+    /// so the nested-loop plan remains available (the `join=nested`
     /// differential baseline, and the per-probe fallback scan). Empty
     /// (the construction default) until the detection pass runs.
     pub joins: Vec<Option<JoinIr>>,
@@ -674,6 +674,6 @@ pub struct CompiledQuery {
     /// the engine always produces the ordered result).
     pub ordered: bool,
     /// Requested degree of intra-query parallelism, copied from
-    /// [`crate::EngineOptions::threads`] (0 = resolve at run time).
+    /// [`crate::EngineOptions::threads`] (0 = resolve once per run).
     pub threads: usize,
 }

@@ -30,6 +30,7 @@ pub mod explain;
 mod flwor;
 pub mod fold;
 pub mod functions;
+mod hints;
 pub mod ir;
 pub mod keys;
 mod pipeline;
@@ -41,250 +42,55 @@ pub mod types;
 pub use context::{DynamicContext, EvalStats, EvalStatsSnapshot, Focus};
 pub use error::{EngineError, EngineResult};
 pub use explain::plan_fingerprint;
+pub use hints::PlanHints;
 pub use profile::{Clock, Misestimate, MonotonicClock, OpKind, QueryProfile, Span, TickClock};
 pub use trace::{TraceEvent, TracePhase, TraceRing, TraceSink, Tracer};
 
 use xqa_frontend::parse_query;
 use xqa_xdm::Sequence;
 
-/// Engine configuration.
+/// Engine configuration: the degree of parallelism (a deployment
+/// setting) and the plan hints (everything that shapes the plan).
 ///
 /// `PartialEq`/`Eq`/`Hash` are derived so options can key a prepared-plan
 /// cache together with the query text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EngineOptions {
-    /// Detect the `distinct-values` + self-join pattern (Table 1's "Q"
-    /// template) and rewrite it into an explicit `group by` plan. Off by
-    /// default, matching the paper's experimental setup ("no rewrites
-    /// were performed to detect the group-by implied in the query").
-    pub detect_implicit_groupby: bool,
-    /// Fold constant subexpressions at compile time (on by default;
-    /// never changes results, only when work happens).
-    pub constant_folding: bool,
-    /// Push `[position() le k]`-style bounds over an `order by` FLWOR
-    /// into the sort as a `limit`, so the streaming path runs a bounded
-    /// top-k heap instead of a full sort (on by default; never changes
-    /// results — the residual predicate stays in place).
-    pub topk_pushdown: bool,
     /// Degree of intra-query parallelism for the streaming pipeline.
-    /// `0` (the default) resolves at run time via the `XQA_THREADS`
-    /// environment variable, falling back to
+    /// `0` (the default) resolves through [`resolve_threads`]: the
+    /// `XQA_THREADS` environment variable, falling back to
     /// `std::thread::available_parallelism`. `1` runs the whole
     /// pipeline on the calling thread. Values above 1 split an
     /// outermost `for` binding sequence of more than one morsel across
     /// that many scoped worker threads (the same operators, one breaker
     /// partial per worker, merged); output is byte-identical to serial.
     pub threads: usize,
-    /// How leading `descendant::T` path steps are executed (see
-    /// [`AccessPathMode`]). `Auto` (the default) consults the catalog
-    /// statistics attached to the engine; the `XQA_FORCE_ACCESS_PATH`
-    /// environment variable (`walk` | `index`) overrides at compile
-    /// time, mirroring `XQA_THREADS`.
-    pub access_path: AccessPathMode,
-    /// How FLWOR clause expressions are evaluated (see [`ExprEvalMode`]).
-    /// `Auto` (the default) compiles the scalar subset to register
-    /// programs; the `XQA_FORCE_EXPR_EVAL` environment variable
-    /// (`bytecode` | `tree`) overrides at compile time.
-    pub expr_eval: ExprEvalMode,
-    /// How joinable nested-FLWOR equality predicates are executed (see
-    /// [`JoinMode`]). `Auto` (the default) consults catalog statistics;
-    /// the `XQA_FORCE_JOIN` environment variable (`hash` | `nested`)
-    /// overrides at compile time, mirroring `XQA_FORCE_ACCESS_PATH`.
-    pub join: JoinMode,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions {
-            detect_implicit_groupby: false,
-            constant_folding: true,
-            topk_pushdown: true,
-            threads: 0,
-            access_path: AccessPathMode::Auto,
-            expr_eval: ExprEvalMode::Auto,
-            join: JoinMode::Auto,
-        }
-    }
-}
-
-/// Plan-time access-path policy for `//T` descendant scans and simple
-/// value predicates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum AccessPathMode {
-    /// Decide from catalog statistics: index-annotate a scan only when
-    /// statistics are attached and favor the index (selective name, or a
-    /// value predicate the typed-value index can answer exactly). With
-    /// no statistics attached every plan keeps the tree walk, so plans
-    /// compiled without a catalog behave exactly as before.
-    #[default]
-    Auto,
-    /// Never annotate: always tree-walk.
-    Walk,
-    /// Annotate every eligible scan shape regardless of statistics; the
-    /// runtime still falls back to the walk per document when no store
-    /// covers it or the value index cannot answer exactly.
-    Index,
-}
-
-impl AccessPathMode {
-    /// The wire/CLI name (`auto` | `walk` | `index`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AccessPathMode::Auto => "auto",
-            AccessPathMode::Walk => "walk",
-            AccessPathMode::Index => "index",
-        }
-    }
-
-    /// Parse a wire/CLI name; `None` for anything unrecognized.
-    pub fn parse(s: &str) -> Option<AccessPathMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(AccessPathMode::Auto),
-            "walk" => Some(AccessPathMode::Walk),
-            "index" => Some(AccessPathMode::Index),
-            _ => None,
-        }
-    }
-}
-
-/// The effective access-path mode: `XQA_FORCE_ACCESS_PATH` (`walk` |
-/// `index`) wins over the engine option, mirroring how `XQA_THREADS`
-/// overrides the thread count.
-pub fn resolve_access_path(requested: AccessPathMode) -> AccessPathMode {
-    if let Ok(v) = std::env::var("XQA_FORCE_ACCESS_PATH") {
-        if let Some(mode) = AccessPathMode::parse(&v) {
-            return mode;
-        }
-    }
-    requested
-}
-
-/// Plan-time expression-evaluation policy for FLWOR clause expressions
-/// (`for` bindings, `let` values, `where` conditions).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum ExprEvalMode {
-    /// Compile the scalar subset to register programs (the bytecode
-    /// path); expressions outside the subset stay on the tree-walker
-    /// per expression, silently. Currently identical to `Bytecode` —
-    /// the lowering itself decides per expression.
-    #[default]
-    Auto,
-    /// Same as `Auto`: lower everything the scalar subset covers.
-    Bytecode,
-    /// Never lower: every expression evaluates on the IR tree-walker
-    /// (the pre-bytecode behavior, kept as the differential baseline).
-    Tree,
-}
-
-impl ExprEvalMode {
-    /// The wire/CLI name (`auto` | `bytecode` | `tree`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ExprEvalMode::Auto => "auto",
-            ExprEvalMode::Bytecode => "bytecode",
-            ExprEvalMode::Tree => "tree",
-        }
-    }
-
-    /// Parse a wire/CLI name; `None` for anything unrecognized.
-    pub fn parse(s: &str) -> Option<ExprEvalMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(ExprEvalMode::Auto),
-            "bytecode" => Some(ExprEvalMode::Bytecode),
-            "tree" => Some(ExprEvalMode::Tree),
-            _ => None,
-        }
-    }
-}
-
-/// The effective expression-evaluation mode: `XQA_FORCE_EXPR_EVAL`
-/// (`bytecode` | `tree`) wins over the engine option, mirroring
-/// [`resolve_access_path`]. Unknown values are ignored, not errors.
-pub fn resolve_expr_eval(requested: ExprEvalMode) -> ExprEvalMode {
-    if let Ok(v) = std::env::var("XQA_FORCE_EXPR_EVAL") {
-        if let Some(mode) = ExprEvalMode::parse(&v) {
-            return mode;
-        }
-    }
-    requested
-}
-
-/// Plan-time policy for joinable nested-FLWOR equality predicates
-/// (an inner `for $y in <independent source> where $x/k eq $y/k`
-/// binding, or its `some $y satisfies` existential form).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum JoinMode {
-    /// Decide from catalog statistics: unnest to a `HashJoin` only when
-    /// statistics are attached and the build side is either unknown or
-    /// small enough to materialize ([`MAX_HASH_BUILD_ROWS`]). With no
-    /// statistics attached every plan keeps the nested-loop evaluation,
-    /// so plans compiled without a catalog behave exactly as before.
-    #[default]
-    Auto,
-    /// Unnest every eligible join shape regardless of statistics; the
-    /// runtime still falls back to an ordered build scan per probe when
-    /// atom classes make hashing unable to reproduce comparison errors.
-    Hash,
-    /// Never unnest: always re-evaluate the inner FLWOR per tuple.
-    Nested,
-}
-
-/// `Auto` declines to build a hash table the planner expects to exceed
-/// this many rows (it would trade O(n·m) time for an oversized
-/// materialization); `Hash` ignores the bound.
-pub const MAX_HASH_BUILD_ROWS: u64 = 10_000_000;
-
-impl JoinMode {
-    /// The wire/CLI name (`auto` | `hash` | `nested`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            JoinMode::Auto => "auto",
-            JoinMode::Hash => "hash",
-            JoinMode::Nested => "nested",
-        }
-    }
-
-    /// Parse a wire/CLI name; `None` for anything unrecognized.
-    pub fn parse(s: &str) -> Option<JoinMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(JoinMode::Auto),
-            "hash" => Some(JoinMode::Hash),
-            "nested" => Some(JoinMode::Nested),
-            _ => None,
-        }
-    }
-}
-
-/// The effective join mode: `XQA_FORCE_JOIN` (`hash` | `nested`) wins
-/// over the engine option, mirroring [`resolve_access_path`]. Unknown
-/// values are ignored, not errors.
-pub fn resolve_join(requested: JoinMode) -> JoinMode {
-    if let Ok(v) = std::env::var("XQA_FORCE_JOIN") {
-        if let Some(mode) = JoinMode::parse(&v) {
-            return mode;
-        }
-    }
-    requested
+    /// Pins on the planner's decisions (see [`PlanHints`]); none by
+    /// default. The `XQA_HINTS` environment variable follows the rule
+    /// `XQA_THREADS` does: a hint set here wins, the environment only
+    /// supplies hints left absent.
+    pub hints: PlanHints,
 }
 
 /// Resolve a requested degree of parallelism to an effective thread
 /// count: an explicit `requested > 0` wins, then a positive integer in
 /// the `XQA_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`] (or 1 if unavailable).
+/// [`std::thread::available_parallelism`] (or 1 if unavailable). The
+/// default is a property of the deployment, so it is worked out once
+/// per process.
 pub fn resolve_threads(requested: usize) -> usize {
+    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if requested > 0 {
         return requested;
     }
-    if let Ok(v) = std::env::var("XQA_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    *DEFAULT.get_or_init(|| {
+        std::env::var("XQA_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|n| *n > 0)
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
+            .unwrap_or(1)
+    })
 }
 
 /// The kind of optimizer rewrite a [`RewriteNote`] records. The wire
@@ -364,7 +170,7 @@ pub struct Engine {
     options: EngineOptions,
     /// Catalog statistics the access-path planner consults, attached by
     /// the service/CLI after loading documents. `None` = no catalog →
-    /// `Auto` keeps every plan on the tree walk.
+    /// without hints every plan keeps the tree walk and the nested loop.
     statistics: Option<std::sync::Arc<xqa_storage::CatalogStatistics>>,
 }
 
@@ -423,6 +229,8 @@ impl Engine {
         tracer: Option<&Tracer>,
     ) -> EngineResult<PreparedQuery> {
         let note = |kind: RewriteKind| move |detail: String| RewriteNote { kind, detail };
+        let hints = self.options.hints.or(PlanHints::from_env()
+            .map_err(|message| EngineError::stat(xqa_xdm::ErrorCode::Other, message))?);
         let mut module = parse_query(source)?;
         if let Some(t) = tracer {
             t.emit(
@@ -431,7 +239,7 @@ impl Engine {
             );
         }
         let mut rewrites: Vec<RewriteNote> = Vec::new();
-        if self.options.detect_implicit_groupby {
+        if hints.implicit_groupby == Some(true) {
             rewrites.extend(
                 rewrite::detect_implicit_groupby(&mut module)
                     .into_iter()
@@ -440,16 +248,14 @@ impl Engine {
         }
         let mut compiled = compile::compile(&module)?;
         compiled.threads = self.options.threads;
-        if self.options.constant_folding {
-            let folds = fold::fold_query(&mut compiled);
-            if folds > 0 {
-                rewrites.push(RewriteNote {
-                    kind: RewriteKind::ConstantFolding,
-                    detail: format!("constant folding: {folds} subexpression(s) folded"),
-                });
-            }
+        let folds = fold::fold_query(&mut compiled);
+        if folds > 0 {
+            rewrites.push(RewriteNote {
+                kind: RewriteKind::ConstantFolding,
+                detail: format!("constant folding: {folds} subexpression(s) folded"),
+            });
         }
-        if self.options.topk_pushdown {
+        if hints.topk != Some(false) {
             // After folding, so literal bounds like `le 5 + 5` are
             // visible. The limit only changes how the order-by runs;
             // the residual predicate stays in place.
@@ -470,7 +276,7 @@ impl Engine {
         rewrites.extend(
             rewrite::annotate_index_scans(
                 &mut compiled,
-                resolve_access_path(self.options.access_path),
+                hints.index_scan,
                 self.statistics.as_deref(),
             )
             .into_iter()
@@ -479,13 +285,9 @@ impl Engine {
         // Join unnesting runs after index annotation so the build-side
         // cardinality gate sees the final access paths.
         rewrites.extend(
-            rewrite::detect_join_unnest(
-                &mut compiled,
-                resolve_join(self.options.join),
-                self.statistics.as_deref(),
-            )
-            .into_iter()
-            .map(note(RewriteKind::JoinUnnest)),
+            rewrite::detect_join_unnest(&mut compiled, hints.hash_join, self.statistics.as_deref())
+                .into_iter()
+                .map(note(RewriteKind::JoinUnnest)),
         );
         // Cardinality estimation runs after every plan-shaping rewrite
         // (it reads top-k limits and access-path annotations) and
@@ -494,7 +296,7 @@ impl Engine {
         // Expression compilation runs last: every earlier rewrite
         // (folding, top-k pushdown, path fusion, index annotation)
         // mutates the IR the programs are lowered from.
-        if resolve_expr_eval(self.options.expr_eval) != ExprEvalMode::Tree {
+        if hints.bytecode != Some(false) {
             let summary = bytecode::lower_query(&mut compiled);
             if let Some(t) = tracer {
                 if !(summary.lowered.is_empty() && summary.interpreted.is_empty()) {
@@ -521,7 +323,8 @@ impl Engine {
             t.emit(
                 TracePhase::Compile,
                 format!(
-                    "compiled: {} global(s), {} function(s), frame size {}, streaming pipeline",
+                    "compiled: {} global(s), {} function(s), frame size {}, streaming pipeline, \
+                     hints [{hints}]",
                     compiled.globals.len(),
                     compiled.functions.len(),
                     compiled.frame_size,
@@ -533,6 +336,7 @@ impl Engine {
             compiled,
             rewrites,
             fingerprint,
+            hints,
         })
     }
 }
@@ -543,6 +347,7 @@ pub struct PreparedQuery {
     compiled: ir::CompiledQuery,
     rewrites: Vec<RewriteNote>,
     fingerprint: u64,
+    hints: PlanHints,
 }
 
 impl PreparedQuery {
@@ -641,6 +446,12 @@ impl PreparedQuery {
     /// they did and where.
     pub fn applied_rewrites(&self) -> &[RewriteNote] {
         &self.rewrites
+    }
+
+    /// The hints this plan was compiled under: the engine's, with
+    /// `XQA_HINTS` filling the absent ones (prints empty when none).
+    pub fn hints(&self) -> PlanHints {
+        self.hints
     }
 
     /// The compiled IR (for inspection/explain).

@@ -208,11 +208,7 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
     let clock = profiling_clock(interp);
     let counters = op_counters(clock.is_some(), n);
 
-    let threads = if f.parallel && interp.parallel_ok {
-        crate::resolve_threads(interp.query.threads)
-    } else {
-        1
-    };
+    let threads = if f.parallel { interp.threads } else { 1 };
     let mut seed = None;
     if threads > 1 {
         let ClauseIr::For { expr, .. } = &f.clauses[0] else {

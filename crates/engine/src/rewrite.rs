@@ -30,7 +30,7 @@
 //! an empty-sequence group in the rewritten plan. The paper's workload
 //! guarantees "each grouping element occurred exactly once in its
 //! parent", and so does ours. The rewrite is opt-in
-//! ([`crate::EngineOptions::detect_implicit_groupby`]) and is benchmarked
+//! ([`crate::PlanHints::implicit_groupby`]) and is benchmarked
 //! in the `ablation` bench.
 
 use xqa_frontend::ast::*;
@@ -640,15 +640,23 @@ fn fuse_steps(steps: &mut Vec<crate::ir::StepIr>, fused: &mut usize) {
 
 // ---- index-scan annotation -------------------------------------------
 
-/// In `Auto` mode, a descendant scan is only index-annotated when the
+/// Without a hint, a descendant scan is only index-annotated when the
 /// scanned name accounts for at most this fraction of all catalog
 /// elements. Above it, the walk visits about as many nodes as the
 /// posting list holds, so the index buys nothing but handle churn.
 const MAX_INDEX_SELECTIVITY: f64 = 0.5;
 
+/// Without a hint, join unnesting declines to build a hash table the
+/// planner expects to exceed this many rows (it would trade O(n·m) time
+/// for an oversized materialization); `join=hash` ignores the bound.
+pub const MAX_HASH_BUILD_ROWS: u64 = 10_000_000;
+
 /// Annotate leading `descendant::T` path steps with an index access
-/// path (see [`crate::ir::AccessPathIr`]) when the effective mode and
-/// catalog statistics favor it. Two shapes qualify:
+/// path (see [`crate::ir::AccessPathIr`]). `hint` is
+/// [`crate::PlanHints::index_scan`]: `Some(false)` never annotates,
+/// `Some(true)` annotates every matching shape, `None` annotates where
+/// the attached catalog statistics favor the index (nowhere without
+/// statistics). Two shapes qualify:
 ///
 /// - `descendant::T` with no predicates → [`AccessPathIr::IndexDescendant`]:
 ///   a label-range slice of `T`'s element postings.
@@ -657,7 +665,7 @@ const MAX_INDEX_SELECTIVITY: f64 = 0.5;
 ///   constant) → [`AccessPathIr::IndexValueEq`]: candidate parents from
 ///   the typed-value index, residual predicate re-evaluated. The exact
 ///   shape guarantees the predicate is position-free, so prefiltering
-///   cannot renumber anything; in `Auto` mode the statistics must also
+///   cannot renumber anything; without a hint the statistics must also
 ///   confirm the value index answers exactly (every `c` is a leaf, and
 ///   for numeric probes every value parses as `xs:double` — otherwise
 ///   the walk could raise a cast error the index would skip).
@@ -668,14 +676,10 @@ const MAX_INDEX_SELECTIVITY: f64 = 0.5;
 /// byte-identical to the walk.
 pub fn annotate_index_scans(
     query: &mut crate::ir::CompiledQuery,
-    mode: crate::AccessPathMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
 ) -> Vec<String> {
-    use crate::AccessPathMode;
-    if mode == AccessPathMode::Walk {
-        return Vec::new();
-    }
-    if mode == AccessPathMode::Auto && stats.is_none() {
+    if hint == Some(false) || (hint.is_none() && stats.is_none()) {
         return Vec::new();
     }
     let mut fired = Vec::new();
@@ -688,35 +692,35 @@ pub fn annotate_index_scans(
     };
     for g in &mut query.globals {
         let mut notes = Vec::new();
-        annotate_ir(&mut g.init, mode, stats, &mut notes);
+        annotate_ir(&mut g.init, hint, stats, &mut notes);
         record(notes, &format!("global ${}", g.name));
     }
     for f in &mut query.functions {
         let mut notes = Vec::new();
-        annotate_ir(&mut f.body, mode, stats, &mut notes);
+        annotate_ir(&mut f.body, hint, stats, &mut notes);
         record(notes, &format!("function {}#{}", f.name, f.arity));
     }
     let mut notes = Vec::new();
-    annotate_ir(&mut query.body, mode, stats, &mut notes);
+    annotate_ir(&mut query.body, hint, stats, &mut notes);
     record(notes, "query body");
     fired
 }
 
 fn annotate_ir(
     ir: &mut crate::ir::Ir,
-    mode: crate::AccessPathMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
     notes: &mut Vec<String>,
 ) {
     if let crate::ir::Ir::Path(p) = ir {
         fuse_value_eq_shape(p);
-        if let Some((access, note)) = choose_access_path(p, mode, stats) {
+        if let Some((access, note)) = choose_access_path(p, hint, stats) {
             p.access = access;
             notes.push(note);
         }
     }
     for child in crate::fold::child_irs(ir) {
-        annotate_ir(child, mode, stats, notes);
+        annotate_ir(child, hint, stats, notes);
     }
 }
 
@@ -769,11 +773,10 @@ fn fuse_value_eq_shape(p: &mut crate::ir::PathIr) {
 /// matches. Returns the annotation plus its rewrite-note text.
 fn choose_access_path(
     p: &crate::ir::PathIr,
-    mode: crate::AccessPathMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
 ) -> Option<(crate::ir::AccessPathIr, String)> {
     use crate::ir::{AccessPathIr, NodeTestIr, StepIr};
-    use crate::AccessPathMode;
     use xqa_frontend::ast::Axis;
     let StepIr::Axis {
         axis: Axis::Descendant,
@@ -785,7 +788,7 @@ fn choose_access_path(
     };
     match predicates.as_slice() {
         [] => {
-            if mode == AccessPathMode::Auto {
+            if hint.is_none() {
                 let stats = stats?;
                 let selectivity = stats.descendant_selectivity(name);
                 if selectivity > MAX_INDEX_SELECTIVITY {
@@ -806,7 +809,7 @@ fn choose_access_path(
         }
         [pred] => {
             let (child, probe) = match_value_eq_predicate(pred)?;
-            if mode == AccessPathMode::Auto {
+            if hint.is_none() {
                 let stats = stats?;
                 let numeric = matches!(probe, crate::ir::ValueProbeIr::Num(_));
                 if !stats.value_eq_indexable(&child, numeric) {
@@ -897,57 +900,54 @@ fn match_value_eq_predicate(
 /// per tuple either way.
 ///
 /// The clause's original IR is left untouched; the annotation only
-/// flips its plan operator, so `--join nested` and the runtime's
-/// per-probe fallback scan still evaluate the exact original predicate.
+/// flips its plan operator, so the runtime's per-probe fallback scan
+/// still evaluates the exact original predicate.
 ///
-/// Gate: `Nested` never annotates. `Auto` requires attached statistics
-/// and declines a build side the planner estimates above
-/// [`crate::MAX_HASH_BUILD_ROWS`] (unknown estimates are allowed — the
-/// hash table is never larger than what the nested loop re-scans per
-/// tuple). `Hash` annotates every matching shape.
+/// Gate (`hint` is [`crate::PlanHints::hash_join`]): `Some(false)` never
+/// annotates. `None` requires attached statistics and declines a build
+/// side the planner estimates above [`MAX_HASH_BUILD_ROWS`] (unknown
+/// estimates are allowed — the hash table is never larger than what the
+/// nested loop re-scans per tuple). `Some(true)` annotates every
+/// matching shape.
 pub fn detect_join_unnest(
     query: &mut crate::ir::CompiledQuery,
-    mode: crate::JoinMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
 ) -> Vec<String> {
-    use crate::JoinMode;
-    if mode == JoinMode::Nested {
-        return Vec::new();
-    }
-    if mode == JoinMode::Auto && stats.is_none() {
+    if hint == Some(false) || (hint.is_none() && stats.is_none()) {
         return Vec::new();
     }
     let mut fired = Vec::new();
     for g in &mut query.globals {
         let loc = format!("global ${}", g.name);
-        detect_join_ir(&mut g.init, mode, stats, &loc, &mut fired);
+        detect_join_ir(&mut g.init, hint, stats, &loc, &mut fired);
     }
     for f in &mut query.functions {
         let loc = format!("function {}#{}", f.name, f.arity);
-        detect_join_ir(&mut f.body, mode, stats, &loc, &mut fired);
+        detect_join_ir(&mut f.body, hint, stats, &loc, &mut fired);
     }
-    detect_join_ir(&mut query.body, mode, stats, "query body", &mut fired);
+    detect_join_ir(&mut query.body, hint, stats, "query body", &mut fired);
     fired
 }
 
 fn detect_join_ir(
     ir: &mut crate::ir::Ir,
-    mode: crate::JoinMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
     loc: &str,
     fired: &mut Vec<String>,
 ) {
     if let crate::ir::Ir::Flwor(f) = ir {
-        detect_join_flwor(f, mode, stats, loc, fired);
+        detect_join_flwor(f, hint, stats, loc, fired);
     }
     for child in crate::fold::child_irs(ir) {
-        detect_join_ir(child, mode, stats, loc, fired);
+        detect_join_ir(child, hint, stats, loc, fired);
     }
 }
 
 fn detect_join_flwor(
     f: &mut crate::ir::FlworIr,
-    mode: crate::JoinMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
     loc: &str,
     fired: &mut Vec<String>,
@@ -956,7 +956,7 @@ fn detect_join_flwor(
     let bound = flwor_bound_slots(f);
     let mut joins: Vec<Option<crate::ir::JoinIr>> = vec![None; f.clauses.len()];
     for (i, clause) in f.clauses.iter().enumerate() {
-        let Some(join) = match_join_clause(clause, &bound, mode, stats) else {
+        let Some(join) = match_join_clause(clause, &bound, hint, stats) else {
             continue;
         };
         fired.push(format!(
@@ -1016,7 +1016,7 @@ fn flwor_bound_slots(f: &crate::ir::FlworIr) -> std::collections::HashSet<crate:
 fn match_join_clause(
     clause: &crate::ir::ClauseIr,
     bound: &std::collections::HashSet<crate::ir::Slot>,
-    mode: crate::JoinMode,
+    hint: Option<bool>,
     stats: Option<&xqa_storage::CatalogStatistics>,
 ) -> Option<crate::ir::JoinIr> {
     use crate::ir::{ClauseIr, Ir, JoinKindIr};
@@ -1063,9 +1063,9 @@ fn match_join_clause(
         return None;
     }
     let (build_key, probe_key, probe_is_lhs, value_comp) = split_eq_pred(pred, y, bound)?;
-    if mode == crate::JoinMode::Auto {
+    if hint.is_none() {
         if let Some(est) = crate::estimate::source_cardinality(src, stats) {
-            if est > crate::MAX_HASH_BUILD_ROWS {
+            if est > MAX_HASH_BUILD_ROWS {
                 return None;
             }
         }

@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use xqa_engine::{
-    DynamicContext, Engine, EngineOptions, JoinMode, OpKind, PreparedQuery, QueryProfile, TickClock,
+    DynamicContext, Engine, EngineOptions, OpKind, PreparedQuery, QueryProfile, TickClock,
 };
 
 /// 1ms per clock read: large enough that rendered times are round.
@@ -33,8 +33,8 @@ const WINDOW_QUERY: &str = "for tumbling window $w in (1 to 20) \
      return <w>{sum($w)}</w>";
 
 /// A joinable nested FLWOR, exercising the HashJoin operator (needs
-/// `JoinMode::Hash` — the default `auto` keeps it nested without
-/// catalog statistics).
+/// the `join=hash` hint — without one, and without catalog statistics,
+/// it stays nested).
 const JOIN_QUERY: &str = "for $x in 1 to 8 \
      let $m := for $y in (2, 4, 6) where $y = $x return $y \
      return <j>{$x}:{count($m)}</j>";
@@ -42,7 +42,7 @@ const JOIN_QUERY: &str = "for $x in 1 to 8 \
 fn engine_for(query: &str) -> Engine {
     if query == JOIN_QUERY {
         Engine::with_options(EngineOptions {
-            join: JoinMode::Hash,
+            hints: "join=hash".parse().unwrap(),
             ..Default::default()
         })
     } else {

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use xqa_engine::{AccessPathMode, DynamicContext, Engine, EngineOptions, TickClock};
+use xqa_engine::{DynamicContext, Engine, EngineOptions, TickClock};
 use xqa_storage::CatalogStatistics;
 
 /// 1ms per clock read, matching the other explain-analyze goldens.
@@ -76,7 +76,7 @@ fn explain_renders_index_scan_annotations() {
 fn explain_walk_mode_has_no_annotations() {
     let (_, stats) = indexed_ctx();
     let engine = Engine::with_options(EngineOptions {
-        access_path: AccessPathMode::Walk,
+        hints: "access=walk".parse().unwrap(),
         ..Default::default()
     })
     .with_statistics(stats);

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use xqa_engine::{DynamicContext, Engine, EngineOptions, JoinMode, RewriteKind};
+use xqa_engine::{DynamicContext, Engine, EngineOptions, RewriteKind};
 use xqa_storage::CatalogStatistics;
 use xqa_xmlparse::serialize_sequence;
 
@@ -46,9 +46,9 @@ fn indexed_ctx() -> (DynamicContext, Arc<CatalogStatistics>) {
     (c, stats)
 }
 
-fn engine(join: JoinMode) -> Engine {
+fn engine(hints: &str) -> Engine {
     Engine::with_options(EngineOptions {
-        join,
+        hints: hints.parse().expect("valid hints"),
         ..Default::default()
     })
 }
@@ -59,7 +59,7 @@ fn run(e: &Engine, c: &DynamicContext, query: &str) -> String {
 
 #[test]
 fn hash_mode_annotates_the_let_shape() {
-    let plan = engine(JoinMode::Hash).compile(SELF_JOIN).expect("compile");
+    let plan = engine("join=hash").compile(SELF_JOIN).expect("compile");
     let text = plan.explain();
     assert!(text.contains("[hash join key="), "{text}");
     assert!(text.contains("HashJoin(key="), "{text}");
@@ -74,7 +74,7 @@ fn hash_mode_annotates_the_let_shape() {
 
 #[test]
 fn hash_mode_annotates_the_existential_shape() {
-    let plan = engine(JoinMode::Hash).compile(SEMI_JOIN).expect("compile");
+    let plan = engine("join=hash").compile(SEMI_JOIN).expect("compile");
     let text = plan.explain();
     assert!(text.contains("[hash join key="), "{text}");
     assert!(text.contains("HashJoin(key="), "{text}");
@@ -83,37 +83,32 @@ fn hash_mode_annotates_the_existential_shape() {
 #[test]
 fn nested_mode_never_annotates() {
     for query in [SELF_JOIN, SEMI_JOIN] {
-        let plan = engine(JoinMode::Nested).compile(query).expect("compile");
+        let plan = engine("join=nested").compile(query).expect("compile");
         assert!(!plan.explain().contains("hash join"), "{}", plan.explain());
     }
 }
 
-#[test]
-fn auto_without_statistics_stays_nested() {
-    let plan = engine(JoinMode::Auto).compile(SELF_JOIN).expect("compile");
-    assert!(!plan.explain().contains("hash join"), "{}", plan.explain());
+/// Whether the planner unnests `SELF_JOIN` when no hint pins the join.
+/// The rewrite is called directly so that `XQA_HINTS` cannot supply one.
+fn unhinted_planner_unnests(stats: Option<&CatalogStatistics>) -> bool {
+    let module = xqa_frontend::parse_query(SELF_JOIN).expect("parse");
+    let mut compiled = xqa_engine::compile::compile(&module).expect("compile");
+    !xqa_engine::rewrite::detect_join_unnest(&mut compiled, None, stats).is_empty()
 }
 
 #[test]
-fn auto_with_statistics_annotates() {
+fn without_a_hint_statistics_decide() {
+    assert!(!unhinted_planner_unnests(None), "no catalog: stay nested");
     let (_, stats) = indexed_ctx();
-    let plan = engine(JoinMode::Auto)
-        .with_statistics(stats)
-        .compile(SELF_JOIN)
-        .expect("compile");
-    assert!(
-        plan.explain().contains("[hash join key="),
-        "{}",
-        plan.explain()
-    );
+    assert!(unhinted_planner_unnests(Some(&stats)));
 }
 
 #[test]
 fn hash_and_nested_agree_on_the_self_join() {
     let c = ctx();
     assert_eq!(
-        run(&engine(JoinMode::Hash), &c, SELF_JOIN),
-        run(&engine(JoinMode::Nested), &c, SELF_JOIN),
+        run(&engine("join=hash"), &c, SELF_JOIN),
+        run(&engine("join=nested"), &c, SELF_JOIN),
     );
 }
 
@@ -121,8 +116,8 @@ fn hash_and_nested_agree_on_the_self_join() {
 fn hash_and_nested_agree_on_the_semi_join() {
     let c = ctx();
     assert_eq!(
-        run(&engine(JoinMode::Hash), &c, SEMI_JOIN),
-        run(&engine(JoinMode::Nested), &c, SEMI_JOIN),
+        run(&engine("join=hash"), &c, SEMI_JOIN),
+        run(&engine("join=nested"), &c, SEMI_JOIN),
     );
 }
 
@@ -130,7 +125,7 @@ fn hash_and_nested_agree_on_the_semi_join() {
 fn forced_hash_fires_the_join_counters() {
     let c = ctx();
     let before = c.stats.snapshot();
-    run(&engine(JoinMode::Hash), &c, SELF_JOIN);
+    run(&engine("join=hash"), &c, SELF_JOIN);
     let after = c.stats.snapshot();
     assert!(
         after.join_hash_probes > before.join_hash_probes,
@@ -146,7 +141,7 @@ fn forced_hash_fires_the_join_counters() {
 fn nested_mode_leaves_the_join_counters_at_zero() {
     let c = ctx();
     let before = c.stats.snapshot();
-    run(&engine(JoinMode::Nested), &c, SELF_JOIN);
+    run(&engine("join=nested"), &c, SELF_JOIN);
     let after = c.stats.snapshot();
     assert_eq!(after.join_hash_probes, before.join_hash_probes);
     assert_eq!(after.join_build_tuples, before.join_build_tuples);
@@ -161,11 +156,8 @@ fn mixed_type_keys_keep_nested_error_behavior() {
          let $m := for $y in ('x', 'y') where $y = $a return $y \
          return count($m)";
     let c = DynamicContext::new();
-    let hash = engine(JoinMode::Hash)
-        .compile(query)
-        .expect("compile")
-        .run(&c);
-    let nested = engine(JoinMode::Nested)
+    let hash = engine("join=hash").compile(query).expect("compile").run(&c);
+    let nested = engine("join=nested")
         .compile(query)
         .expect("compile")
         .run(&c);
@@ -185,8 +177,8 @@ fn untyped_keys_match_across_collections() {
          return count($m)";
     let c = ctx();
     assert_eq!(
-        run(&engine(JoinMode::Hash), &c, query),
-        run(&engine(JoinMode::Nested), &c, query),
+        run(&engine("join=hash"), &c, query),
+        run(&engine("join=nested"), &c, query),
     );
 }
 
@@ -198,6 +190,6 @@ fn empty_build_side_binds_empty() {
          let $m := for $y in //nosuch where $y = $a return $y \
          return count($m)";
     let c = ctx();
-    assert_eq!(run(&engine(JoinMode::Hash), &c, query), "0 0 0");
-    assert_eq!(run(&engine(JoinMode::Nested), &c, query), "0 0 0");
+    assert_eq!(run(&engine("join=hash"), &c, query), "0 0 0");
+    assert_eq!(run(&engine("join=nested"), &c, query), "0 0 0");
 }

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use xqa_engine::{Engine, TickClock, TracePhase, TraceRing, TraceSink, Tracer};
+use xqa_engine::{Engine, EngineOptions, TickClock, TracePhase, TraceRing, TraceSink, Tracer};
 
 fn traced_compile(query: &str) -> Vec<(TracePhase, String)> {
     let ring = Arc::new(TraceRing::new(64));
@@ -35,6 +35,29 @@ fn every_compile_emits_parse_then_compile() {
     assert_eq!(events.first().map(|(p, _)| *p), Some(TracePhase::Parse));
     assert_eq!(events.last().map(|(p, _)| *p), Some(TracePhase::Compile));
     assert!(events.last().unwrap().1.contains("streaming pipeline"));
+}
+
+#[test]
+fn the_compile_event_names_the_effective_hints() {
+    let ring = Arc::new(TraceRing::new(64));
+    let tracer = Tracer::new(
+        7,
+        Arc::new(TickClock::new(1_000)),
+        Arc::clone(&ring) as Arc<dyn TraceSink>,
+    );
+    let plan = Engine::with_options(EngineOptions {
+        hints: "join=nested,expr=tree".parse().unwrap(),
+        ..Default::default()
+    })
+    .compile_traced("1 + 1", Some(&tracer))
+    .expect("compiles");
+    let hints = plan.hints();
+    assert_eq!(
+        (hints.hash_join, hints.bytecode),
+        (Some(false), Some(false))
+    );
+    let compile = ring.drain().pop().expect("compile event").detail;
+    assert!(compile.ends_with(&format!("hints [{hints}]")), "{compile}");
 }
 
 #[test]

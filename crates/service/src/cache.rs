@@ -309,7 +309,7 @@ mod tests {
         let cache = PlanCache::new(8);
         let plain = Engine::new();
         let rewriting = Engine::with_options(EngineOptions {
-            detect_implicit_groupby: true,
+            hints: "implicit-groupby=on".parse().unwrap(),
             ..Default::default()
         });
         cache.get_or_compile(&plain, "1 + 1").unwrap();

@@ -143,9 +143,6 @@ struct Shared {
     /// timelines from different requests are comparable.
     trace_clock: Arc<MonotonicClock>,
     slow_query_ms: Option<u64>,
-    /// Resolved intra-query parallelism (the `threads` engine option
-    /// after defaulting), exported on `/metrics`.
-    query_threads: usize,
     pool: ThreadPool,
     started: Instant,
     /// Bounded admission + per-client quotas (see [`Admission`]).
@@ -196,7 +193,13 @@ impl Server {
         let mut catalog = catalog.clone();
         let statistics = catalog.build_indexes();
         let shared = Arc::new(Shared {
-            engine: Engine::with_options(config.engine_options).with_statistics(statistics),
+            // The degree of parallelism is resolved here, once: every
+            // plan runs at the value `/metrics` reports.
+            engine: Engine::with_options(EngineOptions {
+                threads: xqa_engine::resolve_threads(config.engine_options.threads),
+                ..config.engine_options
+            })
+            .with_statistics(statistics),
             cache: PlanCache::new(config.plan_cache_capacity),
             catalog,
             metrics: Metrics::new(),
@@ -207,7 +210,6 @@ impl Server {
             flight: FlightRecorder::new(config.flight_recorder_capacity),
             trace_clock: Arc::new(MonotonicClock::new()),
             slow_query_ms: config.slow_query_ms,
-            query_threads: xqa_engine::resolve_threads(config.engine_options.threads),
             pool: ThreadPool::new("xqa-worker", workers),
             started: Instant::now(),
             admission: Admission::new(workers, config.max_queue, config.max_inflight_per_client),
@@ -782,7 +784,7 @@ fn render_metrics(shared: &Shared) -> String {
     };
     line("xqa_uptime_seconds", shared.started.elapsed().as_secs());
     line("xqa_workers", shared.pool.size() as u64);
-    line("xqa_query_threads", shared.query_threads as u64);
+    line("xqa_query_threads", shared.engine.options().threads as u64);
     line("xqa_worker_panics_total", shared.pool.panic_count());
     line("xqa_query_requests_total", Metrics::read(&m.query_requests));
     line("xqa_query_ok_total", Metrics::read(&m.query_ok));
@@ -1109,6 +1111,10 @@ mod tests {
         assert!(full.contains("\"cached_plan\":false"), "{full}");
         assert!(full.contains("\"phase\":\"parse\""), "{full}");
         assert!(full.contains("\"phase\":\"compile\""), "{full}");
+        // The compile event names the hints the plan was compiled under
+        // (empty brackets when none), so a forced plan is told apart
+        // from a default one after the fact.
+        assert!(full.contains("streaming pipeline, hints ["), "{full}");
 
         // Re-running the same query hits the plan cache: same
         // fingerprint, no compile events this time.

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let plain = Engine::new();
     let detecting = Engine::with_options(EngineOptions {
-        detect_implicit_groupby: true,
+        hints: "implicit-groupby=on".parse().unwrap(),
         ..Default::default()
     });
 

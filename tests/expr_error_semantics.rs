@@ -5,7 +5,7 @@
 //! call the evaluator's own scalar kernels rather than reimplementing
 //! their semantics.
 
-use xqa::{DynamicContext, Engine, EngineOptions, ExprEvalMode};
+use xqa::{DynamicContext, Engine, EngineOptions};
 
 /// Runs `query` under every mode × thread combination; every run must
 /// fail, all failures must render identically, and the message must
@@ -14,18 +14,17 @@ fn assert_error_parity(query: &str, expect: &str) {
     let ctx = DynamicContext::new();
     let mut errors: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 4] {
-        for mode in [ExprEvalMode::Bytecode, ExprEvalMode::Tree] {
+        for mode in ["expr=bytecode", "expr=tree"] {
             let engine = Engine::with_options(EngineOptions {
                 threads,
-                expr_eval: mode,
-                ..Default::default()
+                hints: mode.parse().unwrap(),
             });
             let err = engine
                 .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"))
+                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"))
                 .run(&ctx)
                 .expect_err("query must raise a dynamic error");
-            errors.push((format!("{mode:?} threads={threads}"), err.to_string()));
+            errors.push((format!("{mode} threads={threads}"), err.to_string()));
         }
     }
     let (baseline_label, baseline) = &errors[0];

@@ -1,13 +1,23 @@
 //! Differential tests for the streaming tuple pipeline.
 //!
-//! The legacy clause-by-clause materializing path is gone; the pipeline
-//! is now held against itself across degrees of parallelism instead.
+//! The pipeline is held against itself across degrees of parallelism
+//! and across both sides of each plan hint (`access`, `expr`, `join`).
 //! Every query here is evaluated at threads=1 (profiled — the run that
 //! also asserts instrumentation never changes results and that every
 //! FLWOR records its operator pipeline) and at threads=4, and the
 //! serialized results must be byte-identical.
 
 use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions};
+
+/// An engine pinned to `hints` (the `--hint` grammar) at `threads`. A
+/// pinned hint beats `XQA_HINTS`, so every differential below compares
+/// the two sides it names whatever the environment says.
+fn hinted_engine(hints: &str, threads: usize) -> Engine {
+    Engine::with_options(EngineOptions {
+        threads,
+        hints: hints.parse().expect("valid hints"),
+    })
+}
 
 fn threaded_engines() -> (Engine, Engine) {
     let serial = Engine::with_options(EngineOptions {
@@ -541,24 +551,18 @@ fn assert_access_paths_identical(
     ctx: &xqa::DynamicContext,
     stats: &std::sync::Arc<xqa::storage::CatalogStatistics>,
 ) {
-    use xqa::AccessPathMode;
     let mut outputs: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 4] {
-        for mode in [AccessPathMode::Walk, AccessPathMode::Index] {
-            let engine = Engine::with_options(EngineOptions {
-                threads,
-                access_path: mode,
-                ..Default::default()
-            })
-            .with_statistics(std::sync::Arc::clone(stats));
+        for mode in ["access=walk", "access=index"] {
+            let engine = hinted_engine(mode, threads).with_statistics(std::sync::Arc::clone(stats));
             let plan = engine
                 .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"));
+                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"));
             let out = plan
                 .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode:?}, threads={threads}): {e}\n{query}"));
+                .unwrap_or_else(|e| panic!("run ({mode}, threads={threads}): {e}\n{query}"));
             outputs.push((
-                format!("{mode:?} threads={threads}"),
+                format!("{mode} threads={threads}"),
                 serialize_sequence(&out),
             ));
         }
@@ -624,16 +628,10 @@ const ACCESS_PATH_CORPUS: [&str; 13] = [
 /// queries forced to `walk` record none.
 #[test]
 fn access_path_differential_takes_the_index() {
-    use xqa::AccessPathMode;
     let (ctx, stats) = indexed_orders_ctx();
     let query = "count(//lineitem[quantity = 10]) + count(//lineitem)";
-    let run = |mode: AccessPathMode| {
-        let engine = Engine::with_options(EngineOptions {
-            access_path: mode,
-            threads: 1,
-            ..Default::default()
-        })
-        .with_statistics(std::sync::Arc::clone(&stats));
+    let run = |mode: &str| {
+        let engine = hinted_engine(mode, 1).with_statistics(std::sync::Arc::clone(&stats));
         let before = ctx.stats.snapshot();
         engine
             .compile(query)
@@ -646,12 +644,12 @@ fn access_path_differential_takes_the_index() {
             after.scan_walk_tuples - before.scan_walk_tuples,
         )
     };
-    let (index_hits, _) = run(AccessPathMode::Index);
+    let (index_hits, _) = run("access=index");
     assert!(
         index_hits >= 2,
         "forced index run recorded {index_hits} hits"
     );
-    let (walk_hits, walk_tuples) = run(AccessPathMode::Walk);
+    let (walk_hits, walk_tuples) = run("access=walk");
     assert_eq!(walk_hits, 0, "forced walk run must not touch the index");
     assert!(walk_tuples > 0, "forced walk run must tree-walk");
 }
@@ -688,28 +686,19 @@ fn parallel_profile_reports_workers() {
 // byte-identical: a compiled program is a pure evaluation-method
 // substitution for the tree-walker, never a semantic one.
 
-fn engine_with_expr_eval(mode: xqa::ExprEvalMode, threads: usize) -> Engine {
-    Engine::with_options(EngineOptions {
-        threads,
-        expr_eval: mode,
-        ..Default::default()
-    })
-}
-
 fn assert_expr_evals_identical(query: &str, ctx: &DynamicContext) {
-    use xqa::ExprEvalMode;
     let mut outputs: Vec<(String, String)> = Vec::new();
     let mut serial_comparisons: Vec<u64> = Vec::new();
     for threads in [1usize, 4] {
-        for mode in [ExprEvalMode::Bytecode, ExprEvalMode::Tree] {
-            let engine = engine_with_expr_eval(mode, threads);
+        for mode in ["expr=bytecode", "expr=tree"] {
+            let engine = hinted_engine(mode, threads);
             let plan = engine
                 .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"));
+                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"));
             let before = ctx.stats.snapshot();
             let out = plan
                 .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode:?}, threads={threads}): {e}\n{query}"));
+                .unwrap_or_else(|e| panic!("run ({mode}, threads={threads}): {e}\n{query}"));
             let after = ctx.stats.snapshot();
             if threads == 1 {
                 serial_comparisons.push(after.comparisons - before.comparisons);
@@ -791,12 +780,6 @@ fn expr_eval_parallel_morsel_differential() {
 /// forced-tree runs must execute none.
 #[test]
 fn forced_bytecode_actually_compiles() {
-    use xqa::ExprEvalMode;
-    // The process-wide override deliberately defeats per-engine modes,
-    // so the tree-side zero assertions below would be wrong under it.
-    if std::env::var_os("XQA_FORCE_EXPR_EVAL").is_some() {
-        return;
-    }
     let lowering_corpus = [
         "for $x in 1 to 100 where $x mod 3 = 0 return $x",
         "for $x in 1 to 50 let $y := $x * 2 + 1 where $y > 20 return $y",
@@ -809,13 +792,13 @@ fn forced_bytecode_actually_compiles() {
     let ctx = DynamicContext::new();
     for query in lowering_corpus {
         let before = ctx.stats.snapshot();
-        engine_with_expr_eval(ExprEvalMode::Bytecode, 1)
+        hinted_engine("expr=bytecode", 1)
             .compile(query)
             .expect("compile")
             .run(&ctx)
             .expect("run");
         let mid = ctx.stats.snapshot();
-        engine_with_expr_eval(ExprEvalMode::Tree, 1)
+        hinted_engine("expr=tree", 1)
             .compile(query)
             .expect("compile")
             .run(&ctx)
@@ -848,38 +831,27 @@ fn forced_bytecode_actually_compiles() {
 // pure join-method substitution for the nested loop, never a semantic
 // one. Every corpus entry is a joinable shape, so the hash-mode plans
 // are additionally required to carry the `[hash join ...]` annotation
-// (unless the process-wide `XQA_FORCE_JOIN` override is in play).
-
-fn engine_with_join(mode: xqa::JoinMode, threads: usize) -> Engine {
-    Engine::with_options(EngineOptions {
-        threads,
-        join: mode,
-        ..Default::default()
-    })
-}
+// and the nested-mode plans not to.
 
 fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
-    use xqa::JoinMode;
-    let forced = std::env::var_os("XQA_FORCE_JOIN").is_some();
     let mut outputs: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 4] {
-        for mode in [JoinMode::Hash, JoinMode::Nested] {
-            let engine = engine_with_join(mode, threads);
+        for mode in ["join=hash", "join=nested"] {
+            let engine = hinted_engine(mode, threads);
             let plan = engine
                 .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode:?}, threads={threads}): {e}\n{query}"));
-            if mode == JoinMode::Hash && !forced {
-                assert!(
-                    plan.explain().contains("[hash join"),
-                    "hash mode did not unnest:\n{query}\n{}",
-                    plan.explain()
-                );
-            }
+                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"));
+            assert_eq!(
+                plan.explain().contains("[hash join"),
+                mode == "join=hash",
+                "{mode} planned the wrong join:\n{query}\n{}",
+                plan.explain()
+            );
             let out = plan
                 .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode:?}, threads={threads}): {e}\n{query}"));
+                .unwrap_or_else(|e| panic!("run ({mode}, threads={threads}): {e}\n{query}"));
             outputs.push((
-                format!("{mode:?} threads={threads}"),
+                format!("{mode} threads={threads}"),
                 serialize_sequence(&out),
             ));
         }
@@ -958,22 +930,16 @@ fn join_large_morsel_differential() {
 /// probe counters move — and forced-nested runs must leave them alone.
 #[test]
 fn join_differential_takes_the_hash_path() {
-    use xqa::JoinMode;
-    // The process-wide override deliberately defeats per-engine modes,
-    // so the nested-side zero assertions below would be wrong under it.
-    if std::env::var_os("XQA_FORCE_JOIN").is_some() {
-        return;
-    }
     let ctx = orders_ctx();
     let query = JOIN_CORPUS[0];
     let before = ctx.stats.snapshot();
-    engine_with_join(JoinMode::Hash, 1)
+    hinted_engine("join=hash", 1)
         .compile(query)
         .expect("compile")
         .run(&ctx)
         .expect("run");
     let mid = ctx.stats.snapshot();
-    engine_with_join(JoinMode::Nested, 1)
+    hinted_engine("join=nested", 1)
         .compile(query)
         .expect("compile")
         .run(&ctx)
@@ -1002,17 +968,13 @@ fn join_differential_takes_the_hash_path() {
 /// binding falls back.
 #[test]
 fn mixed_query_counts_compiled_and_fallback() {
-    use xqa::ExprEvalMode;
-    if std::env::var_os("XQA_FORCE_EXPR_EVAL").is_some() {
-        return;
-    }
     let ctx = orders_ctx();
     let query = "for $li in //order/lineitem \
                  let $q := number($li/quantity) \
                  where $q >= 0 \
                  return $li/partkey";
     let before = ctx.stats.snapshot();
-    engine_with_expr_eval(ExprEvalMode::Bytecode, 1)
+    hinted_engine("expr=bytecode", 1)
         .compile(query)
         .expect("compile")
         .run(&ctx)
