@@ -424,185 +424,45 @@ fn patch_jump(p: &mut ExprProgram, at: usize, target: usize) {
     }
 }
 
-/// What one lowering pass did, for the `compile-expr` trace event: the
-/// clause labels that lowered and those that stayed interpreted.
-#[derive(Debug, Default)]
-pub struct LowerSummary {
-    /// Clause labels whose expressions compiled to programs.
-    pub lowered: Vec<String>,
-    /// Clause labels whose expressions stayed on the tree-walker.
-    pub interpreted: Vec<String>,
-}
-
-/// Lower every FLWOR clause expression in the query — body, globals,
-/// and user functions, including nested FLWORs — filling each
-/// [`FlworIr::programs`] table in place.
-pub fn lower_query(q: &mut CompiledQuery) -> LowerSummary {
-    let mut summary = LowerSummary::default();
-    for g in &mut q.globals {
-        visit_ir(&mut g.init, &mut summary);
-    }
-    for f in &mut q.functions {
-        visit_ir(&mut f.body, &mut summary);
-    }
-    visit_ir(&mut q.body, &mut summary);
-    summary
-}
-
-/// Lower the clause expressions of one FLWOR into its programs table.
-fn lower_flwor(f: &mut FlworIr, s: &mut LowerSummary) {
+/// Lower the clause expressions of one FLWOR into its
+/// [`FlworIr::programs`] table (the planner's last rule calls this on
+/// every FLWOR of the query, nested ones included).
+pub(crate) fn lower_flwor(f: &mut FlworIr) {
     f.programs = f
         .clauses
         .iter()
-        .map(|clause| {
-            let (label, expr) = match clause {
-                ClauseIr::For { slot, expr, .. } => (format!("for slot{slot}"), expr),
-                ClauseIr::Let { slot, expr, .. } => (format!("let slot{slot}"), expr),
-                ClauseIr::Where(cond) => ("where".to_string(), cond),
-                _ => return None,
-            };
-            match lower(expr) {
-                Some(program) => {
-                    s.lowered.push(label);
-                    Some(ExprPlan::Compiled(program))
-                }
-                None => {
-                    s.interpreted.push(label);
-                    Some(ExprPlan::Interpreted)
-                }
+        .map(|clause| match clause {
+            ClauseIr::For { expr, .. } | ClauseIr::Let { expr, .. } | ClauseIr::Where(expr) => {
+                Some(lower(expr).map_or(ExprPlan::Interpreted, ExprPlan::Compiled))
             }
+            _ => None,
         })
         .collect();
 }
 
-fn visit_ir(ir: &mut Ir, s: &mut LowerSummary) {
-    use crate::ir::{AttrPartIr, ContentIr, PathStartIr, StepIr};
-    match ir {
-        Ir::Str(_)
-        | Ir::Int(_)
-        | Ir::Dec(_)
-        | Ir::Dbl(_)
-        | Ir::Empty
-        | Ir::Var(_)
-        | Ir::Global(_)
-        | Ir::ContextItem
-        | Ir::Comment(_)
-        | Ir::Pi(..) => {}
-        Ir::Seq(items) => items.iter_mut().for_each(|i| visit_ir(i, s)),
-        Ir::Range(a, b)
-        | Ir::Arith(_, a, b)
-        | Ir::GeneralComp(_, a, b)
-        | Ir::ValueComp(_, a, b)
-        | Ir::NodeComp(_, a, b)
-        | Ir::And(a, b)
-        | Ir::Or(a, b)
-        | Ir::SetOp(_, a, b) => {
-            visit_ir(a, s);
-            visit_ir(b, s);
-        }
-        Ir::Neg(a) | Ir::InstanceOf(a, _) | Ir::Cast(a, ..) | Ir::Castable(a, ..) => visit_ir(a, s),
-        Ir::If(c, t, e) => {
-            visit_ir(c, s);
-            visit_ir(t, s);
-            visit_ir(e, s);
-        }
-        Ir::Quantified {
-            bindings,
-            satisfies,
-            ..
-        } => {
-            bindings.iter_mut().for_each(|(_, e)| visit_ir(e, s));
-            visit_ir(satisfies, s);
-        }
-        Ir::Flwor(f) => {
-            lower_flwor(f, s);
-            for clause in &mut f.clauses {
-                visit_clause(clause, s);
+/// What lowering did, read back off the plan for the `compile-expr`
+/// trace event: the labels of the clauses that compiled to programs,
+/// then of those that stayed on the tree-walker.
+pub(crate) fn lowering_summary(q: &mut CompiledQuery) -> [Vec<String>; 2] {
+    let mut summary = [Vec::new(), Vec::new()];
+    for (_, root) in q.roots_mut() {
+        crate::fold::walk(root, false, &mut |ir| {
+            let Ir::Flwor(f) = ir else { return };
+            for (clause, plan) in f.clauses.iter().zip(&f.programs) {
+                let labels = match plan {
+                    Some(ExprPlan::Compiled(_)) => &mut summary[0],
+                    Some(ExprPlan::Interpreted) => &mut summary[1],
+                    None => continue,
+                };
+                labels.push(match clause {
+                    ClauseIr::For { slot, .. } => format!("for slot{slot}"),
+                    ClauseIr::Let { slot, .. } => format!("let slot{slot}"),
+                    _ => "where".to_string(),
+                });
             }
-            visit_ir(&mut f.return_expr, s);
-        }
-        Ir::Path(p) => {
-            if let PathStartIr::Expr(e) = &mut p.start {
-                visit_ir(e, s);
-            }
-            for step in &mut p.steps {
-                match step {
-                    StepIr::Axis { predicates, .. } => {
-                        predicates.iter_mut().for_each(|e| visit_ir(e, s))
-                    }
-                    StepIr::Expr { expr, predicates } => {
-                        visit_ir(expr, s);
-                        predicates.iter_mut().for_each(|e| visit_ir(e, s));
-                    }
-                }
-            }
-        }
-        Ir::Filter { base, predicates } => {
-            visit_ir(base, s);
-            predicates.iter_mut().for_each(|e| visit_ir(e, s));
-        }
-        Ir::CallBuiltin(_, args) | Ir::CallUser(_, args) => {
-            args.iter_mut().for_each(|e| visit_ir(e, s))
-        }
-        Ir::Element(el) => {
-            for (_, parts) in &mut el.attributes {
-                for part in parts {
-                    if let AttrPartIr::Enclosed(e) = part {
-                        visit_ir(e, s);
-                    }
-                }
-            }
-            for part in &mut el.content {
-                match part {
-                    ContentIr::Literal(_) => {}
-                    ContentIr::Enclosed(e) | ContentIr::Child(e) => visit_ir(e, s),
-                }
-            }
-        }
-        Ir::Attribute { value, .. } => {
-            if let Some(v) = value {
-                visit_ir(v, s);
-            }
-        }
-        Ir::Text(content) => {
-            if let Some(c) = content {
-                visit_ir(c, s);
-            }
-        }
+        });
     }
-}
-
-fn visit_clause(clause: &mut ClauseIr, s: &mut LowerSummary) {
-    match clause {
-        ClauseIr::For { expr, .. } | ClauseIr::Let { expr, .. } => visit_ir(expr, s),
-        ClauseIr::Where(cond) => visit_ir(cond, s),
-        ClauseIr::Count { .. } => {}
-        ClauseIr::Window(w) => {
-            visit_ir(&mut w.expr, s);
-            visit_ir(&mut w.start.when, s);
-            if let Some(end) = &mut w.end {
-                visit_ir(&mut end.when, s);
-            }
-        }
-        ClauseIr::GroupBy(g) => {
-            for key in &mut g.keys {
-                visit_ir(&mut key.expr, s);
-            }
-            for nest in &mut g.nests {
-                visit_ir(&mut nest.expr, s);
-                if let Some(ob) = &mut nest.order_by {
-                    for spec in &mut ob.specs {
-                        visit_ir(&mut spec.expr, s);
-                    }
-                }
-            }
-        }
-        ClauseIr::OrderBy(ob) => {
-            for spec in &mut ob.specs {
-                visit_ir(&mut spec.expr, s);
-            }
-        }
-    }
+    summary
 }
 
 #[cfg(test)]
@@ -645,14 +505,18 @@ mod tests {
         }
     }
 
+    /// Plan `src` (no hints, no statistics) and summarize the lowering.
+    fn planned(src: &str) -> (CompiledQuery, [Vec<String>; 2]) {
+        let mut q = compile::compile(&parse_query(src).expect("parse")).expect("compile");
+        crate::rewrite::plan(&mut q, Default::default(), None);
+        let summary = lowering_summary(&mut q);
+        (q, summary)
+    }
+
     #[test]
     fn flwor_clause_table_is_aligned_with_clauses() {
-        let mut q = compile::compile(
-            &parse_query("for $x in 1 to 9 let $m := $x mod 3 where $m = 0 return $x")
-                .expect("parse"),
-        )
-        .expect("compile");
-        let summary = lower_query(&mut q);
+        let (q, [lowered, interpreted]) =
+            planned("for $x in 1 to 9 let $m := $x mod 3 where $m = 0 return $x");
         let Ir::Flwor(f) = &q.body else {
             panic!("expected a FLWOR body");
         };
@@ -661,18 +525,14 @@ mod tests {
             .programs
             .iter()
             .all(|p| matches!(p, Some(ExprPlan::Compiled(_)))));
-        assert_eq!(summary.lowered.len(), 3);
-        assert!(summary.interpreted.is_empty());
+        assert_eq!(lowered, ["for slot0", "let slot1", "where"]);
+        assert!(interpreted.is_empty());
     }
 
     #[test]
     fn path_expressions_stay_interpreted() {
-        let mut q = compile::compile(
-            &parse_query("for $x in //a where $x/b = 1 return $x").expect("parse"),
-        )
-        .expect("compile");
-        let summary = lower_query(&mut q);
-        assert_eq!(summary.lowered.len(), 0);
-        assert_eq!(summary.interpreted.len(), 2);
+        let (_, [lowered, interpreted]) = planned("for $x in //a where $x/b = 1 return $x");
+        assert!(lowered.is_empty());
+        assert_eq!(interpreted, ["for slot0", "where"]);
     }
 }

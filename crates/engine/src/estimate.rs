@@ -1,12 +1,13 @@
 //! Plan-time cardinality estimation.
 //!
-//! After all IR rewrites have run, [`stamp_estimates`] walks every
-//! compiled FLWOR and stamps each pipeline operator (plus the
-//! `ReturnAt` sink) with the row count the planner *expects* it to
-//! emit. The estimates come from the same [`CatalogStatistics`] the
-//! access-path planner consults (PR 6), falling back to structural
-//! facts the IR itself proves (literal ranges, literal sequences,
-//! nested-FLWOR sink estimates).
+//! After all plan-shaping rules have run, the planner
+//! ([`crate::rewrite::plan`]) stamps every compiled FLWOR, innermost
+//! first, with [`estimate_chain`]: per pipeline operator (plus the
+//! `ReturnAt` sink) the row count it is *expected* to emit. The
+//! estimates come from the same [`CatalogStatistics`] the access-path
+//! planner consults (PR 6), falling back to structural facts the IR
+//! itself proves (literal ranges, literal sequences, nested-FLWOR sink
+//! estimates).
 //!
 //! At run time the [`crate::pipeline`] instrumentation counts *actual*
 //! tuples per operator; `explain analyze` joins the two into an
@@ -38,41 +39,19 @@
 //!   otherwise a pass-through.
 //! - `ReturnAt` — one output ordinal per input tuple.
 
-use crate::fold;
 use crate::ir::*;
+use crate::rewrite::EqPred;
 use xqa_storage::CatalogStatistics;
 
 /// Default selectivity assumed for an unanalyzed `where` predicate.
 pub const FILTER_SELECTIVITY: f64 = 0.5;
 
-/// Stamp every FLWOR pipeline in the query with per-operator row
-/// estimates (see the module docs for the model). Runs after all IR
-/// rewrites so top-k limits and index annotations are visible; with no
+/// One estimate per clause operator plus the trailing `ReturnAt` sink
+/// (see the module docs for the model). Reads top-k limits, access
+/// paths, join annotations and nested FLWORs' own estimates; with no
 /// statistics attached only structurally-provable sources (literal
 /// ranges and sequences) seed the chain.
-pub fn stamp_estimates(query: &mut CompiledQuery, stats: Option<&CatalogStatistics>) {
-    for g in &mut query.globals {
-        stamp_ir(&mut g.init, stats);
-    }
-    for f in &mut query.functions {
-        stamp_ir(&mut f.body, stats);
-    }
-    stamp_ir(&mut query.body, stats);
-}
-
-fn stamp_ir(ir: &mut Ir, stats: Option<&CatalogStatistics>) {
-    // Children first so a nested FLWOR's sink estimate is available to
-    // the enclosing chain's source estimate.
-    for child in fold::child_irs(ir) {
-        stamp_ir(child, stats);
-    }
-    if let Ir::Flwor(f) = ir {
-        f.estimates = estimate_chain(f, stats);
-    }
-}
-
-/// One estimate per clause operator plus the trailing `ReturnAt` sink.
-fn estimate_chain(f: &FlworIr, stats: Option<&CatalogStatistics>) -> Vec<Option<u64>> {
+pub(crate) fn estimate_chain(f: &FlworIr, stats: Option<&CatalogStatistics>) -> Vec<Option<u64>> {
     let mut estimates = Vec::with_capacity(f.clauses.len() + 1);
     // Tuples flowing into the next operator; the chain starts with the
     // single empty tuple every FLWOR conceptually begins from.
@@ -158,19 +137,14 @@ fn key_leaf_name(key: &Ir) -> Option<xqa_xdm::QName> {
 /// operand order): `1/ndv` when the catalog can answer equality on that
 /// leaf exactly. `None` falls back to [`FILTER_SELECTIVITY`].
 fn eq_pred_selectivity(pred: &Ir, stats: Option<&CatalogStatistics>) -> Option<f64> {
-    use xqa_xdm::CompOp;
     let stats = stats?;
-    let (Ir::GeneralComp(CompOp::Eq, a, b) | Ir::ValueComp(CompOp::Eq, a, b)) = pred else {
-        return None;
-    };
-    let ndv_of = |side: &Ir| {
+    let (ndv, ..) = EqPred::of(pred)?.orient(|side| {
         let name = key_leaf_name(side)?;
         if !stats.value_eq_indexable(&name, false) {
             return None;
         }
         stats.distinct_values(&name)
-    };
-    let ndv = ndv_of(a).or_else(|| ndv_of(b))?;
+    })?;
     Some(1.0 / ndv as f64)
 }
 
@@ -251,7 +225,7 @@ mod tests {
     fn stamped(src: &str) -> CompiledQuery {
         let module = parse_query(src).expect("parse");
         let mut compiled = compile::compile(&module).expect("compile");
-        stamp_estimates(&mut compiled, None);
+        crate::rewrite::plan(&mut compiled, Default::default(), None);
         compiled
     }
 

@@ -11,19 +11,6 @@ use crate::eval::eval_arith;
 use crate::ir::*;
 use xqa_xdm::{effective_boolean_value, general_compare, value_compare, AtomicValue, Item};
 
-/// Fold a whole query in place. Returns the number of folds performed.
-pub fn fold_query(query: &mut CompiledQuery) -> usize {
-    let mut count = 0;
-    for g in &mut query.globals {
-        fold_ir(&mut g.init, &mut count);
-    }
-    for f in &mut query.functions {
-        fold_ir(&mut f.body, &mut count);
-    }
-    fold_ir(&mut query.body, &mut count);
-    count
-}
-
 /// The literal value of an IR node, if it is one.
 fn literal(ir: &Ir) -> Option<Item> {
     Some(match ir {
@@ -62,12 +49,9 @@ fn make_literal(items: &[Item]) -> Option<Ir> {
     }
 }
 
-fn fold_ir(ir: &mut Ir, count: &mut usize) {
-    // Fold children first.
-    for child in child_irs(ir) {
-        fold_ir(child, count);
-    }
-    // Then try to collapse this node.
+/// Try to collapse one node whose children are already folded (the
+/// planner visits bottom-up). Says whether it did.
+pub(crate) fn fold_node(ir: &mut Ir) -> bool {
     let replacement: Option<Ir> =
         match &*ir {
             Ir::Arith(op, a, b) => match (literal(a), literal(b)) {
@@ -106,9 +90,12 @@ fn fold_ir(ir: &mut Ir, count: &mut usize) {
             }),
             _ => None,
         };
-    if let Some(new) = replacement {
-        *ir = new;
-        *count += 1;
+    match replacement {
+        Some(new) => {
+            *ir = new;
+            true
+        }
+        None => false,
     }
 }
 
@@ -150,8 +137,24 @@ fn fold_logic(a: &Ir, b: &Ir, is_and: bool) -> Option<Ir> {
     }
 }
 
-/// All direct child expressions of an IR node (shared with the IR-level
-/// rewrites in [`crate::rewrite`]).
+/// Apply `f` to every node of the tree under `ir` — a node before its
+/// children, or after them when `bottom_up`. With
+/// [`CompiledQuery::roots_mut`] this is the whole traversal every
+/// planning rule of [`crate::rewrite`] runs on.
+pub(crate) fn walk(ir: &mut Ir, bottom_up: bool, f: &mut impl FnMut(&mut Ir)) {
+    if !bottom_up {
+        f(ir);
+    }
+    for child in child_irs(ir) {
+        walk(child, bottom_up, f);
+    }
+    if bottom_up {
+        f(ir);
+    }
+}
+
+/// All direct child expressions of an IR node: the one child
+/// enumeration ([`child_irs_ref`] is its read-only twin).
 pub(crate) fn child_irs(ir: &mut Ir) -> Vec<&mut Ir> {
     let mut out: Vec<&mut Ir> = Vec::new();
     match ir {
@@ -270,8 +273,8 @@ pub(crate) fn child_irs(ir: &mut Ir) -> Vec<&mut Ir> {
 
 /// Read-only twin of [`child_irs`], for analyses that inspect subtrees
 /// while the parent is immutably borrowed (e.g. the join-unnesting
-/// detector's slot-reference and rebuild-safety checks). Keep the
-/// traversal coverage in sync with [`child_irs`].
+/// rule's slot-reference and rebuild-safety checks). The test
+/// `child_enumerations_agree` holds the two to the same coverage.
 pub(crate) fn child_irs_ref(ir: &Ir) -> Vec<&Ir> {
     let mut out: Vec<&Ir> = Vec::new();
     match ir {
@@ -388,6 +391,12 @@ pub(crate) fn child_irs_ref(ir: &Ir) -> Vec<&Ir> {
     out
 }
 
+/// The repository's query corpus (root `tests/corpus/mod.rs`), for
+/// `child_enumerations_agree`.
+#[cfg(test)]
+#[path = "../../../tests/corpus/mod.rs"]
+mod corpus;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,8 +406,42 @@ mod tests {
     fn folded(src: &str) -> (CompiledQuery, usize) {
         let module = parse_query(src).expect("parse");
         let mut q = compile::compile(&module).expect("compile");
-        let n = fold_query(&mut q);
+        let mut n = 0;
+        for (_, root) in q.roots_mut() {
+            walk(root, true, &mut |ir| n += usize::from(fold_node(ir)));
+        }
         (q, n)
+    }
+
+    /// [`child_irs`] and [`child_irs_ref`] enumerate the same number of
+    /// children at every node of every corpus query that compiles.
+    #[test]
+    fn child_enumerations_agree() {
+        fn check(ir: &Ir, nodes: &mut usize) {
+            *nodes += 1;
+            let children = child_irs_ref(ir);
+            assert_eq!(
+                children.len(),
+                child_irs(&mut ir.clone()).len(),
+                "child_irs and child_irs_ref disagree at {ir:?}"
+            );
+            for child in children {
+                check(child, nodes);
+            }
+        }
+        let mut nodes = 0;
+        for text in corpus::candidates() {
+            let Ok(module) = parse_query(&text) else {
+                continue;
+            };
+            let Ok(mut q) = compile::compile(&module) else {
+                continue;
+            };
+            for (_, root) in q.roots_mut() {
+                check(root, &mut nodes);
+            }
+        }
+        assert!(nodes > 1_000, "corpus shrank to {nodes} IR nodes");
     }
 
     #[test]

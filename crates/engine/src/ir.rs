@@ -232,32 +232,33 @@ pub struct FlworIr {
     /// and the input size.
     pub parallel: bool,
     /// Per-clause expression programs, aligned with `clauses` — the
-    /// output of [`crate::bytecode::lower_query`]. `Some(Compiled)`
-    /// for clause expressions lowered to register programs,
+    /// output of the planner's expression-lowering rule
+    /// ([`crate::bytecode::lower`] per clause). `Some(Compiled)` for
+    /// clause expressions lowered to register programs,
     /// `Some(Interpreted)` for eligible expressions the lowering
     /// declined, `None` for clause kinds without a scalar expression.
-    /// Empty (the construction default) until the engine's expression
-    /// compilation pass runs, or when `expr_eval` is `Tree`.
+    /// Empty (the construction default) until [`crate::rewrite::plan`]
+    /// runs, and left empty under the `expr=tree` hint.
     pub programs: Vec<Option<crate::bytecode::ExprPlan>>,
     /// Planner row estimates, one per clause operator plus a trailing
-    /// entry for the `ReturnAt` sink — the output of
-    /// [`crate::estimate::stamp_estimates`]. `None` marks an operator
-    /// the planner could not estimate. Empty (the construction
-    /// default) until the engine's estimation pass runs.
+    /// entry for the `ReturnAt` sink — the output of the planner's
+    /// estimation rule (see [`crate::estimate`]). `None` marks an
+    /// operator the planner could not estimate. Empty (the
+    /// construction default) until [`crate::rewrite::plan`] runs.
     pub estimates: Vec<Option<u64>>,
-    /// Join annotations, aligned with `clauses` — the output of
-    /// [`crate::rewrite::detect_join_unnest`]. `Some` on a `let` or
+    /// Join annotations, aligned with `clauses` — the output of the
+    /// planner's join-unnesting rule. `Some` on a `let` or
     /// `where` clause whose nested equality predicate was unnested to a
     /// [`PlanOpIr::HashJoin`]; the clause's original IR is kept intact
     /// so the nested-loop plan remains available (the `join=nested`
     /// differential baseline, and the per-probe fallback scan). Empty
-    /// (the construction default) until the detection pass runs.
+    /// (the construction default) unless that rule fires.
     pub joins: Vec<Option<JoinIr>>,
 }
 
 /// A join-graph annotation: one nested-FLWOR equality predicate proven
-/// unnestable into a hash join (see [`crate::rewrite::detect_join_unnest`]
-/// for the exact detection rules).
+/// unnestable into a hash join (see [`crate::rewrite`] for the exact
+/// detection rules).
 #[derive(Debug, Clone)]
 pub struct JoinIr {
     /// What the probe result feeds: a `let` binding of all matching
@@ -515,7 +516,7 @@ pub struct OrderByIr {
     /// Sort keys, major first.
     pub specs: Vec<OrderSpecIr>,
     /// Keep only the first `k` tuples of the sorted stream (top-k
-    /// pushdown, set by [`crate::rewrite::pushdown_topk`]). The
+    /// pushdown, set by the planner, [`crate::rewrite::plan`]). The
     /// pipeline then runs a bounded binary heap instead of a full sort
     /// (the residual positional predicate still bounds the result).
     pub limit: Option<usize>,
@@ -541,7 +542,7 @@ pub struct PathIr {
     pub steps: Vec<StepIr>,
     /// How the leading step is executed: tree walk (default) or a
     /// document-store index lookup, chosen at plan time by
-    /// [`crate::rewrite::annotate_index_scans`]. Runtime falls back to
+    /// [`crate::rewrite::plan`]. Runtime falls back to
     /// the walk per context item when no store covers its document.
     pub access: AccessPathIr,
 }
@@ -676,4 +677,41 @@ pub struct CompiledQuery {
     /// Requested degree of intra-query parallelism, copied from
     /// [`crate::EngineOptions::threads`] (0 = resolve once per run).
     pub threads: usize,
+}
+
+/// Where an expression root of a query sits; displays as rewrite notes
+/// name it: `global $g`, `function local:f#1`, `query body`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RootLoc<'a> {
+    Global(&'a str),
+    Function(&'a str, usize),
+    Body,
+}
+
+impl std::fmt::Display for RootLoc<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RootLoc::Global(name) => write!(f, "global ${name}"),
+            RootLoc::Function(name, arity) => write!(f, "function {name}#{arity}"),
+            RootLoc::Body => f.write_str("query body"),
+        }
+    }
+}
+
+impl CompiledQuery {
+    /// Every expression root of the query with where it sits: globals
+    /// first, then functions, then the body. The one place the
+    /// planner's globals/functions/body loop is written.
+    pub(crate) fn roots_mut(&mut self) -> impl Iterator<Item = (RootLoc<'_>, &mut Ir)> {
+        let globals = self
+            .globals
+            .iter_mut()
+            .map(|g| (RootLoc::Global(&g.name), &mut g.init));
+        let functions = self
+            .functions
+            .iter_mut()
+            .map(|f| (RootLoc::Function(&f.name, f.arity), &mut f.body));
+        let body = (RootLoc::Body, &mut self.body);
+        globals.chain(functions).chain(std::iter::once(body))
+    }
 }

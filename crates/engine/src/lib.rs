@@ -228,92 +228,32 @@ impl Engine {
         source: &str,
         tracer: Option<&Tracer>,
     ) -> EngineResult<PreparedQuery> {
-        let note = |kind: RewriteKind| move |detail: String| RewriteNote { kind, detail };
         let hints = self.options.hints.or(PlanHints::from_env()
             .map_err(|message| EngineError::stat(xqa_xdm::ErrorCode::Other, message))?);
-        let mut module = parse_query(source)?;
+        let module = parse_query(source)?;
         if let Some(t) = tracer {
             t.emit(
                 TracePhase::Parse,
                 format!("parsed {} byte(s) of query text", source.len()),
             );
         }
-        let mut rewrites: Vec<RewriteNote> = Vec::new();
-        if hints.implicit_groupby == Some(true) {
-            rewrites.extend(
-                rewrite::detect_implicit_groupby(&mut module)
-                    .into_iter()
-                    .map(note(RewriteKind::ImplicitGroupBy)),
-            );
-        }
         let mut compiled = compile::compile(&module)?;
         compiled.threads = self.options.threads;
-        let folds = fold::fold_query(&mut compiled);
-        if folds > 0 {
-            rewrites.push(RewriteNote {
-                kind: RewriteKind::ConstantFolding,
-                detail: format!("constant folding: {folds} subexpression(s) folded"),
-            });
-        }
-        if hints.topk != Some(false) {
-            // After folding, so literal bounds like `le 5 + 5` are
-            // visible. The limit only changes how the order-by runs;
-            // the residual predicate stays in place.
-            rewrites.extend(
-                rewrite::pushdown_topk(&mut compiled)
-                    .into_iter()
-                    .map(note(RewriteKind::TopKPushdown)),
-            );
-        }
-        // Always-sound plan normalization: `//T` scans one descendant
-        // pass instead of materializing every node of the subtree.
-        rewrites.extend(
-            rewrite::fuse_descendant_paths(&mut compiled)
-                .into_iter()
-                .map(note(RewriteKind::PathFusion)),
-        );
-        // After fusion, so `//T` is visible as a `descendant::T` step.
-        rewrites.extend(
-            rewrite::annotate_index_scans(
-                &mut compiled,
-                hints.index_scan,
-                self.statistics.as_deref(),
-            )
-            .into_iter()
-            .map(note(RewriteKind::IndexScan)),
-        );
-        // Join unnesting runs after index annotation so the build-side
-        // cardinality gate sees the final access paths.
-        rewrites.extend(
-            rewrite::detect_join_unnest(&mut compiled, hints.hash_join, self.statistics.as_deref())
-                .into_iter()
-                .map(note(RewriteKind::JoinUnnest)),
-        );
-        // Cardinality estimation runs after every plan-shaping rewrite
-        // (it reads top-k limits and access-path annotations) and
-        // before expression compilation (which only fills programs).
-        estimate::stamp_estimates(&mut compiled, self.statistics.as_deref());
-        // Expression compilation runs last: every earlier rewrite
-        // (folding, top-k pushdown, path fusion, index annotation)
-        // mutates the IR the programs are lowered from.
-        if hints.bytecode != Some(false) {
-            let summary = bytecode::lower_query(&mut compiled);
-            if let Some(t) = tracer {
-                if !(summary.lowered.is_empty() && summary.interpreted.is_empty()) {
-                    t.emit(
-                        TracePhase::CompileExpr,
-                        format!(
-                            "expr bytecode: lowered {} [{}], interpreted {} [{}]",
-                            summary.lowered.len(),
-                            summary.lowered.join(", "),
-                            summary.interpreted.len(),
-                            summary.interpreted.join(", "),
-                        ),
-                    );
-                }
-            }
-        }
+        let rewrites = rewrite::plan(&mut compiled, hints, self.statistics.as_deref());
         if let Some(t) = tracer {
+            let [lowered, interpreted] = bytecode::lowering_summary(&mut compiled);
+            if !(lowered.is_empty() && interpreted.is_empty()) {
+                t.emit(
+                    TracePhase::CompileExpr,
+                    format!(
+                        "expr bytecode: lowered {} [{}], interpreted {} [{}]",
+                        lowered.len(),
+                        lowered.join(", "),
+                        interpreted.len(),
+                        interpreted.join(", "),
+                    ),
+                );
+            }
             for r in &rewrites {
                 t.emit(
                     TracePhase::RewriteFired,

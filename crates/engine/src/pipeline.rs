@@ -15,7 +15,7 @@
 //!   `WindowScan` stream; `group by` and `order by` lower to the
 //!   [`Breaker`] operator, which drains its input into a
 //!   [`partial::Partial`] before emitting.
-//! - When the top-k rewrite ([`crate::rewrite::pushdown_topk`]) has set
+//! - When the planner's top-k rule ([`crate::rewrite::plan`]) has set
 //!   [`OrderByIr::limit`], the `order by` partial keeps a bounded binary
 //!   heap of k tuples instead of sorting the whole input: O(n log k)
 //!   comparisons, O(k) kept tuples.
@@ -851,7 +851,7 @@ impl TupleSource for Filter<'_> {
 
 // ──────────────────────── hash join ────────────────────────
 //
-// The join-unnesting rewrite (`crate::rewrite::detect_join_unnest`)
+// The planner's join-unnesting rule (`crate::rewrite`)
 // marks a `let $m := for $y in SRC where KEY-pred return $y` clause or
 // a `where some $y in SRC satisfies KEY-pred` clause whose SRC is
 // independent of the enclosing bindings. The operator here replaces

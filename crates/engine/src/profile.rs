@@ -154,8 +154,8 @@ pub struct OpProfile {
     /// Self wall time (cumulative time minus the input's share).
     pub nanos: u64,
     /// The planner's row estimate for this operator (tuples it was
-    /// expected to emit), stamped by [`crate::estimate::stamp_estimates`].
-    /// `None` when the planner had no basis for an estimate.
+    /// expected to emit; see [`crate::estimate`]). `None` when the
+    /// planner had no basis for an estimate.
     pub estimate: Option<u64>,
 }
 

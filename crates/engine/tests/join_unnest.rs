@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use xqa_engine::{DynamicContext, Engine, EngineOptions, RewriteKind};
+use xqa_engine::{DynamicContext, Engine, EngineOptions, PlanHints, RewriteKind};
 use xqa_storage::CatalogStatistics;
 use xqa_xmlparse::serialize_sequence;
 
@@ -89,11 +89,13 @@ fn nested_mode_never_annotates() {
 }
 
 /// Whether the planner unnests `SELF_JOIN` when no hint pins the join.
-/// The rewrite is called directly so that `XQA_HINTS` cannot supply one.
+/// The planner is called directly so that `XQA_HINTS` cannot supply one.
 fn unhinted_planner_unnests(stats: Option<&CatalogStatistics>) -> bool {
     let module = xqa_frontend::parse_query(SELF_JOIN).expect("parse");
     let mut compiled = xqa_engine::compile::compile(&module).expect("compile");
-    !xqa_engine::rewrite::detect_join_unnest(&mut compiled, None, stats).is_empty()
+    xqa_engine::rewrite::plan(&mut compiled, PlanHints::default(), stats)
+        .iter()
+        .any(|note| note.kind == RewriteKind::JoinUnnest)
 }
 
 #[test]

@@ -687,3 +687,43 @@ fn implicit_groupby_rewrite_preserves_results() {
         "rewritten {rewritten_nodes} vs baseline {baseline_nodes}"
     );
 }
+
+#[test]
+fn implicit_groupby_rewrite_respects_declared_types() {
+    // The grouped plan would not check a type declared on the bindings
+    // it replaces, so the rewrite must leave these alone: rewritten and
+    // unrewritten raise the same XPTY0004.
+    let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
+        orders: 20,
+        ..Default::default()
+    });
+    let mut ctx = DynamicContext::new();
+    ctx.set_context_document(&doc);
+    let outcome = |hints: &str, query: &str| {
+        let engine = Engine::with_options(xqa::EngineOptions {
+            hints: hints.parse().unwrap(),
+            ..Default::default()
+        });
+        let plan = engine.compile(query).unwrap();
+        plan.run(&ctx)
+            .map(|items| serialize_sequence(&items))
+            .map_err(|e| e.code())
+    };
+    // Table 1's one-key Q with a type declared on the `for`, then on
+    // the `let`.
+    for (for_type, let_type) in [(" as xs:integer", ""), ("", " as element(order)*")] {
+        let query = format!(
+            "for $a{for_type} in distinct-values(//order/lineitem/shipmode) \
+             let $items{let_type} := \
+                 for $i in //order/lineitem where $i/shipmode = $a return $i \
+             return <r>{{$a}}|{{count($items)}}</r>"
+        );
+        let unrewritten = outcome("implicit-groupby=off", &query);
+        assert_eq!(unrewritten, Err(xqa::xdm::ErrorCode::XPTY0004), "{query}");
+        assert_eq!(
+            outcome("implicit-groupby=on", &query),
+            unrewritten,
+            "{query}"
+        );
+    }
+}

@@ -125,6 +125,21 @@ fn topk_zero_bound() {
 }
 
 #[test]
+fn topk_bound_below_any_position() {
+    // The folder hands the pushdown `i64::MIN`; `lt` / flipped `gt`
+    // subtract one from it (a panic in a debug build).
+    for bound in [
+        "position() lt (-9223372036854775807 - 1)",
+        "(-9223372036854775807 - 1) gt position()",
+    ] {
+        let out = run(&format!(
+            "(for $x in 1 to 5 order by $x return <a>{{$x}}</a>)[{bound}]"
+        ));
+        assert_eq!(out, "", "{bound}");
+    }
+}
+
+#[test]
 fn rank_stats_count_pruned_tuples() {
     // 20 inputs through a 5-slot heap: 15 tuples never leave the
     // order-by, and the stats say so.
