@@ -297,7 +297,7 @@ fn topk(sizes: &[usize]) {
             print!("{}", fast.explain_analyze(&profile));
             println!(
                 "expression evaluation: {} compiled-program evals, {} tree-walker fallbacks",
-                profile.expr_compiled, profile.expr_fallback
+                profile.stats.expr_compiled, profile.stats.expr_fallback
             );
             println!();
         }

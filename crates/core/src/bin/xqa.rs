@@ -344,18 +344,7 @@ fn run(args: &Args) -> Result<(), String> {
         None
     };
     if args.stats {
-        let s = ctx.stats.snapshot();
-        eprintln!(
-            "stats: nodes_visited={} tuples_grouped={} groups_emitted={} comparisons={} \
-             tuples_produced={} pruned_filter={} pruned_topk={}",
-            s.nodes_visited,
-            s.tuples_grouped,
-            s.groups_emitted,
-            s.comparisons,
-            s.tuples_produced,
-            s.tuples_pruned_filter,
-            s.tuples_pruned_topk
-        );
+        eprintln!("stats: {}", ctx.stats.snapshot());
     }
     if args.stats_json {
         let s = ctx.stats.snapshot();

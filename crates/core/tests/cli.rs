@@ -76,8 +76,21 @@ fn stats_and_explain_go_to_stderr() {
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("group-by (hash, deep-equal)"), "{stderr}");
-    assert!(stderr.contains("tuples_grouped=2"), "{stderr}");
-    assert!(stderr.contains("groups_emitted=1"), "{stderr}");
+    // One `stats:` line names every declared counter, joins and scans
+    // included, under the name the declaration gives it.
+    let stats = stderr
+        .lines()
+        .find(|l| l.starts_with("stats: "))
+        .unwrap_or_else(|| panic!("no stats line: {stderr}"));
+    for word in [
+        " tuples_grouped=2",
+        " groups_emitted=1",
+        " tuples_pruned_topk=0",
+        " scan_walk_tuples=2",
+        " join_hash_probes=0",
+    ] {
+        assert!(stats.contains(word), "{word}: {stats}");
+    }
     // stdout has only the result
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "<v>1</v>");
 }
@@ -170,6 +183,13 @@ fn help_and_unknown_flags() {
     assert!(
         include_str!("../../../README.md").contains(&table),
         "README.md hint table drifted from PlanHints::table():\n{table}"
+    );
+    // The `/metrics` reference is rendered from the metric registry.
+    let metrics = xqa::service::metrics::reference_table();
+    assert!(
+        include_str!("../../../README.md").contains(&metrics),
+        "README.md /metrics reference drifted from the metric registry \
+         (xqa_service::metrics::reference_table()):\n{metrics}"
     );
     let out = xqa()
         .args(["--frobnicate", "-q", "1"])

@@ -144,11 +144,11 @@ impl ExprProgram {
                     use AtomicValue as V;
                     let out = match (regs[*a].as_slice(), regs[*b].as_slice()) {
                         ([Item::Atomic(V::Integer(x))], [Item::Atomic(V::Integer(y))]) => {
-                            stats.add_comparisons(1);
+                            stats.comparisons.add(1);
                             Sequence::one(op.matches(x.cmp(y)))
                         }
                         ([Item::Atomic(V::Double(x))], [Item::Atomic(V::Double(y))]) => {
-                            stats.add_comparisons(1);
+                            stats.comparisons.add(1);
                             Sequence::one(double_comp(*op, *x, *y))
                         }
                         (l, r) => eval::eval_value_comp(*op, l, r, stats)?,
@@ -159,11 +159,11 @@ impl ExprProgram {
                     use AtomicValue as V;
                     let out = match (regs[*a].as_slice(), regs[*b].as_slice()) {
                         ([Item::Atomic(V::Integer(x))], [Item::Atomic(V::Integer(y))]) => {
-                            stats.add_comparisons(1);
+                            stats.comparisons.add(1);
                             Sequence::one(op.matches(x.cmp(y)))
                         }
                         ([Item::Atomic(V::Double(x))], [Item::Atomic(V::Double(y))]) => {
-                            stats.add_comparisons(1);
+                            stats.comparisons.add(1);
                             Sequence::one(double_comp(*op, *x, *y))
                         }
                         (l, r) => eval::eval_general_comp(*op, l, r, stats)?,

@@ -73,32 +73,12 @@ fn with_run_accounting<T>(
     let before = dynamic.profiler().map(|_| dynamic.stats.snapshot());
     let result = run();
     let (copied, shared) = xqa_xdm::take_seq_counters();
-    dynamic.stats.add_seq_counters(copied, shared);
+    dynamic.stats.seq_items_copied.add(copied);
+    dynamic.stats.seq_clones_shared.add(shared);
     // The stats delta (not the local drain alone) also covers counts
     // parallel workers merged in through their per-worker sinks.
     if let (Some(profiler), Some(before)) = (dynamic.profiler(), before) {
-        let after = dynamic.stats.snapshot();
-        profiler.add_seq(
-            after
-                .seq_items_copied
-                .saturating_sub(before.seq_items_copied),
-            after
-                .seq_clones_shared
-                .saturating_sub(before.seq_clones_shared),
-        );
-        profiler.add_access(
-            after.scan_index_hits.saturating_sub(before.scan_index_hits),
-            after
-                .scan_index_tuples
-                .saturating_sub(before.scan_index_tuples),
-            after
-                .scan_walk_tuples
-                .saturating_sub(before.scan_walk_tuples),
-        );
-        profiler.add_expr(
-            after.expr_compiled.saturating_sub(before.expr_compiled),
-            after.expr_fallback.saturating_sub(before.expr_fallback),
-        );
+        profiler.add_stats(&dynamic.stats.snapshot().delta(&before));
     }
     result
 }
@@ -550,7 +530,8 @@ impl<'a> Interpreter<'a> {
             };
             let candidates = match self.index_candidates(access, name, node) {
                 Some(nodes) => {
-                    self.stats.add_scan_index(nodes.len() as u64);
+                    self.stats.scan_index_hits.add(1);
+                    self.stats.scan_index_tuples.add(nodes.len() as u64);
                     nodes
                 }
                 None => self.axis_nodes(Axis::Descendant, node, test),
@@ -755,9 +736,9 @@ impl<'a> Interpreter<'a> {
                 picked
             }
         };
-        stats.add_nodes_visited(visited);
+        stats.nodes_visited.add(visited);
         if matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
-            stats.add_scan_walk_tuples(out.len() as u64);
+            stats.scan_walk_tuples.add(out.len() as u64);
         }
         out
     }
@@ -1016,7 +997,7 @@ pub(crate) fn eval_value_comp(
     let ra = opt_atomic(rhs, "value comparison")?;
     match (la, ra) {
         (Some(la), Some(ra)) => {
-            stats.add_comparisons(1);
+            stats.comparisons.add(1);
             // Value comparisons treat untyped operands as strings.
             let la = untyped_to_string(la);
             let ra = untyped_to_string(ra);
@@ -1035,7 +1016,7 @@ pub(crate) fn eval_general_comp(
     rhs: &[Item],
     stats: &EvalStats,
 ) -> EngineResult<Sequence> {
-    stats.add_comparisons((lhs.len() * rhs.len()) as u64);
+    stats.comparisons.add((lhs.len() * rhs.len()) as u64);
     Ok(Sequence::one(
         general_compare(lhs, rhs, op).map_err(EngineError::from)?,
     ))

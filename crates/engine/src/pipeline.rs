@@ -387,11 +387,11 @@ impl<'p> ExprEval<'p> {
     /// Flush locally accumulated evaluation counts to the stats block.
     fn flush(&mut self, stats: &EvalStats) {
         if self.n_compiled > 0 {
-            stats.add_expr_compiled(self.n_compiled);
+            stats.expr_compiled.add(self.n_compiled);
             self.n_compiled = 0;
         }
         if self.n_fallback > 0 {
-            stats.add_expr_fallback(self.n_fallback);
+            stats.expr_fallback.add(self.n_fallback);
             self.n_fallback = 0;
         }
     }
@@ -754,7 +754,7 @@ impl TupleSource for ForScan<'_> {
                 }
                 out.push(t);
                 if out.len() >= BATCH {
-                    interp.stats.add_tuples_produced(out.len() as u64);
+                    interp.stats.tuples_produced.add(out.len() as u64);
                     self.expr_eval.flush(interp.stats);
                     return Ok(Some(out));
                 }
@@ -767,7 +767,7 @@ impl TupleSource for ForScan<'_> {
                     self.base = base;
                 }
                 None if self.input_done => {
-                    interp.stats.add_tuples_produced(out.len() as u64);
+                    interp.stats.tuples_produced.add(out.len() as u64);
                     self.expr_eval.flush(interp.stats);
                     return Ok(if out.is_empty() { None } else { Some(out) });
                 }
@@ -843,7 +843,8 @@ impl TupleSource for Filter<'_> {
         }
         interp
             .stats
-            .add_tuples_pruned_filter((before - out.len()) as u64);
+            .tuples_pruned_filter
+            .add((before - out.len()) as u64);
         self.expr_eval.flush(interp.stats);
         Ok(Some(out))
     }
@@ -1025,7 +1026,7 @@ fn build_join_table_from(
     if table.classes.count_ones() > 1 {
         table.scan_only = true;
     }
-    interp.stats.add_join_build_tuples(table.items.len() as u64);
+    interp.stats.join_build_tuples.add(table.items.len() as u64);
     Ok(table)
 }
 
@@ -1119,7 +1120,7 @@ fn build_join_table_parallel(
     if table.classes.count_ones() > 1 {
         table.scan_only = true;
     }
-    interp.stats.add_join_build_tuples(table.items.len() as u64);
+    interp.stats.join_build_tuples.add(table.items.len() as u64);
     Ok(table)
 }
 
@@ -1182,7 +1183,7 @@ fn probe_let(
     let Some(atoms) = probe_atoms(j, table, interp, env)? else {
         return scan_let(j, table, interp, env);
     };
-    interp.stats.add_join_hash_probes(1);
+    interp.stats.join_hash_probes.add(1);
     let mut out = SequenceBuilder::new();
     for idx in join_candidates(table, &atoms) {
         if atoms_match(&atoms, &table.keys[idx]) {
@@ -1208,7 +1209,7 @@ fn probe_semi(
     let Some(atoms) = probe_atoms(j, table, interp, env)? else {
         return scan_semi(j, table, interp, env);
     };
-    interp.stats.add_join_hash_probes(1);
+    interp.stats.join_hash_probes.add(1);
     Ok(join_candidates(table, &atoms)
         .into_iter()
         .any(|idx| atoms_match(&atoms, &table.keys[idx])))
@@ -1317,7 +1318,8 @@ impl TupleSource for HashJoin<'_> {
         if matches!(self.j.kind, JoinKindIr::ExistsSemi) {
             interp
                 .stats
-                .add_tuples_pruned_filter((before - out.len()) as u64);
+                .tuples_pruned_filter
+                .add((before - out.len()) as u64);
         }
         Ok(Some(out))
     }
@@ -1383,7 +1385,7 @@ impl TupleSource for WindowScan<'_> {
                 out.push(nt);
             }
         }
-        interp.stats.add_tuples_produced(out.len() as u64);
+        interp.stats.tuples_produced.add(out.len() as u64);
         Ok(Some(out))
     }
 }
@@ -1692,7 +1694,8 @@ impl<'p> Morsels<'_, 'p> {
         // private sink so the coordinator's single add_snapshot merge picks
         // them up (the thread dies with the scope; counts would be lost).
         let (copied, shared) = xqa_xdm::take_seq_counters();
-        interp.stats.add_seq_counters(copied, shared);
+        interp.stats.seq_items_copied.add(copied);
+        interp.stats.seq_clones_shared.add(shared);
         WorkerReport {
             outcome: match error {
                 Some(e) => Err(e),

@@ -147,8 +147,8 @@ impl<'p> Partial<'p> {
     pub(super) fn finish(self, interp: &Interpreter) -> EngineResult<Vec<Tuple>> {
         match self.kind {
             Kind::Group(table) => {
-                interp.stats.add_tuples_grouped(self.absorbed as u64);
-                interp.stats.add_groups_emitted(table.groups.len() as u64);
+                interp.stats.tuples_grouped.add(self.absorbed as u64);
+                interp.stats.groups_emitted.add(table.groups.len() as u64);
                 table.emit()
             }
             Kind::Order { run, mut pruned } => {
@@ -164,7 +164,7 @@ impl<'p> Partial<'p> {
                     pruned += entries.len().saturating_sub(k) as u64;
                     entries.truncate(k);
                 }
-                interp.stats.add_tuples_pruned_topk(pruned);
+                interp.stats.tuples_pruned_topk.add(pruned);
                 Ok(entries.into_iter().map(|(_, (_, t))| t).collect())
             }
             Kind::Collect(mut entries) => {

@@ -12,9 +12,10 @@
 //! and merge by plan signature into the context's [`QueryProfile`],
 //! which renders as `explain analyze` text or machine-readable JSON.
 
+use crate::context::EvalStatsSnapshot;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A monotonic nanosecond clock, injectable so profiled runs can be
@@ -340,24 +341,8 @@ impl PipelineProfile {
 pub struct QueryProfile {
     /// Pipelines in first-execution order.
     pub pipelines: Vec<PipelineProfile>,
-    /// Items cloned into newly allocated sequence backing storage over
-    /// the profiled run(s) (the [`crate::EvalStats`] delta).
-    pub seq_items_copied: u64,
-    /// Items whose copy a shared sequence clone avoided.
-    pub seq_clones_shared: u64,
-    /// Path steps the profiled run(s) answered from a document store
-    /// index (postings slice or value-index probe).
-    pub scan_index_hits: u64,
-    /// Tuples those index-resolved steps produced.
-    pub scan_index_tuples: u64,
-    /// Tuples produced by tree-walking descendant axis steps.
-    pub scan_walk_tuples: u64,
-    /// Scalar expression evaluations served by a compiled bytecode
-    /// program over the profiled run(s).
-    pub expr_compiled: u64,
-    /// Scalar expression evaluations that fell back to the IR
-    /// tree-walker because lowering declined the expression.
-    pub expr_fallback: u64,
+    /// What every evaluator counter gained over the profiled run(s).
+    pub stats: EvalStatsSnapshot,
     /// Execution span timeline: one root span per recorded pipeline
     /// execution (capped at [`QueryProfile::MAX_SPANS`] to stay
     /// compact), with per-operator and per-worker child spans.
@@ -368,6 +353,20 @@ impl QueryProfile {
     /// Retained span cap: a query that re-enters a pipeline thousands
     /// of times keeps only the first executions' timelines.
     pub const MAX_SPANS: usize = 64;
+
+    /// The counters of [`QueryProfile::stats`] that [`to_json`]
+    /// renders, as top-level keys in declaration order.
+    ///
+    /// [`to_json`]: QueryProfile::to_json
+    const JSON_COUNTERS: [&'static str; 7] = [
+        "seq_items_copied",
+        "seq_clones_shared",
+        "scan_index_hits",
+        "scan_index_tuples",
+        "scan_walk_tuples",
+        "expr_compiled",
+        "expr_fallback",
+    ];
 
     /// Whether any pipeline was recorded.
     pub fn is_empty(&self) -> bool {
@@ -422,19 +421,17 @@ impl QueryProfile {
             ),
             None => "null".to_string(),
         };
+        // The profile's schema carries only `JSON_COUNTERS`; the full
+        // snapshot travels next to it as `stats`.
+        let mut counters = String::new();
+        for (name, _, _, value) in self.stats.fields() {
+            if Self::JSON_COUNTERS.contains(&name) {
+                let _ = write!(counters, "\"{name}\":{value},");
+            }
+        }
         format!(
-            "{{\"pipelines\":[{}],\"seq_items_copied\":{},\"seq_clones_shared\":{},\
-             \"scan_index_hits\":{},\"scan_index_tuples\":{},\"scan_walk_tuples\":{},\
-             \"expr_compiled\":{},\"expr_fallback\":{},\
-             \"worst_misestimate\":{},\"spans\":[{}]}}",
+            "{{\"pipelines\":[{}],{counters}\"worst_misestimate\":{},\"spans\":[{}]}}",
             pipelines.join(","),
-            self.seq_items_copied,
-            self.seq_clones_shared,
-            self.scan_index_hits,
-            self.scan_index_tuples,
-            self.scan_walk_tuples,
-            self.expr_compiled,
-            self.expr_fallback,
             worst,
             spans.join(","),
         )
@@ -454,51 +451,41 @@ impl Profiler {
         Profiler::default()
     }
 
+    /// The profile under its lock. Every update leaves the profile
+    /// valid at every step (counters sum, vectors push), so a guard
+    /// poisoned by a panicking worker is recovered rather than turning
+    /// each later profiled run on this context into a second panic.
+    fn lock(&self) -> MutexGuard<'_, QueryProfile> {
+        self.profile.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record one pipeline execution (merged by plan signature).
     pub fn record(&self, p: PipelineProfile) {
-        self.profile.lock().expect("profiler poisoned").merge(p);
+        self.lock().merge(p);
     }
 
     /// Record one execution's span timeline. Dropped silently past
     /// [`QueryProfile::MAX_SPANS`] retained roots.
     pub fn add_span(&self, span: Span) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
+        let mut p = self.lock();
         if p.spans.len() < QueryProfile::MAX_SPANS {
             p.spans.push(span);
         }
     }
 
-    /// Fold a run's sequence-copy counter deltas into the profile.
-    pub fn add_seq(&self, copied: u64, shared: u64) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
-        p.seq_items_copied += copied;
-        p.seq_clones_shared += shared;
-    }
-
-    /// Fold a run's scan access-path counter deltas into the profile.
-    pub fn add_access(&self, index_hits: u64, index_tuples: u64, walk_tuples: u64) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
-        p.scan_index_hits += index_hits;
-        p.scan_index_tuples += index_tuples;
-        p.scan_walk_tuples += walk_tuples;
-    }
-
-    /// Fold a run's expression-evaluation counter deltas into the
-    /// profile.
-    pub fn add_expr(&self, compiled: u64, fallback: u64) {
-        let mut p = self.profile.lock().expect("profiler poisoned");
-        p.expr_compiled += compiled;
-        p.expr_fallback += fallback;
+    /// Fold one run's evaluator-counter deltas into the profile.
+    pub fn add_stats(&self, delta: &EvalStatsSnapshot) {
+        self.lock().stats.accumulate(delta);
     }
 
     /// Drain the collected profile, leaving the profiler empty.
     pub fn take(&self) -> QueryProfile {
-        std::mem::take(&mut *self.profile.lock().expect("profiler poisoned"))
+        std::mem::take(&mut *self.lock())
     }
 
     /// A copy of the collected profile without draining it.
     pub fn snapshot(&self) -> QueryProfile {
-        self.profile.lock().expect("profiler poisoned").clone()
+        self.lock().clone()
     }
 }
 
@@ -592,6 +579,21 @@ mod tests {
         assert!(!p.snapshot().is_empty());
         assert!(!p.take().is_empty());
         assert!(p.take().is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_profiler_keeps_recording() {
+        let p = Profiler::new();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = p.lock();
+                panic!("a worker dies holding the profile");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err() && p.profile.is_poisoned());
+        p.add_span(Span::leaf("after", 0, 1));
+        assert_eq!(p.take().spans.len(), 1);
     }
 
     #[test]

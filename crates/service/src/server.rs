@@ -71,7 +71,7 @@ use crate::cache::PlanCache;
 use crate::catalog::DocumentCatalog;
 use crate::flight::{self, FlightRecord, FlightRecorder};
 use crate::http::{self, Request, RequestError};
-use crate::metrics::Metrics;
+use crate::metrics::{self, Metrics};
 use crate::pool::ThreadPool;
 
 /// Server tuning knobs.
@@ -122,31 +122,33 @@ impl Default for ServiceConfig {
     }
 }
 
-/// State shared by the acceptor and every worker.
-struct Shared {
-    engine: Engine,
-    cache: PlanCache,
-    catalog: DocumentCatalog,
-    metrics: Metrics,
+/// State shared by the acceptor and every worker, and read by the
+/// metric registry ([`metrics::render`]).
+pub(crate) struct Shared {
+    pub(crate) engine: Engine,
+    pub(crate) cache: PlanCache,
+    pub(crate) catalog: DocumentCatalog,
+    pub(crate) metrics: Metrics,
     /// Evaluation counters folded in from per-request snapshots.
-    totals: EvalStats,
-    /// Tuples emitted per operator kind, indexed by [`OpKind::ALL`]
-    /// position, summed from per-request profiles.
-    op_tuples: [AtomicU64; OpKind::ALL.len()],
+    pub(crate) totals: EvalStats,
+    /// Tuples emitted per operator kind, indexed by `OpKind as usize`
+    /// ([`OpKind::ALL`] position), summed from per-request profiles.
+    pub(crate) op_tuples: [AtomicU64; OpKind::ALL.len()],
     /// Compilations in which each rewrite fired, indexed by
-    /// [`RewriteKind::ALL`] position (cache misses only).
-    rewrites_fired: [AtomicU64; RewriteKind::ALL.len()],
+    /// `RewriteKind as usize` ([`RewriteKind::ALL`] position; cache
+    /// misses only).
+    pub(crate) rewrites_fired: [AtomicU64; RewriteKind::ALL.len()],
     next_request_id: AtomicU64,
     /// The always-on flight recorder behind the `/debug/*` endpoints.
-    flight: FlightRecorder,
+    pub(crate) flight: FlightRecorder,
     /// One process-lifetime clock stamps every trace event so compile
     /// timelines from different requests are comparable.
     trace_clock: Arc<MonotonicClock>,
     slow_query_ms: Option<u64>,
-    pool: ThreadPool,
-    started: Instant,
+    pub(crate) pool: ThreadPool,
+    pub(crate) started: Instant,
     /// Bounded admission + per-client quotas (see [`Admission`]).
-    admission: Arc<Admission>,
+    pub(crate) admission: Arc<Admission>,
     read_timeout: Duration,
     idle_timeout: Duration,
     max_requests_per_conn: usize,
@@ -372,7 +374,7 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Shared, keep_alive:
     match (request.method.as_str(), path) {
         ("POST", "/query") => return handle_query(stream, request, shared, keep_alive),
         ("GET", "/healthz") => respond_text(stream, 200, "ok\n", keep_alive),
-        ("GET", "/metrics") => respond_text(stream, 200, &render_metrics(shared), keep_alive),
+        ("GET", "/metrics") => respond_text(stream, 200, &metrics::render(shared), keep_alive),
         ("GET", "/debug/queries") => {
             respond(
                 stream,
@@ -470,9 +472,7 @@ fn snapshot_run(
     let profile = ctx.take_profile().unwrap_or_default();
     for pipeline in &profile.pipelines {
         for op in &pipeline.ops {
-            if let Some(i) = OpKind::ALL.iter().position(|k| *k == op.kind) {
-                shared.op_tuples[i].fetch_add(op.tuples_out, Ordering::Relaxed);
-            }
+            shared.op_tuples[op.kind as usize].fetch_add(op.tuples_out, Ordering::Relaxed);
         }
     }
     (stats, profile)
@@ -539,9 +539,7 @@ fn handle_query(
             // Count each rewrite once per compilation, not per request:
             // cache hits reuse the plan without re-firing anything.
             for note in plan.applied_rewrites() {
-                if let Some(i) = RewriteKind::ALL.iter().position(|k| *k == note.kind) {
-                    shared.rewrites_fired[i].fetch_add(1, Ordering::Relaxed);
-                }
+                shared.rewrites_fired[note.kind as usize].fetch_add(1, Ordering::Relaxed);
             }
         }
         // Fresh context per request: stats and the operator profile
@@ -773,124 +771,6 @@ fn truncate_for_log(query: &str) -> String {
     flat
 }
 
-/// Render the Prometheus-style metrics page.
-fn render_metrics(shared: &Shared) -> String {
-    use std::fmt::Write as _;
-    let m = &shared.metrics;
-    let stats = shared.totals.snapshot();
-    let mut out = String::with_capacity(1024);
-    let mut line = |name: &str, value: u64| {
-        let _ = writeln!(&mut out, "{name} {value}");
-    };
-    line("xqa_uptime_seconds", shared.started.elapsed().as_secs());
-    line("xqa_workers", shared.pool.size() as u64);
-    line("xqa_query_threads", shared.engine.options().threads as u64);
-    line("xqa_worker_panics_total", shared.pool.panic_count());
-    line("xqa_query_requests_total", Metrics::read(&m.query_requests));
-    line("xqa_query_ok_total", Metrics::read(&m.query_ok));
-    line("xqa_query_errors_total", Metrics::read(&m.query_errors));
-    line("xqa_bad_requests_total", Metrics::read(&m.bad_requests));
-    line("xqa_not_found_total", Metrics::read(&m.not_found));
-    line("xqa_plan_cache_size", shared.cache.len() as u64);
-    line("xqa_plan_cache_capacity", shared.cache.capacity() as u64);
-    line("xqa_plan_cache_hits_total", shared.cache.hits());
-    line("xqa_plan_cache_misses_total", shared.cache.misses());
-    line("xqa_eval_nodes_visited_total", stats.nodes_visited);
-    line("xqa_eval_tuples_grouped_total", stats.tuples_grouped);
-    line("xqa_eval_groups_emitted_total", stats.groups_emitted);
-    line("xqa_eval_comparisons_total", stats.comparisons);
-    line("xqa_eval_tuples_produced_total", stats.tuples_produced);
-    line(
-        "xqa_eval_tuples_pruned_filter_total",
-        stats.tuples_pruned_filter,
-    );
-    line(
-        "xqa_eval_tuples_pruned_topk_total",
-        stats.tuples_pruned_topk,
-    );
-    line("xqa_eval_seq_items_copied_total", stats.seq_items_copied);
-    line("xqa_eval_seq_clones_shared_total", stats.seq_clones_shared);
-    line(
-        "xqa_catalog_documents",
-        shared.catalog.indexed_document_count() as u64,
-    );
-    line("xqa_catalog_version", shared.catalog.version());
-    line("xqa_storage_index_bytes", shared.catalog.index_bytes());
-    line("xqa_scan_index_hits_total", stats.scan_index_hits);
-    line("xqa_scan_index_tuples_total", stats.scan_index_tuples);
-    line("xqa_scan_walk_tuples_total", stats.scan_walk_tuples);
-    line("xqa_eval_expr_compiled_total", stats.expr_compiled);
-    line("xqa_eval_expr_fallback_total", stats.expr_fallback);
-    line("xqa_join_hash_total", stats.join_hash_probes);
-    line("xqa_join_build_tuples_total", stats.join_build_tuples);
-    line(
-        "xqa_http_connections_active",
-        shared.admission.active_connections() as u64,
-    );
-    line(
-        "xqa_admission_queue_depth",
-        shared.admission.queue_depth() as u64,
-    );
-    line("xqa_requests_shed_total", shared.admission.shed_total());
-    line(
-        "xqa_request_timeouts_total",
-        Metrics::read(&m.request_timeouts),
-    );
-    line(
-        "xqa_streamed_responses_total",
-        Metrics::read(&m.streamed_responses),
-    );
-    line(
-        "xqa_mid_stream_aborts_total",
-        Metrics::read(&m.mid_stream_aborts),
-    );
-    line("xqa_flight_records", shared.flight.len() as u64);
-    line(
-        "xqa_plan_fingerprints",
-        shared.flight.fingerprint_count() as u64,
-    );
-    for (i, kind) in OpKind::ALL.iter().enumerate() {
-        let _ = writeln!(
-            &mut out,
-            "xqa_op_tuples_total{{op=\"{}\"}} {}",
-            kind.as_str(),
-            shared.op_tuples[i].load(Ordering::Relaxed)
-        );
-    }
-    for (i, kind) in RewriteKind::ALL.iter().enumerate() {
-        let _ = writeln!(
-            &mut out,
-            "xqa_rewrite_fired_total{{rewrite=\"{}\"}} {}",
-            kind.as_str(),
-            shared.rewrites_fired[i].load(Ordering::Relaxed)
-        );
-    }
-    let _ = writeln!(
-        &mut out,
-        "xqa_cardinality_qerror_max {:.4}",
-        shared.flight.max_q_error()
-    );
-    let _ = writeln!(
-        &mut out,
-        "xqa_plan_cache_hit_rate {:.4}",
-        shared.cache.hit_rate()
-    );
-    for q in [0.5, 0.95, 0.99] {
-        let _ = writeln!(
-            &mut out,
-            "xqa_query_latency_quantile_us{{quantile=\"{q}\"}} {}",
-            m.query_latency.quantile_us(q)
-        );
-    }
-    let _ = writeln!(
-        &mut out,
-        "# HELP xqa_query_latency_us End-to-end query latency (receipt to serialized response)."
-    );
-    let _ = writeln!(&mut out, "# TYPE xqa_query_latency_us histogram");
-    m.query_latency.render(&mut out, "xqa_query_latency_us");
-    out
-}
-
 fn respond_text(stream: &mut impl Write, status: u16, body: &str, keep_alive: bool) {
     respond(
         stream,
@@ -1008,6 +888,18 @@ mod tests {
             ..Default::default()
         };
         Server::start("127.0.0.1:0", &catalog, config).expect("bind")
+    }
+
+    /// `snapshot_run` and the compile-miss path index the per-kind
+    /// counter arrays by discriminant.
+    #[test]
+    fn kind_discriminants_are_their_positions_in_all() {
+        for (i, kind) in OpKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
+        }
+        for (i, kind) in RewriteKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i);
+        }
     }
 
     #[test]

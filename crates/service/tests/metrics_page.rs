@@ -1,6 +1,8 @@
-//! The shape of `GET /metrics`, held against
-//! `tests/golden/metrics_samples.txt`: every sample line's name and
-//! label set, in page order, values stripped.
+//! The shape of `GET /metrics`: every sample line's name and label
+//! set, in page order, values stripped, held against
+//! `tests/golden/metrics_samples.txt` (written before the page was
+//! rendered from the metric registry), and the `# HELP` / `# TYPE`
+//! framing every family carries.
 //!
 //! Regenerate with `UPDATE_GOLDEN=1 cargo test -p xqa-service --test metrics_page`.
 
@@ -64,4 +66,47 @@ fn sample_lines_match_the_golden() {
         "the metric registry renders different /metrics sample lines (names, labels or order) \
          than the golden"
     );
+}
+
+/// Every family is introduced by exactly one `# HELP` and one `# TYPE`
+/// line, in that order, ahead of its first sample; counters, and only
+/// counters, end in `_total`.
+#[test]
+fn every_family_has_one_help_and_one_type_before_its_samples() {
+    let page = scrape();
+    let mut families: Vec<&str> = Vec::new();
+    let mut helped: Option<&str> = None;
+    let mut current: Option<(&str, &str)> = None;
+    for line in page.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').expect("`# HELP name text`");
+            assert!(helped.is_none(), "{name}: HELP follows a HELP");
+            assert!(!help.trim().is_empty(), "{name}: empty help");
+            assert!(!families.contains(&name), "{name}: introduced twice");
+            helped = Some(name);
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("`# TYPE name kind`");
+            assert_eq!(helped.take(), Some(name), "TYPE without its HELP");
+            assert!(matches!(kind, "counter" | "gauge" | "histogram"), "{line}");
+            assert_eq!(kind == "counter", name.ends_with("_total"), "{line}");
+            families.push(name);
+            current = Some((name, kind));
+        } else {
+            assert!(!line.starts_with('#'), "unexpected comment: {line}");
+            assert!(helped.is_none(), "sample between HELP and TYPE: {line}");
+            let (family, kind) = current.expect("a sample before any # TYPE");
+            let name = line.split(['{', ' ']).next().expect("sample name");
+            let suffix = name.strip_prefix(family).unwrap_or_else(|| {
+                panic!("sample {name} is not of the family {family} declared above it")
+            });
+            let allowed: &[&str] = if kind == "histogram" {
+                &["_bucket", "_sum", "_count"]
+            } else {
+                &[""]
+            };
+            assert!(allowed.contains(&suffix), "{line}");
+        }
+    }
+    // 30 of the service's own plus the engine's 16 at the time of writing.
+    assert!(families.len() >= 46, "{}", families.len());
 }
