@@ -362,7 +362,7 @@ fn run(args: &Args) -> Result<(), String> {
         let rewrites = query
             .applied_rewrites()
             .iter()
-            .map(|r| format!("\"{}\"", xqa_service::http::json_escape(&r.to_string())))
+            .map(|r| format!("\"{}\"", xqa_engine::trace::json_escape(&r.to_string())))
             .collect::<Vec<_>>()
             .join(",");
         let diag = format!(

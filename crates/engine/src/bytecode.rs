@@ -238,8 +238,8 @@ fn reg_bool(seq: &Sequence) -> bool {
     matches!(seq.as_slice(), [Item::Atomic(AtomicValue::Boolean(true))])
 }
 
-/// Plan-time decision for one clause expression, cached on the plan
-/// alongside the clause list ([`FlworIr::programs`]).
+/// Plan-time decision for one clause expression, cached on the
+/// clause's operator record ([`crate::ir::OpIr::program`]).
 #[derive(Debug, Clone)]
 pub enum ExprPlan {
     /// The expression lowered to a register program.
@@ -424,20 +424,18 @@ fn patch_jump(p: &mut ExprProgram, at: usize, target: usize) {
     }
 }
 
-/// Lower the clause expressions of one FLWOR into its
-/// [`FlworIr::programs`] table (the planner's last rule calls this on
+/// Lower the clause expressions of one FLWOR into its records'
+/// [`crate::ir::OpIr::program`] (the planner's last rule calls this on
 /// every FLWOR of the query, nested ones included).
 pub(crate) fn lower_flwor(f: &mut FlworIr) {
-    f.programs = f
-        .clauses
-        .iter()
-        .map(|clause| match clause {
+    for op in &mut f.ops {
+        op.program = match &op.clause {
             ClauseIr::For { expr, .. } | ClauseIr::Let { expr, .. } | ClauseIr::Where(expr) => {
                 Some(lower(expr).map_or(ExprPlan::Interpreted, ExprPlan::Compiled))
             }
             _ => None,
-        })
-        .collect();
+        };
+    }
 }
 
 /// What lowering did, read back off the plan for the `compile-expr`
@@ -448,13 +446,13 @@ pub(crate) fn lowering_summary(q: &mut CompiledQuery) -> [Vec<String>; 2] {
     for (_, root) in q.roots_mut() {
         crate::fold::walk(root, false, &mut |ir| {
             let Ir::Flwor(f) = ir else { return };
-            for (clause, plan) in f.clauses.iter().zip(&f.programs) {
-                let labels = match plan {
+            for op in &f.ops {
+                let labels = match &op.program {
                     Some(ExprPlan::Compiled(_)) => &mut summary[0],
                     Some(ExprPlan::Interpreted) => &mut summary[1],
                     None => continue,
                 };
-                labels.push(match clause {
+                labels.push(match &op.clause {
                     ClauseIr::For { slot, .. } => format!("for slot{slot}"),
                     ClauseIr::Let { slot, .. } => format!("let slot{slot}"),
                     _ => "where".to_string(),
@@ -506,32 +504,23 @@ mod tests {
     }
 
     /// Plan `src` (no hints, no statistics) and summarize the lowering.
-    fn planned(src: &str) -> (CompiledQuery, [Vec<String>; 2]) {
+    fn planned(src: &str) -> [Vec<String>; 2] {
         let mut q = compile::compile(&parse_query(src).expect("parse")).expect("compile");
         crate::rewrite::plan(&mut q, Default::default(), None);
-        let summary = lowering_summary(&mut q);
-        (q, summary)
+        lowering_summary(&mut q)
     }
 
     #[test]
-    fn flwor_clause_table_is_aligned_with_clauses() {
-        let (q, [lowered, interpreted]) =
+    fn scalar_clause_expressions_compile() {
+        let [lowered, interpreted] =
             planned("for $x in 1 to 9 let $m := $x mod 3 where $m = 0 return $x");
-        let Ir::Flwor(f) = &q.body else {
-            panic!("expected a FLWOR body");
-        };
-        assert_eq!(f.programs.len(), f.clauses.len());
-        assert!(f
-            .programs
-            .iter()
-            .all(|p| matches!(p, Some(ExprPlan::Compiled(_)))));
         assert_eq!(lowered, ["for slot0", "let slot1", "where"]);
         assert!(interpreted.is_empty());
     }
 
     #[test]
     fn path_expressions_stay_interpreted() {
-        let (_, [lowered, interpreted]) = planned("for $x in //a where $x/b = 1 return $x");
+        let [lowered, interpreted] = planned("for $x in //a where $x/b = 1 return $x");
         assert!(lowered.is_empty());
         assert_eq!(interpreted, ["for slot0", "where"]);
     }

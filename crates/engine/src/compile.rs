@@ -573,20 +573,13 @@ impl Compiler {
             self.group_hidden.pop();
         }
         self.frame.truncate(flwor_mark);
-        let plan = ir::plan_pipeline(&clauses);
         let parallel = ir::parallel_eligible(&clauses);
         Ok(Ir::Flwor(Box::new(ir::FlworIr {
-            clauses,
-            plan,
+            ops: clauses.into_iter().map(ir::OpIr::from).collect(),
             return_at,
             return_expr,
             parallel,
-            // Filled by the engine's expression-compilation,
-            // cardinality-estimation and join-unnesting passes after
-            // all IR rewrites.
-            programs: Vec::new(),
-            estimates: Vec::new(),
-            joins: Vec::new(),
+            return_estimate: None,
         })))
     }
 

@@ -46,19 +46,17 @@ use xqa_storage::CatalogStatistics;
 /// Default selectivity assumed for an unanalyzed `where` predicate.
 pub const FILTER_SELECTIVITY: f64 = 0.5;
 
-/// One estimate per clause operator plus the trailing `ReturnAt` sink
-/// (see the module docs for the model). Reads top-k limits, access
-/// paths, join annotations and nested FLWORs' own estimates; with no
-/// statistics attached only structurally-provable sources (literal
-/// ranges and sequences) seed the chain.
-pub(crate) fn estimate_chain(f: &FlworIr, stats: Option<&CatalogStatistics>) -> Vec<Option<u64>> {
-    let mut estimates = Vec::with_capacity(f.clauses.len() + 1);
+/// Stamp one estimate on every operator record of `f` and on its
+/// `ReturnAt` sink (see the module docs for the model). Reads top-k
+/// limits, access paths, join annotations and nested FLWORs' own
+/// estimates; with no statistics attached only structurally-provable
+/// sources (literal ranges and sequences) seed the chain.
+pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>) {
     // Tuples flowing into the next operator; the chain starts with the
     // single empty tuple every FLWOR conceptually begins from.
     let mut card: Option<u64> = Some(1);
-    for (i, clause) in f.clauses.iter().enumerate() {
-        let join = f.joins.get(i).and_then(|j| j.as_ref());
-        card = match clause {
+    for op in &mut f.ops {
+        card = match &op.clause {
             ClauseIr::For { expr, .. } => {
                 let fanout = source_cardinality(expr, stats);
                 match (card, fanout) {
@@ -67,7 +65,7 @@ pub(crate) fn estimate_chain(f: &FlworIr, stats: Option<&CatalogStatistics>) -> 
                 }
             }
             ClauseIr::Let { .. } | ClauseIr::Count { .. } => card,
-            ClauseIr::Where(pred) => match join {
+            ClauseIr::Where(pred) => match &op.join {
                 // Semi-join: tuples whose probe key hits the build
                 // table, estimated from the equi-join formula capped at
                 // the input (each tuple survives at most once).
@@ -87,11 +85,10 @@ pub(crate) fn estimate_chain(f: &FlworIr, stats: Option<&CatalogStatistics>) -> 
                 None => card,
             },
         };
-        estimates.push(card);
+        op.estimate = card;
     }
     // The sink emits one output ordinal per surviving tuple.
-    estimates.push(card);
-    estimates
+    f.return_estimate = card;
 }
 
 fn filter_fallback(n: u64) -> u64 {
@@ -162,7 +159,7 @@ pub(crate) fn source_cardinality(expr: &Ir, stats: Option<&CatalogStatistics>) -
             (Ir::Int(_), Ir::Int(_)) => Some(0),
             _ => None,
         },
-        Ir::Flwor(f) => f.estimates.last().copied().flatten(),
+        Ir::Flwor(f) => f.return_estimate,
         Ir::Path(p) => path_cardinality(p, stats?),
         _ => None,
     }
@@ -231,7 +228,12 @@ mod tests {
 
     fn body_estimates(q: &CompiledQuery) -> Vec<Option<u64>> {
         match &q.body {
-            Ir::Flwor(f) => f.estimates.clone(),
+            Ir::Flwor(f) => f
+                .ops
+                .iter()
+                .map(|op| op.estimate)
+                .chain([f.return_estimate])
+                .collect(),
             other => panic!("expected FLWOR body, got {other:?}"),
         }
     }

@@ -220,10 +220,8 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                 depth + 1,
                 &format!("pipeline: {}", render_plan(f, threads)),
             );
-            for (i, clause) in f.clauses.iter().enumerate() {
-                let plan = f.programs.get(i).and_then(Option::as_ref);
-                let join = f.joins.get(i).and_then(Option::as_ref);
-                write_clause(out, threads, clause, plan, join, depth + 1);
+            for op in &f.ops {
+                write_clause(out, threads, op, depth + 1);
             }
             match f.return_at {
                 Some(slot) => line(out, depth + 1, &format!("return at slot{slot}")),
@@ -240,7 +238,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
             line(
                 out,
                 depth,
-                &format!("path from {start}{}", describe_access(p)),
+                &format!("path from {start}{}", p.describe_access(true)),
             );
             if let PathStartIr::Expr(e) = &p.start {
                 write_ir(out, threads, e, depth + 1);
@@ -357,21 +355,17 @@ fn expr_tag(plan: Option<&ExprPlan>) -> &'static str {
     }
 }
 
-fn write_clause(
-    out: &mut String,
-    threads: usize,
-    clause: &ClauseIr,
-    plan: Option<&ExprPlan>,
-    join: Option<&JoinIr>,
-    depth: usize,
-) {
+fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
+    let plan = op.program.as_ref();
     // The `[hash join key=…]` tag on a join-annotated `let` / `where`:
     // the clause runs as a HashJoin probe, not by re-evaluating the
     // nested expression per tuple.
-    let join_tag = join
+    let join_tag = op
+        .join
+        .as_ref()
         .map(|j| format!(" [hash join {}]", j.key_desc))
         .unwrap_or_default();
-    match clause {
+    match &op.clause {
         ClauseIr::For {
             slot,
             at_slot,
@@ -476,66 +470,17 @@ fn write_clause(
     }
 }
 
-/// Render the compiled operator plan as a `->` chain. Operators without
-/// an annotation stream tuples batch-at-a-time; pipeline breakers are
-/// marked `[materializes]`, and a bounded top-k order-by shows its
-/// `limit` and `[heap]` mode. A chain that is parallel-eligible and
-/// would resolve to more than one thread gets a `[parallel ×N]` suffix.
-pub(crate) fn render_plan(f: &FlworIr, threads: usize) -> String {
-    let mut parts: Vec<String> = f
-        .plan
-        .iter()
-        .zip(&f.clauses)
-        .enumerate()
-        .map(|(i, (op, clause))| match op {
-            PlanOpIr::ForScan => "ForScan".to_string(),
-            PlanOpIr::LetBind => "LetBind".to_string(),
-            PlanOpIr::Filter => "Filter".to_string(),
-            PlanOpIr::CountBind => "CountBind".to_string(),
-            PlanOpIr::WindowScan => "WindowScan".to_string(),
-            PlanOpIr::GroupConsume => "GroupConsume [materializes]".to_string(),
-            PlanOpIr::OrderBy => match clause {
-                ClauseIr::OrderBy(ob) if ob.limit.is_some() => {
-                    format!("OrderBy(limit={}) [heap]", ob.limit.unwrap())
-                }
-                _ => "OrderBy [materializes]".to_string(),
-            },
-            PlanOpIr::HashJoin => match f.joins.get(i).and_then(Option::as_ref) {
-                Some(j) => format!("HashJoin({})", j.key_desc),
-                None => "HashJoin".to_string(),
-            },
-        })
-        .collect();
-    parts.push("ReturnAt".to_string());
-    let mut plan = parts.join(" -> ");
+/// Render the operator plan as a `->` chain of [`OpIr::label`]s ending
+/// in the `ReturnAt` sink: operators without a tag stream tuples
+/// batch-at-a-time. A chain that is parallel-eligible and would resolve
+/// to more than one thread gets a `[parallel ×N]` suffix.
+fn render_plan(f: &FlworIr, threads: usize) -> String {
+    let mut plan: String = f.ops.iter().map(|op| op.label() + " -> ").collect();
+    plan.push_str(&OpKind::ReturnAt.label(""));
     if f.parallel && threads > 1 {
         let _ = write!(plan, " [parallel ×{threads}]");
     }
     plan
-}
-
-/// The `[index scan ...]` plan tag for an index-annotated path: the
-/// leading descendant step resolves via the document store instead of a
-/// tree walk (with per-document fallback at run time).
-fn describe_access(p: &PathIr) -> String {
-    let name = match p.steps.first() {
-        Some(StepIr::Axis {
-            test: NodeTestIr::Name(q),
-            ..
-        }) => q.to_string(),
-        _ => "?".to_string(),
-    };
-    match &p.access {
-        AccessPathIr::Walk => String::new(),
-        AccessPathIr::IndexDescendant => format!(" [index scan path=//{name}]"),
-        AccessPathIr::IndexValueEq { child, probe } => {
-            let probe = match probe {
-                ValueProbeIr::Str(s) => format!("{s:?}"),
-                ValueProbeIr::Num(v) => format!("{v}"),
-            };
-            format!(" [index scan path=//{name} value-eq {child}={probe}]")
-        }
-    }
 }
 
 fn preds(predicates: &[Ir]) -> String {

@@ -216,11 +216,8 @@ pub enum OccurrenceIr {
 /// A compiled FLWOR expression.
 #[derive(Debug, Clone)]
 pub struct FlworIr {
-    /// The clause pipeline, in source order.
-    pub clauses: Vec<ClauseIr>,
-    /// The lowered operator plan, one entry per clause (the compile-time
-    /// pipeline planner's output; see [`plan_pipeline`]).
-    pub plan: Vec<PlanOpIr>,
+    /// The pipeline: one operator record per clause, in source order.
+    pub ops: Vec<OpIr>,
     /// Slot for the output positional variable (`return at $v`).
     pub return_at: Option<Slot>,
     /// The return expression.
@@ -231,29 +228,180 @@ pub struct FlworIr {
     /// happens is decided at run time from the effective thread count
     /// and the input size.
     pub parallel: bool,
-    /// Per-clause expression programs, aligned with `clauses` — the
-    /// output of the planner's expression-lowering rule
-    /// ([`crate::bytecode::lower`] per clause). `Some(Compiled)` for
-    /// clause expressions lowered to register programs,
-    /// `Some(Interpreted)` for eligible expressions the lowering
-    /// declined, `None` for clause kinds without a scalar expression.
-    /// Empty (the construction default) until [`crate::rewrite::plan`]
-    /// runs, and left empty under the `expr=tree` hint.
-    pub programs: Vec<Option<crate::bytecode::ExprPlan>>,
-    /// Planner row estimates, one per clause operator plus a trailing
-    /// entry for the `ReturnAt` sink — the output of the planner's
-    /// estimation rule (see [`crate::estimate`]). `None` marks an
-    /// operator the planner could not estimate. Empty (the
-    /// construction default) until [`crate::rewrite::plan`] runs.
-    pub estimates: Vec<Option<u64>>,
-    /// Join annotations, aligned with `clauses` — the output of the
-    /// planner's join-unnesting rule. `Some` on a `let` or
-    /// `where` clause whose nested equality predicate was unnested to a
-    /// [`PlanOpIr::HashJoin`]; the clause's original IR is kept intact
-    /// so the nested-loop plan remains available (the `join=nested`
-    /// differential baseline, and the per-probe fallback scan). Empty
-    /// (the construction default) unless that rule fires.
-    pub joins: Vec<Option<JoinIr>>,
+    /// The planner's row estimate for the `ReturnAt` sink: one output
+    /// ordinal per tuple that survives the last operator. `None` until
+    /// [`crate::rewrite::plan`] runs, and where it has no basis.
+    pub return_estimate: Option<u64>,
+}
+
+impl FlworIr {
+    /// The clauses of the pipeline, in source order.
+    pub fn clauses(&self) -> impl Iterator<Item = &ClauseIr> {
+        self.ops.iter().map(|op| &op.clause)
+    }
+}
+
+/// One operator of a FLWOR pipeline: a clause and everything the
+/// planner knows about how it runs. Which operator that is
+/// ([`OpKind::of`]), its plan label and its profile row are all read
+/// off this record, so a planner rule records a new per-operator fact
+/// by adding a field here.
+#[derive(Debug, Clone)]
+pub struct OpIr {
+    /// The clause as compiled. Annotations never rewrite it, so the
+    /// nested-loop plan of an unnested join stays available (the
+    /// `join=nested` differential baseline, and the per-probe fallback
+    /// scan).
+    pub clause: ClauseIr,
+    /// Set by the planner's join-unnesting rule on a `let` or `where`
+    /// whose nested equality predicate runs as a [`OpKind::HashJoin`]
+    /// probe.
+    pub join: Option<JoinIr>,
+    /// How the clause expression runs — the planner's expression-
+    /// lowering rule ([`crate::bytecode::lower`]): `Some(Compiled)`
+    /// through a register program, `Some(Interpreted)` where lowering
+    /// declined an eligible expression. `None` for clause kinds without
+    /// a scalar expression, before [`crate::rewrite::plan`] runs, and
+    /// under the `expr=tree` hint.
+    pub program: Option<crate::bytecode::ExprPlan>,
+    /// The planner's estimate of the rows this operator emits (see
+    /// [`crate::estimate`]). `None` before [`crate::rewrite::plan`]
+    /// runs, and where it has no basis.
+    pub estimate: Option<u64>,
+}
+
+impl From<ClauseIr> for OpIr {
+    /// The unplanned record of a clause.
+    fn from(clause: ClauseIr) -> OpIr {
+        OpIr {
+            clause,
+            join: None,
+            program: None,
+            estimate: None,
+        }
+    }
+}
+
+impl OpIr {
+    /// The plan detail: a join's key description, a bounded order-by's
+    /// `limit=k`, the index access path of a `for` over an annotated
+    /// path (so plans show where the tuples come from); else empty.
+    pub fn detail(&self) -> String {
+        if let Some(j) = &self.join {
+            return j.key_desc.clone();
+        }
+        match &self.clause {
+            ClauseIr::OrderBy(OrderByIr { limit: Some(k), .. }) => format!("limit={k}"),
+            ClauseIr::For {
+                expr: Ir::Path(p), ..
+            } => p.describe_access(false),
+            _ => String::new(),
+        }
+    }
+
+    /// The plan label of this operator (see [`OpKind::label`]).
+    pub fn label(&self) -> String {
+        OpKind::of(self).label(&self.detail())
+    }
+}
+
+/// The operator kinds of the streaming pipeline ([`crate::pipeline`]):
+/// the eight a clause can run as, plus the `ReturnAt` sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpKind {
+    /// `for $v (at $i)? in e`: fan-out scan.
+    ForScan,
+    /// `let $v := e`: 1:1 binder.
+    LetBind,
+    /// `where e`: streaming filter.
+    Filter,
+    /// `count $v`: ordinal binder.
+    CountBind,
+    /// Window clause scan.
+    WindowScan,
+    /// `group by`: hash aggregation over deep-equal keys
+    /// ([`crate::keys::GroupIndex`]).
+    GroupConsume,
+    /// `order by`: full sort, or a bounded binary heap when
+    /// [`OrderByIr::limit`] is set (top-k in O(n log k)).
+    OrderBy,
+    /// Unnested join probe (`let` binding or existential filter with a
+    /// [`JoinIr`] annotation): streams tuples against a build table
+    /// materialized once per FLWOR execution.
+    HashJoin,
+    /// The sink: binds `return at` ordinals, evaluates the return expr.
+    ReturnAt,
+}
+
+impl OpKind {
+    /// Every operator kind, in pipeline order of introduction.
+    pub const ALL: [OpKind; 9] = [
+        OpKind::ForScan,
+        OpKind::LetBind,
+        OpKind::Filter,
+        OpKind::CountBind,
+        OpKind::WindowScan,
+        OpKind::GroupConsume,
+        OpKind::OrderBy,
+        OpKind::HashJoin,
+        OpKind::ReturnAt,
+    ];
+
+    /// The operator a clause record runs as.
+    pub fn of(op: &OpIr) -> OpKind {
+        if op.join.is_some() {
+            return OpKind::HashJoin;
+        }
+        match &op.clause {
+            ClauseIr::For { .. } => OpKind::ForScan,
+            ClauseIr::Let { .. } => OpKind::LetBind,
+            ClauseIr::Where(_) => OpKind::Filter,
+            ClauseIr::Count { .. } => OpKind::CountBind,
+            ClauseIr::Window(_) => OpKind::WindowScan,
+            ClauseIr::GroupBy(_) => OpKind::GroupConsume,
+            ClauseIr::OrderBy(_) => OpKind::OrderBy,
+        }
+    }
+
+    /// The operator's display name.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            OpKind::ForScan => "ForScan",
+            OpKind::LetBind => "LetBind",
+            OpKind::Filter => "Filter",
+            OpKind::CountBind => "CountBind",
+            OpKind::WindowScan => "WindowScan",
+            OpKind::GroupConsume => "GroupConsume",
+            OpKind::OrderBy => "OrderBy",
+            OpKind::HashJoin => "HashJoin",
+            OpKind::ReturnAt => "ReturnAt",
+        }
+    }
+
+    /// Whether this operator is a pipeline breaker: it must consume its
+    /// whole input before it emits, where every other operator passes
+    /// tuples through batch-at-a-time (`HashJoin` included: only its
+    /// build side is materialized, not the tuple stream).
+    pub fn materializes(&self) -> bool {
+        matches!(self, OpKind::GroupConsume | OpKind::OrderBy)
+    }
+
+    /// The plan label `explain`'s `pipeline:` line, profile rows, plan
+    /// signatures and span names all print: name, `(detail)`, and on a
+    /// breaker `[materializes]` — or `[heap]` for an order-by whose
+    /// detail is its top-k limit, which keeps k tuples, not its input.
+    pub fn label(&self, detail: &str) -> String {
+        let name = self.as_str();
+        let tag = match self {
+            OpKind::OrderBy if !detail.is_empty() => " [heap]",
+            kind if kind.materializes() => " [materializes]",
+            _ => "",
+        };
+        match detail {
+            "" => format!("{name}{tag}"),
+            detail => format!("{name}({detail}){tag}"),
+        }
+    }
 }
 
 /// A join-graph annotation: one nested-FLWOR equality predicate proven
@@ -307,64 +455,6 @@ pub enum JoinKindIr {
     /// build item matches (first match short-circuits, like the
     /// quantifier it replaces).
     ExistsSemi,
-}
-
-/// One operator of the compiled pipeline plan.
-///
-/// The planner lowers each [`ClauseIr`] to the Volcano-style operator
-/// that will evaluate it in the streaming engine ([`crate::pipeline`]).
-/// Streaming operators pass tuples through batch-at-a-time; pipeline
-/// *breakers* must consume their entire input before emitting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanOpIr {
-    /// `for` — streaming fan-out scan (one output tuple per item).
-    ForScan,
-    /// `let` — streaming 1:1 binder.
-    LetBind,
-    /// `where` — streaming filter.
-    Filter,
-    /// `count` — streaming ordinal binder.
-    CountBind,
-    /// window clause — streaming window scan.
-    WindowScan,
-    /// `group by` — pipeline breaker: hash aggregation over deep-equal
-    /// keys (reuses [`crate::keys::GroupIndex`]).
-    GroupConsume,
-    /// `order by` — pipeline breaker: full sort, or a bounded binary
-    /// heap when [`OrderByIr::limit`] is set (top-k in O(n log k)).
-    OrderBy,
-    /// An unnested join probe (`let` binding or existential filter with
-    /// a [`JoinIr`] annotation): streams probe tuples against a build
-    /// table materialized once per FLWOR execution.
-    HashJoin,
-}
-
-impl PlanOpIr {
-    /// Whether the operator streams tuples through (`true`) or must
-    /// materialize its whole input first (`false`). `HashJoin` streams:
-    /// only the build side (not the tuple stream) is materialized.
-    pub fn streams(&self) -> bool {
-        !matches!(self, PlanOpIr::GroupConsume | PlanOpIr::OrderBy)
-    }
-}
-
-/// The compile-time pipeline planner: lower a FLWOR clause list to its
-/// operator plan. Today the plan is a linear chain that mirrors the
-/// clause order; the indirection is what lets rewrites (e.g. top-k
-/// pushdown) annotate operators without touching clause semantics.
-pub fn plan_pipeline(clauses: &[ClauseIr]) -> Vec<PlanOpIr> {
-    clauses
-        .iter()
-        .map(|clause| match clause {
-            ClauseIr::For { .. } => PlanOpIr::ForScan,
-            ClauseIr::Let { .. } => PlanOpIr::LetBind,
-            ClauseIr::Where(_) => PlanOpIr::Filter,
-            ClauseIr::Count { .. } => PlanOpIr::CountBind,
-            ClauseIr::Window(_) => PlanOpIr::WindowScan,
-            ClauseIr::GroupBy(_) => PlanOpIr::GroupConsume,
-            ClauseIr::OrderBy(_) => PlanOpIr::OrderBy,
-        })
-        .collect()
 }
 
 /// Compile-time analysis: may this clause chain run morsel-parallel
@@ -547,6 +637,39 @@ pub struct PathIr {
     pub access: AccessPathIr,
 }
 
+impl PathIr {
+    /// The one description of an index access path (empty for a walk):
+    /// as an operator detail, `index scan //T` or `index scan //T[c=..]`;
+    /// with `tag`, the suffix of `explain`'s path line, which also
+    /// names the probed literal. Either way the leading descendant step
+    /// resolves via the document store instead of a tree walk (with
+    /// per-document fallback at run time).
+    pub(crate) fn describe_access(&self, tag: bool) -> String {
+        let name = match self.steps.first() {
+            Some(StepIr::Axis {
+                test: NodeTestIr::Name(q),
+                ..
+            }) => q.to_string(),
+            _ => "?".to_string(),
+        };
+        match (&self.access, tag) {
+            (AccessPathIr::Walk, _) => String::new(),
+            (AccessPathIr::IndexDescendant, false) => format!("index scan //{name}"),
+            (AccessPathIr::IndexDescendant, true) => format!(" [index scan path=//{name}]"),
+            (AccessPathIr::IndexValueEq { child, .. }, false) => {
+                format!("index scan //{name}[{child}=..]")
+            }
+            (AccessPathIr::IndexValueEq { child, probe }, true) => {
+                let probe = match probe {
+                    ValueProbeIr::Str(s) => format!("{s:?}"),
+                    ValueProbeIr::Num(v) => format!("{v}"),
+                };
+                format!(" [index scan path=//{name} value-eq {child}={probe}]")
+            }
+        }
+    }
+}
+
 /// The plan-time access-path decision for a path's leading step.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum AccessPathIr {
@@ -713,5 +836,41 @@ impl CompiledQuery {
             .map(|f| (RootLoc::Function(&f.name, f.arity), &mut f.body));
         let body = (RootLoc::Body, &mut self.body);
         globals.chain(functions).chain(std::iter::once(body))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A compiled FLWOR that no planner has touched already has its one
+    /// record per clause: nothing about the pipeline is "empty until
+    /// planned", so it runs, explains and profiles as it is.
+    #[test]
+    fn an_unplanned_flwor_has_one_record_per_clause() {
+        let module = xqa_frontend::parse_query(
+            "for $x in (3, 1, 2) let $y := $x * 2 count $c where $y gt 2 \
+             group by $y into $k nest $x into $xs order by $k return $k",
+        )
+        .expect("parses");
+        let query = crate::compile::compile(&module).expect("compiles");
+        let Ir::Flwor(f) = &query.body else {
+            panic!("expected a FLWOR body");
+        };
+        let kinds: Vec<OpKind> = f.ops.iter().map(OpKind::of).collect();
+        use OpKind::*;
+        assert_eq!(
+            kinds,
+            [ForScan, LetBind, CountBind, Filter, GroupConsume, OrderBy]
+        );
+        assert!(f
+            .ops
+            .iter()
+            .all(|op| op.join.is_none() && op.program.is_none() && op.estimate.is_none()));
+        assert_eq!(f.return_estimate, None);
+        assert!(crate::explain::explain_query(&query).contains(
+            "pipeline: ForScan -> LetBind -> CountBind -> Filter -> \
+             GroupConsume [materializes] -> OrderBy [materializes] -> ReturnAt"
+        ));
     }
 }

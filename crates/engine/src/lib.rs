@@ -43,7 +43,8 @@ pub use context::{DynamicContext, EvalStats, EvalStatsSnapshot, Focus};
 pub use error::{EngineError, EngineResult};
 pub use explain::plan_fingerprint;
 pub use hints::PlanHints;
-pub use profile::{Clock, Misestimate, MonotonicClock, OpKind, QueryProfile, Span, TickClock};
+pub use ir::OpKind;
+pub use profile::{Clock, Misestimate, MonotonicClock, QueryProfile, Span, TickClock};
 pub use trace::{TraceEvent, TracePhase, TraceRing, TraceSink, Tracer};
 
 use xqa_frontend::parse_query;

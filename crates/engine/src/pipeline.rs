@@ -42,7 +42,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::eval::{opt_atomic, untyped_to_string, Env, Interpreter};
 use crate::ir::*;
 use crate::keys::atomic_key;
-use crate::profile::{Clock, OpKind, OpProfile, PipelineProfile, Span};
+use crate::profile::{Clock, OpProfile, PipelineProfile, Span};
 use crate::types::matches_seq_type;
 use partial::Partial;
 use std::cell::Cell;
@@ -201,8 +201,7 @@ pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResul
 /// go through the [`exchange`] and the calling thread runs only what
 /// follows the first breaker, smaller ones seed the ordinary chain.
 fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> EngineResult<()> {
-    debug_assert_eq!(f.plan.len(), f.clauses.len());
-    let n = f.clauses.len();
+    let n = f.ops.len();
     let cells = join_cells(f);
     let profiler = interp.dynamic.profiler().cloned();
     let clock = profiling_clock(interp);
@@ -211,10 +210,10 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
     let threads = if f.parallel { interp.threads } else { 1 };
     let mut seed = None;
     if threads > 1 {
-        let ClauseIr::For { expr, .. } = &f.clauses[0] else {
+        let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
             unreachable!("parallel-eligible FLWOR starts with a for clause");
         };
-        let mut outer = ExprEval::new(flwor_plan(f, 0));
+        let mut outer = ExprEval::new(f.ops[0].program.as_ref());
         seed = Some(outer.eval(expr, interp, env)?);
         outer.flush(interp.stats);
     }
@@ -277,13 +276,7 @@ fn build_chain<'p>(
 ) -> BoxSource<'p> {
     let mut source = input;
     for i in range {
-        let lowered = clause_source(
-            &f.clauses[i],
-            flwor_plan(f, i),
-            join_at(f, cells, i),
-            source,
-            seed.take(),
-        );
+        let lowered = clause_source(&f.ops[i], cells[i].clone(), source, seed.take());
         source = instrument(lowered, counters.get(i));
     }
     source
@@ -323,12 +316,6 @@ fn return_at(
 struct SinkStats {
     batches: u64,
     tuples: u64,
-}
-
-/// The clause's compiled-expression plan, tolerating the empty table
-/// tree mode and engine-less compilation leave behind.
-fn flwor_plan(f: &FlworIr, i: usize) -> Option<&ExprPlan> {
-    f.programs.get(i).and_then(Option::as_ref)
 }
 
 /// Per-operator expression-evaluation state: the compiled bytecode
@@ -397,23 +384,20 @@ impl<'p> ExprEval<'p> {
     }
 }
 
-/// Lower one clause onto `input`, yielding the clause's operator.
-/// `plan` is the clause's entry in [`FlworIr::programs`] (None for
-/// clause kinds without a single lowerable expression, or in tree
-/// mode). A clause whose plan slot the join-unnesting rewrite marked
-/// [`PlanOpIr::HashJoin`] lowers to the hash-join operator instead of
-/// its nested form; `join` carries the annotation plus the run-scoped
-/// build-table cell shared by every lowering of the same clause. A
-/// `for` given a `seed` (see [`build_chain`]) starts out holding it
-/// and never pulls `input` or evaluates its expression.
+/// Lower one clause record onto `input`, yielding the operator
+/// [`OpKind::of`] names. A record the join-unnesting rule annotated
+/// lowers to the hash-join operator instead of its nested form; `cell`
+/// is the run-scoped build-table cell shared by every lowering of the
+/// same record (see [`join_cells`]). A `for` given a `seed` (see
+/// [`build_chain`]) starts out holding it and never pulls `input` or
+/// evaluates its expression.
 fn clause_source<'p>(
-    clause: &'p ClauseIr,
-    plan: Option<&'p ExprPlan>,
-    join: Option<(&'p JoinIr, JoinCell)>,
+    op: &'p OpIr,
+    cell: Option<JoinCell>,
     input: BoxSource<'p>,
     seed: Option<(Sequence, i64)>,
 ) -> BoxSource<'p> {
-    if let Some((j, cell)) = join {
+    if let Some((j, cell)) = op.join.as_ref().zip(cell) {
         return Box::new(HashJoin {
             input,
             j,
@@ -421,7 +405,8 @@ fn clause_source<'p>(
             table: None,
         });
     }
-    match clause {
+    let plan = op.program.as_ref();
+    match &op.clause {
         ClauseIr::For {
             slot,
             at_slot,
@@ -462,9 +447,9 @@ fn clause_source<'p>(
             n: 0,
         }),
         ClauseIr::Window(w) => Box::new(WindowScan { input, w }),
-        ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_) => Box::new(Breaker {
+        breaker @ (ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_)) => Box::new(Breaker {
             input,
-            partial: Partial::for_clause(clause),
+            partial: Partial::for_clause(breaker),
             output: Vec::new().into_iter(),
         }),
     }
@@ -558,7 +543,7 @@ fn build_profile(
     sink_stats: Option<SinkStats>,
     total_nanos: u64,
 ) -> PipelineProfile {
-    let n = f.clauses.len();
+    let n = f.ops.len();
     let (cut, outside) = exchange.map_or((n, 0), |x| {
         let pulled: u64 = x.chains.iter().map(|c| c[x.cut - 1].cum_nanos).sum();
         (x.cut, x.loop_nanos.saturating_sub(pulled) + x.merge_nanos)
@@ -570,15 +555,15 @@ fn build_profile(
         .collect();
     let mut ops = Vec::with_capacity(n + 1);
     let mut upstream_out = 1u64;
-    for (i, clause) in f.clauses.iter().enumerate() {
+    for (i, planned) in f.ops.iter().enumerate() {
         let mut op = OpProfile {
-            kind: clause_op_kind(clause, join_ir(f, i)),
-            detail: clause_op_detail(clause, join_ir(f, i)),
+            kind: OpKind::of(planned),
+            detail: planned.detail(),
             batches: 0,
             tuples_in: upstream_out,
             tuples_out: 0,
             nanos: if i == cut { outside } else { 0 },
-            estimate: f.estimates.get(i).copied().flatten(),
+            estimate: planned.estimate,
         };
         for c in &chains {
             op.batches += c[i].batches;
@@ -607,7 +592,7 @@ fn build_profile(
         tuples_in: upstream_out,
         tuples_out,
         nanos,
-        estimate: f.estimates.get(n).copied().flatten(),
+        estimate: f.return_estimate,
     });
     PipelineProfile {
         executions: 1,
@@ -646,54 +631,6 @@ fn pipeline_span(
         }
     }
     root
-}
-
-fn clause_op_kind(clause: &ClauseIr, join: Option<&JoinIr>) -> OpKind {
-    if join.is_some() {
-        return OpKind::HashJoin;
-    }
-    match clause {
-        ClauseIr::For { .. } => OpKind::ForScan,
-        ClauseIr::Let { .. } => OpKind::LetBind,
-        ClauseIr::Where(_) => OpKind::Filter,
-        ClauseIr::Count { .. } => OpKind::CountBind,
-        ClauseIr::Window(_) => OpKind::WindowScan,
-        ClauseIr::GroupBy(_) => OpKind::GroupConsume,
-        ClauseIr::OrderBy(_) => OpKind::OrderBy,
-    }
-}
-
-fn clause_op_detail(clause: &ClauseIr, join: Option<&JoinIr>) -> String {
-    if let Some(j) = join {
-        return j.key_desc.clone();
-    }
-    match clause {
-        ClauseIr::OrderBy(ob) => match ob.limit {
-            Some(k) => format!("limit={k}"),
-            None => String::new(),
-        },
-        // A `for` over an index-annotated path advertises the access
-        // path so `explain analyze` shows where tuples came from.
-        ClauseIr::For { expr, .. } => match expr {
-            Ir::Path(p) if p.access != AccessPathIr::Walk => {
-                let name = match p.steps.first() {
-                    Some(StepIr::Axis {
-                        test: NodeTestIr::Name(q),
-                        ..
-                    }) => q.to_string(),
-                    _ => "?".to_string(),
-                };
-                match &p.access {
-                    AccessPathIr::IndexValueEq { child, .. } => {
-                        format!("index scan //{name}[{child}=..]")
-                    }
-                    _ => format!("index scan //{name}"),
-                }
-            }
-            _ => String::new(),
-        },
-        _ => String::new(),
-    }
 }
 
 /// The pipeline root: one tuple with no bindings (the incoming frame).
@@ -939,30 +876,14 @@ struct JoinTable {
 /// reuse the table — or replay the build's error.
 type JoinCell = Arc<OnceLock<Result<Arc<JoinTable>, EngineError>>>;
 
-/// One cell per clause carrying a join annotation, created per
-/// pipeline execution (enclosing bindings are fixed for the duration
-/// of one `run`, so the table is reusable exactly within it).
+/// Per clause record, a cell where it carries a join annotation,
+/// created per pipeline execution (enclosing bindings are fixed for the
+/// duration of one `run`, so the table is reusable exactly within it).
 fn join_cells(f: &FlworIr) -> Vec<Option<JoinCell>> {
-    f.joins
+    f.ops
         .iter()
-        .map(|j| j.as_ref().map(|_| JoinCell::default()))
+        .map(|op| op.join.as_ref().map(|_| JoinCell::default()))
         .collect()
-}
-
-/// The join annotation + cell for clause `i`, if the rewrite attached
-/// one (the argument `clause_source` consumes).
-fn join_at<'p>(
-    f: &'p FlworIr,
-    cells: &[Option<JoinCell>],
-    i: usize,
-) -> Option<(&'p JoinIr, JoinCell)> {
-    let j = f.joins.get(i)?.as_ref()?;
-    let cell = cells.get(i)?.clone()?;
-    Some((j, cell))
-}
-
-fn join_ir(f: &FlworIr, i: usize) -> Option<&JoinIr> {
-    f.joins.get(i).and_then(Option::as_ref)
 }
 
 /// The build key of one item (already bound into the env), atomized
@@ -981,61 +902,64 @@ fn eval_join_key(
     }
 }
 
-/// Evaluate SRC and materialize the build table (serial form).
-fn build_join_table(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineResult<JoinTable> {
-    let src = interp.eval(&j.build_src, env)?;
-    build_join_table_from(j, interp, env, src.into_iter().collect())
+/// What keying one contiguous chunk of SRC items produced.
+struct KeyedChunk {
+    /// Per item, the atomized key (short when `raised`).
+    keys: Vec<Vec<AtomicValue>>,
+    /// Canonical atom key → ascending *table* indices of the chunk's
+    /// items carrying it.
+    buckets: HashMap<String, Vec<usize>>,
+    classes: u8,
+    /// A key raised: keying stopped at that item.
+    raised: bool,
 }
 
-/// Key, classify and bucket already-materialized SRC items. A key that
-/// raises does not surface here: whether and when it would have in the
-/// nested plan depends on the probe (a `some` stops at its first
-/// preceding match), so the table just degrades to scan-only and the
-/// per-probe scan re-raises it at exactly the nested position.
-fn build_join_table_from(
+/// Key, classify and bucket `items`, which sit at `base..` in the
+/// table. A key that raises does not surface here: whether and when it
+/// would have in the nested plan depends on the probe (a `some` stops
+/// at its first preceding match), so the table just degrades to
+/// scan-only and the per-probe scan re-raises it at exactly the nested
+/// position.
+fn key_chunk(
     j: &JoinIr,
     interp: &Interpreter,
     env: &mut Env,
-    items: Vec<Item>,
-) -> EngineResult<JoinTable> {
-    let mut table = JoinTable {
+    base: usize,
+    items: &[Item],
+) -> KeyedChunk {
+    let mut chunk = KeyedChunk {
         keys: Vec::with_capacity(items.len()),
-        items,
         buckets: HashMap::new(),
         classes: 0,
-        scan_only: false,
+        raised: false,
     };
     let mut scratch = String::new();
-    for (idx, item) in table.items.iter().enumerate() {
+    for (idx, item) in (base..).zip(items) {
         env.slots[j.build_slot] = Sequence::One(item.clone());
         let Ok(atoms) = eval_join_key(j, interp, env) else {
-            table.scan_only = true;
+            chunk.raised = true;
             break;
         };
         for a in &atoms {
-            table.classes |= atom_class(a);
+            chunk.classes |= atom_class(a);
             scratch.clear();
             atomic_key(a, &mut scratch);
-            let bucket = table.buckets.entry(scratch.clone()).or_default();
+            let bucket = chunk.buckets.entry(scratch.clone()).or_default();
             if bucket.last() != Some(&idx) {
                 bucket.push(idx);
             }
         }
-        table.keys.push(atoms);
+        chunk.keys.push(atoms);
     }
-    if table.classes.count_ones() > 1 {
-        table.scan_only = true;
-    }
-    interp.stats.join_build_tuples.add(table.items.len() as u64);
-    Ok(table)
+    chunk
 }
 
-/// Morsel-partitioned build for the parallel pre-build: SRC items are
-/// chunked across scoped worker threads that atomize keys and bucket
-/// their chunk (global indices), then the per-chunk buckets merge in
-/// chunk order — per-key index lists stay ascending, so probe results
-/// are identical to the serial build.
-fn build_join_table_parallel(
+/// Evaluate SRC and materialize the build table. The items are one
+/// chunk keyed on the calling thread — or, with `threads > 1` and more
+/// than one [`MORSEL`] of them, one chunk per scoped worker thread,
+/// merged in chunk order: per-key index lists stay ascending, so probe
+/// results do not depend on the split.
+fn build_join_table(
     j: &JoinIr,
     interp: &Interpreter,
     env: &mut Env,
@@ -1043,79 +967,56 @@ fn build_join_table_parallel(
 ) -> EngineResult<JoinTable> {
     let src = interp.eval(&j.build_src, env)?;
     let items: Vec<Item> = src.into_iter().collect();
-    if threads <= 1 || items.len() <= MORSEL {
-        return build_join_table_from(j, interp, env, items);
-    }
-    let chunk = items.len().div_ceil(threads);
-    let chunks: Vec<(usize, &[Item])> = items
-        .chunks(chunk)
-        .enumerate()
-        .map(|(ci, c)| (ci * chunk, c))
-        .collect();
-    let worker_stats: Vec<EvalStats> = (0..chunks.len()).map(|_| EvalStats::default()).collect();
-    type ChunkPart = (Vec<Vec<AtomicValue>>, HashMap<String, Vec<usize>>, u8, bool);
-    let mut parts: Vec<ChunkPart> = Vec::with_capacity(chunks.len());
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(chunks.len());
-        for (ws, (base, chunk_items)) in worker_stats.iter().zip(&chunks) {
-            let winterp = interp.fork(ws);
-            let wslots = env.slots.clone();
-            let wfocus = env.focus.clone();
-            let (base, chunk_items) = (*base, *chunk_items);
-            handles.push(s.spawn(move || {
-                let mut wenv = Env {
-                    slots: wslots,
-                    focus: wfocus,
-                };
-                let mut keys: Vec<Vec<AtomicValue>> = Vec::with_capacity(chunk_items.len());
-                let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
-                let mut classes = 0u8;
-                let mut scratch = String::new();
-                for (off, item) in chunk_items.iter().enumerate() {
-                    wenv.slots[j.build_slot] = Sequence::One(item.clone());
-                    let Ok(atoms) = eval_join_key(j, &winterp, &mut wenv) else {
-                        return (keys, buckets, classes, true);
+    let chunks = if threads <= 1 || items.len() <= MORSEL {
+        vec![key_chunk(j, interp, env, 0, &items)]
+    } else {
+        let size = items.len().div_ceil(threads);
+        let worker_stats: Vec<EvalStats> = (0..threads).map(|_| EvalStats::default()).collect();
+        let chunks = std::thread::scope(|s| {
+            let handles: Vec<_> = items
+                .chunks(size)
+                .zip(&worker_stats)
+                .enumerate()
+                .map(|(ci, (chunk_items, ws))| {
+                    let winterp = interp.fork(ws);
+                    let mut wenv = Env {
+                        slots: env.slots.clone(),
+                        focus: env.focus.clone(),
                     };
-                    for a in &atoms {
-                        classes |= atom_class(a);
-                        scratch.clear();
-                        atomic_key(a, &mut scratch);
-                        let bucket = buckets.entry(scratch.clone()).or_default();
-                        if bucket.last() != Some(&(base + off)) {
-                            bucket.push(base + off);
-                        }
-                    }
-                    keys.push(atoms);
-                }
-                (keys, buckets, classes, false)
-            }));
+                    s.spawn(move || key_chunk(j, &winterp, &mut wenv, ci * size, chunk_items))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join build worker panicked"))
+                .collect::<Vec<_>>()
+        });
+        for ws in &worker_stats {
+            interp.stats.add_snapshot(&ws.snapshot());
         }
-        for h in handles {
-            parts.push(h.join().expect("join build worker panicked"));
-        }
-    });
-    for ws in &worker_stats {
-        interp.stats.add_snapshot(&ws.snapshot());
-    }
-    let mut table = JoinTable {
-        keys: Vec::with_capacity(items.len()),
-        items,
-        buckets: HashMap::new(),
-        classes: 0,
-        scan_only: false,
+        chunks
     };
-    for (keys, buckets, classes, raised) in parts {
-        table.classes |= classes;
-        table.keys.extend(keys);
-        for (key, idxs) in buckets {
-            table.buckets.entry(key).or_default().extend(idxs);
-        }
-        if raised {
-            // Scan-only regardless of which chunk noticed first: the
-            // flag depends only on the (deterministic) key values.
-            table.scan_only = true;
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().expect("at least one chunk");
+    let mut table = JoinTable {
+        items,
+        keys: first.keys,
+        buckets: first.buckets,
+        classes: first.classes,
+        // Scan-only regardless of which chunk noticed a raising key
+        // first: the flag depends only on the (deterministic) keys.
+        scan_only: first.raised,
+    };
+    for chunk in chunks {
+        if table.scan_only {
             break;
         }
+        table.classes |= chunk.classes;
+        table.keys.extend(chunk.keys);
+        for (key, idxs) in chunk.buckets {
+            table.buckets.entry(key).or_default().extend(idxs);
+        }
+        table.scan_only = chunk.raised;
     }
     if table.classes.count_ones() > 1 {
         table.scan_only = true;
@@ -1273,7 +1174,7 @@ impl HashJoin<'_> {
         }
         let built = self
             .cell
-            .get_or_init(|| build_join_table(self.j, interp, env).map(Arc::new))
+            .get_or_init(|| build_join_table(self.j, interp, env, 1).map(Arc::new))
             .clone()?;
         self.table = Some(Arc::clone(&built));
         Ok(built)
@@ -1501,10 +1402,10 @@ fn exchange<'p>(
     // the merged, serial-order stream, so they need no eligibility
     // restrictions of their own.
     let cut = f
-        .clauses
+        .ops
         .iter()
-        .position(|c| matches!(c, ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_)))
-        .unwrap_or(f.clauses.len());
+        .position(|op| OpKind::of(op).materializes())
+        .unwrap_or(f.ops.len());
     let workers = threads.min(items.len().div_ceil(MORSEL));
     // Pre-build a join table sitting directly behind the outer `for`
     // with the morsel-partitioned parallel build. Safe to build eagerly
@@ -1514,13 +1415,13 @@ fn exchange<'p>(
     // filter or a raising expression could mean it never is, and those
     // joins stay lazy (first probing worker builds into the shared
     // cell).
-    if let Some(j) = join_ir(f, 1) {
-        if matches!(&f.clauses[0], ClauseIr::For { ty: None, .. }) {
-            if let Some(cell) = cells[1].as_ref() {
-                let built = build_join_table_parallel(j, interp, env, threads).map(Arc::new);
-                let _ = cell.set(built);
-            }
-        }
+    if let [OpIr {
+        clause: ClauseIr::For { ty: None, .. },
+        ..
+    }, OpIr { join: Some(j), .. }, ..] = &f.ops[..]
+    {
+        let cell = cells[1].as_ref().expect("a cell per join annotation");
+        let _ = cell.set(build_join_table(j, interp, env, threads).map(Arc::new));
     }
     let clock = profiling_clock(interp);
     let morsels = Morsels {
@@ -1666,9 +1567,9 @@ impl<'p> Morsels<'_, 'p> {
     ) -> WorkerReport<'p> {
         let clock = profiling_clock(&interp);
         let loop_start = clock.as_ref().map(|c| c.now_nanos());
-        let counters = op_counters(clock.is_some(), self.f.clauses.len());
-        let mut partial = match self.f.clauses.get(self.cut) {
-            Some(breaker) => Partial::for_clause(breaker),
+        let counters = op_counters(clock.is_some(), self.f.ops.len());
+        let mut partial = match self.f.ops.get(self.cut) {
+            Some(breaker) => Partial::for_clause(&breaker.clause),
             None => self.f.return_at.map(|_| Partial::collect()),
         };
         let morsel_count = self.items.len().div_ceil(MORSEL);

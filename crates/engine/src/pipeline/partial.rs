@@ -504,11 +504,11 @@ mod tests {
             slot,
             at_slot: Some(at),
             ..
-        } = &f.clauses[0]
+        } = &f.ops[0].clause
         else {
             panic!("`for $x at $i` expected");
         };
-        let mut breaker = f.clauses.get(1).cloned();
+        let mut breaker = f.ops.get(1).map(|op| op.clause.clone());
         if let Some(ClauseIr::OrderBy(ob)) = &mut breaker {
             ob.limit = limit;
         }

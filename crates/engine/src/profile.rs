@@ -13,6 +13,8 @@
 //! which renders as `explain analyze` text or machine-readable JSON.
 
 use crate::context::EvalStatsSnapshot;
+use crate::ir::OpKind;
+use crate::trace::json_escape;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -78,73 +80,13 @@ impl Clock for TickClock {
     }
 }
 
-/// The operator kinds of the streaming pipeline (the eight planned
-/// clause operators plus the `ReturnAt` sink).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// `for $v (at $i)? in e`: fan-out scan.
-    ForScan,
-    /// `let $v := e`: 1:1 binder.
-    LetBind,
-    /// `where e`: streaming filter.
-    Filter,
-    /// `count $v`: ordinal binder.
-    CountBind,
-    /// Window clause scan.
-    WindowScan,
-    /// `group by`: hash-aggregation breaker.
-    GroupConsume,
-    /// `order by`: sort (or bounded-heap) breaker.
-    OrderBy,
-    /// Unnested join probe (`let` binding or existential filter):
-    /// streams tuples against a once-materialized build table.
-    HashJoin,
-    /// The sink: binds `return at` ordinals, evaluates the return expr.
-    ReturnAt,
-}
-
-impl OpKind {
-    /// Every operator kind, in pipeline order of introduction.
-    pub const ALL: [OpKind; 9] = [
-        OpKind::ForScan,
-        OpKind::LetBind,
-        OpKind::Filter,
-        OpKind::CountBind,
-        OpKind::WindowScan,
-        OpKind::GroupConsume,
-        OpKind::OrderBy,
-        OpKind::HashJoin,
-        OpKind::ReturnAt,
-    ];
-
-    /// The operator's display name (matches `explain` plan rendering).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OpKind::ForScan => "ForScan",
-            OpKind::LetBind => "LetBind",
-            OpKind::Filter => "Filter",
-            OpKind::CountBind => "CountBind",
-            OpKind::WindowScan => "WindowScan",
-            OpKind::GroupConsume => "GroupConsume",
-            OpKind::OrderBy => "OrderBy",
-            OpKind::HashJoin => "HashJoin",
-            OpKind::ReturnAt => "ReturnAt",
-        }
-    }
-
-    /// Whether this operator is a pipeline breaker that buffers its
-    /// whole input before emitting (the `[materializes]` tag).
-    pub fn materializes(&self) -> bool {
-        matches!(self, OpKind::GroupConsume | OpKind::OrderBy)
-    }
-}
-
 /// Measured counters for one operator across one pipeline's executions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpProfile {
     /// Which operator.
     pub kind: OpKind,
-    /// Plan detail, e.g. `limit=10` for a bounded order-by.
+    /// Plan detail ([`crate::ir::OpIr::detail`]), e.g. `limit=10` for
+    /// a bounded order-by.
     pub detail: String,
     /// Batches the operator emitted (for `ReturnAt`: batches consumed).
     pub batches: u64,
@@ -161,20 +103,10 @@ pub struct OpProfile {
 }
 
 impl OpProfile {
-    /// The plan label, matching `explain`'s rendering: operator name,
-    /// detail, and the `[heap]` / `[materializes]` breaker tag.
+    /// The plan label: the operator's entry in `explain`'s `pipeline:`
+    /// line ([`OpKind::label`]).
     pub fn label(&self) -> String {
-        let mut s = String::from(self.kind.as_str());
-        if !self.detail.is_empty() {
-            let _ = write!(s, "({})", self.detail);
-        }
-        match self.kind {
-            OpKind::GroupConsume => s.push_str(" [materializes]"),
-            OpKind::OrderBy if self.detail.is_empty() => s.push_str(" [materializes]"),
-            OpKind::OrderBy => s.push_str(" [heap]"),
-            _ => {}
-        }
-        s
+        self.kind.label(&self.detail)
     }
 
     /// Whether this operator buffered its input (breaker).
@@ -197,7 +129,7 @@ impl OpProfile {
             "{{\"op\":\"{}\",\"detail\":\"{}\",\"materializes\":{},\
              \"batches\":{},\"tuples_in\":{},\"tuples_out\":{},\"time_ns\":{}",
             self.kind.as_str(),
-            self.detail,
+            json_escape(&self.detail),
             self.materializes(),
             self.batches,
             self.tuples_in,
@@ -263,7 +195,7 @@ impl Span {
     pub fn to_json(&self) -> String {
         let mut s = format!(
             "{{\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{}",
-            crate::trace::json_escape(&self.name),
+            json_escape(&self.name),
             self.start_nanos,
             self.end_nanos
         );
@@ -312,7 +244,7 @@ pub struct PipelineProfile {
 
 impl PipelineProfile {
     /// The plan signature: operator labels joined with ` -> `. Matches
-    /// the plan line rendered by `explain`.
+    /// the `pipeline:` line rendered by `explain`.
     pub fn signature(&self) -> String {
         let labels: Vec<String> = self.ops.iter().map(|op| op.label()).collect();
         labels.join(" -> ")
@@ -327,7 +259,7 @@ impl PipelineProfile {
         let ops: Vec<String> = self.ops.iter().map(|op| op.to_json()).collect();
         format!(
             "{{\"signature\":\"{}\",\"executions\":{},\"workers\":{},\"total_ns\":{},\"ops\":[{}]}}",
-            self.signature(),
+            json_escape(&self.signature()),
             self.executions,
             self.workers,
             self.total_nanos(),
@@ -414,7 +346,7 @@ impl QueryProfile {
         let worst = match self.worst_misestimate() {
             Some(m) => format!(
                 "{{\"op\":\"{}\",\"est\":{},\"actual\":{},\"q_error\":{:.2}}}",
-                crate::trace::json_escape(&m.label),
+                json_escape(&m.label),
                 m.estimated,
                 m.actual,
                 m.q_error
@@ -521,29 +453,39 @@ mod tests {
         assert!(b >= a);
     }
 
+    /// The profile of a real run prints, operator for operator, the
+    /// `pipeline:` line `explain` shows for the same plan.
     #[test]
-    fn labels_match_explain_tags() {
-        assert_eq!(op(OpKind::ForScan, "", 5).label(), "ForScan");
+    fn signature_is_the_explain_pipeline_line() {
+        let doc = xqa_xmlparse::parse_document("<r><x><k>b</k></x><x><k>a</k></x></r>")
+            .expect("well-formed");
+        let mut ctx = crate::DynamicContext::new();
+        ctx.set_context_document(&doc);
+        ctx.index_documents();
+        ctx.enable_profiling();
+        let engine = crate::Engine::with_options(crate::EngineOptions {
+            threads: 1,
+            hints: "access=index,join=hash".parse().expect("valid hints"),
+        });
+        let plan = engine
+            .compile(
+                "(for $x in //x let $m := (for $y in //x where $y/k = $x/k return $y) \
+                 group by $x/k into $k nest $m into $ms order by $k return <g/>)[position() le 1]",
+            )
+            .expect("compiles");
+        plan.run(&ctx).expect("runs");
+        let profile = ctx.take_profile().expect("profiling was enabled");
+        let signature = profile.pipelines[0].signature();
         assert_eq!(
-            op(OpKind::GroupConsume, "", 2).label(),
-            "GroupConsume [materializes]"
+            signature,
+            "ForScan(index scan //x) -> HashJoin(key=$slot0/k = $slot1/k) -> \
+             GroupConsume [materializes] -> OrderBy(limit=1) [heap] -> ReturnAt"
         );
-        assert_eq!(op(OpKind::OrderBy, "", 2).label(), "OrderBy [materializes]");
-        assert_eq!(
-            op(OpKind::OrderBy, "limit=3", 2).label(),
-            "OrderBy(limit=3) [heap]"
+        let explain = plan.explain();
+        assert!(
+            explain.contains(&format!("pipeline: {signature}\n")),
+            "{explain}"
         );
-    }
-
-    #[test]
-    fn only_breakers_materialize() {
-        for kind in OpKind::ALL {
-            assert_eq!(
-                kind.materializes(),
-                matches!(kind, OpKind::GroupConsume | OpKind::OrderBy),
-                "{kind:?}"
-            );
-        }
     }
 
     #[test]

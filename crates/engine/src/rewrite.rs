@@ -314,7 +314,7 @@ impl<'a> NestedJoin<'a> {
                     at_slot: None,
                     ty: None,
                     expr: src,
-                }, ClauseIr::Where(pred)] = inner.clauses.as_slice()
+                }, ClauseIr::Where(pred)] = inner.clauses().collect::<Vec<_>>()[..]
                 else {
                     return None;
                 };
@@ -388,11 +388,11 @@ fn implicit_groupby(root: &mut Ir, cx: &mut Cx<'_>) {
 /// success and return the number of grouping keys.
 fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
     // One or two `for`s, then the self-join `let`.
-    let fors = f
-        .clauses
+    let clauses: Vec<&ClauseIr> = f.clauses().collect();
+    let fors = clauses
         .iter()
         .position(|c| !matches!(c, ClauseIr::For { .. }))?;
-    let join = NestedJoin::of(&f.clauses[fors])?;
+    let join = NestedJoin::of(clauses[fors])?;
     let JoinKindIr::LetMany {
         slot: items,
         ty: None,
@@ -410,7 +410,7 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
     // source `P`, and is compared to `$y/k` by a conjunct of its own
     // (the slots differ, so no two keys can claim one conjunct).
     let mut keys = Vec::with_capacity(fors);
-    for clause in &f.clauses[..fors] {
+    for clause in &clauses[..fors] {
         let ClauseIr::For {
             slot,
             at_slot: None,
@@ -460,11 +460,11 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
     }
     // After the `let`: at most `where exists($items)`, at most one
     // `order by`.
-    let exists_items = |clause: &ClauseIr| {
+    let exists_items = |clause: &&ClauseIr| {
         matches!(clause, ClauseIr::Where(Ir::CallBuiltin(Builtin::Exists, args))
             if matches!(args.as_slice(), [Ir::Var(v)] if *v == items))
     };
-    let mut rest = &f.clauses[fors + 1..];
+    let mut rest = &clauses[fors + 1..];
     if rest.first().is_some_and(exists_items) {
         rest = &rest[1..];
     }
@@ -484,12 +484,12 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
         slot: items,
     }];
     let group = ClauseIr::GroupBy(GroupByIr { keys, nests });
-    f.clauses = [scan, group]
+    let grouped: Vec<ClauseIr> = [scan, group]
         .into_iter()
-        .chain(rest.first().cloned())
+        .chain(rest.first().copied().cloned())
         .collect();
-    f.plan = plan_pipeline(&f.clauses);
-    f.parallel = parallel_eligible(&f.clauses);
+    f.parallel = parallel_eligible(&grouped);
+    f.ops = grouped.into_iter().map(OpIr::from).collect();
     Some(fors)
 }
 
@@ -514,7 +514,7 @@ fn stamp_estimates(root: &mut Ir, cx: &mut Cx<'_>) {
     // the enclosing chain's source estimate.
     walk(root, true, &mut |ir| {
         if let Ir::Flwor(f) = ir {
-            f.estimates = estimate::estimate_chain(f, cx.stats);
+            estimate::estimate_chain(f, cx.stats);
         }
     });
 }
@@ -562,7 +562,7 @@ fn pushdown_topk(root: &mut Ir, cx: &mut Cx<'_>) {
         if !single_item_return(&f.return_expr) {
             return;
         }
-        let Some(ClauseIr::OrderBy(ob)) = f.clauses.last_mut() else {
+        let Some(ClauseIr::OrderBy(ob)) = f.ops.last_mut().map(|op| &mut op.clause) else {
             return;
         };
         let limit = ob.limit.map_or(k, |old| old.min(k));
@@ -806,8 +806,9 @@ fn value_eq_probe(pred: &Ir) -> Option<(QName, ValueProbeIr)> {
 /// per tuple either way.
 ///
 /// The clause's original IR is left untouched; the annotation only
-/// flips its plan operator, so the runtime's per-probe fallback scan
-/// still evaluates the exact original predicate.
+/// changes which operator its record runs as ([`OpKind::of`]), so the
+/// runtime's per-probe fallback scan still evaluates the exact original
+/// predicate.
 ///
 /// Gate ([`crate::PlanHints::hash_join`]): under `Some(false)` the rule
 /// never runs. `None` requires attached statistics and declines a build
@@ -819,8 +820,8 @@ fn unnest_joins(root: &mut Ir, cx: &mut Cx<'_>) {
     walk(root, false, &mut |ir| {
         let Ir::Flwor(f) = ir else { return };
         let bound = flwor_bound_slots(f);
-        for i in 0..f.clauses.len() {
-            let Some(join) = match_join(&f.clauses[i], &bound, cx) else {
+        for op in &mut f.ops {
+            let Some(join) = match_join(&op.clause, &bound, cx) else {
                 continue;
             };
             cx.fired.push(format!(
@@ -831,9 +832,7 @@ fn unnest_joins(root: &mut Ir, cx: &mut Cx<'_>) {
                 },
                 join.key_desc,
             ));
-            f.plan[i] = PlanOpIr::HashJoin;
-            f.joins.resize(f.clauses.len(), None);
-            f.joins[i] = Some(join);
+            op.join = Some(join);
         }
     });
 }
@@ -842,7 +841,7 @@ fn unnest_joins(root: &mut Ir, cx: &mut Cx<'_>) {
 /// build side must be independent of.
 fn flwor_bound_slots(f: &FlworIr) -> HashSet<Slot> {
     let mut bound = HashSet::new();
-    for clause in &f.clauses {
+    for clause in f.clauses() {
         match clause {
             ClauseIr::For { slot, at_slot, .. } => {
                 bound.insert(*slot);
@@ -999,7 +998,7 @@ mod tests {
         let Ir::Flwor(f) = ir else {
             panic!("not a flwor")
         };
-        f.clauses.iter().find_map(|c| match c {
+        f.clauses().find_map(|c| match c {
             ClauseIr::GroupBy(g) => Some(g),
             _ => None,
         })
@@ -1028,10 +1027,13 @@ mod tests {
         };
         // for $i in P, group by: the `let` and the `distinct-values`
         // scan are gone, and the slots of `$a` / `$items` carry over.
-        let [ClauseIr::For { slot: item, .. }, ClauseIr::GroupBy(g)] = f.clauses.as_slice() else {
-            panic!("not scan + group by: {:?}", f.clauses)
+        let [ClauseIr::For { slot: item, .. }, ClauseIr::GroupBy(g)] =
+            f.clauses().collect::<Vec<_>>()[..]
+        else {
+            panic!("not scan + group by: {:?}", f.ops)
         };
-        assert_eq!(f.plan, [PlanOpIr::ForScan, PlanOpIr::GroupConsume]);
+        let kinds: Vec<OpKind> = f.ops.iter().map(OpKind::of).collect();
+        assert_eq!(kinds, [OpKind::ForScan, OpKind::GroupConsume]);
         assert_eq!((g.keys.len(), g.nests.len()), (1, 1));
         assert_eq!((g.keys[0].slot, g.nests[0].slot, *item), (0, 2, 1));
         assert!(matches!(&g.nests[0].expr, Ir::Var(v) if v == item));
@@ -1047,7 +1049,7 @@ mod tests {
         let Ir::Flwor(f) = &body else {
             panic!("not a flwor")
         };
-        assert_eq!(f.clauses.len(), 2, "where exists($items) is dropped");
+        assert_eq!(f.ops.len(), 2, "where exists($items) is dropped");
     }
 
     #[test]

@@ -68,7 +68,10 @@ impl TraceEvent {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal: the one escaper
+/// behind every JSON document the engine, the service and the CLI
+/// write by hand.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -252,6 +255,7 @@ mod tests {
             "{\"ts_ns\":1,\"query_id\":2,\"phase\":\"rewrite-fired\",\
              \"detail\":\"say \\\"hi\\\"\\nagain\\\\\"}"
         );
+        assert_eq!(json_escape("\u{1}\t\r"), "\\u0001\\t\\r");
     }
 
     #[test]

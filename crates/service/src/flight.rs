@@ -22,8 +22,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::http::json_escape;
 use crate::metrics::LatencyHistogram;
+use xqa_engine::trace::json_escape;
 
 /// Everything the recorder retains about one completed request.
 #[derive(Debug, Clone)]

@@ -318,25 +318,6 @@ pub fn query_param<'a>(target: &'a str, key: &str) -> Option<&'a str> {
     })
 }
 
-/// Minimal JSON string escaping for error payloads.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -561,12 +542,6 @@ mod tests {
             text.ends_with("\r\n\r\n4\r\n<a/>\r\n10\r\nxxxxxxxxxxxxxxxx\r\n0\r\n\r\n"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -60,6 +60,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use xqa_engine::trace::json_escape;
 use xqa_engine::{
     Engine, EngineOptions, EvalStats, EvalStatsSnapshot, MonotonicClock, OpKind, QueryProfile,
     RewriteKind, TraceRing, Tracer,
@@ -674,7 +675,7 @@ fn handle_query(
         };
         shared.flight.record(record);
     }
-    let id_json = http::json_escape(&request_id);
+    let id_json = json_escape(&request_id);
     match outcome {
         Ok(outcome) => {
             Metrics::bump(&shared.metrics.query_ok);
@@ -698,7 +699,7 @@ fn handle_query(
                 Some(body) if want_profile => {
                     let body = format!(
                         "{{\"request_id\":\"{id_json}\",\"result\":\"{}\",\"stats\":{},\"profile\":{}}}",
-                        http::json_escape(&body),
+                        json_escape(&body),
                         outcome.stats.to_json(),
                         outcome.profile.to_json()
                     );
@@ -729,8 +730,8 @@ fn handle_query(
             Metrics::bump(&shared.metrics.query_errors);
             let body = format!(
                 "{{\"request_id\":\"{id_json}\",\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
-                http::json_escape(&kind),
-                http::json_escape(&message)
+                json_escape(&kind),
+                json_escape(&message)
             );
             respond_with(
                 stream,

@@ -1,15 +1,27 @@
 //! The query corpus shared by the rewrite-note golden
-//! (`tests/rewrite_notes.rs`) and the engine's child-enumeration check
-//! (`crates/engine/src/fold.rs`, which includes this file by path):
-//! every string literal of `tests/paper_queries.rs` and
-//! `tests/pipeline_differential.rs`, plus the paper's six `Q` and six
-//! `Qgb` templates. Most literals there are query texts, the rest
+//! (`tests/rewrite_notes.rs`) and the plan-label check
+//! (`tests/plan_labels.rs`): every string literal of
+//! `tests/paper_queries.rs` and `tests/pipeline_differential.rs`, plus
+//! the paper's six `Q` and six `Qgb` templates. Most literals there are query texts, the rest
 //! (documents, messages, hint strings) are not: callers keep the
 //! candidates that compile.
 
 const SOURCES: [&str; 2] = [
     include_str!("../paper_queries.rs"),
     include_str!("../pipeline_differential.rs"),
+];
+
+/// Absent hints (the engine decides) plus both sides of every hint the
+/// differential suites pin, and the paper's opt-in rewrite.
+pub const HINT_CELLS: [&str; 8] = [
+    "",
+    "access=walk",
+    "access=index",
+    "expr=bytecode",
+    "expr=tree",
+    "join=hash",
+    "join=nested",
+    "implicit-groupby=on",
 ];
 
 /// The grouping elements of the paper's six Section-6 experiments.
