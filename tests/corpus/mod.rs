@@ -94,7 +94,7 @@ pub fn candidates() -> Vec<String> {
 /// source text. Line comments and `'"'` char literals are skipped;
 /// escapes other than `\"`, `\\`, `\n`, `\t` and the line continuation
 /// are kept as written (such a literal is no query anyway).
-fn string_literals(src: &str, out: &mut Vec<String>) {
+pub fn string_literals(src: &str, out: &mut Vec<String>) {
     let b = src.as_bytes();
     let mut i = 0;
     while i < b.len() {
