@@ -15,6 +15,7 @@
 pub mod ast;
 pub mod error;
 pub mod lexer;
+pub mod operators;
 pub mod parser;
 pub mod unparse;
 

@@ -7,10 +7,22 @@
 //! keyword when followed by a `$variable`, `order` only at a clause
 //! boundary, and so on — which is how XQuery resolves its
 //! keywords-are-names ambiguity.
+//!
+//! Clauses and constructors have one function each. Operator
+//! expressions are one precedence-climbing (Pratt) loop over the
+//! operator table [`OPERATORS`], which says how each binary and postfix
+//! operator is spelled, how tightly it binds and whether it chains;
+//! unary `+`/`-` are the only prefix case.
+//!
+//! The syntax tree is never deeper than [`MAX_PARSE_DEPTH`]: every
+//! nested expression, folded operator, prefix sign, postfix cast and
+//! nested constructor counts one level, so recursion over the tree (here
+//! and in the engine) is bounded by the query's nesting, not its length.
 
 use crate::ast::*;
 use crate::error::{SyntaxError, SyntaxResult};
 use crate::lexer::{AttrChunkEnd, ContentChunkEnd, Lexer, Token};
+use crate::operators::{Assoc, Op, Operator, Spelling, OPERATORS, PREFIX};
 use std::collections::VecDeque;
 
 /// Parse a complete query (prolog + body).
@@ -46,14 +58,20 @@ const RESERVED_FUNCTION_NAMES: &[&str] = &[
     "typeswitch",
 ];
 
-/// Maximum expression nesting depth; guards the recursive-descent
-/// parser against stack overflow on adversarial input.
-const MAX_PARSE_DEPTH: usize = 64;
+/// Maximum depth of the syntax tree, counted in expressions from the
+/// query body down. It bounds the parser's recursion and every later
+/// recursive walk over the tree against adversarial input.
+pub const MAX_PARSE_DEPTH: usize = 64;
 
 struct Parser<'a> {
     lexer: Lexer<'a>,
     buffer: VecDeque<(Token, Span)>,
+    /// Tree level of the expression being parsed.
     depth: usize,
+    /// Deepest tree level reached by the operand being parsed. Folding an
+    /// operator over it, or wrapping it in a filter or path, moves the
+    /// whole operand one level down.
+    deepest: usize,
 }
 
 /// Result of parsing one path step.
@@ -68,6 +86,7 @@ impl<'a> Parser<'a> {
             lexer: Lexer::new(source),
             buffer: VecDeque::new(),
             depth: 0,
+            deepest: 0,
         }
     }
 
@@ -370,46 +389,47 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_expr_single(&mut self) -> SyntaxResult<Expr> {
-        if self.depth >= MAX_PARSE_DEPTH {
+        self.descend()?;
+        let kw = self.peek()?.as_name().map(str::to_owned);
+        let expr = match kw.as_deref() {
+            Some("for" | "let") if matches!(self.peek2()?, Token::VarName(_)) => self.parse_flwor(),
+            Some("for") if matches!(self.peek2()?, Token::NCName(s) if s == "tumbling" || s == "sliding") => {
+                self.parse_flwor()
+            }
+            Some(kw @ ("some" | "every")) if matches!(self.peek2()?, Token::VarName(_)) => {
+                self.parse_quantified(kw)
+            }
+            Some("if") if self.peek2()? == &Token::LParen => self.parse_if(),
+            Some(kw @ ("element" | "attribute"))
+                if matches!(self.peek2()?, Token::NCName(_) | Token::QName(..)) =>
+            {
+                self.parse_computed_constructor(kw)
+            }
+            Some("text") if self.peek2()? == &Token::LBrace => {
+                self.parse_computed_constructor("text")
+            }
+            _ => self.parse_operators(0),
+        }?;
+        self.depth -= 1;
+        Ok(expr)
+    }
+
+    /// Enter one tree level below the current one.
+    fn descend(&mut self) -> SyntaxResult<()> {
+        self.depth += 1;
+        self.reach(self.depth)
+    }
+
+    /// Record a node at tree level `level`; past [`MAX_PARSE_DEPTH`] the
+    /// query is rejected.
+    fn reach(&mut self, level: usize) -> SyntaxResult<()> {
+        self.deepest = self.deepest.max(level);
+        if level > MAX_PARSE_DEPTH {
             return Err(self.error_here(format!(
                 "expression nesting exceeds the supported depth ({MAX_PARSE_DEPTH})"
             )));
         }
-        self.depth += 1;
-        let result = self.parse_expr_single_inner();
-        self.depth -= 1;
-        result
-    }
-
-    fn parse_expr_single_inner(&mut self) -> SyntaxResult<Expr> {
-        if let Token::NCName(kw) = self.peek()? {
-            let kw = kw.clone();
-            match kw.as_str() {
-                "for" | "let" if matches!(self.peek2()?, Token::VarName(_)) => {
-                    return self.parse_flwor();
-                }
-                "for" if matches!(self.peek2()?, Token::NCName(s) if s == "tumbling" || s == "sliding") =>
-                {
-                    return self.parse_flwor();
-                }
-                "some" | "every" if matches!(self.peek2()?, Token::VarName(_)) => {
-                    return self.parse_quantified(&kw);
-                }
-                "if" if self.peek2()? == &Token::LParen => {
-                    return self.parse_if();
-                }
-                "element" | "attribute"
-                    if matches!(self.peek2()?, Token::NCName(_) | Token::QName(..)) =>
-                {
-                    return self.parse_computed_constructor(&kw);
-                }
-                "text" if self.peek2()? == &Token::LBrace => {
-                    return self.parse_computed_constructor("text");
-                }
-                _ => {}
-            }
-        }
-        self.parse_or_expr()
+        Ok(())
     }
 
     fn parse_if(&mut self) -> SyntaxResult<Expr> {
@@ -786,19 +806,13 @@ impl<'a> Parser<'a> {
         Ok(Some(OrderByClause { stable, specs }))
     }
 
-    // ---- binary operator levels -----------------------------------------
+    // ---- operators ---------------------------------------------------------
 
-    fn parse_or_expr(&mut self) -> SyntaxResult<Expr> {
-        let mut lhs = self.parse_and_expr()?;
-        while self.at_keyword("or")? {
-            self.next()?;
-            let rhs = self.parse_and_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Or(Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
+    /// Operator expressions: one precedence-climbing loop over
+    /// [`OPERATORS`], folding every operator that binds at least `min_bp`.
+    /// A right operand is parsed one level down with a tighter minimum; a
+    /// folded operator moves the left operand one level down.
+    //
     // Note on the paper's §3.3 `local:set-equal`: as printed it reads
     // `... satisfies A and every $x in ... satisfies B`. Under the real
     // XQuery grammar that is a syntax error (quantified expressions are
@@ -808,235 +822,86 @@ impl<'a> Parser<'a> {
     // therefore keep the strict grammar; the function must be written
     // with explicit parentheses: `(every ... satisfies some ...
     // satisfies $i1 eq $i2) and (every ...)`.
-    fn parse_and_expr(&mut self) -> SyntaxResult<Expr> {
-        let mut lhs = self.parse_comparison_expr()?;
-        while self.at_keyword("and")? {
-            self.next()?;
-            let rhs = self.parse_comparison_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::And(Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_comparison_expr(&mut self) -> SyntaxResult<Expr> {
-        let lhs = self.parse_range_expr()?;
-        // General comparisons.
-        let general = match self.peek()? {
-            Token::Eq => Some(Comparison::Eq),
-            Token::Ne => Some(Comparison::Ne),
-            Token::Lt => Some(Comparison::Lt),
-            Token::Le => Some(Comparison::Le),
-            Token::Gt => Some(Comparison::Gt),
-            Token::Ge => Some(Comparison::Ge),
-            _ => None,
-        };
-        if let Some(op) = general {
-            self.next()?;
-            let rhs = self.parse_range_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            return Ok(Expr::new(
-                ExprKind::GeneralComp(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            ));
-        }
-        // Node comparisons (token forms).
-        let node_cmp = match self.peek()? {
-            Token::Precedes => Some(NodeComparison::Precedes),
-            Token::Follows => Some(NodeComparison::Follows),
-            _ => None,
-        };
-        if let Some(op) = node_cmp {
-            self.next()?;
-            let rhs = self.parse_range_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            return Ok(Expr::new(
-                ExprKind::NodeComp(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            ));
-        }
-        // Keyword comparisons.
-        if let Token::NCName(kw) = self.peek()? {
-            let value = match kw.as_str() {
-                "eq" => Some(Comparison::Eq),
-                "ne" => Some(Comparison::Ne),
-                "lt" => Some(Comparison::Lt),
-                "le" => Some(Comparison::Le),
-                "gt" => Some(Comparison::Gt),
-                "ge" => Some(Comparison::Ge),
-                _ => None,
-            };
-            if let Some(op) = value {
-                self.next()?;
-                let rhs = self.parse_range_expr()?;
-                let span = lhs.span.merge(rhs.span);
-                return Ok(Expr::new(
-                    ExprKind::ValueComp(op, Box::new(lhs), Box::new(rhs)),
-                    span,
-                ));
-            }
-            if kw == "is" {
-                self.next()?;
-                let rhs = self.parse_range_expr()?;
-                let span = lhs.span.merge(rhs.span);
-                return Ok(Expr::new(
-                    ExprKind::NodeComp(NodeComparison::Is, Box::new(lhs), Box::new(rhs)),
-                    span,
-                ));
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn parse_range_expr(&mut self) -> SyntaxResult<Expr> {
-        let lhs = self.parse_additive_expr()?;
-        if self.at_keyword("to")? {
-            self.next()?;
-            let rhs = self.parse_additive_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            return Ok(Expr::new(
-                ExprKind::Range(Box::new(lhs), Box::new(rhs)),
-                span,
-            ));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive_expr(&mut self) -> SyntaxResult<Expr> {
-        let mut lhs = self.parse_multiplicative_expr()?;
-        loop {
-            let op = match self.peek()? {
-                Token::Plus => ArithOp::Add,
-                Token::Minus => ArithOp::Sub,
-                _ => break,
-            };
-            self.next()?;
-            let rhs = self.parse_multiplicative_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Arith(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative_expr(&mut self) -> SyntaxResult<Expr> {
-        let mut lhs = self.parse_union_expr()?;
-        loop {
-            let op = match self.peek()? {
-                Token::Star => ArithOp::Mul,
-                Token::NCName(s) if s == "div" => ArithOp::Div,
-                Token::NCName(s) if s == "idiv" => ArithOp::IDiv,
-                Token::NCName(s) if s == "mod" => ArithOp::Mod,
-                _ => break,
-            };
-            self.next()?;
-            let rhs = self.parse_union_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::Arith(op, Box::new(lhs), Box::new(rhs)), span);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_union_expr(&mut self) -> SyntaxResult<Expr> {
-        let mut lhs = self.parse_intersect_expr()?;
-        loop {
-            let is_union = matches!(self.peek()?, Token::Pipe)
-                || matches!(self.peek()?, Token::NCName(s) if s == "union");
-            if !is_union {
+    fn parse_operators(&mut self, min_bp: u8) -> SyntaxResult<Expr> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
+        let mut lhs = self.parse_unary()?;
+        // After a non-associative operator nothing as tight may follow.
+        let mut max_bp = u8::MAX;
+        while let Some((row, tokens)) = self.peek_operator()? {
+            if row.bp < min_bp || row.bp > max_bp {
                 break;
             }
-            self.next()?;
-            let rhs = self.parse_intersect_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(
-                ExprKind::SetOp(SetOp::Union, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
-        }
-        Ok(lhs)
-    }
-
-    fn parse_intersect_expr(&mut self) -> SyntaxResult<Expr> {
-        let mut lhs = self.parse_instanceof_expr()?;
-        loop {
-            let op = match self.peek()? {
-                Token::NCName(s) if s == "intersect" => SetOp::Intersect,
-                Token::NCName(s) if s == "except" => SetOp::Except,
-                _ => break,
+            self.reach(self.deepest + 1)?;
+            for _ in 0..tokens {
+                self.next()?;
+            }
+            let mut span = lhs.span;
+            let operand = Box::new(lhs);
+            let kind = match row.op {
+                Op::Infix(op) => {
+                    self.depth += 1;
+                    let rhs = self.parse_operators(row.bp + 1)?;
+                    self.depth -= 1;
+                    span = span.merge(rhs.span);
+                    op.build(operand, Box::new(rhs))
+                }
+                Op::InstanceOf => ExprKind::InstanceOf(operand, self.parse_sequence_type()?),
+                Op::CastableAs | Op::CastAs => {
+                    let (name, _) = self.expect_name()?;
+                    let optional = self.eat_token(&Token::Question)?;
+                    if row.op == Op::CastAs {
+                        ExprKind::CastAs(operand, name, optional)
+                    } else {
+                        ExprKind::CastableAs(operand, name, optional)
+                    }
+                }
             };
-            self.next()?;
-            let rhs = self.parse_instanceof_expr()?;
-            let span = lhs.span.merge(rhs.span);
-            lhs = Expr::new(ExprKind::SetOp(op, Box::new(lhs), Box::new(rhs)), span);
+            lhs = Expr::new(kind, span);
+            max_bp = match row.assoc {
+                Assoc::Left => row.bp,
+                Assoc::Non => row.bp - 1,
+            };
         }
+        self.deepest = self.deepest.max(outer);
         Ok(lhs)
     }
 
-    fn parse_instanceof_expr(&mut self) -> SyntaxResult<Expr> {
-        let lhs = self.parse_cast_expr()?;
-        if self.at_keyword("instance")? && matches!(self.peek2()?, Token::NCName(s) if s == "of") {
-            self.next()?;
-            self.next()?;
-            let ty = self.parse_sequence_type()?;
-            let span = lhs.span;
-            return Ok(Expr::new(ExprKind::InstanceOf(Box::new(lhs), ty), span));
-        }
-        Ok(lhs)
+    /// The operator the next tokens spell, and how many tokens that takes.
+    fn peek_operator(&mut self) -> SyntaxResult<Option<(&'static Operator, usize)>> {
+        let token = self.peek()?;
+        let name = token.as_name();
+        let found = OPERATORS.iter().find_map(|row| {
+            let spelling = row.spellings.iter().find(|s| match s {
+                Spelling::Symbol(t, _) => t == token,
+                // The token is the keyword or its first word.
+                Spelling::Keyword(text) => name.is_some_and(|n| {
+                    text.strip_prefix(n)
+                        .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+                }),
+            })?;
+            Some((row, spelling.text()))
+        });
+        let Some((row, text)) = found else {
+            return Ok(None);
+        };
+        Ok(match text.split_once(' ') {
+            None => Some((row, 1)),
+            Some((_, second)) => (self.peek2()?.as_name() == Some(second)).then_some((row, 2)),
+        })
     }
 
-    fn parse_cast_expr(&mut self) -> SyntaxResult<Expr> {
-        let lhs = self.parse_castable_expr()?;
-        if self.at_keyword("cast")? && matches!(self.peek2()?, Token::NCName(s) if s == "as") {
-            self.next()?;
-            self.next()?;
-            let (name, _) = self.expect_name()?;
-            let optional = self.eat_token(&Token::Question)?;
-            let span = lhs.span;
-            return Ok(Expr::new(
-                ExprKind::CastAs(Box::new(lhs), name, optional),
-                span,
-            ));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_castable_expr(&mut self) -> SyntaxResult<Expr> {
-        let lhs = self.parse_unary_expr()?;
-        if self.at_keyword("castable")? && matches!(self.peek2()?, Token::NCName(s) if s == "as") {
-            self.next()?;
-            self.next()?;
-            let (name, _) = self.expect_name()?;
-            let optional = self.eat_token(&Token::Question)?;
-            let span = lhs.span;
-            return Ok(Expr::new(
-                ExprKind::CastableAs(Box::new(lhs), name, optional),
-                span,
-            ));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary_expr(&mut self) -> SyntaxResult<Expr> {
-        match self.peek()? {
-            Token::Minus => {
-                let start = self.next()?.1;
-                let inner = self.parse_unary_expr()?;
-                let span = start.merge(inner.span);
-                Ok(Expr::new(
-                    ExprKind::Unary(UnaryOp::Neg, Box::new(inner)),
-                    span,
-                ))
-            }
-            Token::Plus => {
-                let start = self.next()?.1;
-                let inner = self.parse_unary_expr()?;
-                let span = start.merge(inner.span);
-                Ok(Expr::new(
-                    ExprKind::Unary(UnaryOp::Plus, Box::new(inner)),
-                    span,
-                ))
-            }
-            _ => self.parse_path_expr(),
-        }
+    /// `("-" | "+")* PathExpr`, each sign one tree level.
+    fn parse_unary(&mut self) -> SyntaxResult<Expr> {
+        let token = self.peek()?;
+        let Some(&(op, ..)) = PREFIX.iter().find(|(_, t, _)| t == token) else {
+            return self.parse_path_expr();
+        };
+        let start = self.next()?.1;
+        self.descend()?;
+        let operand = self.parse_unary()?;
+        self.depth -= 1;
+        let span = start.merge(operand.span);
+        Ok(Expr::new(ExprKind::Unary(op, Box::new(operand)), span))
     }
 
     // ---- paths -----------------------------------------------------------
@@ -1063,53 +928,33 @@ impl<'a> Parser<'a> {
                 let steps = vec![descendant_or_self_step()];
                 self.parse_relative_path(PathStart::Root, steps, start_span, true)
             }
-            _ => {
-                let first = self.parse_step()?;
-                let continues = matches!(self.peek()?, Token::Slash | Token::DoubleSlash);
-                match first {
-                    StepOrExpr::Primary { expr, predicates } if !continues => {
-                        if predicates.is_empty() {
-                            Ok(expr)
-                        } else {
-                            let span = expr.span;
-                            Ok(Expr::new(
-                                ExprKind::Filter {
-                                    base: Box::new(expr),
-                                    predicates,
-                                },
-                                span,
-                            ))
-                        }
+            _ => match self.parse_step()? {
+                StepOrExpr::Primary { expr, predicates } => {
+                    let base = self.filter(expr, predicates)?;
+                    if !matches!(self.peek()?, Token::Slash | Token::DoubleSlash) {
+                        return Ok(base);
                     }
-                    StepOrExpr::Primary { expr, predicates } => {
-                        let base = if predicates.is_empty() {
-                            expr
-                        } else {
-                            let span = expr.span;
-                            Expr::new(
-                                ExprKind::Filter {
-                                    base: Box::new(expr),
-                                    predicates,
-                                },
-                                span,
-                            )
-                        };
-                        self.parse_relative_path(
-                            PathStart::Expr(base),
-                            Vec::new(),
-                            start_span,
-                            false,
-                        )
-                    }
-                    StepOrExpr::Step(step) => self.parse_relative_path(
-                        PathStart::Context,
-                        vec![Step::Axis(step)],
-                        start_span,
-                        false,
-                    ),
+                    self.parse_relative_path(PathStart::Expr(base), Vec::new(), start_span, false)
                 }
-            }
+                StepOrExpr::Step(step) => self.parse_relative_path(
+                    PathStart::Context,
+                    vec![Step::Axis(step)],
+                    start_span,
+                    false,
+                ),
+            },
         }
+    }
+
+    /// `expr[p1][p2]...`, or `expr` itself when there is no predicate.
+    fn filter(&mut self, expr: Expr, predicates: Vec<Expr>) -> SyntaxResult<Expr> {
+        if predicates.is_empty() {
+            return Ok(expr);
+        }
+        self.reach(self.deepest + 1)?;
+        let span = expr.span;
+        let base = Box::new(expr);
+        Ok(Expr::new(ExprKind::Filter { base, predicates }, span))
     }
 
     /// Continue a path after its start: `("/" | "//") StepExpr` repeats.
@@ -1122,26 +967,21 @@ impl<'a> Parser<'a> {
         start_span: Span,
         mut need_step: bool,
     ) -> SyntaxResult<Expr> {
-        loop {
-            if need_step || matches!(self.peek()?, Token::Slash | Token::DoubleSlash) {
-                if !need_step {
-                    match self.next()?.0 {
-                        Token::Slash => {}
-                        Token::DoubleSlash => steps.push(descendant_or_self_step()),
-                        _ => unreachable!(),
-                    }
-                }
-                need_step = false;
-                let step = self.parse_step()?;
-                match step {
-                    StepOrExpr::Step(s) => steps.push(Step::Axis(s)),
-                    StepOrExpr::Primary { expr, predicates } => {
-                        steps.push(Step::Expr { expr, predicates })
-                    }
-                }
-            } else {
-                break;
+        while need_step || matches!(self.peek()?, Token::Slash | Token::DoubleSlash) {
+            if !need_step && self.next()?.0 == Token::DoubleSlash {
+                steps.push(descendant_or_self_step());
             }
+            need_step = false;
+            steps.push(match self.parse_step()? {
+                StepOrExpr::Step(s) => Step::Axis(s),
+                StepOrExpr::Primary { expr, predicates } => Step::Expr { expr, predicates },
+            });
+        }
+        // An expression start or step sits one level below the path.
+        if matches!(start, PathStart::Expr(_))
+            || steps.iter().any(|s| matches!(s, Step::Expr { .. }))
+        {
+            self.reach(self.deepest + 1)?;
         }
         let end = steps.last().map(step_span).unwrap_or(start_span);
         let span = start_span.merge(end);
@@ -1493,7 +1333,9 @@ impl<'a> Parser<'a> {
                 ContentChunkEnd::StartTagOpen => {
                     let child_start = Span::new(self.lexer.position(), self.lexer.position());
                     let child_name = self.lexer.raw_name()?;
+                    self.descend()?;
                     let child = self.parse_direct_element(child_name, child_start)?;
+                    self.depth -= 1;
                     content.push(ContentPart::Child(child));
                 }
                 ContentChunkEnd::OpenBrace => {
@@ -1503,6 +1345,7 @@ impl<'a> Parser<'a> {
                     content.push(ContentPart::Enclosed(expr));
                 }
                 ContentChunkEnd::CommentStart => {
+                    self.reach(self.depth + 1)?;
                     let text = self.lexer.raw_until("-->")?;
                     let span = Span::new(start.start, self.lexer.position());
                     content.push(ContentPart::Child(Expr::new(
@@ -1511,6 +1354,7 @@ impl<'a> Parser<'a> {
                     )));
                 }
                 ContentChunkEnd::PiStart => {
+                    self.reach(self.depth + 1)?;
                     let target = self.lexer.raw_name()?;
                     self.lexer.raw_skip_ws();
                     let data = self.lexer.raw_until("?>")?;
@@ -2129,6 +1973,44 @@ mod tests {
             expr("$x cast as xs:integer?").kind,
             ExprKind::CastAs(_, _, true)
         ));
+    }
+
+    #[test]
+    fn cast_binds_tighter_than_castable() {
+        // XQuery 1.0 [54] CastableExpr ::= CastExpr ("castable" "as" SingleType)?
+        match expr("\"5\" cast as xs:integer castable as xs:integer").kind {
+            ExprKind::CastableAs(inner, _, false) => {
+                assert!(matches!(inner.kind, ExprKind::CastAs(..)))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let err = parse_expression("\"5\" castable as xs:integer cast as xs:string").unwrap_err();
+        assert!(err.message.contains("\"cast\" after end"), "{err}");
+        // A prefix sign binds tighter still.
+        assert!(matches!(
+            expr("-$x cast as xs:double").kind,
+            ExprKind::CastAs(ref e, ..) if matches!(e.kind, ExprKind::Unary(..))
+        ));
+    }
+
+    #[test]
+    fn non_associative_operators_do_not_chain() {
+        for src in [
+            "1 = 2 = 3",
+            "1 to 2 to 3",
+            "1 and 2 = 3 = 4",
+            "1 + 2 eq 3 lt 4",
+        ] {
+            assert!(parse_expression(src).is_err(), "{src}");
+        }
+        assert!(parse_expression("$x instance of xs:integer instance of xs:boolean").is_err());
+        // Left-associative ones fold to the left.
+        match expr("1 - 2 - 3").kind {
+            ExprKind::Arith(ArithOp::Sub, lhs, _) => {
+                assert!(matches!(lhs.kind, ExprKind::Arith(ArithOp::Sub, ..)))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -377,6 +377,33 @@ fn malformed_requests_get_clean_4xx_responses() {
     server.shutdown();
 }
 
+#[test]
+fn a_query_nested_past_the_parser_bound_is_a_400_and_the_server_lives_on() {
+    // A 1 000-term `1+1+...+1` (2 KB) once overflowed a worker's 2 MiB
+    // stack, which panic isolation cannot catch: it aborted the server.
+    let server = default_server();
+    let addr = server.local_addr();
+    let query = vec!["1"; 1_000].join("+");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(post_query_raw(&query, "Connection: close\r\n").as_bytes())
+        .expect("send");
+    let (head, body) = read_response(&mut BufReader::new(stream));
+    assert_eq!(status_of(&head), 400, "{body}");
+    assert!(
+        body.contains("nesting exceeds the supported depth"),
+        "{body}"
+    );
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let (head, body) = read_response(&mut BufReader::new(stream));
+    assert_eq!(status_of(&head), 200);
+    assert_eq!(body, "ok\n");
+    server.shutdown();
+}
+
 /// The differential corpus: every query here must serialize to the
 /// same bytes whether streamed (chunked) or buffered (`stream=false`).
 const CORPUS: &[&str] = &[
