@@ -536,6 +536,7 @@ impl Compiler {
                     expr,
                     order_by,
                     slot,
+                    var: nest.var.clone(),
                 });
             }
             clauses.push(ir::ClauseIr::GroupBy(ir::GroupByIr { keys, nests }));

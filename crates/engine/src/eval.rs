@@ -528,26 +528,18 @@ impl<'a> Interpreter<'a> {
                     ))
                 }
             };
-            let candidates = match self.index_candidates(access, name, node) {
+            let start = out.len();
+            match self.index_candidates(access, name, node) {
                 Some(nodes) => {
                     self.stats.scan_index_hits.add(1);
                     self.stats.scan_index_tuples.add(nodes.len() as u64);
-                    nodes
+                    out.extend(nodes.into_iter().map(Item::Node));
                 }
-                None => self.axis_nodes(Axis::Descendant, node, test),
-            };
-            if predicates.is_empty() {
-                out.extend(candidates.into_iter().map(Item::Node));
-            } else {
-                // Residual predicates always re-run on the candidates
-                // (the index prefilters; the walk semantics decide).
-                let filtered = self.apply_predicates(
-                    candidates.into_iter().map(Item::Node).collect(),
-                    predicates,
-                    env,
-                )?;
-                out.extend(filtered);
+                None => self.axis_nodes(Axis::Descendant, node, test, &mut out),
             }
+            // Residual predicates always re-run on the candidates (the
+            // index prefilters; the walk semantics decide).
+            self.filter_tail(&mut out, start, predicates, env)?;
         }
         dedup_sort_document_order(&mut out);
         Ok(out.into())
@@ -596,6 +588,16 @@ impl<'a> Interpreter<'a> {
                 test,
                 predicates,
             } => {
+                // From one node without predicates, a child or attribute
+                // step's candidates are already in document order and
+                // distinct: they are the result as they come.
+                if let ([Item::Node(node)], [], Axis::Child | Axis::Attribute) =
+                    (input.as_slice(), predicates.as_slice(), axis)
+                {
+                    let mut out = SequenceBuilder::new();
+                    self.axis_nodes(*axis, node, test, &mut out);
+                    return Ok(out.build());
+                }
                 let mut out: Vec<Item> = Vec::new();
                 for item in &input {
                     let node = match item {
@@ -607,17 +609,9 @@ impl<'a> Interpreter<'a> {
                             ))
                         }
                     };
-                    let candidates = self.axis_nodes(*axis, node, test);
-                    if predicates.is_empty() {
-                        out.extend(candidates.into_iter().map(Item::Node));
-                    } else {
-                        let filtered = self.apply_predicates(
-                            candidates.into_iter().map(Item::Node).collect(),
-                            predicates,
-                            env,
-                        )?;
-                        out.extend(filtered);
-                    }
+                    let start = out.len();
+                    self.axis_nodes(*axis, node, test, &mut out);
+                    self.filter_tail(&mut out, start, predicates, env)?;
                 }
                 dedup_sort_document_order(&mut out);
                 Ok(out.into())
@@ -665,59 +659,78 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// The nodes selected by `axis::test` from `node`, in axis order.
-    fn axis_nodes(&self, axis: Axis, node: &NodeHandle, test: &NodeTestIr) -> Vec<NodeHandle> {
+    /// Append the nodes selected by `axis::test` from `node` to `out`, in
+    /// axis order. A `child::name` step compares name ids and makes a
+    /// handle only for a match; every node examined counts as visited.
+    fn axis_nodes(
+        &self,
+        axis: Axis,
+        node: &NodeHandle,
+        test: &NodeTestIr,
+        out: &mut impl Extend<Item>,
+    ) {
         let stats = &self.stats;
         let mut visited = 0u64;
-        let out: Vec<NodeHandle> = match axis {
-            Axis::Child => node
-                .children()
-                .inspect(|_| visited += 1)
-                .filter(|n| test_matches(test, n, false))
-                .collect(),
-            Axis::Attribute => node
-                .attributes()
-                .inspect(|_| visited += 1)
-                .filter(|n| test_matches(test, n, true))
-                .collect(),
-            Axis::Descendant => node
-                .descendants()
-                .inspect(|_| visited += 1)
-                .filter(|n| test_matches(test, n, false))
-                .collect(),
-            Axis::DescendantOrSelf => node
-                .descendants_or_self()
-                .inspect(|_| visited += 1)
-                .filter(|n| test_matches(test, n, false))
-                .collect(),
+        let mut walked = 0u64;
+        let keep = |n: &NodeHandle| test_matches(test, n, false);
+        match axis {
+            Axis::Child => match test {
+                NodeTestIr::Name(name) => {
+                    let mut named = node.child_elements_named(name);
+                    out.extend(named.by_ref().map(Item::Node));
+                    visited += named.examined();
+                }
+                _ => out.extend(
+                    node.children()
+                        .inspect(|_| visited += 1)
+                        .filter(keep)
+                        .map(Item::Node),
+                ),
+            },
+            Axis::Attribute => out.extend(
+                node.attributes()
+                    .inspect(|_| visited += 1)
+                    .filter(|n| test_matches(test, n, true))
+                    .map(Item::Node),
+            ),
+            Axis::Descendant => out.extend(
+                node.descendants()
+                    .inspect(|_| visited += 1)
+                    .filter(keep)
+                    .inspect(|_| walked += 1)
+                    .map(Item::Node),
+            ),
+            Axis::DescendantOrSelf => out.extend(
+                node.descendants_or_self()
+                    .inspect(|_| visited += 1)
+                    .filter(keep)
+                    .inspect(|_| walked += 1)
+                    .map(Item::Node),
+            ),
             Axis::SelfAxis => {
                 visited += 1;
-                if test_matches(test, node, false) {
-                    vec![node.clone()]
-                } else {
-                    vec![]
-                }
+                out.extend(keep(node).then(|| Item::Node(node.clone())));
             }
             Axis::Parent => {
                 visited += 1;
-                node.parent()
-                    .filter(|n| test_matches(test, n, false))
-                    .into_iter()
-                    .collect()
+                out.extend(node.parent().filter(keep).map(Item::Node));
             }
-            Axis::Ancestor => node
-                .ancestors()
-                .inspect(|_| visited += 1)
-                .filter(|n| test_matches(test, n, false))
-                .collect(),
-            Axis::AncestorOrSelf => std::iter::once(node.clone())
-                .chain(node.ancestors())
-                .inspect(|_| visited += 1)
-                .filter(|n| test_matches(test, n, false))
-                .collect(),
+            Axis::Ancestor => out.extend(
+                node.ancestors()
+                    .inspect(|_| visited += 1)
+                    .filter(keep)
+                    .map(Item::Node),
+            ),
+            Axis::AncestorOrSelf => out.extend(
+                std::iter::once(node.clone())
+                    .chain(node.ancestors())
+                    .inspect(|_| visited += 1)
+                    .filter(keep)
+                    .map(Item::Node),
+            ),
             Axis::FollowingSibling | Axis::PrecedingSibling => {
                 let Some(parent) = node.parent() else {
-                    return Vec::new();
+                    return;
                 };
                 let siblings: Vec<NodeHandle> = parent.children().collect();
                 visited += siblings.len() as u64;
@@ -725,22 +738,47 @@ impl<'a> Interpreter<'a> {
                     .iter()
                     .position(|s| s.is_same_node(node))
                     .expect("node is among its parent's children");
-                let mut picked: Vec<NodeHandle> = if axis == Axis::FollowingSibling {
-                    siblings[pos + 1..].to_vec()
+                if axis == Axis::FollowingSibling {
+                    out.extend(
+                        siblings[pos + 1..]
+                            .iter()
+                            .filter(|n| keep(n))
+                            .cloned()
+                            .map(Item::Node),
+                    );
                 } else {
-                    let mut v = siblings[..pos].to_vec();
-                    v.reverse(); // axis order: nearest sibling first
-                    v
-                };
-                picked.retain(|n| test_matches(test, n, false));
-                picked
+                    // Axis order: nearest sibling first.
+                    out.extend(
+                        siblings[..pos]
+                            .iter()
+                            .rev()
+                            .filter(|n| keep(n))
+                            .cloned()
+                            .map(Item::Node),
+                    );
+                }
             }
-        };
+        }
         stats.nodes_visited.add(visited);
         if matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
-            stats.scan_walk_tuples.add(out.len() as u64);
+            stats.scan_walk_tuples.add(walked);
         }
-        out
+    }
+
+    /// Run `predicates` over the candidates `out[start..]` of one origin
+    /// node, keeping the survivors in their place.
+    fn filter_tail(
+        &self,
+        out: &mut Vec<Item>,
+        start: usize,
+        predicates: &[Ir],
+        env: &mut Env,
+    ) -> EngineResult<()> {
+        if !predicates.is_empty() {
+            let candidates: Sequence = out.drain(start..).collect::<Vec<_>>().into();
+            out.extend(self.apply_predicates(candidates, predicates, env)?);
+        }
+        Ok(())
     }
 
     /// Apply predicates to a sequence with the usual focus/positional

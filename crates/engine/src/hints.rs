@@ -22,7 +22,7 @@ impl HintKey {
 }
 
 /// In [`PlanHints::slots`] order.
-const KEYS: [HintKey; 5] = [
+const KEYS: [HintKey; 6] = [
     HintKey {
         key: "join",
         on: "hash",
@@ -59,14 +59,21 @@ const KEYS: [HintKey; 5] = [
                has each key exactly once) | leave as written",
         absent: "off",
     },
+    HintKey {
+        key: "nest-agg",
+        on: "on",
+        off: "off",
+        pins: "group-by nests read only by count(): keep a running count | keep every member",
+        absent: "on",
+    },
 ];
 
 /// Optional pins on the planner's decisions. An absent hint (`None`,
 /// the default) means the engine decides; `Some(true)` / `Some(false)`
-/// force one side. The first four never change a result: every forced
-/// path keeps the per-item fallbacks that make it byte-identical to its
-/// reference. `implicit_groupby` is the paper's opt-in rewrite and
-/// carries its premise (see [`crate::rewrite`]).
+/// force one side. All but `implicit_groupby` never change a result:
+/// every forced path keeps the per-item fallbacks that make it
+/// byte-identical to its reference. `implicit_groupby` is the paper's
+/// opt-in rewrite and carries its premise (see [`crate::rewrite`]).
 ///
 /// Parses from and prints as `key=value[,key=value...]` (the empty
 /// string at default); see [`PlanHints::table`] for the keys.
@@ -111,6 +118,11 @@ pub struct PlanHints {
     /// rewrites were performed to detect the group-by implied in the
     /// query").
     pub implicit_groupby: Option<bool>,
+    /// `nest-agg=on|off`: a `group by` nest that every later clause and
+    /// the return expression read only as `count($nest)` (and that has
+    /// no `order by`) keeps a running item count per group instead of
+    /// its members, or always keep the members. Absent: on.
+    pub nest_agg: Option<bool>,
 }
 
 impl PlanHints {
@@ -121,6 +133,7 @@ impl PlanHints {
             &mut self.bytecode,
             &mut self.topk,
             &mut self.implicit_groupby,
+            &mut self.nest_agg,
         ]
     }
 
@@ -132,6 +145,7 @@ impl PlanHints {
             bytecode: self.bytecode.or(fallback.bytecode),
             topk: self.topk.or(fallback.topk),
             implicit_groupby: self.implicit_groupby.or(fallback.implicit_groupby),
+            nest_agg: self.nest_agg.or(fallback.nest_agg),
         }
     }
 
@@ -220,7 +234,7 @@ mod tests {
                 }
             }
         }
-        let all = "join=nested,access=index,expr=tree,topk=off,implicit-groupby=on";
+        let all = "join=nested,access=index,expr=tree,topk=off,implicit-groupby=on,nest-agg=off";
         let hints: PlanHints = all.parse().unwrap();
         assert_eq!(hints.to_string(), all);
         assert_eq!(hints.to_string().parse::<PlanHints>().unwrap(), hints);

@@ -268,6 +268,13 @@ pub struct OpIr {
     /// [`crate::estimate`]). `None` before [`crate::rewrite::plan`]
     /// runs, and where it has no basis.
     pub estimate: Option<u64>,
+    /// Set by the planner's nest-aggregation rule on a `group by`: the
+    /// positions in [`GroupByIr::nests`] of the nests read only through
+    /// `count(...)`. The group operator keeps a running item count for
+    /// each instead of its members and binds the nest slot to that
+    /// `xs:integer`; the rule has turned every `count($nest)` into a
+    /// read of the slot.
+    pub counted_nests: Vec<usize>,
 }
 
 impl From<ClauseIr> for OpIr {
@@ -278,6 +285,7 @@ impl From<ClauseIr> for OpIr {
             join: None,
             program: None,
             estimate: None,
+            counted_nests: Vec::new(),
         }
     }
 }
@@ -285,13 +293,22 @@ impl From<ClauseIr> for OpIr {
 impl OpIr {
     /// The plan detail: a join's key description, a bounded order-by's
     /// `limit=k`, the index access path of a `for` over an annotated
-    /// path (so plans show where the tuples come from); else empty.
+    /// path (so plans show where the tuples come from), a group-by's
+    /// counted nests as `agg count($v)`; else empty.
     pub fn detail(&self) -> String {
         if let Some(j) = &self.join {
             return j.key_desc.clone();
         }
         match &self.clause {
             ClauseIr::OrderBy(OrderByIr { limit: Some(k), .. }) => format!("limit={k}"),
+            ClauseIr::GroupBy(g) if !self.counted_nests.is_empty() => {
+                let counts: Vec<String> = self
+                    .counted_nests
+                    .iter()
+                    .map(|&i| format!("count(${})", g.nests[i].var))
+                    .collect();
+                format!("agg {}", counts.join(", "))
+            }
             ClauseIr::For {
                 expr: Ir::Path(p), ..
             } => p.describe_access(false),
@@ -595,6 +612,8 @@ pub struct NestIr {
     pub order_by: Option<OrderByIr>,
     /// Output slot for the nesting variable.
     pub slot: Slot,
+    /// The nesting variable's name, without the `$` (plan labels only).
+    pub var: String,
 }
 
 /// A compiled `order by` clause.
@@ -863,10 +882,10 @@ mod tests {
             kinds,
             [ForScan, LetBind, CountBind, Filter, GroupConsume, OrderBy]
         );
-        assert!(f
-            .ops
-            .iter()
-            .all(|op| op.join.is_none() && op.program.is_none() && op.estimate.is_none()));
+        assert!(f.ops.iter().all(|op| op.join.is_none()
+            && op.program.is_none()
+            && op.estimate.is_none()
+            && op.counted_nests.is_empty()));
         assert_eq!(f.return_estimate, None);
         assert!(crate::explain::explain_query(&query).contains(
             "pipeline: ForScan -> LetBind -> CountBind -> Filter -> \

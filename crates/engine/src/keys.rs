@@ -59,77 +59,89 @@ pub fn atomic_key(v: &AtomicValue, out: &mut String) {
 }
 
 /// Append a structural key for a node, mirroring `fn:deep-equal`:
-/// kind + name + (sorted) attributes + significant children.
+/// kind + name + (sorted) attributes + significant children. Names are
+/// written in place and text is borrowed from the document's arena, so
+/// a key costs no allocation (an element with two or more attributes
+/// sorts them in a scratch vector).
 pub fn node_key(n: &NodeHandle, out: &mut String) {
+    use std::fmt::Write;
+    let name = |out: &mut String| {
+        if let Some(name) = n.name() {
+            let _ = write!(out, "{name}");
+        }
+    };
+    let text = n.raw_text().unwrap_or_default();
     match n.kind() {
         NodeKind::Document => {
             out.push_str("D[");
-            for c in n.children() {
-                node_key(&c, out);
-            }
+            significant_children_keys(n, out);
             out.push(']');
         }
         NodeKind::Element => {
             out.push_str("E<");
-            if let Some(name) = n.name() {
-                out.push_str(&name.to_string());
-            }
+            name(out);
             out.push('>');
-            let mut attrs: Vec<(String, String)> = n
-                .attributes()
-                .map(|a| {
-                    (
-                        a.name().map(|q| q.to_string()).unwrap_or_default(),
-                        a.string_value(),
-                    )
-                })
-                .collect();
-            attrs.sort();
-            for (name, value) in attrs {
-                out.push('@');
-                out.push_str(&name);
-                out.push('=');
-                out.push_str(&value);
-                out.push(';');
-            }
-            out.push('[');
-            for c in n.children() {
-                // deep-equal ignores comments and PIs inside elements.
-                if !matches!(
-                    c.kind(),
-                    NodeKind::Comment | NodeKind::ProcessingInstruction
-                ) {
-                    node_key(&c, out);
+            let attrs = n.attributes();
+            if attrs.len() < 2 {
+                attrs.for_each(|a| attribute_key(&a, out));
+            } else {
+                let mut sorted: Vec<NodeHandle> = attrs.collect();
+                sorted.sort_by(|a, b| (a.name(), a.raw_text()).cmp(&(b.name(), b.raw_text())));
+                for a in &sorted {
+                    attribute_key(a, out);
                 }
             }
+            out.push('[');
+            significant_children_keys(n, out);
             out.push(']');
         }
         NodeKind::Attribute => {
             out.push_str("A<");
-            if let Some(name) = n.name() {
-                out.push_str(&name.to_string());
-            }
+            name(out);
             out.push_str(">=");
-            out.push_str(&n.string_value());
+            out.push_str(text);
         }
         NodeKind::Text => {
             out.push_str("T:");
-            out.push_str(&n.string_value());
+            out.push_str(text);
             out.push('\u{0}');
         }
         NodeKind::Comment => {
             out.push_str("C:");
-            out.push_str(&n.string_value());
+            out.push_str(text);
             out.push('\u{0}');
         }
         NodeKind::ProcessingInstruction => {
             out.push_str("P<");
-            if let Some(name) = n.name() {
-                out.push_str(&name.to_string());
-            }
+            name(out);
             out.push_str(">:");
-            out.push_str(&n.string_value());
+            out.push_str(text);
             out.push('\u{0}');
+        }
+    }
+}
+
+/// `@name=value;`: one attribute inside its element's key.
+fn attribute_key(a: &NodeHandle, out: &mut String) {
+    use std::fmt::Write;
+    out.push('@');
+    if let Some(name) = a.name() {
+        let _ = write!(out, "{name}");
+    }
+    out.push('=');
+    out.push_str(a.raw_text().unwrap_or_default());
+    out.push(';');
+}
+
+/// The keys of a document's or element's children, skipping comments
+/// and PIs as deep-equal does.
+fn significant_children_keys(n: &NodeHandle, out: &mut String) {
+    for c in n.children() {
+        if !matches!(
+            c.kind(),
+            NodeKind::Comment | NodeKind::ProcessingInstruction
+        ) {
+            node_key(&c, out);
         }
     }
 }
@@ -142,16 +154,9 @@ pub fn item_key(item: &Item, out: &mut String) {
     }
 }
 
-/// Canonical key of a whole sequence (order-sensitive, as the paper
-/// requires: "each permutation is considered a distinct value", §3.3).
-pub fn sequence_key(seq: &[Item]) -> String {
-    let mut out = String::with_capacity(16 * seq.len() + 2);
-    sequence_key_into(seq, &mut out);
-    out
-}
-
-/// Append the canonical key of a whole sequence to `out` (the
-/// allocation-free form of [`sequence_key`], for per-tuple hot loops).
+/// Append the canonical key of a whole sequence to `out` (order-
+/// sensitive, as the paper requires: "each permutation is considered a
+/// distinct value", §3.3).
 pub fn sequence_key_into(seq: &[Item], out: &mut String) {
     for item in seq {
         item_key(item, out);
@@ -218,22 +223,11 @@ impl GroupIndex {
     }
 
     /// Find the group whose key sequences are pairwise deep-equal to
-    /// `keys`, or insert `new_index` for them. `stored_keys(i)` yields
-    /// the key sequences of group `i` for verification.
-    pub fn find_or_insert<'a>(
-        &mut self,
-        keys: &[Sequence],
-        new_index: usize,
-        stored_keys: impl Fn(usize) -> &'a [Sequence],
-    ) -> Result<usize, usize> {
-        let mut scratch = String::new();
-        self.find_or_insert_buf(&mut scratch, keys, new_index, stored_keys)
-    }
-
-    /// [`GroupIndex::find_or_insert`] with a caller-owned scratch buffer:
-    /// the combined key is built into `scratch` and only cloned into the
-    /// map on a vacant bucket, so a hit (the common case once groups
-    /// stabilize) allocates nothing.
+    /// `keys`, or insert `new_index` for them (`Err(new_index)`).
+    /// `stored_keys(i)` yields the key sequences of group `i` for
+    /// verification. The combined key is built into the caller-owned
+    /// `scratch` and only cloned into the map on a vacant bucket, so a
+    /// hit (the common case once groups stabilize) allocates nothing.
     pub fn find_or_insert_buf<'a>(
         &mut self,
         scratch: &mut String,
@@ -266,11 +260,25 @@ impl GroupIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xqa_xdm::{Decimal, DocumentBuilder, QName};
+    use std::sync::Arc;
+    use xqa_workload::DetRng;
+    use xqa_xdm::{node_deep_equal, Decimal, Document, DocumentBuilder, QName};
 
     fn key_of(v: AtomicValue) -> String {
         let mut s = String::new();
         atomic_key(&v, &mut s);
+        s
+    }
+
+    fn sequence_key(seq: &[Item]) -> String {
+        let mut s = String::new();
+        sequence_key_into(seq, &mut s);
+        s
+    }
+
+    fn node_key_of(n: &NodeHandle) -> String {
+        let mut s = String::new();
+        node_key(n, &mut s);
         s
     }
 
@@ -355,17 +363,9 @@ mod tests {
                 .end_element();
             b.finish().root().children().next().unwrap()
         };
-        let a = make("Jim Gray");
-        let b = make("Jim Gray");
-        let c = make("Andreas Reuter");
-        let mut ka = String::new();
-        node_key(&a, &mut ka);
-        let mut kb = String::new();
-        node_key(&b, &mut kb);
-        let mut kc = String::new();
-        node_key(&c, &mut kc);
-        assert_eq!(ka, kb);
-        assert_ne!(ka, kc);
+        let a = node_key_of(&make("Jim Gray"));
+        assert_eq!(a, node_key_of(&make("Jim Gray")));
+        assert_ne!(a, node_key_of(&make("Andreas Reuter")));
     }
 
     #[test]
@@ -385,16 +385,33 @@ mod tests {
             b.end_element();
             b.finish().root().children().next().unwrap()
         };
-        let mut k1 = String::new();
-        node_key(&with_comment, &mut k1);
-        let mut k2 = String::new();
-        node_key(&without, &mut k2);
-        assert_eq!(k1, k2);
+        assert_eq!(node_key_of(&with_comment), node_key_of(&without));
+    }
+
+    /// Two documents that differ only by top-level comments and PIs are
+    /// deep-equal, so they must share a key (and a `group by` group).
+    #[test]
+    fn node_key_ignores_comments_and_pis_at_document_level() {
+        let doc = |noise: bool| {
+            let mut b = DocumentBuilder::new();
+            if noise {
+                b.comment("generated");
+            }
+            b.start_element(QName::local("r")).text("1").end_element();
+            if noise {
+                b.processing_instruction(QName::local("pi"), "x");
+            }
+            b.finish().root()
+        };
+        let (plain, noisy) = (doc(false), doc(true));
+        assert!(node_deep_equal(&plain, &noisy));
+        assert_eq!(node_key_of(&plain), node_key_of(&noisy));
     }
 
     #[test]
     fn group_index_find_or_insert() {
         let mut idx = GroupIndex::new();
+        let mut scratch = String::new();
         let keys_a: Vec<Sequence> = vec![
             vec![Item::from("West")].into(),
             vec![Item::from(2004i64)].into(),
@@ -405,21 +422,145 @@ mod tests {
         ];
         let stored: Vec<Vec<Sequence>> = vec![keys_a.clone(), keys_b.clone()];
         let lookup = |i: usize| stored[i].as_slice();
-        assert_eq!(idx.find_or_insert(&keys_a, 0, lookup), Err(0));
-        assert_eq!(idx.find_or_insert(&keys_b, 1, lookup), Err(1));
-        assert_eq!(idx.find_or_insert(&keys_a, 2, lookup), Ok(0));
-        assert_eq!(idx.find_or_insert(&keys_b, 2, lookup), Ok(1));
+        let mut find =
+            |keys: &[Sequence], new| idx.find_or_insert_buf(&mut scratch, keys, new, lookup);
+        assert_eq!(find(&keys_a, 0), Err(0));
+        assert_eq!(find(&keys_b, 1), Err(1));
+        assert_eq!(find(&keys_a, 2), Ok(0));
+        assert_eq!(find(&keys_b, 2), Ok(1));
     }
 
     #[test]
     fn empty_sequence_is_its_own_group_key() {
         let mut idx = GroupIndex::new();
+        let mut scratch = String::new();
         let empty: Vec<Sequence> = vec![Sequence::Empty];
         let nonempty: Vec<Sequence> = vec![vec![Item::from("x")].into()];
         let stored = [empty.clone(), nonempty.clone()];
         let lookup = |i: usize| stored[i].as_slice();
-        assert_eq!(idx.find_or_insert(&empty, 0, lookup), Err(0));
-        assert_eq!(idx.find_or_insert(&nonempty, 1, lookup), Err(1));
-        assert_eq!(idx.find_or_insert(&empty, 2, lookup), Ok(0));
+        let mut find =
+            |keys: &[Sequence], new| idx.find_or_insert_buf(&mut scratch, keys, new, lookup);
+        assert_eq!(find(&empty, 0), Err(0));
+        assert_eq!(find(&nonempty, 1), Err(1));
+        assert_eq!(find(&empty, 2), Ok(0));
+    }
+
+    /// A small element tree: name, attributes, children.
+    enum Spec {
+        Elem(&'static str, Vec<(&'static str, &'static str)>, Vec<Spec>),
+        Text(&'static str),
+    }
+
+    /// Tiny alphabets, so that deep-equal pairs across documents abound.
+    fn gen_spec(rng: &mut DetRng, depth: usize) -> Spec {
+        if depth > 0 && rng.gen_bool(0.3) {
+            return Spec::Text(["p", "q"][rng.gen_range(0..2usize)]);
+        }
+        let name = ["a", "b"][rng.gen_range(0..2usize)];
+        let mut attrs = Vec::new();
+        for n in ["x", "y", "z"] {
+            if rng.gen_bool(0.4) {
+                attrs.push((n, ["1", "2"][rng.gen_range(0..2usize)]));
+            }
+        }
+        let children = match depth {
+            0..=2 => (0..rng.gen_range(0..=3usize))
+                .map(|_| gen_spec(rng, depth + 1))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Spec::Elem(name, attrs, children)
+    }
+
+    /// A comment or a PI, sometimes, where deep-equal skips them.
+    fn noise(rng: &mut DetRng, b: &mut DocumentBuilder) {
+        match rng.gen_range(0..4usize) {
+            0 => {
+                b.comment("c");
+            }
+            1 => {
+                b.processing_instruction(QName::local("t"), "d");
+            }
+            _ => {}
+        }
+    }
+
+    /// Build `spec` with its attributes in a random order and random
+    /// comments and PIs around its content.
+    fn build(rng: &mut DetRng, b: &mut DocumentBuilder, spec: &Spec) {
+        match spec {
+            Spec::Text(t) => {
+                b.text(t);
+            }
+            Spec::Elem(name, attrs, children) => {
+                b.start_element(QName::local(*name));
+                let mut order: Vec<usize> = (0..attrs.len()).collect();
+                if rng.gen_bool(0.5) {
+                    order.reverse();
+                }
+                for i in order {
+                    b.attribute(QName::local(attrs[i].0), attrs[i].1);
+                }
+                for child in children {
+                    noise(rng, b);
+                    build(rng, b, child);
+                }
+                noise(rng, b);
+                b.end_element();
+            }
+        }
+    }
+
+    /// Every node of `doc`, attributes included.
+    fn all_nodes(doc: &Arc<Document>) -> Vec<NodeHandle> {
+        let root = doc.root();
+        let mut out = vec![root.clone()];
+        for n in root.descendants() {
+            out.extend(n.attributes());
+            out.push(n);
+        }
+        out
+    }
+
+    /// `node_deep_equal(a, b)` implies equal keys, and deep-equal is
+    /// reflexive and symmetric, over generated trees that differ in
+    /// attribute order, comments and PIs (inside elements and at the
+    /// document level), with mixed content, each in a document of its
+    /// own.
+    #[test]
+    fn deep_equal_nodes_share_a_key_over_generated_trees() {
+        let mut rng = DetRng::seed_from_u64(0xdee9);
+        let (mut equal_pairs, mut equal_documents) = (0, 0);
+        for _ in 0..40 {
+            let specs: Vec<Spec> = (0..3).map(|_| gen_spec(&mut rng, 0)).collect();
+            let mut nodes = Vec::new();
+            for spec in specs.iter().chain(&specs) {
+                let mut b = DocumentBuilder::new();
+                noise(&mut rng, &mut b);
+                build(&mut rng, &mut b, spec);
+                noise(&mut rng, &mut b);
+                nodes.extend(all_nodes(&b.finish()));
+            }
+            let keys: Vec<String> = nodes.iter().map(node_key_of).collect();
+            for (i, a) in nodes.iter().enumerate() {
+                assert!(node_deep_equal(a, a), "not reflexive: {a:?}");
+                for (j, b) in nodes.iter().enumerate().skip(i + 1) {
+                    let equal = node_deep_equal(a, b);
+                    assert_eq!(equal, node_deep_equal(b, a), "not symmetric: {a:?} {b:?}");
+                    if equal {
+                        assert_eq!(keys[i], keys[j], "deep-equal, keys differ: {a:?} {b:?}");
+                        equal_pairs += 1;
+                        if a.kind() == NodeKind::Document {
+                            equal_documents += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(equal_pairs > 1_000, "only {equal_pairs} deep-equal pairs");
+        assert!(
+            equal_documents > 40,
+            "only {equal_documents} deep-equal documents"
+        );
     }
 }

@@ -447,9 +447,9 @@ fn clause_source<'p>(
             n: 0,
         }),
         ClauseIr::Window(w) => Box::new(WindowScan { input, w }),
-        breaker @ (ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_)) => Box::new(Breaker {
+        ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_) => Box::new(Breaker {
             input,
-            partial: Partial::for_clause(breaker),
+            partial: Partial::for_op(op),
             output: Vec::new().into_iter(),
         }),
     }
@@ -1569,7 +1569,7 @@ impl<'p> Morsels<'_, 'p> {
         let loop_start = clock.as_ref().map(|c| c.now_nanos());
         let counters = op_counters(clock.is_some(), self.f.ops.len());
         let mut partial = match self.f.ops.get(self.cut) {
-            Some(breaker) => Partial::for_clause(&breaker.clause),
+            Some(breaker) => Partial::for_op(breaker),
             None => self.f.return_at.map(|_| Partial::collect()),
         };
         let morsel_count = self.items.len().div_ceil(MORSEL);

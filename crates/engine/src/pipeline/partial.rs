@@ -48,16 +48,21 @@ enum Kind<'p> {
 }
 
 impl<'p> Partial<'p> {
-    /// The empty partial of a breaker clause (`None` for a streaming
-    /// clause).
-    pub(super) fn for_clause(clause: &'p ClauseIr) -> Option<Partial<'p>> {
-        let kind = match clause {
+    /// The empty partial of a breaker clause record (`None` for a
+    /// streaming clause).
+    pub(super) fn for_op(op: &'p OpIr) -> Option<Partial<'p>> {
+        let kind = match &op.clause {
             ClauseIr::GroupBy(g) => Kind::Group(GroupTable {
                 g,
+                counted: (0..g.nests.len())
+                    .map(|i| op.counted_nests.contains(&i))
+                    .collect(),
                 has_using: g.keys.iter().any(|k| k.using.is_some()),
                 groups: Vec::new(),
                 index: GroupIndex::new(),
                 scratch: String::new(),
+                key_buf: Vec::with_capacity(g.keys.len()),
+                nest_buf: Vec::with_capacity(g.nests.len()),
             }),
             ClauseIr::OrderBy(ob) => Kind::Order {
                 run: OrderRun {
@@ -179,11 +184,18 @@ impl<'p> Partial<'p> {
 /// ([`GroupIndex`], scratch-buffer key building).
 struct GroupTable<'p> {
     g: &'p GroupByIr,
+    /// Per nest: whether the planner made it a running count
+    /// ([`OpIr::counted_nests`]).
+    counted: Vec<bool>,
     /// Some key compares under a user-supplied `using` function.
     has_using: bool,
     groups: Vec<GroupState>,
     index: GroupIndex,
     scratch: String,
+    /// The current tuple's key values and nest values, reused across
+    /// tuples: a tuple that joins an existing group allocates neither.
+    key_buf: Vec<Sequence>,
+    nest_buf: Vec<Member>,
 }
 
 struct GroupState {
@@ -196,8 +208,48 @@ struct GroupState {
     /// Tag of that first member. Merging keeps the `keys` and `base` of
     /// the smallest tag, and groups are emitted in `first` order.
     first: Tag,
-    /// Collected nest entries: per nest binding, per member.
-    nests: Vec<Vec<(OrderKeys, (Tag, Sequence))>>,
+    /// Per nest binding, what the group's members contributed.
+    nests: Vec<Nest>,
+}
+
+/// One member's value of one nest: its order keys, tag and value.
+type Member = (OrderKeys, (Tag, Sequence));
+
+/// One group's state of one nest binding.
+enum Nest {
+    /// Every member's entry, to be ordered and concatenated at emit.
+    Members(Vec<Member>),
+    /// The total item count of the members' values (nest values
+    /// concatenate, §3.1, so this is the count of the nest sequence).
+    Count(u64),
+}
+
+impl Nest {
+    /// The state of a nest holding just `member`.
+    fn first(counted: bool, member: Member) -> Nest {
+        let mut nest = if counted {
+            Nest::Count(0)
+        } else {
+            Nest::Members(Vec::new())
+        };
+        nest.add(member);
+        nest
+    }
+
+    fn add(&mut self, member: Member) {
+        match self {
+            Nest::Members(entries) => entries.push(member),
+            Nest::Count(n) => *n += member.1 .1.len() as u64,
+        }
+    }
+
+    fn merge(&mut self, other: Nest) {
+        match (self, other) {
+            (Nest::Members(entries), Nest::Members(more)) => entries.extend(more),
+            (Nest::Count(n), Nest::Count(more)) => *n += more,
+            _ => unreachable!("one nest binding keeps one kind of state"),
+        }
+    }
 }
 
 impl GroupTable<'_> {
@@ -211,23 +263,26 @@ impl GroupTable<'_> {
     ) -> EngineResult<()> {
         let GroupTable {
             g,
+            counted,
             has_using,
             groups,
             index,
             scratch,
+            key_buf,
+            nest_buf,
         } = self;
-        let mut key_vals: Vec<Sequence> = Vec::with_capacity(g.keys.len());
+        key_buf.clear();
+        nest_buf.clear();
         for key in &g.keys {
-            key_vals.push(interp.eval(&key.expr, env)?);
+            key_buf.push(interp.eval(&key.expr, env)?);
         }
-        let mut nest_vals = Vec::with_capacity(g.nests.len());
         for nest in &g.nests {
             let value = interp.eval(&nest.expr, env)?;
             let okeys = match &nest.order_by {
                 Some(ob) => interp.order_keys(&ob.specs, env)?,
                 None => Vec::new(),
             };
-            nest_vals.push((okeys, (tag, value)));
+            nest_buf.push((okeys, (tag, value)));
         }
 
         let group_idx = if *has_using {
@@ -237,7 +292,7 @@ impl GroupTable<'_> {
             let mut found = None;
             'groups: for (gi, group) in groups.iter().enumerate() {
                 for (key, (stored, candidate)) in
-                    g.keys.iter().zip(group.keys.iter().zip(&key_vals))
+                    g.keys.iter().zip(group.keys.iter().zip(key_buf.iter()))
                 {
                     let equal = match key.using {
                         Some(fid) => {
@@ -257,7 +312,7 @@ impl GroupTable<'_> {
             found
         } else {
             index
-                .find_or_insert_buf(scratch, &key_vals, groups.len(), |i| {
+                .find_or_insert_buf(scratch, key_buf, groups.len(), |i| {
                     groups[i].keys.as_slice()
                 })
                 .ok()
@@ -265,15 +320,19 @@ impl GroupTable<'_> {
 
         match group_idx {
             Some(gi) => {
-                for (slot, entry) in groups[gi].nests.iter_mut().zip(nest_vals) {
-                    slot.push(entry);
+                for (nest, member) in groups[gi].nests.iter_mut().zip(nest_buf.drain(..)) {
+                    nest.add(member);
                 }
             }
             None => groups.push(GroupState {
-                keys: key_vals,
+                keys: std::mem::take(key_buf),
                 base: t,
                 first: tag,
-                nests: nest_vals.into_iter().map(|e| vec![e]).collect(),
+                nests: counted
+                    .iter()
+                    .zip(nest_buf.drain(..))
+                    .map(|(&counted, member)| Nest::first(counted, member))
+                    .collect(),
             }),
         }
         Ok(())
@@ -296,8 +355,8 @@ impl GroupTable<'_> {
             match hit {
                 Ok(gi) => {
                     let dst = &mut groups[gi];
-                    for (slot, entries) in dst.nests.iter_mut().zip(og.nests) {
-                        slot.extend(entries);
+                    for (nest, more) in dst.nests.iter_mut().zip(og.nests) {
+                        nest.merge(more);
                     }
                     if og.first < dst.first {
                         // Serial semantics: the group's base tuple and
@@ -315,8 +374,9 @@ impl GroupTable<'_> {
     }
 
     /// One output tuple per group, in first-appearance order (stable,
-    /// matching the materializing path): bind the key slots and the
-    /// sorted, concatenated nest sequences onto each group's base tuple.
+    /// matching the materializing path): bind the key slots, and each
+    /// nest slot to the sorted, concatenated nest sequence or, for a
+    /// counted nest, its item count, onto each group's base tuple.
     fn emit(mut self) -> EngineResult<Vec<Tuple>> {
         self.groups.sort_unstable_by_key(|group| group.first);
         let mut out = Vec::with_capacity(self.groups.len());
@@ -325,7 +385,14 @@ impl GroupTable<'_> {
             for (key, vals) in self.g.keys.iter().zip(group.keys) {
                 t.bind(key.slot, vals);
             }
-            for (nest, mut entries) in self.g.nests.iter().zip(group.nests) {
+            for (nest, state) in self.g.nests.iter().zip(group.nests) {
+                let mut entries = match state {
+                    Nest::Count(n) => {
+                        t.bind(nest.slot, Sequence::one(n as i64));
+                        continue;
+                    }
+                    Nest::Members(entries) => entries,
+                };
                 // Serial arrival order first; any nest `order by` then
                 // stable-sorts on top.
                 entries.sort_unstable_by_key(|(_, (tag, _))| *tag);
@@ -508,12 +575,12 @@ mod tests {
         else {
             panic!("`for $x at $i` expected");
         };
-        let mut breaker = f.ops.get(1).map(|op| op.clause.clone());
-        if let Some(ClauseIr::OrderBy(ob)) = &mut breaker {
+        let mut breaker = f.ops.get(1).cloned();
+        if let Some(ClauseIr::OrderBy(ob)) = breaker.as_mut().map(|op| &mut op.clause) {
             ob.limit = limit;
         }
         let new_partial = || match &breaker {
-            Some(clause) => Partial::for_clause(clause).expect("a breaker clause"),
+            Some(op) => Partial::for_op(op).expect("a breaker clause"),
             None => Partial::collect(),
         };
         let mut rng = DetRng::seed_from_u64(0x5eed);

@@ -122,18 +122,21 @@ struct Rule {
 ///    then plan the grouped form like any explicit `group by`.
 /// 2. *constant folding* before top-k, so literal bounds like
 ///    `[position() le 5 + 5]` are visible as literals.
-/// 3. *top-k pushdown* only changes how the order-by runs; the residual
+/// 3. *nest aggregation* after implicit group-by (whose `count($items)`
+///    it also sees) and before join unnesting, which copies the clause
+///    expressions this rule rewrites into its annotations.
+/// 4. *top-k pushdown* only changes how the order-by runs; the residual
 ///    predicate stays in place.
-/// 4. *path fusion* before index annotation, so `//T` is visible as one
+/// 5. *path fusion* before index annotation, so `//T` is visible as one
 ///    `descendant::T` step.
-/// 5. *index annotation* before join unnesting, so the build-side
+/// 6. *index annotation* before join unnesting, so the build-side
 ///    cardinality gate sees the final access paths.
-/// 6. *join unnesting*.
-/// 7. *estimates* after every plan-shaping rule (they read top-k
+/// 7. *join unnesting*.
+/// 8. *estimates* after every plan-shaping rule (they read top-k
 ///    limits, access paths and join annotations).
-/// 8. *expression lowering* last: every rule above mutates the IR the
+/// 9. *expression lowering* last: every rule above mutates the IR the
 ///    programs are lowered from.
-const RULES: [Rule; 8] = [
+const RULES: [Rule; 9] = [
     Rule {
         kind: Some(RewriteKind::ImplicitGroupBy),
         located: false,
@@ -145,6 +148,12 @@ const RULES: [Rule; 8] = [
         located: false,
         enabled: |_| true,
         apply: fold_constants,
+    },
+    Rule {
+        kind: None,
+        located: false,
+        enabled: |cx| cx.hints.nest_agg != Some(false),
+        apply: aggregate_count_nests,
     },
     Rule {
         kind: Some(RewriteKind::TopKPushdown),
@@ -482,6 +491,8 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
         expr: Ir::Var(join.y),
         order_by: None,
         slot: items,
+        // The `let` variable's name is not kept past compilation.
+        var: format!("slot{items}"),
     }];
     let group = ClauseIr::GroupBy(GroupByIr { keys, nests });
     let grouped: Vec<ClauseIr> = [scan, group]
@@ -525,6 +536,72 @@ fn lower_exprs(root: &mut Ir, _: &mut Cx<'_>) {
             bytecode::lower_flwor(f);
         }
     });
+}
+
+// ---- count-only nests -------------------------------------------------
+
+/// Aggregate the nests of a `group by` that the rest of the FLWOR reads
+/// only as `count($nest)` (at least once) and that carry no `order by`:
+/// record them in the group-by's [`OpIr::counted_nests`] and rewrite
+/// every `count($nest)` into `$nest`, which the group operator binds to
+/// the group's running item count. The nest expression still runs per
+/// member, so its errors surface where they did; a nest with an `order
+/// by`, or read any other way, keeps its members.
+fn aggregate_count_nests(root: &mut Ir, _: &mut Cx<'_>) {
+    walk(root, false, &mut |ir| {
+        let Ir::Flwor(f) = &*ir else { return };
+        let Some((at, g)) = f
+            .ops
+            .iter()
+            .enumerate()
+            .find_map(|(i, op)| match &op.clause {
+                ClauseIr::GroupBy(g) => Some((i, g)),
+                _ => None,
+            })
+        else {
+            return;
+        };
+        // The nest slots are bound by the group by, so only the clauses
+        // after it and the return expression can read them.
+        let counted: Vec<usize> = (0..g.nests.len())
+            .filter(|&i| {
+                g.nests[i].order_by.is_none()
+                    && matches!(count_uses(ir, g.nests[i].slot), Some(n) if n > 0)
+            })
+            .collect();
+        if counted.is_empty() {
+            return;
+        }
+        let slots: Vec<Slot> = counted.iter().map(|&i| g.nests[i].slot).collect();
+        for child in fold::child_irs(ir) {
+            walk(child, false, &mut |e| {
+                if let Ir::CallBuiltin(Builtin::Count, args) = e {
+                    if let [Ir::Var(s)] = args[..] {
+                        if slots.contains(&s) {
+                            *e = Ir::Var(s);
+                        }
+                    }
+                }
+            });
+        }
+        if let Ir::Flwor(f) = ir {
+            f.ops[at].counted_nests = counted;
+        }
+    });
+}
+
+/// How many times `ir` reads `slot` as `count($slot)`; `None` if it
+/// reads it any other way.
+fn count_uses(ir: &Ir, slot: Slot) -> Option<usize> {
+    match ir {
+        Ir::CallBuiltin(Builtin::Count, args) if matches!(args[..], [Ir::Var(s)] if s == slot) => {
+            Some(1)
+        }
+        Ir::Var(s) if *s == slot => None,
+        _ => child_irs_ref(ir)
+            .into_iter()
+            .try_fold(0, |n, child| Some(n + count_uses(child, slot)?)),
+    }
 }
 
 // ---- top-k pushdown ---------------------------------------------------

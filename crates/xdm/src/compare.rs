@@ -10,6 +10,7 @@ use crate::error::{XdmError, XdmResult};
 use crate::item::{AtomicType, AtomicValue, Item};
 use crate::node::{NodeHandle, NodeKind};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// The six comparison operators shared by value (`eq`) and general (`=`)
 /// comparisons.
@@ -171,6 +172,8 @@ fn atomic_deep_equal(x: &AtomicValue, y: &AtomicValue) -> bool {
 /// Structural node equality per `fn:deep-equal`:
 /// same kind; same name; elements additionally require equal attribute
 /// *sets* and deep-equal child sequences with comments/PIs skipped.
+/// Both sides are walked in step and text is compared in place, so the
+/// check allocates nothing.
 pub fn node_deep_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
     if a.kind() != b.kind() {
         return false;
@@ -178,34 +181,31 @@ pub fn node_deep_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
     match a.kind() {
         NodeKind::Document => children_deep_equal(a, b),
         NodeKind::Element => {
-            if a.name() != b.name() {
-                return false;
-            }
-            if !attribute_sets_equal(a, b) {
-                return false;
-            }
-            children_deep_equal(a, b)
+            same_name(a, b) && attribute_sets_equal(a, b) && children_deep_equal(a, b)
         }
-        NodeKind::Attribute => a.name() == b.name() && a.string_value() == b.string_value(),
-        NodeKind::Text | NodeKind::Comment => a.string_value() == b.string_value(),
-        NodeKind::ProcessingInstruction => {
-            a.name() == b.name() && a.string_value() == b.string_value()
+        NodeKind::Text | NodeKind::Comment => a.raw_text() == b.raw_text(),
+        NodeKind::Attribute | NodeKind::ProcessingInstruction => {
+            same_name(a, b) && a.raw_text() == b.raw_text()
         }
     }
 }
 
-fn attribute_sets_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
-    let a_attrs: Vec<NodeHandle> = a.attributes().collect();
-    let b_attrs: Vec<NodeHandle> = b.attributes().collect();
-    if a_attrs.len() != b_attrs.len() {
-        return false;
+/// Name equality; within one document, by name id.
+fn same_name(a: &NodeHandle, b: &NodeHandle) -> bool {
+    let (da, db) = (a.document(), b.document());
+    if Arc::ptr_eq(da, db) {
+        da.name_id_of(a.id()) == db.name_id_of(b.id())
+    } else {
+        a.name() == b.name()
     }
-    // Attribute order is not significant.
-    a_attrs.iter().all(|x| {
-        b_attrs
-            .iter()
-            .any(|y| x.name() == y.name() && x.string_value() == y.string_value())
-    })
+}
+
+fn attribute_sets_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
+    // Attribute order is not significant; names within one element are
+    // distinct, so equal counts plus a match for each of `a`'s suffice.
+    a.attributes().len() == b.attributes().len()
+        && a.attributes()
+            .all(|x| b.attributes().any(|y| node_deep_equal(&x, &y)))
 }
 
 fn children_deep_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
@@ -215,9 +215,11 @@ fn children_deep_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
             NodeKind::Comment | NodeKind::ProcessingInstruction
         )
     };
-    let ac: Vec<NodeHandle> = a.children().filter(significant).collect();
-    let bc: Vec<NodeHandle> = b.children().filter(significant).collect();
-    ac.len() == bc.len() && ac.iter().zip(&bc).all(|(x, y)| node_deep_equal(x, y))
+    let mut bc = b.children().filter(significant);
+    a.children()
+        .filter(significant)
+        .all(|x| bc.next().is_some_and(|y| node_deep_equal(&x, &y)))
+        && bc.next().is_none()
 }
 
 #[cfg(test)]

@@ -37,6 +37,6 @@ pub use item::{
     atomize_sequence, effective_boolean_value, format_double, parse_boolean, parse_double,
     singleton, AtomicType, AtomicValue, Item,
 };
-pub use node::{Document, DocumentBuilder, NameId, NodeHandle, NodeId, NodeKind};
+pub use node::{ChildElements, Document, DocumentBuilder, NameId, NodeHandle, NodeId, NodeKind};
 pub use qname::QName;
 pub use sequence::{take_seq_counters, Sequence, SequenceBuilder};

@@ -349,8 +349,8 @@ impl NodeHandle {
     }
 
     /// Attribute nodes, in the order they were written.
-    pub fn attributes(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        (self.id + 1..=self.id + self.rec().attrs).map(move |id| self.at(id))
+    pub fn attributes(&self) -> impl ExactSizeIterator<Item = NodeHandle> + '_ {
+        (self.id + 1..self.id + 1 + self.rec().attrs).map(move |id| self.at(id))
     }
 
     /// The attribute with the given name, if present.
@@ -405,21 +405,55 @@ impl NodeHandle {
         self.doc.text_of(self.id)
     }
 
-    /// Child *elements* with the given local name (fast path for the
-    /// ubiquitous `child::name` step).
-    pub fn child_elements_named<'a>(
-        &'a self,
-        name: &'a QName,
-    ) -> impl Iterator<Item = NodeHandle> + 'a {
-        // An absent name matches no record: `NO_NAME` is what unnamed
-        // nodes carry, and those are not elements.
-        let name = self.doc.name_id(name).unwrap_or(NO_NAME);
-        self.child_ids()
-            .filter(move |&id| {
-                let rec = self.doc.rec(id);
-                rec.name == name && rec.kind == NodeKind::Element
-            })
-            .map(move |id| self.at(id))
+    /// Child *elements* with the given name (the ubiquitous `child::name`
+    /// step): the name resolves to its id once, each child then costs an
+    /// integer compare, and only a match gets a handle.
+    pub fn child_elements_named(&self, name: &QName) -> ChildElements<'_> {
+        let rec = self.rec();
+        ChildElements {
+            parent: self,
+            // An absent name matches no record: `NO_NAME` is what
+            // unnamed nodes carry, and those are not elements.
+            name: self.doc.name_id(name).unwrap_or(NO_NAME),
+            next: self.id + rec.attrs + 1,
+            end: rec.subtree_end,
+            examined: 0,
+        }
+    }
+}
+
+/// Iterator over the child elements of one name, in document order (see
+/// [`NodeHandle::child_elements_named`]).
+pub struct ChildElements<'a> {
+    parent: &'a NodeHandle,
+    name: NameId,
+    next: NodeId,
+    end: NodeId,
+    examined: u64,
+}
+
+impl ChildElements<'_> {
+    /// How many children, matching or not, the walk has looked at.
+    pub fn examined(&self) -> u64 {
+        self.examined
+    }
+}
+
+impl Iterator for ChildElements<'_> {
+    type Item = NodeHandle;
+
+    fn next(&mut self) -> Option<NodeHandle> {
+        let doc = &self.parent.doc;
+        while self.next <= self.end {
+            let id = self.next;
+            let rec = doc.rec(id);
+            self.next = rec.subtree_end + 1;
+            self.examined += 1;
+            if rec.name == self.name && rec.kind == NodeKind::Element {
+                return Some(self.parent.at(id));
+            }
+        }
+        None
     }
 }
 

@@ -186,9 +186,7 @@ impl From<&[Item]> for Sequence {
 impl FromIterator<Item> for Sequence {
     fn from_iter<I: IntoIterator<Item = Item>>(iter: I) -> Sequence {
         let mut b = SequenceBuilder::new();
-        for item in iter {
-            b.push(item);
-        }
+        b.extend(iter);
         b.build()
     }
 }
@@ -389,6 +387,14 @@ impl SequenceBuilder {
             BuilderState::One(item) => Sequence::One(item),
             BuilderState::Shared(items) => Sequence::Many(items),
             BuilderState::Vec(items) => Sequence::from(items),
+        }
+    }
+}
+
+impl Extend<Item> for SequenceBuilder {
+    fn extend<I: IntoIterator<Item = Item>>(&mut self, iter: I) {
+        for item in iter {
+            self.push(item);
         }
     }
 }

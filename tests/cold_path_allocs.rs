@@ -138,3 +138,97 @@ fn constructed_rows_allocate_no_more_than_before_the_arena() {
         "{bytes} bytes for {rows} rows, {PARENT_BYTES} before the arena"
     );
 }
+
+/// A warm, indexed document of about 1K lineitems.
+fn orders_1k() -> DynamicContext {
+    let doc = generate_orders(&OrdersConfig::with_total_lineitems(1_000));
+    let mut ctx = DynamicContext::new();
+    ctx.set_context_document(&doc);
+    ctx.index_documents();
+    ctx
+}
+
+/// Lineitems in the context document.
+fn lineitems(ctx: &DynamicContext, engine: &Engine) -> u64 {
+    let count = engine.compile("count(//order/lineitem)").expect("compiles");
+    count.run(ctx).expect("runs")[0]
+        .string_value()
+        .parse()
+        .expect("an integer")
+}
+
+/// The paper's six `Qgb` templates (Table 1, right; Section 6's
+/// grouping elements): grouping a lineitem allocates nothing of its
+/// own. What is left is the scan's binding vector per tuple plus a few
+/// allocations per group and per output row: 1.18 (4 groups) to 1.78
+/// (50 groups) per lineitem. Before key building and verification
+/// borrowed from the arena it was 11.6 to 20.2 (a handle per child
+/// examined, a key string, the verifying deep-equal's vectors, a kept
+/// nest entry per member).
+#[test]
+fn grouping_allocates_per_group_not_per_member() {
+    const ALLOCS_PER_TUPLE: f64 = 2.0;
+    const GROUP_KEYS: [&[&str]; 6] = [
+        &["shipinstruct"],
+        &["shipmode"],
+        &["tax"],
+        &["shipinstruct", "shipmode"],
+        &["shipinstruct", "tax"],
+        &["quantity"],
+    ];
+    let ctx = orders_1k();
+    let engine = Engine::with_options(EngineOptions {
+        threads: 1,
+        ..Default::default()
+    });
+    let tuples = lineitems(&ctx, &engine);
+    for keys in GROUP_KEYS {
+        let (by, vars) = match keys {
+            [a] => (format!("$litem/{a} into $a"), "$a"),
+            [a, b] => (format!("$litem/{a} into $a, $litem/{b} into $b"), "$a, $b"),
+            _ => unreachable!("one or two grouping elements"),
+        };
+        let query = format!(
+            "for $litem in //order/lineitem group by {by} nest $litem into $items \
+             return <r> {{{vars}, count($items)}} </r>"
+        );
+        let plan = engine.compile(&query).expect("compiles");
+        plan.run(&ctx).expect("warm-up run");
+        let (groups, allocs, _) = counted(|| plan.run(&ctx).expect("runs").len());
+        let per_tuple = allocs as f64 / tuples as f64;
+        println!("{keys:?}: {tuples} lineitems, {groups} groups, {allocs} allocations ({per_tuple:.2}/lineitem)");
+        assert!(
+            per_tuple <= ALLOCS_PER_TUPLE,
+            "{keys:?}: {allocs} allocations for {tuples} lineitems: {per_tuple:.2} per lineitem, \
+             ceiling {ALLOCS_PER_TUPLE}"
+        );
+    }
+}
+
+/// A `child::name` step compares name ids and makes a handle only for a
+/// match: `//order/lineitem/shipmode` allocates for the result it
+/// builds (0.031 per lineitem), not for each lineitem's candidates (1.39
+/// when every step collected them into a vector of its own).
+#[test]
+fn child_name_step_allocates_per_match_not_per_child() {
+    const ALLOCS_PER_LINEITEM: f64 = 0.25;
+    let ctx = orders_1k();
+    let engine = Engine::with_options(EngineOptions {
+        threads: 1,
+        ..Default::default()
+    });
+    let n = lineitems(&ctx, &engine);
+    let plan = engine
+        .compile("//order/lineitem/shipmode")
+        .expect("compiles");
+    plan.run(&ctx).expect("warm-up run");
+    let (len, allocs, _) = counted(|| plan.run(&ctx).expect("runs").len());
+    assert_eq!(len as u64, n);
+    let per_lineitem = allocs as f64 / n as f64;
+    println!("{n} lineitems: {allocs} allocations ({per_lineitem:.3}/lineitem)");
+    assert!(
+        per_lineitem <= ALLOCS_PER_LINEITEM,
+        "{allocs} allocations for {n} lineitems: {per_lineitem:.3} per lineitem, \
+         ceiling {ALLOCS_PER_LINEITEM}"
+    );
+}

@@ -59,8 +59,9 @@ fn profile_json_keys_are_byte_identical_to_the_golden() {
     ctx.set_context_document(&doc);
     ctx.index_documents();
     ctx.enable_profiling();
+    // `sum`, not `count`: a counted nest keeps no members to share.
     let plan = Engine::new()
-        .compile("for $v in //v group by string($v) into $k nest $v into $vs return count($vs)")
+        .compile("for $v in //v group by string($v) into $k nest $v into $vs return sum($vs)")
         .expect("compiles");
     plan.run(&ctx).expect("runs");
     let stats = ctx.stats.snapshot();
@@ -244,5 +245,34 @@ fn grouped_joined_and_index_scanned_plans_bump_their_counters() {
             .unwrap_or_else(|| panic!("{must_bump} is not a declared counter"));
         assert!(value > 0, "{must_bump} stayed 0: {line}");
         assert!(line.contains(&format!(" {must_bump}={value}")), "{line}");
+    }
+}
+
+/// `$n/name` over an element with N children visits exactly N nodes,
+/// whether some, all or none of them match: the name-id fast path of a
+/// child step still counts every child it examines, so
+/// `engine.nodes_visited` stays comparable across the change to it.
+#[test]
+fn child_name_step_visits_every_child_once() {
+    let engine = Engine::with_options(EngineOptions {
+        threads: 1,
+        ..Default::default()
+    });
+    let plan = engine
+        .compile("let $n := . return count($n/c)")
+        .expect("compiles");
+    for (xml, matches) in [
+        ("<r><c/>t<c><c/></c><!--k--><d/><?p x?><c/></r>", 3),
+        ("<r><d/><d>c</d><e c='1'/>text</r>", 0),
+        ("<r/>", 0),
+    ] {
+        let doc = xqa::parse_document(xml).expect("well-formed");
+        let r = doc.root().children().next().expect("a document element");
+        let children = r.children().count() as u64;
+        let mut ctx = DynamicContext::new();
+        ctx.set_context_item(xqa::xdm::Item::Node(r));
+        let result = plan.run(&ctx).expect("runs");
+        assert_eq!(result[0].string_value(), matches.to_string(), "{xml}");
+        assert_eq!(ctx.stats.snapshot().nodes_visited, children, "{xml}");
     }
 }

@@ -989,3 +989,155 @@ fn mixed_query_counts_compiled_and_fallback() {
         "the path-valued for and function-calling let must fall back"
     );
 }
+
+// ---- count-only nests -------------------------------------------------
+//
+// A nest read only as `count($nest)` keeps a running item count per
+// group under `nest-agg=on` and every member under `nest-agg=off`. Both
+// sides, each at threads=1 and threads=4, must serialize the same
+// result or raise the same error, and the plan carries `agg count(`
+// exactly when the rule fires.
+
+#[allow(dead_code)] // the hint cells are for the plan suites
+mod corpus;
+
+/// About 1 300 lineitems: a `for` over them spans two morsels, so at
+/// threads=4 the grouping runs on merged partials.
+fn large_orders_ctx() -> DynamicContext {
+    let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
+        orders: 320,
+        ..Default::default()
+    });
+    let mut ctx = DynamicContext::new();
+    ctx.set_context_document(&doc);
+    ctx
+}
+
+/// Run `query` with `nest-agg` on and off (on top of `base` hints) at
+/// threads 1 and 4; every outcome must be byte-identical. Returns
+/// whether the rule fired (the `nest-agg=on` plan carries `agg
+/// count(`); the `nest-agg=off` plan never does.
+fn assert_nest_agg_identical(query: &str, base: &str, ctx: &DynamicContext) -> bool {
+    let mut outcomes: Vec<(String, String)> = Vec::new();
+    let mut fired = false;
+    for agg in ["nest-agg=on", "nest-agg=off"] {
+        let hints = [base, agg].join(",");
+        for threads in [1usize, 4] {
+            let plan = hinted_engine(&hints, threads)
+                .compile(query)
+                .unwrap_or_else(|e| panic!("compile [{hints}] threads={threads}: {e}\n{query}"));
+            let carries = plan.explain().contains("agg count(");
+            if agg == "nest-agg=off" {
+                assert!(!carries, "[{hints}] plan aggregates:\n{}", plan.explain());
+            } else {
+                fired = carries;
+            }
+            let outcome = match plan.run(ctx) {
+                Ok(seq) => serialize_sequence(&seq),
+                Err(e) => format!("error: {e}"),
+            };
+            outcomes.push((format!("[{hints}] threads={threads}"), outcome));
+        }
+    }
+    let (first, expected) = &outcomes[0];
+    for (label, outcome) in &outcomes[1..] {
+        assert_eq!(
+            expected, outcome,
+            "{first} and {label} disagree for:\n{query}"
+        );
+    }
+    fired
+}
+
+/// Every grouping query of the shared corpus, the paper's `Qgb`
+/// templates among them, and the `Q` templates under the implicit
+/// group-by rewrite (whose synthesized nest is counted too).
+#[test]
+fn nest_agg_corpus_differential() {
+    let ctx = large_orders_ctx();
+    let (mut queries, mut fired) = (0, 0);
+    for query in corpus::candidates() {
+        if xqa::Engine::new().compile(&query).is_err() {
+            continue;
+        }
+        for base in ["", "implicit-groupby=on"] {
+            if query.contains("group by")
+                || (!base.is_empty() && query.contains("distinct-values("))
+            {
+                queries += 1;
+                fired += usize::from(assert_nest_agg_identical(&query, base, &ctx));
+            }
+        }
+    }
+    assert!(
+        queries > 20,
+        "only {queries} grouping queries in the corpus"
+    );
+    // The six `Qgb` templates, and under the rewrite the six `Q` ones.
+    assert!(fired >= 18, "the rule fired on only {fired} of {queries}");
+}
+
+/// Shapes the rule must aggregate, and shapes it must decline.
+#[test]
+fn nest_agg_fires_exactly_on_count_only_nests() {
+    let ctx = large_orders_ctx();
+    let fires = [
+        // `count($items)` in a post-group let, where and order by
+        "for $li in //order/lineitem group by $li/shipmode into $m nest $li into $items \
+         let $n := count($items) where count($items) ge 10 \
+         order by count($items) descending, string($m) return <g>{string($m)}:{$n}</g>",
+        // nest values of 0, 1 or 2 items per member, and of many
+        "for $li in //order/lineitem group by $li/returnflag into $rf \
+         nest ($li/quantity, $li/tax)[number(.) gt 25] into $vs, $li/* into $cs, \
+         $li/nosuchchild into $none \
+         order by string($rf) \
+         return <g>{string($rf)}:{count($vs)}/{count($cs)}/{count($none)}</g>",
+        // two nests, only the first counted
+        "for $li in //order/lineitem group by $li/linestatus into $ls \
+         nest $li into $items, $li/quantity into $qs order by string($ls) \
+         return <g>{string($ls)}:{count($items)}|{sum($qs)}</g>",
+        // a `using` key (one partial, linear probe)
+        "declare function local:eq($a as item()*, $b as item()*) as xs:boolean \
+         { deep-equal($a, $b) }; \
+         for $li in //order/lineitem group by $li/shipmode into $m using local:eq \
+         nest $li into $items order by string($m) \
+         return <g>{string($m)}:{count($items)}</g>",
+        // `return at` ranks over counts
+        "for $li in //order/lineitem group by $li/tax into $t nest $li into $items \
+         order by count($items) descending, number($t) \
+         return at $r <g r=\"{$r}\">{string($t)}:{count($items)}</g>",
+        // a count inside a nested FLWOR of the return expression
+        "for $li in //order/lineitem group by $li/shipinstruct into $s nest $li into $items \
+         order by string($s) \
+         return <g>{for $k in (1, 2) return count($items) * $k}</g>",
+        // the nest expression fails on its 700th member, under either side
+        "for $li at $i in //order/lineitem group by $li/shipmode into $m \
+         nest (if ($i eq 700) then xs:integer(\"seven hundred\") else $li) into $items \
+         return count($items)",
+    ];
+    let declines = [
+        // the nest is ordered
+        "for $li in //order/lineitem group by $li/shipmode into $m \
+         nest $li order by string($li/shipdate) into $items order by string($m) \
+         return <g>{string($m)}:{count($items)}</g>",
+        // `$items` is read outside `count`
+        "for $li in //order/lineitem group by $li/shipmode into $m nest $li into $items \
+         order by string($m) \
+         return <g>{count($items)}:{string($items[1]/partkey)}</g>",
+        // `$items` is never read
+        "for $li in //order/lineitem group by $li/shipmode into $m nest $li into $items \
+         order by string($m) return string($m)",
+    ];
+    for query in fires {
+        assert!(
+            assert_nest_agg_identical(query, "", &ctx),
+            "did not fire:\n{query}"
+        );
+    }
+    for query in declines {
+        assert!(
+            !assert_nest_agg_identical(query, "", &ctx),
+            "fired:\n{query}"
+        );
+    }
+}
