@@ -3,28 +3,34 @@
 //! ratio's numerator.
 
 use xqa::Engine;
-use xqa_bench::harness::Harness;
-use xqa_bench::{q_query, qgb_query, Dataset, EXPERIMENTS};
+use xqa_bench::{q_query, qgb_query, time, Dataset, EXPERIMENTS};
+
+const RUNS: u32 = 10;
 
 fn main() {
     let engine = Engine::new();
-    let mut group = Harness::group("chart/qgb_scaling");
+    println!("\n== chart/qgb_scaling ==");
     for lineitems in [2_000usize, 4_000, 8_000] {
         let dataset = Dataset::generate(lineitems);
         let ctx = dataset.context();
         let compiled = engine.compile(&qgb_query(&["shipmode"])).expect("compiles");
-        group.bench(&lineitems.to_string(), || {
+        let timing = time(RUNS, || {
             compiled.run(&ctx).expect("runs");
         });
+        println!("{:<40} {timing}", format!("chart/qgb_scaling/{lineitems}"));
     }
 
-    let mut group = Harness::group("chart/q_numerator");
+    println!("\n== chart/q_numerator ==");
     let dataset = Dataset::generate(2_000);
     let ctx = dataset.context();
     for e in EXPERIMENTS {
         let compiled = engine.compile(&q_query(e.keys)).expect("compiles");
-        group.bench(&format!("{}-{}groups", e.id, e.groups), || {
+        let timing = time(RUNS, || {
             compiled.run(&ctx).expect("runs");
         });
+        println!(
+            "{:<40} {timing}",
+            format!("chart/q_numerator/{}-{}groups", e.id, e.groups)
+        );
     }
 }

@@ -11,27 +11,43 @@
 //!                              (pushdown disabled) on rank queries
 //! repro all                    everything (default)
 //! ```
+//!
+//! A zero or malformed `--sizes` or `--runs` is a usage error (exit 2).
 
-use std::time::Instant;
-use xqa::{DynamicContext, Engine, EngineOptions};
-use xqa_bench::{measure_point, q_query, qgb_query, Dataset, EXPERIMENTS};
+use std::num::{NonZeroU32, NonZeroUsize};
+use std::time::Duration;
+use xqa::{DynamicContext, Engine, EngineOptions, PreparedQuery};
+use xqa_bench::{measure_point, q_query, qgb_query, time, Dataset, EXPERIMENTS};
+
+/// Timed runs per ablation and top-k measurement, after one warm-up.
+const RUNS: u32 = 3;
+
+/// The command line, checked.
+#[derive(Debug, PartialEq)]
+struct Args {
+    command: String,
+    sizes: Vec<usize>,
+    runs: u32,
+    svg: Option<String>,
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str).unwrap_or("all");
-    let sizes = parse_list_flag(&args, "--sizes").unwrap_or_else(|| vec![8_000, 16_000, 32_000]);
-    let runs = parse_flag(&args, "--runs").unwrap_or(3);
-    let svg_path = parse_string_flag(&args, "--svg");
-    match command {
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        std::process::exit(2);
+    });
+    let (sizes, svg) = (&args.sizes, args.svg.as_deref());
+    match args.command.as_str() {
         "table1" => table1(),
-        "chart" => chart(&sizes, runs, svg_path.as_deref()),
+        "chart" => chart(sizes, args.runs, svg),
         "ablation" => ablation(),
-        "topk" => topk(&sizes),
+        "topk" => topk(sizes),
         "all" => {
             table1();
-            chart(&sizes, runs, svg_path.as_deref());
+            chart(sizes, args.runs, svg);
             ablation();
-            topk(&sizes);
+            topk(sizes);
         }
         other => {
             eprintln!("unknown command {other:?}; expected table1|chart|ablation|topk|all");
@@ -40,25 +56,42 @@ fn main() {
     }
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let sizes = match flag(args, "--sizes")? {
+        Some(list) => list
+            .split(',')
+            .map(|p| positive::<NonZeroUsize>("--sizes", p).map(NonZeroUsize::get))
+            .collect::<Result<_, _>>()?,
+        None => vec![8_000, 16_000, 32_000],
+    };
+    let runs = match flag(args, "--runs")? {
+        Some(v) => positive::<NonZeroU32>("--runs", v)?.get(),
+        None => 3,
+    };
+    Ok(Args {
+        command: args.first().cloned().unwrap_or_else(|| "all".to_string()),
+        sizes,
+        runs,
+        svg: flag(args, "--svg")?.map(str::to_string),
+    })
 }
 
-fn parse_string_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value after `name`, if the flag is present.
+fn flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => args
+            .get(i + 1)
+            .map(|v| Some(v.as_str()))
+            .ok_or_else(|| format!("{name} needs a value")),
+    }
 }
 
-fn parse_list_flag(args: &[String], name: &str) -> Option<Vec<usize>> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.split(',').filter_map(|p| p.trim().parse().ok()).collect())
+fn positive<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .map_err(|_| format!("{name}: expected a positive integer, got {value:?}"))
 }
 
 /// Table 1: print both templates and verify they compute identical
@@ -102,7 +135,7 @@ fn table1() {
 /// equivalent per the paper's reading, not byte-identical: `Qgb` binds
 /// `$a` to the grouping *element* while `Q` binds the atomized value,
 /// so we compare whitespace-normalized string values of each row.
-fn sorted_result(query: &xqa::PreparedQuery, ctx: &DynamicContext) -> Vec<String> {
+fn sorted_result(query: &PreparedQuery, ctx: &DynamicContext) -> Vec<String> {
     let result = query.run(ctx).expect("query runs");
     let mut rows: Vec<String> = result
         .iter()
@@ -117,7 +150,7 @@ fn sorted_result(query: &xqa::PreparedQuery, ctx: &DynamicContext) -> Vec<String
 
 /// The Section-6 chart: Y = t(Q)/t(Qgb), X = number of groups, one
 /// series per collection size.
-fn chart(sizes: &[usize], runs: usize, svg_path: Option<&str>) {
+fn chart(sizes: &[usize], runs: u32, svg_path: Option<&str>) {
     println!("== Section 6 chart: t(Q) / t(Qgb) vs number of groups ==");
     println!("   (paper: ratio grows with group count; series per input size)\n");
     println!(
@@ -178,7 +211,7 @@ fn chart(sizes: &[usize], runs: usize, svg_path: Option<&str>) {
 }
 
 /// DESIGN.md ablations: detection rewrite, custom-equality grouping,
-/// nest ordering strategy.
+/// nest ordering strategy, moving windows.
 fn ablation() {
     println!("== Ablations ==\n");
     let dataset = Dataset::generate(8_000);
@@ -191,14 +224,14 @@ fn ablation() {
         hints: "implicit-groupby=on".parse().unwrap(),
         ..Default::default()
     });
-    let t_q = bench_compiled(&plain.compile(&q_src).unwrap(), &ctx);
+    let t_q = mean(&plain.compile(&q_src).unwrap(), &ctx);
     let rewritten = detecting.compile(&q_src).unwrap();
     assert!(rewritten
         .applied_rewrites()
         .iter()
         .any(|r| r.contains("implicit group-by")));
-    let t_rw = bench_compiled(&rewritten, &ctx);
-    let t_qgb = bench_compiled(&plain.compile(&qgb_query(&["shipmode"])).unwrap(), &ctx);
+    let t_rw = mean(&rewritten, &ctx);
+    let t_qgb = mean(&plain.compile(&qgb_query(&["shipmode"])).unwrap(), &ctx);
     println!("1. implicit-group-by detection (shipmode, 8K lineitems):");
     println!("   Q naive           {t_q:>10.2?}");
     println!("   Q + rewrite       {t_rw:>10.2?}   (detection recovers the explicit plan)");
@@ -213,8 +246,8 @@ fn ablation() {
                       for $litem in //order/lineitem \
                       group by $litem/shipmode into $a using local:eq \
                       nest $litem into $items return count($items)";
-    let t_hash = bench_compiled(&plain.compile(hash_path).unwrap(), &ctx);
-    let t_using = bench_compiled(&plain.compile(using_path).unwrap(), &ctx);
+    let t_hash = mean(&plain.compile(hash_path).unwrap(), &ctx);
+    let t_using = mean(&plain.compile(using_path).unwrap(), &ctx);
     println!("2. grouping equality implementation (7 groups, 8K lineitems):");
     println!("   hash-indexed deep-equal   {t_hash:>10.2?}");
     println!(
@@ -232,11 +265,34 @@ fn ablation() {
                     group by $li/shipmode into $m \
                     nest $li/shipdate into $ds \
                     return count($ds)";
-    let t_nest = bench_compiled(&plain.compile(nest_sort).unwrap(), &ctx);
-    let t_pre = bench_compiled(&plain.compile(pre_sort).unwrap(), &ctx);
+    let t_nest = mean(&plain.compile(nest_sort).unwrap(), &ctx);
+    let t_pre = mean(&plain.compile(pre_sort).unwrap(), &ctx);
     println!("3. windowed nests (order within groups, 8K lineitems):");
     println!("   nest ... order by (sort per group) {t_nest:>10.2?}");
     println!("   global pre-sort + plain nest       {t_pre:>10.2?}\n");
+
+    // 4. The paper's Q8 moving window (width 10 over 500 items): nested
+    // iteration (the paper's only option), an XQuery 3.0 sliding
+    // window, and the O(n) `xqa:moving-sum` extension.
+    let none = DynamicContext::new();
+    let nested = "let $v := (1 to 500) \
+                  return for $x at $i in $v \
+                         return sum(for $y at $j in $v \
+                                    where $j > $i - 10 and $j <= $i return $y)";
+    let window = "for sliding window $w in (1 to 500) \
+                  start at $s when true() \
+                  end at $e when $e - $s = 9 \
+                  return sum($w)";
+    let t_nested = mean(&plain.compile(nested).unwrap(), &none);
+    let t_window = mean(&plain.compile(window).unwrap(), &none);
+    let t_moving = mean(
+        &plain.compile("xqa:moving-sum(1 to 500, 10)").unwrap(),
+        &none,
+    );
+    println!("4. moving window (Q8, 500 items, width 10):");
+    println!("   nested iteration      {t_nested:>10.2?}");
+    println!("   sliding window clause {t_window:>10.2?}");
+    println!("   xqa:moving-sum        {t_moving:>10.2?}\n");
 }
 
 /// Top-k rank queries (`return at $rank` under `[position() le 10]`):
@@ -275,8 +331,8 @@ fn topk(sizes: &[usize]) {
         let a = xqa::serialize_sequence(&fast.run(&ctx).expect("runs"));
         let b = xqa::serialize_sequence(&slow.run(&ctx).expect("runs"));
         assert_eq!(a, b, "paths disagree at {size} lineitems");
-        let t_fast = bench_compiled(&fast, &ctx);
-        let t_slow = bench_compiled(&slow, &ctx);
+        let t_fast = mean(&fast, &ctx);
+        let t_slow = mean(&slow, &ctx);
         println!(
             "{size:<10} {t_fast:>14.2?} {t_slow:>16.2?} {:>8}x",
             ratio(t_slow, t_fast)
@@ -304,17 +360,62 @@ fn topk(sizes: &[usize]) {
     }
 }
 
-fn bench_compiled(query: &xqa::PreparedQuery, ctx: &DynamicContext) -> std::time::Duration {
-    // Reuse the library helper indirectly: warm up + mean of 3.
-    query.run(ctx).expect("warm-up run");
-    let start = Instant::now();
-    let runs = 3;
-    for _ in 0..runs {
-        query.run(ctx).expect("bench run");
-    }
-    start.elapsed() / runs
+/// Mean of [`RUNS`] timed runs of `plan` after a warm-up.
+fn mean(plan: &PreparedQuery, ctx: &DynamicContext) -> Duration {
+    time(RUNS, || {
+        plan.run(ctx).expect("query runs");
+    })
+    .mean
 }
 
-fn ratio(a: std::time::Duration, b: std::time::Duration) -> String {
+fn ratio(a: Duration, b: Duration) -> String {
     format!("{:.1}", a.as_secs_f64() / b.as_secs_f64())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn flags_parse_with_defaults() {
+        assert_eq!(
+            parse("chart --sizes 1000,2000 --runs 5 --svg c.svg"),
+            Ok(Args {
+                command: "chart".to_string(),
+                sizes: vec![1_000, 2_000],
+                runs: 5,
+                svg: Some("c.svg".to_string()),
+            })
+        );
+        assert_eq!(
+            parse(""),
+            Ok(Args {
+                command: "all".to_string(),
+                sizes: vec![8_000, 16_000, 32_000],
+                runs: 3,
+                svg: None,
+            })
+        );
+    }
+
+    #[test]
+    fn zero_or_malformed_counts_are_usage_errors() {
+        for line in [
+            "chart --runs 0",
+            "chart --runs x",
+            "chart --runs -1",
+            "chart --runs",
+            "chart --sizes abc",
+            "chart --sizes 1000,0",
+            "chart --sizes 1000,,2000",
+            "topk --sizes",
+        ] {
+            assert!(parse(line).is_err(), "{line:?} parsed");
+        }
+    }
 }

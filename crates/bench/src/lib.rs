@@ -5,12 +5,12 @@
 //! `tax` (9), `(shipinstruct, shipmode)` (28), `(shipinstruct, tax)`
 //! (36) and `quantity` (50). [`qgb_query`]/[`q_query`] instantiate the
 //! exact Table 1 templates. The `repro` binary regenerates the paper's
-//! table and chart; the std-only benches ([`harness`]) cover the same queries plus
-//! the design-choice ablations from DESIGN.md.
+//! table, chart and the design-choice ablations from DESIGN.md; the
+//! std-only benches time the same queries through [`time`].
 
-pub mod harness;
 pub mod svg;
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xqa::{DynamicContext, Engine, EngineResult};
@@ -127,34 +127,41 @@ impl Dataset {
     }
 }
 
-/// Timing result of one query over one dataset.
+/// Wall-clock time of a closure over repeated runs.
 #[derive(Debug, Clone, Copy)]
 pub struct Timing {
-    /// Mean wall-clock time over the runs.
+    /// Mean over the timed runs (the paper averages over runs).
     pub mean: Duration,
-    /// Number of items in the result (sanity check).
-    pub result_items: usize,
+    /// Fastest timed run: the figure least disturbed by other load on
+    /// a shared machine.
+    pub min: Duration,
 }
 
-/// Compile `query`, run it `runs` times against `ctx`, and report the
-/// mean (the paper averages over runs).
-pub fn time_query(query: &str, ctx: &DynamicContext, runs: usize) -> EngineResult<Timing> {
-    let engine = Engine::new();
-    let compiled = engine.compile(query)?;
-    // One warm-up run (not timed).
-    let result = compiled.run(ctx)?;
-    let result_items = result.len();
+impl fmt::Display for Timing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "mean {:>10.2?}  min {:>10.2?}", self.mean, self.min)
+    }
+}
+
+/// Run `f` once untimed (warm-up), then `runs` times timed. The one
+/// timing loop of this crate: `repro` and the benches all measure
+/// through it.
+pub fn time(runs: u32, mut f: impl FnMut()) -> Timing {
+    assert!(runs > 0, "timing needs at least one run");
+    f();
     let mut total = Duration::ZERO;
+    let mut min = Duration::MAX;
     for _ in 0..runs {
         let start = Instant::now();
-        let out = compiled.run(ctx)?;
-        total += start.elapsed();
-        assert_eq!(out.len(), result_items, "non-deterministic result size");
+        f();
+        let elapsed = start.elapsed();
+        total += elapsed;
+        min = min.min(elapsed);
     }
-    Ok(Timing {
-        mean: total / runs as u32,
-        result_items,
-    })
+    Timing {
+        mean: total / runs,
+        min,
+    }
 }
 
 /// One row of the chart reproduction.
@@ -179,26 +186,30 @@ impl ChartPoint {
     }
 }
 
-/// Measure one chart point.
+/// Measure one chart point: the mean of `runs` timed runs per side.
 pub fn measure_point(
     experiment: Experiment,
     dataset: &Dataset,
-    runs: usize,
+    runs: u32,
 ) -> EngineResult<ChartPoint> {
     let ctx = dataset.context();
-    let qgb = time_query(&qgb_query(experiment.keys), &ctx, runs)?;
-    let q = time_query(&q_query(experiment.keys), &ctx, runs)?;
+    let engine = Engine::new();
+    let qgb = engine.compile(&qgb_query(experiment.keys))?;
+    let q = engine.compile(&q_query(experiment.keys))?;
+    let (mut qgb_groups, mut q_groups) = (0, 0);
+    let t_qgb = time(runs, || qgb_groups = qgb.run(&ctx).expect("Qgb runs").len());
+    let t_q = time(runs, || q_groups = q.run(&ctx).expect("Q runs").len());
     assert_eq!(
-        q.result_items, qgb.result_items,
+        q_groups, qgb_groups,
         "{}: Q and Qgb disagree on the number of groups",
         experiment.id
     );
     Ok(ChartPoint {
         experiment,
         lineitems: dataset.lineitems,
-        t_q: q.mean,
-        t_qgb: qgb.mean,
-        observed_groups: qgb.result_items,
+        t_q: t_q.mean,
+        t_qgb: t_qgb.mean,
+        observed_groups: qgb_groups,
     })
 }
 
@@ -219,10 +230,16 @@ mod tests {
     fn group_counts_match_the_paper_domains() {
         let dataset = Dataset::generate(2_000);
         let ctx = dataset.context();
+        let engine = Engine::new();
         for e in EXPERIMENTS {
-            let timing = time_query(&qgb_query(e.keys), &ctx, 1).unwrap();
+            let groups = engine
+                .compile(&qgb_query(e.keys))
+                .unwrap()
+                .run(&ctx)
+                .unwrap()
+                .len();
             assert_eq!(
-                timing.result_items, e.groups,
+                groups, e.groups,
                 "{} should produce {} groups",
                 e.id, e.groups
             );

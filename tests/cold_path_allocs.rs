@@ -1,4 +1,5 @@
-//! Allocation ceilings for the cold path and for constructed rows.
+//! Allocation ceilings for the cold path, constructed rows, grouping,
+//! top-k pushdown and the flight recorder.
 //!
 //! The document arena keeps one record per node in a flat vector and all
 //! text in one buffer, the parser appends to them, and the index build
@@ -11,6 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xqa::{parse_document, serialize_node, DynamicContext, Engine, EngineOptions};
+use xqa_service::{FlightRecord, FlightRecorder};
 use xqa_workload::{generate_orders, OrdersConfig};
 
 struct Counting;
@@ -231,4 +233,80 @@ fn child_name_step_allocates_per_match_not_per_child() {
         "{allocs} allocations for {n} lineitems: {per_lineitem:.3} per lineitem, \
          ceiling {ALLOCS_PER_LINEITEM}"
     );
+}
+
+/// Top-k pushdown keeps ten tuples in a bounded heap and constructs ten
+/// rows; with `topk=off` the same rank query sorts every lineitem
+/// first. The full sort must cost at least 2.5 times the allocations:
+/// 5 221 vs 18 490 when this floor was set.
+#[test]
+fn topk_pushdown_allocates_under_the_full_sort() {
+    let ctx = orders_1k();
+    let allocs = |hints: &str| {
+        let engine = Engine::with_options(EngineOptions {
+            threads: 1,
+            hints: hints.parse().expect("valid hints"),
+        });
+        let plan = engine
+            .compile(
+                "(for $li in //order/lineitem \
+                  order by number($li/extendedprice) descending \
+                  return at $r <top rank=\"{$r}\">{data($li/partkey)}</top>)\
+                 [position() le 10]",
+            )
+            .expect("compiles");
+        plan.run(&ctx).expect("warm-up run");
+        let (rows, allocs, _) = counted(|| plan.run(&ctx).expect("runs").len());
+        assert_eq!(rows, 10);
+        allocs
+    };
+    let (heap, full_sort) = (allocs("topk=on"), allocs("topk=off"));
+    println!("rank query: {heap} allocations with top-k pushdown, {full_sort} with a full sort");
+    assert!(
+        2 * full_sort >= 5 * heap,
+        "full sort {full_sort} allocations, top-k heap {heap}: under 2.5x"
+    );
+}
+
+/// The flight recorder is on in every served request, so depositing a
+/// record must stay cheap: one allocation (the shared record) into a
+/// full ring, whose evicted record is freed, and none when recording is
+/// off.
+#[test]
+fn flight_recorder_allocates_once_per_record() {
+    const RECORDS: u64 = 1_000;
+    let record = |i: u64| FlightRecord {
+        request_id: i.to_string(),
+        fingerprint: Some(0x8486_d01b_7883_8283 ^ (i % 7)),
+        query: "sum(//quantity)".to_string(),
+        ok: true,
+        error: None,
+        cached_plan: i > 0,
+        streamed: false,
+        latency_us: 150 + i % 50,
+        tuples: 1_000,
+        worst_q_error: Some(1.0 + (i % 10) as f64 / 10.0),
+        stats_json: Some("{\"tuples_produced\":1000}".to_string()),
+        profile_json: Some("{\"pipelines\":[]}".to_string()),
+        trace_json: "[]".to_string(),
+        rewrites: vec!["top-k pushdown".to_string()],
+    };
+    for (capacity, per_record) in [(256, 1), (0, 0)] {
+        let recorder = FlightRecorder::new(capacity);
+        for i in 0..capacity as u64 {
+            recorder.record(record(i));
+        }
+        let records: Vec<FlightRecord> = (0..RECORDS).map(record).collect();
+        let ((), allocs, _) = counted(|| {
+            for r in records {
+                recorder.record(r);
+            }
+        });
+        println!("capacity {capacity}: {allocs} allocations for {RECORDS} records");
+        assert!(
+            allocs <= per_record * RECORDS,
+            "capacity {capacity}: {allocs} allocations for {RECORDS} records, \
+             ceiling {per_record} per record"
+        );
+    }
 }

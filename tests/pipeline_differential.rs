@@ -625,12 +625,15 @@ const ACCESS_PATH_CORPUS: [&str; 13] = [
 
 /// The forced-index corpus must actually exercise the index: a run with
 /// everything forced to `index` records index hits, and the same
-/// queries forced to `walk` record none.
+/// queries forced to `walk` record none. On a descendant scan and on a
+/// value probe the walk must also visit at least ten times the nodes
+/// the index plan visits or reads from postings: exact counters at
+/// threads=1, 16 012 vs 473 and 38 174 vs 224 when this floor was set.
 #[test]
 fn access_path_differential_takes_the_index() {
     let (ctx, stats) = indexed_orders_ctx();
     let query = "count(//lineitem[quantity = 10]) + count(//lineitem)";
-    let run = |mode: &str| {
+    let run = |mode: &str, query: &str| {
         let engine = hinted_engine(mode, 1).with_statistics(std::sync::Arc::clone(&stats));
         let before = ctx.stats.snapshot();
         engine
@@ -638,20 +641,32 @@ fn access_path_differential_takes_the_index() {
             .expect("compile")
             .run(&ctx)
             .expect("run");
-        let after = ctx.stats.snapshot();
-        (
-            after.scan_index_hits - before.scan_index_hits,
-            after.scan_walk_tuples - before.scan_walk_tuples,
-        )
+        ctx.stats.snapshot().delta(&before)
     };
-    let (index_hits, _) = run("access=index");
+    let index_hits = run("access=index", query).scan_index_hits;
     assert!(
         index_hits >= 2,
         "forced index run recorded {index_hits} hits"
     );
-    let (walk_hits, walk_tuples) = run("access=walk");
-    assert_eq!(walk_hits, 0, "forced walk run must not touch the index");
-    assert!(walk_tuples > 0, "forced walk run must tree-walk");
+    let walk = run("access=walk", query);
+    assert_eq!(
+        walk.scan_index_hits, 0,
+        "forced walk run must not touch the index"
+    );
+    assert!(walk.scan_walk_tuples > 0, "forced walk run must tree-walk");
+
+    for query in ["count(//lineitem)", "count(//lineitem[quantity = 7])"] {
+        let index = run("access=index", query);
+        let walk = run("access=walk", query);
+        let index_work = index.nodes_visited + index.scan_index_tuples;
+        assert!(
+            walk.nodes_visited >= 10 * index_work,
+            "{query}: walk visits {} nodes, index {} + {} postings: under 10x",
+            walk.nodes_visited,
+            index.nodes_visited,
+            index.scan_index_tuples
+        );
+    }
 }
 
 #[test]
@@ -928,38 +943,61 @@ fn join_large_morsel_differential() {
 
 /// Forced-hash runs must actually take the hash path — the build and
 /// probe counters move — and forced-nested runs must leave them alone.
+/// Joining a 50-row `rates` document to the lineitems on `quantity`,
+/// the nested plan re-walks the lineitems once per rate, so it must
+/// visit at least ten times the nodes the hash plan does: exact
+/// counters at threads=1, 1 131 951 vs 22 462 when this floor was set.
 #[test]
 fn join_differential_takes_the_hash_path() {
-    let ctx = orders_ctx();
-    let query = JOIN_CORPUS[0];
-    let before = ctx.stats.snapshot();
-    hinted_engine("join=hash", 1)
-        .compile(query)
-        .expect("compile")
-        .run(&ctx)
-        .expect("run");
-    let mid = ctx.stats.snapshot();
-    hinted_engine("join=nested", 1)
-        .compile(query)
-        .expect("compile")
-        .run(&ctx)
-        .expect("run");
-    let after = ctx.stats.snapshot();
+    let run = |mode: &str, query: &str, ctx: &DynamicContext| {
+        let before = ctx.stats.snapshot();
+        let out = hinted_engine(mode, 1)
+            .compile(query)
+            .expect("compile")
+            .run(ctx)
+            .expect("run");
+        (
+            serialize_sequence(&out),
+            ctx.stats.snapshot().delta(&before),
+        )
+    };
+    let mut ctx = orders_ctx();
+    let (_, hash) = run("join=hash", JOIN_CORPUS[0], &ctx);
+    let (_, nested) = run("join=nested", JOIN_CORPUS[0], &ctx);
+    assert!(hash.join_hash_probes > 0, "forced hash recorded no probes");
     assert!(
-        mid.join_hash_probes > before.join_hash_probes,
-        "forced hash recorded no probes"
-    );
-    assert!(
-        mid.join_build_tuples > before.join_build_tuples,
+        hash.join_build_tuples > 0,
         "forced hash recorded no build tuples"
     );
     assert_eq!(
-        after.join_hash_probes, mid.join_hash_probes,
+        nested.join_hash_probes, 0,
         "forced nested must not probe a hash table"
     );
     assert_eq!(
-        after.join_build_tuples, mid.join_build_tuples,
+        nested.join_build_tuples, 0,
         "forced nested must not build a hash table"
+    );
+
+    let rates: String = (1..=50)
+        .map(|q| format!("<rate><q>{q}</q></rate>"))
+        .collect();
+    let rates = xqa::parse_document(&format!("<rates>{rates}</rates>")).expect("rates parse");
+    ctx.register_document("rates", &rates);
+    let two_collection = "for $r in doc(\"rates\")//rate \
+         let $ls := for $li in //lineitem where $li/quantity = $r/q return $li \
+         order by number($r/q) \
+         return <g>{string($r/q)}:{count($ls)}</g>";
+    let (hashed, hash) = run("join=hash", two_collection, &ctx);
+    let (looped, nested) = run("join=nested", two_collection, &ctx);
+    assert_eq!(
+        hashed, looped,
+        "join modes disagree on the two-collection join"
+    );
+    assert!(
+        nested.nodes_visited >= 10 * hash.nodes_visited,
+        "nested visits {} nodes, hash {}: under 10x",
+        nested.nodes_visited,
+        hash.nodes_visited
     );
 }
 

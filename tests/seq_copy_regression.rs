@@ -7,6 +7,11 @@
 //! intentional change moves the number, re-baseline with
 //! `UPDATE_GOLDEN=1 cargo test --test seq_copy_regression` — the
 //! recorded value is the fresh measurement plus 20% headroom.
+//!
+//! The second assertion, more items shared than copied, means sharing
+//! removes over half of what the old `Vec<Item>` representation copied
+//! (copied + shared). That implies the 30 % copy-reduction floor the
+//! retired `seq` bench enforced.
 
 use xqa::{Engine, EngineOptions};
 
