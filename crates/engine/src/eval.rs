@@ -9,7 +9,7 @@
 use crate::casts::cast_atomic;
 use crate::context::{DynamicContext, EvalStats, Focus};
 use crate::error::{EngineError, EngineResult};
-use crate::functions::{self, FnCtx};
+use crate::functions::{self, Builtin, FnCtx};
 use crate::ir::*;
 use crate::types::{function_conversion, matches_seq_type};
 use std::cell::Cell;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use xqa_frontend::ast::{ArithOp, Axis, NodeComparison, Quantifier, SetOp};
 use xqa_xdm::{
     effective_boolean_value, general_compare, AtomicValue, Decimal, Document, DocumentBuilder,
-    ErrorCode, Item, NodeHandle, NodeKind, Sequence, SequenceBuilder,
+    ErrorCode, Item, NodeHandle, NodeId, NodeKind, Sequence, SequenceBuilder,
 };
 
 /// Maximum user-function recursion depth. Kept conservative because each
@@ -282,15 +282,9 @@ impl<'a> Interpreter<'a> {
             }
             Ir::CallUser(id, args) => self.call_user(*id, args, env),
             Ir::Element(el) => {
-                let mut b = DocumentBuilder::new();
-                self.construct_element(&mut b, el, env)?;
-                let doc = b.finish();
-                let node = doc
-                    .root()
-                    .children()
-                    .next()
-                    .expect("constructor built one element");
-                Ok(Sequence::one(Item::Node(node)))
+                let mut out = SequenceBuilder::new();
+                self.construct_rows(el, &[()], env, |_, _| {}, &mut out)?;
+                Ok(out.build())
             }
             Ir::Attribute { name, value } => {
                 let text = match value {
@@ -651,8 +645,8 @@ impl<'a> Interpreter<'a> {
                     Ok(out.into())
                 } else {
                     Err(EngineError::dynamic(
-                        ErrorCode::XPTY0004,
-                        "path step result mixes nodes and atomic values (XPTY0018)",
+                        ErrorCode::XPTY0018,
+                        "path step result mixes nodes and atomic values",
                     ))
                 }
             }
@@ -828,25 +822,66 @@ impl<'a> Interpreter<'a> {
 
     // ---- constructors ---------------------------------------------------
 
+    /// Construct `el` once per row, all rows into one arena: one
+    /// builder and one `finish` however many rows. Each row's element
+    /// sits under a document node of its own
+    /// ([`DocumentBuilder::start_root`]), so `root()`, `..`, `is` and
+    /// `<<` between rows answer as they would with a document per row.
+    /// `bind` installs a row's bindings before its element is built;
+    /// the elements go to `out` in row order.
+    pub(crate) fn construct_rows<T>(
+        &self,
+        el: &ElementIr,
+        rows: &[T],
+        env: &mut Env,
+        mut bind: impl FnMut(&T, &mut Env),
+        out: &mut SequenceBuilder,
+    ) -> EngineResult<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let mut b = DocumentBuilder::new();
+        for (i, row) in rows.iter().enumerate() {
+            if i > 0 {
+                b.start_root();
+            }
+            bind(row, env);
+            self.construct_element(&mut b, el, env)?;
+        }
+        let doc = b.finish();
+        let mut root: NodeId = 0;
+        for _ in rows {
+            let element = doc.first_child_of(root).expect("each root holds its row");
+            out.push(Item::Node(doc.handle(element).expect("a node of doc")));
+            root = doc.subtree_end(root) + 1;
+        }
+        Ok(())
+    }
+
     fn construct_element(
         &self,
         b: &mut DocumentBuilder,
         el: &ElementIr,
         env: &mut Env,
     ) -> EngineResult<()> {
-        b.start_element(el.name.clone());
+        let name = b.intern(&el.name);
+        b.start_element_id(name);
         for (name, parts) in &el.attributes {
-            let mut value = String::new();
+            let name = b.intern(name);
+            b.attribute_id(name, "");
             for part in parts {
                 match part {
-                    AttrPartIr::Literal(s) => value.push_str(s),
+                    AttrPartIr::Literal(s) => {
+                        b.append_attribute_value(s);
+                    }
                     AttrPartIr::Enclosed(e) => {
-                        let v = self.eval(e, env)?;
-                        value.push_str(&atomize_join(&v));
+                        let v = self.eval(unwrap_data(e), env)?;
+                        write_atomized(&v, &mut |s| {
+                            b.append_attribute_value(s);
+                        });
                     }
                 }
             }
-            b.attribute(name.clone(), value.as_str());
         }
         let mut content_started = false;
         for part in &el.content {
@@ -875,6 +910,15 @@ impl<'a> Interpreter<'a> {
                         self.insert_content(b, &v, &mut content_started)?;
                     }
                 },
+                // `{data(E)}` is all atomics, so it is text: written
+                // straight into the arena, no atomic values built.
+                ContentIr::Enclosed(e @ Ir::CallBuiltin(Builtin::Data, _)) => {
+                    let v = self.eval(unwrap_data(e), env)?;
+                    content_started |= !v.is_empty();
+                    write_atomized(&v, &mut |s| {
+                        b.text(s);
+                    });
+                }
                 ContentIr::Enclosed(e) => {
                     let v = self.eval(e, env)?;
                     self.insert_content(b, &v, &mut content_started)?;
@@ -915,14 +959,12 @@ impl<'a> Interpreter<'a> {
                     if n.kind() == NodeKind::Attribute {
                         if *content_started {
                             return Err(EngineError::dynamic(
-                                ErrorCode::Other,
-                                "attribute node after element content (XQTY0024)",
+                                ErrorCode::XQTY0024,
+                                "attribute node after element content",
                             ));
                         }
-                        b.attribute(
-                            n.name().expect("attribute has a name").clone(),
-                            n.raw_text().unwrap_or(""),
-                        );
+                        let name = b.intern(n.name().expect("attribute has a name"));
+                        b.attribute_id(name, n.raw_text().unwrap_or(""));
                     } else {
                         *content_started = true;
                         b.copy_node(n);
@@ -940,10 +982,10 @@ impl<'a> Interpreter<'a> {
 
 // ---- helpers --------------------------------------------------------
 
-fn no_context(what: &str) -> EngineError {
+pub(crate) fn no_context(what: &str) -> EngineError {
     EngineError::dynamic(
-        ErrorCode::Other,
-        format!("{what} used with no context item (XPDY0002)"),
+        ErrorCode::XPDY0002,
+        format!("{what} used with no context item"),
     )
 }
 
@@ -971,9 +1013,14 @@ fn predicate_truth(value: &[Item], position: i64) -> EngineResult<bool> {
 
 /// Atomized optional singleton.
 pub(crate) fn opt_atomic(seq: &[Item], what: &str) -> EngineResult<Option<AtomicValue>> {
+    Ok(opt_item(seq, what)?.map(Item::atomize))
+}
+
+/// Optional singleton.
+fn opt_item<'s>(seq: &'s [Item], what: &str) -> EngineResult<Option<&'s Item>> {
     match seq {
         [] => Ok(None),
-        [item] => Ok(Some(item.atomize())),
+        [item] => Ok(Some(item)),
         _ => Err(EngineError::dynamic(
             ErrorCode::XPTY0004,
             format!("{what}: expected at most one item, got {}", seq.len()),
@@ -993,13 +1040,6 @@ fn opt_node(seq: &[Item], what: &str) -> EngineResult<Option<NodeHandle>> {
             ErrorCode::XPTY0004,
             format!("{what}: expected at most one node, got {}", seq.len()),
         )),
-    }
-}
-
-pub(crate) fn untyped_to_string(v: AtomicValue) -> AtomicValue {
-    match v {
-        AtomicValue::Untyped(s) => AtomicValue::String(s),
-        other => other,
     }
 }
 
@@ -1031,16 +1071,13 @@ pub(crate) fn eval_value_comp(
     rhs: &[Item],
     stats: &EvalStats,
 ) -> EngineResult<Sequence> {
-    let la = opt_atomic(lhs, "value comparison")?;
-    let ra = opt_atomic(rhs, "value comparison")?;
-    match (la, ra) {
-        (Some(la), Some(ra)) => {
+    let l = opt_item(lhs, "value comparison")?;
+    let r = opt_item(rhs, "value comparison")?;
+    match (l, r) {
+        (Some(l), Some(r)) => {
             stats.comparisons.add(1);
-            // Value comparisons treat untyped operands as strings.
-            let la = untyped_to_string(la);
-            let ra = untyped_to_string(ra);
             Ok(Sequence::one(
-                xqa_xdm::value_compare(&la, &ra, op).map_err(EngineError::from)?,
+                xqa_xdm::value_compare_items(l, r, op).map_err(EngineError::from)?,
             ))
         }
         _ => Ok(Sequence::Empty),
@@ -1268,16 +1305,39 @@ fn eval_set_op(op: SetOp, lhs: Sequence, rhs: Sequence) -> EngineResult<Sequence
 }
 
 /// Atomize a sequence and join the string values with single spaces
-/// (attribute value templates, computed constructors).
+/// (computed constructors).
 fn atomize_join(seq: &[Item]) -> String {
     let mut out = String::new();
+    write_atomized(seq, &mut |s| out.push_str(s));
+    out
+}
+
+/// Write the string value of each item of `seq` atomized, single spaces
+/// between: the join of attribute values and text constructors, handed
+/// over in pieces so a builder can take them without an intermediate
+/// string. Strings and leaf nodes lend their text.
+fn write_atomized(seq: &[Item], write: &mut impl FnMut(&str)) {
     for (i, item) in seq.iter().enumerate() {
         if i > 0 {
-            out.push(' ');
+            write(" ");
         }
-        out.push_str(&item.atomize().string_value());
+        match item {
+            Item::Node(n) => match n.leaf_text() {
+                Some(text) => write(text),
+                None => write(&n.string_value()),
+            },
+            Item::Atomic(AtomicValue::String(s) | AtomicValue::Untyped(s)) => write(s),
+            Item::Atomic(v) => write(&v.string_value()),
+        }
     }
-    out
+}
+
+/// `data(E)` as `E`, for a value about to be written atomized anyway.
+fn unwrap_data(e: &Ir) -> &Ir {
+    match e {
+        Ir::CallBuiltin(Builtin::Data, args) if args.len() == 1 => &args[0],
+        e => e,
+    }
 }
 
 /// Node-test matching; `principal_attribute` is true on the attribute

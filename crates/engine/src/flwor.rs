@@ -10,7 +10,7 @@
 //! with an output positional variable (§4) — produces the result.
 
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{opt_atomic, untyped_to_string, Env, Interpreter};
+use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
 use std::cmp::Ordering;
 use xqa_xdm::{effective_boolean_value, sort_compare, AtomicValue, ErrorCode, Item, Sequence};
@@ -164,7 +164,7 @@ impl Interpreter<'_> {
             let v = self.eval(&spec.expr, env)?;
             let key = opt_atomic(&v, "order by key")?;
             // Untyped order keys compare as strings (XQuery 1.0 rule).
-            keys.push(key.map(untyped_to_string));
+            keys.push(key.map(AtomicValue::untyped_as_string));
         }
         Ok(keys)
     }

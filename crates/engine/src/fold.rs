@@ -7,7 +7,7 @@
 //! unfolded so the error is still raised at run time, when and if the
 //! expression is actually evaluated.
 
-use crate::eval::eval_arith;
+use crate::eval::{eval_arith, eval_neg};
 use crate::ir::*;
 use xqa_xdm::{effective_boolean_value, general_compare, value_compare, AtomicValue, Item};
 
@@ -52,34 +52,30 @@ fn make_literal(items: &[Item]) -> Option<Ir> {
 /// Try to collapse one node whose children are already folded (the
 /// planner visits bottom-up). Says whether it did.
 pub(crate) fn fold_node(ir: &mut Ir) -> bool {
-    let replacement: Option<Ir> =
-        match &*ir {
-            Ir::Arith(op, a, b) => match (literal(a), literal(b)) {
-                (Some(la), Some(lb)) => eval_arith(*op, &[la], &[lb])
-                    .ok()
-                    .and_then(|r| make_literal(&r)),
-                _ => None,
-            },
-            Ir::Neg(a) => literal(a).and_then(|v| {
-                eval_arith(xqa_frontend::ast::ArithOp::Sub, &[Item::from(0i64)], &[v])
-                    .ok()
-                    .and_then(|r| make_literal(&r))
-            }),
-            Ir::ValueComp(op, a, b) => match (literal(a), literal(b)) {
-                (Some(Item::Atomic(la)), Some(Item::Atomic(lb))) => value_compare(&la, &lb, *op)
-                    .ok()
-                    .map(|v| make_literal(&[Item::from(v)]).expect("boolean literal")),
-                _ => None,
-            },
-            Ir::GeneralComp(op, a, b) => match (literal(a), literal(b)) {
-                (Some(la), Some(lb)) => general_compare(&[la], &[lb], *op)
-                    .ok()
-                    .map(|v| make_literal(&[Item::from(v)]).expect("boolean literal")),
-                _ => None,
-            },
-            Ir::And(a, b) => fold_logic(a, b, true),
-            Ir::Or(a, b) => fold_logic(a, b, false),
-            Ir::If(c, t, e) => literal(c).and_then(|v| {
+    let replacement: Option<Ir> = match &*ir {
+        Ir::Arith(op, a, b) => match (literal(a), literal(b)) {
+            (Some(la), Some(lb)) => eval_arith(*op, &[la], &[lb])
+                .ok()
+                .and_then(|r| make_literal(&r)),
+            _ => None,
+        },
+        Ir::Neg(a) => literal(a).and_then(|v| eval_neg(&[v]).ok().and_then(|r| make_literal(&r))),
+        Ir::ValueComp(op, a, b) => match (literal(a), literal(b)) {
+            (Some(Item::Atomic(la)), Some(Item::Atomic(lb))) => value_compare(&la, &lb, *op)
+                .ok()
+                .map(|v| make_literal(&[Item::from(v)]).expect("boolean literal")),
+            _ => None,
+        },
+        Ir::GeneralComp(op, a, b) => match (literal(a), literal(b)) {
+            (Some(la), Some(lb)) => general_compare(&[la], &[lb], *op)
+                .ok()
+                .map(|v| make_literal(&[Item::from(v)]).expect("boolean literal")),
+            _ => None,
+        },
+        Ir::And(a, b) => fold_logic(a, b, true),
+        Ir::Or(a, b) => fold_logic(a, b, false),
+        Ir::If(c, t, e) => {
+            literal(c).and_then(|v| {
                 effective_boolean_value(&[v]).ok().map(|cond| {
                     if cond {
                         (**t).clone()
@@ -87,9 +83,10 @@ pub(crate) fn fold_node(ir: &mut Ir) -> bool {
                         (**e).clone()
                     }
                 })
-            }),
-            _ => None,
-        };
+            })
+        }
+        _ => None,
+    };
     match replacement {
         Some(new) => {
             *ir = new;
@@ -321,6 +318,45 @@ mod tests {
         assert!(matches!(q.body, Ir::Dec(d) if d.to_string() == "59.5"));
         let (q, _) = folded("-(2 + 3)");
         assert!(matches!(q.body, Ir::Int(-5)));
+    }
+
+    /// A folded negation prints what negating at run time prints,
+    /// negative zero included (it was folded as `0 - x`, which loses
+    /// the sign of `-0e0`).
+    #[test]
+    fn negation_folds_to_what_evaluation_gives() {
+        let ctx = crate::DynamicContext::new();
+        let run = |query: &str| {
+            let plan = crate::Engine::new().compile(query).expect("compiles");
+            let folded = !format!("{:?}", plan.compiled().body).contains("Neg");
+            let out = xqa_xmlparse::serialize_sequence(&plan.run(&ctx).expect("runs"));
+            (folded, out)
+        };
+        let operands = [
+            "0e0",
+            "-0e0",
+            "(1e0 div 0e0)",
+            "(0e0 div 0e0)",
+            "2.50",
+            "9223372036854775807",
+        ];
+        for x in operands {
+            for (folded, unfolded) in [
+                (
+                    format!("string(-{x})"),
+                    format!("for $z in {x} return string(-$z)"),
+                ),
+                (
+                    format!("<a>{{-{x}}}</a>"),
+                    format!("for $z in {x} return <a>{{-$z}}</a>"),
+                ),
+            ] {
+                let (fired, expected) = (run(&folded), run(&unfolded).1);
+                assert!(fired.0, "{folded} did not fold");
+                assert_eq!(fired.1, expected, "{folded} vs {unfolded}");
+            }
+        }
+        assert_eq!(run("string(-0e0)").1, "-0");
     }
 
     #[test]

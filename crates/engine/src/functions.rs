@@ -11,6 +11,7 @@
 use crate::casts::{cast_atomic, cast_target_from_name};
 use crate::context::{DynamicContext, Focus};
 use crate::error::{EngineError, EngineResult};
+use crate::eval::no_context;
 use crate::ir::CastTarget;
 use crate::keys::AtomicDistinctSet;
 use xqa_xdm::{
@@ -407,7 +408,7 @@ pub fn dispatch(b: Builtin, mut args: Vec<Sequence>, cx: &FnCtx<'_>) -> EngineRe
             let target = zero_or_one_focus(args, cx, "number")?;
             let v = match target {
                 None => f64::NAN,
-                Some(item) => item.atomize().to_double().unwrap_or(f64::NAN),
+                Some(item) => item.number(),
             };
             Ok(Sequence::one(Item::from(v)))
         }
@@ -464,11 +465,11 @@ pub fn dispatch(b: Builtin, mut args: Vec<Sequence>, cx: &FnCtx<'_>) -> EngineRe
         }
         Position => match cx.focus {
             Some(f) => Ok(Sequence::one(Item::from(f.position))),
-            None => Err(no_focus("position()")),
+            None => Err(no_context("position()")),
         },
         Last => match cx.focus {
             Some(f) => Ok(Sequence::one(Item::from(f.size))),
-            None => Err(no_focus("last()")),
+            None => Err(no_context("last()")),
         },
         YearFromDateTime | MonthFromDateTime | DayFromDateTime | HoursFromDateTime
         | MinutesFromDateTime | SecondsFromDateTime => fn_datetime_component(b, &args[0]),
@@ -564,13 +565,6 @@ pub fn dispatch(b: Builtin, mut args: Vec<Sequence>, cx: &FnCtx<'_>) -> EngineRe
     }
 }
 
-fn no_focus(what: &str) -> EngineError {
-    EngineError::dynamic(
-        ErrorCode::Other,
-        format!("{what} used with no context item"),
-    )
-}
-
 /// Helpers: 0-or-1-item argument, falling back to the focus item when
 /// the argument list is empty (the `fn:string()` / `fn:name()` pattern).
 fn zero_or_one_focus(
@@ -581,7 +575,7 @@ fn zero_or_one_focus(
     if args.is_empty() {
         return match cx.focus {
             Some(f) => Ok(Some(f.item.clone())),
-            None => Err(no_focus(what)),
+            None => Err(no_context(what)),
         };
     }
     let arg = args.pop().expect("checked non-empty");

@@ -39,7 +39,7 @@ mod partial;
 use crate::bytecode::{ExprPlan, ExprProgram};
 use crate::context::EvalStats;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{opt_atomic, untyped_to_string, Env, Interpreter};
+use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
 use crate::keys::atomic_key;
 use crate::profile::{Clock, OpProfile, PipelineProfile, Span};
@@ -284,7 +284,9 @@ fn build_chain<'p>(
 
 /// The pipeline sink: pulls tuples, binds the §4 output ordinal
 /// (`return at $rank`, numbered *after* any order by) and evaluates the
-/// return expression per tuple into `sink`, batch by batch.
+/// return expression per tuple into `sink`, batch by batch. A direct
+/// element constructor builds the whole batch's rows into one arena
+/// ([`Interpreter::construct_rows`]).
 fn return_at(
     f: &FlworIr,
     mut source: BoxSource<'_>,
@@ -297,13 +299,21 @@ fn return_at(
     while let Some(batch) = source.next_batch(interp, env)? {
         stats.batches += 1;
         stats.tuples += batch.len() as u64;
-        for t in batch {
+        let mut bind = |t: &Tuple, env: &mut Env| {
             t.apply(env);
             ordinal += 1;
             if let Some(at) = f.return_at {
                 env.slots[at] = Sequence::one(ordinal);
             }
-            sink.out.append(interp.eval(&f.return_expr, env)?);
+        };
+        match &f.return_expr {
+            Ir::Element(el) => interp.construct_rows(el, &batch, env, bind, &mut sink.out)?,
+            expr => {
+                for t in &batch {
+                    bind(t, env);
+                    sink.out.append(interp.eval(expr, env)?);
+                }
+            }
         }
         sink.end_batch()?;
     }
@@ -841,8 +851,8 @@ fn atom_class(v: &AtomicValue) -> u8 {
 /// the class gate admits). NaN stays unequal to itself, matching both
 /// comparison kinds.
 fn atom_eq(a: &AtomicValue, b: &AtomicValue) -> bool {
-    let a = untyped_to_string(a.clone());
-    let b = untyped_to_string(b.clone());
+    let a = a.clone().untyped_as_string();
+    let b = b.clone().untyped_as_string();
     matches!(
         xqa_xdm::value_compare(&a, &b, xqa_xdm::CompOp::Eq),
         Ok(true)

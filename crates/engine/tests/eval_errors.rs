@@ -132,7 +132,7 @@ fn path_type_errors() {
     );
     assert_eq!(
         code_of("//v/(if (. = 1) then . else 5)"),
-        ErrorCode::XPTY0004,
+        ErrorCode::XPTY0018,
         "mixed step result"
     );
 }
@@ -189,7 +189,7 @@ fn errors_in_predicates_propagate() {
 fn constructed_attribute_after_content_is_rejected() {
     assert_eq!(
         code_of("element r { \"text first\", attribute a { 1 } }"),
-        ErrorCode::Other
+        ErrorCode::XQTY0024
     );
 }
 
@@ -208,8 +208,9 @@ fn context_item_errors() {
     let ctx = DynamicContext::new(); // no context document
     let err = q.run(&ctx).unwrap_err();
     assert!(err.to_string().contains("context item"), "{err}");
+    assert_eq!(err.code(), ErrorCode::XPDY0002);
     let q = engine.compile("position()").unwrap();
-    assert!(q.run(&ctx).is_err());
+    assert_eq!(q.run(&ctx).unwrap_err().code(), ErrorCode::XPDY0002);
 }
 
 #[test]

@@ -302,3 +302,85 @@ fn parallel_sink_failure_classifies_as_sink_error_and_stops_the_workers() {
     let produced = ctx.stats.snapshot().tuples_produced;
     assert!(produced < ITEMS, "all {produced} tuples were produced");
 }
+
+/// Rows a `return` constructor builds share one arena per batch, yet
+/// each keeps a document node of its own: `root()`, `..`, `is` and `<<`
+/// answer as they would with a document per row, for two rows of one
+/// batch (1, 2) and two on either side of the 64-row batch boundary
+/// (64, 65), serial and with four threads over more than one morsel.
+#[test]
+fn constructed_rows_keep_a_document_node_each() {
+    const ROWS: &str = "for $x in 1 to 3000 return <r n=\"{$x}\">{$x}</r>";
+    for threads in [1, 4] {
+        let engine = Engine::with_options(EngineOptions {
+            threads,
+            ..EngineOptions::default()
+        });
+        for (a, b) in [(1, 2), (64, 65)] {
+            let query = format!(
+                "let $rows := ({ROWS}) let $a := $rows[{a}] let $b := $rows[{b}] \
+                 return (root($a) is $a/.., $a/@n/.. is $a, root($a) is root($b), $a is $b, \
+                         $a << $b, $b << $a, root($a) << root($b), $a/.. << $b, \
+                         root($a) instance of document-node(), count(root($a)/node()), \
+                         count($a/ancestor::node()), string(root($b)))"
+            );
+            let plan = engine.compile(&query).unwrap();
+            let out = serialize_sequence(&plan.run(&DynamicContext::new()).unwrap());
+            assert_eq!(
+                out,
+                format!("true true false false true false true true true 1 1 {b}"),
+                "rows {a} and {b} at threads = {threads}"
+            );
+        }
+        // The streamed rows themselves, across the batch boundary.
+        let plan = engine.compile(ROWS).unwrap();
+        let mut rows: Vec<Item> = Vec::new();
+        plan.run_streaming(&DynamicContext::new(), &mut |items| {
+            rows.extend_from_slice(items);
+            Ok(())
+        })
+        .unwrap();
+        let node = |i: usize| rows[i].as_node().unwrap().clone();
+        for (a, b) in [(0, 1), (63, 64)] {
+            let (ra, rb) = (node(a).parent().unwrap(), node(b).parent().unwrap());
+            assert!(ra.parent().is_none() && rb.parent().is_none());
+            assert!(!ra.is_same_node(&rb), "rows {a} and {b} share a root");
+            assert!(node(a).document_order(&node(b)).is_lt());
+            assert!(ra.document_order(&rb).is_lt());
+            assert_eq!(ra.children().count(), 1);
+        }
+    }
+}
+
+/// A row whose content raises on row 100 fails the second batch: the
+/// first 64 rows have reached the sink, the rows built before the error
+/// in the failing batch have not.
+#[test]
+fn constructed_row_error_stops_after_the_last_whole_batch() {
+    for threads in [1, 4] {
+        let engine = Engine::with_options(EngineOptions {
+            threads,
+            ..EngineOptions::default()
+        });
+        let plan = engine
+            .compile("for $x in 1 to 200 return <r a=\"{$x}\">{1 div (100 - $x)}</r>")
+            .unwrap();
+        let mut emitted = 0u64;
+        let err = plan
+            .run_streaming(&DynamicContext::new(), &mut |items| {
+                emitted += items.len() as u64;
+                Ok(())
+            })
+            .expect_err("row 100 divides by zero");
+        match err {
+            StreamError::MidStream {
+                error,
+                items_emitted,
+            } => {
+                assert_eq!(error.code(), ErrorCode::FOAR0001);
+                assert_eq!((items_emitted, emitted), (64, 64), "threads = {threads}");
+            }
+            other => panic!("expected MidStream, got {other:?}"),
+        }
+    }
+}

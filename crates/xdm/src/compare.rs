@@ -7,7 +7,7 @@
 
 use crate::decimal::Decimal;
 use crate::error::{XdmError, XdmResult};
-use crate::item::{AtomicType, AtomicValue, Item};
+use crate::item::{parse_double, AtomicType, AtomicValue, Item};
 use crate::node::{NodeHandle, NodeKind};
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -51,13 +51,63 @@ enum PartialComparison {
     NaN,
 }
 
+impl PartialComparison {
+    fn matches(self, op: CompOp) -> bool {
+        match self {
+            PartialComparison::Ordered(ord) => op.matches(ord),
+            PartialComparison::NaN => op == CompOp::Ne,
+        }
+    }
+
+    fn reverse(self) -> PartialComparison {
+        match self {
+            PartialComparison::Ordered(ord) => PartialComparison::Ordered(ord.reverse()),
+            PartialComparison::NaN => PartialComparison::NaN,
+        }
+    }
+}
+
 /// Compare two atomic values under *value comparison* rules
 /// (`eq`, `lt`, ...): untyped operands are treated as strings.
 pub fn value_compare(a: &AtomicValue, b: &AtomicValue, op: CompOp) -> XdmResult<bool> {
-    match partial_compare(a, b)? {
-        PartialComparison::Ordered(ord) => Ok(op.matches(ord)),
-        PartialComparison::NaN => Ok(op == CompOp::Ne),
+    Ok(partial_compare(a, b)?.matches(op))
+}
+
+/// Value comparison of two items: each is atomized and an untyped value
+/// compares as an `xs:string`. A node whose string value is one stored
+/// span ([`NodeHandle::leaf_text`]) is compared on the borrowed text.
+pub fn value_compare_items(a: &Item, b: &Item, op: CompOp) -> XdmResult<bool> {
+    if let Some(c) = leaf_comparison(a, b, false) {
+        return Ok(c.matches(op));
     }
+    let a = a.atomize().untyped_as_string();
+    let b = b.atomize().untyped_as_string();
+    value_compare(&a, &b, op)
+}
+
+/// The comparison of a node operand whose string value is one stored
+/// span ([`NodeHandle::leaf_text`]) with a string, untyped or numeric
+/// atomic, in either order, decided on the borrowed text. It is what
+/// atomizing the node to `xs:untypedAtomic` and casting would decide:
+/// codepoint order against a string or untyped value; under general
+/// comparison (`general`), `parse_double` and the double comparison with
+/// its NaN rule against a number. `None` hands the pair back to the
+/// atomizing path: value comparison with a number, any other type, a
+/// node without leaf text, or a text `parse_double` rejects. So the
+/// fast path never returns a result or error that path would not.
+fn leaf_comparison(a: &Item, b: &Item, general: bool) -> Option<PartialComparison> {
+    let (node, other, swapped) = match (a, b) {
+        (Item::Node(n), Item::Atomic(v)) => (n, v, false),
+        (Item::Atomic(v), Item::Node(n)) => (n, v, true),
+        _ => return None,
+    };
+    let text = node.leaf_text()?;
+    let c = match other {
+        AtomicValue::String(s) | AtomicValue::Untyped(s) => PartialComparison::Ordered(text.cmp(s)),
+        v if general && v.is_numeric() => double_cmp(parse_double(text).ok()?, v.to_double().ok()?),
+        _ => return None,
+    };
+    Some(if swapped { c.reverse() } else { c })
 }
 
 /// Total ordering used by `order by` and `min`/`max`: NaN sorts before
@@ -87,8 +137,8 @@ fn partial_compare(a: &AtomicValue, b: &AtomicValue) -> XdmResult<PartialCompari
         (V::Decimal(x), V::Decimal(y)) => x.cmp(y),
         (V::Integer(x), V::Decimal(y)) => Decimal::from_i64(*x).cmp(y),
         (V::Decimal(x), V::Integer(y)) => x.cmp(&Decimal::from_i64(*y)),
-        (V::Double(x), y) if y.is_numeric() => return double_cmp(*x, y.to_double()?),
-        (x, V::Double(y)) if x.is_numeric() => return double_cmp(x.to_double()?, *y),
+        (V::Double(x), y) if y.is_numeric() => return Ok(double_cmp(*x, y.to_double()?)),
+        (x, V::Double(y)) if x.is_numeric() => return Ok(double_cmp(x.to_double()?, *y)),
         // Strings and untyped (codepoint collation).
         (V::String(x) | V::Untyped(x), V::String(y) | V::Untyped(y)) => x.cmp(y),
         (V::Boolean(x), V::Boolean(y)) => x.cmp(y),
@@ -105,24 +155,33 @@ fn partial_compare(a: &AtomicValue, b: &AtomicValue) -> XdmResult<PartialCompari
     Ok(PartialComparison::Ordered(ord))
 }
 
-fn double_cmp(x: f64, y: f64) -> XdmResult<PartialComparison> {
-    Ok(match x.partial_cmp(&y) {
+fn double_cmp(x: f64, y: f64) -> PartialComparison {
+    match x.partial_cmp(&y) {
         Some(ord) => PartialComparison::Ordered(ord),
         None => PartialComparison::NaN,
-    })
+    }
 }
 
 /// General comparison (`=`, `<`, ...): existential over the atomized
 /// operands with the untyped-casting rules of XQuery 1.0 —
 /// untyped vs numeric casts the untyped side to `xs:double`,
 /// untyped vs untyped/string compares as strings, untyped vs other typed
-/// casts the untyped side to the other side's type.
+/// casts the untyped side to the other side's type. A node whose string
+/// value is one stored span ([`NodeHandle::leaf_text`]) is compared on
+/// the borrowed text; an operand is atomized only when a pair needs it.
 pub fn general_compare(lhs: &[Item], rhs: &[Item], op: CompOp) -> XdmResult<bool> {
     for l in lhs {
-        let la = l.atomize();
+        let mut la = None;
         for r in rhs {
+            if let Some(c) = leaf_comparison(l, r, true) {
+                if c.matches(op) {
+                    return Ok(true);
+                }
+                continue;
+            }
+            let la = la.get_or_insert_with(|| l.atomize());
             let ra = r.atomize();
-            let (la2, ra2) = general_cast_pair(&la, &ra)?;
+            let (la2, ra2) = general_cast_pair(la, &ra)?;
             if value_compare(&la2, &ra2, op)? {
                 return Ok(true);
             }
@@ -315,6 +374,132 @@ mod tests {
         let lhs = vec![Item::Node(price)];
         assert!(general_compare(&lhs, &[Item::from(65.0)], CompOp::Eq).unwrap());
         assert!(general_compare(&lhs, &[Item::from("65.00")], CompOp::Eq).unwrap());
+    }
+
+    /// The `DetRng` stream (splitmix64), inlined: this crate has no
+    /// dependencies to take it from.
+    struct DetRng(u64);
+
+    impl DetRng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    const LEAF_TEXTS: [&str; 12] = [
+        "", " 7 ", "7.0", "7", "-0", "INF", "NaN", "1e3", "R", "r", "abc", "1,5",
+    ];
+
+    /// Every node kind whose string value is `text` stored as one span.
+    fn leaf_nodes(text: &str) -> Vec<NodeHandle> {
+        let mut b = DocumentBuilder::new();
+        b.start_element(q("e"));
+        b.attribute(q("a"), text);
+        b.start_element(q("leaf")).text(text).end_element();
+        b.comment(text);
+        b.processing_instruction(q("pi"), text);
+        b.end_element();
+        let e = b.finish().root().children().next().unwrap();
+        let leaf = e.children().next().unwrap();
+        let mut nodes = vec![e.attribute(&q("a")).unwrap(), leaf.clone()];
+        nodes.extend(leaf.children());
+        nodes.extend(e.children().skip(1));
+        let mut b = DocumentBuilder::new();
+        b.text(text);
+        nodes.push(b.finish().root());
+        for n in &nodes {
+            assert_eq!(n.leaf_text(), Some(text), "{n:?}");
+        }
+        nodes
+    }
+
+    fn other_value(rng: &mut DetRng) -> AtomicValue {
+        let text = |rng: &mut DetRng| LEAF_TEXTS[rng.below(LEAF_TEXTS.len() as u64) as usize];
+        match rng.below(5) {
+            0 => AtomicValue::string(text(rng)),
+            1 => AtomicValue::untyped(text(rng)),
+            2 => int([7, 0, -1, 1000, i64::MAX, i64::MIN][rng.below(6) as usize]),
+            3 => AtomicValue::Decimal(Decimal::from_parts(rng.below(20_000) as i128 - 10_000, 3)),
+            _ => AtomicValue::Double(
+                [
+                    7.0,
+                    0.0,
+                    -0.0,
+                    1000.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                    6.99,
+                ][rng.below(8) as usize],
+            ),
+        }
+    }
+
+    fn outcome(r: XdmResult<bool>) -> Result<bool, crate::error::ErrorCode> {
+        r.map_err(|e| e.code)
+    }
+
+    /// Comparing a leaf node in place gives the boolean, or the error
+    /// code, that comparing its atomized value gives: all six operators,
+    /// both operand orders, general and value comparison, against
+    /// string, untyped, integer, decimal and double values; and
+    /// `fn:number` parses the same double.
+    #[test]
+    fn borrowed_leaf_comparisons_match_atomized() {
+        const OPS: [CompOp; 6] = [
+            CompOp::Eq,
+            CompOp::Ne,
+            CompOp::Lt,
+            CompOp::Le,
+            CompOp::Gt,
+            CompOp::Ge,
+        ];
+        let mut rng = DetRng(7);
+        for text in LEAF_TEXTS {
+            let atomized = Item::Atomic(AtomicValue::untyped(text));
+            for node in leaf_nodes(text).into_iter().map(Item::Node) {
+                let (borrowed, reference) = (node.number(), atomized.number());
+                assert!(
+                    borrowed.to_bits() == reference.to_bits()
+                        || borrowed.is_nan() && reference.is_nan(),
+                    "number({text:?}): {borrowed} vs {reference}"
+                );
+                for _ in 0..64 {
+                    let other = Item::Atomic(other_value(&mut rng));
+                    let pairs = [
+                        (&node, &other, &atomized, &other),
+                        (&other, &node, &other, &atomized),
+                    ];
+                    for (l, r, al, ar) in pairs {
+                        for op in OPS {
+                            let what = format!("{l:?} {op:?} {r:?}");
+                            assert_eq!(
+                                outcome(general_compare(
+                                    std::slice::from_ref(l),
+                                    std::slice::from_ref(r),
+                                    op
+                                )),
+                                outcome(general_compare(
+                                    std::slice::from_ref(al),
+                                    std::slice::from_ref(ar),
+                                    op
+                                )),
+                                "general {what}"
+                            );
+                            assert_eq!(
+                                outcome(value_compare_items(l, r, op)),
+                                outcome(value_compare_items(al, ar, op)),
+                                "value {what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

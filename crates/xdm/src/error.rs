@@ -16,6 +16,12 @@ pub enum ErrorCode {
     XPTY0004,
     /// A sequence of more than one item where a singleton is required.
     XPTY0005,
+    /// A path step's result mixes nodes and atomic values.
+    XPTY0018,
+    /// Evaluation needs the context item and none is defined.
+    XPDY0002,
+    /// An attribute node in element content after other content.
+    XQTY0024,
     /// Undefined variable reference.
     XPST0008,
     /// Undefined function / wrong arity.
@@ -51,6 +57,9 @@ impl fmt::Display for ErrorCode {
         let s = match self {
             ErrorCode::XPTY0004 => "XPTY0004",
             ErrorCode::XPTY0005 => "XPTY0005",
+            ErrorCode::XPTY0018 => "XPTY0018",
+            ErrorCode::XPDY0002 => "XPDY0002",
+            ErrorCode::XQTY0024 => "XQTY0024",
             ErrorCode::XPST0008 => "XPST0008",
             ErrorCode::XPST0017 => "XPST0017",
             ErrorCode::XPST0003 => "XPST0003",

@@ -135,6 +135,15 @@ impl AtomicValue {
         }
     }
 
+    /// An untyped value as `xs:string`, other values unchanged: how
+    /// value comparisons and `order by` treat untyped operands.
+    pub fn untyped_as_string(self) -> AtomicValue {
+        match self {
+            AtomicValue::Untyped(s) => AtomicValue::String(s),
+            other => other,
+        }
+    }
+
     /// Cast an untyped value to the target numeric/temporal type for
     /// comparison purposes; other values pass through unchanged.
     pub fn cast_untyped_as(&self, target: AtomicType) -> XdmResult<AtomicValue> {
@@ -252,6 +261,19 @@ impl Item {
             Item::Node(n) => AtomicValue::untyped(n.string_value()),
             Item::Atomic(a) => a.clone(),
         }
+    }
+
+    /// `fn:number`: the atomized item cast to `xs:double`, NaN when it
+    /// does not cast. A leaf node's stored text is parsed in place.
+    pub fn number(&self) -> f64 {
+        match self {
+            Item::Node(n) => match n.leaf_text() {
+                Some(text) => parse_double(text),
+                None => parse_double(&n.string_value()),
+            },
+            Item::Atomic(a) => a.to_double(),
+        }
+        .unwrap_or(f64::NAN)
     }
 
     /// The node inside, or a type error.

@@ -28,7 +28,8 @@ pub mod qname;
 pub mod sequence;
 
 pub use compare::{
-    deep_equal, general_compare, node_deep_equal, sort_compare, value_compare, CompOp,
+    deep_equal, general_compare, node_deep_equal, sort_compare, value_compare, value_compare_items,
+    CompOp,
 };
 pub use datetime::{Date, DateTime};
 pub use decimal::Decimal;

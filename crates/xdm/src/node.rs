@@ -12,6 +12,9 @@
 //! after it, its first child follows them, a node's next sibling is
 //! `subtree_end + 1`, and its descendants are the rest of the range. No
 //! node owns a heap object, so dropping a document frees three vectors.
+//! An arena may hold several parentless trees one after the other
+//! ([`DocumentBuilder::start_root`]): a batch of constructed rows shares
+//! one arena while each row keeps a document node of its own.
 //!
 //! Each document also carries a process-unique serial number, giving a
 //! stable, total document order across documents — XQuery leaves
@@ -405,6 +408,27 @@ impl NodeHandle {
         self.doc.text_of(self.id)
     }
 
+    /// The string value, borrowed, when it is one stored span: a text,
+    /// attribute, comment or PI node's own text, or an element's or
+    /// document's only child when that is a text node; `""` when an
+    /// element or document has no children. `None` for any other
+    /// content, whose string value [`string_value`](Self::string_value)
+    /// must concatenate.
+    pub fn leaf_text(&self) -> Option<&str> {
+        if let Some(text) = self.raw_text() {
+            return Some(text);
+        }
+        let rec = self.rec();
+        let first = self.id + rec.attrs + 1;
+        if first > rec.subtree_end {
+            return Some("");
+        }
+        // A text node is a leaf, so a first child that ends the
+        // interval is the only child.
+        (first == rec.subtree_end && self.doc.rec(first).kind == NodeKind::Text)
+            .then(|| self.doc.span(first))
+    }
+
     /// Child *elements* with the given name (the ubiquitous `child::name`
     /// step): the name resolves to its id once, each child then costs an
     /// integer compare, and only a match gets a handle.
@@ -539,6 +563,9 @@ pub struct DocumentBuilder {
     names: NameTable,
     /// The innermost open node (the document node when no element is).
     current: NodeId,
+    /// The document node content goes under: 0 until
+    /// [`start_root`](Self::start_root) opens another.
+    root: NodeId,
     /// True until the first non-attribute content of the innermost
     /// open element has been written.
     attrs_allowed: bool,
@@ -558,11 +585,37 @@ impl DocumentBuilder {
             text: String::new(),
             names: NameTable::default(),
             current: 0,
+            root: 0,
             attrs_allowed: false,
         };
-        b.push(NodeKind::Document, NO_NAME);
-        b.nodes[0].parent = NO_PARENT;
+        b.open_root();
         b
+    }
+
+    /// Start another parentless document node in the same arena; what
+    /// follows goes under it. One arena can so hold many small
+    /// documents, each with a node identity, root and document order of
+    /// its own, for the price of one. Returns the new node's id.
+    ///
+    /// # Panics
+    /// Panics if elements remain open.
+    pub fn start_root(&mut self) -> NodeId {
+        self.close_root();
+        self.open_root()
+    }
+
+    fn open_root(&mut self) -> NodeId {
+        let id = self.push(NodeKind::Document, NO_NAME);
+        self.nodes[id as usize].parent = NO_PARENT;
+        self.root = id;
+        self.current = id;
+        id
+    }
+
+    /// End the current document node's interval at the last record.
+    fn close_root(&mut self) {
+        assert!(self.current == self.root, "unclosed element(s)");
+        self.nodes[self.root as usize].subtree_end = (self.nodes.len() - 1) as NodeId;
     }
 
     /// Append a record for a leaf child of the current node; an element
@@ -645,6 +698,24 @@ impl DocumentBuilder {
         self
     }
 
+    /// Append `value` to the value of the attribute added last: an
+    /// attribute value template writes its parts straight into the
+    /// arena. The attribute is the last record, so its span ends where
+    /// the buffer does.
+    ///
+    /// # Panics
+    /// Panics unless the last node added is an attribute of the
+    /// innermost open element.
+    pub fn append_attribute_value(&mut self, value: &str) -> &mut Self {
+        let last = self.nodes.last().expect("the document node");
+        assert!(
+            self.attrs_allowed && last.kind == NodeKind::Attribute && last.parent == self.current,
+            "no attribute to append to"
+        );
+        self.text.push_str(value);
+        self
+    }
+
     /// Append a text node. Adjacent text nodes are merged, and empty
     /// strings are ignored, per the XDM construction rules.
     pub fn text(&mut self, value: &str) -> &mut Self {
@@ -689,7 +760,10 @@ impl DocumentBuilder {
     /// # Panics
     /// Panics when no element is open.
     pub fn end_element(&mut self) -> &mut Self {
-        assert!(self.current != 0, "end_element with no open element");
+        assert!(
+            self.current != self.root,
+            "end_element with no open element"
+        );
         let last = (self.nodes.len() - 1) as NodeId;
         let element = &mut self.nodes[self.current as usize];
         element.subtree_end = last;
@@ -759,8 +833,7 @@ impl DocumentBuilder {
     /// # Panics
     /// Panics if elements remain open.
     pub fn finish(mut self) -> Arc<Document> {
-        assert!(self.current == 0, "finish with unclosed element(s)");
-        self.nodes[0].subtree_end = (self.nodes.len() - 1) as NodeId;
+        self.close_root();
         Arc::new(Document {
             serial: DOC_SERIAL.fetch_add(1, AtomicOrdering::Relaxed),
             nodes: self.nodes,
@@ -920,6 +993,62 @@ mod tests {
         b.start_element(q("e"));
         b.text("x");
         b.attribute(q("a"), "v");
+    }
+
+    #[test]
+    fn start_root_keeps_each_tree_apart() {
+        let mut b = DocumentBuilder::new();
+        b.start_element(q("r")).text("one").end_element();
+        let second = b.start_root();
+        b.start_element(q("r"));
+        b.attribute(q("n"), "2").append_attribute_value("0");
+        b.text("two").end_element();
+        let doc = b.finish();
+        let roots = [doc.root(), doc.handle(second).unwrap()];
+        let rows: Vec<NodeHandle> = roots.iter().map(|r| r.children().next().unwrap()).collect();
+        for (root, row) in roots.iter().zip(&rows) {
+            assert_eq!(root.kind(), NodeKind::Document);
+            assert_eq!(root.children().count(), 1);
+            assert!(root.parent().is_none());
+            assert!(row.parent().unwrap().is_same_node(root));
+            assert!(row.ancestors().last().unwrap().is_same_node(root));
+        }
+        assert_eq!(roots[0].string_value(), "one");
+        assert_eq!(roots[0].descendants().count(), 2);
+        assert_eq!(rows[1].string_value(), "two");
+        assert_eq!(rows[1].attribute(&q("n")).unwrap().string_value(), "20");
+        assert!(rows[0].document_order(&rows[1]).is_lt());
+    }
+
+    #[test]
+    fn leaf_text_borrows_exactly_one_span() {
+        let mut b = DocumentBuilder::new();
+        b.start_element(q("r"));
+        b.attribute(q("a"), "v");
+        b.start_element(q("leaf")).text("7").end_element();
+        b.start_element(q("empty")).end_element();
+        b.start_element(q("mixed"))
+            .text("x")
+            .start_element(q("i"))
+            .end_element()
+            .end_element();
+        b.start_element(q("commented")).comment("c").end_element();
+        b.end_element();
+        let doc = b.finish();
+        let r = doc.root().children().next().unwrap();
+        let kids: Vec<NodeHandle> = r.children().collect();
+        assert_eq!(r.attribute(&q("a")).unwrap().leaf_text(), Some("v"));
+        assert_eq!(kids[0].leaf_text(), Some("7"));
+        assert_eq!(kids[0].children().next().unwrap().leaf_text(), Some("7"));
+        assert_eq!(kids[1].leaf_text(), Some(""));
+        assert_eq!(kids[2].leaf_text(), None);
+        assert_eq!(kids[3].leaf_text(), None);
+        assert_eq!(r.leaf_text(), None);
+        for n in std::iter::once(r.clone()).chain(r.descendants()) {
+            if let Some(text) = n.leaf_text() {
+                assert_eq!(text, n.string_value());
+            }
+        }
     }
 
     #[test]
