@@ -350,12 +350,7 @@ fn topk(sizes: &[usize]) {
         fast.run(&ctx).expect("profiled run");
         if let Some(profile) = ctx.take_profile() {
             println!("per-operator profile ({size} lineitems, streaming):");
-            print!("{}", fast.explain_analyze(&profile));
-            println!(
-                "expression evaluation: {} compiled-program evals, {} tree-walker fallbacks",
-                profile.stats.expr_compiled, profile.stats.expr_fallback
-            );
-            println!();
+            println!("{}", fast.explain_analyze(&profile));
         }
     }
 }

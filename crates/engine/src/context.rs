@@ -120,10 +120,12 @@ eval_counters! {
         "Leading descendant steps served by a document-store index lookup (DESIGN.md §12).";
     scan_index_tuples, "xqa_scan_index_tuples_total", "Tuples produced by index-resolved scans.";
     scan_walk_tuples, "xqa_scan_walk_tuples_total", "Tuples produced by tree-walk descendant scans.";
+    // Retired with the expression bytecode evaluator and never bumped;
+    // declared until the ledger stops reading both fields.
     expr_compiled, "xqa_eval_expr_compiled_total",
-        "Scalar expression evaluations served by a compiled bytecode program (DESIGN.md §13).";
+        "Retired, always 0: the expression bytecode evaluator it counted is gone (DESIGN.md §13).";
     expr_fallback, "xqa_eval_expr_fallback_total",
-        "Scalar expression evaluations that fell back to the IR tree-walker (lowering declined).";
+        "Retired, always 0: every expression runs on the IR tree-walker (DESIGN.md §13).";
     join_hash_probes, "xqa_join_hash_total",
         "Tuples probed against a `HashJoin` build table (DESIGN.md §15).";
     join_build_tuples, "xqa_join_build_tuples_total", "Items materialized into `HashJoin` build tables.";

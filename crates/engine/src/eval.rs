@@ -1043,12 +1043,12 @@ fn opt_node(seq: &[Item], what: &str) -> EngineResult<Option<NodeHandle>> {
     }
 }
 
-// ---- scalar kernels shared with the bytecode evaluator ---------------
+// ---- scalar kernels -------------------------------------------------
 //
 // Each kernel is the single implementation of one scalar op's dynamic
-// semantics, called by both the tree-walking arms above and the
-// compiled programs in `crate::bytecode` — results and error codes
-// cannot drift between the two evaluation strategies.
+// semantics. Constant folding (`crate::fold`) calls `eval_neg` and
+// `eval_arith` too, so a folded constant is the value the evaluator
+// would compute.
 
 /// Unary minus over an atomized optional numeric singleton.
 pub(crate) fn eval_neg(v: &[Item]) -> EngineResult<Sequence> {
@@ -1065,7 +1065,7 @@ pub(crate) fn eval_neg(v: &[Item]) -> EngineResult<Sequence> {
 
 /// Value comparison (`eq`, `lt`, ...): optional singletons, untyped
 /// operands compared as strings, empty when either side is empty.
-pub(crate) fn eval_value_comp(
+fn eval_value_comp(
     op: xqa_xdm::CompOp,
     lhs: &[Item],
     rhs: &[Item],
@@ -1085,7 +1085,7 @@ pub(crate) fn eval_value_comp(
 }
 
 /// General (existential) comparison (`=`, `<`, ...).
-pub(crate) fn eval_general_comp(
+fn eval_general_comp(
     op: xqa_xdm::CompOp,
     lhs: &[Item],
     rhs: &[Item],
@@ -1098,7 +1098,7 @@ pub(crate) fn eval_general_comp(
 }
 
 /// `cast as`: empty input is an error unless the target is optional.
-pub(crate) fn eval_cast(v: &[Item], target: CastTarget, optional: bool) -> EngineResult<Sequence> {
+fn eval_cast(v: &[Item], target: CastTarget, optional: bool) -> EngineResult<Sequence> {
     match opt_atomic(v, "cast")? {
         None => {
             if optional {
@@ -1116,7 +1116,7 @@ pub(crate) fn eval_cast(v: &[Item], target: CastTarget, optional: bool) -> Engin
 
 /// `castable as` — never raises; multi-item inputs are simply not
 /// castable.
-pub(crate) fn eval_castable(v: &[Item], target: CastTarget, optional: bool) -> Sequence {
+fn eval_castable(v: &[Item], target: CastTarget, optional: bool) -> Sequence {
     let ok = match opt_atomic(v, "castable") {
         Err(_) => false, // more than one item is never castable
         Ok(None) => optional,
@@ -1127,7 +1127,7 @@ pub(crate) fn eval_castable(v: &[Item], target: CastTarget, optional: bool) -> S
 
 /// A range bound: an atomized optional numeric singleton coerced to an
 /// integer (whole doubles allowed, anything fractional is a type error).
-pub(crate) fn range_bound(v: &[Item], what: &str) -> EngineResult<Option<i64>> {
+fn range_bound(v: &[Item], what: &str) -> EngineResult<Option<i64>> {
     match opt_numeric(v, what)? {
         None => Ok(None),
         Some(AtomicValue::Integer(i)) => Ok(Some(i)),
@@ -1196,7 +1196,7 @@ fn to_decimal(v: &AtomicValue) -> EngineResult<Decimal> {
     })
 }
 
-pub(crate) fn integer_arith(op: ArithOp, x: i64, y: i64) -> EngineResult<AtomicValue> {
+fn integer_arith(op: ArithOp, x: i64, y: i64) -> EngineResult<AtomicValue> {
     Ok(match op {
         ArithOp::Add => AtomicValue::Integer(x.checked_add(y).ok_or_else(overflow)?),
         ArithOp::Sub => AtomicValue::Integer(x.checked_sub(y).ok_or_else(overflow)?),
@@ -1223,7 +1223,7 @@ pub(crate) fn integer_arith(op: ArithOp, x: i64, y: i64) -> EngineResult<AtomicV
     })
 }
 
-pub(crate) fn decimal_arith(op: ArithOp, x: &Decimal, y: &Decimal) -> EngineResult<AtomicValue> {
+fn decimal_arith(op: ArithOp, x: &Decimal, y: &Decimal) -> EngineResult<AtomicValue> {
     Ok(match op {
         ArithOp::Add => AtomicValue::Decimal(x.checked_add(y)?),
         ArithOp::Sub => AtomicValue::Decimal(x.checked_sub(y)?),
@@ -1236,7 +1236,7 @@ pub(crate) fn decimal_arith(op: ArithOp, x: &Decimal, y: &Decimal) -> EngineResu
     })
 }
 
-pub(crate) fn double_arith(op: ArithOp, x: f64, y: f64) -> EngineResult<AtomicValue> {
+fn double_arith(op: ArithOp, x: f64, y: f64) -> EngineResult<AtomicValue> {
     Ok(match op {
         ArithOp::Add => AtomicValue::Double(x + y),
         ArithOp::Sub => AtomicValue::Double(x - y),

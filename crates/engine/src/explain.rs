@@ -5,7 +5,6 @@
 //! single scan feeding one `GroupBy`, while the `Q` plan is a
 //! `distinct-values` scan with a *nested re-scan per tuple*.
 
-use crate::bytecode::ExprPlan;
 use crate::functions::Builtin;
 use crate::ir::*;
 use crate::profile::QueryProfile;
@@ -82,11 +81,6 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
         profile.stats.scan_index_tuples,
         profile.stats.scan_walk_tuples
     );
-    let _ = writeln!(
-        out,
-        "expr: compiled={} fallback={}",
-        profile.stats.expr_compiled, profile.stats.expr_fallback
-    );
     if let Some(m) = profile.worst_misestimate() {
         let _ = writeln!(
             out,
@@ -99,12 +93,12 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
 
 /// A stable fingerprint of the rewritten plan: FNV-1a (64-bit) over the
 /// full `explain` rendering — clause structure, operator plan, access
-/// paths, expression-compilation tags and the resolved parallel
-/// annotation all feed the hash, so two requests share a fingerprint
-/// exactly when the optimizer produced the same plan shape. FNV-1a is
-/// spelled out here (not `DefaultHasher`) so fingerprints are stable
-/// across Rust releases and processes — they key the service's
-/// flight-recorder aggregation and may be logged or compared offline.
+/// paths and the resolved parallel annotation all feed the hash, so
+/// two requests share a fingerprint exactly when the optimizer produced
+/// the same plan shape. FNV-1a is spelled out here (not
+/// `DefaultHasher`) so fingerprints are stable across Rust releases and
+/// processes — they key the service's flight-recorder aggregation and
+/// may be logged or compared offline.
 pub fn plan_fingerprint(query: &CompiledQuery) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -343,20 +337,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
     }
 }
 
-/// The clause-line suffix naming how the clause's expression runs:
-/// through a compiled bytecode program, through the tree-walker after
-/// lowering declined, or unannotated when the expression-compilation
-/// pass never ran (tree mode, or IR compiled without an engine).
-fn expr_tag(plan: Option<&ExprPlan>) -> &'static str {
-    match plan {
-        Some(ExprPlan::Compiled(_)) => " [compiled]",
-        Some(ExprPlan::Interpreted) => " [interpreted]",
-        None => "",
-    }
-}
-
 fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
-    let plan = op.program.as_ref();
     // The `[hash join key=…]` tag on a join-annotated `let` / `where`:
     // the clause runs as a HashJoin probe, not by re-evaluating the
     // nested expression per tuple.
@@ -373,23 +354,15 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
             ..
         } => {
             let at = at_slot.map(|s| format!(" at slot{s}")).unwrap_or_default();
-            line(
-                out,
-                depth,
-                &format!("for slot{slot}{at} in{}", expr_tag(plan)),
-            );
+            line(out, depth, &format!("for slot{slot}{at} in"));
             write_ir(out, threads, expr, depth + 1);
         }
         ClauseIr::Let { slot, expr, .. } => {
-            line(
-                out,
-                depth,
-                &format!("let slot{slot} :={}{join_tag}", expr_tag(plan)),
-            );
+            line(out, depth, &format!("let slot{slot} :={join_tag}"));
             write_ir(out, threads, expr, depth + 1);
         }
         ClauseIr::Where(cond) => {
-            line(out, depth, &format!("where{}{join_tag}", expr_tag(plan)));
+            line(out, depth, &format!("where{join_tag}"));
             write_ir(out, threads, cond, depth + 1);
         }
         ClauseIr::Count { slot } => {

@@ -22,7 +22,7 @@ impl HintKey {
 }
 
 /// In [`PlanHints::slots`] order.
-const KEYS: [HintKey; 6] = [
+const KEYS: [HintKey; 5] = [
     HintKey {
         key: "join",
         on: "hash",
@@ -36,13 +36,6 @@ const KEYS: [HintKey; 6] = [
         off: "walk",
         pins: "//T scans and value predicates: always via the indexes | always tree-walk",
         absent: "statistics decide",
-    },
-    HintKey {
-        key: "expr",
-        on: "bytecode",
-        off: "tree",
-        pins: "FLWOR clause expressions: register programs | IR tree-walker",
-        absent: "bytecode",
     },
     HintKey {
         key: "topk",
@@ -103,11 +96,6 @@ pub struct PlanHints {
     /// the value index cannot answer exactly), or always tree-walk.
     /// Absent: annotate only when attached statistics favor the index.
     pub index_scan: Option<bool>,
-    /// `expr=bytecode|tree`: compile the scalar subset of FLWOR clause
-    /// expressions to register programs, or evaluate every expression
-    /// on the IR tree-walker (the differential baseline). Absent:
-    /// bytecode.
-    pub bytecode: Option<bool>,
     /// `topk=on|off`: push `[position() le k]`-style bounds over an
     /// `order by` into the sort as a heap limit, or always sort in
     /// full. Absent: on.
@@ -130,7 +118,6 @@ impl PlanHints {
         [
             &mut self.hash_join,
             &mut self.index_scan,
-            &mut self.bytecode,
             &mut self.topk,
             &mut self.implicit_groupby,
             &mut self.nest_agg,
@@ -142,7 +129,6 @@ impl PlanHints {
         PlanHints {
             hash_join: self.hash_join.or(fallback.hash_join),
             index_scan: self.index_scan.or(fallback.index_scan),
-            bytecode: self.bytecode.or(fallback.bytecode),
             topk: self.topk.or(fallback.topk),
             implicit_groupby: self.implicit_groupby.or(fallback.implicit_groupby),
             nest_agg: self.nest_agg.or(fallback.nest_agg),
@@ -234,7 +220,7 @@ mod tests {
                 }
             }
         }
-        let all = "join=nested,access=index,expr=tree,topk=off,implicit-groupby=on,nest-agg=off";
+        let all = "join=nested,access=index,topk=off,implicit-groupby=on,nest-agg=off";
         let hints: PlanHints = all.parse().unwrap();
         assert_eq!(hints.to_string(), all);
         assert_eq!(hints.to_string().parse::<PlanHints>().unwrap(), hints);
@@ -260,10 +246,10 @@ mod tests {
     #[test]
     fn or_fills_only_absent_hints() {
         let set: PlanHints = "join=nested,topk=off".parse().unwrap();
-        let fallback: PlanHints = "join=hash,expr=tree".parse().unwrap();
+        let fallback: PlanHints = "join=hash,access=walk".parse().unwrap();
         assert_eq!(
             set.or(fallback).to_string(),
-            "join=nested,expr=tree,topk=off"
+            "join=nested,access=walk,topk=off"
         );
         assert_eq!(PlanHints::default().or(fallback), fallback);
         assert_eq!(set.or(PlanHints::default()), set);

@@ -257,13 +257,6 @@ pub struct OpIr {
     /// whose nested equality predicate runs as a [`OpKind::HashJoin`]
     /// probe.
     pub join: Option<JoinIr>,
-    /// How the clause expression runs — the planner's expression-
-    /// lowering rule ([`crate::bytecode::lower`]): `Some(Compiled)`
-    /// through a register program, `Some(Interpreted)` where lowering
-    /// declined an eligible expression. `None` for clause kinds without
-    /// a scalar expression, before [`crate::rewrite::plan`] runs, and
-    /// under the `expr=tree` hint.
-    pub program: Option<crate::bytecode::ExprPlan>,
     /// The planner's estimate of the rows this operator emits (see
     /// [`crate::estimate`]). `None` before [`crate::rewrite::plan`]
     /// runs, and where it has no basis.
@@ -283,7 +276,6 @@ impl From<ClauseIr> for OpIr {
         OpIr {
             clause,
             join: None,
-            program: None,
             estimate: None,
             counted_nests: Vec::new(),
         }
@@ -882,10 +874,9 @@ mod tests {
             kinds,
             [ForScan, LetBind, CountBind, Filter, GroupConsume, OrderBy]
         );
-        assert!(f.ops.iter().all(|op| op.join.is_none()
-            && op.program.is_none()
-            && op.estimate.is_none()
-            && op.counted_nests.is_empty()));
+        for op in &f.ops {
+            assert!(op.join.is_none() && op.estimate.is_none() && op.counted_nests.is_empty());
+        }
         assert_eq!(f.return_estimate, None);
         assert!(crate::explain::explain_query(&query).contains(
             "pipeline: ForScan -> LetBind -> CountBind -> Filter -> \

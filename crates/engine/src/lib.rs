@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bytecode;
 pub mod casts;
 pub mod compile;
 pub mod context;
@@ -242,19 +241,6 @@ impl Engine {
         compiled.threads = self.options.threads;
         let rewrites = rewrite::plan(&mut compiled, hints, self.statistics.as_deref());
         if let Some(t) = tracer {
-            let [lowered, interpreted] = bytecode::lowering_summary(&mut compiled);
-            if !(lowered.is_empty() && interpreted.is_empty()) {
-                t.emit(
-                    TracePhase::CompileExpr,
-                    format!(
-                        "expr bytecode: lowered {} [{}], interpreted {} [{}]",
-                        lowered.len(),
-                        lowered.join(", "),
-                        interpreted.len(),
-                        interpreted.join(", "),
-                    ),
-                );
-            }
             for r in &rewrites {
                 t.emit(
                     TracePhase::RewriteFired,

@@ -36,7 +36,6 @@
 
 mod partial;
 
-use crate::bytecode::{ExprPlan, ExprProgram};
 use crate::context::EvalStats;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{opt_atomic, Env, Interpreter};
@@ -196,10 +195,10 @@ pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResul
 ///
 /// A parallel-eligible chain (see [`crate::ir::parallel_eligible`])
 /// running where more than one thread is available evaluates the outer
-/// `for` binding sequence up front, through that clause's own
-/// [`ExprEval`] as `ForScan` would: inputs larger than one [`MORSEL`]
-/// go through the [`exchange`] and the calling thread runs only what
-/// follows the first breaker, smaller ones seed the ordinary chain.
+/// `for` binding sequence up front, as `ForScan` would: inputs larger
+/// than one [`MORSEL`] go through the [`exchange`] and the calling
+/// thread runs only what follows the first breaker, smaller ones seed
+/// the ordinary chain.
 fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> EngineResult<()> {
     let n = f.ops.len();
     let cells = join_cells(f);
@@ -213,9 +212,7 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
         let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
             unreachable!("parallel-eligible FLWOR starts with a for clause");
         };
-        let mut outer = ExprEval::new(f.ops[0].program.as_ref());
-        seed = Some(outer.eval(expr, interp, env)?);
-        outer.flush(interp.stats);
+        seed = Some(interp.eval(expr, env)?);
     }
 
     let start = clock.as_ref().map(|c| c.now_nanos());
@@ -328,72 +325,6 @@ struct SinkStats {
     tuples: u64,
 }
 
-/// Per-operator expression-evaluation state: the compiled bytecode
-/// program when lowering produced one, the register scratch it runs in
-/// (sized once, reused across every tuple the operator sees), and
-/// locally batched counter updates flushed to the shared stats block
-/// once per output batch instead of once per tuple.
-///
-/// Programs are total — they raise exactly the errors the tree-walker
-/// would — so an operator holding a `Compiled` plan never consults the
-/// interpreter for its expression. `Interpreted` means lowering
-/// declined the expression at compile time: the tree-walker evaluates
-/// it and each evaluation counts as an `expr_fallback`. `None` (tree
-/// mode, or IR that never went through lowering) counts nothing.
-struct ExprEval<'p> {
-    program: Option<&'p ExprProgram>,
-    counts_fallback: bool,
-    regs: Vec<Sequence>,
-    n_compiled: u64,
-    n_fallback: u64,
-}
-
-impl<'p> ExprEval<'p> {
-    fn new(plan: Option<&'p ExprPlan>) -> ExprEval<'p> {
-        let (program, counts_fallback) = match plan {
-            Some(ExprPlan::Compiled(p)) => (Some(p), false),
-            Some(ExprPlan::Interpreted) => (None, true),
-            None => (None, false),
-        };
-        ExprEval {
-            program,
-            counts_fallback,
-            regs: vec![Sequence::Empty; program.map_or(0, |p| p.reg_count())],
-            n_compiled: 0,
-            n_fallback: 0,
-        }
-    }
-
-    /// Evaluate the clause expression against the current env frame,
-    /// through the program when one was compiled.
-    fn eval(&mut self, expr: &Ir, interp: &Interpreter, env: &mut Env) -> EngineResult<Sequence> {
-        match self.program {
-            Some(p) => {
-                self.n_compiled += 1;
-                p.eval(interp, env, &mut self.regs)
-            }
-            None => {
-                if self.counts_fallback {
-                    self.n_fallback += 1;
-                }
-                interp.eval(expr, env)
-            }
-        }
-    }
-
-    /// Flush locally accumulated evaluation counts to the stats block.
-    fn flush(&mut self, stats: &EvalStats) {
-        if self.n_compiled > 0 {
-            stats.expr_compiled.add(self.n_compiled);
-            self.n_compiled = 0;
-        }
-        if self.n_fallback > 0 {
-            stats.expr_fallback.add(self.n_fallback);
-            self.n_fallback = 0;
-        }
-    }
-}
-
 /// Lower one clause record onto `input`, yielding the operator
 /// [`OpKind::of`] names. A record the join-unnesting rule annotated
 /// lowers to the hash-join operator instead of its nested form; `cell`
@@ -415,7 +346,6 @@ fn clause_source<'p>(
             table: None,
         });
     }
-    let plan = op.program.as_ref();
     match &op.clause {
         ClauseIr::For {
             slot,
@@ -431,7 +361,6 @@ fn clause_source<'p>(
                 at_slot: *at_slot,
                 ty: ty.as_ref(),
                 expr,
-                expr_eval: ExprEval::new(plan),
                 batch: Vec::new().into_iter(),
                 items: items.into_iter(),
                 item_pos,
@@ -444,13 +373,8 @@ fn clause_source<'p>(
             slot: *slot,
             ty: ty.as_ref(),
             expr,
-            expr_eval: ExprEval::new(plan),
         }),
-        ClauseIr::Where(cond) => Box::new(Filter {
-            input,
-            cond,
-            expr_eval: ExprEval::new(plan),
-        }),
+        ClauseIr::Where(cond) => Box::new(Filter { input, cond }),
         ClauseIr::Count { slot } => Box::new(CountBind {
             input,
             slot: *slot,
@@ -667,7 +591,6 @@ struct ForScan<'p> {
     at_slot: Option<Slot>,
     ty: Option<&'p SeqTypeIr>,
     expr: &'p Ir,
-    expr_eval: ExprEval<'p>,
     batch: std::vec::IntoIter<Tuple>,
     items: SequenceIntoIter,
     item_pos: i64,
@@ -702,20 +625,18 @@ impl TupleSource for ForScan<'_> {
                 out.push(t);
                 if out.len() >= BATCH {
                     interp.stats.tuples_produced.add(out.len() as u64);
-                    self.expr_eval.flush(interp.stats);
                     return Ok(Some(out));
                 }
             }
             match self.batch.next() {
                 Some(base) => {
                     base.apply(env);
-                    self.items = self.expr_eval.eval(self.expr, interp, env)?.into_iter();
+                    self.items = interp.eval(self.expr, env)?.into_iter();
                     self.item_pos = 0;
                     self.base = base;
                 }
                 None if self.input_done => {
                     interp.stats.tuples_produced.add(out.len() as u64);
-                    self.expr_eval.flush(interp.stats);
                     return Ok(if out.is_empty() { None } else { Some(out) });
                 }
                 None => match self.input.next_batch(interp, env)? {
@@ -733,7 +654,6 @@ struct LetBind<'p> {
     slot: Slot,
     ty: Option<&'p SeqTypeIr>,
     expr: &'p Ir,
-    expr_eval: ExprEval<'p>,
 }
 
 impl TupleSource for LetBind<'_> {
@@ -747,7 +667,7 @@ impl TupleSource for LetBind<'_> {
         };
         for t in &mut batch {
             t.apply(env);
-            let seq = self.expr_eval.eval(self.expr, interp, env)?;
+            let seq = interp.eval(self.expr, env)?;
             if let Some(ty) = self.ty {
                 if !matches_seq_type(&seq, ty) {
                     return Err(EngineError::dynamic(
@@ -758,7 +678,6 @@ impl TupleSource for LetBind<'_> {
             }
             t.bind(self.slot, seq);
         }
-        self.expr_eval.flush(interp.stats);
         Ok(Some(batch))
     }
 }
@@ -767,7 +686,6 @@ impl TupleSource for LetBind<'_> {
 struct Filter<'p> {
     input: BoxSource<'p>,
     cond: &'p Ir,
-    expr_eval: ExprEval<'p>,
 }
 
 impl TupleSource for Filter<'_> {
@@ -783,7 +701,7 @@ impl TupleSource for Filter<'_> {
         let mut out = Vec::with_capacity(before);
         for t in batch {
             t.apply(env);
-            let v = self.expr_eval.eval(self.cond, interp, env)?;
+            let v = interp.eval(self.cond, env)?;
             if effective_boolean_value(&v).map_err(EngineError::from)? {
                 out.push(t);
             }
@@ -792,7 +710,6 @@ impl TupleSource for Filter<'_> {
             .stats
             .tuples_pruned_filter
             .add((before - out.len()) as u64);
-        self.expr_eval.flush(interp.stats);
         Ok(Some(out))
     }
 }

@@ -1,9 +1,9 @@
 //! The planner: one ordered list of rules over the compiled plan.
 //!
 //! [`plan`] is every plan-shaping pass of the engine — the rewrites,
-//! the access-path and join annotations, cardinality estimates and
-//! expression lowering — as one rule list ([`RULES`]) run by one
-//! driver: for each enabled rule, for each expression root of the query
+//! the access-path and join annotations and cardinality estimates — as
+//! one rule list ([`RULES`]) run by one driver: for each enabled rule,
+//! for each expression root of the query
 //! ([`CompiledQuery::roots_mut`]: globals, functions, body), the rule
 //! visits the root's nodes through [`walk`], which enumerates children
 //! with [`crate::fold::child_irs`] and nothing else. What each rule
@@ -71,7 +71,7 @@
 use crate::fold::{child_irs_ref, walk};
 use crate::functions::Builtin;
 use crate::ir::*;
-use crate::{bytecode, estimate, fold, PlanHints, RewriteKind, RewriteNote};
+use crate::{estimate, fold, PlanHints, RewriteKind, RewriteNote};
 use std::collections::HashSet;
 use std::fmt::Write;
 use xqa_frontend::ast::{Axis, Quantifier};
@@ -132,11 +132,9 @@ struct Rule {
 /// 6. *index annotation* before join unnesting, so the build-side
 ///    cardinality gate sees the final access paths.
 /// 7. *join unnesting*.
-/// 8. *estimates* after every plan-shaping rule (they read top-k
+/// 8. *estimates* last, after every plan-shaping rule (they read top-k
 ///    limits, access paths and join annotations).
-/// 9. *expression lowering* last: every rule above mutates the IR the
-///    programs are lowered from.
-const RULES: [Rule; 9] = [
+const RULES: [Rule; 8] = [
     Rule {
         kind: Some(RewriteKind::ImplicitGroupBy),
         located: false,
@@ -184,12 +182,6 @@ const RULES: [Rule; 9] = [
         located: false,
         enabled: |_| true,
         apply: stamp_estimates,
-    },
-    Rule {
-        kind: None,
-        located: false,
-        enabled: |cx| cx.hints.bytecode != Some(false),
-        apply: lower_exprs,
     },
 ];
 
@@ -370,8 +362,8 @@ fn plain_child_step(p: &PathIr) -> Option<&QName> {
     }
 }
 
-/// Structural identity of two IR fragments. `Ir` holds `f64` literals
-/// and compiled programs, so it derives no `PartialEq`; its derived
+/// Structural identity of two IR fragments. `Ir` holds `f64` literals,
+/// so it derives no `PartialEq`; its derived
 /// `Debug` rendering spells out every field, slot numbers included.
 fn same<T: std::fmt::Debug>(a: T, b: T) -> bool {
     format!("{a:?}") == format!("{b:?}")
@@ -504,7 +496,7 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
     Some(fors)
 }
 
-// ---- constant folding, estimates, expression lowering -----------------
+// ---- constant folding, estimates --------------------------------------
 
 fn fold_constants(root: &mut Ir, cx: &mut Cx<'_>) {
     walk(root, true, &mut |ir| {
@@ -526,14 +518,6 @@ fn stamp_estimates(root: &mut Ir, cx: &mut Cx<'_>) {
     walk(root, true, &mut |ir| {
         if let Ir::Flwor(f) = ir {
             estimate::estimate_chain(f, cx.stats);
-        }
-    });
-}
-
-fn lower_exprs(root: &mut Ir, _: &mut Cx<'_>) {
-    walk(root, false, &mut |ir| {
-        if let Ir::Flwor(f) = ir {
-            bytecode::lower_flwor(f);
         }
     });
 }

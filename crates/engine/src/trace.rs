@@ -22,9 +22,6 @@ pub enum TracePhase {
     Compile,
     /// A rewrite fired (detail says which, and where).
     RewriteFired,
-    /// Scalar expressions lowered to bytecode (detail lists what
-    /// compiled and what stayed interpreted).
-    CompileExpr,
     /// A prepared query was executed.
     Execute,
 }
@@ -36,7 +33,6 @@ impl TracePhase {
             TracePhase::Parse => "parse",
             TracePhase::Compile => "compile",
             TracePhase::RewriteFired => "rewrite-fired",
-            TracePhase::CompileExpr => "compile-expr",
             TracePhase::Execute => "execute",
         }
     }

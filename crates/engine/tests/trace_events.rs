@@ -46,14 +46,14 @@ fn the_compile_event_names_the_effective_hints() {
         Arc::clone(&ring) as Arc<dyn TraceSink>,
     );
     let plan = Engine::with_options(EngineOptions {
-        hints: "join=nested,expr=tree".parse().unwrap(),
+        hints: "join=nested,access=walk".parse().unwrap(),
         ..Default::default()
     })
     .compile_traced("1 + 1", Some(&tracer))
     .expect("compiles");
     let hints = plan.hints();
     assert_eq!(
-        (hints.hash_join, hints.bytecode),
+        (hints.hash_join, hints.index_scan),
         (Some(false), Some(false))
     );
     let compile = ring.drain().pop().expect("compile event").detail;

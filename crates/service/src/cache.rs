@@ -187,7 +187,7 @@ impl PlanCache {
 
     /// Like [`PlanCache::get_or_compile_status`], but threads a
     /// [`Tracer`] into the compilation pipeline so compile-phase events
-    /// (parse, rewrites fired, bytecode lowering) land in the caller's
+    /// (parse, rewrites fired, compile) land in the caller's
     /// trace sink. Cache hits emit nothing — compilation never ran.
     pub fn get_or_compile_traced(
         &self,

@@ -1,7 +1,8 @@
 //! A deliberately minimal HTTP/1.1 layer over `std::io`.
 //!
 //! Parses just enough of a request for the service's endpoints —
-//! request line (with HTTP version), headers, `Content-Length`, body —
+//! request line (with HTTP version), headers, and a body framed by
+//! `Content-Length` alone (a request `Transfer-Encoding` is refused) —
 //! and writes responses either whole (with `Content-Length`) or as
 //! `Transfer-Encoding: chunked` streams. Connection lifetime is the
 //! caller's business: the parser reports whether the client asked for
@@ -180,6 +181,12 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Request, RequestError> 
             if content_length.replace(parsed).is_some() {
                 return Err(RequestError::Malformed("duplicate content-length"));
             }
+        }
+        // Bodies are framed by `Content-Length` alone. Read as empty, a
+        // chunked body's bytes would parse as the next pipelined
+        // request; next to a length it is the CL.TE smuggling shape.
+        if name == "transfer-encoding" {
+            return Err(RequestError::Malformed("transfer-encoding"));
         }
         headers.push((name, value));
     }
@@ -456,6 +463,22 @@ mod tests {
             parse(b"POST /q HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi"),
             Err(RequestError::Malformed("duplicate content-length"))
         );
+    }
+
+    #[test]
+    fn rejects_any_transfer_encoding() {
+        for raw in [
+            &b"POST /q HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n"[..],
+            b"POST /q HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\nhi",
+            b"GET / HTTP/1.1\r\ntransfer-encoding: identity\r\n\r\n",
+        ] {
+            assert_eq!(
+                parse(raw),
+                Err(RequestError::Malformed("transfer-encoding")),
+                "{}",
+                String::from_utf8_lossy(raw)
+            );
+        }
     }
 
     #[test]

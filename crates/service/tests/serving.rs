@@ -378,6 +378,57 @@ fn malformed_requests_get_clean_4xx_responses() {
 }
 
 #[test]
+fn a_request_transfer_encoding_gets_one_400_and_a_closed_socket() {
+    let server = default_server();
+    let addr = server.local_addr();
+    let chunked = "3\r\n1+1\r\n0\r\n\r\n";
+    let healthz = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+    let cases = [
+        // Chunked alone: a body framed by length alone would be empty and
+        // its chunk bytes the next pipelined request.
+        format!(
+            "POST /query HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+             {chunked}{healthz}"
+        ),
+        // Chunked next to a length: the CL.TE smuggling shape.
+        format!(
+            "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\
+             Transfer-Encoding: chunked\r\n\r\n{chunked}{healthz}",
+            chunked.len()
+        ),
+    ];
+    for raw in cases {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut stream = stream;
+        stream.write_all(raw.as_bytes()).expect("send");
+        let (head, body) = read_response(&mut reader);
+        assert_eq!(status_of(&head), 400, "{raw:?}: {body}");
+        assert!(body.contains("transfer-encoding"), "{raw:?}: {body}");
+        assert_eq!(
+            header_value(&head, "connection").as_deref(),
+            Some("close"),
+            "{raw:?}: {head}"
+        );
+        // Nothing follows: the pipelined GET was never served.
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).expect("drain to close");
+        assert!(rest.is_empty(), "{raw:?}: a second response {rest:?}");
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("send");
+    let (head, body) = read_response(&mut BufReader::new(stream));
+    assert_eq!(status_of(&head), 200);
+    assert_eq!(body, "ok\n");
+    server.shutdown();
+}
+
+#[test]
 fn a_query_nested_past_the_parser_bound_is_a_400_and_the_server_lives_on() {
     // A 1 000-term `1+1+...+1` (2 KB) once overflowed a worker's 2 MiB
     // stack, which panic isolation cannot catch: it aborted the server.

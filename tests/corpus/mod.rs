@@ -13,12 +13,10 @@ const SOURCES: [&str; 2] = [
 
 /// Absent hints (the engine decides) plus both sides of every hint the
 /// differential suites pin, and the paper's opt-in rewrite.
-pub const HINT_CELLS: [&str; 8] = [
+pub const HINT_CELLS: [&str; 6] = [
     "",
     "access=walk",
     "access=index",
-    "expr=bytecode",
-    "expr=tree",
     "join=hash",
     "join=nested",
     "implicit-groupby=on",

@@ -1,31 +1,28 @@
-//! Dynamic-error parity between compiled expression programs and the
-//! IR tree-walker. A lowered program must raise exactly the error the
-//! tree-walker raises — same code, same message, and under parallel
-//! execution the same first-failing-tuple selection — because programs
-//! call the evaluator's own scalar kernels rather than reimplementing
-//! their semantics.
+//! Dynamic-error identity across degrees of parallelism. A query that
+//! raises must raise exactly the same error — same code, same message —
+//! at threads=1 and at threads=4. When tuples in several morsels would
+//! fail, the parallel run must surface the error the serial scan hits
+//! first.
 
 use xqa::{DynamicContext, Engine, EngineOptions};
 
-/// Runs `query` under every mode × thread combination; every run must
-/// fail, all failures must render identically, and the message must
-/// mention `expect` (an error code or message fragment).
+/// Runs `query` at threads 1 and 4; both runs must fail, both failures
+/// must render identically, and the message must mention `expect` (an
+/// error code or message fragment).
 fn assert_error_parity(query: &str, expect: &str) {
     let ctx = DynamicContext::new();
     let mut errors: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 4] {
-        for mode in ["expr=bytecode", "expr=tree"] {
-            let engine = Engine::with_options(EngineOptions {
-                threads,
-                hints: mode.parse().unwrap(),
-            });
-            let err = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"))
-                .run(&ctx)
-                .expect_err("query must raise a dynamic error");
-            errors.push((format!("{mode} threads={threads}"), err.to_string()));
-        }
+        let engine = Engine::with_options(EngineOptions {
+            threads,
+            ..Default::default()
+        });
+        let err = engine
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile (threads={threads}): {e}\n{query}"))
+            .run(&ctx)
+            .expect_err("query must raise a dynamic error");
+        errors.push((format!("threads={threads}"), err.to_string()));
     }
     let (baseline_label, baseline) = &errors[0];
     assert!(
@@ -74,9 +71,8 @@ fn integer_overflow_parity() {
 
 #[test]
 fn cast_failure_parity() {
-    // The `for` binding is a literal sequence (lowering declines), but
-    // the failing cast sits in a lowered `let` program: the error
-    // fires at the third tuple in both evaluators.
+    // The failing cast sits in the `let`: the error fires at the third
+    // tuple.
     assert_error_parity(
         "for $s in (\"1\", \"2\", \"x\") let $n := $s cast as xs:integer return $n",
         "cannot cast",
@@ -98,10 +94,8 @@ fn comparison_type_error_parity() {
 
 /// Multi-morsel input where two different tuples raise two *different*
 /// errors: the serial scan hits the division at $x = 1200 before the
-/// type error at $x = 2500, so every combination — including parallel
-/// bytecode, where workers race over morsels — must surface the
-/// division error, proving first-failing-morsel selection is preserved
-/// through compiled programs.
+/// type error at $x = 2500, so the parallel run — where workers race
+/// over morsels — must surface the division error too.
 #[test]
 fn first_failing_morsel_parity() {
     assert_error_parity(

@@ -66,10 +66,10 @@ fn env_fills_an_absent_hint_and_a_set_hint_wins_in_both_directions() {
 #[test]
 fn env_fills_hint_by_hint_and_empty_is_no_hints() {
     {
-        let _env = xqa_hints(Some("join=nested,expr=tree"));
+        let _env = xqa_hints(Some("join=nested,access=walk"));
         assert_eq!(
             effective("join=hash,topk=off"),
-            "join=hash,expr=tree,topk=off"
+            "join=hash,access=walk,topk=off"
         );
     }
     let _env = xqa_hints(Some(""));
@@ -81,7 +81,7 @@ fn env_fills_hint_by_hint_and_empty_is_no_hints() {
 #[test]
 fn malformed_env_is_a_compile_error() {
     for bad in ["join=sideways", "jion=hash", "join"] {
-        let _env = xqa_hints(Some(&format!("expr=tree,{bad}")));
+        let _env = xqa_hints(Some(&format!("access=walk,{bad}")));
         for pinned in ["", "join=nested"] {
             let err = compile(pinned)
                 .expect_err("malformed XQA_HINTS")

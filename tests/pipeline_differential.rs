@@ -1,7 +1,8 @@
 //! Differential tests for the streaming tuple pipeline.
 //!
 //! The pipeline is held against itself across degrees of parallelism
-//! and across both sides of each plan hint (`access`, `expr`, `join`).
+//! and across both sides of each plan hint (`access`, `join`,
+//! `nest-agg`).
 //! Every query here is evaluated at threads=1 (profiled — the run that
 //! also asserts instrumentation never changes results and that every
 //! FLWOR records its operator pipeline) and at threads=4, and the
@@ -319,8 +320,7 @@ fn assert_threads_identical_ctx(query: &str, ctx: &mut DynamicContext) {
     }
 }
 
-/// The orders-document corpus shared by the threads, access-path, and
-/// expression-bytecode differentials.
+/// The orders-document corpus of the threads differential.
 const ORDERS_CORPUS: [&str; 8] = [
         "for $li in //order/lineitem \
          group by $li/shipmode into $m \
@@ -366,7 +366,7 @@ const ORDERS_CORPUS: [&str; 8] = [
          [position() le 3]",
 ];
 
-/// The document-free corpus shared by the same differentials.
+/// The document-free corpus of the same differential.
 const PLAIN_CORPUS: [&str; 7] = [
     "for tumbling window $w in (1 to 50) \
          start at $s when $s mod 7 = 1 \
@@ -394,13 +394,13 @@ const PLAIN_CORPUS: [&str; 7] = [
          return <r>{$y}{$x}</r>",
 ];
 
-/// The full corpus above, replayed as a threads=1 vs threads=4
-/// differential. Inputs below one morsel take the pre-seeded serial
-/// fallback; the large-input tests further down exercise the real
-/// multi-worker split.
+/// The full corpus above and [`MIXED_CLAUSES`], replayed as a threads=1
+/// vs threads=4 differential. Inputs below one morsel take the
+/// pre-seeded serial fallback; the large-input tests further down
+/// exercise the real multi-worker split.
 #[test]
 fn parallel_corpus_differential() {
-    for query in ORDERS_CORPUS {
+    for query in ORDERS_CORPUS.into_iter().chain([MIXED_CLAUSES]) {
         assert_threads_identical_ctx(query, &mut orders_ctx());
     }
     for query in PLAIN_CORPUS {
@@ -589,8 +589,7 @@ fn access_path_corpus_differential() {
     }
 }
 
-/// The paper-workload access-path corpus, shared with the
-/// expression-bytecode differential below.
+/// The paper-workload access-path corpus.
 const ACCESS_PATH_CORPUS: [&str; 13] = [
     // plain descendant scans, high and low selectivity
     "count(//lineitem)",
@@ -693,109 +692,20 @@ fn parallel_profile_reports_workers() {
     assert_eq!(workers, 4, "expected a 4-worker parallel pipeline");
 }
 
-// ---- expression bytecode ----------------------------------------------
+// ---- scalar-heavy shapes ----------------------------------------------
 //
-// Every query in the corpora above is evaluated four ways — scalar
-// expression evaluation forced to `bytecode` and forced to `tree`, each
-// at threads=1 and threads=4. All four serialized results must be
-// byte-identical: a compiled program is a pure evaluation-method
-// substitution for the tree-walker, never a semantic one.
+// Arithmetic, `mod`, `count` and `sum` in `let`, `where` and group keys,
+// within one morsel and across several, replayed threads=1 vs threads=4
+// like the large-input shapes above.
 
-fn assert_expr_evals_identical(query: &str, ctx: &DynamicContext) {
-    let mut outputs: Vec<(String, String)> = Vec::new();
-    let mut serial_comparisons: Vec<u64> = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in ["expr=bytecode", "expr=tree"] {
-            let engine = hinted_engine(mode, threads);
-            let plan = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"));
-            let before = ctx.stats.snapshot();
-            let out = plan
-                .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode}, threads={threads}): {e}\n{query}"));
-            let after = ctx.stats.snapshot();
-            if threads == 1 {
-                serial_comparisons.push(after.comparisons - before.comparisons);
-            }
-            outputs.push((
-                format!("{mode:?} threads={threads}"),
-                serialize_sequence(&out),
-            ));
-        }
-    }
-    let (baseline_label, baseline) = &outputs[0];
-    for (label, out) in &outputs[1..] {
-        assert_eq!(
-            baseline, out,
-            "{baseline_label} and {label} disagree for:\n{query}"
-        );
-    }
-    // The type-specialized comparison fast paths must count exactly the
-    // comparisons the tree-walker's kernels count (serial runs are
-    // deterministic; parallel grouping merges can legitimately differ).
-    assert_eq!(
-        serial_comparisons[0], serial_comparisons[1],
-        "bytecode and tree comparison counts diverge at threads=1 for:\n{query}"
-    );
-}
-
-/// The orders and document-free corpora replayed as a bytecode-vs-tree
-/// differential across thread counts.
-#[test]
-fn expr_eval_corpus_differential() {
-    for query in ORDERS_CORPUS {
-        assert_expr_evals_identical(query, &orders_ctx());
-    }
-    for query in PLAIN_CORPUS {
-        assert_expr_evals_identical(query, &DynamicContext::new());
-    }
-}
-
-/// The access-path corpus replayed the same way against an indexed
-/// context: path-heavy queries mostly decline lowering, so this leg
-/// pins the fallback boundary (compiled clause next to an interpreted
-/// one) to identical output.
-#[test]
-fn expr_eval_access_path_corpus_differential() {
-    let (ctx, _stats) = indexed_orders_ctx();
-    for query in ACCESS_PATH_CORPUS {
-        assert_expr_evals_identical(query, &ctx);
-    }
-}
-
-/// The large multi-morsel shapes, where compiled programs run inside
-/// worker threads with per-worker register scratch and stats sinks.
 #[test]
 fn expr_eval_parallel_morsel_differential() {
     let corpus = [
-        "for $x in 1 to 4000 \
-         let $y := $x * 3 \
-         where $y mod 7 = 0 \
-         return <r>{$y}</r>",
-        "for $x at $i in 2 to 4001 \
-         where $x mod 997 = 0 \
-         return <r>{$i}:{$x}</r>",
         "for $x in 1 to 5000 \
          group by $x mod 7 into $k \
          nest $x into $xs \
          order by $k \
          return <g>{$k}|{count($xs)}|{sum($xs)}</g>",
-        "(for $x in 1 to 5000 \
-          order by $x mod 10 \
-          return at $r <r rank=\"{$r}\">{$x}</r>)[position() le 25]",
-    ];
-    for query in corpus {
-        assert_expr_evals_identical(query, &DynamicContext::new());
-    }
-}
-
-/// Forced-bytecode runs on queries whose for/let/where clauses are all
-/// in the scalar subset must actually execute compiled programs — and
-/// forced-tree runs must execute none.
-#[test]
-fn forced_bytecode_actually_compiles() {
-    let lowering_corpus = [
         "for $x in 1 to 100 where $x mod 3 = 0 return $x",
         "for $x in 1 to 50 let $y := $x * 2 + 1 where $y > 20 return $y",
         "for $x in 1 to 20 \
@@ -804,37 +714,8 @@ fn forced_bytecode_actually_compiles() {
          where $y mod 2 = 0 \
          return <r>{$c}:{$y}</r>",
     ];
-    let ctx = DynamicContext::new();
-    for query in lowering_corpus {
-        let before = ctx.stats.snapshot();
-        hinted_engine("expr=bytecode", 1)
-            .compile(query)
-            .expect("compile")
-            .run(&ctx)
-            .expect("run");
-        let mid = ctx.stats.snapshot();
-        hinted_engine("expr=tree", 1)
-            .compile(query)
-            .expect("compile")
-            .run(&ctx)
-            .expect("run");
-        let after = ctx.stats.snapshot();
-        assert!(
-            mid.expr_compiled > before.expr_compiled,
-            "forced bytecode executed no compiled programs for:\n{query}"
-        );
-        assert_eq!(
-            mid.expr_fallback, before.expr_fallback,
-            "fully-lowerable query recorded fallbacks for:\n{query}"
-        );
-        assert_eq!(
-            after.expr_compiled, mid.expr_compiled,
-            "forced tree executed compiled programs for:\n{query}"
-        );
-        assert_eq!(
-            after.expr_fallback, mid.expr_fallback,
-            "tree mode must not count fallbacks for:\n{query}"
-        );
+    for query in corpus {
+        assert_threads_identical_ctx(query, &mut DynamicContext::new());
     }
 }
 
@@ -1001,32 +882,12 @@ fn join_differential_takes_the_hash_path() {
     );
 }
 
-/// A query mixing lowerable and unloweable clauses records both
-/// counters: the scalar `where` compiles while the path-valued `for`
-/// binding falls back.
-#[test]
-fn mixed_query_counts_compiled_and_fallback() {
-    let ctx = orders_ctx();
-    let query = "for $li in //order/lineitem \
-                 let $q := number($li/quantity) \
-                 where $q >= 0 \
-                 return $li/partkey";
-    let before = ctx.stats.snapshot();
-    hinted_engine("expr=bytecode", 1)
-        .compile(query)
-        .expect("compile")
-        .run(&ctx)
-        .expect("run");
-    let after = ctx.stats.snapshot();
-    assert!(
-        after.expr_compiled > before.expr_compiled,
-        "the scalar where clause must run compiled"
-    );
-    assert!(
-        after.expr_fallback > before.expr_fallback,
-        "the path-valued for and function-calling let must fall back"
-    );
-}
+/// A path-valued `for`, a function-calling `let` and a scalar `where`
+/// in one FLWOR over the orders document, for the threads differential.
+const MIXED_CLAUSES: &str = "for $li in //order/lineitem \
+     let $q := number($li/quantity) \
+     where $q >= 0 \
+     return $li/partkey";
 
 // ---- count-only nests -------------------------------------------------
 //
