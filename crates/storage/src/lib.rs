@@ -31,6 +31,7 @@
 //!   invalidates precisely when any document is (re)loaded.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -60,91 +61,178 @@ pub struct NameStats {
     pub distinct_values: u64,
 }
 
-/// The leaves of one name that share one string value.
-#[derive(Debug)]
-struct Leaves {
-    /// The value as `xs:double`; meaningful while the name's index is
-    /// `all_numeric`.
-    number: f64,
-    /// Leaf element ids, in document order.
-    ids: Vec<NodeId>,
-}
+/// A free slot of [`ValueIndex::table`].
+const EMPTY: u32 = u32::MAX;
 
-/// The typed-value index for one element name: leaf string values
-/// dictionary-encoded into postings, plus a numeric mirror when the
-/// whole column parses as `xs:double`.
-#[derive(Debug)]
+/// The typed-value index for one element name. Each distinct leaf string
+/// value gets a dense id in order of first appearance; the value itself
+/// stays in the document's text buffer, so nothing is allocated per
+/// value. A numeric mirror is kept when the whole column parses as
+/// `xs:double`.
+#[derive(Debug, Default)]
 struct ValueIndex {
     /// Every element of this name qualifies as an indexable leaf.
     complete: bool,
     /// `complete` and every value parses as `xs:double`.
     all_numeric: bool,
-    /// Value dictionary: string → its leaves.
-    by_string: HashMap<Arc<str>, Leaves>,
-    /// `(value, leaf element id)` sorted by value then id.
-    numeric: Vec<(f64, NodeId)>,
+    /// Value dictionary, open-addressed: a value's hash picks a slot, a
+    /// collision moves on to the next one. Slots hold distinct ids or
+    /// [`EMPTY`]; at most half are taken. (Keying a `HashMap` by the
+    /// hash would hash every probe a second time.)
+    table: Vec<u32>,
+    /// Per distinct id: its value's hash.
+    hashes: Vec<u64>,
+    /// Per distinct id: its first leaf, whose text is the value.
+    keys: Vec<NodeId>,
+    /// Per distinct id `v`: its leaves are `leaves[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<u32>,
+    /// Leaf element ids grouped by distinct id, each group in document
+    /// order.
+    leaves: Vec<NodeId>,
+    /// `(value, distinct id)` over the numeric distinct values, sorted.
+    /// Values are [`numeric_key`]s: NaN, equal to nothing, is left out.
+    numeric: Vec<(f64, u32)>,
 }
 
 impl ValueIndex {
-    fn new() -> ValueIndex {
-        ValueIndex {
-            complete: true,
-            all_numeric: true,
-            by_string: HashMap::new(),
-            numeric: Vec::new(),
+    /// The distinct id whose value is `value`, hashed to `hash`, or else
+    /// the free slot it would take (any slot while the table is empty).
+    fn find(&self, doc: &Document, hash: u64, value: &str) -> Result<u32, usize> {
+        let mask = self.table.len().wrapping_sub(1);
+        let mut slot = hash as usize & mask;
+        loop {
+            let v = *self.table.get(slot).unwrap_or(&EMPTY);
+            if v == EMPTY {
+                return Err(slot);
+            }
+            let (key, key_hash) = (self.keys[v as usize], self.hashes[v as usize]);
+            if key_hash == hash && leaf_value(doc, key) == Some(value) {
+                return Ok(v);
+            }
+            slot = (slot + 1) & mask;
         }
     }
 
-    /// Record leaf `id` with string value `value`. A dictionary key is
-    /// allocated, and the value parsed, only the first time it is seen.
-    fn add(&mut self, value: &str, id: NodeId) {
-        if let Some(leaves) = self.by_string.get_mut(value) {
-            leaves.ids.push(id);
-            return;
+    /// Give the value first seen at leaf `id`, hashed to `hash`, the next
+    /// distinct id, in `slot` from [`ValueIndex::find`] unless the table
+    /// has to grow first.
+    fn insert(&mut self, hash: u64, id: NodeId, slot: usize) -> u32 {
+        let v = self.keys.len() as u32;
+        self.keys.push(id);
+        self.hashes.push(hash);
+        if 2 * self.keys.len() <= self.table.len() {
+            self.table[slot] = v;
+            return v;
         }
-        let mut number = f64::NAN;
-        if self.all_numeric {
-            match parse_double(value) {
-                Ok(v) => number = v,
-                Err(_) => self.all_numeric = false,
+        // Double the table and put every id back, the new one last.
+        self.table = vec![EMPTY; (2 * self.table.len()).max(16)];
+        let mask = self.table.len() - 1;
+        for (v, &hash) in (0..).zip(&self.hashes) {
+            let mut slot = hash as usize & mask;
+            while self.table[slot] != EMPTY {
+                slot = (slot + 1) & mask;
             }
+            self.table[slot] = v;
         }
-        let ids = vec![id];
-        self.by_string
-            .insert(Arc::from(value), Leaves { number, ids });
+        v
+    }
+
+    fn leaves_of(&self, v: u32) -> &[NodeId] {
+        &self.leaves[self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize]
+    }
+
+    fn bytes(&self) -> u64 {
+        let ids = self.table.len() + self.keys.len() + self.offsets.len() + self.leaves.len();
+        (ids * 4 + self.hashes.len() * 8 + self.numeric.len() * 16) as u64
+    }
+}
+
+/// The key a number is mirrored and probed under: `-0 eq 0`, so both
+/// zeros are stored and looked up as `+0` (`-0 + 0` is `+0`, and adding
+/// zero leaves every other value as it is).
+fn numeric_key(n: f64) -> f64 {
+    n + 0.0
+}
+
+/// One name's [`ValueIndex`] while [`DocumentStore::build`] runs. The
+/// default is the state of a name that gave up: incomplete and empty.
+#[derive(Default)]
+struct ValueBuilder {
+    index: ValueIndex,
+    /// Per distinct id: its number of leaves.
+    counts: Vec<u32>,
+    /// Per leaf, in document order: its distinct id.
+    leaf_values: Vec<u32>,
+}
+
+impl ValueBuilder {
+    fn new() -> ValueBuilder {
+        let mut builder = ValueBuilder::default();
+        (builder.index.complete, builder.index.all_numeric) = (true, true);
+        builder
+    }
+
+    /// Record leaf `id` with string value `value`. The value is parsed
+    /// only the first time it is seen.
+    fn add(&mut self, doc: &Document, hasher: &RandomState, value: &str, id: NodeId) {
+        let hash = hasher.hash_one(value);
+        let v = match self.index.find(doc, hash, value) {
+            Ok(v) => v,
+            Err(slot) => {
+                let index = &mut self.index;
+                let v = index.insert(hash, id, slot);
+                self.counts.push(0);
+                if index.all_numeric {
+                    match parse_double(value) {
+                        Ok(n) if n.is_nan() => {}
+                        Ok(n) => index.numeric.push((numeric_key(n), v)),
+                        Err(_) => {
+                            index.all_numeric = false;
+                            index.numeric = Vec::new();
+                        }
+                    }
+                }
+                v
+            }
+        };
+        self.counts[v as usize] += 1;
+        self.leaf_values.push(v);
     }
 
     /// An element of this name is not an indexable leaf: no lookup on
     /// the name can be exact.
     fn give_up(&mut self) {
-        self.complete = false;
-        self.all_numeric = false;
-        self.by_string = HashMap::new();
+        *self = ValueBuilder::default();
     }
 
-    /// Build the numeric mirror over the name's `leaves` leaves.
-    fn finish(&mut self, leaves: usize) {
-        if !self.all_numeric {
-            return;
+    /// Pack the leaves, `postings` (the name's elements, in document
+    /// order), into one array grouped by distinct id, and sort the
+    /// numeric mirror.
+    fn finish(self, postings: &[NodeId]) -> ValueIndex {
+        let (mut index, mut cursor) = (self.index, self.counts);
+        if !index.complete {
+            return index;
         }
-        // Sized up front: the dictionary iterates in hash order, and
-        // growing by its chunks would make the allocation count vary
-        // from run to run.
-        self.numeric.reserve_exact(leaves);
-        for leaves in self.by_string.values() {
-            self.numeric
-                .extend(leaves.ids.iter().map(|&id| (leaves.number, id)));
+        // Each count becomes its group's start, and each start moves to
+        // its group's end as the group fills ...
+        let mut start = 0;
+        for c in &mut cursor {
+            (*c, start) = (start, start + *c);
         }
-        self.numeric
+        let mut leaves = vec![0; postings.len()];
+        for (&leaf, &v) in postings.iter().zip(&self.leaf_values) {
+            leaves[cursor[v as usize] as usize] = leaf;
+            cursor[v as usize] += 1;
+        }
+        // ... so that group `v` ends at `cursor[v]` and starts where
+        // group `v - 1` ends.
+        cursor.insert(0, 0);
+        index.offsets = cursor;
+        index.leaves = leaves;
+        index
+            .numeric
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    }
-
-    fn bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for (value, leaves) in &self.by_string {
-            total += value.len() as u64 + (leaves.ids.len() * std::mem::size_of::<NodeId>()) as u64;
-        }
-        total + (self.numeric.len() * std::mem::size_of::<(f64, NodeId)>()) as u64
+        index
     }
 }
 
@@ -155,14 +243,14 @@ impl ValueIndex {
 pub struct DocumentStore {
     doc: Arc<Document>,
     version: u64,
+    /// Hashes leaf values into the value dictionaries, at build and at
+    /// probe time.
+    hasher: RandomState,
     /// Per [`NameId`]: sorted element node ids (empty for a name only
     /// attributes or PIs carry).
     element_postings: Vec<Vec<NodeId>>,
     /// Per [`NameId`]: the value index over that name's leaves.
     values: Vec<ValueIndex>,
-    /// Distinct `(parent name, child name)` step counts — the per-path
-    /// cardinality statistics behind [`CatalogStatistics`].
-    step_counts: HashMap<(NameId, NameId), u64>,
     total_elements: u64,
 }
 
@@ -170,39 +258,41 @@ impl DocumentStore {
     /// Compile `doc` into its indexed form: one pass over the arena in
     /// id order, reading name ids, labels and text spans straight from
     /// the records (postings come out sorted because ids are preorder).
+    /// What it allocates is per name, not per node or value.
     pub fn build(doc: &Arc<Document>) -> DocumentStore {
         let names = doc.names().len();
-        let mut store = DocumentStore {
-            doc: Arc::clone(doc),
-            version: STORE_VERSION.fetch_add(1, Ordering::Relaxed) + 1,
-            element_postings: vec![Vec::new(); names],
-            values: (0..names).map(|_| ValueIndex::new()).collect(),
-            step_counts: HashMap::new(),
-            total_elements: 0,
-        };
+        let hasher = RandomState::new();
+        let mut element_postings = vec![Vec::new(); names];
+        let mut values: Vec<ValueBuilder> = (0..names).map(|_| ValueBuilder::new()).collect();
+        let mut total_elements = 0;
         for id in 0..doc.len() as NodeId {
-            if doc.kind_of(id) != NodeKind::Element {
+            // Only elements are indexed, and an element always has a name.
+            let (NodeKind::Element, Some(name)) = (doc.kind_of(id), doc.name_id_of(id)) else {
                 continue;
-            }
-            let name = doc.name_id_of(id).expect("elements are named");
-            store.total_elements += 1;
-            store.element_postings[name as usize].push(id);
-            // Only the document node and elements have element children.
-            if let Some(parent_name) = doc.parent_of(id).and_then(|p| doc.name_id_of(p)) {
-                *store.step_counts.entry((parent_name, name)).or_insert(0) += 1;
-            }
-            let values = &mut store.values[name as usize];
-            if values.complete {
+            };
+            total_elements += 1;
+            element_postings[name as usize].push(id);
+            let values = &mut values[name as usize];
+            if values.index.complete {
                 match leaf_value(doc, id) {
-                    Some(value) => values.add(value, id),
+                    Some(value) => values.add(doc, &hasher, value, id),
                     None => values.give_up(),
                 }
             }
         }
-        for (values, postings) in store.values.iter_mut().zip(&store.element_postings) {
-            values.finish(postings.len());
+        let values = values
+            .into_iter()
+            .zip(&element_postings)
+            .map(|(values, postings)| values.finish(postings))
+            .collect();
+        DocumentStore {
+            doc: Arc::clone(doc),
+            version: STORE_VERSION.fetch_add(1, Ordering::Relaxed) + 1,
+            hasher,
+            element_postings,
+            values,
+            total_elements,
         }
-        store
     }
 
     /// The id of `name` when some element of the document carries it.
@@ -253,14 +343,11 @@ impl DocumentStore {
     /// numeric probes, every value parses as `xs:double` (so the tree
     /// walk could not have raised a cast error the index skips).
     pub fn value_eq_applicable(&self, child: &QName, numeric: bool) -> bool {
-        match self.element_name(child) {
-            Some(id) => {
-                let vi = &self.values[id as usize];
-                vi.complete && (!numeric || vi.all_numeric)
-            }
-            // A name absent from the document has no leaves to miss.
-            None => true,
-        }
+        // A name absent from the document has no leaves to miss.
+        self.element_name(child).is_none_or(|id| {
+            let vi = &self.values[id as usize];
+            vi.complete && (!numeric || vi.all_numeric)
+        })
     }
 
     /// Parents of `child` leaves whose string value equals `value`,
@@ -273,7 +360,9 @@ impl DocumentStore {
         if !vi.complete {
             return None;
         }
-        let leaves = vi.by_string.get(value).map_or(&[][..], |l| &l.ids);
+        let leaves = vi
+            .find(&self.doc, self.hasher.hash_one(value), value)
+            .map_or(&[][..], |v| vi.leaves_of(v));
         Some(self.parents_of(leaves.iter().copied()))
     }
 
@@ -291,13 +380,14 @@ impl DocumentStore {
         if value.is_nan() {
             return Some(Vec::new());
         }
-        let lo = vi
-            .numeric
-            .partition_point(|&(v, _)| v.total_cmp(&value).is_lt());
-        let hi = vi
-            .numeric
-            .partition_point(|&(v, _)| v.total_cmp(&value).is_le());
-        Some(self.parents_of(vi.numeric[lo..hi].iter().map(|&(_, id)| id)))
+        // Neither side holds a NaN or a -0, so `<` orders as the sort did.
+        let key = numeric_key(value);
+        let lo = vi.numeric.partition_point(|&(v, _)| v < key);
+        let hi = vi.numeric.partition_point(|&(v, _)| v <= key);
+        let leaves = vi.numeric[lo..hi]
+            .iter()
+            .flat_map(|&(_, v)| vi.leaves_of(v));
+        Some(self.parents_of(leaves.copied()))
     }
 
     fn parents_of(&self, leaves: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
@@ -309,25 +399,17 @@ impl DocumentStore {
 
     /// Per-name statistics for this document.
     pub fn name_stats(&self, name: &QName) -> Option<NameStats> {
-        let id = self.element_name(name)?;
+        self.element_name(name).map(|id| self.stats_of(id))
+    }
+
+    fn stats_of(&self, id: NameId) -> NameStats {
         let vi = &self.values[id as usize];
-        Some(NameStats {
+        NameStats {
             elements: self.element_postings[id as usize].len() as u64,
             all_leaf: vi.complete,
             all_numeric: vi.complete && vi.all_numeric,
-            distinct_values: if vi.complete {
-                vi.by_string.len() as u64
-            } else {
-                0
-            },
-        })
-    }
-
-    /// Count of `parent/child` element steps (per-path cardinality).
-    pub fn step_count(&self, parent: &QName, child: &QName) -> u64 {
-        match (self.doc.name_id(parent), self.doc.name_id(child)) {
-            (Some(p), Some(c)) => self.step_counts.get(&(p, c)).copied().unwrap_or(0),
-            _ => 0,
+            // An incomplete index keeps no dictionary.
+            distinct_values: vi.keys.len() as u64,
         }
     }
 
@@ -337,28 +419,25 @@ impl DocumentStore {
     }
 
     /// Approximate heap footprint of the index structures (postings,
-    /// value dictionaries, numeric mirrors, step counts) — exported on
-    /// `/metrics`. Names and interval labels are the document's.
+    /// value dictionaries and their packed postings, numeric mirrors) —
+    /// exported on `/metrics`. Names, interval labels and the values'
+    /// text are the document's.
     pub fn index_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for postings in &self.element_postings {
-            total += (postings.len() * std::mem::size_of::<NodeId>()) as u64;
-        }
-        for vi in &self.values {
-            total += vi.bytes();
-        }
-        total += (self.step_counts.len() * std::mem::size_of::<((NameId, NameId), u64)>()) as u64;
-        total
+        let postings: usize = self.element_postings.iter().map(Vec::len).sum();
+        postings as u64 * 4 + self.values.iter().map(ValueIndex::bytes).sum::<u64>()
     }
 
     /// Iterate the names of the document's elements.
     pub fn names(&self) -> impl Iterator<Item = &QName> {
-        self.doc
-            .names()
-            .iter()
-            .zip(&self.element_postings)
-            .filter(|(_, postings)| !postings.is_empty())
-            .map(|(name, _)| name)
+        self.element_names().map(|(_, name)| name)
+    }
+
+    /// The document's element names with their ids.
+    fn element_names(&self) -> impl Iterator<Item = (NameId, &QName)> {
+        (0..)
+            .zip(self.doc.names().iter().zip(&self.element_postings))
+            .filter(|(_, (_, postings))| !postings.is_empty())
+            .map(|(id, (name, _))| (id, name))
     }
 }
 
@@ -395,17 +474,13 @@ impl CatalogStatistics {
         for store in stores {
             merged.version = merged.version.max(store.version());
             merged.total_elements += store.total_elements();
-            for name in store.names() {
-                let stats = store.name_stats(name).expect("interned name has stats");
-                let entry = merged
-                    .per_name
-                    .entry(name.clone())
-                    .or_insert_with(|| NameStats {
-                        elements: 0,
-                        all_leaf: true,
-                        all_numeric: true,
-                        distinct_values: 0,
-                    });
+            for (id, name) in store.element_names() {
+                let stats = store.stats_of(id);
+                let entry = merged.per_name.entry(name.clone()).or_insert(NameStats {
+                    all_leaf: true,
+                    all_numeric: true,
+                    ..NameStats::default()
+                });
                 entry.elements += stats.elements;
                 entry.all_leaf &= stats.all_leaf;
                 entry.all_numeric &= stats.all_numeric;
@@ -616,15 +691,12 @@ mod tests {
     }
 
     #[test]
-    fn statistics_report_cardinalities_and_steps() {
+    fn statistics_report_cardinalities() {
         let doc = orders_doc();
         let store = DocumentStore::build(&doc);
         assert_eq!(store.element_count(&q("item")), 3);
         assert_eq!(store.element_count(&q("price")), 3);
         assert_eq!(store.element_count(&q("absent")), 0);
-        assert_eq!(store.step_count(&q("item"), &q("price")), 3);
-        assert_eq!(store.step_count(&q("order"), &q("item")), 3);
-        assert_eq!(store.step_count(&q("order"), &q("price")), 0);
         assert_eq!(store.total_elements(), 12);
         let stats = store.name_stats(&q("price")).unwrap();
         assert!(stats.all_leaf && stats.all_numeric);

@@ -5,12 +5,13 @@
 //! on every node; then it requires the store's index lookups to agree
 //! with a plain walk of the reference.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use xqa::storage::DocumentStore;
 use xqa::xdm::{parse_double, Document, DocumentBuilder, NodeHandle, NodeId, NodeKind, QName};
 use xqa::MAX_XML_DEPTH;
-use xqa_workload::DetRng;
+use xqa_workload::{generate_orders, DetRng, OrdersConfig};
 
 /// One `DocumentBuilder` call.
 #[derive(Debug, Clone)]
@@ -332,7 +333,7 @@ fn check_store(doc: &Arc<Document>, nodes: &[RefNode]) {
     }
 }
 
-const NUMBERS: [&str; 6] = ["1", "2", "2.0", " 3 ", "1e1", "-0.5"];
+const NUMBERS: [&str; 9] = ["1", "2", "2.0", " 3 ", "1e1", "-0.5", "-0", "0", "0e0"];
 const WORDS: [&str; 5] = ["x", "y z", "", "1", "é<&"];
 
 fn pick<'a, T: ?Sized>(rng: &mut DetRng, pool: &[&'a T]) -> &'a T {
@@ -461,6 +462,79 @@ fn depth_up_to_the_parser_limit() {
     // The same tree through the parser.
     let text = xqa::serialize_node(&doc.root());
     check_arena(&xqa::parse_document(&text).unwrap(), &nodes);
+}
+
+/// The store's value lookups against a plain walk on the `cold_run`
+/// document (2K lineitems): the generated pools above hold a few values
+/// per name, this one about 2 000 distinct `partkey`s, so the value
+/// dictionaries' hash tables grow and probe past collisions at a
+/// realistic size.
+#[test]
+fn value_lookups_agree_with_a_walk_at_realistic_cardinality() {
+    let doc = generate_orders(&OrdersConfig::with_total_lineitems(2_000));
+    let store = DocumentStore::build(&doc);
+    let elements = || (0..doc.len() as NodeId).filter_map(|id| doc.handle(id));
+    let mut probed = 0;
+    for name in store.names() {
+        // The walk: each leaf's string value with its parent, in
+        // document order; `None` when some element of the name is not
+        // a leaf.
+        let leaves: Option<Vec<(String, NodeId)>> = elements()
+            .filter(|n| n.kind() == NodeKind::Element && n.name() == Some(name))
+            .map(|n| {
+                let mut children = n.children();
+                let leaf = match (children.next(), children.next()) {
+                    (None, _) => true,
+                    (Some(only), None) => only.kind() == NodeKind::Text,
+                    _ => false,
+                };
+                leaf.then(|| (n.string_value(), n.parent().unwrap().id()))
+            })
+            .collect();
+        let Some(leaves) = leaves else {
+            assert!(store.parents_by_string_eq(name, "x").is_none(), "{name}");
+            continue;
+        };
+        let mut by_value: HashMap<&str, Vec<NodeId>> = HashMap::new();
+        for (value, parent) in &leaves {
+            by_value.entry(value.as_str()).or_default().push(*parent);
+        }
+        for parents in by_value.values_mut() {
+            parents.sort_unstable();
+            parents.dedup();
+        }
+        let stats = store.name_stats(name).unwrap();
+        assert_eq!(stats.distinct_values, by_value.len() as u64, "{name}");
+        for (value, parents) in &by_value {
+            let indexed = store.parents_by_string_eq(name, value);
+            assert_eq!(indexed.as_ref(), Some(parents), "{name} = {value:?}");
+        }
+        assert_eq!(
+            store.parents_by_string_eq(name, "missing"),
+            Some(Vec::new())
+        );
+        let numbers: Result<Vec<(f64, NodeId)>, _> = leaves
+            .iter()
+            .map(|(v, p)| parse_double(v).map(|n| (n, *p)))
+            .collect();
+        assert_eq!(stats.all_numeric, numbers.is_ok(), "{name}");
+        if let Ok(numbers) = numbers {
+            let distinct: HashSet<u64> = numbers.iter().map(|(n, _)| n.to_bits()).collect();
+            for probe in distinct.into_iter().map(f64::from_bits) {
+                let mut walked: Vec<NodeId> = numbers
+                    .iter()
+                    .filter(|(n, _)| *n == probe)
+                    .map(|&(_, p)| p)
+                    .collect();
+                walked.sort_unstable();
+                walked.dedup();
+                let indexed = store.parents_by_numeric_eq(name, probe);
+                assert_eq!(indexed, Some(walked), "{name} = {probe}");
+            }
+        }
+        probed += by_value.len();
+    }
+    assert!(probed > 2_000, "only {probed} distinct values probed");
 }
 
 #[test]

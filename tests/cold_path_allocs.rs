@@ -102,13 +102,17 @@ fn orders_xml() -> String {
 ///
 /// At commit 2302fab (one `NodeData` with two `Vec`s and an `Arc<str>`
 /// per node) this was 3.735 allocations and 581 bytes per node. The
-/// arena measures 0.321 and 151; what is left is the value dictionaries
-/// (a key and a posting list per distinct value) and the doubling of
-/// the few large vectors, so the ceilings leave a fifth of headroom.
+/// arena brought it to 0.321 and 151, most of it a dictionary key and a
+/// posting list per distinct leaf value (commit a02b809). The value
+/// dictionaries now keep their keys in the document's text buffer and
+/// their postings in one array per name, so what is left is the doubling
+/// of a few vectors per name and of the arena's own: 0.017 and 133. The
+/// ceilings leave a fifth of headroom on the bytes and room for a few
+/// more names on the count.
 #[test]
-fn cold_path_allocates_per_distinct_value_not_per_node() {
-    const ALLOCS_PER_NODE: f64 = 0.40;
-    const BYTES_PER_NODE: f64 = 190.0;
+fn cold_path_allocates_per_name_not_per_value() {
+    const ALLOCS_PER_NODE: f64 = 0.03;
+    const BYTES_PER_NODE: f64 = 160.0;
     let xml = orders_xml();
     let (nodes, allocs, bytes) = counted(|| {
         let doc = parse_document(&xml).expect("generated XML parses");

@@ -538,7 +538,16 @@ fn indexed_orders_ctx() -> (
     xqa::DynamicContext,
     std::sync::Arc<xqa::storage::CatalogStatistics>,
 ) {
-    let mut ctx = orders_ctx();
+    indexed(orders_ctx())
+}
+
+/// `ctx` with its documents indexed and their statistics merged.
+fn indexed(
+    mut ctx: xqa::DynamicContext,
+) -> (
+    xqa::DynamicContext,
+    std::sync::Arc<xqa::storage::CatalogStatistics>,
+) {
     ctx.index_documents();
     let stats = std::sync::Arc::new(xqa::storage::CatalogStatistics::from_stores(
         ctx.stores().map(std::sync::Arc::as_ref),
@@ -587,7 +596,22 @@ fn access_path_corpus_differential() {
     for query in ACCESS_PATH_CORPUS {
         assert_access_paths_identical(query, &ctx, &stats);
     }
+    let mut zeros = DynamicContext::new();
+    zeros.set_context_document(&xqa::parse_document(SIGNED_ZEROS_DOC).unwrap());
+    let (ctx, stats) = indexed(zeros);
+    for query in SIGNED_ZEROS_CORPUS {
+        assert_access_paths_identical(query, &ctx, &stats);
+    }
 }
+
+/// `-0`, `0` and `0e0` are all `eq 0`: a numeric probe must find both
+/// zero leaves whichever zero it spells.
+const SIGNED_ZEROS_DOC: &str = "<r><x><v>-0</v></x><x><v>0</v></x><x><v>1</v></x></r>";
+const SIGNED_ZEROS_CORPUS: [&str; 3] = [
+    "count(//x[v = 0])",
+    "count(//x[v = -0e0])",
+    "count(//x[v = 0e0])",
+];
 
 /// The paper-workload access-path corpus.
 const ACCESS_PATH_CORPUS: [&str; 13] = [
