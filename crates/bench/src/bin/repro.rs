@@ -360,7 +360,6 @@ fn mean(plan: &PreparedQuery, ctx: &DynamicContext) -> Duration {
     time(RUNS, || {
         plan.run(ctx).expect("query runs");
     })
-    .mean
 }
 
 fn ratio(a: Duration, b: Duration) -> String {

@@ -5,12 +5,11 @@
 //! `tax` (9), `(shipinstruct, shipmode)` (28), `(shipinstruct, tax)`
 //! (36) and `quantity` (50). [`qgb_query`]/[`q_query`] instantiate the
 //! exact Table 1 templates. The `repro` binary regenerates the paper's
-//! table, chart and the design-choice ablations from DESIGN.md; the
-//! std-only benches time the same queries through [`time`].
+//! table, chart and the design-choice ablations from DESIGN.md, timing
+//! each query through [`time`].
 
 pub mod svg;
 
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xqa::{DynamicContext, Engine, EngineResult};
@@ -127,41 +126,17 @@ impl Dataset {
     }
 }
 
-/// Wall-clock time of a closure over repeated runs.
-#[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// Mean over the timed runs (the paper averages over runs).
-    pub mean: Duration,
-    /// Fastest timed run: the figure least disturbed by other load on
-    /// a shared machine.
-    pub min: Duration,
-}
-
-impl fmt::Display for Timing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "mean {:>10.2?}  min {:>10.2?}", self.mean, self.min)
-    }
-}
-
-/// Run `f` once untimed (warm-up), then `runs` times timed. The one
-/// timing loop of this crate: `repro` and the benches all measure
-/// through it.
-pub fn time(runs: u32, mut f: impl FnMut()) -> Timing {
+/// Run `f` once untimed (warm-up), then `runs` times timed, and return
+/// the mean (the paper averages over runs). The one timing loop of
+/// this crate: `repro` measures through it.
+pub fn time(runs: u32, mut f: impl FnMut()) -> Duration {
     assert!(runs > 0, "timing needs at least one run");
     f();
-    let mut total = Duration::ZERO;
-    let mut min = Duration::MAX;
+    let start = Instant::now();
     for _ in 0..runs {
-        let start = Instant::now();
         f();
-        let elapsed = start.elapsed();
-        total += elapsed;
-        min = min.min(elapsed);
     }
-    Timing {
-        mean: total / runs,
-        min,
-    }
+    start.elapsed() / runs
 }
 
 /// One row of the chart reproduction.
@@ -207,8 +182,8 @@ pub fn measure_point(
     Ok(ChartPoint {
         experiment,
         lineitems: dataset.lineitems,
-        t_q: t_q.mean,
-        t_qgb: t_qgb.mean,
+        t_q,
+        t_qgb,
         observed_groups: qgb_groups,
     })
 }

@@ -2,9 +2,10 @@
 //!
 //! A straightforward tree-walking interpreter: expressions evaluate to
 //! [`Sequence`]s against an environment of frame slots plus the focus
-//! (context item / position / size). FLWOR evaluation lives in
-//! [`crate::flwor`]; this module covers everything else — literals,
-//! arithmetic, comparisons, paths, constructors, and function calls.
+//! (context item / position / size). FLWOR evaluation lives in the
+//! tuple pipeline, [`crate::pipeline`]; this module covers everything
+//! else — literals, arithmetic, comparisons, paths, constructors, and
+//! function calls.
 
 use crate::casts::cast_atomic;
 use crate::context::{DynamicContext, EvalStats, Focus};
@@ -263,7 +264,7 @@ impl<'a> Interpreter<'a> {
                 let result = self.eval_quantified(*kind, bindings, satisfies, env, 0)?;
                 Ok(Sequence::one(result))
             }
-            Ir::Flwor(f) => self.eval_flwor(f, env),
+            Ir::Flwor(f) => crate::pipeline::run(self, f, env),
             Ir::Path(p) => self.eval_path(p, env),
             Ir::Filter { base, predicates } => {
                 let seq = self.eval(base, env)?;

@@ -26,7 +26,6 @@ pub mod error;
 pub mod estimate;
 mod eval;
 pub mod explain;
-mod flwor;
 pub mod fold;
 pub mod functions;
 mod hints;

@@ -1177,11 +1177,15 @@ impl TupleSource for CountBind<'_> {
     }
 }
 
-/// Window clause: delegates the boundary-condition machinery to the
-/// materializing [`Interpreter::apply_window`] one input tuple at a
-/// time, then converts the full-frame outputs back into deltas (only
-/// the window slot and the condition-variable slots can have changed).
-/// Windows are not a hot path; correctness over allocation thrift.
+/// Window clause (XQuery 3.0): per input tuple, evaluate the binding
+/// sequence once and emit one tuple per window, a delta binding the
+/// window variable and the start/end condition variables.
+///
+/// A condition is tested with its boundary's variables bound in the
+/// frame, in one fixed order, so a raising `when` raises at the same
+/// point in every mode: `start` at `i`, then `end` from `i`; a tumbling
+/// window without `end` looks ahead for the next start from `i + 1`,
+/// and tests it again there.
 struct WindowScan<'p> {
     input: BoxSource<'p>,
     w: &'p WindowIr,
@@ -1196,21 +1200,61 @@ impl TupleSource for WindowScan<'_> {
         let Some(batch) = self.input.next_batch(interp, env)? else {
             return Ok(None);
         };
+        let w = self.w;
         let mut out = Vec::new();
         for t in batch {
             t.apply(env);
-            let frame = env.slots.clone();
-            let windows = interp.apply_window(self.w, vec![frame.clone()], env)?;
-            // apply_window leaves the frame moved-out; restore it.
-            env.slots = frame;
-            for full in windows {
-                let mut nt = t.clone();
-                bind_from_frame(&mut nt, &full, self.w.slot);
-                bind_cond_slots(&mut nt, &full, &self.w.start);
-                if let Some(end) = &self.w.end {
-                    bind_cond_slots(&mut nt, &full, end);
+            let items = interp.eval(&w.expr, env)?;
+            let n = items.len();
+            let holds = |cond: &WindowCondIr, i: usize, env: &mut Env| {
+                for (slot, value) in boundary_vars(cond, &items, i) {
+                    env.slots[slot] = value;
                 }
-                out.push(nt);
+                let v = interp.eval(&cond.when, env)?;
+                effective_boolean_value(&v).map_err(EngineError::from)
+            };
+            let first_holding = |cond: &WindowCondIr, from: Range<usize>, env: &mut Env| {
+                for j in from {
+                    if holds(cond, j, env)? {
+                        return Ok(Some(j));
+                    }
+                }
+                EngineResult::Ok(None)
+            };
+            let mut i = 0;
+            while i < n {
+                if !holds(&w.start, i, env)? {
+                    i += 1;
+                    continue;
+                }
+                // The window's last item, and whether `end` closed it
+                // there; one that never closes runs to the end of the
+                // sequence, with the end variables on the final item.
+                let (last, closed) = match &w.end {
+                    Some(end) => match first_holding(end, i..n, env)? {
+                        Some(j) => (j, true),
+                        None => (n - 1, false),
+                    },
+                    // Tumbling without `end` (the parser requires one on
+                    // a sliding window): up to just before the next start.
+                    None => (
+                        first_holding(&w.start, i + 1..n, env)?.unwrap_or(n) - 1,
+                        true,
+                    ),
+                };
+                if closed || !w.only_end {
+                    let mut window = t.clone();
+                    let ends = w
+                        .end
+                        .iter()
+                        .flat_map(|end| boundary_vars(end, &items, last));
+                    for (slot, value) in boundary_vars(&w.start, &items, i).chain(ends) {
+                        window.bind(slot, value);
+                    }
+                    window.bind(w.slot, Sequence::from_slice(&items[i..=last]));
+                    out.push(window);
+                }
+                i = if w.sliding { i + 1 } else { last + 1 };
             }
         }
         interp.stats.tuples_produced.add(out.len() as u64);
@@ -1218,22 +1262,27 @@ impl TupleSource for WindowScan<'_> {
     }
 }
 
-fn bind_from_frame(t: &mut Tuple, frame: &[Sequence], slot: Slot) {
-    t.bind(slot, frame[slot].clone());
-}
-
-fn bind_cond_slots(t: &mut Tuple, frame: &[Sequence], cond: &WindowCondIr) {
-    for slot in [
-        cond.item_slot,
-        cond.at_slot,
-        cond.previous_slot,
-        cond.next_slot,
+/// The variables a window condition binds at boundary `i`: the item, its
+/// 1-based position, and the items before and after it.
+fn boundary_vars<'a>(
+    cond: &'a WindowCondIr,
+    items: &'a [Item],
+    i: usize,
+) -> impl Iterator<Item = (Slot, Sequence)> + 'a {
+    let item = |k: usize| {
+        items
+            .get(k)
+            .map_or(Sequence::Empty, |x| Sequence::One(x.clone()))
+    };
+    [
+        cond.item_slot.map(|slot| (slot, item(i))),
+        cond.at_slot.map(|slot| (slot, Sequence::one(i as i64 + 1))),
+        cond.previous_slot
+            .map(|slot| (slot, i.checked_sub(1).map_or(Sequence::Empty, item))),
+        cond.next_slot.map(|slot| (slot, item(i + 1))),
     ]
     .into_iter()
     .flatten()
-    {
-        bind_from_frame(t, frame, slot);
-    }
 }
 
 /// `group by ... nest ...` and `order by`: the pipeline breakers. The

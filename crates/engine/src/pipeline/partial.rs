@@ -19,12 +19,14 @@
 
 use super::{Tag, Tuple, TupleSource};
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{Env, Interpreter};
-use crate::flwor::{compare_order_keys, sort_keyed, OrderKeys};
+use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
 use crate::keys::GroupIndex;
 use std::cmp::Ordering;
-use xqa_xdm::{deep_equal, effective_boolean_value, Sequence, SequenceBuilder};
+use xqa_xdm::{
+    deep_equal, effective_boolean_value, sort_compare, AtomicValue, ErrorCode, Sequence,
+    SequenceBuilder,
+};
 
 /// One breaker's state over a share of the tuple stream.
 pub(super) struct Partial<'p> {
@@ -491,6 +493,90 @@ impl OrderRun<'_> {
             i = largest;
         }
     }
+}
+
+/// Order-by key values for one tuple (one entry per spec).
+type OrderKeys = Vec<Option<AtomicValue>>;
+
+impl Interpreter<'_> {
+    /// Evaluate the order-by key values for the current tuple.
+    fn order_keys(&self, specs: &[OrderSpecIr], env: &mut Env) -> EngineResult<OrderKeys> {
+        let mut keys = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let v = self.eval(&spec.expr, env)?;
+            let key = opt_atomic(&v, "order by key")?;
+            // Untyped order keys compare as strings (XQuery 1.0 rule).
+            keys.push(key.map(AtomicValue::untyped_as_string));
+        }
+        Ok(keys)
+    }
+}
+
+/// Stable-sort `(keys, payload)` pairs by the order specs. Errors from
+/// incomparable keys are surfaced after the sort.
+fn sort_keyed<T>(items: &mut [(OrderKeys, T)], specs: &[OrderSpecIr]) -> EngineResult<()> {
+    let mut failure: Option<EngineError> = None;
+    items.sort_by(|(a, _), (b, _)| {
+        if failure.is_some() {
+            return Ordering::Equal;
+        }
+        match compare_order_keys(a, b, specs) {
+            Ok(ord) => ord,
+            Err(e) => {
+                failure = Some(e);
+                Ordering::Equal
+            }
+        }
+    });
+    match failure {
+        Some(e) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// Compare two key tuples under the specs (major key first). The empty
+/// sequence sorts least by default, greatest under `empty greatest`;
+/// `descending` reverses the whole comparison for that key.
+fn compare_order_keys(
+    a: &OrderKeys,
+    b: &OrderKeys,
+    specs: &[OrderSpecIr],
+) -> EngineResult<Ordering> {
+    debug_assert_eq!(a.len(), specs.len());
+    for ((ka, kb), spec) in a.iter().zip(b).zip(specs) {
+        let ord = match (ka, kb) {
+            (None, None) => Ordering::Equal,
+            (None, Some(_)) => {
+                if spec.empty_greatest {
+                    Ordering::Greater
+                } else {
+                    Ordering::Less
+                }
+            }
+            (Some(_), None) => {
+                if spec.empty_greatest {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                }
+            }
+            (Some(x), Some(y)) => sort_compare(x, y).map_err(|_| {
+                EngineError::dynamic(
+                    ErrorCode::XPTY0004,
+                    format!(
+                        "order by keys are not comparable ({} vs {})",
+                        x.atomic_type(),
+                        y.atomic_type()
+                    ),
+                )
+            })?,
+        };
+        let ord = if spec.descending { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return Ok(ord);
+        }
+    }
+    Ok(Ordering::Equal)
 }
 
 #[cfg(test)]

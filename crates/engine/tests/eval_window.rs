@@ -106,6 +106,33 @@ fn sliding_requires_end_condition() {
     assert!(err.to_string().contains("end condition"), "{err}");
 }
 
+/// Conditions are tested in one order — `start` at `i`, then `end` from
+/// `i` — so when two `when`s would raise, the one tested first does.
+#[test]
+fn a_raising_condition_raises_in_evaluation_order() {
+    let raised = |query: &str| {
+        Engine::new()
+            .compile(query)
+            .and_then(|plan| plan.run(&DynamicContext::new()))
+            .expect_err("a condition raises")
+            .to_string()
+    };
+    let tumbling = raised(
+        "for tumbling window $w in (1 to 5) \
+         start at $s when (if ($s = 3) then error(\"x\", \"start at 3\") else true()) \
+         end at $e when (if ($e = 2) then error(\"x\", \"end at 2\") else $e = $s) \
+         return $w",
+    );
+    assert!(tumbling.contains("end at 2"), "{tumbling}");
+    let sliding = raised(
+        "for sliding window $w in (1 to 5) \
+         start at $s when (if ($s = 2) then error(\"x\", \"start at 2\") else true()) \
+         end at $e when (if ($e = 3) then error(\"x\", \"end at 3\") else false()) \
+         return $w",
+    );
+    assert!(sliding.contains("end at 3"), "{sliding}");
+}
+
 // ---- window condition variables ----------------------------------------
 
 #[test]

@@ -503,11 +503,6 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    /// Raw: the next character without consuming.
-    pub fn raw_peek(&self) -> Option<char> {
-        self.peek_char()
-    }
-
     /// Raw: true when the input continues with `s`.
     pub fn raw_starts_with(&self, s: &str) -> bool {
         self.rest().starts_with(s)

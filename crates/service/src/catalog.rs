@@ -122,13 +122,6 @@ impl DocumentCatalog {
         Ok(self)
     }
 
-    /// Register a pre-built document for `fn:doc("name")`.
-    pub fn add_document(&mut self, name: impl Into<String>, doc: Arc<Document>) -> &mut Self {
-        self.invalidate_indexes();
-        self.documents.push((name.into(), doc));
-        self
-    }
-
     /// Register a document for `fn:doc("name")` from XML text.
     pub fn add_document_xml(
         &mut self,
@@ -244,21 +237,6 @@ impl DocumentCatalog {
     /// Total estimated index heap footprint across built stores.
     pub fn index_bytes(&self) -> u64 {
         self.stores.values().map(|s| s.index_bytes()).sum()
-    }
-
-    /// Number of named documents.
-    pub fn document_count(&self) -> usize {
-        self.documents.len()
-    }
-
-    /// Number of named collections.
-    pub fn collection_count(&self) -> usize {
-        self.collections.len()
-    }
-
-    /// Whether a context document is set.
-    pub fn has_context(&self) -> bool {
-        self.context.is_some()
     }
 
     /// Build a fresh [`DynamicContext`] over the catalog's documents.

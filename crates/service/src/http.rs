@@ -228,16 +228,6 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete `Connection: close` response.
-pub fn write_response(
-    writer: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-) -> std::io::Result<()> {
-    write_response_with_headers(writer, status, content_type, &[], body, false)
-}
-
 /// Write a complete response with extra headers (e.g. `X-Request-Id`)
 /// and an explicit connection disposition. Header values must be ASCII
 /// without CR/LF.
@@ -527,7 +517,7 @@ mod tests {
     #[test]
     fn response_wire_format() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", b"ok\n").unwrap();
+        write_response_with_headers(&mut out, 200, "text/plain", &[], b"ok\n", false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 3\r\n"));

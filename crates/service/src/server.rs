@@ -240,7 +240,7 @@ impl Server {
                                     handle_connection(stream, &conn_shared, guard)
                                 });
                             }
-                            Err(reason) => shed_connection(stream, reason, &shared),
+                            Err(reason) => shed_connection(stream, reason),
                         }
                     }
                 })?
@@ -287,7 +287,7 @@ impl Drop for Server {
 /// Shed a connection the admission layer refused: an inline `429`
 /// written from the acceptor thread (cheap — no query work, one small
 /// buffered write), then close.
-fn shed_connection(mut stream: TcpStream, reason: ShedReason, shared: &Shared) {
+fn shed_connection(mut stream: TcpStream, reason: ShedReason) {
     // Never let a dead client block the acceptor.
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let body = match reason {
@@ -302,7 +302,6 @@ fn shed_connection(mut stream: TcpStream, reason: ShedReason, shared: &Shared) {
         body.as_bytes(),
         false,
     );
-    let _ = shared; // shed count lives in Admission::try_admit
 }
 
 /// The per-connection keep-alive loop (one pool job per connection):

@@ -211,6 +211,61 @@ fn sliding_window_with_rank() {
     );
 }
 
+// Windows against an independent oracle: generated integer sequences
+// and window clauses, evaluated by the engine at threads 1 and 4 and by
+// a plain-Rust reading of the XQuery 3.0 window semantics (at the end of
+// this file, so that the string literals it adds to the query corpus
+// come after the existing ones).
+
+/// Seeds of [`windows_match_the_oracle`]: one generated window clause
+/// each, over [`ORACLE_ROWS`] sequences.
+const ORACLE_SEEDS: u64 = 256;
+
+/// The outer `for` values that get a window input; every other value
+/// of `1 to 1100` (more than one morsel) windows the empty sequence.
+const ORACLE_ROWS: [i64; 8] = [137, 274, 411, 548, 685, 822, 959, 1096];
+
+/// Generated tumbling and sliding windows — with and without `end` and
+/// `only end`, binding every boundary variable — match the oracle at
+/// threads 1 and 4. The outer `for` binds more than one morsel, so at
+/// threads 4 the exchange runs the window operator on its workers.
+#[test]
+fn windows_match_the_oracle() {
+    let (serial, parallel) = threaded_engines();
+    for seed in 0..ORACLE_SEEDS {
+        let mut rng = xqa_workload::DetRng::seed_from_u64(seed);
+        let spec = WindowSpec::draw(&mut rng);
+        let rows: Vec<Vec<i64>> = ORACLE_ROWS
+            .iter()
+            .map(|_| {
+                let len = rng.gen_range(0..=12usize);
+                (0..len).map(|_| rng.gen_range(0..6i64)).collect()
+            })
+            .collect();
+        let query = spec.query(&rows);
+        let expected = spec.oracle(&rows);
+        for (engine, threads) in [(&serial, 1), (&parallel, 4)] {
+            let mut ctx = DynamicContext::new();
+            ctx.enable_profiling();
+            let result = engine
+                .compile(&query)
+                .and_then(|plan| plan.run(&ctx))
+                .unwrap_or_else(|e| panic!("seed {seed}, threads={threads}: {e}\n{query}"));
+            let profile = ctx.take_profile().expect("profiling was enabled");
+            let workers = profile.pipelines.iter().map(|p| p.workers).max();
+            assert!(
+                threads == 1 || workers > Some(1),
+                "seed {seed}: the exchange did not run at threads={threads}"
+            );
+            assert_eq!(
+                serialize_sequence(&result),
+                expected,
+                "seed {seed}, threads={threads} differs from the oracle for:\n{query}"
+            );
+        }
+    }
+}
+
 // ---- plain FLWOR shapes ----------------------------------------------
 
 #[test]
@@ -1062,5 +1117,190 @@ fn nest_agg_fires_exactly_on_count_only_nests() {
             !assert_nest_agg_identical(query, "", &ctx),
             "fired:\n{query}"
         );
+    }
+}
+
+// ---- the window oracle ------------------------------------------------
+
+/// The variables one window boundary binds: the item, its 1-based
+/// position and its neighbours.
+#[derive(Clone, Copy)]
+struct Boundary {
+    item: i64,
+    at: i64,
+    previous: Option<i64>,
+    next: Option<i64>,
+}
+
+impl Boundary {
+    fn of(items: &[i64], i: usize) -> Boundary {
+        Boundary {
+            item: items[i],
+            at: i as i64 + 1,
+            previous: i.checked_sub(1).map(|p| items[p]),
+            next: items.get(i + 1).copied(),
+        }
+    }
+}
+
+/// A window `when` condition. The last three read the start boundary
+/// too, so they only appear as end conditions.
+#[derive(Clone, Copy)]
+enum Cond {
+    True,
+    ItemMod(i64, i64),
+    AtMod(i64, i64),
+    Rises,
+    NextEquals,
+    SpanAtLeast(i64),
+    AboveStart,
+    Last,
+}
+
+impl Cond {
+    fn draw(rng: &mut xqa_workload::DetRng, end: bool) -> Cond {
+        let k = rng.gen_range(2..=4i64);
+        let r = rng.gen_range(0..k);
+        match rng.gen_range(0..if end { 8 } else { 5 }) {
+            0 => Cond::True,
+            1 => Cond::ItemMod(k, r),
+            2 => Cond::AtMod(k, r),
+            3 => Cond::Rises,
+            4 => Cond::NextEquals,
+            5 => Cond::SpanAtLeast(r),
+            6 => Cond::AboveStart,
+            _ => Cond::Last,
+        }
+    }
+
+    /// The `when` expression over boundary variables `[item, at,
+    /// previous, next]`, with `$s`/`$i` the start's item and position.
+    fn xquery(self, [item, at, previous, next]: [&str; 4]) -> String {
+        match self {
+            Cond::True => "true()".to_string(),
+            Cond::ItemMod(k, r) => format!("{item} mod {k} = {r}"),
+            Cond::AtMod(k, r) => format!("{at} mod {k} = {r}"),
+            Cond::Rises => format!("empty({previous}) or {previous} lt {item}"),
+            Cond::NextEquals => format!("{next} = {item}"),
+            Cond::SpanAtLeast(l) => format!("{at} - $i ge {l}"),
+            Cond::AboveStart => format!("{item} gt $s"),
+            Cond::Last => format!("empty({next})"),
+        }
+    }
+
+    fn holds(self, b: &Boundary, start: &Boundary) -> bool {
+        match self {
+            Cond::True => true,
+            Cond::ItemMod(k, r) => b.item % k == r,
+            Cond::AtMod(k, r) => b.at % k == r,
+            Cond::Rises => b.previous.is_none_or(|p| p < b.item),
+            Cond::NextEquals => b.next == Some(b.item),
+            Cond::SpanAtLeast(l) => b.at - start.at >= l,
+            Cond::AboveStart => b.item > start.item,
+            Cond::Last => b.next.is_none(),
+        }
+    }
+}
+
+struct WindowSpec {
+    sliding: bool,
+    start: Cond,
+    end: Option<Cond>,
+    only_end: bool,
+}
+
+const START_VARS: [&str; 4] = ["$s", "$i", "$p", "$n"];
+const END_VARS: [&str; 4] = ["$e", "$j", "$ep", "$en"];
+
+impl WindowSpec {
+    fn draw(rng: &mut xqa_workload::DetRng) -> WindowSpec {
+        let sliding = rng.gen_bool(0.5);
+        // The parser requires `end` on a sliding window.
+        let end = (sliding || rng.gen_bool(0.5)).then(|| Cond::draw(rng, true));
+        WindowSpec {
+            sliding,
+            start: Cond::draw(rng, false),
+            only_end: end.is_some() && rng.gen_bool(0.5),
+            end,
+        }
+    }
+
+    fn query(&self, rows: &[Vec<i64>]) -> String {
+        let mut input = String::new();
+        for (o, items) in ORACLE_ROWS.iter().zip(rows) {
+            let items: Vec<String> = items.iter().map(i64::to_string).collect();
+            input += &format!("if ($o = {o}) then ({}) else ", items.join(", "));
+        }
+        let mut q = format!(
+            "for $o in 1 to 1100 for {} window $w in ({input}()) \
+             start $s at $i previous $p next $n when {}",
+            if self.sliding { "sliding" } else { "tumbling" },
+            self.start.xquery(START_VARS)
+        );
+        let mut attrs = r#"o="{$o}" s="{$s}" i="{$i}" p="{$p}" n="{$n}""#.to_string();
+        if let Some(end) = self.end {
+            let only = if self.only_end { "only " } else { "" };
+            q += &format!(
+                " {only}end $e at $j previous $ep next $en when {}",
+                end.xquery(END_VARS)
+            );
+            attrs += r#" e="{$e}" j="{$j}" ep="{$ep}" en="{$en}""#;
+        }
+        q + &format!(" return <w {attrs}>{{$w}}</w>")
+    }
+
+    /// The serialized result by the XQuery 3.0 rules: a window starts at
+    /// every item satisfying `start` (in a tumbling window, only after
+    /// the previous window's end) and ends at the first item from there
+    /// satisfying `end`; without one it runs to the end of the sequence
+    /// and is dropped under `only end`. A tumbling window without `end`
+    /// ends just before the next item satisfying `start`.
+    fn oracle(&self, rows: &[Vec<i64>]) -> String {
+        let opt = |v: Option<i64>| v.map_or(String::new(), |v| v.to_string());
+        let mut out = String::new();
+        for (o, items) in ORACLE_ROWS.iter().zip(rows) {
+            let at = |i| Boundary::of(items, i);
+            let mut free = 0;
+            for first in 0..items.len() {
+                let s = at(first);
+                if first < free || !self.start.holds(&s, &s) {
+                    continue;
+                }
+                let (last, closed) = match self.end {
+                    Some(end) => (first..items.len())
+                        .find(|&j| end.holds(&at(j), &s))
+                        .map_or((items.len() - 1, false), |j| (j, true)),
+                    None => (first + 1..items.len())
+                        .find(|&j| self.start.holds(&at(j), &at(j)))
+                        .map_or((items.len() - 1, true), |j| (j - 1, true)),
+                };
+                if !self.sliding {
+                    free = last + 1;
+                }
+                if !closed && self.only_end {
+                    continue;
+                }
+                out += &format!(
+                    r#"<w o="{o}" s="{}" i="{}" p="{}" n="{}""#,
+                    s.item,
+                    s.at,
+                    opt(s.previous),
+                    opt(s.next)
+                );
+                if self.end.is_some() {
+                    let e = at(last);
+                    out += &format!(
+                        r#" e="{}" j="{}" ep="{}" en="{}""#,
+                        e.item,
+                        e.at,
+                        opt(e.previous),
+                        opt(e.next)
+                    );
+                }
+                let window: Vec<String> = items[first..=last].iter().map(i64::to_string).collect();
+                out += &format!(">{}</w>", window.join(" "));
+            }
+        }
+        out
     }
 }
