@@ -11,10 +11,9 @@
 //!       --stats                 print evaluator statistics to stderr
 //!       --stats-json            print stats (and profile) as JSON to stderr
 //!       --profile               run profiled; print `explain analyze` to stderr
-//!       --trace-json FILE       write compile/execute trace events to FILE
 //!       --diag-json FILE        write one diagnostics object (plan fingerprint,
 //!                               rewrites, stats, profile with spans and
-//!                               q-errors, trace events) to FILE
+//!                               q-errors, compile trace) to FILE
 //!       --deterministic-clock   profile with a fixed-tick clock (for tests)
 //!       --threads N             intra-query parallelism (default: all cores;
 //!                               1 = serial)
@@ -51,18 +50,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use xqa::{
     parse_document, serialize_sequence_with, Clock, DynamicContext, Engine, EngineOptions,
-    MonotonicClock, PlanHints, SerializeOptions, TickClock, TracePhase, TraceRing, TraceSink,
-    Tracer,
+    MonotonicClock, PlanHints, SerializeOptions, TickClock,
 };
 use xqa_service::{DocumentCatalog, Server, ServiceConfig};
 
 /// Tick width of the `--deterministic-clock` profile clock: 1ms per
 /// clock read, so golden profile output is stable across machines.
 const DETERMINISTIC_TICK_NANOS: u64 = 1_000_000;
-
-/// Capacity of the `--trace-json` event ring (events beyond this drop
-/// oldest-first; a single compile-and-run emits far fewer).
-const TRACE_RING_CAPACITY: usize = 1024;
 
 struct Args {
     query_text: Option<String>,
@@ -75,7 +69,6 @@ struct Args {
     stats_json: bool,
     explain: bool,
     profile: bool,
-    trace_json: Option<String>,
     diag_json: Option<String>,
     deterministic_clock: bool,
     threads: usize,
@@ -97,13 +90,11 @@ options:
       --explain             print the compiled plan to stderr before running
       --profile             run with per-operator profiling and print
                             `explain analyze` to stderr
-      --trace-json FILE     write structured trace events (parse, rewrites,
-                            compile, execute) to FILE as JSON
       --diag-json FILE      write one diagnostics JSON object to FILE: the
                             plan fingerprint, applied rewrites, evaluator
                             stats, the full profile (operator est/actual
                             counters, q-errors, span timeline) and the
-                            compile/execute trace events
+                            compile trace (parse, rewrites, compile)
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --threads N           intra-query parallelism: worker threads for
@@ -182,7 +173,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         stats_json: false,
         explain: false,
         profile: false,
-        trace_json: None,
         diag_json: None,
         deterministic_clock: false,
         threads: 0,
@@ -214,9 +204,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
             "--stats-json" => args.stats_json = true,
             "--explain" => args.explain = true,
             "--profile" => args.profile = true,
-            "--trace-json" => {
-                args.trace_json = Some(it.next().ok_or("--trace-json requires a file")?);
-            }
             "--diag-json" => {
                 args.diag_json = Some(it.next().ok_or("--diag-json requires a file")?);
             }
@@ -254,8 +241,8 @@ fn run(args: &Args) -> Result<(), String> {
         }
         (None, None) => unreachable!("parse_args guarantees a query"),
     };
-    // One clock serves both the trace timestamps and the profile
-    // timings, so `--deterministic-clock` pins every reading.
+    // The profile's clock; `--deterministic-clock` pins its readings.
+    // The compile trace counts from the compile's own start.
     let clock: Arc<dyn Clock> = if args.deterministic_clock {
         Arc::new(TickClock::new(DETERMINISTIC_TICK_NANOS))
     } else {
@@ -303,18 +290,7 @@ fn run(args: &Args) -> Result<(), String> {
         hints: args.hints,
     })
     .with_statistics(statistics);
-    let trace_ring = (args.trace_json.is_some() || args.diag_json.is_some())
-        .then(|| Arc::new(TraceRing::new(TRACE_RING_CAPACITY)));
-    let tracer = trace_ring.as_ref().map(|ring| {
-        Tracer::new(
-            1,
-            Arc::clone(&clock),
-            Arc::clone(ring) as Arc<dyn TraceSink>,
-        )
-    });
-    let query = engine
-        .compile_traced(&query_source, tracer.as_ref())
-        .map_err(|e| e.to_string())?;
+    let query = engine.compile(&query_source).map_err(|e| e.to_string())?;
     for rewrite in query.applied_rewrites() {
         eprintln!("rewrite: {rewrite}");
     }
@@ -322,12 +298,6 @@ fn run(args: &Args) -> Result<(), String> {
         eprint!("{}", query.explain());
     }
     let result = query.run(&ctx).map_err(|e| e.to_string())?;
-    if let Some(t) = &tracer {
-        t.emit(
-            TracePhase::Execute,
-            format!("evaluated: {} item(s) in result", result.len()),
-        );
-    }
     let options = if args.pretty {
         SerializeOptions::pretty()
     } else {
@@ -353,9 +323,6 @@ fn run(args: &Args) -> Result<(), String> {
             None => eprintln!("{{\"stats\":{}}}", s.to_json()),
         }
     }
-    if let (Some(file), Some(ring)) = (&args.trace_json, &trace_ring) {
-        std::fs::write(file, ring.to_json()).map_err(|e| format!("cannot write {file}: {e}"))?;
-    }
     if let Some(file) = &args.diag_json {
         // One self-contained diagnostics object — the CLI's offline
         // equivalent of a server-side flight record.
@@ -372,9 +339,7 @@ fn run(args: &Args) -> Result<(), String> {
             query.hints(),
             ctx.stats.snapshot().to_json(),
             profile.as_ref().expect("profiling enabled").to_json(),
-            trace_ring
-                .as_ref()
-                .map_or_else(|| "[]".to_string(), |r| r.to_json()),
+            query.trace_json(1),
         );
         std::fs::write(file, diag).map_err(|e| format!("cannot write {file}: {e}"))?;
     }

@@ -1,5 +1,6 @@
 //! `cast as` / constructor-function conversions between atomic types.
 
+use crate::functions::{self, Builtin};
 use crate::ir::CastTarget;
 use xqa_xdm::{
     parse_boolean, parse_double, AtomicValue, Date, DateTime, Decimal, ErrorCode, XdmError,
@@ -103,17 +104,10 @@ pub fn cast_target_from_name(prefix: Option<&str>, local: &str) -> Option<CastTa
     if !matches!(prefix, None | Some("xs")) {
         return None;
     }
-    Some(match local {
-        "string" => CastTarget::String,
-        "untypedAtomic" => CastTarget::Untyped,
-        "boolean" => CastTarget::Boolean,
-        "integer" | "int" | "long" => CastTarget::Integer,
-        "decimal" => CastTarget::Decimal,
-        "double" | "float" => CastTarget::Double,
-        "dateTime" => CastTarget::DateTime,
-        "date" => CastTarget::Date,
-        _ => return None,
-    })
+    match functions::resolve(Some("xs"), local)? {
+        Builtin::Cast(target) => Some(target),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

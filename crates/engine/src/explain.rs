@@ -5,7 +5,7 @@
 //! single scan feeding one `GroupBy`, while the `Q` plan is a
 //! `distinct-values` scan with a *nested re-scan per tuple*.
 
-use crate::functions::Builtin;
+use crate::functions;
 use crate::ir::*;
 use crate::profile::QueryProfile;
 use std::fmt::Write;
@@ -275,7 +275,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
             }
         }
         Ir::CallBuiltin(b, args) => {
-            line(out, depth, &format!("call fn:{}", builtin_name(*b)));
+            line(out, depth, &format!("call {}", functions::name(*b)));
             for a in args {
                 write_ir(out, threads, a, depth + 1);
             }
@@ -479,10 +479,6 @@ fn describe_test(test: &NodeTestIr) -> String {
         NodeTestIr::Attribute(None) => "attribute()".to_string(),
         NodeTestIr::Document => "document-node()".to_string(),
     }
-}
-
-fn builtin_name(b: Builtin) -> String {
-    format!("{b:?}")
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! "a common set of such membership functions will be provided by the
 //! implementations".
 
-use crate::casts::{cast_atomic, cast_target_from_name};
+use crate::casts::cast_atomic;
 use crate::context::{DynamicContext, Focus};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::no_context;
@@ -114,96 +114,117 @@ pub enum Builtin {
     XqaMovingAvg,
 }
 
+/// Every builtin under its `(prefix, local name)`: the one table name
+/// resolution and `explain` read. A builtin's first entry is the name
+/// `explain` prints; later ones are aliases (`xs:int` for
+/// `xs:integer`).
+const BUILTINS: &[(&str, &str, Builtin)] = {
+    use Builtin::*;
+    &[
+        ("fn", "count", Count),
+        ("fn", "sum", Sum),
+        ("fn", "avg", Avg),
+        ("fn", "min", Min),
+        ("fn", "max", Max),
+        ("fn", "distinct-values", DistinctValues),
+        ("fn", "empty", Empty),
+        ("fn", "exists", Exists),
+        ("fn", "reverse", Reverse),
+        ("fn", "subsequence", Subsequence),
+        ("fn", "insert-before", InsertBefore),
+        ("fn", "remove", Remove),
+        ("fn", "index-of", IndexOf),
+        ("fn", "data", Data),
+        ("fn", "string-join", StringJoin),
+        ("fn", "zero-or-one", ZeroOrOne),
+        ("fn", "one-or-more", OneOrMore),
+        ("fn", "exactly-one", ExactlyOne),
+        ("fn", "unordered", Unordered),
+        ("fn", "deep-equal", DeepEqual),
+        ("fn", "not", Not),
+        ("fn", "boolean", BooleanFn),
+        ("fn", "true", TrueFn),
+        ("fn", "false", FalseFn),
+        ("fn", "string", StringFn),
+        ("fn", "concat", Concat),
+        ("fn", "substring", Substring),
+        ("fn", "string-length", StringLength),
+        ("fn", "upper-case", UpperCase),
+        ("fn", "lower-case", LowerCase),
+        ("fn", "contains", Contains),
+        ("fn", "starts-with", StartsWith),
+        ("fn", "ends-with", EndsWith),
+        ("fn", "normalize-space", NormalizeSpace),
+        ("fn", "substring-before", SubstringBefore),
+        ("fn", "substring-after", SubstringAfter),
+        ("fn", "translate", Translate),
+        ("fn", "number", NumberFn),
+        ("fn", "abs", Abs),
+        ("fn", "floor", Floor),
+        ("fn", "ceiling", Ceiling),
+        ("fn", "round", Round),
+        ("fn", "round-half-to-even", RoundHalfToEven),
+        ("fn", "name", NameFn),
+        ("fn", "local-name", LocalName),
+        ("fn", "node-name", NodeName),
+        ("fn", "root", Root),
+        ("fn", "position", Position),
+        ("fn", "last", Last),
+        ("fn", "year-from-dateTime", YearFromDateTime),
+        ("fn", "month-from-dateTime", MonthFromDateTime),
+        ("fn", "day-from-dateTime", DayFromDateTime),
+        ("fn", "hours-from-dateTime", HoursFromDateTime),
+        ("fn", "minutes-from-dateTime", MinutesFromDateTime),
+        ("fn", "seconds-from-dateTime", SecondsFromDateTime),
+        ("fn", "year-from-date", YearFromDate),
+        ("fn", "month-from-date", MonthFromDate),
+        ("fn", "day-from-date", DayFromDate),
+        ("fn", "doc", Doc),
+        ("fn", "collection", Collection),
+        ("fn", "error", ErrorFn),
+        ("fn", "current-dateTime", CurrentDateTime),
+        ("fn", "current-date", CurrentDate),
+        ("fn", "trace", Trace),
+        ("fn", "compare", Compare),
+        ("fn", "string-to-codepoints", StringToCodepoints),
+        ("fn", "codepoints-to-string", CodepointsToString),
+        ("xs", "string", Cast(CastTarget::String)),
+        ("xs", "untypedAtomic", Cast(CastTarget::Untyped)),
+        ("xs", "boolean", Cast(CastTarget::Boolean)),
+        ("xs", "integer", Cast(CastTarget::Integer)),
+        ("xs", "int", Cast(CastTarget::Integer)),
+        ("xs", "long", Cast(CastTarget::Integer)),
+        ("xs", "decimal", Cast(CastTarget::Decimal)),
+        ("xs", "double", Cast(CastTarget::Double)),
+        ("xs", "float", Cast(CastTarget::Double)),
+        ("xs", "dateTime", Cast(CastTarget::DateTime)),
+        ("xs", "date", Cast(CastTarget::Date)),
+        ("xqa", "paths", XqaPaths),
+        ("xqa", "cube", XqaCube),
+        ("xqa", "moving-sum", XqaMovingSum),
+        ("xqa", "moving-avg", XqaMovingAvg),
+    ]
+};
+
 /// Resolve a function name to a builtin. `prefix` of `None` and `fn`
 /// address the core library; `xs` the constructors; `xqa` the
 /// extensions.
 pub fn resolve(prefix: Option<&str>, local: &str) -> Option<Builtin> {
-    match prefix {
-        None | Some("fn") => resolve_fn(local),
-        Some("xs") => cast_target_from_name(Some("xs"), local).map(Builtin::Cast),
-        Some("xqa") => match local {
-            "paths" => Some(Builtin::XqaPaths),
-            "cube" => Some(Builtin::XqaCube),
-            "moving-sum" => Some(Builtin::XqaMovingSum),
-            "moving-avg" => Some(Builtin::XqaMovingAvg),
-            _ => None,
-        },
-        _ => None,
-    }
+    let prefix = prefix.unwrap_or("fn");
+    BUILTINS
+        .iter()
+        .find(|&&(p, l, _)| p == prefix && l == local)
+        .map(|&(_, _, b)| b)
 }
 
-fn resolve_fn(local: &str) -> Option<Builtin> {
-    use Builtin::*;
-    Some(match local {
-        "count" => Count,
-        "sum" => Sum,
-        "avg" => Avg,
-        "min" => Min,
-        "max" => Max,
-        "distinct-values" => DistinctValues,
-        "empty" => Empty,
-        "exists" => Exists,
-        "reverse" => Reverse,
-        "subsequence" => Subsequence,
-        "insert-before" => InsertBefore,
-        "remove" => Remove,
-        "index-of" => IndexOf,
-        "data" => Data,
-        "string-join" => StringJoin,
-        "zero-or-one" => ZeroOrOne,
-        "one-or-more" => OneOrMore,
-        "exactly-one" => ExactlyOne,
-        "unordered" => Unordered,
-        "deep-equal" => DeepEqual,
-        "not" => Not,
-        "boolean" => BooleanFn,
-        "true" => TrueFn,
-        "false" => FalseFn,
-        "string" => StringFn,
-        "concat" => Concat,
-        "substring" => Substring,
-        "string-length" => StringLength,
-        "upper-case" => UpperCase,
-        "lower-case" => LowerCase,
-        "contains" => Contains,
-        "starts-with" => StartsWith,
-        "ends-with" => EndsWith,
-        "normalize-space" => NormalizeSpace,
-        "substring-before" => SubstringBefore,
-        "substring-after" => SubstringAfter,
-        "translate" => Translate,
-        "number" => NumberFn,
-        "abs" => Abs,
-        "floor" => Floor,
-        "ceiling" => Ceiling,
-        "round" => Round,
-        "round-half-to-even" => RoundHalfToEven,
-        "name" => NameFn,
-        "local-name" => LocalName,
-        "node-name" => NodeName,
-        "root" => Root,
-        "position" => Position,
-        "last" => Last,
-        "year-from-dateTime" => YearFromDateTime,
-        "month-from-dateTime" => MonthFromDateTime,
-        "day-from-dateTime" => DayFromDateTime,
-        "hours-from-dateTime" => HoursFromDateTime,
-        "minutes-from-dateTime" => MinutesFromDateTime,
-        "seconds-from-dateTime" => SecondsFromDateTime,
-        "year-from-date" => YearFromDate,
-        "month-from-date" => MonthFromDate,
-        "day-from-date" => DayFromDate,
-        "doc" => Doc,
-        "collection" => Collection,
-        "error" => ErrorFn,
-        "current-dateTime" => CurrentDateTime,
-        "current-date" => CurrentDate,
-        "trace" => Trace,
-        "compare" => Compare,
-        "string-to-codepoints" => StringToCodepoints,
-        "codepoints-to-string" => CodepointsToString,
-        _ => return None,
-    })
+/// The prefixed name a query spells `b` with, e.g. `fn:count` or
+/// `xs:integer`.
+pub fn name(b: Builtin) -> String {
+    let (prefix, local, _) = BUILTINS
+        .iter()
+        .find(|&&(_, _, entry)| entry == b)
+        .expect("every builtin has a name");
+    format!("{prefix}:{local}")
 }
 
 /// Allowed argument count: (min, max); `max == usize::MAX` means
@@ -1525,6 +1546,20 @@ mod tests {
         assert_eq!(resolve(Some("xqa"), "paths"), Some(Builtin::XqaPaths));
         assert_eq!(resolve(None, "nonsense"), None);
         assert_eq!(resolve(Some("other"), "avg"), None);
+    }
+
+    #[test]
+    fn names_are_spelled_as_queries_spell_them() {
+        assert_eq!(name(Builtin::Count), "fn:count");
+        assert_eq!(name(Builtin::NumberFn), "fn:number");
+        assert_eq!(name(Builtin::Cast(CastTarget::Integer)), "xs:integer");
+        assert_eq!(name(Builtin::XqaCube), "xqa:cube");
+        // Every printed name resolves back to its builtin.
+        for &(_, _, b) in BUILTINS {
+            let printed = name(b);
+            let (prefix, local) = printed.split_once(':').unwrap();
+            assert_eq!(resolve(Some(prefix), local), Some(b), "{printed}");
+        }
     }
 
     #[test]

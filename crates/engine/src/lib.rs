@@ -43,7 +43,6 @@ pub use explain::plan_fingerprint;
 pub use hints::PlanHints;
 pub use ir::OpKind;
 pub use profile::{Clock, Misestimate, MonotonicClock, QueryProfile, Span, TickClock};
-pub use trace::{TraceEvent, TracePhase, TraceRing, TraceSink, Tracer};
 
 use xqa_frontend::parse_query;
 use xqa_xdm::Sequence;
@@ -215,54 +214,28 @@ impl Engine {
         self.options
     }
 
-    /// Parse and compile a query.
+    /// Parse and compile a query. The plan keeps how long parsing and
+    /// planning took, which its compile trace
+    /// ([`PreparedQuery::trace_json`]) renders.
     pub fn compile(&self, source: &str) -> EngineResult<PreparedQuery> {
-        self.compile_traced(source, None)
-    }
-
-    /// Parse and compile a query, emitting parse / rewrite-fired /
-    /// compile trace events through `tracer` when one is given.
-    pub fn compile_traced(
-        &self,
-        source: &str,
-        tracer: Option<&Tracer>,
-    ) -> EngineResult<PreparedQuery> {
+        let start = std::time::Instant::now();
         let hints = self.options.hints.or(PlanHints::from_env()
             .map_err(|message| EngineError::stat(xqa_xdm::ErrorCode::Other, message))?);
         let module = parse_query(source)?;
-        if let Some(t) = tracer {
-            t.emit(
-                TracePhase::Parse,
-                format!("parsed {} byte(s) of query text", source.len()),
-            );
-        }
+        let parse_ns = start.elapsed().as_nanos() as u64;
         let mut compiled = compile::compile(&module)?;
         compiled.threads = self.options.threads;
         let rewrites = rewrite::plan(&mut compiled, hints, self.statistics.as_deref());
-        if let Some(t) = tracer {
-            for r in &rewrites {
-                t.emit(
-                    TracePhase::RewriteFired,
-                    format!("{}: {}", r.kind.as_str(), r.detail),
-                );
-            }
-            t.emit(
-                TracePhase::Compile,
-                format!(
-                    "compiled: {} global(s), {} function(s), frame size {}, streaming pipeline, \
-                     hints [{hints}]",
-                    compiled.globals.len(),
-                    compiled.functions.len(),
-                    compiled.frame_size,
-                ),
-            );
-        }
+        let plan_ns = start.elapsed().as_nanos() as u64;
         let fingerprint = explain::plan_fingerprint(&compiled);
         Ok(PreparedQuery {
             compiled,
             rewrites,
             fingerprint,
             hints,
+            source_len: source.len(),
+            parse_ns,
+            plan_ns,
         })
     }
 }
@@ -274,6 +247,12 @@ pub struct PreparedQuery {
     rewrites: Vec<RewriteNote>,
     fingerprint: u64,
     hints: PlanHints,
+    /// Byte length of the query text, and nanoseconds from the
+    /// compile's start to parse-done and to plan-done: what
+    /// [`PreparedQuery::trace_json`] renders beyond the plan itself.
+    source_len: usize,
+    parse_ns: u64,
+    plan_ns: u64,
 }
 
 impl PreparedQuery {

@@ -6,127 +6,49 @@
 //! catalog version comes from the statistics attached to the engine
 //! (zero when none): reindexing the catalog bumps the version, so
 //! plans whose access-path decisions were made against stale
-//! statistics are never served. The recency
-//! list is an intrusive doubly-linked list over a slot vector (no
-//! per-entry allocation, O(1) touch/insert/evict); a `Mutex` guards the
-//! structure while hit/miss counters are lock-free atomics so
-//! `/metrics` never contends with query traffic.
+//! statistics are never served. Each entry carries the recency stamp
+//! of its last use; a hit restamps it, and an insert at capacity evicts
+//! the smallest stamp by a scan of the (at most `capacity`) entries,
+//! which only a miss that compiled pays. A `Mutex` guards the map
+//! while hit/miss counters are lock-free atomics so `/metrics` never
+//! contends with query traffic.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use xqa_engine::{Engine, EngineOptions, EngineResult, PreparedQuery, Tracer};
+use xqa_engine::{Engine, EngineOptions, EngineResult, PreparedQuery};
 
 type CacheKey = (String, EngineOptions, u64);
 
-/// Sentinel for "no slot" in the intrusive list.
-const NIL: usize = usize::MAX;
-
-struct Slot {
-    key: CacheKey,
-    plan: Arc<PreparedQuery>,
-    prev: usize,
-    next: usize,
-}
-
-/// The linked-LRU structure guarded by the cache mutex.
+/// The cached plans, each with the recency stamp of its last use.
+#[derive(Default)]
 struct Lru {
-    map: HashMap<CacheKey, usize>,
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    /// Most recently used.
-    head: usize,
-    /// Least recently used (eviction candidate).
-    tail: usize,
+    map: HashMap<CacheKey, (Arc<PreparedQuery>, u64)>,
+    /// The stamp of the latest use.
+    clock: u64,
 }
 
 impl Lru {
-    fn new() -> Lru {
-        Lru {
-            map: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = {
-            let s = self.slots[i].as_ref().expect("unlink of empty slot");
-            (s.prev, s.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.slots[p].as_mut().expect("linked prev").next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.slots[n].as_mut().expect("linked next").prev = prev,
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        {
-            let s = self.slots[i].as_mut().expect("push_front of empty slot");
-            s.prev = NIL;
-            s.next = self.head;
-        }
-        if self.head != NIL {
-            self.slots[self.head].as_mut().expect("old head").prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-
     /// Look up and mark most-recently-used.
     fn get(&mut self, key: &CacheKey) -> Option<Arc<PreparedQuery>> {
-        let &i = self.map.get(key)?;
-        self.unlink(i);
-        self.push_front(i);
-        Some(Arc::clone(
-            &self.slots[i].as_ref().expect("mapped slot").plan,
-        ))
+        let (plan, used) = self.map.get_mut(key)?;
+        self.clock += 1;
+        *used = self.clock;
+        Some(Arc::clone(plan))
     }
 
-    /// Insert (or refresh) an entry, evicting the LRU tail at capacity.
+    /// Insert (or refresh) an entry, evicting the least recently used
+    /// at capacity. Raced with another worker compiling the same query,
+    /// the later plan replaces the earlier one.
     fn insert(&mut self, key: CacheKey, plan: Arc<PreparedQuery>, capacity: usize) {
-        if let Some(&i) = self.map.get(&key) {
-            // Raced with another worker compiling the same query: keep
-            // one plan, refresh recency.
-            self.slots[i].as_mut().expect("mapped slot").plan = plan;
-            self.unlink(i);
-            self.push_front(i);
-            return;
+        if self.map.len() >= capacity && !self.map.contains_key(&key) {
+            // Stamps are unique, so this drops exactly one entry.
+            let oldest = self.map.values().map(|(_, used)| *used).min();
+            self.map.retain(|_, (_, used)| Some(*used) != oldest);
         }
-        if self.map.len() >= capacity {
-            let victim = self.tail;
-            self.unlink(victim);
-            let slot = self.slots[victim].take().expect("tail slot");
-            self.map.remove(&slot.key);
-            self.free.push(victim);
-        }
-        let slot = Slot {
-            key: key.clone(),
-            plan,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(key, i);
-        self.push_front(i);
+        self.clock += 1;
+        self.map.insert(key, (plan, self.clock));
     }
 }
 
@@ -154,7 +76,7 @@ impl PlanCache {
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
             capacity: capacity.max(1),
-            inner: Mutex::new(Lru::new()),
+            inner: Mutex::new(Lru::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -182,26 +104,13 @@ impl PlanCache {
         engine: &Engine,
         query: &str,
     ) -> EngineResult<(Arc<PreparedQuery>, bool)> {
-        self.get_or_compile_traced(engine, query, None)
-    }
-
-    /// Like [`PlanCache::get_or_compile_status`], but threads a
-    /// [`Tracer`] into the compilation pipeline so compile-phase events
-    /// (parse, rewrites fired, compile) land in the caller's
-    /// trace sink. Cache hits emit nothing — compilation never ran.
-    pub fn get_or_compile_traced(
-        &self,
-        engine: &Engine,
-        query: &str,
-        tracer: Option<&Tracer>,
-    ) -> EngineResult<(Arc<PreparedQuery>, bool)> {
         let version = engine.statistics().map_or(0, |s| s.version());
         let key = (query.to_string(), engine.options(), version);
         if let Some(plan) = self.inner.lock().expect("plan cache poisoned").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok((plan, false));
         }
-        let plan = Arc::new(engine.compile_traced(query, tracer)?);
+        let plan = Arc::new(engine.compile(query)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().expect("plan cache poisoned").insert(
             key,
@@ -254,14 +163,13 @@ mod tests {
 
     fn cache_keys(cache: &PlanCache) -> Vec<String> {
         let inner = cache.inner.lock().unwrap();
-        let mut keys = Vec::new();
-        let mut i = inner.head;
-        while i != NIL {
-            let slot = inner.slots[i].as_ref().unwrap();
-            keys.push(slot.key.0.clone());
-            i = slot.next;
-        }
-        keys
+        let mut entries: Vec<(u64, String)> = inner
+            .map
+            .iter()
+            .map(|(key, (_, used))| (*used, key.0.clone()))
+            .collect();
+        entries.sort_unstable_by_key(|&(used, _)| std::cmp::Reverse(used));
+        entries.into_iter().map(|(_, key)| key).collect()
     }
 
     #[test]

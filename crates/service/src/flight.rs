@@ -61,8 +61,11 @@ pub struct FlightRecord {
     ///
     /// [`QueryProfile`]: xqa_engine::QueryProfile
     pub profile_json: Option<String>,
-    /// Pre-rendered JSON array of compile-phase trace events (empty
-    /// array for cache hits — compilation never ran).
+    /// The compile trace, [`PreparedQuery::trace_json`] stamped with
+    /// the request's counter when this request compiled the plan; `[]`
+    /// for a cache hit or a failed compile.
+    ///
+    /// [`PreparedQuery::trace_json`]: xqa_engine::PreparedQuery::trace_json
     pub trace_json: String,
     /// The rewrite kinds that fired when this plan compiled (cache hits
     /// carry the kinds recorded on the plan, not an empty list).

@@ -62,8 +62,7 @@ use std::time::{Duration, Instant};
 
 use xqa_engine::trace::json_escape;
 use xqa_engine::{
-    Engine, EngineOptions, EvalStats, EvalStatsSnapshot, MonotonicClock, OpKind, QueryProfile,
-    RewriteKind, TraceRing, Tracer,
+    Engine, EngineOptions, EvalStats, EvalStatsSnapshot, OpKind, QueryProfile, RewriteKind,
 };
 use xqa_xmlparse::serialize_sequence;
 
@@ -142,9 +141,6 @@ pub(crate) struct Shared {
     next_request_id: AtomicU64,
     /// The always-on flight recorder behind the `/debug/*` endpoints.
     pub(crate) flight: FlightRecorder,
-    /// One process-lifetime clock stamps every trace event so compile
-    /// timelines from different requests are comparable.
-    trace_clock: Arc<MonotonicClock>,
     slow_query_ms: Option<u64>,
     pub(crate) pool: ThreadPool,
     pub(crate) started: Instant,
@@ -211,7 +207,6 @@ impl Server {
             rewrites_fired: std::array::from_fn(|_| AtomicU64::new(0)),
             next_request_id: AtomicU64::new(0),
             flight: FlightRecorder::new(config.flight_recorder_capacity),
-            trace_clock: Arc::new(MonotonicClock::new()),
             slow_query_ms: config.slow_query_ms,
             pool: ThreadPool::new("xqa-worker", workers),
             started: Instant::now(),
@@ -437,7 +432,6 @@ struct QueryOutcome {
     body: Option<String>,
     stats: EvalStatsSnapshot,
     profile: QueryProfile,
-    query: String,
     streamed: bool,
 }
 
@@ -501,19 +495,9 @@ fn handle_query(
     let want_stream = request.minor_version >= 1
         && !want_profile
         && http::query_param(&request.target, "stream") != Some("false");
-    // Compile-phase trace events are collected per request (only cache
-    // misses emit any) and retired into the flight record.
-    let trace_ring = shared
-        .flight
-        .enabled()
-        .then(|| Arc::new(TraceRing::new(64)));
-    let tracer = trace_ring.as_ref().map(|ring| {
-        Tracer::new(
-            seq,
-            Arc::clone(&shared.trace_clock) as _,
-            Arc::clone(ring) as _,
-        )
-    });
+    // The compile trace, rendered for the flight record only when this
+    // request compiled the plan: a cache hit records `[]`.
+    let mut trace_json: Option<String> = None;
     // (fingerprint, served-from-cache) once the plan exists — survives
     // into the flight record even when the run itself fails.
     let mut plan_meta: Option<(u64, bool)> = None;
@@ -526,7 +510,7 @@ fn handle_query(
             .map_err(|_| QueryFailure::early("body", "query text must be UTF-8"))?;
         let (plan, compiled_now) = shared
             .cache
-            .get_or_compile_traced(&shared.engine, query, tracer.as_ref())
+            .get_or_compile_status(&shared.engine, query)
             .map_err(|e| QueryFailure::early("compile", e.to_string()))?;
         plan_meta = Some((plan.fingerprint(), !compiled_now));
         for note in plan.applied_rewrites() {
@@ -540,6 +524,9 @@ fn handle_query(
             // cache hits reuse the plan without re-firing anything.
             for note in plan.applied_rewrites() {
                 shared.rewrites_fired[note.kind as usize].fetch_add(1, Ordering::Relaxed);
+            }
+            if shared.flight.enabled() {
+                trace_json = Some(plan.trace_json(seq));
             }
         }
         // Fresh context per request: stats and the operator profile
@@ -589,7 +576,6 @@ fn handle_query(
                         body: None,
                         stats,
                         profile,
-                        query: query.to_string(),
                         streamed: true,
                     })
                 }
@@ -616,7 +602,6 @@ fn handle_query(
                 body: Some(serialize_sequence(&result)),
                 stats,
                 profile,
-                query: query.to_string(),
                 streamed: false,
             })
         }
@@ -624,53 +609,36 @@ fn handle_query(
     let elapsed = start.elapsed();
     shared.metrics.query_latency.record(elapsed);
     if shared.flight.enabled() {
-        let trace_json = trace_ring
-            .as_ref()
-            .map_or_else(|| "[]".to_string(), |r| r.to_json());
-        let record = match &outcome {
-            Ok(o) => FlightRecord {
-                request_id: request_id.clone(),
-                fingerprint: plan_meta.map(|(fp, _)| fp),
-                query: flight::truncate_query(&o.query),
-                ok: true,
-                error: None,
-                cached_plan: plan_meta.is_some_and(|(_, cached)| cached),
-                streamed: o.streamed,
-                latency_us: elapsed.as_micros() as u64,
-                tuples: o.stats.tuples_produced,
-                worst_q_error: o.profile.worst_misestimate().map(|m| m.q_error),
-                stats_json: Some(o.stats.to_json()),
-                profile_json: Some(o.profile.to_json()),
-                trace_json,
-                rewrites: plan_rewrites.clone(),
-            },
-            Err(failure) => {
-                let (error, streamed, tuples) = match failure {
-                    QueryFailure::Early { kind, message } => {
-                        (format!("{kind}: {message}"), false, 0)
-                    }
-                    QueryFailure::MidStream { message, items } => {
-                        (format!("runtime (mid-stream): {message}"), true, *items)
-                    }
-                    QueryFailure::Sink { message } => (format!("sink: {message}"), true, 0),
-                };
-                FlightRecord {
-                    request_id: request_id.clone(),
-                    fingerprint: plan_meta.map(|(fp, _)| fp),
-                    query: flight::truncate_query(&String::from_utf8_lossy(&request.body)),
-                    ok: false,
-                    error: Some(error),
-                    cached_plan: plan_meta.is_some_and(|(_, cached)| cached),
-                    streamed,
-                    latency_us: elapsed.as_micros() as u64,
-                    tuples,
-                    worst_q_error: None,
-                    stats_json: None,
-                    profile_json: None,
-                    trace_json,
-                    rewrites: plan_rewrites.clone(),
-                }
+        let (error, streamed, tuples) = match &outcome {
+            Ok(o) => (None, o.streamed, o.stats.tuples_produced),
+            Err(QueryFailure::Early { kind, message }) => {
+                (Some(format!("{kind}: {message}")), false, 0)
             }
+            Err(QueryFailure::MidStream { message, items }) => (
+                Some(format!("runtime (mid-stream): {message}")),
+                true,
+                *items,
+            ),
+            Err(QueryFailure::Sink { message }) => (Some(format!("sink: {message}")), true, 0),
+        };
+        let run = outcome.as_ref().ok();
+        let record = FlightRecord {
+            request_id: request_id.clone(),
+            fingerprint: plan_meta.map(|(fp, _)| fp),
+            query: flight::truncate_query(&String::from_utf8_lossy(&request.body)),
+            ok: error.is_none(),
+            error,
+            cached_plan: plan_meta.is_some_and(|(_, cached)| cached),
+            streamed,
+            latency_us: elapsed.as_micros() as u64,
+            tuples,
+            worst_q_error: run
+                .and_then(|o| o.profile.worst_misestimate())
+                .map(|m| m.q_error),
+            stats_json: run.map(|o| o.stats.to_json()),
+            profile_json: run.map(|o| o.profile.to_json()),
+            trace_json: trace_json.unwrap_or_else(|| "[]".to_string()),
+            rewrites: plan_rewrites,
         };
         shared.flight.record(record);
     }
@@ -688,7 +656,7 @@ fn handle_query(
                         "[xqa-service] slow query #{request_id}: {ms}ms (threshold {threshold_ms}ms) \
                          tuples_produced={} query={}",
                         outcome.stats.tuples_produced,
-                        truncate_for_log(&outcome.query),
+                        truncate_for_log(&String::from_utf8_lossy(&request.body)),
                     );
                 }
             }
@@ -998,8 +966,8 @@ mod tests {
         assert_eq!(status, 200);
         assert!(full.contains("\"profile\":{"), "{full}");
         assert!(full.contains("\"spans\":["), "{full}");
-        // First request for this plan shape: compiled now, so the
-        // compile-phase trace events from PR 3's tracer are retained.
+        // First request for this plan shape: compiled now, so the record
+        // carries the compile trace the plan renders.
         assert!(full.contains("\"cached_plan\":false"), "{full}");
         assert!(full.contains("\"phase\":\"parse\""), "{full}");
         assert!(full.contains("\"phase\":\"compile\""), "{full}");

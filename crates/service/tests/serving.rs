@@ -657,6 +657,30 @@ fn streamed_responses_move_the_streaming_metrics_and_flight_records() {
     let mut debug2 = String::new();
     probe.read_to_string(&mut debug2).expect("read debug 2");
     assert!(debug2.contains("\"streamed\":false"), "{debug2}");
+    // The first request compiled the plan, so its record carries the
+    // compile trace: parse, the rewrites that fired, compile. The
+    // second was a cache hit and carries none.
+    let compile_trace = |record: &str| {
+        let rest = &record[record.find("\"compile_trace\":").expect("compile_trace") + 16..];
+        rest[..rest.find(",\"rewrites\":").expect("rewrites")].to_string()
+    };
+    let trace = compile_trace(&debug);
+    let phases: Vec<&str> = trace
+        .split("\"phase\":\"")
+        .skip(1)
+        .map(|rest| &rest[..rest.find('"').expect("phase")])
+        .collect();
+    assert_eq!(phases.first(), Some(&"parse"), "{trace}");
+    assert_eq!(phases.last(), Some(&"compile"), "{trace}");
+    assert!(phases.len() > 2, "no rewrite events in {trace}");
+    assert!(
+        phases[1..phases.len() - 1]
+            .iter()
+            .all(|p| *p == "rewrite-fired"),
+        "{trace}"
+    );
+    assert!(trace.contains("\"detail\":\"path-fusion: "), "{trace}");
+    assert_eq!(compile_trace(&debug2), "[]", "{debug2}");
     server.shutdown();
 }
 
