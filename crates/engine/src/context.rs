@@ -127,7 +127,7 @@ eval_counters! {
     expr_fallback, "xqa_eval_expr_fallback_total",
         "Retired, always 0: every expression runs on the IR tree-walker (DESIGN.md §13).";
     join_hash_probes, "xqa_join_hash_total",
-        "Tuples probed against a `HashJoin` build table (DESIGN.md §15).";
+        "Tuples that looked up a `HashJoin` build table by key; a probe that takes the nested-loop scan is not counted (DESIGN.md §15).";
     join_build_tuples, "xqa_join_build_tuples_total", "Items materialized into `HashJoin` build tables.";
 }
 

@@ -135,7 +135,7 @@ fn key_leaf_name(key: &Ir) -> Option<xqa_xdm::QName> {
 /// leaf exactly. `None` falls back to [`FILTER_SELECTIVITY`].
 fn eq_pred_selectivity(pred: &Ir, stats: Option<&CatalogStatistics>) -> Option<f64> {
     let stats = stats?;
-    let (ndv, ..) = EqPred::of(pred)?.orient(|side| {
+    let (ndv, _) = EqPred::of(pred)?.orient(|side| {
         let name = key_leaf_name(side)?;
         if !stats.value_eq_indexable(&name, false) {
             return None;

@@ -427,8 +427,9 @@ pub struct JoinIr {
     /// The build-side source — independent of every slot the enclosing
     /// FLWOR binds, so it is evaluated once per FLWOR execution.
     pub build_src: Ir,
-    /// The original equality predicate, re-evaluated per candidate to
-    /// verify bucket matches (and wholesale on the fallback scan path).
+    /// The original equality predicate, as written: the fallback scan
+    /// evaluates it per build item. Hash candidates are verified on
+    /// the key atoms instead.
     pub pred: Ir,
     /// The predicate side that references `$y` — atomized per build
     /// item into the hash-table keys.
@@ -436,10 +437,6 @@ pub struct JoinIr {
     /// The predicate side independent of `$y` — atomized per probe
     /// tuple into lookup keys.
     pub probe_key: Ir,
-    /// Whether the probe side is the predicate's left operand
-    /// (evaluation-order bookkeeping: the runtime reproduces the
-    /// nested-loop plan's first-pair error ordering exactly).
-    pub probe_is_lhs: bool,
     /// `true` for a value comparison (`eq`, singleton atomization with
     /// XPTY0004 on more), `false` for a general comparison (`=`,
     /// existential over both atomized sequences).

@@ -6,14 +6,24 @@
 //! extends to whole sequences under `fn:deep-equal` semantics.
 //!
 //! We compute a *canonical key string* per value. The key is designed so
-//! that equal values always produce equal keys; the converse may fail in
-//! corner cases (e.g. two distinct `xs:decimal`s that collapse to the
-//! same `f64`), so callers must verify bucket hits with the real
-//! equality predicate. That combination gives hash-speed grouping with
-//! exact semantics.
+//! that equal values always produce equal keys; the converse may fail,
+//! so callers must verify bucket hits with the real equality predicate.
+//! That combination gives hash-speed grouping with exact semantics.
+//!
+//! Every numeric is keyed by its `xs:double` image, the promotion `eq`
+//! applies against a double: NaN as `f:nan`, an integral image of
+//! magnitude below 2^63 as `n:` and that integer, anything else as `f:`
+//! and the image's bits. So `9007199254740993 eq 9007199254740992e0`
+//! holds and the two share a key — as do the distinct integers
+//! `9007199254740993` and `9007199254740992`, which only the verifying
+//! comparison tells apart.
 
 use std::collections::HashMap;
 use xqa_xdm::{deep_equal, AtomicValue, Item, NodeHandle, NodeKind, Sequence};
+
+/// 2^63: a double of smaller magnitude with no fractional part is an
+/// `i64`.
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
 /// Append the canonical key of one atomic value.
 pub fn atomic_key(v: &AtomicValue, out: &mut String) {
@@ -26,25 +36,17 @@ pub fn atomic_key(v: &AtomicValue, out: &mut String) {
         AtomicValue::Boolean(b) => {
             out.push_str(if *b { "b:1" } else { "b:0" });
         }
-        AtomicValue::Integer(i) => {
-            let _ = write!(out, "n:{i}");
-        }
-        AtomicValue::Decimal(d) => {
-            if d.is_integer() {
-                // Align with Integer keys for whole numbers.
-                let _ = write!(out, "n:{d}");
-            } else {
-                // Align with Double keys through the f64 image; bucket
-                // collisions between near-equal decimals are resolved by
-                // the verifying comparison.
-                let _ = write!(out, "f:{}", d.to_f64().to_bits());
-            }
-        }
-        AtomicValue::Double(d) => {
+        AtomicValue::Integer(_) | AtomicValue::Decimal(_) | AtomicValue::Double(_) => {
+            // `eq` promotes a numeric compared with a double to its
+            // double image, and equal integers and decimals have equal
+            // images, so the image is the key. Distinct integers or
+            // decimals sharing one are told apart by the callers'
+            // verifying comparison.
+            let d = v.to_double().expect("a numeric converts to xs:double");
             if d.is_nan() {
                 out.push_str("f:nan");
-            } else if *d == d.trunc() && d.abs() < 9.0e18 {
-                let _ = write!(out, "n:{}", *d as i64);
+            } else if d == d.trunc() && d.abs() < TWO_POW_63 {
+                let _ = write!(out, "n:{}", d as i64);
             } else {
                 let _ = write!(out, "f:{}", d.to_bits());
             }
@@ -300,6 +302,57 @@ mod tests {
             key_of(AtomicValue::Integer(2)),
             key_of(AtomicValue::Integer(3))
         );
+        // Where promotion to xs:double rounds: integers near ±2^53 and
+        // i64's bounds, doubles in [9e18, 2^63] and around ±2^53,
+        // decimals whose double image is integral, signed zero, NaN.
+        // Every pair `eq` calls equal must share a key.
+        let two53 = 1i64 << 53;
+        let mut values: Vec<AtomicValue> = [0, 2, 3, 9_000_000_000_000_000_000, i64::MAX, i64::MIN]
+            .into_iter()
+            .chain((-1..=2).flat_map(|d| [two53 + d, -two53 - d]))
+            .map(AtomicValue::Integer)
+            .collect();
+        values.extend(
+            [
+                0.0,
+                -0.0,
+                0.5,
+                3.0,
+                9.0e18,
+                9.1e18,
+                9_223_372_036_854_774_784.0,
+                9_223_372_036_854_775_808.0,
+                -9_223_372_036_854_775_808.0,
+                two53 as f64,
+                -(two53 as f64),
+                two53 as f64 + 2.0,
+                f64::NAN,
+            ]
+            .map(AtomicValue::Double),
+        );
+        values.extend(
+            [
+                "2.99999999999999999999",
+                "3",
+                "0.5",
+                "-0.0",
+                "9007199254740993",
+                "9007199254740993.5",
+                "-9007199254740993",
+                "9000000000000000000.0000001",
+            ]
+            .map(|d| AtomicValue::Decimal(Decimal::parse(d).unwrap())),
+        );
+        let mut equal_pairs = 0;
+        for a in &values {
+            for b in &values {
+                if xqa_xdm::value_compare(a, b, xqa_xdm::CompOp::Eq).unwrap() {
+                    assert_eq!(key_of(a.clone()), key_of(b.clone()), "{a:?} eq {b:?}");
+                    equal_pairs += 1;
+                }
+            }
+        }
+        assert!(equal_pairs > 2 * values.len(), "only {equal_pairs} pairs");
     }
 
     #[test]

@@ -52,7 +52,10 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, OnceLock};
 use xqa_xdm::sequence::SequenceIntoIter;
-use xqa_xdm::{effective_boolean_value, AtomicValue, ErrorCode, Item, Sequence, SequenceBuilder};
+use xqa_xdm::{
+    effective_boolean_value, value_compare, AtomicValue, CompOp, ErrorCode, Item, Sequence,
+    SequenceBuilder,
+};
 
 /// Tuples per batch. Large enough to amortize the virtual `next_batch`
 /// call, small enough that a streaming chain stays cache-resident.
@@ -339,12 +342,7 @@ fn clause_source<'p>(
     seed: Option<(Sequence, i64)>,
 ) -> BoxSource<'p> {
     if let Some((j, cell)) = op.join.as_ref().zip(cell) {
-        return Box::new(HashJoin {
-            input,
-            j,
-            cell,
-            table: None,
-        });
+        return Box::new(HashJoin { input, j, cell });
     }
     match &op.clause {
         ClauseIr::For {
@@ -668,17 +666,22 @@ impl TupleSource for LetBind<'_> {
         for t in &mut batch {
             t.apply(env);
             let seq = interp.eval(self.expr, env)?;
-            if let Some(ty) = self.ty {
-                if !matches_seq_type(&seq, ty) {
-                    return Err(EngineError::dynamic(
-                        ErrorCode::XPTY0004,
-                        "let-binding value does not match its declared type",
-                    ));
-                }
-            }
+            check_let_type(&seq, self.ty)?;
             t.bind(self.slot, seq);
         }
         Ok(Some(batch))
+    }
+}
+
+/// A `let` binding's declared-type check, shared by [`LetBind`] and the
+/// `let` shape of [`HashJoin`].
+fn check_let_type(seq: &Sequence, ty: Option<&SeqTypeIr>) -> EngineResult<()> {
+    match ty {
+        Some(ty) if !matches_seq_type(seq, ty) => Err(EngineError::dynamic(
+            ErrorCode::XPTY0004,
+            "let-binding value does not match its declared type",
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -764,21 +767,13 @@ fn atom_class(v: &AtomicValue) -> u8 {
     }
 }
 
-/// `eq` between two atoms of one comparison class (the only pairing
-/// the class gate admits). NaN stays unequal to itself, matching both
-/// comparison kinds.
-fn atom_eq(a: &AtomicValue, b: &AtomicValue) -> bool {
-    let a = a.clone().untyped_as_string();
-    let b = b.clone().untyped_as_string();
-    matches!(
-        xqa_xdm::value_compare(&a, &b, xqa_xdm::CompOp::Eq),
-        Ok(true)
-    )
-}
-
-/// Existential match: any (probe atom, build atom) pair equal.
+/// Existential match: any (probe atom, build atom) pair `eq`. The class
+/// gate admits only pairs of one class, where `value_compare` never
+/// raises and compares untyped as string; NaN stays unequal to itself,
+/// matching both comparison kinds.
 fn atoms_match(probe: &[AtomicValue], build: &[AtomicValue]) -> bool {
-    probe.iter().any(|p| build.iter().any(|b| atom_eq(p, b)))
+    let eq = |p, b| matches!(value_compare(p, b, CompOp::Eq), Ok(true));
+    probe.iter().any(|p| build.iter().any(|b| eq(p, b)))
 }
 
 /// The materialized build side of one hash join.
@@ -797,11 +792,12 @@ struct JoinTable {
     scan_only: bool,
 }
 
-/// The per-run, per-clause build cell. Serial runs own one privately;
-/// parallel runs share it across workers, so whichever worker probes
-/// first builds and the rest (and the coordinator's replay chain)
-/// reuse the table — or replay the build's error.
-type JoinCell = Arc<OnceLock<Result<Arc<JoinTable>, EngineError>>>;
+/// The per-run, per-clause build cell, shared by every lowering of the
+/// clause in one run — the serial chain, or each worker's per-morsel
+/// chains and the coordinator's. Whichever probes first builds; the
+/// others wait on the cell and reuse the table, or replay the build's
+/// error.
+type JoinCell = Arc<OnceLock<Result<JoinTable, EngineError>>>;
 
 /// Per clause record, a cell where it carries a join annotation,
 /// created per pipeline execution (enclosing bindings are fixed for the
@@ -813,15 +809,16 @@ fn join_cells(f: &FlworIr) -> Vec<Option<JoinCell>> {
         .collect()
 }
 
-/// The build key of one item (already bound into the env), atomized
-/// under the comparison's rules: a value comparison admits at most one
-/// atom, a general comparison atomizes the whole sequence.
-fn eval_join_key(
+/// One key side (`build_key` with `$y` bound, or `probe_key`),
+/// atomized under the comparison's rules: a value comparison admits at
+/// most one atom, a general comparison atomizes the whole sequence.
+fn key_atoms(
     j: &JoinIr,
+    key: &Ir,
     interp: &Interpreter,
     env: &mut Env,
 ) -> EngineResult<Vec<AtomicValue>> {
-    let seq = interp.eval(&j.build_key, env)?;
+    let seq = interp.eval(key, env)?;
     if j.value_comp {
         Ok(opt_atomic(&seq, "value comparison")?.into_iter().collect())
     } else {
@@ -829,151 +826,43 @@ fn eval_join_key(
     }
 }
 
-/// What keying one contiguous chunk of SRC items produced.
-struct KeyedChunk {
-    /// Per item, the atomized key (short when `raised`).
-    keys: Vec<Vec<AtomicValue>>,
-    /// Canonical atom key → ascending *table* indices of the chunk's
-    /// items carrying it.
-    buckets: HashMap<String, Vec<usize>>,
-    classes: u8,
-    /// A key raised: keying stopped at that item.
-    raised: bool,
-}
-
-/// Key, classify and bucket `items`, which sit at `base..` in the
-/// table. A key that raises does not surface here: whether and when it
-/// would have in the nested plan depends on the probe (a `some` stops
-/// at its first preceding match), so the table just degrades to
-/// scan-only and the per-probe scan re-raises it at exactly the nested
-/// position.
-fn key_chunk(
-    j: &JoinIr,
-    interp: &Interpreter,
-    env: &mut Env,
-    base: usize,
-    items: &[Item],
-) -> KeyedChunk {
-    let mut chunk = KeyedChunk {
-        keys: Vec::with_capacity(items.len()),
-        buckets: HashMap::new(),
-        classes: 0,
-        raised: false,
-    };
+/// Evaluate SRC, then key, classify and bucket its items. A key that
+/// raises does not surface here: whether and when it would have in the
+/// nested plan depends on the probe (a `some` stops at its first
+/// preceding match), so the table just degrades to scan-only and the
+/// per-probe scan re-raises it at exactly the nested position.
+fn build_join_table(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineResult<JoinTable> {
+    let items: Vec<Item> = interp.eval(&j.build_src, env)?.into_iter().collect();
+    let mut keys = Vec::with_capacity(items.len());
+    let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut classes = 0;
+    let mut scan_only = false;
     let mut scratch = String::new();
-    for (idx, item) in (base..).zip(items) {
+    for (idx, item) in items.iter().enumerate() {
         env.slots[j.build_slot] = Sequence::One(item.clone());
-        let Ok(atoms) = eval_join_key(j, interp, env) else {
-            chunk.raised = true;
+        let Ok(atoms) = key_atoms(j, &j.build_key, interp, env) else {
+            scan_only = true;
             break;
         };
         for a in &atoms {
-            chunk.classes |= atom_class(a);
+            classes |= atom_class(a);
             scratch.clear();
             atomic_key(a, &mut scratch);
-            let bucket = chunk.buckets.entry(scratch.clone()).or_default();
+            let bucket = buckets.entry(scratch.clone()).or_default();
             if bucket.last() != Some(&idx) {
                 bucket.push(idx);
             }
         }
-        chunk.keys.push(atoms);
+        keys.push(atoms);
     }
-    chunk
-}
-
-/// Evaluate SRC and materialize the build table. The items are one
-/// chunk keyed on the calling thread — or, with `threads > 1` and more
-/// than one [`MORSEL`] of them, one chunk per scoped worker thread,
-/// merged in chunk order: per-key index lists stay ascending, so probe
-/// results do not depend on the split.
-fn build_join_table(
-    j: &JoinIr,
-    interp: &Interpreter,
-    env: &mut Env,
-    threads: usize,
-) -> EngineResult<JoinTable> {
-    let src = interp.eval(&j.build_src, env)?;
-    let items: Vec<Item> = src.into_iter().collect();
-    let chunks = if threads <= 1 || items.len() <= MORSEL {
-        vec![key_chunk(j, interp, env, 0, &items)]
-    } else {
-        let size = items.len().div_ceil(threads);
-        let worker_stats: Vec<EvalStats> = (0..threads).map(|_| EvalStats::default()).collect();
-        let chunks = std::thread::scope(|s| {
-            let handles: Vec<_> = items
-                .chunks(size)
-                .zip(&worker_stats)
-                .enumerate()
-                .map(|(ci, (chunk_items, ws))| {
-                    let winterp = interp.fork(ws);
-                    let mut wenv = Env {
-                        slots: env.slots.clone(),
-                        focus: env.focus.clone(),
-                    };
-                    s.spawn(move || key_chunk(j, &winterp, &mut wenv, ci * size, chunk_items))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join build worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for ws in &worker_stats {
-            interp.stats.add_snapshot(&ws.snapshot());
-        }
-        chunks
-    };
-    let mut chunks = chunks.into_iter();
-    let first = chunks.next().expect("at least one chunk");
-    let mut table = JoinTable {
+    interp.stats.join_build_tuples.add(items.len() as u64);
+    Ok(JoinTable {
         items,
-        keys: first.keys,
-        buckets: first.buckets,
-        classes: first.classes,
-        // Scan-only regardless of which chunk noticed a raising key
-        // first: the flag depends only on the (deterministic) keys.
-        scan_only: first.raised,
-    };
-    for chunk in chunks {
-        if table.scan_only {
-            break;
-        }
-        table.classes |= chunk.classes;
-        table.keys.extend(chunk.keys);
-        for (key, idxs) in chunk.buckets {
-            table.buckets.entry(key).or_default().extend(idxs);
-        }
-        table.scan_only = chunk.raised;
-    }
-    if table.classes.count_ones() > 1 {
-        table.scan_only = true;
-    }
-    interp.stats.join_build_tuples.add(table.items.len() as u64);
-    Ok(table)
-}
-
-/// The probe key's atoms for the current tuple, or `None` when this
-/// tuple must take the fallback scan (an atom outside the build class
-/// means a real pair comparison could raise).
-fn probe_atoms(
-    j: &JoinIr,
-    table: &JoinTable,
-    interp: &Interpreter,
-    env: &mut Env,
-) -> EngineResult<Option<Vec<AtomicValue>>> {
-    let seq = interp.eval(&j.probe_key, env)?;
-    let atoms: Vec<AtomicValue> = if j.value_comp {
-        opt_atomic(&seq, "value comparison")?.into_iter().collect()
-    } else {
-        seq.iter().map(Item::atomize).collect()
-    };
-    // An all-empty build side (classes == 0) can never pair with
-    // anything: no comparison happens, so any probe is safe (and
-    // matches nothing).
-    if table.classes != 0 && atoms.iter().any(|a| atom_class(a) != table.classes) {
-        return Ok(None);
-    }
-    Ok(Some(atoms))
+        keys,
+        buckets,
+        classes,
+        scan_only: scan_only || classes.count_ones() > 1,
+    })
 }
 
 /// Candidate build indices for a probe: the union of its atoms'
@@ -993,119 +882,57 @@ fn join_candidates(table: &JoinTable, atoms: &[AtomicValue]) -> Vec<usize> {
     cands
 }
 
-/// One `let`-side probe: the matching build items in SRC order.
-fn probe_let(
+/// Hand the build items matching the current tuple to `take`, in SRC
+/// order, until `take` returns `false` (a `let` takes every match, a
+/// `some` stops at the first). A probe whose atoms share the build's
+/// class takes the hash lookup. Any other probe replays the nested
+/// `for $y in SRC where pred` (or `some $y in SRC satisfies pred`) loop
+/// verbatim over the materialized items: same values, same errors, same
+/// error order — SRC is constructor-free, so materializing it once
+/// preserves item and node identity — and, as in the quantifier, a
+/// predicate after the match a `some` stopped at is never evaluated.
+fn probe(
     j: &JoinIr,
     table: &JoinTable,
     interp: &Interpreter,
     env: &mut Env,
-) -> EngineResult<Sequence> {
+    mut take: impl FnMut(&Item) -> bool,
+) -> EngineResult<()> {
     if table.items.is_empty() {
         // The nested loop iterates nothing and never touches the
         // probe-side expression.
-        return Ok(Sequence::Empty);
+        return Ok(());
     }
-    if table.scan_only {
-        return scan_let(j, table, interp, env);
-    }
-    let Some(atoms) = probe_atoms(j, table, interp, env)? else {
-        return scan_let(j, table, interp, env);
-    };
-    interp.stats.join_hash_probes.add(1);
-    let mut out = SequenceBuilder::new();
-    for idx in join_candidates(table, &atoms) {
-        if atoms_match(&atoms, &table.keys[idx]) {
-            out.push(table.items[idx].clone());
+    if !table.scan_only {
+        let atoms = key_atoms(j, &j.probe_key, interp, env)?;
+        // An all-empty build side (classes == 0) can never pair with
+        // anything: no comparison happens, so any probe is safe (and
+        // matches nothing).
+        if table.classes == 0 || atoms.iter().all(|a| atom_class(a) == table.classes) {
+            interp.stats.join_hash_probes.add(1);
+            for idx in join_candidates(table, &atoms) {
+                if atoms_match(&atoms, &table.keys[idx]) && !take(&table.items[idx]) {
+                    break;
+                }
+            }
+            return Ok(());
         }
     }
-    Ok(out.build())
-}
-
-/// One semi-join probe: does any build item match?
-fn probe_semi(
-    j: &JoinIr,
-    table: &JoinTable,
-    interp: &Interpreter,
-    env: &mut Env,
-) -> EngineResult<bool> {
-    if table.items.is_empty() {
-        return Ok(false);
-    }
-    if table.scan_only {
-        return scan_semi(j, table, interp, env);
-    }
-    let Some(atoms) = probe_atoms(j, table, interp, env)? else {
-        return scan_semi(j, table, interp, env);
-    };
-    interp.stats.join_hash_probes.add(1);
-    Ok(join_candidates(table, &atoms)
-        .into_iter()
-        .any(|idx| atoms_match(&atoms, &table.keys[idx])))
-}
-
-/// Verbatim replay of the nested `for $y in SRC where pred return $y`
-/// loop over the materialized items: same values, same errors, same
-/// error order (SRC is constructor-free, so materializing it once
-/// preserves item — and node — identity).
-fn scan_let(
-    j: &JoinIr,
-    table: &JoinTable,
-    interp: &Interpreter,
-    env: &mut Env,
-) -> EngineResult<Sequence> {
-    let mut out = SequenceBuilder::new();
     for item in &table.items {
         env.slots[j.build_slot] = Sequence::One(item.clone());
-        let v = interp.eval(&j.pred, env)?;
-        if effective_boolean_value(&v).map_err(EngineError::from)? {
-            out.push(item.clone());
+        if interp.eval_ebv(&j.pred, env)? && !take(item) {
+            break;
         }
     }
-    Ok(out.build())
-}
-
-/// Verbatim replay of `some $y in SRC satisfies pred`: first match
-/// wins, and — exactly like the quantifier — an erroring predicate
-/// only raises if no earlier item matched.
-fn scan_semi(
-    j: &JoinIr,
-    table: &JoinTable,
-    interp: &Interpreter,
-    env: &mut Env,
-) -> EngineResult<bool> {
-    for item in &table.items {
-        env.slots[j.build_slot] = Sequence::One(item.clone());
-        if interp.eval_ebv(&j.pred, env)? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
+    Ok(())
 }
 
 /// The hash-join operator: a streaming binder (`let` shape) or filter
-/// (`some` shape) probing the shared build table.
+/// (`some` shape) probing the run's shared build table.
 struct HashJoin<'p> {
     input: BoxSource<'p>,
     j: &'p JoinIr,
     cell: JoinCell,
-    /// Resolved handle, cached after the first probe.
-    table: Option<Arc<JoinTable>>,
-}
-
-impl HashJoin<'_> {
-    /// The build table, building it on first use (and replaying the
-    /// build's error on every later probe, as re-evaluating SRC would).
-    fn table(&mut self, interp: &Interpreter, env: &mut Env) -> EngineResult<Arc<JoinTable>> {
-        if let Some(t) = &self.table {
-            return Ok(Arc::clone(t));
-        }
-        let built = self
-            .cell
-            .get_or_init(|| build_join_table(self.j, interp, env, 1).map(Arc::new))
-            .clone()?;
-        self.table = Some(Arc::clone(&built));
-        Ok(built)
-    }
 }
 
 impl TupleSource for HashJoin<'_> {
@@ -1121,23 +948,32 @@ impl TupleSource for HashJoin<'_> {
         let mut out = Vec::with_capacity(before);
         for mut t in batch {
             t.apply(env);
-            let table = self.table(interp, env)?;
+            // Every probe after the first replays the build's error, as
+            // re-evaluating SRC would.
+            let table = self
+                .cell
+                .get_or_init(|| build_join_table(self.j, interp, env))
+                .as_ref()
+                .map_err(EngineError::clone)?;
             match &self.j.kind {
                 JoinKindIr::LetMany { slot, ty } => {
-                    let seq = probe_let(self.j, &table, interp, env)?;
-                    if let Some(ty) = ty {
-                        if !matches_seq_type(&seq, ty) {
-                            return Err(EngineError::dynamic(
-                                ErrorCode::XPTY0004,
-                                "let-binding value does not match its declared type",
-                            ));
-                        }
-                    }
+                    let mut matches = SequenceBuilder::new();
+                    probe(self.j, table, interp, env, |item| {
+                        matches.push(item.clone());
+                        true
+                    })?;
+                    let seq = matches.build();
+                    check_let_type(&seq, ty.as_ref())?;
                     t.bind(*slot, seq);
                     out.push(t);
                 }
                 JoinKindIr::ExistsSemi => {
-                    if probe_semi(self.j, &table, interp, env)? {
+                    let mut found = false;
+                    probe(self.j, table, interp, env, |_| {
+                        found = true;
+                        false
+                    })?;
+                    if found {
                         out.push(t);
                     }
                 }
@@ -1383,22 +1219,6 @@ fn exchange<'p>(
         .position(|op| OpKind::of(op).materializes())
         .unwrap_or(f.ops.len());
     let workers = threads.min(items.len().div_ceil(MORSEL));
-    // Pre-build a join table sitting directly behind the outer `for`
-    // with the morsel-partitioned parallel build. Safe to build eagerly
-    // only there: the outer binding has items (> MORSEL) and an
-    // untyped `for` cannot raise before its first tuple probes, so the
-    // build side is certain to be evaluated; behind any later clause a
-    // filter or a raising expression could mean it never is, and those
-    // joins stay lazy (first probing worker builds into the shared
-    // cell).
-    if let [OpIr {
-        clause: ClauseIr::For { ty: None, .. },
-        ..
-    }, OpIr { join: Some(j), .. }, ..] = &f.ops[..]
-    {
-        let cell = cells[1].as_ref().expect("a cell per join annotation");
-        let _ = cell.set(build_join_table(j, interp, env, threads).map(Arc::new));
-    }
     let clock = profiling_clock(interp);
     let morsels = Morsels {
         f,

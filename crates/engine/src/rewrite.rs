@@ -16,8 +16,7 @@
 //!
 //! - the predicate view — a predicate's `conjuncts` and, per conjunct,
 //!   [`EqPred`]: one `=` / `eq` comparison whose [`EqPred::orient`]
-//!   finds the operand a rule is looking for on *either* side and says
-//!   which side that was;
+//!   finds the operand a rule is looking for on *either* side;
 //! - [`NestedJoin`] — `let $m := (for $y in S where C return $y)` or
 //!   `where some $y in S satisfies C`, as the inner variable, the
 //!   source `S` and `C`'s conjunct list: the join graph of *XQuery Join
@@ -27,9 +26,8 @@
 //! detection and the estimator's equality selectivity are each one
 //! match on those views. The views never reorder operands in the IR: a
 //! hash join must raise what the nested loop raises first, so the
-//! annotation records which operand was the probe
-//! ([`JoinIr::probe_is_lhs`]) and the original predicate stays in place
-//! to be re-evaluated as written.
+//! original predicate ([`JoinIr::pred`]) stays in place, and the
+//! fallback scan evaluates it as written.
 //!
 //! # Implicit group-by
 //!
@@ -273,16 +271,11 @@ impl<'a> EqPred<'a> {
     }
 
     /// Find the operand `side` accepts, left operand first: what `side`
-    /// made of it, the *other* operand, and whether the accepted one
-    /// was the left. The IR is not touched; a rule that cares about
-    /// operand order keeps the flag.
-    pub(crate) fn orient<T>(
-        &self,
-        side: impl Fn(&'a Ir) -> Option<T>,
-    ) -> Option<(T, &'a Ir, bool)> {
+    /// made of it and the *other* operand. The IR is not touched.
+    pub(crate) fn orient<T>(&self, side: impl Fn(&'a Ir) -> Option<T>) -> Option<(T, &'a Ir)> {
         match side(self.lhs) {
-            Some(found) => Some((found, self.rhs, true)),
-            None => side(self.rhs).map(|found| (found, self.lhs, false)),
+            Some(found) => Some((found, self.rhs)),
+            None => side(self.rhs).map(|found| (found, self.lhs)),
         }
     }
 }
@@ -442,7 +435,7 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
         }
         let key_path = join.conjuncts.iter().find_map(|&c| {
             let eq = EqPred::of(c).filter(|eq| !eq.value_comp)?;
-            let (path, other, _) = eq.orient(|side| match side {
+            let (path, other) = eq.orient(|side| match side {
                 Ir::Path(p)
                     if matches!(&p.start, PathStartIr::Expr(Ir::Var(v)) if *v == join.y)
                         && plain_child_step(p) == Some(key) =>
@@ -833,7 +826,7 @@ fn choose_access_path(
 /// predicate provably position-free.
 fn value_eq_probe(pred: &Ir) -> Option<(QName, ValueProbeIr)> {
     let eq = EqPred::of(pred).filter(|eq| !eq.value_comp)?;
-    let (child, literal, _) = eq.orient(|side| match side {
+    let (child, literal) = eq.orient(|side| match side {
         Ir::Path(p) if matches!(p.start, PathStartIr::Context) => plain_child_step(p),
         _ => None,
     })?;
@@ -947,8 +940,7 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>, cx: &Cx<'_>) -> Option<J
     // else the enclosing FLWOR binds); the probe key is the other.
     let eq = EqPred::of(pred)?;
     let y = HashSet::from([join.y]);
-    let (build_key, probe_key, build_is_lhs) =
-        eq.orient(|side| refs_any_slot(side, &y).then_some(side))?;
+    let (build_key, probe_key) = eq.orient(|side| refs_any_slot(side, &y).then_some(side))?;
     if refs_any_slot(probe_key, &y) || refs_any_slot(build_key, bound) {
         return None;
     }
@@ -970,7 +962,6 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>, cx: &Cx<'_>) -> Option<J
         pred: (*pred).clone(),
         build_key: build_key.clone(),
         probe_key: probe_key.clone(),
-        probe_is_lhs: !build_is_lhs,
         value_comp: eq.value_comp,
         key_desc,
     })
@@ -1191,13 +1182,12 @@ mod tests {
                 .body
         };
         let is_int = |side: &Ir| matches!(side, Ir::Int(_)).then_some(());
-        for (src, lhs) in [("1 = \"a\"", true), ("\"a\" eq 1", false)] {
+        for (src, value_comp) in [("1 = \"a\"", false), ("\"a\" eq 1", true)] {
             let body = q(src);
             let eq = EqPred::of(&body).expect("an equality");
-            assert_eq!(eq.value_comp, !lhs);
-            let ((), other, was_lhs) = eq.orient(is_int).expect("one side is an integer");
+            assert_eq!(eq.value_comp, value_comp);
+            let ((), other) = eq.orient(is_int).expect("one side is an integer");
             assert!(matches!(other, Ir::Str(_)));
-            assert_eq!(was_lhs, lhs);
         }
         let body = q("\"a\" = \"b\"");
         assert!(EqPred::of(&body)

@@ -879,9 +879,11 @@ fn join_corpus_differential() {
     }
 }
 
-/// Large document-free shapes where the probe side (and in one case the
-/// build side) splits into multiple morsels, exercising the shared
-/// build cell, the eager parallel pre-build, and per-worker probing.
+/// Document-free shapes: large ones where the probe side (and in one
+/// case the build side) splits into multiple morsels, exercising the
+/// shared build cell and per-worker probing, and mixed-type numeric
+/// keys whose promotion to `xs:double` rounds (`9007199254740993 =
+/// 9007199254740992e0` holds), which must hash to one bucket.
 #[test]
 fn join_large_morsel_differential() {
     let corpus = [
@@ -894,10 +896,58 @@ fn join_large_morsel_differential() {
         "for $x in 1 to 3000 \
          where some $y in (3, 5, 7) satisfies $y = $x mod 11 \
          return $x",
+        "for $x in (9007199254740993, 1) \
+         let $m := for $y in (9007199254740992e0, 1e0) where $y = $x return $y \
+         return count($m)",
+        "for $x in (9007199254740993, 1) \
+         where some $y in (9007199254740992e0, 1e0) satisfies $y eq $x \
+         return $x",
     ];
     let ctx = DynamicContext::new();
     for query in corpus {
         assert_join_modes_identical(query, &ctx);
+    }
+}
+
+/// Behind the exchange every worker probes one shared build: however
+/// many first probes race, SRC is keyed once per FLWOR execution. At
+/// threads=4, over an outer `for` of three morsels, a join directly
+/// behind the `for` and one behind a filtering clause (a second `for`
+/// keeping one outer item in three; `where` may not precede a `let`)
+/// count exactly what they count at threads=1: |SRC| build tuples and
+/// one hash probe per probing tuple.
+#[test]
+fn join_builds_once_behind_the_exchange() {
+    let corpus = [
+        (
+            "for $x in 1 to 3000 \
+             let $m := for $y in 1 to 50 where $y = $x mod 100 return $y \
+             return count($m)",
+            3000,
+        ),
+        (
+            "for $x in 1 to 3000, $z in $x[. mod 3 = 0] \
+             let $m := for $y in 1 to 50 where $y = $z mod 100 return $y \
+             return count($m)",
+            1000,
+        ),
+    ];
+    let ctx = DynamicContext::new();
+    for (query, probes) in corpus {
+        for threads in [1, 4] {
+            let before = ctx.stats.snapshot();
+            hinted_engine("join=hash", threads)
+                .compile(query)
+                .expect("compile")
+                .run(&ctx)
+                .expect("run");
+            let d = ctx.stats.snapshot().delta(&before);
+            assert_eq!(
+                (d.join_build_tuples, d.join_hash_probes),
+                (50, probes),
+                "threads={threads}: (build tuples, hash probes) for:\n{query}"
+            );
+        }
     }
 }
 
