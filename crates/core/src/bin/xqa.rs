@@ -1,50 +1,7 @@
 //! `xqa` — command-line XQuery-with-analytics runner and server.
 //!
-//! ```text
-//! xqa [OPTIONS] <query.xq | -q "query text"> [input.xml]
-//!
-//!   -q, --query <TEXT>          inline query text instead of a file
-//!   -i, --input <FILE>          input XML document (context item)
-//!       --doc NAME=FILE         register a document for fn:doc("NAME")
-//!       --collection NAME=F,..  register a collection for fn:collection("NAME")
-//!       --pretty                pretty-print the result
-//!       --stats                 print evaluator statistics to stderr
-//!       --stats-json            print stats (and profile) as JSON to stderr
-//!       --profile               run profiled; print `explain analyze` to stderr
-//!       --diag-json FILE        write one diagnostics object (plan fingerprint,
-//!                               rewrites, stats, profile with spans and
-//!                               q-errors, compile trace) to FILE
-//!       --deterministic-clock   profile with a fixed-tick clock (for tests)
-//!       --threads N             intra-query parallelism (default: all cores;
-//!                               1 = serial)
-//!       --hint K=V[,K=V...]     pin planner decisions (`--help` lists the
-//!                               hints; XQA_HINTS supplies the ones left absent)
-//!   -h, --help                  this help
-//!
-//! xqa serve [OPTIONS]           start the HTTP query service
-//!
-//!       --addr HOST:PORT        bind address (default 127.0.0.1:8399)
-//!   -i, --input FILE            context document served to every query
-//!       --doc NAME=FILE         as above
-//!       --collection NAME=F,..  as above
-//!       --workers N             worker threads (default: one per core)
-//!       --query-threads N       intra-query parallelism per request
-//!                               (default: all cores; 1 = serial)
-//!       --cache-size N          prepared-plan cache capacity (default 128)
-//!       --max-queue N           admitted connections allowed to wait for a
-//!                               worker; excess shed with 429 (default 128)
-//!       --max-inflight-per-client N
-//!                               admitted connections per client IP
-//!                               (default 64)
-//!       --max-requests-per-conn N
-//!                               keep-alive requests served per connection
-//!                               before the server closes it (default 1000)
-//!       --slow-query-ms N       log queries slower than N ms to stderr
-//!       --flight-recorder-capacity N
-//!                               per-query records kept for /debug/* endpoints
-//!                               (default 256; 0 disables the recorder)
-//!       --hint K=V[,K=V...]     as above
-//! ```
+//! `xqa --help` prints the options of both (the `USAGE` text below,
+//! followed by the plan-hint table).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -98,15 +55,15 @@ options:
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --threads N           intra-query parallelism: worker threads for
-                            eligible FLWORs (default: all cores, or
-                            XQA_THREADS; 1 = serial)
+                            eligible FLWORs (default: all cores;
+                            1 = serial)
       --hint K=V[,K=V...]   pin planner decisions (hints below)
   -h, --help                show this help
 serve options:
       --addr HOST:PORT      bind address (default 127.0.0.1:8399)
       --workers N           worker threads (default: one per core)
       --query-threads N     intra-query parallelism per request (default:
-                            all cores, or XQA_THREADS; 1 = serial)
+                            all cores; 1 = serial)
       --cache-size N        prepared-plan cache capacity (default 128)
       --max-queue N         admitted connections allowed to wait for a
                             worker beyond the workers themselves; excess
@@ -125,8 +82,8 @@ serve options:
                             /debug/plans endpoints (default 256;
                             0 disables the recorder)
       --hint K=V[,K=V...]   pin planner decisions (hints below)
-hints (--hint on run and serve; XQA_HINTS in the environment, same grammar,
-supplies the hints --hint leaves absent):
+hints (--hint on run and serve; an absent hint leaves the decision to the
+planner):
 ";
 
 fn usage() -> String {

@@ -176,8 +176,8 @@ fn help_and_unknown_flags() {
     assert_eq!(out.status.code(), Some(2));
     let help = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(help.contains("usage: xqa"));
-    // `--hint` / `XQA_HINTS` are documented once, from the key list the
-    // parser reads; the README carries the same table.
+    // `--hint` is documented once, from the key list the parser reads;
+    // the README carries the same table.
     let table = xqa::PlanHints::table();
     assert!(help.contains(&table), "{help}");
     assert!(
@@ -339,12 +339,8 @@ fn hint_flag_controls_unnesting() {
                  let $items := for $li in //order/lineitem where $li/shipmode = $m return $li \
                  order by string($m) \
                  return <g>{string($m)}:{count($items)}</g>";
-    let run = |hint: &[&str], env: Option<&str>| {
-        let mut cmd = xqa();
-        if let Some(env) = env {
-            cmd.env("XQA_HINTS", env);
-        }
-        let out = cmd
+    let run = |hint: &[&str]| {
+        let out = xqa()
             .args(["-q", query, "--explain"])
             .args(hint)
             .arg(&input)
@@ -363,27 +359,25 @@ fn hint_flag_controls_unnesting() {
     };
     let hash = ["--hint", "join=hash"];
     let nested = ["--hint", "join=nested"];
+    assert!(run(&hash).contains("[hash join"), "join=hash must unnest");
     assert!(
-        run(&hash, None).contains("[hash join"),
-        "join=hash must unnest"
-    );
-    assert!(
-        !run(&nested, None).contains("[hash join"),
+        !run(&nested).contains("[hash join"),
         "join=nested must not unnest"
     );
     // The CLI builds catalog statistics from the input, so without a
     // hint the planner unnests too.
-    assert!(run(&[], None).contains("[hash join"), "no hint must unnest");
-    // XQA_HINTS supplies the hint --hint leaves absent, and only then.
-    assert!(!run(&[], Some("join=nested")).contains("[hash join"));
-    assert!(run(&hash, Some("join=nested")).contains("[hash join"));
-    assert!(!run(&nested, Some("join=hash")).contains("[hash join"));
-    // --diag-json records the effective hints.
+    assert!(run(&[]).contains("[hash join"), "no hint must unnest");
+    // --diag-json records the hints.
     let diag = write_temp("diag.json", "");
     let out = xqa()
-        .args(["-q", "1", "--hint", "join=nested", "--diag-json"])
+        .args([
+            "-q",
+            "1",
+            "--hint",
+            "access=walk,join=nested",
+            "--diag-json",
+        ])
         .arg(&diag)
-        .env("XQA_HINTS", "join=hash,access=walk")
         .output()
         .expect("run xqa");
     assert!(out.status.success());
@@ -392,8 +386,7 @@ fn hint_flag_controls_unnesting() {
         diag.contains("\"hints\":\"join=nested,access=walk\""),
         "{diag}"
     );
-    // A malformed --hint is a usage error, on run and on serve; a
-    // malformed XQA_HINTS fails the compile.
+    // A malformed --hint is a usage error, on run and on serve.
     for args in [
         vec!["-q", "1", "--hint", "join=sideways"],
         vec!["serve", "--hint", "join=sideways"],
@@ -403,23 +396,65 @@ fn hint_flag_controls_unnesting() {
         let stderr = String::from_utf8_lossy(&bad.stderr).into_owned();
         assert!(stderr.contains("join=hash|nested"), "{args:?}: {stderr}");
     }
-    let bad = xqa()
-        .args(["-q", "1"])
-        .env("XQA_HINTS", "jion=hash")
-        .output()
-        .expect("run xqa");
-    assert_eq!(bad.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&bad.stderr).into_owned();
-    assert!(
-        stderr.contains("XQA_HINTS: invalid hint `jion=hash`"),
-        "{stderr}"
-    );
+}
+
+/// The paper query of the `explain analyze` group/top-k golden, profiled
+/// through the CLI: at `--threads` 1 and 4 the `explain analyze` block
+/// is the engine's golden file, byte for byte, and the `--stats-json`
+/// line that follows it names every operator of the pipeline.
+#[test]
+fn profiled_paper_query_matches_the_explain_analyze_golden() {
+    let query = "(for $x in 1 to 50 count $c let $m := $x mod 5 where $c le 40 \
+                 group by $m into $k nest $x into $xs \
+                 order by count($xs) descending, number($k) \
+                 return at $r <g r=\"{$r}\">{$k}:{count($xs)}</g>)[position() le 3]";
+    let golden = include_str!("../../engine/tests/golden/explain_analyze_group_topk.txt");
+    for threads in ["1", "4"] {
+        let out = xqa()
+            .args([
+                "-q",
+                query,
+                "--profile",
+                "--stats-json",
+                "--deterministic-clock",
+            ])
+            .args(["--threads", threads])
+            .output()
+            .expect("run xqa");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        let (text, json) = stderr
+            .trim_end()
+            .rsplit_once('\n')
+            .unwrap_or_else(|| panic!("no stats line: {stderr}"));
+        let at = text
+            .find("explain analyze:")
+            .unwrap_or_else(|| panic!("no explain analyze: {stderr}"));
+        assert_eq!(format!("{}\n", &text[at..]), golden, "threads={threads}");
+        assert!(
+            json.starts_with("{\"stats\":") && json.contains("\"profile\":"),
+            "{json}"
+        );
+        for op in [
+            "ForScan",
+            "CountBind",
+            "LetBind",
+            "Filter",
+            "GroupConsume",
+            "OrderBy",
+            "ReturnAt",
+        ] {
+            assert!(
+                json.contains(&format!("\"op\":\"{op}\"")),
+                "threads={threads}: {op} missing from {json}"
+            );
+        }
+    }
 }
 
 /// The expression-evaluator hint went with the bytecode evaluator: it is
 /// an unknown hint like any other, a usage error on `--hint` (exit 2)
-/// and a static error from `XQA_HINTS` (exit 1), and either message
-/// lists exactly the five keys that remain.
+/// whose message lists exactly the five keys that remain.
 #[test]
 fn the_retired_expression_hint_is_rejected() {
     // Spelled from its parts, so the old spelling appears nowhere live.
@@ -431,27 +466,20 @@ fn the_retired_expression_hint_is_rejected() {
         "implicit-groupby=on|off",
         "nest-agg=on|off",
     ];
-    let by_flag = xqa()
+    let out = xqa()
         .args(["-q", "1", "--hint", &retired])
         .output()
         .expect("run xqa");
-    let by_env = xqa()
-        .args(["-q", "1"])
-        .env("XQA_HINTS", &retired)
-        .output()
-        .expect("run xqa");
-    for (out, code) in [(by_flag, 2), (by_env, 1)] {
-        assert_eq!(out.status.code(), Some(code));
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(
-            stderr.contains(&format!("invalid hint `{retired}`")),
-            "{stderr}"
-        );
-        let listed = stderr
-            .split_once("(valid hints: ")
-            .and_then(|(_, rest)| rest.split_once(')'))
-            .map(|(list, _)| list.split(", ").collect::<Vec<_>>())
-            .unwrap_or_else(|| panic!("no key list: {stderr}"));
-        assert_eq!(listed, keys, "{stderr}");
-    }
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        stderr.contains(&format!("invalid hint `{retired}`")),
+        "{stderr}"
+    );
+    let listed = stderr
+        .split_once("(valid hints: ")
+        .and_then(|(_, rest)| rest.split_once(')'))
+        .map(|(list, _)| list.split(", ").collect::<Vec<_>>())
+        .unwrap_or_else(|| panic!("no key list: {stderr}"));
+    assert_eq!(listed, keys, "{stderr}");
 }

@@ -35,13 +35,11 @@ pub fn compile(module: &ast::Module) -> EngineResult<ir::CompiledQuery> {
     for v in &module.prolog.variables {
         c.frame = Frame::default();
         let init = c.compile_expr(&v.init)?;
-        let init = match &v.ty {
-            Some(ty) => wrap_type_check(init, c.compile_seq_type(ty)?, &format!("${}", v.name)),
-            None => init,
-        };
+        let ty = v.ty.as_ref().map(|ty| c.compile_seq_type(ty)).transpose()?;
         globals.push(ir::GlobalInit {
             name: v.name.clone(),
             init,
+            ty,
             frame_size: c.frame.max_slots,
         });
         let idx = globals.len() - 1;
@@ -700,13 +698,6 @@ impl Compiler {
             content,
         })))
     }
-}
-
-/// Wrap an initializer in a runtime type check.
-fn wrap_type_check(init: Ir, _ty: ir::SeqTypeIr, _what: &str) -> Ir {
-    // Global declared types are currently advisory; function parameter
-    // and return types are enforced at call boundaries in the evaluator.
-    init
 }
 
 fn comp_op(op: ast::Comparison) -> xqa_xdm::CompOp {

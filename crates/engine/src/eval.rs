@@ -145,6 +145,14 @@ impl<'a> Interpreter<'a> {
         for g in &query.globals {
             let mut env = Env::new(g.frame_size, initial_focus(dynamic));
             let v = interp.eval(&g.init, &mut env)?;
+            if let Some(ty) = &g.ty {
+                if !matches_seq_type(&v, ty) {
+                    return Err(EngineError::dynamic(
+                        ErrorCode::XPTY0004,
+                        format!("value of ${} does not match its declared type", g.name),
+                    ));
+                }
+            }
             interp.globals.push(v);
         }
         Ok(interp)

@@ -14,7 +14,11 @@ use std::fmt::Write;
 /// annotated `[parallel ×N]` with the thread count the query would
 /// resolve at run time.
 pub fn explain_query(query: &CompiledQuery) -> String {
-    let threads = crate::resolve_threads(query.threads);
+    render(query, crate::resolve_threads(query.threads))
+}
+
+/// [`explain_query`] as if the query resolved to `threads` threads.
+fn render(query: &CompiledQuery, threads: usize) -> String {
     let mut out = String::new();
     for (i, g) in query.globals.iter().enumerate() {
         let _ = writeln!(out, "global ${} (slot g{i}):", g.name);
@@ -92,10 +96,12 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
 }
 
 /// A stable fingerprint of the rewritten plan: FNV-1a (64-bit) over the
-/// full `explain` rendering — clause structure, operator plan, access
-/// paths and the resolved parallel annotation all feed the hash, so
-/// two requests share a fingerprint exactly when the optimizer produced
-/// the same plan shape. FNV-1a is spelled out here (not
+/// `explain` rendering at one thread — clause structure, operator plan
+/// and access paths all feed the hash, so two requests share a
+/// fingerprint exactly when the optimizer produced the same plan shape.
+/// The thread count is left out: it changes where a plan runs, not what
+/// the plan is, and the same plan on a 2-core and a 4-core machine
+/// shares one fingerprint. FNV-1a is spelled out here (not
 /// `DefaultHasher`) so fingerprints are stable across Rust releases and
 /// processes — they key the service's flight-recorder aggregation and
 /// may be logged or compared offline.
@@ -103,7 +109,7 @@ pub fn plan_fingerprint(query: &CompiledQuery) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
-    for byte in explain_query(query).bytes() {
+    for byte in render(query, 1).bytes() {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(PRIME);
     }
@@ -553,6 +559,32 @@ mod tests {
         // Whitespace-only source differences share a plan shape.
         let d = compile("for   $x in 1 to 10   return $x");
         assert_eq!(plan_fingerprint(&a), plan_fingerprint(&d));
+    }
+
+    #[test]
+    fn fingerprint_leaves_out_the_thread_count_but_not_the_hints() {
+        let prepare = |src: &str, threads: usize, hints: &str| {
+            let hints = hints.parse().unwrap();
+            crate::Engine::with_options(crate::EngineOptions { threads, hints })
+                .compile(src)
+                .expect("compile")
+        };
+        let grouped = "for $x in 1 to 10 group by $x mod 2 into $k nest $x into $xs \
+                       return count($xs)";
+        let prints: Vec<u64> = [1, 2, 4]
+            .iter()
+            .map(|&threads| prepare(grouped, threads, "").fingerprint())
+            .collect();
+        assert_eq!(prints, [prints[0]; 3]);
+        assert!(prepare(grouped, 4, "").explain().contains("[parallel ×4]"));
+        assert!(!prepare(grouped, 1, "").explain().contains("[parallel"));
+        let joined = "for $a in distinct-values((1, 2, 2)) \
+                      let $m := for $y in (1, 2, 3) where $y = $a return $y \
+                      return count($m)";
+        assert_ne!(
+            prepare(joined, 4, "join=hash").fingerprint(),
+            prepare(joined, 4, "join=nested").fingerprint()
+        );
     }
 
     #[test]

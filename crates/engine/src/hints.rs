@@ -1,6 +1,6 @@
 //! Plan hints: the one value that pins optimizer decisions, and the one
 //! grammar (`key=value[,key=value...]`) that spells it — on the CLI's
-//! `--hint`, in the `XQA_HINTS` environment variable, and in the trace.
+//! `--hint` and in the trace.
 
 use std::fmt;
 
@@ -124,27 +124,6 @@ impl PlanHints {
         ]
     }
 
-    /// These hints, with `fallback` supplying the ones left absent.
-    pub fn or(self, fallback: PlanHints) -> PlanHints {
-        PlanHints {
-            hash_join: self.hash_join.or(fallback.hash_join),
-            index_scan: self.index_scan.or(fallback.index_scan),
-            topk: self.topk.or(fallback.topk),
-            implicit_groupby: self.implicit_groupby.or(fallback.implicit_groupby),
-            nest_agg: self.nest_agg.or(fallback.nest_agg),
-        }
-    }
-
-    /// The hints the `XQA_HINTS` environment variable spells (none when
-    /// it is unset); an error names what it could not parse.
-    pub(crate) fn from_env() -> Result<PlanHints, String> {
-        match std::env::var("XQA_HINTS") {
-            Ok(v) => v.parse().map_err(|e| format!("XQA_HINTS: {e}")),
-            Err(std::env::VarError::NotPresent) => Ok(PlanHints::default()),
-            Err(e) => Err(format!("XQA_HINTS: {e}")),
-        }
-    }
-
     /// One line per hint — `key=on|off`, what each side runs, and what
     /// the engine does when the hint is absent — for `xqa --help` and
     /// the README.
@@ -241,18 +220,6 @@ mod tests {
                 assert!(e.contains(&k.grammar()), "{e}");
             }
         }
-    }
-
-    #[test]
-    fn or_fills_only_absent_hints() {
-        let set: PlanHints = "join=nested,topk=off".parse().unwrap();
-        let fallback: PlanHints = "join=hash,access=walk".parse().unwrap();
-        assert_eq!(
-            set.or(fallback).to_string(),
-            "join=nested,access=walk,topk=off"
-        );
-        assert_eq!(PlanHints::default().or(fallback), fallback);
-        assert_eq!(set.or(PlanHints::default()), set);
     }
 
     #[test]

@@ -787,6 +787,9 @@ pub struct GlobalInit {
     pub name: String,
     /// The initializer expression.
     pub init: Ir,
+    /// The declared type (`declare variable $x as T`), checked against
+    /// the initializer's value.
+    pub ty: Option<SeqTypeIr>,
     /// Frame size needed to evaluate it.
     pub frame_size: usize,
 }

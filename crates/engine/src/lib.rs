@@ -55,8 +55,7 @@ use xqa_xdm::Sequence;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EngineOptions {
     /// Degree of intra-query parallelism for the streaming pipeline.
-    /// `0` (the default) resolves through [`resolve_threads`]: the
-    /// `XQA_THREADS` environment variable, falling back to
+    /// `0` (the default) resolves through [`resolve_threads`] to
     /// `std::thread::available_parallelism`. `1` runs the whole
     /// pipeline on the calling thread. Values above 1 split an
     /// outermost `for` binding sequence of more than one morsel across
@@ -64,31 +63,21 @@ pub struct EngineOptions {
     /// partial per worker, merged); output is byte-identical to serial.
     pub threads: usize,
     /// Pins on the planner's decisions (see [`PlanHints`]); none by
-    /// default. The `XQA_HINTS` environment variable follows the rule
-    /// `XQA_THREADS` does: a hint set here wins, the environment only
-    /// supplies hints left absent.
+    /// default.
     pub hints: PlanHints,
 }
 
 /// Resolve a requested degree of parallelism to an effective thread
-/// count: an explicit `requested > 0` wins, then a positive integer in
-/// the `XQA_THREADS` environment variable, then
+/// count: an explicit `requested > 0` wins, then
 /// [`std::thread::available_parallelism`] (or 1 if unavailable). The
-/// default is a property of the deployment, so it is worked out once
-/// per process.
+/// default is a property of the machine, so it is worked out once per
+/// process.
 pub fn resolve_threads(requested: usize) -> usize {
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     if requested > 0 {
         return requested;
     }
-    *DEFAULT.get_or_init(|| {
-        std::env::var("XQA_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|n| *n > 0)
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1)
-    })
+    *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The kind of optimizer rewrite a [`RewriteNote`] records. The wire
@@ -219,8 +208,7 @@ impl Engine {
     /// ([`PreparedQuery::trace_json`]) renders.
     pub fn compile(&self, source: &str) -> EngineResult<PreparedQuery> {
         let start = std::time::Instant::now();
-        let hints = self.options.hints.or(PlanHints::from_env()
-            .map_err(|message| EngineError::stat(xqa_xdm::ErrorCode::Other, message))?);
+        let hints = self.options.hints;
         let module = parse_query(source)?;
         let parse_ns = start.elapsed().as_nanos() as u64;
         let mut compiled = compile::compile(&module)?;
@@ -353,8 +341,8 @@ impl PreparedQuery {
         &self.rewrites
     }
 
-    /// The hints this plan was compiled under: the engine's, with
-    /// `XQA_HINTS` filling the absent ones (prints empty when none).
+    /// The hints this plan was compiled under: the engine's (prints
+    /// empty when none).
     pub fn hints(&self) -> PlanHints {
         self.hints
     }

@@ -184,9 +184,8 @@ const RULES: [Rule; 8] = [
 ];
 
 /// Shape the compiled plan: run every enabled rule of [`RULES`], in
-/// order, over every root of the query. `hints` are taken as given (the
-/// `XQA_HINTS` environment variable is the engine's business, not the
-/// planner's); `stats` are the attached catalog statistics, if any.
+/// order, over every root of the query. `hints` are taken as given;
+/// `stats` are the attached catalog statistics, if any.
 /// Returns what fired, rule by rule, root by root.
 pub fn plan(
     query: &mut CompiledQuery,

@@ -163,6 +163,17 @@ fn for_let_declared_type_errors() {
 }
 
 #[test]
+fn global_declared_type_errors() {
+    let err = try_run("declare variable $x as xs:integer := \"a\"; $x").unwrap_err();
+    assert_eq!(err.code(), ErrorCode::XPTY0004);
+    assert!(err.to_string().contains("$x"), "{err}");
+    assert_eq!(
+        try_run("declare variable $n as xs:integer := 3; $n + 1").unwrap(),
+        "4"
+    );
+}
+
+#[test]
 fn errors_inside_group_by_propagate() {
     // Key expression errors surface, not panic.
     assert_eq!(

@@ -2,18 +2,23 @@
 //!
 //! Profiled runs use the deterministic [`TickClock`], so every timing
 //! in the rendered text depends only on how many times the pipeline
-//! read the clock — stable across machines and optimization levels.
+//! read the clock — stable across machines and optimization levels —
+//! and each golden is checked serial and at four threads.
 //! Regenerate the golden files with `UPDATE_GOLDEN=1 cargo test`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use xqa_engine::{
-    DynamicContext, Engine, EngineOptions, OpKind, PreparedQuery, QueryProfile, TickClock,
+    DynamicContext, Engine, EngineOptions, OpKind, PlanHints, PreparedQuery, QueryProfile,
+    TickClock,
 };
 
 /// 1ms per clock read: large enough that rendered times are round.
 const TICK_NANOS: u64 = 1_000_000;
+
+/// The thread counts every golden holds at.
+const THREADS: [usize; 2] = [1, 4];
 
 /// A paper-shaped aggregation: grouping with a pre-group filter and a
 /// bounded rank, exercising ForScan / CountBind / LetBind / Filter /
@@ -39,19 +44,17 @@ const JOIN_QUERY: &str = "for $x in 1 to 8 \
      let $m := for $y in (2, 4, 6) where $y = $x return $y \
      return <j>{$x}:{count($m)}</j>";
 
-fn engine_for(query: &str) -> Engine {
-    if query == JOIN_QUERY {
-        Engine::with_options(EngineOptions {
-            hints: "join=hash".parse().unwrap(),
-            ..Default::default()
-        })
+fn engine_for(query: &str, threads: usize) -> Engine {
+    let hints = if query == JOIN_QUERY {
+        "join=hash".parse().unwrap()
     } else {
-        Engine::new()
-    }
+        PlanHints::default()
+    };
+    Engine::with_options(EngineOptions { threads, hints })
 }
 
-fn profiled_run(query: &str) -> (PreparedQuery, QueryProfile) {
-    let engine = engine_for(query);
+fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile) {
+    let engine = engine_for(query, threads);
     let plan = engine.compile(query).expect("compiles");
     let mut ctx = DynamicContext::new();
     ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
@@ -61,14 +64,19 @@ fn profiled_run(query: &str) -> (PreparedQuery, QueryProfile) {
     (plan, profile)
 }
 
-fn assert_matches_golden(name: &str, actual: &str) {
+/// `query`'s `explain analyze` equals the golden file `name`, serial
+/// and at four threads alike.
+fn assert_matches_golden(name: &str, query: &str) {
+    let render = |threads| {
+        let (plan, profile) = profiled_run(query, threads);
+        plan.explain_analyze(&profile)
+    };
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
+        std::fs::write(&path, render(1)).expect("write golden");
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -76,34 +84,29 @@ fn assert_matches_golden(name: &str, actual: &str) {
             path.display()
         )
     });
-    assert_eq!(
-        actual, expected,
-        "explain analyze drifted from golden {name}\nrun with UPDATE_GOLDEN=1 to regenerate"
-    );
+    for threads in THREADS {
+        assert_eq!(
+            render(threads),
+            expected,
+            "explain analyze at {threads} thread(s) drifted from golden {name}\n\
+             run with UPDATE_GOLDEN=1 to regenerate"
+        );
+    }
 }
 
 #[test]
 fn group_topk_matches_golden() {
-    let (plan, profile) = profiled_run(GROUP_TOPK_QUERY);
-    assert_matches_golden(
-        "explain_analyze_group_topk.txt",
-        &plan.explain_analyze(&profile),
-    );
+    assert_matches_golden("explain_analyze_group_topk.txt", GROUP_TOPK_QUERY);
 }
 
 #[test]
 fn window_matches_golden() {
-    let (plan, profile) = profiled_run(WINDOW_QUERY);
-    assert_matches_golden(
-        "explain_analyze_window.txt",
-        &plan.explain_analyze(&profile),
-    );
+    assert_matches_golden("explain_analyze_window.txt", WINDOW_QUERY);
 }
 
 #[test]
 fn join_matches_golden() {
-    let (plan, profile) = profiled_run(JOIN_QUERY);
-    assert_matches_golden("explain_analyze_join.txt", &plan.explain_analyze(&profile));
+    assert_matches_golden("explain_analyze_join.txt", JOIN_QUERY);
 }
 
 /// The three golden queries exercise every pipeline operator kind.
@@ -111,7 +114,7 @@ fn join_matches_golden() {
 fn golden_queries_cover_every_op_kind() {
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     for query in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY] {
-        let (_, profile) = profiled_run(query);
+        let (_, profile) = profiled_run(query, 1);
         for pipeline in &profile.pipelines {
             for op in &pipeline.ops {
                 seen.insert(op.kind.as_str());
@@ -127,8 +130,11 @@ fn golden_queries_cover_every_op_kind() {
 /// tuples_in equals its upstream's tuples_out.
 #[test]
 fn profiles_report_materialization_and_tuple_flow_consistently() {
-    for query in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY] {
-        let (_, profile) = profiled_run(query);
+    for (query, threads) in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY]
+        .into_iter()
+        .flat_map(|q| THREADS.map(|t| (q, t)))
+    {
+        let (_, profile) = profiled_run(query, threads);
         for pipeline in &profile.pipelines {
             for pair in pipeline.ops.windows(2) {
                 assert_eq!(
@@ -154,7 +160,7 @@ fn profiles_report_materialization_and_tuple_flow_consistently() {
 /// The JSON form carries the same per-operator numbers as the text.
 #[test]
 fn profile_json_names_every_operator() {
-    let (_, profile) = profiled_run(GROUP_TOPK_QUERY);
+    let (_, profile) = profiled_run(GROUP_TOPK_QUERY, 1);
     let json = profile.to_json();
     for op in [
         "ForScan",

@@ -20,8 +20,8 @@ const DOC: &str = "<r>\
      <pad/><pad/><pad/><pad/><pad/><pad/>\
      </r>";
 
-fn indexed_ctx() -> (DynamicContext, Arc<CatalogStatistics>) {
-    let doc = xqa_xmlparse::parse_document(DOC).expect("parse");
+fn indexed(xml: &str) -> (DynamicContext, Arc<CatalogStatistics>) {
+    let doc = xqa_xmlparse::parse_document(xml).expect("parse");
     let mut ctx = DynamicContext::new();
     ctx.set_context_document(&doc);
     ctx.index_documents();
@@ -31,14 +31,36 @@ fn indexed_ctx() -> (DynamicContext, Arc<CatalogStatistics>) {
     (ctx, stats)
 }
 
-fn assert_matches_golden(name: &str, actual: &str) {
+/// An engine at `threads` with `stats` attached and no hints.
+fn engine(threads: usize, stats: Arc<CatalogStatistics>) -> Engine {
+    Engine::with_options(EngineOptions {
+        threads,
+        ..Default::default()
+    })
+    .with_statistics(stats)
+}
+
+/// The profiled `explain analyze` of `query` over `xml`, indexed, at
+/// `threads`.
+fn analyze(xml: &str, query: &str, threads: usize) -> String {
+    let (mut ctx, stats) = indexed(xml);
+    let plan = engine(threads, stats).compile(query).expect("compile");
+    ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
+    ctx.enable_profiling();
+    plan.run(&ctx).expect("run");
+    let profile = ctx.take_profile().expect("profiling was enabled");
+    plan.explain_analyze(&profile)
+}
+
+/// `render(threads)` equals the golden file `name` serial and at four
+/// threads alike; returns the text.
+fn assert_matches_golden(name: &str, render: impl Fn(usize) -> String) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
+        std::fs::write(&path, render(1)).expect("write golden");
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -46,21 +68,26 @@ fn assert_matches_golden(name: &str, actual: &str) {
             path.display()
         )
     });
-    assert_eq!(
-        actual, expected,
-        "output drifted from golden {name}\nrun with UPDATE_GOLDEN=1 to regenerate"
-    );
+    for threads in [1, 4] {
+        assert_eq!(
+            render(threads),
+            expected,
+            "output at {threads} thread(s) drifted from golden {name}\n\
+             run with UPDATE_GOLDEN=1 to regenerate"
+        );
+    }
+    expected
 }
 
 #[test]
 fn explain_renders_index_scan_annotations() {
-    let (_, stats) = indexed_ctx();
-    let engine = Engine::new().with_statistics(stats);
-    let plan = engine
-        .compile("count(//item) + count(//item[p = 2]) + count(//pad/missing)")
-        .expect("compile");
-    let text = plan.explain();
-    assert_matches_golden("explain_index_scan.txt", &text);
+    let (_, stats) = indexed(DOC);
+    let text = assert_matches_golden("explain_index_scan.txt", |threads| {
+        engine(threads, stats.clone())
+            .compile("count(//item) + count(//item[p = 2]) + count(//pad/missing)")
+            .expect("compile")
+            .explain()
+    });
     // All three leading descendant steps are annotated — //pad/missing
     // resolves the //pad prefix via the index, then walks the child step.
     assert_eq!(text.matches("[index scan").count(), 3, "{text}");
@@ -74,7 +101,7 @@ fn explain_renders_index_scan_annotations() {
 
 #[test]
 fn explain_walk_mode_has_no_annotations() {
-    let (_, stats) = indexed_ctx();
+    let (_, stats) = indexed(DOC);
     let engine = Engine::with_options(EngineOptions {
         hints: "access=walk".parse().unwrap(),
         ..Default::default()
@@ -90,21 +117,15 @@ fn explain_walk_mode_has_no_annotations() {
 
 #[test]
 fn explain_analyze_reports_index_scan_counters() {
-    let (mut ctx, stats) = indexed_ctx();
-    let engine = Engine::new().with_statistics(stats);
-    let plan = engine
-        .compile(
+    let text = assert_matches_golden("explain_analyze_index_scan.txt", |threads| {
+        analyze(
+            DOC,
             "for $i in //item[p = 2] \
              order by string($i/p) \
              return at $r <hit rank=\"{$r}\"/>",
+            threads,
         )
-        .expect("compile");
-    ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
-    ctx.enable_profiling();
-    plan.run(&ctx).expect("run");
-    let profile = ctx.take_profile().expect("profiling was enabled");
-    let text = plan.explain_analyze(&profile);
-    assert_matches_golden("explain_analyze_index_scan.txt", &text);
+    });
     // The ForScan advertises its access path and the footer counts the
     // index-resolved tuples.
     assert!(text.contains("ForScan(index scan //item[p=..])"), "{text}");
@@ -133,22 +154,12 @@ const SKEW_DOC: &str = "<r>\
 
 #[test]
 fn explain_analyze_value_eq_estimate_uses_catalog_ndv() {
-    let doc = xqa_xmlparse::parse_document(SKEW_DOC).expect("parse");
-    let mut ctx = DynamicContext::new();
-    ctx.set_context_document(&doc);
-    ctx.index_documents();
-    let stats = Arc::new(CatalogStatistics::from_stores(
-        ctx.stores().map(Arc::as_ref),
-    ));
-    let engine = Engine::new().with_statistics(stats);
-    let plan = engine
-        .compile("for $i in //item[p = 1] return string($i/p)")
-        .expect("compile");
-    ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
-    ctx.enable_profiling();
-    plan.run(&ctx).expect("run");
-    let profile = ctx.take_profile().expect("profiling was enabled");
-    let text = plan.explain_analyze(&profile);
-    assert_matches_golden("explain_analyze_value_eq_ndv.txt", &text);
+    let text = assert_matches_golden("explain_analyze_value_eq_ndv.txt", |threads| {
+        analyze(
+            SKEW_DOC,
+            "for $i in //item[p = 1] return string($i/p)",
+            threads,
+        )
+    });
     assert!(text.contains("est/actual=6/6 (q=1.0)"), "{text}");
 }

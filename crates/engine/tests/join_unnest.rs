@@ -89,7 +89,6 @@ fn nested_mode_never_annotates() {
 }
 
 /// Whether the planner unnests `SELF_JOIN` when no hint pins the join.
-/// The planner is called directly so that `XQA_HINTS` cannot supply one.
 fn unhinted_planner_unnests(stats: Option<&CatalogStatistics>) -> bool {
     let module = xqa_frontend::parse_query(SELF_JOIN).expect("parse");
     let mut compiled = xqa_engine::compile::compile(&module).expect("compile");

@@ -193,9 +193,6 @@ fn golden_statistics() -> Arc<xqa_storage::CatalogStatistics> {
 
 #[test]
 fn compile_trace_matches_golden() {
-    // The compile event names the effective hints, which `XQA_HINTS`
-    // would fill; the other tests here do not depend on the variable.
-    std::env::remove_var("XQA_HINTS");
     let mut actual = String::new();
     for &(label, hints, with_stats, query) in GOLDEN_CASES {
         let mut engine = Engine::with_options(EngineOptions {

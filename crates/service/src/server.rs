@@ -31,7 +31,9 @@
 //! response; an error after bytes have left truncates the chunked body
 //! (no terminal chunk) and closes the connection, which is HTTP's
 //! mid-stream failure signal. `?stream=false`, `?profile=true` and
-//! HTTP/1.0 requests buffer as before.
+//! HTTP/1.0 requests run the same way and collect the chunks into one
+//! body: nothing has reached the socket when an error surfaces, so any
+//! run-time error is an ordinary `400`.
 //!
 //! [`PreparedQuery::run_serialized`]: xqa_engine::PreparedQuery::run_serialized
 //!
@@ -64,7 +66,6 @@ use xqa_engine::trace::json_escape;
 use xqa_engine::{
     Engine, EngineOptions, EvalStats, EvalStatsSnapshot, OpKind, QueryProfile, RewriteKind,
 };
-use xqa_xmlparse::serialize_sequence;
 
 use crate::admission::{Admission, AdmissionGuard, ShedReason};
 use crate::cache::PlanCache;
@@ -594,12 +595,24 @@ fn handle_query(
                 }),
             }
         } else {
-            let result = plan
-                .run(&ctx)
-                .map_err(|e| QueryFailure::early("runtime", e.to_string()))?;
+            // Buffered: the same serialized run, its chunks collected
+            // into the body before anything reaches the socket.
+            let mut body = String::new();
+            plan.run_serialized(&ctx, &mut |chunk: &str| {
+                body.push_str(chunk);
+                Ok(())
+            })
+            .map_err(|e| match e {
+                xqa_engine::StreamError::BeforeFirstItem(error)
+                | xqa_engine::StreamError::MidStream { error, .. } => {
+                    QueryFailure::early("runtime", error.to_string())
+                }
+                // Appending to a `String` does not fail.
+                sink => QueryFailure::early("runtime", sink.to_string()),
+            })?;
             let (stats, profile) = snapshot_run(shared, &mut ctx);
             Ok(QueryOutcome {
-                body: Some(serialize_sequence(&result)),
+                body: Some(body),
                 stats,
                 profile,
                 streamed: false,

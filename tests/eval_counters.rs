@@ -205,7 +205,6 @@ fn grouped_joined_and_index_scanned_plans_bump_their_counters() {
     let mut ctx = DynamicContext::new();
     ctx.set_context_document(&doc);
     ctx.index_documents();
-    // Hints pinned, so `XQA_HINTS` / `XQA_THREADS` legs run the same plans.
     let engine = Engine::with_options(EngineOptions {
         threads: 1,
         hints: "join=hash,access=index".parse().expect("valid hints"),

@@ -8,11 +8,10 @@
 //! FLWOR records its operator pipeline) and at threads=4, and the
 //! serialized results must be byte-identical.
 
+use xqa::xdm::ErrorCode;
 use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions};
 
-/// An engine pinned to `hints` (the `--hint` grammar) at `threads`. A
-/// pinned hint beats `XQA_HINTS`, so every differential below compares
-/// the two sides it names whatever the environment says.
+/// An engine pinned to `hints` (the `--hint` grammar) at `threads`.
 fn hinted_engine(hints: &str, threads: usize) -> Engine {
     Engine::with_options(EngineOptions {
         threads,
@@ -802,14 +801,16 @@ fn expr_eval_parallel_morsel_differential() {
 //
 // Every query below is evaluated four ways — join strategy forced to
 // `hash` and forced to `nested`, each at threads=1 and threads=4. All
-// four serialized results must be byte-identical: the hash join is a
-// pure join-method substitution for the nested loop, never a semantic
-// one. Every corpus entry is a joinable shape, so the hash-mode plans
-// are additionally required to carry the `[hash join ...]` annotation
-// and the nested-mode plans not to.
+// four outcomes must be identical, the serialized results byte for
+// byte, an error by its code: the hash join is a pure join-method
+// substitution for the nested loop, never a semantic one. Every corpus
+// entry is a joinable shape, so the hash-mode plans are additionally
+// required to carry the `[hash join ...]` annotation and the
+// nested-mode plans not to.
 
-fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
-    let mut outputs: Vec<(String, String)> = Vec::new();
+/// The one outcome of `query` under all four join modes.
+fn join_modes_outcome(query: &str, ctx: &DynamicContext) -> Result<String, ErrorCode> {
+    let mut outputs = Vec::new();
     for threads in [1usize, 4] {
         for mode in ["join=hash", "join=nested"] {
             let engine = hinted_engine(mode, threads);
@@ -824,11 +825,9 @@ fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
             );
             let out = plan
                 .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode}, threads={threads}): {e}\n{query}"));
-            outputs.push((
-                format!("{mode} threads={threads}"),
-                serialize_sequence(&out),
-            ));
+                .map(|items| serialize_sequence(&items))
+                .map_err(|e| e.code());
+            outputs.push((format!("{mode} threads={threads}"), out));
         }
     }
     let (baseline_label, baseline) = &outputs[0];
@@ -837,6 +836,13 @@ fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
             baseline, out,
             "{baseline_label} and {label} disagree for:\n{query}"
         );
+    }
+    outputs.swap_remove(0).1
+}
+
+fn assert_join_modes_identical(query: &str, ctx: &DynamicContext) {
+    if let Err(code) = join_modes_outcome(query, ctx) {
+        panic!("every join mode raised {code:?} for:\n{query}");
     }
 }
 
@@ -876,6 +882,31 @@ fn join_corpus_differential() {
     let ctx = orders_ctx();
     for query in JOIN_CORPUS {
         assert_join_modes_identical(query, &ctx);
+    }
+}
+
+/// Table 1's one-key `Q` with a type declared on the `for`, then on the
+/// `let`: both joinable, and both must raise the same XPTY0004 however
+/// the join runs.
+const TYPED_JOIN_CORPUS: [&str; 2] = [
+    "for $a as xs:integer in distinct-values(//order/lineitem/shipmode) \
+         let $items := for $i in //order/lineitem where $i/shipmode = $a return $i \
+         return <r>{$a}|{count($items)}</r>",
+    "for $a in distinct-values(//order/lineitem/shipmode) \
+         let $items as element(order)* := \
+             for $i in //order/lineitem where $i/shipmode = $a return $i \
+         return <r>{$a}|{count($items)}</r>",
+];
+
+#[test]
+fn typed_join_corpus_raises_the_same_error() {
+    let ctx = orders_ctx();
+    for query in TYPED_JOIN_CORPUS {
+        assert_eq!(
+            join_modes_outcome(query, &ctx),
+            Err(ErrorCode::XPTY0004),
+            "{query}"
+        );
     }
 }
 

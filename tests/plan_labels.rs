@@ -3,7 +3,9 @@
 //! suites loop over, at `threads` 1 and 4, the plan signature of every
 //! pipeline in the run's profile is a `pipeline:` line of the same
 //! plan's `explain()`, and the `--stats-json` document of the run is
-//! well-formed JSON.
+//! well-formed JSON. Every run outside the `implicit-groupby=on` cell
+//! also has one outcome, the serialized result or the error code: the
+//! one the first cell gives at threads 1.
 //!
 //! This file is deliberately not one of `corpus::SOURCES`: its query
 //! texts stay out of `tests/golden/rewrite_notes.txt`.
@@ -11,22 +13,29 @@
 mod corpus;
 
 use std::sync::Arc;
-use xqa::{DynamicContext, Engine, EngineOptions, PreparedQuery};
+use xqa::xdm::ErrorCode;
+use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions, PreparedQuery};
+
+/// What a run gives: its serialized result, or its error code.
+type Outcome = Result<String, ErrorCode>;
 
 /// Run `plan` on the profiling `ctx` and hold what the run printed
 /// about itself against what `explain` prints about the plan. A query
 /// may fail at run time (most of the corpus was written for other
 /// documents): the pipelines that ran before the error are checked all
-/// the same. Returns how many pipelines that was, and how many of them
-/// ran behind a parallel exchange.
-fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> [usize; 2] {
+/// the same. Returns how many pipelines that was, how many of them ran
+/// behind a parallel exchange, and the run's outcome.
+fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> ([usize; 2], Outcome) {
     let explain = plan.explain();
     let lines: Vec<&str> = explain
         .lines()
         .filter_map(|line| line.trim_start().strip_prefix("pipeline: "))
         .map(|line| line.split(" [parallel ×").next().expect("a first piece"))
         .collect();
-    let _ = plan.run(ctx);
+    let outcome = plan
+        .run(ctx)
+        .map(|items| serialize_sequence(&items))
+        .map_err(|e| e.code());
     let profile = ctx.take_profile().expect("profiling was enabled");
     for pipeline in &profile.pipelines {
         let signature = pipeline.signature();
@@ -48,7 +57,7 @@ fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> [usize; 
         );
     }
     let exchanged = profile.pipelines.iter().filter(|p| p.workers > 1).count();
-    [profile.pipelines.len(), exchanged]
+    ([profile.pipelines.len(), exchanged], outcome)
 }
 
 #[test]
@@ -67,12 +76,13 @@ fn profile_signatures_are_explain_lines_and_profile_json_parses() {
         ctx.stores().map(Arc::as_ref),
     ));
 
-    let (mut queries, mut pipelines, mut exchanged) = (0, 0, 0);
+    let (mut queries, mut pipelines, mut exchanged, mut compared) = (0, 0, 0, 0);
     for query in corpus::candidates() {
         if Engine::new().compile(&query).is_err() {
             continue;
         }
         queries += 1;
+        let mut first: Option<Outcome> = None;
         for hints in corpus::HINT_CELLS {
             for threads in [1, 4] {
                 let mut engine = Engine::with_options(EngineOptions {
@@ -84,13 +94,26 @@ fn profile_signatures_are_explain_lines_and_profile_json_parses() {
                     .compile(&query)
                     .unwrap_or_else(|e| panic!("compile under [{hints}]: {e}\n{query}"));
                 let what = format!("[{hints}] threads={threads} {query}");
-                let [ran, parallel] = check_run(&plan, &ctx, &what);
+                let ([ran, parallel], outcome) = check_run(&plan, &ctx, &what);
                 pipelines += ran;
                 exchanged += parallel;
+                // The paper's opt-in rewrite carries its premise, so
+                // only that cell may change what a query gives.
+                if hints == "implicit-groupby=on" {
+                    continue;
+                }
+                match &first {
+                    None => first = Some(outcome),
+                    Some(first) => {
+                        assert_eq!(&outcome, first, "{what}: outcome differs from [] threads=1");
+                        compared += 1;
+                    }
+                }
             }
         }
     }
     assert!(queries > 100, "corpus shrank to {queries}");
+    assert!(compared > 1_000, "only {compared} outcomes compared");
     assert!(pipelines > 1_000, "only {pipelines} pipelines ran");
     assert!(
         exchanged > 100,
@@ -122,7 +145,7 @@ fn a_string_literal_join_key_stays_inside_its_json_string() {
         "{}",
         plan.explain()
     );
-    assert_eq!(check_run(&plan, &ctx, "string-literal key"), [1, 0]);
+    assert_eq!(check_run(&plan, &ctx, "string-literal key").0, [1, 0]);
 }
 
 /// Strict RFC 8259 well-formedness of one JSON document: `Err` carries

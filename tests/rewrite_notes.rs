@@ -26,9 +26,6 @@ const HEADER: &str = "\
 
 #[test]
 fn rewrite_notes_match_the_golden() {
-    // `XQA_HINTS` would fill the hints a cell leaves absent. This is
-    // the only test in this binary, so nothing else reads the variable.
-    std::env::remove_var("XQA_HINTS");
     let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
         orders: 120,
         ..Default::default()
