@@ -6,8 +6,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use xqa::{
-    parse_document, serialize_sequence_with, Clock, DynamicContext, Engine, EngineOptions,
-    MonotonicClock, PlanHints, SerializeOptions, TickClock,
+    serialize_sequence_with, Clock, Engine, EngineOptions, MonotonicClock, PlanHints,
+    SerializeOptions, TickClock,
 };
 use xqa_service::{DocumentCatalog, Server, ServiceConfig};
 
@@ -49,9 +49,10 @@ options:
                             `explain analyze` to stderr
       --diag-json FILE      write one diagnostics JSON object to FILE: the
                             plan fingerprint, applied rewrites, evaluator
-                            stats, the full profile (operator est/actual
-                            counters, q-errors, span timeline) and the
-                            compile trace (parse, rewrites, compile)
+                            stats, the full profile (one entry per FLWOR:
+                            operator est/actual counters summed over its
+                            executions, q-errors) and the compile trace
+                            (parse, rewrites, compile)
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --threads N           intra-query parallelism: worker threads for
@@ -208,40 +209,13 @@ fn run(args: &Args) -> Result<(), String> {
     // Load documents before compiling: the indexed stores built over
     // them yield the statistics the planner's access-path decisions
     // consult.
-    let mut ctx = DynamicContext::new();
+    let mut catalog = load_catalog(args.input.as_deref(), &args.docs, &args.collections)?;
+    let statistics = catalog.build_indexes();
+    let mut ctx = catalog.new_context();
     ctx.set_clock(Arc::clone(&clock));
     if args.profile || args.diag_json.is_some() {
         ctx.enable_profiling();
     }
-    if let Some(input) = &args.input {
-        let text =
-            std::fs::read_to_string(input).map_err(|e| format!("cannot read {input}: {e}"))?;
-        let doc = parse_document(&text).map_err(|e| format!("{input}: {e}"))?;
-        ctx.set_context_document(&doc);
-    }
-    // Hold registered docs alive for the duration of the run.
-    let mut registered = Vec::new();
-    for (name, file) in &args.docs {
-        let text = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-        let doc = parse_document(&text).map_err(|e| format!("{file}: {e}"))?;
-        ctx.register_document(name.clone(), &doc);
-        registered.push(doc);
-    }
-    for (name, files) in &args.collections {
-        let mut roots = Vec::with_capacity(files.len());
-        for file in files {
-            let text =
-                std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
-            let doc = parse_document(&text).map_err(|e| format!("{file}: {e}"))?;
-            roots.push(doc.root());
-            registered.push(doc);
-        }
-        ctx.register_collection(name.clone(), roots);
-    }
-    ctx.index_documents();
-    let statistics = Arc::new(xqa::storage::CatalogStatistics::from_stores(
-        ctx.stores().map(Arc::as_ref),
-    ));
     let engine = Engine::with_options(EngineOptions {
         threads: args.threads,
         hints: args.hints,
@@ -412,21 +386,33 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
     Ok(args)
 }
 
-fn serve(args: &ServeArgs) -> Result<(), String> {
+/// The documents of `-i`, `--doc` and `--collection`, for `run` and
+/// `serve` alike: each file is parsed once, so one file named twice is
+/// one document.
+fn load_catalog(
+    input: Option<&str>,
+    docs: &[(String, String)],
+    collections: &[(String, Vec<String>)],
+) -> Result<DocumentCatalog, String> {
     let mut catalog = DocumentCatalog::new();
-    if let Some(input) = &args.input {
+    if let Some(input) = input {
         catalog.set_context_file(input).map_err(|e| e.to_string())?;
     }
-    for (name, file) in &args.docs {
+    for (name, file) in docs {
         catalog
             .add_document_file(name, file)
             .map_err(|e| e.to_string())?;
     }
-    for (name, files) in &args.collections {
+    for (name, files) in collections {
         catalog
             .add_collection_files(name, files)
             .map_err(|e| e.to_string())?;
     }
+    Ok(catalog)
+}
+
+fn serve(args: &ServeArgs) -> Result<(), String> {
+    let catalog = load_catalog(args.input.as_deref(), &args.docs, &args.collections)?;
     let config = ServiceConfig {
         workers: args.workers,
         plan_cache_capacity: args.cache_size,

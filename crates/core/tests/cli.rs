@@ -240,7 +240,9 @@ fn collection_registration() {
 }
 
 /// Spawn `xqa serve` on an ephemeral port and run HTTP requests
-/// against it, comparing with one-shot CLI output.
+/// against it, comparing with one-shot CLI output. Both load the same
+/// `-i`, `--doc` and `--collection` flags, and a file named twice is
+/// one document on both sides.
 #[test]
 fn serve_answers_queries_like_one_shot_runs() {
     use std::io::{BufRead, BufReader, Read};
@@ -252,26 +254,43 @@ fn serve_answers_queries_like_one_shot_runs() {
          <book><publisher>B</publisher><price>2</price></book>\
          <book><publisher>A</publisher><price>3</price></book></bib>",
     );
-    let query = "for $b in //book group by $b/publisher into $p \
-                 nest $b/price into $prices order by $p \
-                 return <r>{string($p)}:{sum($prices)}</r>";
+    let path = input.to_str().expect("utf-8 temp path");
+    let documents = [
+        "-i".to_string(),
+        path.to_string(),
+        "--doc".to_string(),
+        format!("bib={path}"),
+        "--collection".to_string(),
+        format!("twice={path},{path}"),
+    ];
+    let queries = [
+        "for $b in //book group by $b/publisher into $p \
+         nest $b/price into $prices order by $p \
+         return <r>{string($p)}:{sum($prices)}</r>",
+        "doc(\"bib\") is /",
+        "collection(\"twice\")[1] is collection(\"twice\")[2]",
+    ];
 
-    // Reference: a one-shot CLI run of the same query over the same file.
-    let one_shot = xqa()
-        .args(["-q", query])
-        .arg(&input)
-        .output()
-        .expect("one-shot run");
-    assert!(
-        one_shot.status.success(),
-        "{}",
-        String::from_utf8_lossy(&one_shot.stderr)
-    );
-    let expected = String::from_utf8_lossy(&one_shot.stdout).trim().to_string();
+    // Reference: a one-shot CLI run of each query over the same files.
+    let one_shot = |query: &str| {
+        let out = xqa()
+            .args(["-q", query])
+            .args(&documents)
+            .output()
+            .expect("one-shot run");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).trim().to_string()
+    };
+    let expected: Vec<String> = queries.iter().map(|q| one_shot(q)).collect();
+    assert_eq!(expected[1..], ["true", "true"]);
 
     let mut child = xqa()
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2", "-i"])
-        .arg(&input)
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(&documents)
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("spawn xqa serve");
@@ -286,7 +305,7 @@ fn serve_answers_queries_like_one_shot_runs() {
         .expect("listen line")
         .to_string();
 
-    let served = (|| -> std::io::Result<String> {
+    let post = |query: &str| -> std::io::Result<String> {
         let mut stream = TcpStream::connect(&addr)?;
         use std::io::Write as _;
         write!(
@@ -298,33 +317,35 @@ fn serve_answers_queries_like_one_shot_runs() {
         let mut response = String::new();
         stream.read_to_string(&mut response)?;
         Ok(response)
-    })();
+    };
+    let served: std::io::Result<Vec<String>> = queries.iter().map(|q| post(q)).collect();
     let _ = child.kill();
     let _ = child.wait();
 
-    let response = served.expect("query over HTTP");
-    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or(("", ""));
-    // Streamed responses arrive chunked; reassemble the payload.
-    let body = if head
-        .to_ascii_lowercase()
-        .contains("transfer-encoding: chunked")
-    {
-        let mut out = String::new();
-        let mut rest = body;
-        while let Some((size_line, after)) = rest.split_once("\r\n") {
-            let size = usize::from_str_radix(size_line.trim(), 16).expect("chunk size");
-            if size == 0 {
-                break;
+    for (response, expected) in served.expect("queries over HTTP").iter().zip(&expected) {
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        let (head, body) = response.split_once("\r\n\r\n").unwrap_or(("", ""));
+        // Streamed responses arrive chunked; reassemble the payload.
+        let body = if head
+            .to_ascii_lowercase()
+            .contains("transfer-encoding: chunked")
+        {
+            let mut out = String::new();
+            let mut rest = body;
+            while let Some((size_line, after)) = rest.split_once("\r\n") {
+                let size = usize::from_str_radix(size_line.trim(), 16).expect("chunk size");
+                if size == 0 {
+                    break;
+                }
+                out.push_str(&after[..size]);
+                rest = &after[size + 2..];
             }
-            out.push_str(&after[..size]);
-            rest = &after[size + 2..];
-        }
-        out
-    } else {
-        body.to_string()
-    };
-    assert_eq!(body, expected);
+            out
+        } else {
+            body.to_string()
+        };
+        assert_eq!(&body, expected);
+    }
 }
 
 #[test]

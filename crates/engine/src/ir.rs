@@ -396,9 +396,10 @@ impl OpKind {
     }
 
     /// The plan label `explain`'s `pipeline:` line, profile rows, plan
-    /// signatures and span names all print: name, `(detail)`, and on a
-    /// breaker `[materializes]` — or `[heap]` for an order-by whose
-    /// detail is its top-k limit, which keeps k tuples, not its input.
+    /// signatures and the worst misestimate all print: name,
+    /// `(detail)`, and on a breaker `[materializes]` — or `[heap]` for
+    /// an order-by whose detail is its top-k limit, which keeps k
+    /// tuples, not its input.
     pub fn label(&self, detail: &str) -> String {
         let name = self.as_str();
         let tag = match self {

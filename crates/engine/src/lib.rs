@@ -42,7 +42,7 @@ pub use error::{EngineError, EngineResult};
 pub use explain::plan_fingerprint;
 pub use hints::PlanHints;
 pub use ir::OpKind;
-pub use profile::{Clock, Misestimate, MonotonicClock, QueryProfile, Span, TickClock};
+pub use profile::{Clock, Misestimate, MonotonicClock, QueryProfile, TickClock};
 
 use xqa_frontend::parse_query;
 use xqa_xdm::Sequence;

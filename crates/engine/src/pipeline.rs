@@ -41,7 +41,7 @@ use crate::error::{EngineError, EngineResult};
 use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
 use crate::keys::atomic_key;
-use crate::profile::{Clock, OpProfile, PipelineProfile, Span};
+use crate::profile::{Clock, OpProfile, PipelineProfile};
 use crate::types::matches_seq_type;
 use partial::Partial;
 use std::cell::Cell;
@@ -194,7 +194,8 @@ pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResul
 /// The one FLWOR driver. When profiling is enabled on the dynamic
 /// context, every operator is wrapped in an [`Instrumented`] decorator
 /// and the measured chain is recorded into the context's profiler after
-/// the run.
+/// the run, keyed by `f`'s address: one entry per FLWOR, however often
+/// it runs.
 ///
 /// A parallel-eligible chain (see [`crate::ir::parallel_eligible`])
 /// running where more than one thread is available evaluates the outer
@@ -256,8 +257,7 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
         let total = clock.now_nanos().saturating_sub(start);
         let tail = counters.iter().map(|c| c.get()).collect();
         let p = build_profile(f, tail, exchanged.as_ref(), sink_stats, total);
-        profiler.add_span(pipeline_span(&p, start, total, exchanged));
-        profiler.record(p);
+        profiler.record(std::ptr::from_ref(f) as usize, p);
     }
     Ok(())
 }
@@ -531,38 +531,6 @@ fn build_profile(
         workers: exchange.map_or(1, |x| x.chains.len() as u64),
         ops,
     }
-}
-
-/// Lay one execution out as a span timeline. A chain interleaves its
-/// operators batch-at-a-time, so exact per-operator intervals don't
-/// exist: without an exchange the children are the operators placed
-/// end-to-end by measured self time, preserving durations. With one
-/// they are the real loop interval of every morsel worker (attributed
-/// by worker id) plus the coordinator's merge interval.
-fn pipeline_span(
-    p: &PipelineProfile,
-    start_nanos: u64,
-    total_nanos: u64,
-    exchange: Option<ExchangeProfile>,
-) -> Span {
-    let mut root = Span::leaf("pipeline", start_nanos, start_nanos + total_nanos);
-    match exchange {
-        Some(x) => {
-            root.children = x.spans;
-            let merge_end = x.merge_start + x.merge_nanos;
-            root.children
-                .push(Span::leaf("merge", x.merge_start, merge_end));
-        }
-        None => {
-            let mut at = start_nanos;
-            for op in &p.ops {
-                let end = at + op.nanos;
-                root.children.push(Span::leaf(op.label(), at, end));
-                at = end;
-            }
-        }
-    }
-    root
 }
 
 /// The pipeline root: one tuple with no bindings (the incoming frame).
@@ -1167,19 +1135,16 @@ impl TupleSource for Breaker<'_> {
 // morsel's fragment to the sink, in morsel order, between its own
 // morsels.
 
-/// What an [`exchange`] measured, for [`build_profile`] and
-/// [`pipeline_span`]. Clock-derived fields are zero and the vectors
-/// empty when not profiling.
+/// What an [`exchange`] measured, for [`build_profile`]. Clock-derived
+/// fields are zero when not profiling.
 struct ExchangeProfile {
     /// The clause index the chain was split at.
     cut: usize,
     /// Per worker, its chain's counters (one entry per clause).
     chains: Vec<Vec<OpCounters>>,
-    /// Per worker, its claim loop's real interval.
-    spans: Vec<Span>,
     /// Wall time the workers spent in their claim loops, summed.
     loop_nanos: u64,
-    merge_start: u64,
+    /// Wall time the coordinator spent merging the partials.
     merge_nanos: u64,
 }
 
@@ -1189,10 +1154,9 @@ struct WorkerReport<'p> {
     /// error with the index of the morsel that raised it.
     outcome: Result<Option<Partial<'p>>, (usize, EngineError)>,
     counters: Vec<OpCounters>,
-    /// The claim loop's (start, end) readings on the shared profiling
-    /// clock (`None` when not profiling — no clock reads off the
-    /// profiled path).
-    loop_span: Option<(u64, u64)>,
+    /// Wall time of the claim loop on the shared profiling clock (0
+    /// when not profiling — no clock reads off the profiled path).
+    loop_nanos: u64,
 }
 
 /// Morsel-parallel execution of an eligible FLWOR's clauses up to its
@@ -1288,28 +1252,14 @@ fn exchange<'p>(
     }
     sunk?;
 
-    let mut profile = ExchangeProfile {
-        cut,
-        chains: Vec::with_capacity(workers),
-        spans: Vec::new(),
-        loop_nanos: 0,
-        merge_start: clock.as_ref().map_or(0, |c| c.now_nanos()),
-        merge_nanos: 0,
-    };
+    let merge_began = clock.as_ref().map(|c| c.now_nanos());
+    let mut chains = Vec::with_capacity(workers);
+    let mut loop_nanos = 0;
     let mut merged: Option<Partial> = None;
     let mut first_error: Option<(usize, EngineError)> = None;
-    for (wid, r) in reports.into_iter().enumerate() {
-        if let Some((start, end)) = r.loop_span {
-            profile.loop_nanos += end.saturating_sub(start);
-            profile.spans.push(Span {
-                name: "worker".to_string(),
-                start_nanos: start,
-                end_nanos: end,
-                worker: Some(wid as u64),
-                children: Vec::new(),
-            });
-        }
-        profile.chains.push(r.counters);
+    for r in reports {
+        loop_nanos += r.loop_nanos;
+        chains.push(r.counters);
         match r.outcome {
             Ok(None) => {}
             Ok(Some(partial)) => match &mut merged {
@@ -1328,9 +1278,15 @@ fn exchange<'p>(
     if let Some((_, e)) = first_error {
         return Err(e);
     }
-    if let Some(c) = &clock {
-        profile.merge_nanos = c.now_nanos().saturating_sub(profile.merge_start);
-    }
+    let merge_nanos = clock
+        .zip(merge_began)
+        .map_or(0, |(c, began)| c.now_nanos().saturating_sub(began));
+    let profile = ExchangeProfile {
+        cut,
+        chains,
+        loop_nanos,
+        merge_nanos,
+    };
     Ok((merged, profile))
 }
 
@@ -1386,7 +1342,9 @@ impl<'p> Morsels<'_, 'p> {
             }
             between_morsels();
         }
-        let loop_span = loop_start.zip(clock).map(|(s, c)| (s, c.now_nanos()));
+        let loop_nanos = loop_start
+            .zip(clock)
+            .map_or(0, |(s, c)| c.now_nanos().saturating_sub(s));
         // Drain this thread's sequence-copy counters into the worker's
         // private sink so the coordinator's single add_snapshot merge picks
         // them up (the thread dies with the scope; counts would be lost).
@@ -1399,7 +1357,7 @@ impl<'p> Morsels<'_, 'p> {
                 None => Ok(partial),
             },
             counters: counters.iter().map(|c| c.get()).collect(),
-            loop_span,
+            loop_nanos,
         }
     }
 

@@ -9,8 +9,10 @@
 //!
 //! One FLWOR execution produces a [`PipelineProfile`]; nested FLWORs
 //! (or a FLWOR re-entered inside a function) record once per execution
-//! and merge by plan signature into the context's [`QueryProfile`],
-//! which renders as `explain analyze` text or machine-readable JSON.
+//! and merge by FLWOR identity into the context's [`QueryProfile`]:
+//! one entry per FLWOR, its counters and estimates summed over its
+//! executions. The profile renders as `explain analyze` text or
+//! machine-readable JSON.
 
 use crate::context::EvalStatsSnapshot;
 use crate::ir::OpKind;
@@ -148,66 +150,12 @@ impl OpProfile {
         self.tuples_in += other.tuples_in;
         self.tuples_out += other.tuples_out;
         self.nanos += other.nanos;
-        // Repeated executions of one plan share one estimate.
-        self.estimate = self.estimate.or(other.estimate);
-    }
-}
-
-/// One node of a query's span timeline: a named interval on the
-/// profiling clock, optionally attributed to a morsel worker, with
-/// nested child spans. Serial pipelines lay their per-operator child
-/// spans out cumulatively by self time (the pipeline ran the operators
-/// interleaved, so exact per-operator intervals don't exist); parallel
-/// pipelines report each worker's real loop interval.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// What ran: `"pipeline #N"`, an operator label, `"worker"`,
-    /// `"merge+replay"`, or a compile phase name.
-    pub name: String,
-    /// Interval start on the profiling clock (nanoseconds).
-    pub start_nanos: u64,
-    /// Interval end on the profiling clock (nanoseconds).
-    pub end_nanos: u64,
-    /// The morsel worker that ran this span, if it ran off-coordinator.
-    pub worker: Option<u64>,
-    /// Nested spans, in start order.
-    pub children: Vec<Span>,
-}
-
-impl Span {
-    /// A leaf span.
-    pub fn leaf(name: impl Into<String>, start_nanos: u64, end_nanos: u64) -> Span {
-        Span {
-            name: name.into(),
-            start_nanos,
-            end_nanos,
-            worker: None,
-            children: Vec::new(),
-        }
-    }
-
-    /// The span's duration in nanoseconds.
-    pub fn duration_nanos(&self) -> u64 {
-        self.end_nanos.saturating_sub(self.start_nanos)
-    }
-
-    /// The machine-readable form (recursive).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{}",
-            json_escape(&self.name),
-            self.start_nanos,
-            self.end_nanos
-        );
-        if let Some(w) = self.worker {
-            let _ = write!(s, ",\"worker\":{w}");
-        }
-        if !self.children.is_empty() {
-            let children: Vec<String> = self.children.iter().map(|c| c.to_json()).collect();
-            let _ = write!(s, ",\"children\":[{}]", children.join(","));
-        }
-        s.push('}');
-        s
+        // Every execution carries the per-execution estimate: summed,
+        // it is compared with the summed actual.
+        self.estimate = self
+            .estimate
+            .zip(other.estimate)
+            .map(|(a, b)| a.saturating_add(b));
     }
 }
 
@@ -226,9 +174,10 @@ pub struct Misestimate {
 }
 
 /// The measured operator chain of one FLWOR pipeline. Repeated
-/// executions of the same plan (a FLWOR nested under an outer `for`, or
+/// executions of the same FLWOR (one nested under an outer `for`, or
 /// inside a function called many times) merge into one entry with
-/// `executions` counting the runs and the counters summing.
+/// `executions` counting the runs and the counters and estimates
+/// summing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineProfile {
     /// How many times this pipeline ran.
@@ -255,6 +204,14 @@ impl PipelineProfile {
         self.ops.iter().map(|op| op.nanos).sum()
     }
 
+    fn merge(&mut self, other: &PipelineProfile) {
+        self.executions += other.executions;
+        self.workers = self.workers.max(other.workers);
+        for (a, b) in self.ops.iter_mut().zip(&other.ops) {
+            a.merge(b);
+        }
+    }
+
     fn to_json(&self) -> String {
         let ops: Vec<String> = self.ops.iter().map(|op| op.to_json()).collect();
         format!(
@@ -268,24 +225,16 @@ impl PipelineProfile {
     }
 }
 
-/// The profile of a whole query: every distinct pipeline that executed.
+/// The profile of a whole query: one entry per FLWOR that executed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QueryProfile {
-    /// Pipelines in first-execution order.
+    /// Pipelines in first-completion order.
     pub pipelines: Vec<PipelineProfile>,
     /// What every evaluator counter gained over the profiled run(s).
     pub stats: EvalStatsSnapshot,
-    /// Execution span timeline: one root span per recorded pipeline
-    /// execution (capped at [`QueryProfile::MAX_SPANS`] to stay
-    /// compact), with per-operator and per-worker child spans.
-    pub spans: Vec<Span>,
 }
 
 impl QueryProfile {
-    /// Retained span cap: a query that re-enters a pipeline thousands
-    /// of times keeps only the first executions' timelines.
-    pub const MAX_SPANS: usize = 64;
-
     /// The counters of [`QueryProfile::stats`] that [`to_json`]
     /// renders, as top-level keys in declaration order.
     ///
@@ -322,27 +271,9 @@ impl QueryProfile {
             .max_by(|a, b| a.q_error.total_cmp(&b.q_error))
     }
 
-    /// Merge another pipeline execution into the profile: same plan
-    /// signature → counters sum; new signature → new entry.
-    pub fn merge(&mut self, p: PipelineProfile) {
-        let sig = p.signature();
-        for existing in &mut self.pipelines {
-            if existing.signature() == sig {
-                existing.executions += p.executions;
-                existing.workers = existing.workers.max(p.workers);
-                for (a, b) in existing.ops.iter_mut().zip(&p.ops) {
-                    a.merge(b);
-                }
-                return;
-            }
-        }
-        self.pipelines.push(p);
-    }
-
     /// The machine-readable form: one JSON object, no dependencies.
     pub fn to_json(&self) -> String {
         let pipelines: Vec<String> = self.pipelines.iter().map(|p| p.to_json()).collect();
-        let spans: Vec<String> = self.spans.iter().map(|s| s.to_json()).collect();
         let worst = match self.worst_misestimate() {
             Some(m) => format!(
                 "{{\"op\":\"{}\",\"est\":{},\"actual\":{},\"q_error\":{:.2}}}",
@@ -362,10 +293,9 @@ impl QueryProfile {
             }
         }
         format!(
-            "{{\"pipelines\":[{}],{counters}\"worst_misestimate\":{},\"spans\":[{}]}}",
+            "{{\"pipelines\":[{}],{counters}\"worst_misestimate\":{}}}",
             pipelines.join(","),
             worst,
-            spans.join(","),
         )
     }
 }
@@ -374,7 +304,16 @@ impl QueryProfile {
 /// Interior-mutable so the pipeline can record through `&self`.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    profile: Mutex<QueryProfile>,
+    recording: Mutex<Recording>,
+}
+
+/// The profile being collected, and the FLWOR each of its pipelines
+/// measures.
+#[derive(Debug, Default)]
+struct Recording {
+    profile: QueryProfile,
+    /// Per entry of `profile.pipelines`, the key it was recorded under.
+    flwors: Vec<usize>,
 }
 
 impl Profiler {
@@ -383,41 +322,52 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// The profile under its lock. Every update leaves the profile
-    /// valid at every step (counters sum, vectors push), so a guard
-    /// poisoned by a panicking worker is recovered rather than turning
-    /// each later profiled run on this context into a second panic.
-    fn lock(&self) -> MutexGuard<'_, QueryProfile> {
-        self.profile.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The recording under its lock. Every update leaves it valid at
+    /// every step (counters sum, vectors push), so a guard poisoned by
+    /// a panicking worker is recovered rather than turning each later
+    /// profiled run on this context into a second panic.
+    fn lock(&self) -> MutexGuard<'_, Recording> {
+        self.recording
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Record one pipeline execution (merged by plan signature).
-    pub fn record(&self, p: PipelineProfile) {
-        self.lock().merge(p);
-    }
-
-    /// Record one execution's span timeline. Dropped silently past
-    /// [`QueryProfile::MAX_SPANS`] retained roots.
-    pub fn add_span(&self, span: Span) {
-        let mut p = self.lock();
-        if p.spans.len() < QueryProfile::MAX_SPANS {
-            p.spans.push(span);
+    /// Record one execution of the FLWOR keyed `flwor` (the pipeline
+    /// passes the address of its `FlworIr`, unique while the plan
+    /// lives). A re-execution sums into that FLWOR's entry; any other
+    /// FLWOR, equal labels or not, gets an entry of its own. Equal
+    /// operator kinds are required too, so a key reused by a later plan
+    /// in an undrained profile never zips mismatched rows.
+    pub(crate) fn record(&self, flwor: usize, p: PipelineProfile) {
+        let mut guard = self.lock();
+        let Recording { profile, flwors } = &mut *guard;
+        let same_ops = |q: &PipelineProfile| {
+            q.ops
+                .iter()
+                .map(|op| op.kind)
+                .eq(p.ops.iter().map(|op| op.kind))
+        };
+        let entry = flwors
+            .iter()
+            .zip(&mut profile.pipelines)
+            .find(|(key, existing)| **key == flwor && same_ops(existing));
+        match entry {
+            Some((_, existing)) => existing.merge(&p),
+            None => {
+                flwors.push(flwor);
+                profile.pipelines.push(p);
+            }
         }
     }
 
     /// Fold one run's evaluator-counter deltas into the profile.
     pub fn add_stats(&self, delta: &EvalStatsSnapshot) {
-        self.lock().stats.accumulate(delta);
+        self.lock().profile.stats.accumulate(delta);
     }
 
     /// Drain the collected profile, leaving the profiler empty.
     pub fn take(&self) -> QueryProfile {
-        std::mem::take(&mut *self.lock())
-    }
-
-    /// A copy of the collected profile without draining it.
-    pub fn snapshot(&self) -> QueryProfile {
-        self.lock().clone()
+        std::mem::take(&mut *self.lock()).profile
     }
 }
 
@@ -489,36 +439,52 @@ mod tests {
     }
 
     #[test]
-    fn merge_by_signature_sums_counters() {
-        let run = || PipelineProfile {
-            executions: 1,
-            workers: 1,
-            ops: vec![op(OpKind::ForScan, "", 10), op(OpKind::ReturnAt, "", 10)],
+    fn merge_by_flwor_sums_counters_and_estimates() {
+        let run = || {
+            let mut scan = op(OpKind::ForScan, "", 10);
+            scan.estimate = Some(10);
+            PipelineProfile {
+                executions: 1,
+                workers: 1,
+                ops: vec![scan, op(OpKind::ReturnAt, "", 10)],
+            }
         };
-        let mut q = QueryProfile::default();
-        q.merge(run());
-        q.merge(run());
-        q.merge(PipelineProfile {
-            executions: 1,
-            workers: 1,
-            ops: vec![op(OpKind::LetBind, "", 1), op(OpKind::ReturnAt, "", 1)],
-        });
-        assert_eq!(q.pipelines.len(), 2);
+        let p = Profiler::new();
+        p.record(1, run());
+        p.record(1, run());
+        // Another FLWOR with the same labels keeps its own entry.
+        p.record(2, run());
+        // A reused key with other operators never zips with the first.
+        p.record(
+            1,
+            PipelineProfile {
+                executions: 1,
+                workers: 1,
+                ops: vec![op(OpKind::LetBind, "", 1), op(OpKind::ReturnAt, "", 1)],
+            },
+        );
+        let q = p.take();
+        assert_eq!(q.pipelines.len(), 3);
         assert_eq!(q.pipelines[0].executions, 2);
         assert_eq!(q.pipelines[0].ops[0].tuples_out, 20);
         assert_eq!(q.pipelines[0].ops[0].nanos, 200);
+        assert_eq!(q.pipelines[0].ops[0].estimate, Some(20));
+        assert_eq!(q.pipelines[0].ops[0].q_error(), Some(1.0));
         assert_eq!(q.pipelines[1].executions, 1);
+        assert_eq!(q.pipelines[2].ops[0].kind, OpKind::LetBind);
     }
 
     #[test]
     fn profiler_take_drains() {
         let p = Profiler::new();
-        p.record(PipelineProfile {
-            executions: 1,
-            workers: 1,
-            ops: vec![op(OpKind::ForScan, "", 1)],
-        });
-        assert!(!p.snapshot().is_empty());
+        p.record(
+            0,
+            PipelineProfile {
+                executions: 1,
+                workers: 1,
+                ops: vec![op(OpKind::ForScan, "", 1)],
+            },
+        );
         assert!(!p.take().is_empty());
         assert!(p.take().is_empty());
     }
@@ -533,9 +499,16 @@ mod tests {
             })
             .join()
         });
-        assert!(poisoner.is_err() && p.profile.is_poisoned());
-        p.add_span(Span::leaf("after", 0, 1));
-        assert_eq!(p.take().spans.len(), 1);
+        assert!(poisoner.is_err() && p.recording.is_poisoned());
+        p.record(
+            0,
+            PipelineProfile {
+                executions: 1,
+                workers: 1,
+                ops: vec![op(OpKind::ForScan, "", 1)],
+            },
+        );
+        assert_eq!(p.take().pipelines.len(), 1);
     }
 
     #[test]
@@ -559,7 +532,7 @@ mod tests {
         scan.estimate = Some(10);
         let mut filter = op(OpKind::Filter, "", 50);
         filter.estimate = Some(40);
-        q.merge(PipelineProfile {
+        q.pipelines.push(PipelineProfile {
             executions: 1,
             workers: 1,
             ops: vec![scan, filter],
@@ -572,33 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn span_json_nests_and_names_workers() {
-        let mut root = Span::leaf("pipeline #0", 1_000, 9_000);
-        let mut w = Span::leaf("worker", 1_000, 5_000);
-        w.worker = Some(1);
-        root.children.push(w);
-        let json = root.to_json();
-        assert_eq!(
-            json,
-            "{\"name\":\"pipeline #0\",\"start_ns\":1000,\"end_ns\":9000,\
-             \"children\":[{\"name\":\"worker\",\"start_ns\":1000,\"end_ns\":5000,\"worker\":1}]}"
-        );
-        assert_eq!(root.duration_nanos(), 8_000);
-    }
-
-    #[test]
-    fn profiler_caps_retained_spans() {
-        let p = Profiler::new();
-        for i in 0..(QueryProfile::MAX_SPANS + 10) {
-            p.add_span(Span::leaf(format!("s{i}"), 0, 1));
-        }
-        assert_eq!(p.snapshot().spans.len(), QueryProfile::MAX_SPANS);
-    }
-
-    #[test]
     fn json_shape() {
         let mut q = QueryProfile::default();
-        q.merge(PipelineProfile {
+        q.pipelines.push(PipelineProfile {
             executions: 1,
             workers: 1,
             ops: vec![op(OpKind::OrderBy, "limit=3", 3)],
@@ -611,25 +560,19 @@ mod tests {
         assert!(json.contains("\"time_ns\":100"));
         // No estimates recorded: per-op est keys absent, worst null.
         assert!(!json.contains("\"est\":"));
-        assert!(json.contains("\"worst_misestimate\":null"));
-        assert!(json.contains("\"spans\":[]"));
+        assert!(json.ends_with(",\"worst_misestimate\":null}"), "{json}");
 
         let mut scan = op(OpKind::ForScan, "", 6);
         scan.estimate = Some(3);
-        q.merge(PipelineProfile {
+        q.pipelines.push(PipelineProfile {
             executions: 1,
             workers: 1,
             ops: vec![scan],
         });
-        q.spans.push(Span::leaf("pipeline #0", 0, 100));
         let json = q.to_json();
         assert!(json.contains("\"est\":3,\"q_error\":2.00"), "{json}");
         assert!(
             json.contains("\"worst_misestimate\":{\"op\":\"ForScan\",\"est\":3,\"actual\":6,\"q_error\":2.00}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"spans\":[{\"name\":\"pipeline #0\""),
             "{json}"
         );
     }

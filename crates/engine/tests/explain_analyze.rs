@@ -179,3 +179,107 @@ fn profile_json_names_every_operator() {
     assert!(json.contains("\"tuples_in\""), "{json}");
     assert!(json.contains("\"time_ns\""), "{json}");
 }
+
+/// Per operator of one pipeline: its summed estimate and summed actual.
+type EstActual = Vec<(Option<u64>, u64)>;
+
+/// Per pipeline of `profile`: its executions and its operators' rows.
+fn est_actual(profile: &QueryProfile) -> Vec<(u64, EstActual)> {
+    profile
+        .pipelines
+        .iter()
+        .map(|p| {
+            let ops = p
+                .ops
+                .iter()
+                .map(|op| (op.estimate, op.tuples_out))
+                .collect();
+            (p.executions, ops)
+        })
+        .collect()
+}
+
+/// A FLWOR re-run under an outer `for` is an entry of its own, apart
+/// from the outer FLWOR that shares its labels (`ForScan -> ReturnAt`).
+/// Its estimate of 2 per execution sums over the three executions like
+/// its actual does, so neither entry reports a misestimate.
+#[test]
+fn a_nested_flwor_is_one_entry_with_summed_estimates() {
+    let query = "for $x in (1,2,3) return count(for $y in (1,2) return $y)";
+    for threads in THREADS {
+        let (_, profile) = profiled_run(query, threads);
+        assert_eq!(
+            est_actual(&profile),
+            [
+                (3, vec![(Some(6), 6), (Some(6), 6)]),
+                (1, vec![(Some(3), 3), (Some(3), 3)]),
+            ]
+        );
+        let worst = profile.worst_misestimate().expect("estimated");
+        assert_eq!(worst.q_error, 1.0);
+    }
+}
+
+/// Two unrelated FLWORs with equal labels keep one entry each.
+#[test]
+fn flwors_with_equal_labels_stay_apart() {
+    let query = "(for $x in (1,2) return $x, for $y in (3,4,5) return $y)";
+    for threads in THREADS {
+        let (_, profile) = profiled_run(query, threads);
+        assert_eq!(
+            est_actual(&profile),
+            [
+                (1, vec![(Some(2), 2), (Some(2), 2)]),
+                (1, vec![(Some(3), 3), (Some(3), 3)]),
+            ]
+        );
+        assert_eq!(
+            profile.pipelines[0].signature(),
+            profile.pipelines[1].signature()
+        );
+    }
+}
+
+/// The paper's two-key `Q` re-scans `//li` once per `($a, $b)` pair:
+/// nine executions of an exact four-row scan read 36/36, and the worst
+/// misestimate is the two-key conjunct the planner cannot see through.
+#[test]
+fn the_two_key_q_blames_the_conjunct_not_the_rescan() {
+    let doc = xqa_xmlparse::parse_document(
+        "<r><li><a>1</a><b>x</b></li><li><a>1</a><b>y</b></li>\
+         <li><a>2</a><b>x</b></li><li><a>3</a><b>z</b></li></r>",
+    )
+    .expect("well-formed");
+    let query = "for $a in distinct-values(//li/a), $b in distinct-values(//li/b) \
+                 let $items := for $i in //li where $i/a = $a and $i/b = $b return $i \
+                 return count($items)";
+    for threads in THREADS {
+        let mut ctx = DynamicContext::new();
+        ctx.set_context_document(&doc);
+        ctx.index_documents();
+        let stats = Arc::new(xqa_storage::CatalogStatistics::from_stores(
+            ctx.stores().map(Arc::as_ref),
+        ));
+        let engine = Engine::with_options(EngineOptions {
+            threads,
+            ..Default::default()
+        })
+        .with_statistics(stats);
+        let plan = engine.compile(query).expect("compiles");
+        ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
+        ctx.enable_profiling();
+        plan.run(&ctx).expect("runs");
+        let profile = ctx.take_profile().expect("profiling was enabled");
+
+        let inner = &profile.pipelines[0];
+        assert_eq!(inner.executions, 9);
+        let scan = &inner.ops[0];
+        assert_eq!(scan.label(), "ForScan(index scan //li)");
+        assert_eq!((scan.estimate, scan.tuples_out), (Some(36), 36));
+        assert_eq!(scan.q_error(), Some(1.0));
+        let worst = profile.worst_misestimate().expect("estimated");
+        assert!(!worst.label.starts_with("ForScan"), "{worst:?}");
+        assert_eq!((worst.estimated, worst.actual), (18, 4), "{worst:?}");
+        assert_eq!(worst.q_error, 4.5);
+    }
+}

@@ -3,7 +3,7 @@
 //!
 //! Every completed request — success or error — deposits one
 //! [`FlightRecord`] carrying its request id, plan fingerprint, latency,
-//! stats snapshot, span timeline and worst cardinality misestimate.
+//! stats snapshot, per-FLWOR profile and worst cardinality misestimate.
 //! The ring keeps the last `capacity` records (oldest evicted first);
 //! records for the *same plan shape* additionally fold into a
 //! [`PlanAggregate`] keyed by the plan fingerprint, so `/debug/plans`
@@ -56,8 +56,8 @@ pub struct FlightRecord {
     ///
     /// [`EvalStats`]: xqa_engine::EvalStats
     pub stats_json: Option<String>,
-    /// Pre-rendered JSON of the full [`QueryProfile`] — per-operator
-    /// est/actual counters plus the span timeline.
+    /// Pre-rendered JSON of the full [`QueryProfile`] — one entry per
+    /// FLWOR, with per-operator est/actual counters.
     ///
     /// [`QueryProfile`]: xqa_engine::QueryProfile
     pub profile_json: Option<String>,
@@ -119,8 +119,8 @@ impl FlightRecord {
     }
 
     /// The full JSON used by `/debug/query/<id>`: the summary fields
-    /// plus the stats snapshot, the profile (spans included) and any
-    /// compile-phase trace events.
+    /// plus the stats snapshot, the profile and any compile-phase
+    /// trace events.
     fn full_json(&self) -> String {
         let mut out = self.summary_json();
         out.pop(); // reopen the summary object

@@ -10,7 +10,7 @@
 //! GET  /healthz             -> 200 "ok"
 //! GET  /metrics             -> 200 Prometheus-style text
 //! GET  /debug/queries       -> 200 flight-recorder ring, newest first
-//! GET  /debug/query/<id>    -> 200 one full record (spans, stats, compile trace)
+//! GET  /debug/query/<id>    -> 200 one full record (profile, stats, compile trace)
 //! GET  /debug/plans         -> 200 per-plan-fingerprint aggregates
 //! ```
 //!
@@ -49,7 +49,7 @@
 //! queries slower than the configured threshold land in a slow-query
 //! log on stderr. Completed requests also deposit a record in the
 //! [`FlightRecorder`] behind the `/debug/*` endpoints: plan
-//! fingerprint, latency, stats, span timeline and the worst
+//! fingerprint, latency, stats, the per-FLWOR profile and the worst
 //! cardinality misestimate, aggregated per plan shape.
 //!
 //! [`EvalStats`]: xqa_engine::EvalStats
@@ -978,7 +978,7 @@ mod tests {
         let (status, full) = get(addr, "/debug/query/fr-1");
         assert_eq!(status, 200);
         assert!(full.contains("\"profile\":{"), "{full}");
-        assert!(full.contains("\"spans\":["), "{full}");
+        assert!(full.contains("\"pipelines\":["), "{full}");
         // First request for this plan shape: compiled now, so the record
         // carries the compile trace the plan renders.
         assert!(full.contains("\"cached_plan\":false"), "{full}");
@@ -1008,6 +1008,27 @@ mod tests {
             "POST /debug/queries HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
         );
         assert_eq!(status, 405);
+        server.shutdown();
+    }
+
+    /// A FLWOR re-run under an outer `for` is one profile entry whose
+    /// estimate sums over its executions, like its actual: both FLWORs'
+    /// estimates are exact, so neither the record nor the plan
+    /// aggregate reports a misestimate.
+    #[test]
+    fn a_served_nested_flwor_records_exact_q_errors() {
+        let server = test_server();
+        let addr = server.local_addr();
+        let query = "for $x in (1,2,3) return count(for $y in (1,2) return $y)";
+        let raw = post_query_raw_response(addr, query, "X-Request-Id: nested-1\r\n");
+        assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+
+        let (status, full) = get(addr, "/debug/query/nested-1");
+        assert_eq!(status, 200);
+        assert!(full.contains("\"worst_q_error\":1.00"), "{full}");
+        let (status, plans) = get(addr, "/debug/plans");
+        assert_eq!(status, 200);
+        assert!(plans.contains("\"max_q_error\":1.00"), "{plans}");
         server.shutdown();
     }
 

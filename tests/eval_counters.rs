@@ -23,7 +23,7 @@ const STATS_JSON: &str = "{\"nodes_visited\":1,\"tuples_grouped\":2,\"groups_emi
 const EMPTY_PROFILE_JSON: &str = "{\"pipelines\":[],\"seq_items_copied\":0,\
     \"seq_clones_shared\":0,\"scan_index_hits\":0,\"scan_index_tuples\":0,\
     \"scan_walk_tuples\":0,\"expr_compiled\":0,\"expr_fallback\":0,\
-    \"worst_misestimate\":null,\"spans\":[]}";
+    \"worst_misestimate\":null}";
 
 #[test]
 fn stats_json_is_byte_identical_to_the_golden() {
@@ -81,10 +81,8 @@ fn profile_json_keys_are_byte_identical_to_the_golden() {
     );
     assert!(json.starts_with("{\"pipelines\":[{"), "{json}");
     assert!(json.contains(&counters), "{counters}\n{json}");
-    assert!(
-        json.contains(",\"spans\":[{") && json.ends_with("]}"),
-        "{json}"
-    );
+    // Nothing follows the worst misestimate (none here: no estimates).
+    assert!(json.ends_with(&format!("{counters}null}}")), "{json}");
 }
 
 /// A snapshot with every counter drawn from `rng` (a counter declared
