@@ -5,15 +5,20 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 use xqa::{
     serialize_sequence_with, Clock, Engine, EngineOptions, MonotonicClock, PlanHints,
     SerializeOptions, TickClock,
 };
-use xqa_service::{DocumentCatalog, Server, ServiceConfig};
+use xqa_service::{DocumentCatalog, FlightRecord, Server, ServiceConfig};
 
 /// Tick width of the `--deterministic-clock` profile clock: 1ms per
 /// clock read, so golden profile output is stable across machines.
 const DETERMINISTIC_TICK_NANOS: u64 = 1_000_000;
+
+/// A one-shot run's query id: its compile trace's `query_id` and its
+/// `--diag-json` record's `request_id`.
+const QUERY_ID: u64 = 1;
 
 struct Args {
     query_text: Option<String>,
@@ -23,7 +28,6 @@ struct Args {
     collections: Vec<(String, Vec<String>)>,
     pretty: bool,
     stats: bool,
-    stats_json: bool,
     explain: bool,
     profile: bool,
     diag_json: Option<String>,
@@ -42,17 +46,16 @@ options:
                             register a collection for fn:collection(\"NAME\")
       --pretty              pretty-print the result
       --stats               print evaluator statistics to stderr
-      --stats-json          print statistics (and the profile, with --profile)
-                            as one JSON object on stderr
       --explain             print the compiled plan to stderr before running
       --profile             run with per-operator profiling and print
                             `explain analyze` to stderr
-      --diag-json FILE      write one diagnostics JSON object to FILE: the
-                            plan fingerprint, applied rewrites, evaluator
-                            stats, the full profile (one entry per FLWOR:
-                            operator est/actual counters summed over its
-                            executions, q-errors) and the compile trace
-                            (parse, rewrites, compile)
+      --diag-json FILE      write the run's flight record to FILE, the JSON
+                            `serve` returns at /debug/query/<id>: plan
+                            fingerprint, latency, evaluator stats, the full
+                            profile (one entry per FLWOR: operator
+                            est/actual counters summed over its executions,
+                            q-errors), the compile trace (parse, rewrites,
+                            compile with its hints) and the rewrite kinds
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --threads N           intra-query parallelism: worker threads for
@@ -76,7 +79,6 @@ serve options:
       --max-requests-per-conn N
                             keep-alive requests served on one connection
                             before the server closes it (default 1000)
-      --slow-query-ms N     log queries slower than N ms to stderr
       --flight-recorder-capacity N
                             completed-query records retained for the
                             /debug/queries, /debug/query/<id> and
@@ -128,7 +130,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         collections: Vec::new(),
         pretty: false,
         stats: false,
-        stats_json: false,
         explain: false,
         profile: false,
         diag_json: None,
@@ -159,7 +160,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--pretty" => args.pretty = true,
             "--stats" => args.stats = true,
-            "--stats-json" => args.stats_json = true,
             "--explain" => args.explain = true,
             "--profile" => args.profile = true,
             "--diag-json" => {
@@ -221,6 +221,9 @@ fn run(args: &Args) -> Result<(), String> {
         hints: args.hints,
     })
     .with_statistics(statistics);
+    // The record's latency spans compile, run and serialize, as a
+    // served request's does.
+    let started = Instant::now();
     let query = engine.compile(&query_source).map_err(|e| e.to_string())?;
     for rewrite in query.applied_rewrites() {
         eprintln!("rewrite: {rewrite}");
@@ -235,6 +238,7 @@ fn run(args: &Args) -> Result<(), String> {
         SerializeOptions::default()
     };
     println!("{}", serialize_sequence_with(&result, options));
+    let latency = started.elapsed();
     let profile = if args.profile || args.diag_json.is_some() {
         let p = ctx.take_profile().unwrap_or_default();
         if args.profile {
@@ -247,32 +251,23 @@ fn run(args: &Args) -> Result<(), String> {
     if args.stats {
         eprintln!("stats: {}", ctx.stats.snapshot());
     }
-    if args.stats_json {
-        let s = ctx.stats.snapshot();
-        match &profile {
-            Some(p) => eprintln!("{{\"stats\":{},\"profile\":{}}}", s.to_json(), p.to_json()),
-            None => eprintln!("{{\"stats\":{}}}", s.to_json()),
-        }
-    }
     if let Some(file) = &args.diag_json {
-        // One self-contained diagnostics object — the CLI's offline
-        // equivalent of a server-side flight record.
-        let rewrites = query
-            .applied_rewrites()
-            .iter()
-            .map(|r| format!("\"{}\"", xqa_engine::trace::json_escape(&r.to_string())))
-            .collect::<Vec<_>>()
-            .join(",");
-        let diag = format!(
-            "{{\"fingerprint\":\"{:016x}\",\"hints\":\"{}\",\"rewrites\":[{rewrites}],\
-             \"stats\":{},\"profile\":{},\"trace\":{}}}",
-            query.fingerprint(),
-            query.hints(),
-            ctx.stats.snapshot().to_json(),
-            profile.as_ref().expect("profiling enabled").to_json(),
-            query.trace_json(1),
+        // The record a server deposits for the same request: compiled
+        // now, buffered, never failed.
+        let record = FlightRecord::new(
+            QUERY_ID.to_string(),
+            &query_source,
+            Some((&query, false)),
+            QUERY_ID,
+            latency,
+            false,
+            Ok((
+                &ctx.stats.snapshot(),
+                profile.as_ref().expect("profiling enabled"),
+            )),
         );
-        std::fs::write(file, diag).map_err(|e| format!("cannot write {file}: {e}"))?;
+        std::fs::write(file, record.full_json())
+            .map_err(|e| format!("cannot write {file}: {e}"))?;
     }
     Ok(())
 }
@@ -288,7 +283,6 @@ struct ServeArgs {
     max_queue: usize,
     max_inflight_per_client: usize,
     max_requests_per_conn: usize,
-    slow_query_ms: Option<u64>,
     flight_recorder_capacity: usize,
     hints: PlanHints,
 }
@@ -305,7 +299,6 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
         max_queue: ServiceConfig::default().max_queue,
         max_inflight_per_client: ServiceConfig::default().max_inflight_per_client,
         max_requests_per_conn: ServiceConfig::default().max_requests_per_conn,
-        slow_query_ms: None,
         flight_recorder_capacity: ServiceConfig::default().flight_recorder_capacity,
         hints: PlanHints::default(),
     };
@@ -368,10 +361,6 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
                     return Err("--max-requests-per-conn must be at least 1".to_string());
                 }
             }
-            "--slow-query-ms" => {
-                let n = it.next().ok_or("--slow-query-ms requires a number")?;
-                args.slow_query_ms = Some(n.parse().map_err(|_| format!("invalid threshold {n}"))?);
-            }
             "--flight-recorder-capacity" => {
                 let n = it
                     .next()
@@ -423,7 +412,6 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
         max_queue: args.max_queue,
         max_inflight_per_client: args.max_inflight_per_client,
         max_requests_per_conn: args.max_requests_per_conn,
-        slow_query_ms: args.slow_query_ms,
         flight_recorder_capacity: args.flight_recorder_capacity,
         ..Default::default()
     };

@@ -16,6 +16,104 @@ fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
+/// The members of one JSON object, as (key, raw value text) in order:
+/// enough to compare records without a JSON library.
+fn json_members(object: &str) -> Vec<(String, String)> {
+    let mut members = Vec::new();
+    let (mut depth, mut in_string, mut escaped, mut start) = (0, false, false, 0);
+    for (i, c) in object.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => {
+                depth += 1;
+                if depth == 1 {
+                    start = i + 1;
+                }
+            }
+            '}' | ']' | ',' if depth == 1 => {
+                let (key, value) = object[start..i].split_once(':').expect("key: value");
+                members.push((key.trim().trim_matches('"').to_string(), value.to_string()));
+                start = i + 1;
+                if c != ',' {
+                    depth -= 1;
+                }
+            }
+            '}' | ']' => depth -= 1,
+            _ => {}
+        }
+    }
+    members
+}
+
+/// Start `xqa serve` on an ephemeral port over `documents`; returns
+/// the child and the address it prints once bound.
+fn spawn_serve(documents: &[String]) -> (std::process::Child, String) {
+    use std::io::{BufRead, BufReader};
+    let mut child = xqa()
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(documents)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn xqa serve");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("child stdout"))
+        .read_line(&mut line)
+        .expect("read listen line");
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .expect("listen line")
+        .to_string();
+    (child, addr)
+}
+
+/// Send one raw request that asks for `Connection: close`; returns the
+/// status line and the body, reassembled when it arrived chunked.
+fn http(addr: &str, raw: &str) -> std::io::Result<(String, String)> {
+    use std::io::Read;
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.write_all(raw.as_bytes())?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    let (head, body) = response.split_once("\r\n\r\n").unwrap_or(("", ""));
+    let status = head.lines().next().unwrap_or("").to_string();
+    if !head
+        .to_ascii_lowercase()
+        .contains("transfer-encoding: chunked")
+    {
+        return Ok((status, body.to_string()));
+    }
+    let mut out = String::new();
+    let mut rest = body;
+    while let Some((size_line, after)) = rest.split_once("\r\n") {
+        let size = usize::from_str_radix(size_line.trim(), 16).expect("chunk size");
+        if size == 0 {
+            break;
+        }
+        out.push_str(&after[..size]);
+        rest = &after[size + 2..];
+    }
+    Ok((status, out))
+}
+
+/// A POST of `query` to `/query` carrying `X-Request-Id: id`.
+fn post_request(query: &str, id: &str) -> String {
+    format!(
+        "POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\nX-Request-Id: {id}\r\n\
+         Content-Length: {}\r\n\r\n{query}",
+        query.len()
+    )
+}
+
 #[test]
 fn inline_query_against_input_file() {
     let input = write_temp(
@@ -245,9 +343,6 @@ fn collection_registration() {
 /// one document on both sides.
 #[test]
 fn serve_answers_queries_like_one_shot_runs() {
-    use std::io::{BufRead, BufReader, Read};
-    use std::net::TcpStream;
-
     let input = write_temp(
         "serve-bib.xml",
         "<bib><book><publisher>A</publisher><price>1</price></book>\
@@ -288,64 +383,95 @@ fn serve_answers_queries_like_one_shot_runs() {
     let expected: Vec<String> = queries.iter().map(|q| one_shot(q)).collect();
     assert_eq!(expected[1..], ["true", "true"]);
 
-    let mut child = xqa()
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-        .args(&documents)
-        .stdout(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn xqa serve");
-    // The server prints "listening on HOST:PORT" once bound.
-    let mut line = String::new();
-    BufReader::new(child.stdout.take().expect("child stdout"))
-        .read_line(&mut line)
-        .expect("read listen line");
-    let addr = line
-        .trim()
-        .strip_prefix("listening on ")
-        .expect("listen line")
-        .to_string();
-
-    let post = |query: &str| -> std::io::Result<String> {
-        let mut stream = TcpStream::connect(&addr)?;
-        use std::io::Write as _;
-        write!(
-            stream,
-            "POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
-             Content-Length: {}\r\n\r\n{query}",
-            query.len()
-        )?;
-        let mut response = String::new();
-        stream.read_to_string(&mut response)?;
-        Ok(response)
-    };
-    let served: std::io::Result<Vec<String>> = queries.iter().map(|q| post(q)).collect();
+    let (mut child, addr) = spawn_serve(&documents);
+    let served: std::io::Result<Vec<(String, String)>> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| http(&addr, &post_request(q, &format!("q{i}"))))
+        .collect();
     let _ = child.kill();
     let _ = child.wait();
 
-    for (response, expected) in served.expect("queries over HTTP").iter().zip(&expected) {
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        let (head, body) = response.split_once("\r\n\r\n").unwrap_or(("", ""));
-        // Streamed responses arrive chunked; reassemble the payload.
-        let body = if head
-            .to_ascii_lowercase()
-            .contains("transfer-encoding: chunked")
-        {
-            let mut out = String::new();
-            let mut rest = body;
-            while let Some((size_line, after)) = rest.split_once("\r\n") {
-                let size = usize::from_str_radix(size_line.trim(), 16).expect("chunk size");
-                if size == 0 {
-                    break;
-                }
-                out.push_str(&after[..size]);
-                rest = &after[size + 2..];
-            }
-            out
-        } else {
-            body.to_string()
-        };
-        assert_eq!(&body, expected);
+    for ((status, body), expected) in served.expect("queries over HTTP").iter().zip(&expected) {
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}: {body}");
+        assert_eq!(body, expected);
     }
+}
+
+/// `--diag-json` writes the record `GET /debug/query/<id>` serves: for
+/// one FLWOR query over one document, the same keys, plan fingerprint,
+/// rewrite kinds and pipeline signatures.
+#[test]
+fn the_cli_record_is_the_served_record() {
+    let input = write_temp(
+        "record.xml",
+        "<r><order><lineitem><shipmode>AIR</shipmode></lineitem>\
+         <lineitem><shipmode>RAIL</shipmode></lineitem></order>\
+         <order><lineitem><shipmode>AIR</shipmode></lineitem></order></r>",
+    );
+    let path = input.to_str().expect("utf-8 temp path");
+    let query = "for $m in distinct-values(//order/lineitem/shipmode) \
+                 let $items := for $li in //order/lineitem where $li/shipmode = $m return $li \
+                 order by string($m) \
+                 return <g>{string($m)}:{count($items)}</g>";
+    let diag = write_temp("record-diag.json", "");
+    let out = xqa()
+        .args(["-q", query, "-i", path, "--diag-json"])
+        .arg(&diag)
+        .output()
+        .expect("run xqa");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let cli = json_members(&std::fs::read_to_string(&diag).expect("diag file"));
+
+    let (mut child, addr) = spawn_serve(&["-i".to_string(), path.to_string()]);
+    let posted = http(&addr, &post_request(query, "r"));
+    let record = http(
+        &addr,
+        "GET /debug/query/r HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    let _ = child.kill();
+    let _ = child.wait();
+    let (status, body) = posted.expect("POST /query");
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}: {body}");
+    let (status, record) = record.expect("GET /debug/query/r");
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}: {record}");
+    let served = json_members(&record);
+
+    let keys = |members: &[(String, String)]| -> Vec<String> {
+        let mut keys: Vec<String> = members.iter().map(|(key, _)| key.clone()).collect();
+        keys.sort();
+        keys
+    };
+    assert_eq!(keys(&cli), keys(&served));
+    assert_eq!(cli.len(), 14, "{cli:?}");
+    let value = |members: &[(String, String)], key: &str| -> String {
+        members
+            .iter()
+            .find_map(|(k, v)| (k == key).then(|| v.clone()))
+            .unwrap_or_else(|| panic!("no {key} in {members:?}"))
+    };
+    for key in ["fingerprint", "rewrites"] {
+        assert_eq!(value(&cli, key), value(&served, key), "{key}");
+    }
+    assert!(value(&cli, "rewrites").contains("join-unnest"), "{cli:?}");
+    let signatures = |members: &[(String, String)]| -> Vec<String> {
+        value(members, "profile")
+            .split("\"signature\":")
+            .skip(1)
+            .map(|rest| {
+                rest.split(",\"executions\":")
+                    .next()
+                    .unwrap_or("")
+                    .to_string()
+            })
+            .collect()
+    };
+    assert!(!signatures(&cli).is_empty(), "{cli:?}");
+    assert_eq!(signatures(&cli), signatures(&served));
 }
 
 #[test]
@@ -388,7 +514,7 @@ fn hint_flag_controls_unnesting() {
     // The CLI builds catalog statistics from the input, so without a
     // hint the planner unnests too.
     assert!(run(&[]).contains("[hash join"), "no hint must unnest");
-    // --diag-json records the hints.
+    // --diag-json records the hints in the compile event.
     let diag = write_temp("diag.json", "");
     let out = xqa()
         .args([
@@ -403,10 +529,11 @@ fn hint_flag_controls_unnesting() {
         .expect("run xqa");
     assert!(out.status.success());
     let diag = std::fs::read_to_string(&diag).expect("diag file");
-    assert!(
-        diag.contains("\"hints\":\"join=nested,access=walk\""),
-        "{diag}"
-    );
+    let trace = json_members(&diag)
+        .into_iter()
+        .find_map(|(key, value)| (key == "compile_trace").then_some(value))
+        .unwrap_or_else(|| panic!("no compile_trace: {diag}"));
+    assert!(trace.contains("hints [join=nested,access=walk]"), "{trace}");
     // A malformed --hint is a usage error, on run and on serve.
     for args in [
         vec!["-q", "1", "--hint", "join=sideways"],
@@ -421,8 +548,8 @@ fn hint_flag_controls_unnesting() {
 
 /// The paper query of the `explain analyze` group/top-k golden, profiled
 /// through the CLI: at `--threads` 1 and 4 the `explain analyze` block
-/// is the engine's golden file, byte for byte, and the `--stats-json`
-/// line that follows it names every operator of the pipeline.
+/// is the engine's golden file, byte for byte, and the `--diag-json`
+/// record's profile names every operator of the pipeline.
 #[test]
 fn profiled_paper_query_matches_the_explain_analyze_golden() {
     let query = "(for $x in 1 to 50 count $c let $m := $x mod 5 where $c le 40 \
@@ -430,32 +557,25 @@ fn profiled_paper_query_matches_the_explain_analyze_golden() {
                  order by count($xs) descending, number($k) \
                  return at $r <g r=\"{$r}\">{$k}:{count($xs)}</g>)[position() le 3]";
     let golden = include_str!("../../engine/tests/golden/explain_analyze_group_topk.txt");
+    let diag = write_temp("golden-diag.json", "");
     for threads in ["1", "4"] {
         let out = xqa()
-            .args([
-                "-q",
-                query,
-                "--profile",
-                "--stats-json",
-                "--deterministic-clock",
-            ])
-            .args(["--threads", threads])
+            .args(["-q", query, "--profile", "--deterministic-clock"])
+            .args(["--threads", threads, "--diag-json"])
+            .arg(&diag)
             .output()
             .expect("run xqa");
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         assert!(out.status.success(), "{stderr}");
-        let (text, json) = stderr
-            .trim_end()
-            .rsplit_once('\n')
-            .unwrap_or_else(|| panic!("no stats line: {stderr}"));
-        let at = text
+        let at = stderr
             .find("explain analyze:")
             .unwrap_or_else(|| panic!("no explain analyze: {stderr}"));
-        assert_eq!(format!("{}\n", &text[at..]), golden, "threads={threads}");
-        assert!(
-            json.starts_with("{\"stats\":") && json.contains("\"profile\":"),
-            "{json}"
-        );
+        assert_eq!(&stderr[at..], golden, "threads={threads}");
+        let record = std::fs::read_to_string(&diag).expect("diag file");
+        let json = json_members(&record)
+            .into_iter()
+            .find_map(|(key, value)| (key == "profile").then_some(value))
+            .unwrap_or_else(|| panic!("no profile: {record}"));
         for op in [
             "ForScan",
             "CountBind",

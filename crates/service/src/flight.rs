@@ -4,12 +4,17 @@
 //! Every completed request — success or error — deposits one
 //! [`FlightRecord`] carrying its request id, plan fingerprint, latency,
 //! stats snapshot, per-FLWOR profile and worst cardinality misestimate.
+//! The record is the one diagnostics shape of a query run: built by
+//! [`FlightRecord::new`] and rendered by [`FlightRecord::full_json`]
+//! for `GET /debug/query/<id>` and for `xqa run --diag-json` alike.
 //! The ring keeps the last `capacity` records (oldest evicted first);
 //! records for the *same plan shape* additionally fold into a
 //! [`PlanAggregate`] keyed by the plan fingerprint, so `/debug/plans`
 //! can answer "which plan shapes dominate service time, and how wrong
 //! were their cardinality estimates" long after the individual records
-//! have been evicted.
+//! have been evicted. At most `capacity` aggregates are held too: a new
+//! fingerprint at the bound evicts the one with the least cumulative
+//! latency, which `/debug/plans` ranks last.
 //!
 //! Recording takes two short `Mutex` sections (ring push, aggregate
 //! fold) over pre-rendered strings — no serialization happens under a
@@ -21,9 +26,11 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::metrics::LatencyHistogram;
 use xqa_engine::trace::json_escape;
+use xqa_engine::{EvalStatsSnapshot, PreparedQuery, QueryProfile};
 
 /// Everything the recorder retains about one completed request.
 #[derive(Debug, Clone)]
@@ -91,7 +98,7 @@ fn rewrites_json(rewrites: &[String]) -> String {
 const MAX_QUERY_CHARS: usize = 200;
 
 /// Truncate `query` to the recorder's retention cap.
-pub fn truncate_query(query: &str) -> String {
+fn truncate_query(query: &str) -> String {
     if query.chars().count() <= MAX_QUERY_CHARS {
         return query.to_string();
     }
@@ -99,6 +106,62 @@ pub fn truncate_query(query: &str) -> String {
 }
 
 impl FlightRecord {
+    /// The record of one query run, for the server and the CLI alike.
+    /// `plan` is the compiled plan and whether it came from the plan
+    /// cache (`None` when the query never compiled); a plan compiled
+    /// for this run contributes its compile trace, stamped `trace_id`.
+    /// `run` is the finished run's stats and profile, or its error and
+    /// the tuples it had emitted before failing.
+    pub fn new(
+        request_id: String,
+        query: &str,
+        plan: Option<(&PreparedQuery, bool)>,
+        trace_id: u64,
+        latency: Duration,
+        streamed: bool,
+        run: Result<(&EvalStatsSnapshot, &QueryProfile), (String, u64)>,
+    ) -> FlightRecord {
+        // Rewrite kinds in firing order, each once: a property of the
+        // plan shape, so cache hits carry them too.
+        let mut rewrites: Vec<String> = Vec::new();
+        for note in plan.map_or(&[][..], |(p, _)| p.applied_rewrites()) {
+            let kind = note.kind.as_str();
+            if !rewrites.iter().any(|k| k == kind) {
+                rewrites.push(kind.to_string());
+            }
+        }
+        let trace_json = match plan {
+            Some((p, false)) => p.trace_json(trace_id),
+            _ => "[]".to_string(),
+        };
+        let (error, tuples, worst_q_error, stats_json, profile_json) = match run {
+            Ok((stats, profile)) => (
+                None,
+                stats.tuples_produced,
+                profile.worst_misestimate().map(|m| m.q_error),
+                Some(stats.to_json()),
+                Some(profile.to_json()),
+            ),
+            Err((error, tuples)) => (Some(error), tuples, None, None, None),
+        };
+        FlightRecord {
+            request_id,
+            fingerprint: plan.map(|(p, _)| p.fingerprint()),
+            query: truncate_query(query),
+            ok: error.is_none(),
+            error,
+            cached_plan: plan.is_some_and(|(_, cached)| cached),
+            streamed,
+            latency_us: latency.as_micros() as u64,
+            tuples,
+            worst_q_error,
+            stats_json,
+            profile_json,
+            trace_json,
+            rewrites,
+        }
+    }
+
     /// The compact one-line JSON used by `/debug/queries`.
     fn summary_json(&self) -> String {
         let mut out = format!("{{\"request_id\":\"{}\"", json_escape(&self.request_id));
@@ -118,10 +181,11 @@ impl FlightRecord {
         out
     }
 
-    /// The full JSON used by `/debug/query/<id>`: the summary fields
-    /// plus the stats snapshot, the profile and any compile-phase
-    /// trace events.
-    fn full_json(&self) -> String {
+    /// The full JSON served by `/debug/query/<id>` and written by
+    /// `xqa run --diag-json`: the summary fields plus the error, the
+    /// stats snapshot, the profile, the compile trace and the rewrite
+    /// kinds.
+    pub fn full_json(&self) -> String {
         let mut out = self.summary_json();
         out.pop(); // reopen the summary object
         match &self.error {
@@ -274,6 +338,18 @@ impl FlightRecorder {
         }
         if let Some(fp) = record.fingerprint {
             let mut plans = self.plans.lock().expect("flight plans poisoned");
+            if plans.len() >= self.capacity && !plans.contains_key(&fp) {
+                // Make room by dropping the aggregate `/debug/plans`
+                // ranks last: least cumulative latency, then highest
+                // fingerprint.
+                let lightest = plans
+                    .iter()
+                    .min_by(|a, b| a.1.total_us.cmp(&b.1.total_us).then(b.0.cmp(a.0)))
+                    .map(|(fp, _)| *fp);
+                if let Some(lightest) = lightest {
+                    plans.remove(&lightest);
+                }
+            }
             plans
                 .entry(fp)
                 .or_insert_with(|| PlanAggregate::new(record.query.clone()))
@@ -303,7 +379,8 @@ impl FlightRecorder {
         self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Distinct plan fingerprints aggregated so far.
+    /// Distinct plan fingerprints whose aggregates are held (at most
+    /// the capacity).
     pub fn fingerprint_count(&self) -> usize {
         self.plans.lock().expect("flight plans poisoned").len()
     }
@@ -493,24 +570,35 @@ mod tests {
     }
 
     #[test]
+    fn plan_aggregates_are_bounded_by_the_capacity() {
+        let recorder = FlightRecorder::new(4);
+        for fp in 1..=10u64 {
+            recorder.record(record(&fp.to_string(), fp, fp * 100, None));
+        }
+        assert_eq!(recorder.fingerprint_count(), 4);
+        let json = recorder.plans_json(10);
+        for fp in 1..=10u64 {
+            let held = json.contains(&format!("{fp:016x}"));
+            assert_eq!(held, fp > 6, "fingerprint {fp}: {json}");
+        }
+        // A fingerprint already held folds in without evicting anyone.
+        recorder.record(record("again", 7, 1, None));
+        assert_eq!(recorder.fingerprint_count(), 4);
+        assert!(recorder.plans_json(10).contains("\"count\":2"));
+    }
+
+    #[test]
     fn uncompiled_requests_land_in_the_ring_but_not_the_aggregates() {
         let recorder = FlightRecorder::new(4);
-        recorder.record(FlightRecord {
-            request_id: "bad".to_string(),
-            fingerprint: None,
-            query: "for $x in".to_string(),
-            ok: false,
-            error: Some("compile: unexpected end".to_string()),
-            cached_plan: false,
-            streamed: false,
-            latency_us: 7,
-            tuples: 0,
-            worst_q_error: None,
-            stats_json: None,
-            profile_json: None,
-            trace_json: "[]".to_string(),
-            rewrites: Vec::new(),
-        });
+        recorder.record(FlightRecord::new(
+            "bad".to_string(),
+            "for $x in",
+            None,
+            1,
+            Duration::from_micros(7),
+            false,
+            Err(("compile: unexpected end".to_string(), 0)),
+        ));
         assert_eq!(recorder.len(), 1);
         assert_eq!(recorder.fingerprint_count(), 0);
         let full = recorder.query_json("bad").unwrap();
@@ -522,6 +610,7 @@ mod tests {
         );
         assert!(full.contains("\"stats\":null"), "{full}");
         assert!(full.contains("\"profile\":null"), "{full}");
+        assert!(full.contains("\"compile_trace\":[]"), "{full}");
     }
 
     #[test]

@@ -305,7 +305,7 @@ pub fn finish_chunked(writer: &mut impl Write) -> std::io::Result<()> {
 }
 
 /// The value of query parameter `key` in a request target, if present
-/// (`/query?profile=true` → `Some("true")`). No percent-decoding; the
+/// (`/query?stream=false` → `Some("false")`). No percent-decoding; the
 /// server's parameters are plain tokens.
 pub fn query_param<'a>(target: &'a str, key: &str) -> Option<&'a str> {
     let (_, params) = target.split_once('?')?;

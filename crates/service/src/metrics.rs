@@ -240,7 +240,7 @@ static REGISTRY: &[Entry] = &[
     Family("xqa_flight_records", GAUGE, "Query records the flight recorder holds (DESIGN.md §14).",
         Int(|s| s.flight.len() as u64)),
     Family("xqa_plan_fingerprints", GAUGE,
-        "Distinct plan fingerprints the flight recorder has aggregated.",
+        "Plan fingerprints the flight recorder holds aggregates for (at most its capacity).",
         Int(|s| s.flight.fingerprint_count() as u64)),
     Family("xqa_op_tuples_total", COUNTER,
         "Tuples emitted per pipeline operator kind, from request profiles.",

@@ -4,15 +4,15 @@
 //! under `catch_unwind` so a panicking query isolates to its request
 //! instead of killing the worker (the panic is counted for `/metrics`).
 //! Since the keep-alive refactor a job is a whole *connection* (the
-//! server's per-socket request loop), not a single request, so the
-//! queue depth ([`ThreadPool::queued`]) counts accepted connections
-//! waiting for a worker — the signal the admission layer bounds.
+//! server's per-socket request loop), not a single request; the
+//! admission layer counts the connections waiting for a worker
+//! (`Admission::queue_depth`).
 //! Dropping the sender is the shutdown signal: workers drain the queue,
 //! see the channel disconnect, and exit, at which point
 //! [`ThreadPool::shutdown`] (or `Drop`) joins them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
@@ -23,7 +23,6 @@ pub struct ThreadPool {
     sender: Mutex<Option<mpsc::Sender<Job>>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
     panics: Arc<AtomicU64>,
-    queued: Arc<AtomicUsize>,
     size: usize,
 }
 
@@ -31,7 +30,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("size", &self.size)
-            .field("queued", &self.queued())
             .field("panics", &self.panic_count())
             .finish()
     }
@@ -44,15 +42,13 @@ impl ThreadPool {
         let (sender, receiver) = mpsc::channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
         let panics = Arc::new(AtomicU64::new(0));
-        let queued = Arc::new(AtomicUsize::new(0));
         let mut workers = Vec::with_capacity(size);
         for i in 0..size {
             let receiver = Arc::clone(&receiver);
             let panics = Arc::clone(&panics);
-            let queued = Arc::clone(&queued);
             let handle = thread::Builder::new()
                 .name(format!("{name}-{i}"))
-                .spawn(move || worker_loop(&receiver, &panics, &queued))
+                .spawn(move || worker_loop(&receiver, &panics))
                 .expect("spawn worker thread");
             workers.push(handle);
         }
@@ -60,7 +56,6 @@ impl ThreadPool {
             sender: Mutex::new(Some(sender)),
             workers: Mutex::new(workers),
             panics,
-            queued,
             size,
         }
     }
@@ -68,21 +63,9 @@ impl ThreadPool {
     /// Queue a job. Returns `false` if the pool is shutting down.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) -> bool {
         match &*self.sender.lock().expect("pool sender poisoned") {
-            Some(sender) => {
-                self.queued.fetch_add(1, Ordering::Relaxed);
-                let sent = sender.send(Box::new(job)).is_ok();
-                if !sent {
-                    self.queued.fetch_sub(1, Ordering::Relaxed);
-                }
-                sent
-            }
+            Some(sender) => sender.send(Box::new(job)).is_ok(),
             None => false,
         }
-    }
-
-    /// Jobs accepted but not yet picked up by a worker.
-    pub fn queued(&self) -> usize {
-        self.queued.load(Ordering::Relaxed)
     }
 
     /// Number of worker threads.
@@ -114,7 +97,7 @@ impl Drop for ThreadPool {
     }
 }
 
-fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>, panics: &AtomicU64, queued: &AtomicUsize) {
+fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>, panics: &AtomicU64) {
     loop {
         // Hold the lock only while waiting for a job, never while
         // running one, so other workers keep pulling.
@@ -124,7 +107,6 @@ fn worker_loop(receiver: &Mutex<mpsc::Receiver<Job>>, panics: &AtomicU64, queued
         };
         match job {
             Ok(job) => {
-                queued.fetch_sub(1, Ordering::Relaxed);
                 if catch_unwind(AssertUnwindSafe(job)).is_err() {
                     panics.fetch_add(1, Ordering::Relaxed);
                 }
@@ -185,28 +167,6 @@ mod tests {
         pool.execute(move || tx.send(42).unwrap());
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 42);
         assert_eq!(pool.panic_count(), 1);
-    }
-
-    #[test]
-    fn queue_depth_tracks_waiting_jobs() {
-        let pool = ThreadPool::new("t", 1);
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        // Occupy the single worker so further jobs sit in the queue.
-        pool.execute(move || {
-            let _ = gate_rx.recv_timeout(Duration::from_secs(10));
-        });
-        // Wait for the worker to pick the blocker up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.queued() != 0 && std::time::Instant::now() < deadline {
-            thread::yield_now();
-        }
-        for _ in 0..3 {
-            pool.execute(|| {});
-        }
-        assert_eq!(pool.queued(), 3);
-        gate_tx.send(()).unwrap();
-        pool.shutdown();
-        assert_eq!(pool.queued(), 0);
     }
 
     #[test]

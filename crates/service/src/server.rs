@@ -6,11 +6,11 @@
 //! POST /query               body = query text -> 200 chunked serialized sequence
 //!                                                400 {"error":{"kind":...,"message":...}}
 //! POST /query?stream=false  -> 200 buffered (Content-Length) response
-//! POST /query?profile=true  -> 200 {"request_id":...,"result":...,"stats":...,"profile":...}
 //! GET  /healthz             -> 200 "ok"
 //! GET  /metrics             -> 200 Prometheus-style text
 //! GET  /debug/queries       -> 200 flight-recorder ring, newest first
-//! GET  /debug/query/<id>    -> 200 one full record (profile, stats, compile trace)
+//! GET  /debug/query/<id>    -> 200 one full record (stats, profile, compile trace),
+//!                                  the shape `xqa run --diag-json` writes
 //! GET  /debug/plans         -> 200 per-plan-fingerprint aggregates
 //! ```
 //!
@@ -30,8 +30,8 @@
 //! the first result byte still produces an ordinary `400` JSON
 //! response; an error after bytes have left truncates the chunked body
 //! (no terminal chunk) and closes the connection, which is HTTP's
-//! mid-stream failure signal. `?stream=false`, `?profile=true` and
-//! HTTP/1.0 requests run the same way and collect the chunks into one
+//! mid-stream failure signal. `?stream=false` and HTTP/1.0 requests
+//! run the same way and collect the chunks into one
 //! body: nothing has reached the socket when an error surfaces, so any
 //! run-time error is an ordinary `400`.
 //!
@@ -44,13 +44,12 @@
 //! Completed requests fold their stats snapshot into a service-wide
 //! totals block that `/metrics` reads. Plans come from the LRU
 //! [`PlanCache`]; rewrite-fired counters bump only on cache misses so
-//! one compilation is counted exactly once. Every response carries an
-//! `X-Request-Id` header — the client's own, when it sent one — and
-//! queries slower than the configured threshold land in a slow-query
-//! log on stderr. Completed requests also deposit a record in the
-//! [`FlightRecorder`] behind the `/debug/*` endpoints: plan
-//! fingerprint, latency, stats, the per-FLWOR profile and the worst
-//! cardinality misestimate, aggregated per plan shape.
+//! one compilation is counted exactly once. Every request is profiled,
+//! and every response carries an `X-Request-Id` header — the client's
+//! own, when it sent one — under which the completed request's record
+//! waits in the [`FlightRecorder`] behind the `/debug/*` endpoints:
+//! plan fingerprint, latency, stats, the per-FLWOR profile and the
+//! worst cardinality misestimate, aggregated per plan shape.
 //!
 //! [`EvalStats`]: xqa_engine::EvalStats
 //! [`DynamicContext`]: xqa_engine::DynamicContext
@@ -64,13 +63,14 @@ use std::time::{Duration, Instant};
 
 use xqa_engine::trace::json_escape;
 use xqa_engine::{
-    Engine, EngineOptions, EvalStats, EvalStatsSnapshot, OpKind, QueryProfile, RewriteKind,
+    Engine, EngineOptions, EvalStats, EvalStatsSnapshot, OpKind, PreparedQuery, QueryProfile,
+    RewriteKind,
 };
 
 use crate::admission::{Admission, AdmissionGuard, ShedReason};
 use crate::cache::PlanCache;
 use crate::catalog::DocumentCatalog;
-use crate::flight::{self, FlightRecord, FlightRecorder};
+use crate::flight::{FlightRecord, FlightRecorder};
 use crate::http::{self, Request, RequestError};
 use crate::metrics::{self, Metrics};
 use crate::pool::ThreadPool;
@@ -98,9 +98,6 @@ pub struct ServiceConfig {
     pub max_queue: usize,
     /// Admitted connections allowed per client IP at once.
     pub max_inflight_per_client: usize,
-    /// Log queries slower than this many milliseconds to stderr
-    /// (`None` disables the slow-query log).
-    pub slow_query_ms: Option<u64>,
     /// Completed-query records retained by the flight recorder
     /// (`0` disables recording).
     pub flight_recorder_capacity: usize,
@@ -117,7 +114,6 @@ impl Default for ServiceConfig {
             max_requests_per_conn: 1000,
             max_queue: 128,
             max_inflight_per_client: 64,
-            slow_query_ms: None,
             flight_recorder_capacity: 256,
         }
     }
@@ -142,7 +138,6 @@ pub(crate) struct Shared {
     next_request_id: AtomicU64,
     /// The always-on flight recorder behind the `/debug/*` endpoints.
     pub(crate) flight: FlightRecorder,
-    slow_query_ms: Option<u64>,
     pub(crate) pool: ThreadPool,
     pub(crate) started: Instant,
     /// Bounded admission + per-client quotas (see [`Admission`]).
@@ -208,7 +203,6 @@ impl Server {
             rewrites_fired: std::array::from_fn(|_| AtomicU64::new(0)),
             next_request_id: AtomicU64::new(0),
             flight: FlightRecorder::new(config.flight_recorder_capacity),
-            slow_query_ms: config.slow_query_ms,
             pool: ThreadPool::new("xqa-worker", workers),
             started: Instant::now(),
             admission: Admission::new(workers, config.max_queue, config.max_inflight_per_client),
@@ -433,7 +427,6 @@ struct QueryOutcome {
     body: Option<String>,
     stats: EvalStatsSnapshot,
     profile: QueryProfile,
-    streamed: bool,
 }
 
 /// How a query request failed, split by how much of the response had
@@ -487,24 +480,13 @@ fn handle_query(
     let seq = shared.next_request_id.fetch_add(1, Ordering::Relaxed) + 1;
     let request_id = client_request_id(request).unwrap_or_else(|| seq.to_string());
     Metrics::bump(&shared.metrics.query_requests);
-    let want_profile = matches!(
-        http::query_param(&request.target, "profile"),
-        Some("true") | Some("1")
-    );
-    // Stream unless the client opted out, asked for the profile
-    // envelope, or speaks HTTP/1.0 (chunked framing needs 1.1).
-    let want_stream = request.minor_version >= 1
-        && !want_profile
-        && http::query_param(&request.target, "stream") != Some("false");
-    // The compile trace, rendered for the flight record only when this
-    // request compiled the plan: a cache hit records `[]`.
-    let mut trace_json: Option<String> = None;
-    // (fingerprint, served-from-cache) once the plan exists — survives
-    // into the flight record even when the run itself fails.
-    let mut plan_meta: Option<(u64, bool)> = None;
-    // Rewrite kinds recorded on the plan (cache hits included): a
-    // property of the plan shape, retained by the flight recorder.
-    let mut plan_rewrites: Vec<String> = Vec::new();
+    // Stream unless the client opted out or speaks HTTP/1.0 (chunked
+    // framing needs 1.1).
+    let want_stream =
+        request.minor_version >= 1 && http::query_param(&request.target, "stream") != Some("false");
+    // (plan, served-from-cache) once the plan exists — survives into
+    // the flight record even when the run itself fails.
+    let mut compiled: Option<(Arc<PreparedQuery>, bool)> = None;
     let id_header: [(&str, &str); 1] = [("X-Request-Id", &request_id)];
     let outcome: Result<QueryOutcome, QueryFailure> = (|| {
         let query = std::str::from_utf8(&request.body)
@@ -513,21 +495,12 @@ fn handle_query(
             .cache
             .get_or_compile_status(&shared.engine, query)
             .map_err(|e| QueryFailure::early("compile", e.to_string()))?;
-        plan_meta = Some((plan.fingerprint(), !compiled_now));
-        for note in plan.applied_rewrites() {
-            let kind = note.kind.as_str().to_string();
-            if !plan_rewrites.contains(&kind) {
-                plan_rewrites.push(kind);
-            }
-        }
+        compiled = Some((Arc::clone(&plan), !compiled_now));
         if compiled_now {
             // Count each rewrite once per compilation, not per request:
             // cache hits reuse the plan without re-firing anything.
             for note in plan.applied_rewrites() {
                 shared.rewrites_fired[note.kind as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            if shared.flight.enabled() {
-                trace_json = Some(plan.trace_json(seq));
             }
         }
         // Fresh context per request: stats and the operator profile
@@ -577,7 +550,6 @@ fn handle_query(
                         body: None,
                         stats,
                         profile,
-                        streamed: true,
                     })
                 }
                 Err(xqa_engine::StreamError::BeforeFirstItem(e)) => {
@@ -615,101 +587,55 @@ fn handle_query(
                 body: Some(body),
                 stats,
                 profile,
-                streamed: false,
             })
         }
     })();
     let elapsed = start.elapsed();
     shared.metrics.query_latency.record(elapsed);
     if shared.flight.enabled() {
-        let (error, streamed, tuples) = match &outcome {
-            Ok(o) => (None, o.streamed, o.stats.tuples_produced),
+        let (streamed, run) = match &outcome {
+            Ok(o) => (o.body.is_none(), Ok((&o.stats, &o.profile))),
             Err(QueryFailure::Early { kind, message }) => {
-                (Some(format!("{kind}: {message}")), false, 0)
+                (false, Err((format!("{kind}: {message}"), 0)))
             }
             Err(QueryFailure::MidStream { message, items }) => (
-                Some(format!("runtime (mid-stream): {message}")),
                 true,
-                *items,
+                Err((format!("runtime (mid-stream): {message}"), *items)),
             ),
-            Err(QueryFailure::Sink { message }) => (Some(format!("sink: {message}")), true, 0),
+            Err(QueryFailure::Sink { message }) => (true, Err((format!("sink: {message}"), 0))),
         };
-        let run = outcome.as_ref().ok();
-        let record = FlightRecord {
-            request_id: request_id.clone(),
-            fingerprint: plan_meta.map(|(fp, _)| fp),
-            query: flight::truncate_query(&String::from_utf8_lossy(&request.body)),
-            ok: error.is_none(),
-            error,
-            cached_plan: plan_meta.is_some_and(|(_, cached)| cached),
+        shared.flight.record(FlightRecord::new(
+            request_id.clone(),
+            &String::from_utf8_lossy(&request.body),
+            compiled.as_ref().map(|(plan, cached)| (&**plan, *cached)),
+            seq,
+            elapsed,
             streamed,
-            latency_us: elapsed.as_micros() as u64,
-            tuples,
-            worst_q_error: run
-                .and_then(|o| o.profile.worst_misestimate())
-                .map(|m| m.q_error),
-            stats_json: run.map(|o| o.stats.to_json()),
-            profile_json: run.map(|o| o.profile.to_json()),
-            trace_json: trace_json.unwrap_or_else(|| "[]".to_string()),
-            rewrites: plan_rewrites,
-        };
-        shared.flight.record(record);
+            run,
+        ));
     }
-    let id_json = json_escape(&request_id);
     match outcome {
         Ok(outcome) => {
             Metrics::bump(&shared.metrics.query_ok);
-            if outcome.streamed {
-                Metrics::bump(&shared.metrics.streamed_responses);
-            }
-            if let Some(threshold_ms) = shared.slow_query_ms {
-                let ms = elapsed.as_millis() as u64;
-                if ms >= threshold_ms {
-                    eprintln!(
-                        "[xqa-service] slow query #{request_id}: {ms}ms (threshold {threshold_ms}ms) \
-                         tuples_produced={} query={}",
-                        outcome.stats.tuples_produced,
-                        truncate_for_log(&String::from_utf8_lossy(&request.body)),
-                    );
-                }
-            }
             match outcome.body {
                 // Already streamed out chunk by chunk; nothing to write.
-                None => keep_alive,
-                Some(body) if want_profile => {
-                    let body = format!(
-                        "{{\"request_id\":\"{id_json}\",\"result\":\"{}\",\"stats\":{},\"profile\":{}}}",
-                        json_escape(&body),
-                        outcome.stats.to_json(),
-                        outcome.profile.to_json()
-                    );
-                    respond_with(
-                        stream,
-                        200,
-                        "application/json",
-                        &id_header,
-                        body.as_bytes(),
-                        keep_alive,
-                    );
-                    keep_alive
-                }
-                Some(body) => {
-                    respond_with(
-                        stream,
-                        200,
-                        "application/xml; charset=utf-8",
-                        &id_header,
-                        body.as_bytes(),
-                        keep_alive,
-                    );
-                    keep_alive
-                }
+                None => Metrics::bump(&shared.metrics.streamed_responses),
+                Some(body) => respond_with(
+                    stream,
+                    200,
+                    "application/xml; charset=utf-8",
+                    &id_header,
+                    body.as_bytes(),
+                    keep_alive,
+                ),
             }
+            keep_alive
         }
         Err(QueryFailure::Early { kind, message }) => {
             Metrics::bump(&shared.metrics.query_errors);
             let body = format!(
-                "{{\"request_id\":\"{id_json}\",\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
+                "{{\"request_id\":\"{}\",\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
+                json_escape(&request_id),
                 json_escape(&kind),
                 json_escape(&message)
             );
@@ -740,16 +666,6 @@ fn handle_query(
             false
         }
     }
-}
-
-/// One log-friendly line of query text (whitespace collapsed, capped).
-fn truncate_for_log(query: &str) -> String {
-    const MAX: usize = 120;
-    let mut flat: String = query.split_whitespace().collect::<Vec<_>>().join(" ");
-    if flat.chars().count() > MAX {
-        flat = flat.chars().take(MAX).collect::<String>() + "...";
-    }
-    flat
 }
 
 fn respond_text(stream: &mut impl Write, status: u16, body: &str, keep_alive: bool) {

@@ -92,7 +92,7 @@ fn header_value(head: &str, header: &str) -> Option<String> {
     })
 }
 
-/// The flat `"stats":{...}` object embedded in a profiled response.
+/// The flat `"stats":{...}` object embedded in a flight record.
 fn stats_object(body: &str) -> &str {
     let start = body.find("\"stats\":{").expect("stats object") + "\"stats\":".len();
     let end = body[start..].find('}').expect("stats closes") + start + 1;
@@ -269,25 +269,31 @@ fn concurrent_profiled_requests_report_disjoint_stats() {
 
     // Solo baselines: with a fresh context per request, a query's stats
     // depend only on the query, so a concurrent run must reproduce them
-    // exactly — any cross-request bleed shows up as a diff.
+    // exactly — any cross-request bleed shows up as a diff. Each
+    // request's stats and profile are read back from its flight record.
     let queries = [GROUPBY_QUERY, RANK_QUERY];
+    let record = |id: &str| {
+        let (status, body) = get(addr, &format!("/debug/query/{id}"));
+        assert_eq!(status, 200, "{body}");
+        body
+    };
     let baselines: Vec<(String, String)> = queries
         .iter()
         .map(|q| {
-            let (_, (status, body)) = post_query_at(addr, "/query?profile=true", q);
+            let (head, (status, body)) = post_query_at(addr, "/query", q);
             assert_eq!(status, 200, "{body}");
-            (stats_object(&body).to_string(), body)
+            let record = record(&header_value(&head, "X-Request-Id").expect("request id"));
+            (stats_object(&record).to_string(), record)
         })
         .collect();
 
-    let heads_and_bodies: Vec<(usize, String, String)> = std::thread::scope(|s| {
+    let heads: Vec<(usize, String)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..8)
             .map(|i| {
                 s.spawn(move || {
-                    let (head, (status, body)) =
-                        post_query_at(addr, "/query?profile=true", queries[i % 2]);
+                    let (head, (status, body)) = post_query_at(addr, "/query", queries[i % 2]);
                     assert_eq!(status, 200, "{body}");
-                    (i % 2, head, body)
+                    (i % 2, head)
                 })
             })
             .collect();
@@ -295,33 +301,29 @@ fn concurrent_profiled_requests_report_disjoint_stats() {
     });
 
     let mut seen_ids = std::collections::HashSet::new();
-    for (which, head, body) in &heads_and_bodies {
+    for (which, head) in &heads {
+        let id = header_value(head, "X-Request-Id").expect("request id header");
         assert_eq!(
-            stats_object(body),
+            stats_object(&record(&id)),
             baselines[*which].0,
             "stats interleaved for query {which}"
         );
-        let id: u64 = header_value(head, "X-Request-Id")
-            .expect("request id header")
-            .parse()
-            .expect("numeric request id");
+        let id: u64 = id.parse().expect("numeric request id");
         assert!(seen_ids.insert(id), "request id {id} reused");
     }
 
-    // The profiled body names the pipeline operators and carries the
-    // serialized result alongside.
-    let groupby_body = &baselines[0].1;
+    // The record's profile names the pipeline operators.
+    let groupby_record = &baselines[0].1;
     for op in ["ForScan", "GroupConsume", "OrderBy", "ReturnAt"] {
         assert!(
-            groupby_body.contains(&format!("\"op\":\"{op}\"")),
-            "{op} missing in {groupby_body}"
+            groupby_record.contains(&format!("\"op\":\"{op}\"")),
+            "{op} missing in {groupby_record}"
         );
     }
     assert!(
-        groupby_body.contains("\"request_id\":\"1\""),
-        "{groupby_body}"
+        groupby_record.contains("\"request_id\":\"1\""),
+        "{groupby_record}"
     );
-    assert!(groupby_body.contains("\"result\":\""), "{groupby_body}");
 
     server.shutdown();
 }

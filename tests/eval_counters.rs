@@ -1,6 +1,6 @@
 //! The evaluator counters as callers see them through the `xqa`
 //! facade: the exact JSON renderings (key order included) that the
-//! flight recorder, `--stats-json` and the ledger read, and the
+//! flight record (served and `--diag-json`) and the ledger read, and the
 //! generated operations (`add_snapshot`, `snapshot`, `delta`,
 //! `fields`, the `--stats` line) checked field by field through
 //! `fields()`, so a newly declared counter is covered without an edit.

@@ -2,8 +2,8 @@
 //! query (see `corpus/mod.rs`) under each hint cell the differential
 //! suites loop over, at `threads` 1 and 4, the plan signature of every
 //! pipeline in the run's profile is a `pipeline:` line of the same
-//! plan's `explain()`, and the `--stats-json` document of the run is
-//! well-formed JSON. Every run outside the `implicit-groupby=on` cell
+//! plan's `explain()`, and the run's flight record (what `--diag-json`
+//! writes) is well-formed JSON. Every run outside the `implicit-groupby=on` cell
 //! also has one outcome, the serialized result or the error code: the
 //! one the first cell gives at threads 1.
 //!
@@ -13,8 +13,10 @@
 mod corpus;
 
 use std::sync::Arc;
+use std::time::Duration;
 use xqa::xdm::ErrorCode;
 use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions, PreparedQuery};
+use xqa_service::FlightRecord;
 
 /// What a run gives: its serialized result, or its error code.
 type Outcome = Result<String, ErrorCode>;
@@ -44,15 +46,20 @@ fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> ([usize;
             "{what}: profile signature `{signature}` is no pipeline line of\n{explain}"
         );
     }
-    let json = format!(
-        "{{\"stats\":{},\"profile\":{}}}",
-        ctx.stats.snapshot().to_json(),
-        profile.to_json()
-    );
+    let json = FlightRecord::new(
+        "1".to_string(),
+        what,
+        Some((plan, false)),
+        1,
+        Duration::ZERO,
+        false,
+        Ok((&ctx.stats.snapshot(), &profile)),
+    )
+    .full_json();
     if let Err(at) = json_well_formed(&json) {
         let shown = at.saturating_sub(60);
         panic!(
-            "{what}: stats JSON is malformed at byte {at}: …{}",
+            "{what}: record JSON is malformed at byte {at}: …{}",
             &json[shown..]
         );
     }
