@@ -300,7 +300,6 @@ fn ablation() {
 fn topk(sizes: &[usize]) {
     const K: usize = 10;
     println!("== Top-k rank: streaming heap vs full sort (k = {K}) ==\n");
-    println!("intra-query threads: {}", xqa::resolve_threads(0));
     let query = format!(
         "(for $li in //order/lineitem \
           order by number($li/extendedprice) descending \

@@ -59,15 +59,12 @@ options:
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --threads N           intra-query parallelism: worker threads for
-                            eligible FLWORs (default: all cores;
-                            1 = serial)
+                            eligible FLWORs (default 1 = serial)
       --hint K=V[,K=V...]   pin planner decisions (hints below)
   -h, --help                show this help
 serve options:
       --addr HOST:PORT      bind address (default 127.0.0.1:8399)
       --workers N           worker threads (default: one per core)
-      --query-threads N     intra-query parallelism per request (default:
-                            all cores; 1 = serial)
       --cache-size N        prepared-plan cache capacity (default 128)
       --max-queue N         admitted connections allowed to wait for a
                             worker beyond the workers themselves; excess
@@ -278,7 +275,6 @@ struct ServeArgs {
     docs: Vec<(String, String)>,
     collections: Vec<(String, Vec<String>)>,
     workers: usize,
-    query_threads: usize,
     cache_size: usize,
     max_queue: usize,
     max_inflight_per_client: usize,
@@ -294,7 +290,6 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
         docs: Vec::new(),
         collections: Vec::new(),
         workers: 0,
-        query_threads: 0,
         cache_size: 128,
         max_queue: ServiceConfig::default().max_queue,
         max_inflight_per_client: ServiceConfig::default().max_inflight_per_client,
@@ -325,13 +320,6 @@ fn parse_serve_args(raw: impl Iterator<Item = String>) -> Result<ServeArgs, Stri
             "--workers" => {
                 let n = it.next().ok_or("--workers requires a number")?;
                 args.workers = n.parse().map_err(|_| format!("invalid worker count {n}"))?;
-            }
-            "--query-threads" => {
-                let n = it.next().ok_or("--query-threads requires a number")?;
-                args.query_threads = n.parse().map_err(|_| format!("invalid thread count {n}"))?;
-                if args.query_threads == 0 {
-                    return Err("--query-threads must be at least 1".to_string());
-                }
             }
             "--cache-size" => {
                 let n = it.next().ok_or("--cache-size requires a number")?;
@@ -406,8 +394,8 @@ fn serve(args: &ServeArgs) -> Result<(), String> {
         workers: args.workers,
         plan_cache_capacity: args.cache_size,
         engine_options: EngineOptions {
-            threads: args.query_threads,
             hints: args.hints,
+            ..Default::default()
         },
         max_queue: args.max_queue,
         max_inflight_per_client: args.max_inflight_per_client,

@@ -43,9 +43,9 @@
 #![warn(missing_docs)]
 
 pub use xqa_engine::{
-    resolve_threads, Clock, DynamicContext, Engine, EngineError, EngineOptions, EngineResult,
-    EvalStats, EvalStatsSnapshot, Focus, MonotonicClock, OpKind, PlanHints, PreparedQuery,
-    QueryProfile, RewriteKind, RewriteNote, TickClock,
+    Clock, DynamicContext, Engine, EngineError, EngineOptions, EngineResult, EvalStats,
+    EvalStatsSnapshot, Focus, MonotonicClock, OpKind, PlanHints, PreparedQuery, QueryProfile,
+    RewriteKind, RewriteNote, TickClock,
 };
 pub use xqa_xmlparse::{
     parse_document, parse_document_with, parse_fragment, serialize_node, serialize_node_with,

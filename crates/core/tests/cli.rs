@@ -296,6 +296,78 @@ fn help_and_unknown_flags() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// Intra-query parallelism is opt-in: without `--threads` the grouped
+/// query's plan carries no `[parallel` tag, `--threads 2` adds it, and
+/// the plan fingerprint is the same at every thread count.
+#[test]
+fn parallelism_is_opt_in() {
+    let grouped = "for $x in 1 to 5000 group by $x mod 2 into $k nest $x into $xs \
+                   return count($xs)";
+    let run = |threads: &[&str]| {
+        let diag = write_temp(&format!("opt-in-{}.json", threads.join("")), "");
+        let out = xqa()
+            .args(["--explain", "-q", grouped, "--diag-json"])
+            .arg(&diag)
+            .args(threads)
+            .output()
+            .expect("run xqa");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let record = std::fs::read_to_string(&diag).expect("read diag json");
+        let fingerprint = json_members(&record)
+            .into_iter()
+            .find(|(k, _)| k == "fingerprint")
+            .expect("fingerprint")
+            .1;
+        (
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+            fingerprint,
+        )
+    };
+    let (serial, print) = run(&[]);
+    assert!(!serial.contains("[parallel"), "{serial}");
+    let (two, _) = run(&["--threads", "2"]);
+    assert!(two.contains("[parallel ×2]"), "{two}");
+    for threads in [["--threads", "1"], ["--threads", "4"]] {
+        assert_eq!(run(&threads).1, print, "fingerprint at {threads:?}");
+    }
+}
+
+/// `xqa serve` runs every plan serially and has no second thread knob.
+#[test]
+fn serve_runs_plans_serially() {
+    let (mut child, addr) = spawn_serve(&[]);
+    let metrics = http(
+        &addr,
+        "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+    );
+    let _ = child.kill();
+    let _ = child.wait();
+    let (status, body) = metrics.expect("GET /metrics");
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    for sample in ["xqa_workers 2", "xqa_query_threads 1"] {
+        assert!(
+            body.lines().any(|l| l == sample),
+            "{sample} missing:\n{body}"
+        );
+    }
+    let out = xqa()
+        .args([
+            "serve",
+            "--query-threads",
+            "2",
+            "-i",
+            "/nonexistent/nope.xml",
+        ])
+        .output()
+        .expect("run xqa serve");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--query-threads"));
+}
+
 #[test]
 fn no_input_document_queries_still_work() {
     let out = xqa()

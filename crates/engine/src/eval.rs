@@ -120,8 +120,8 @@ pub(crate) struct Interpreter<'a> {
     /// context stats once at pipeline close, so `--stats` totals don't
     /// interleave mid-query across parallel workers.
     pub(crate) stats: &'a EvalStats,
-    /// Threads a parallel-eligible FLWOR may use: the query's degree
-    /// of parallelism, resolved once for the run. 1 in forked workers,
+    /// Threads a parallel-eligible FLWOR may use: the query's requested
+    /// degree of parallelism, serial at 1 or below. 1 in forked workers,
     /// so nested FLWORs inside a parallel region run serially instead
     /// of oversubscribing.
     pub(crate) threads: usize,
@@ -140,7 +140,7 @@ impl<'a> Interpreter<'a> {
             globals: Vec::new(),
             depth: Cell::new(0),
             stats: &dynamic.stats,
-            threads: crate::resolve_threads(query.threads),
+            threads: query.threads,
         };
         for g in &query.globals {
             let mut env = Env::new(g.frame_size, initial_focus(dynamic));
@@ -482,70 +482,13 @@ impl<'a> Interpreter<'a> {
             },
             PathStartIr::Expr(e) => self.eval(e, env)?,
         };
-        let mut steps = p.steps.as_slice();
-        if p.access != AccessPathIr::Walk {
-            if let Some((first, rest)) = steps.split_first() {
-                current = self.eval_indexed_step(&p.access, first, current, env)?;
-                steps = rest;
-            }
-        }
-        for step in steps {
-            current = self.eval_step(step, current, env)?;
+        // The access path annotates the leading step only.
+        let mut access = &p.access;
+        for step in &p.steps {
+            current = self.eval_step(step, access, current, env)?;
+            access = &AccessPathIr::Walk;
         }
         Ok(current)
-    }
-
-    /// Evaluate an index-annotated leading step. Resolution is decided
-    /// per context item: items whose document has a registered store
-    /// (and whose index can answer exactly) are served from postings /
-    /// the value index, everything else tree-walks — so mixed inputs
-    /// and store-less documents stay byte-identical to the walk.
-    fn eval_indexed_step(
-        &self,
-        access: &AccessPathIr,
-        step: &StepIr,
-        input: Sequence,
-        env: &mut Env,
-    ) -> EngineResult<Sequence> {
-        let StepIr::Axis {
-            axis: Axis::Descendant,
-            test,
-            predicates,
-        } = step
-        else {
-            // The annotation only ever lands on descendant axis steps;
-            // anything else means a stale plan — walk it.
-            return self.eval_step(step, input, env);
-        };
-        let NodeTestIr::Name(name) = test else {
-            return self.eval_step(step, input, env);
-        };
-        let mut out: Vec<Item> = Vec::new();
-        for item in &input {
-            let node = match item {
-                Item::Node(n) => n,
-                Item::Atomic(_) => {
-                    return Err(EngineError::dynamic(
-                        ErrorCode::XPTY0004,
-                        "axis step applied to an atomic value",
-                    ))
-                }
-            };
-            let start = out.len();
-            match self.index_candidates(access, name, node) {
-                Some(nodes) => {
-                    self.stats.scan_index_hits.add(1);
-                    self.stats.scan_index_tuples.add(nodes.len() as u64);
-                    out.extend(nodes.into_iter().map(Item::Node));
-                }
-                None => self.axis_nodes(Axis::Descendant, node, test, &mut out),
-            }
-            // Residual predicates always re-run on the candidates (the
-            // index prefilters; the walk semantics decide).
-            self.filter_tail(&mut out, start, predicates, env)?;
-        }
-        dedup_sort_document_order(&mut out);
-        Ok(out.into())
     }
 
     /// The index-resolved candidates for one origin node, or `None`
@@ -584,7 +527,19 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    fn eval_step(&self, step: &StepIr, input: Sequence, env: &mut Env) -> EngineResult<Sequence> {
+    /// Evaluate one step from every node of `input`. Under an index
+    /// `access` a `descendant::Name` step is resolved per origin: one
+    /// whose document has a registered store (and whose index can
+    /// answer exactly) is served from postings / the value index,
+    /// every other one tree-walks, so mixed inputs and store-less
+    /// documents stay byte-identical to the walk.
+    fn eval_step(
+        &self,
+        step: &StepIr,
+        access: &AccessPathIr,
+        input: Sequence,
+        env: &mut Env,
+    ) -> EngineResult<Sequence> {
         match step {
             StepIr::Axis {
                 axis,
@@ -601,6 +556,11 @@ impl<'a> Interpreter<'a> {
                     self.axis_nodes(*axis, node, test, &mut out);
                     return Ok(out.build());
                 }
+                let indexed = match (access, axis, test) {
+                    (AccessPathIr::Walk, ..) => None,
+                    (_, Axis::Descendant, NodeTestIr::Name(name)) => Some(name),
+                    _ => None,
+                };
                 let mut out: Vec<Item> = Vec::new();
                 for item in &input {
                     let node = match item {
@@ -613,7 +573,17 @@ impl<'a> Interpreter<'a> {
                         }
                     };
                     let start = out.len();
-                    self.axis_nodes(*axis, node, test, &mut out);
+                    match indexed.and_then(|name| self.index_candidates(access, name, node)) {
+                        Some(nodes) => {
+                            self.stats.scan_index_hits.add(1);
+                            self.stats.scan_index_tuples.add(nodes.len() as u64);
+                            out.extend(nodes.into_iter().map(Item::Node));
+                        }
+                        None => self.axis_nodes(*axis, node, test, &mut out),
+                    }
+                    // Residual predicates always re-run on index
+                    // candidates (the index prefilters; the walk
+                    // semantics decide).
                     self.filter_tail(&mut out, start, predicates, env)?;
                 }
                 dedup_sort_document_order(&mut out);

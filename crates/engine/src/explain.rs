@@ -11,13 +11,13 @@ use crate::profile::QueryProfile;
 use std::fmt::Write;
 
 /// Render a whole compiled query. Eligible FLWOR pipelines are
-/// annotated `[parallel ×N]` with the thread count the query would
-/// resolve at run time.
+/// annotated `[parallel ×N]` when the query asks for more than one
+/// thread.
 pub fn explain_query(query: &CompiledQuery) -> String {
-    render(query, crate::resolve_threads(query.threads))
+    render(query, query.threads)
 }
 
-/// [`explain_query`] as if the query resolved to `threads` threads.
+/// [`explain_query`] as if the query asked for `threads` threads.
 fn render(query: &CompiledQuery, threads: usize) -> String {
     let mut out = String::new();
     for (i, g) in query.globals.iter().enumerate() {
@@ -350,7 +350,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
     let join_tag = op
         .join
         .as_ref()
-        .map(|j| format!(" [hash join {}]", j.key_desc))
+        .map(|j| format!(" [hash join {}]", j.key_desc()))
         .unwrap_or_default();
     match &op.clause {
         ClauseIr::For {
@@ -451,8 +451,8 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
 
 /// Render the operator plan as a `->` chain of [`OpIr::label`]s ending
 /// in the `ReturnAt` sink: operators without a tag stream tuples
-/// batch-at-a-time. A chain that is parallel-eligible and would resolve
-/// to more than one thread gets a `[parallel ×N]` suffix.
+/// batch-at-a-time. A chain that is parallel-eligible and runs at more
+/// than one thread gets a `[parallel ×N]` suffix.
 fn render_plan(f: &FlworIr, threads: usize) -> String {
     let mut plan: String = f.ops.iter().map(|op| op.label() + " -> ").collect();
     plan.push_str(&OpKind::ReturnAt.label(""));
@@ -571,19 +571,49 @@ mod tests {
         };
         let grouped = "for $x in 1 to 10 group by $x mod 2 into $k nest $x into $xs \
                        return count($xs)";
-        let prints: Vec<u64> = [1, 2, 4]
+        let prints: Vec<u64> = [0, 1, 2, 4]
             .iter()
             .map(|&threads| prepare(grouped, threads, "").fingerprint())
             .collect();
-        assert_eq!(prints, [prints[0]; 3]);
+        assert_eq!(prints, [prints[0]; 4]);
         assert!(prepare(grouped, 4, "").explain().contains("[parallel ×4]"));
         assert!(!prepare(grouped, 1, "").explain().contains("[parallel"));
+        assert!(!prepare(grouped, 0, "").explain().contains("[parallel"));
         let joined = "for $a in distinct-values((1, 2, 2)) \
                       let $m := for $y in (1, 2, 3) where $y = $a return $y \
                       return count($m)";
         assert_ne!(
             prepare(joined, 4, "join=hash").fingerprint(),
             prepare(joined, 4, "join=nested").fingerprint()
+        );
+    }
+
+    #[test]
+    fn default_options_run_serially_and_more_threads_exchange() {
+        let grouped = "for $x in 1 to 5000 group by $x mod 2 into $k nest $x into $xs \
+                       return count($xs)";
+        let workers = |options: crate::EngineOptions| {
+            let mut ctx = crate::DynamicContext::new();
+            ctx.enable_profiling();
+            crate::Engine::with_options(options)
+                .compile(grouped)
+                .and_then(|plan| plan.run(&ctx))
+                .expect("run");
+            let profile = ctx.take_profile().expect("profiling was enabled");
+            let workers: Vec<u64> = profile.pipelines.iter().map(|p| p.workers).collect();
+            assert!(!workers.is_empty(), "no pipeline recorded");
+            workers
+        };
+        assert!(workers(crate::EngineOptions::default())
+            .iter()
+            .all(|&w| w == 1));
+        let two = crate::EngineOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        assert!(
+            workers(two).contains(&2),
+            "the exchange is unreachable at threads 2"
         );
     }
 

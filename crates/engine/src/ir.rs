@@ -289,7 +289,7 @@ impl OpIr {
     /// counted nests as `agg count($v)`; else empty.
     pub fn detail(&self) -> String {
         if let Some(j) = &self.join {
-            return j.key_desc.clone();
+            return j.key_desc();
         }
         match &self.clause {
             ClauseIr::OrderBy(OrderByIr { limit: Some(k), .. }) => format!("limit={k}"),
@@ -442,9 +442,54 @@ pub struct JoinIr {
     /// XPTY0004 on more), `false` for a general comparison (`=`,
     /// existential over both atomized sequences).
     pub value_comp: bool,
-    /// Human-readable `probe ~ build` key description for explain
-    /// output and rewrite notes.
-    pub key_desc: String,
+}
+
+impl JoinIr {
+    /// The `key=probe ~ build` description explain output and rewrite
+    /// notes print.
+    pub fn key_desc(&self) -> String {
+        format!(
+            "key={} {} {}",
+            expr_oneline(&self.probe_key),
+            if self.value_comp { "eq" } else { "=" },
+            expr_oneline(&self.build_key)
+        )
+    }
+}
+
+/// A compact one-line rendering of a join key expression for rewrite
+/// notes and the `[hash join key=…]` explain tag.
+fn expr_oneline(ir: &Ir) -> String {
+    match ir {
+        Ir::Var(s) => format!("$slot{s}"),
+        Ir::Global(g) => format!("$global{g}"),
+        Ir::ContextItem => ".".to_string(),
+        Ir::Str(s) => format!("{s:?}"),
+        Ir::Int(v) => v.to_string(),
+        Ir::Dec(d) => d.to_string(),
+        Ir::Dbl(v) => v.to_string(),
+        Ir::Path(p) => {
+            let mut out = match &p.start {
+                PathStartIr::Context => String::new(),
+                PathStartIr::Root => "/".to_string(),
+                PathStartIr::Expr(e) => expr_oneline(e),
+            };
+            for step in &p.steps {
+                if !out.is_empty() && !out.ends_with('/') {
+                    out.push('/');
+                }
+                match step {
+                    StepIr::Axis {
+                        test: NodeTestIr::Name(q),
+                        ..
+                    } => out.push_str(&q.to_string()),
+                    _ => out.push_str("step()"),
+                }
+            }
+            out
+        }
+        _ => "expr()".to_string(),
+    }
 }
 
 /// The output shape of an unnested join.
@@ -810,7 +855,7 @@ pub struct CompiledQuery {
     /// the engine always produces the ordered result).
     pub ordered: bool,
     /// Requested degree of intra-query parallelism, copied from
-    /// [`crate::EngineOptions::threads`] (0 = resolve once per run).
+    /// [`crate::EngineOptions::threads`] (1 or below = serial).
     pub threads: usize,
 }
 

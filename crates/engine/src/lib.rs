@@ -55,29 +55,15 @@ use xqa_xdm::Sequence;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EngineOptions {
     /// Degree of intra-query parallelism for the streaming pipeline.
-    /// `0` (the default) resolves through [`resolve_threads`] to
-    /// `std::thread::available_parallelism`. `1` runs the whole
-    /// pipeline on the calling thread. Values above 1 split an
-    /// outermost `for` binding sequence of more than one morsel across
-    /// that many scoped worker threads (the same operators, one breaker
-    /// partial per worker, merged); output is byte-identical to serial.
+    /// `0` (the default) and `1` run the whole pipeline on the calling
+    /// thread. Values above 1 split an outermost `for` binding sequence
+    /// of more than one morsel across that many scoped worker threads
+    /// (the same operators, one breaker partial per worker, merged);
+    /// output is byte-identical to serial.
     pub threads: usize,
     /// Pins on the planner's decisions (see [`PlanHints`]); none by
     /// default.
     pub hints: PlanHints,
-}
-
-/// Resolve a requested degree of parallelism to an effective thread
-/// count: an explicit `requested > 0` wins, then
-/// [`std::thread::available_parallelism`] (or 1 if unavailable). The
-/// default is a property of the machine, so it is worked out once per
-/// process.
-pub fn resolve_threads(requested: usize) -> usize {
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    if requested > 0 {
-        return requested;
-    }
-    *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// The kind of optimizer rewrite a [`RewriteNote`] records. The wire

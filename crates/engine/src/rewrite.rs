@@ -883,7 +883,7 @@ fn unnest_joins(root: &mut Ir, cx: &mut Cx<'_>) {
                     JoinKindIr::LetMany { slot, .. } => format!("let slot{slot} binding"),
                     JoinKindIr::ExistsSemi => "existential filter".to_string(),
                 },
-                join.key_desc,
+                join.key_desc(),
             ));
             op.join = Some(join);
         }
@@ -948,12 +948,6 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>, cx: &Cx<'_>) -> Option<J
     {
         return None;
     }
-    let key_desc = format!(
-        "key={} {} {}",
-        expr_oneline(probe_key),
-        if eq.value_comp { "eq" } else { "=" },
-        expr_oneline(build_key)
-    );
     Some(JoinIr {
         kind: join.kind,
         build_slot: join.y,
@@ -962,7 +956,6 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>, cx: &Cx<'_>) -> Option<J
         build_key: build_key.clone(),
         probe_key: probe_key.clone(),
         value_comp: eq.value_comp,
-        key_desc,
     })
 }
 
@@ -990,41 +983,6 @@ fn rebuild_safe(ir: &Ir) -> bool {
             | Ir::Pi(..)
             | Ir::CallUser(..)
     ) && child_irs_ref(ir).into_iter().all(rebuild_safe)
-}
-
-/// A compact one-line rendering of a join key expression for rewrite
-/// notes and the `[hash join key=…]` explain tag.
-fn expr_oneline(ir: &Ir) -> String {
-    match ir {
-        Ir::Var(s) => format!("$slot{s}"),
-        Ir::Global(g) => format!("$global{g}"),
-        Ir::ContextItem => ".".to_string(),
-        Ir::Str(s) => format!("{s:?}"),
-        Ir::Int(v) => v.to_string(),
-        Ir::Dec(d) => d.to_string(),
-        Ir::Dbl(v) => v.to_string(),
-        Ir::Path(p) => {
-            let mut out = match &p.start {
-                PathStartIr::Context => String::new(),
-                PathStartIr::Root => "/".to_string(),
-                PathStartIr::Expr(e) => expr_oneline(e),
-            };
-            for step in &p.steps {
-                if !out.is_empty() && !out.ends_with('/') {
-                    out.push('/');
-                }
-                match step {
-                    StepIr::Axis {
-                        test: NodeTestIr::Name(q),
-                        ..
-                    } => out.push_str(&q.to_string()),
-                    _ => out.push_str("step()"),
-                }
-            }
-            out
-        }
-        _ => "expr()".to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -62,9 +62,9 @@ pub struct DocumentCatalog {
     /// Parsed files by canonicalized path: a path repeated across (or
     /// within) collection lists parses once and shares one `Arc`.
     file_cache: HashMap<String, Arc<Document>>,
-    /// Indexed stores built by [`DocumentCatalog::build_indexes`],
-    /// keyed by document serial.
-    stores: HashMap<u64, Arc<DocumentStore>>,
+    /// Indexed stores built by [`DocumentCatalog::build_indexes`], one
+    /// per distinct document.
+    stores: Vec<Arc<DocumentStore>>,
     statistics: Option<Arc<CatalogStatistics>>,
 }
 
@@ -177,39 +177,19 @@ impl DocumentCatalog {
 
     /// Build an indexed [`DocumentStore`] for every distinct document
     /// in the catalog (context document, named documents, collection
-    /// members — deduplicated by document identity) and derive the
-    /// catalog-wide [`CatalogStatistics`] the planner consults.
-    /// Subsequent [`DocumentCatalog::new_context`] calls register the
-    /// stores so queries can take the index access path. Returns the
-    /// statistics; calling again without mutations is a no-op rebuild.
+    /// members), through a fresh context's
+    /// [`DynamicContext::index_documents`], and derive the catalog-wide
+    /// [`CatalogStatistics`] the planner consults. Subsequent
+    /// [`DocumentCatalog::new_context`] calls register the stores so
+    /// queries can take the index access path. Returns the statistics;
+    /// calling again rebuilds every store.
     pub fn build_indexes(&mut self) -> Arc<CatalogStatistics> {
-        let mut docs: Vec<Arc<Document>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut push = |doc: &Arc<Document>| {
-            if seen.insert(doc.serial()) {
-                docs.push(Arc::clone(doc));
-            }
-        };
-        if let Some(doc) = &self.context {
-            push(doc);
-        }
-        for (_, doc) in &self.documents {
-            push(doc);
-        }
-        for (_, members) in &self.collections {
-            for doc in members {
-                push(doc);
-            }
-        }
-        self.stores = docs
-            .iter()
-            .map(|doc| {
-                let store = Arc::new(DocumentStore::build(doc));
-                (doc.serial(), store)
-            })
-            .collect();
+        self.stores.clear();
+        let mut ctx = self.new_context();
+        ctx.index_documents();
+        self.stores = ctx.stores().cloned().collect();
         let stats = Arc::new(CatalogStatistics::from_stores(
-            self.stores.values().map(Arc::as_ref),
+            self.stores.iter().map(Arc::as_ref),
         ));
         self.statistics = Some(Arc::clone(&stats));
         stats
@@ -236,7 +216,7 @@ impl DocumentCatalog {
 
     /// Total estimated index heap footprint across built stores.
     pub fn index_bytes(&self) -> u64 {
-        self.stores.values().map(|s| s.index_bytes()).sum()
+        self.stores.iter().map(|s| s.index_bytes()).sum()
     }
 
     /// Build a fresh [`DynamicContext`] over the catalog's documents.
@@ -254,7 +234,7 @@ impl DocumentCatalog {
         for (name, docs) in &self.collections {
             ctx.register_collection(name.clone(), docs.iter().map(|d| d.root()).collect());
         }
-        for store in self.stores.values() {
+        for store in &self.stores {
             ctx.register_store(Arc::clone(store));
         }
         ctx

@@ -189,8 +189,8 @@ static REGISTRY: &[Entry] = &[
     Family("xqa_workers", GAUGE, "Worker threads serving connections (`--workers`).",
         Int(|s| s.pool.size() as u64)),
     Family("xqa_query_threads", GAUGE,
-        "Intra-query parallelism every plan runs at (`--query-threads`).",
-        Int(|s| s.engine.options().threads as u64)),
+        "Intra-query parallelism every plan runs at (1 = serial).",
+        Int(|s| s.engine.options().threads.max(1) as u64)),
     Family("xqa_worker_panics_total", COUNTER,
         "Connection jobs that panicked and were isolated by the pool.",
         Int(|s| s.pool.panic_count())),

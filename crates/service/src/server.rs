@@ -82,7 +82,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Maximum number of cached prepared plans.
     pub plan_cache_capacity: usize,
-    /// Options for the engine compiling every query.
+    /// Options for the engine compiling every query, used as given:
+    /// every plan runs at `engine_options.threads` (serial by default).
     pub engine_options: EngineOptions,
     /// Per-read deadline once a request has started arriving (keeps a
     /// slow-loris client from pinning a worker; expiry answers `408`).
@@ -188,13 +189,7 @@ impl Server {
         let mut catalog = catalog.clone();
         let statistics = catalog.build_indexes();
         let shared = Arc::new(Shared {
-            // The degree of parallelism is resolved here, once: every
-            // plan runs at the value `/metrics` reports.
-            engine: Engine::with_options(EngineOptions {
-                threads: xqa_engine::resolve_threads(config.engine_options.threads),
-                ..config.engine_options
-            })
-            .with_statistics(statistics),
+            engine: Engine::with_options(config.engine_options).with_statistics(statistics),
             cache: PlanCache::new(config.plan_cache_capacity),
             catalog,
             metrics: Metrics::new(),
