@@ -349,7 +349,7 @@ fn topk(sizes: &[usize]) {
         fast.run(&ctx).expect("profiled run");
         if let Some(profile) = ctx.take_profile() {
             println!("per-operator profile ({size} lineitems, streaming):");
-            println!("{}", fast.explain_analyze(&profile));
+            println!("{}", fast.explain_analyze(&profile, &ctx.stats.snapshot()));
         }
     }
 }

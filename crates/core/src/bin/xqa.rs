@@ -239,7 +239,7 @@ fn run(args: &Args) -> Result<(), String> {
     let profile = if args.profile || args.diag_json.is_some() {
         let p = ctx.take_profile().unwrap_or_default();
         if args.profile {
-            eprint!("{}", query.explain_analyze(&p));
+            eprint!("{}", query.explain_analyze(&p, &ctx.stats.snapshot()));
         }
         Some(p)
     } else {

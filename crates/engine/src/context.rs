@@ -86,11 +86,6 @@ macro_rules! eval_counters {
                 }
             }
 
-            /// Add `other`'s counters into this snapshot.
-            pub(crate) fn accumulate(&mut self, other: &EvalStatsSnapshot) {
-                $(self.$field += other.$field;)*
-            }
-
             /// Every declared counter, in declaration order: `(field
             /// name, exported /metrics name, help text, value)`.
             pub fn fields(

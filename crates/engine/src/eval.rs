@@ -61,8 +61,8 @@ pub fn execute_streaming(
     })
 }
 
-/// Wrap one evaluation in the per-run sequence-copy drain and profiler
-/// delta bookkeeping shared by the materializing and streaming paths.
+/// Wrap one evaluation in the per-run sequence-copy drain shared by the
+/// materializing and streaming paths.
 fn with_run_accounting<T>(
     dynamic: &DynamicContext,
     run: impl FnOnce() -> EngineResult<T>,
@@ -71,16 +71,10 @@ fn with_run_accounting<T>(
     // (compile-time constant folding, earlier runs on this thread) so
     // the per-run totals cover this evaluation alone.
     let _ = xqa_xdm::take_seq_counters();
-    let before = dynamic.profiler().map(|_| dynamic.stats.snapshot());
     let result = run();
     let (copied, shared) = xqa_xdm::take_seq_counters();
     dynamic.stats.seq_items_copied.add(copied);
     dynamic.stats.seq_clones_shared.add(shared);
-    // The stats delta (not the local drain alone) also covers counts
-    // parallel workers merged in through their per-worker sinks.
-    if let (Some(profiler), Some(before)) = (dynamic.profiler(), before) {
-        profiler.add_stats(&dynamic.stats.snapshot().delta(&before));
-    }
     result
 }
 

@@ -5,6 +5,7 @@
 //! single scan feeding one `GroupBy`, while the `Q` plan is a
 //! `distinct-values` scan with a *nested re-scan per tuple*.
 
+use crate::context::EvalStatsSnapshot;
 use crate::functions;
 use crate::ir::*;
 use crate::profile::QueryProfile;
@@ -39,8 +40,9 @@ fn render(query: &CompiledQuery, threads: usize) -> String {
 
 /// Render a measured profile as `explain analyze` text: every executed
 /// pipeline with per-operator batch/tuple counts and self time, next to
-/// the plan's `[heap]` / `[materializes]` tags.
-pub fn explain_analyze(profile: &QueryProfile) -> String {
+/// the plan's `[heap]` / `[materializes]` tags, then the run's sequence
+/// copy and index scan counters from `stats`.
+pub fn explain_analyze(profile: &QueryProfile, stats: &EvalStatsSnapshot) -> String {
     let mut out = String::from("explain analyze:\n");
     if profile.is_empty() {
         out.push_str("  (no streaming pipeline executed)\n");
@@ -76,14 +78,12 @@ pub fn explain_analyze(profile: &QueryProfile) -> String {
     let _ = writeln!(
         out,
         "seq copies: items_copied={} clones_shared={}",
-        profile.stats.seq_items_copied, profile.stats.seq_clones_shared
+        stats.seq_items_copied, stats.seq_clones_shared
     );
     let _ = writeln!(
         out,
         "index scans: hits={} index_tuples={} walk_tuples={}",
-        profile.stats.scan_index_hits,
-        profile.stats.scan_index_tuples,
-        profile.stats.scan_walk_tuples
+        stats.scan_index_hits, stats.scan_index_tuples, stats.scan_walk_tuples
     );
     if let Some(m) = profile.worst_misestimate() {
         let _ = writeln!(

@@ -239,13 +239,9 @@ impl PreparedQuery {
     /// instead of materializing the full result sequence. Returns the
     /// total number of items handed to the sink.
     ///
-    /// The error tells the caller exactly how far the stream got: a
-    /// [`StreamError::BeforeFirstItem`] means nothing reached the sink
-    /// (the caller may still produce an ordinary error response), while
-    /// [`StreamError::MidStream`] / [`StreamError::Sink`] mean output
-    /// was already handed over and the transport must signal truncation
-    /// itself (e.g. by closing a chunked HTTP response without the
-    /// terminal chunk).
+    /// A failure reports what failed (the query or the sink) and how
+    /// many items the sink had accepted. What that means for a client
+    /// is the transport's call: only it knows which bytes went out.
     pub fn run_streaming(
         &self,
         ctx: &DynamicContext,
@@ -262,7 +258,7 @@ impl PreparedQuery {
                 Err(e) => {
                     // Remember the transport failure and abort the
                     // pipeline through the engine's error channel; the
-                    // classification below turns it back into `Sink`.
+                    // match below turns it back into `Sink`.
                     sink_error = Some(e);
                     Err(EngineError::dynamic(
                         xqa_xdm::ErrorCode::Other,
@@ -277,9 +273,8 @@ impl PreparedQuery {
                 error: sink_error.expect("sink error recorded"),
                 items_emitted: emitted,
             }),
-            Err(e) if emitted == 0 => Err(StreamError::BeforeFirstItem(e)),
-            Err(e) => Err(StreamError::MidStream {
-                error: e,
+            Err(error) => Err(StreamError::Engine {
+                error,
                 items_emitted: emitted,
             }),
         }
@@ -344,34 +339,30 @@ impl PreparedQuery {
     }
 
     /// Render a measured profile (from a profiling-enabled run of this
-    /// query) as `explain analyze` text.
-    pub fn explain_analyze(&self, profile: &QueryProfile) -> String {
-        explain::explain_analyze(profile)
+    /// query) and the run's evaluator counters as `explain analyze`
+    /// text.
+    pub fn explain_analyze(&self, profile: &QueryProfile, stats: &EvalStatsSnapshot) -> String {
+        explain::explain_analyze(profile, stats)
     }
 }
 
-/// How far a streaming run ([`PreparedQuery::run_streaming`] /
-/// [`PreparedQuery::run_serialized`]) got before failing. The serving
-/// layer branches on this: before the first item it can still send an
-/// ordinary error response; after, it can only truncate the stream.
+/// Why a streaming run ([`PreparedQuery::run_streaming`] /
+/// [`PreparedQuery::run_serialized`]) stopped, and how many items the
+/// sink had accepted by then.
 #[derive(Debug)]
 pub enum StreamError {
-    /// The query failed before any item reached the sink; nothing has
-    /// been written and a normal error response is still possible.
-    BeforeFirstItem(EngineError),
-    /// The query failed after `items_emitted` items were handed over;
-    /// the transport must signal truncation to the client.
-    MidStream {
+    /// The query raised an error.
+    Engine {
         /// The engine error that aborted the pipeline.
         error: EngineError,
-        /// Items already delivered to the sink before the failure.
+        /// Items delivered to the sink before the failure.
         items_emitted: u64,
     },
     /// The sink itself failed (e.g. the client hung up mid-response).
     Sink {
         /// The I/O error the sink returned.
         error: std::io::Error,
-        /// Items already delivered to the sink before the failure.
+        /// Items delivered to the sink before the failure.
         items_emitted: u64,
     },
 }
@@ -379,8 +370,7 @@ pub enum StreamError {
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamError::BeforeFirstItem(e) => write!(f, "{e}"),
-            StreamError::MidStream {
+            StreamError::Engine {
                 error,
                 items_emitted,
             } => write!(f, "{error} (after {items_emitted} items streamed)"),

@@ -14,7 +14,6 @@
 //! executions. The profile renders as `explain analyze` text or
 //! machine-readable JSON.
 
-use crate::context::EvalStatsSnapshot;
 use crate::ir::OpKind;
 use crate::trace::json_escape;
 use std::fmt::Write as _;
@@ -230,25 +229,9 @@ impl PipelineProfile {
 pub struct QueryProfile {
     /// Pipelines in first-completion order.
     pub pipelines: Vec<PipelineProfile>,
-    /// What every evaluator counter gained over the profiled run(s).
-    pub stats: EvalStatsSnapshot,
 }
 
 impl QueryProfile {
-    /// The counters of [`QueryProfile::stats`] that [`to_json`]
-    /// renders, as top-level keys in declaration order.
-    ///
-    /// [`to_json`]: QueryProfile::to_json
-    const JSON_COUNTERS: [&'static str; 7] = [
-        "seq_items_copied",
-        "seq_clones_shared",
-        "scan_index_hits",
-        "scan_index_tuples",
-        "scan_walk_tuples",
-        "expr_compiled",
-        "expr_fallback",
-    ];
-
     /// Whether any pipeline was recorded.
     pub fn is_empty(&self) -> bool {
         self.pipelines.is_empty()
@@ -284,16 +267,8 @@ impl QueryProfile {
             ),
             None => "null".to_string(),
         };
-        // The profile's schema carries only `JSON_COUNTERS`; the full
-        // snapshot travels next to it as `stats`.
-        let mut counters = String::new();
-        for (name, _, _, value) in self.stats.fields() {
-            if Self::JSON_COUNTERS.contains(&name) {
-                let _ = write!(counters, "\"{name}\":{value},");
-            }
-        }
         format!(
-            "{{\"pipelines\":[{}],{counters}\"worst_misestimate\":{}}}",
+            "{{\"pipelines\":[{}],\"worst_misestimate\":{}}}",
             pipelines.join(","),
             worst,
         )
@@ -358,11 +333,6 @@ impl Profiler {
                 profile.pipelines.push(p);
             }
         }
-    }
-
-    /// Fold one run's evaluator-counter deltas into the profile.
-    pub fn add_stats(&self, delta: &EvalStatsSnapshot) {
-        self.lock().profile.stats.accumulate(delta);
     }
 
     /// Drain the collected profile, leaving the profiler empty.

@@ -10,8 +10,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use xqa_engine::{
-    DynamicContext, Engine, EngineOptions, OpKind, PlanHints, PreparedQuery, QueryProfile,
-    TickClock,
+    DynamicContext, Engine, EngineOptions, EvalStatsSnapshot, OpKind, PlanHints, PreparedQuery,
+    QueryProfile, TickClock,
 };
 
 /// 1ms per clock read: large enough that rendered times are round.
@@ -53,7 +53,7 @@ fn engine_for(query: &str, threads: usize) -> Engine {
     Engine::with_options(EngineOptions { threads, hints })
 }
 
-fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile) {
+fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile, EvalStatsSnapshot) {
     let engine = engine_for(query, threads);
     let plan = engine.compile(query).expect("compiles");
     let mut ctx = DynamicContext::new();
@@ -61,15 +61,15 @@ fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile) {
     ctx.enable_profiling();
     plan.run(&ctx).expect("runs");
     let profile = ctx.take_profile().expect("profiling was enabled");
-    (plan, profile)
+    (plan, profile, ctx.stats.snapshot())
 }
 
 /// `query`'s `explain analyze` equals the golden file `name`, serial
 /// and at four threads alike.
 fn assert_matches_golden(name: &str, query: &str) {
     let render = |threads| {
-        let (plan, profile) = profiled_run(query, threads);
-        plan.explain_analyze(&profile)
+        let (plan, profile, stats) = profiled_run(query, threads);
+        plan.explain_analyze(&profile, &stats)
     };
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
@@ -114,7 +114,7 @@ fn join_matches_golden() {
 fn golden_queries_cover_every_op_kind() {
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     for query in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY] {
-        let (_, profile) = profiled_run(query, 1);
+        let (_, profile, _) = profiled_run(query, 1);
         for pipeline in &profile.pipelines {
             for op in &pipeline.ops {
                 seen.insert(op.kind.as_str());
@@ -134,7 +134,7 @@ fn profiles_report_materialization_and_tuple_flow_consistently() {
         .into_iter()
         .flat_map(|q| THREADS.map(|t| (q, t)))
     {
-        let (_, profile) = profiled_run(query, threads);
+        let (_, profile, _) = profiled_run(query, threads);
         for pipeline in &profile.pipelines {
             for pair in pipeline.ops.windows(2) {
                 assert_eq!(
@@ -160,7 +160,7 @@ fn profiles_report_materialization_and_tuple_flow_consistently() {
 /// The JSON form carries the same per-operator numbers as the text.
 #[test]
 fn profile_json_names_every_operator() {
-    let (_, profile) = profiled_run(GROUP_TOPK_QUERY, 1);
+    let (_, profile, _) = profiled_run(GROUP_TOPK_QUERY, 1);
     let json = profile.to_json();
     for op in [
         "ForScan",
@@ -207,7 +207,7 @@ fn est_actual(profile: &QueryProfile) -> Vec<(u64, EstActual)> {
 fn a_nested_flwor_is_one_entry_with_summed_estimates() {
     let query = "for $x in (1,2,3) return count(for $y in (1,2) return $y)";
     for threads in THREADS {
-        let (_, profile) = profiled_run(query, threads);
+        let (_, profile, _) = profiled_run(query, threads);
         assert_eq!(
             est_actual(&profile),
             [
@@ -225,7 +225,7 @@ fn a_nested_flwor_is_one_entry_with_summed_estimates() {
 fn flwors_with_equal_labels_stay_apart() {
     let query = "(for $x in (1,2) return $x, for $y in (3,4,5) return $y)";
     for threads in THREADS {
-        let (_, profile) = profiled_run(query, threads);
+        let (_, profile, _) = profiled_run(query, threads);
         assert_eq!(
             est_actual(&profile),
             [

@@ -49,7 +49,7 @@ fn analyze(xml: &str, query: &str, threads: usize) -> String {
     ctx.enable_profiling();
     plan.run(&ctx).expect("run");
     let profile = ctx.take_profile().expect("profiling was enabled");
-    plan.explain_analyze(&profile)
+    plan.explain_analyze(&profile, &ctx.stats.snapshot())
 }
 
 /// `render(threads)` equals the golden file `name` serial and at four

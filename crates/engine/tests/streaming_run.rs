@@ -1,8 +1,9 @@
 //! Contract tests for the streaming execution path
 //! (`PreparedQuery::run_streaming` / `run_serialized`): concatenated
 //! streamed output must be byte-identical to the materialized run, the
-//! pipeline must actually emit in multiple batches, and failures must
-//! classify as before-first-item vs mid-stream vs sink.
+//! pipeline must actually emit in multiple batches, and a failure must
+//! say whether the query or the sink failed and how many items the sink
+//! had accepted.
 
 use xqa_engine::{DynamicContext, Engine, EngineOptions, StreamError};
 use xqa_xdm::{ErrorCode, Item};
@@ -134,8 +135,14 @@ fn error_before_first_item_classifies_as_before_first() {
         .run_streaming(&ctx, &mut |_| Ok(()))
         .expect_err("division by zero must fail");
     match err {
-        StreamError::BeforeFirstItem(e) => assert_eq!(e.code(), ErrorCode::FOAR0001),
-        other => panic!("expected BeforeFirstItem, got {other:?}"),
+        StreamError::Engine {
+            error,
+            items_emitted,
+        } => {
+            assert_eq!(error.code(), ErrorCode::FOAR0001);
+            assert_eq!(items_emitted, 0);
+        }
+        other => panic!("expected Engine, got {other:?}"),
     }
 }
 
@@ -155,7 +162,7 @@ fn error_after_emission_classifies_as_mid_stream() {
         })
         .expect_err("mid-stream division by zero must fail");
     match err {
-        StreamError::MidStream {
+        StreamError::Engine {
             error,
             items_emitted,
         } => {
@@ -163,7 +170,7 @@ fn error_after_emission_classifies_as_mid_stream() {
             assert_eq!(items_emitted, emitted);
             assert_eq!(items_emitted, 128);
         }
-        other => panic!("expected MidStream, got {other:?}"),
+        other => panic!("expected Engine, got {other:?}"),
     }
 }
 
@@ -244,22 +251,23 @@ fn parallel_error_after_emission_truncates_a_serial_prefix() {
     let query = "for $x in 1 to 5000 return 1 div (4500 - $x)";
     let (serial_out, serial_err) = failing_stream(query, 1);
     let (parallel_out, parallel_err) = failing_stream(query, 4);
-    let StreamError::MidStream {
+    let StreamError::Engine {
         error: serial_error,
-        ..
+        items_emitted: serial_items,
     } = serial_err
     else {
-        panic!("expected serial MidStream, got {serial_err:?}");
+        panic!("expected serial Engine, got {serial_err:?}");
     };
+    assert_eq!(serial_items, 4480);
     match parallel_err {
-        StreamError::MidStream {
+        StreamError::Engine {
             error,
             items_emitted,
         } => {
             assert_eq!(error.code(), serial_error.code());
             assert!(items_emitted >= 1024, "only {items_emitted} items emitted");
         }
-        other => panic!("expected MidStream, got {other:?}"),
+        other => panic!("expected Engine, got {other:?}"),
     }
     assert!(!parallel_out.is_empty());
     assert!(
@@ -373,14 +381,14 @@ fn constructed_row_error_stops_after_the_last_whole_batch() {
             })
             .expect_err("row 100 divides by zero");
         match err {
-            StreamError::MidStream {
+            StreamError::Engine {
                 error,
                 items_emitted,
             } => {
                 assert_eq!(error.code(), ErrorCode::FOAR0001);
                 assert_eq!((items_emitted, emitted), (64, 64), "threads = {threads}");
             }
-            other => panic!("expected MidStream, got {other:?}"),
+            other => panic!("expected Engine, got {other:?}"),
         }
     }
 }

@@ -49,12 +49,14 @@ pub struct FlightRecord {
     pub error: Option<String>,
     /// Whether the plan came from the cache (`false` = compiled now).
     pub cached_plan: bool,
-    /// Whether the response body streamed out as chunked transfer
-    /// encoding (vs a buffered `Content-Length` response).
+    /// Whether the response started to go out chunked: its head was
+    /// sent, so a failure after that truncated the body instead of
+    /// answering `400`. False for a buffered `Content-Length` response.
     pub streamed: bool,
     /// End-to-end latency in microseconds.
     pub latency_us: u64,
-    /// Tuples produced by the evaluation (0 on error).
+    /// Tuples the evaluation produced (the `tuples_produced` counter),
+    /// failed runs included; 0 when the plan never ran.
     pub tuples: u64,
     /// Largest per-operator q-error in the profile, when estimates
     /// were available.
@@ -111,7 +113,7 @@ impl FlightRecord {
     /// cache (`None` when the query never compiled); a plan compiled
     /// for this run contributes its compile trace, stamped `trace_id`.
     /// `run` is the finished run's stats and profile, or its error and
-    /// the tuples it had emitted before failing.
+    /// the tuples it had produced before failing.
     pub fn new(
         request_id: String,
         query: &str,

@@ -228,9 +228,30 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
+/// A response head: status line, `Content-Type`, the body's framing
+/// header, `Connection`, the extra headers and the blank line. Header
+/// values must be ASCII without CR/LF.
+fn head(
+    status: u16,
+    content_type: &str,
+    framing: &str,
+    extra_headers: &[(&str, &str)],
+    keep_alive: bool,
+) -> String {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut head = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\n{framing}\r\nConnection: {connection}\r\n",
+        reason(status),
+    );
+    for (name, value) in extra_headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str("\r\n");
+    head
+}
+
 /// Write a complete response with extra headers (e.g. `X-Request-Id`)
-/// and an explicit connection disposition. Header values must be ASCII
-/// without CR/LF.
+/// and an explicit connection disposition, head and body in one write.
 pub fn write_response_with_headers(
     writer: &mut impl Write,
     status: u16,
@@ -239,29 +260,18 @@ pub fn write_response_with_headers(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        writer,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len(),
-        connection,
-    )?;
-    for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(body)?;
+    let framing = format!("Content-Length: {}", body.len());
+    let mut response = head(status, content_type, &framing, extra_headers, keep_alive).into_bytes();
+    response.extend_from_slice(body);
+    writer.write_all(&response)?;
     writer.flush()
 }
 
-/// Write the head of a `Transfer-Encoding: chunked` response. Body
-/// bytes follow via [`write_chunk`]; a complete response ends with
-/// [`finish_chunked`], and an aborted one simply never does (closing
-/// the socket without the terminal chunk is how HTTP signals a
-/// truncated chunked body).
+/// Write the head of a `Transfer-Encoding: chunked` response in one
+/// write. Body bytes follow via [`write_chunk`]; a complete response
+/// ends with [`finish_chunked`], and an aborted one simply never does
+/// (closing the socket without the terminal chunk is how HTTP signals
+/// a truncated chunked body).
 pub fn write_chunked_head(
     writer: &mut impl Write,
     status: u16,
@@ -269,19 +279,8 @@ pub fn write_chunked_head(
     extra_headers: &[(&str, &str)],
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        writer,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",
-        status,
-        reason(status),
-        content_type,
-        connection,
-    )?;
-    for (name, value) in extra_headers {
-        write!(writer, "{name}: {value}\r\n")?;
-    }
-    writer.write_all(b"\r\n")
+    let framing = "Transfer-Encoding: chunked";
+    writer.write_all(head(status, content_type, framing, extra_headers, keep_alive).as_bytes())
 }
 
 /// Write one chunk of a chunked response body. Empty input writes
@@ -554,6 +553,64 @@ mod tests {
         assert!(
             text.ends_with("\r\n\r\n4\r\n<a/>\r\n10\r\nxxxxxxxxxxxxxxxx\r\n0\r\n\r\n"),
             "{text}"
+        );
+    }
+
+    /// A writer that counts `write` calls: each one is a separate
+    /// segment on a `TCP_NODELAY` socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_head_goes_out_in_one_write_with_unchanged_bytes() {
+        let mut out = CountingWriter::default();
+        write_chunked_head(
+            &mut out,
+            200,
+            "application/xml; charset=utf-8",
+            &[("X-Request-Id", "7")],
+            true,
+        )
+        .unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/xml; charset=utf-8\r\n\
+             Transfer-Encoding: chunked\r\nConnection: keep-alive\r\nX-Request-Id: 7\r\n\r\n"
+        );
+
+        // A buffered response sends head and body together.
+        let mut out = CountingWriter::default();
+        write_response_with_headers(
+            &mut out,
+            400,
+            "application/json",
+            &[("X-Request-Id", "8"), ("Retry-After", "1")],
+            b"{}",
+            false,
+        )
+        .unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nConnection: close\r\nX-Request-Id: 8\r\n\
+             Retry-After: 1\r\n\r\n{}"
         );
     }
 

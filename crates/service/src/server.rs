@@ -24,16 +24,17 @@
 //! closes; an idle expiry or clean client EOF closes silently).
 //! `Connection: close` and HTTP/1.0 semantics are honored and echoed.
 //!
-//! **Streaming.** Plain `POST /query` over HTTP/1.1 streams the result
-//! as `Transfer-Encoding: chunked`, serializing each pipeline batch as
-//! it is pulled ([`PreparedQuery::run_serialized`]). An error before
-//! the first result byte still produces an ordinary `400` JSON
-//! response; an error after bytes have left truncates the chunked body
-//! (no terminal chunk) and closes the connection, which is HTTP's
-//! mid-stream failure signal. `?stream=false` and HTTP/1.0 requests
-//! run the same way and collect the chunks into one
-//! body: nothing has reached the socket when an error surfaces, so any
-//! run-time error is an ordinary `400`.
+//! **Streaming.** Every query runs one way: one
+//! [`PreparedQuery::run_serialized`] call, serializing each pipeline
+//! batch as it is pulled, into a sink that either writes a chunk of a
+//! `Transfer-Encoding: chunked` response (plain `POST /query` over
+//! HTTP/1.1; the head goes out with the first chunk) or appends to a
+//! buffered body (`?stream=false` and HTTP/1.0). Whether a failure can
+//! still be a `400` is read off the socket, not off the engine's item
+//! count: until the chunked head has gone out, a failure is an ordinary
+//! `400` JSON response; after, the chunked body stays truncated (no
+//! terminal chunk) and the connection closes, which is HTTP's
+//! mid-stream failure signal.
 //!
 //! [`PreparedQuery::run_serialized`]: xqa_engine::PreparedQuery::run_serialized
 //!
@@ -64,7 +65,7 @@ use std::time::{Duration, Instant};
 use xqa_engine::trace::json_escape;
 use xqa_engine::{
     Engine, EngineOptions, EvalStats, EvalStatsSnapshot, OpKind, PreparedQuery, QueryProfile,
-    RewriteKind,
+    RewriteKind, StreamError,
 };
 
 use crate::admission::{Admission, AdmissionGuard, ShedReason};
@@ -279,10 +280,10 @@ fn shed_connection(mut stream: TcpStream, reason: ShedReason) {
         ShedReason::QueueFull => "server overloaded, retry later\n",
         ShedReason::ClientQuota => "per-client connection quota exceeded, retry later\n",
     };
-    let _ = http::write_response_with_headers(
+    respond(
         &mut stream,
         429,
-        "text/plain; charset=utf-8",
+        TEXT,
         &[("Retry-After", "1")],
         body.as_bytes(),
         false,
@@ -327,7 +328,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, mut guard: Admissio
             Err(RequestError::Closed) => return,
             Err(RequestError::Timeout) => {
                 Metrics::bump(&shared.metrics.request_timeouts);
-                respond_text(&mut stream, 408, "request read timed out\n", false);
+                respond(
+                    &mut stream,
+                    408,
+                    TEXT,
+                    &[],
+                    b"request read timed out\n",
+                    false,
+                );
                 return;
             }
             Err(err) => {
@@ -337,7 +345,14 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared, mut guard: Admissio
                 } else {
                     400
                 };
-                respond_text(&mut stream, status, &format!("{err}\n"), false);
+                respond(
+                    &mut stream,
+                    status,
+                    TEXT,
+                    &[],
+                    format!("{err}\n").as_bytes(),
+                    false,
+                );
                 return;
             }
         };
@@ -358,43 +373,36 @@ fn route(stream: &mut TcpStream, request: &Request, shared: &Shared, keep_alive:
     let path = request.target.split('?').next().unwrap_or("");
     match (request.method.as_str(), path) {
         ("POST", "/query") => return handle_query(stream, request, shared, keep_alive),
-        ("GET", "/healthz") => respond_text(stream, 200, "ok\n", keep_alive),
-        ("GET", "/metrics") => respond_text(stream, 200, &metrics::render(shared), keep_alive),
+        ("GET", "/healthz") => respond(stream, 200, TEXT, &[], b"ok\n", keep_alive),
+        ("GET", "/metrics") => {
+            let body = metrics::render(shared);
+            respond(stream, 200, TEXT, &[], body.as_bytes(), keep_alive);
+        }
         ("GET", "/debug/queries") => {
-            respond(
-                stream,
-                200,
-                "application/json",
-                shared.flight.recent_json().as_bytes(),
-                keep_alive,
-            );
+            let body = shared.flight.recent_json();
+            respond(stream, 200, JSON, &[], body.as_bytes(), keep_alive);
         }
         ("GET", "/debug/plans") => {
-            respond(
-                stream,
-                200,
-                "application/json",
-                shared.flight.plans_json(DEBUG_PLANS_TOP_K).as_bytes(),
-                keep_alive,
-            );
+            let body = shared.flight.plans_json(DEBUG_PLANS_TOP_K);
+            respond(stream, 200, JSON, &[], body.as_bytes(), keep_alive);
         }
         ("GET", p) if p.starts_with("/debug/query/") => {
             let id = &p["/debug/query/".len()..];
             match shared.flight.query_json(id) {
-                Some(body) => respond(stream, 200, "application/json", body.as_bytes(), keep_alive),
+                Some(body) => respond(stream, 200, JSON, &[], body.as_bytes(), keep_alive),
                 None => {
                     Metrics::bump(&shared.metrics.not_found);
-                    respond_text(stream, 404, "no such request id\n", keep_alive);
+                    respond(stream, 404, TEXT, &[], b"no such request id\n", keep_alive);
                 }
             }
         }
         (_, "/query" | "/healthz" | "/metrics" | "/debug/queries" | "/debug/plans") => {
             Metrics::bump(&shared.metrics.not_found);
-            respond_text(stream, 405, "method not allowed\n", keep_alive);
+            respond(stream, 405, TEXT, &[], b"method not allowed\n", keep_alive);
         }
         _ => {
             Metrics::bump(&shared.metrics.not_found);
-            respond_text(stream, 404, "not found\n", keep_alive);
+            respond(stream, 404, TEXT, &[], b"not found\n", keep_alive);
         }
     }
     keep_alive
@@ -413,36 +421,6 @@ fn client_request_id(request: &Request) -> Option<String> {
         && id.chars().count() <= MAX_ID_CHARS
         && id.chars().all(|c| (c as u32) >= 0x20 && c != '\u{7f}');
     sane.then(|| id.to_string())
-}
-
-/// What a successful query evaluation hands back to the response path.
-/// `body` is `None` when the response already streamed out chunk by
-/// chunk (nothing left to write).
-struct QueryOutcome {
-    body: Option<String>,
-    stats: EvalStatsSnapshot,
-    profile: QueryProfile,
-}
-
-/// How a query request failed, split by how much of the response had
-/// already reached the wire.
-enum QueryFailure {
-    /// Failed before any response byte: an ordinary `400` follows.
-    Early { kind: String, message: String },
-    /// The engine failed after response bytes streamed out: the chunked
-    /// body was truncated (no terminal chunk) and the connection closes.
-    MidStream { message: String, items: u64 },
-    /// The socket write failed mid-stream (client hung up).
-    Sink { message: String },
-}
-
-impl QueryFailure {
-    fn early(kind: &str, message: impl Into<String>) -> QueryFailure {
-        QueryFailure::Early {
-            kind: kind.to_string(),
-            message: message.into(),
-        }
-    }
 }
 
 /// Fold one finished run's stats and profile into the service totals.
@@ -477,19 +455,24 @@ fn handle_query(
     Metrics::bump(&shared.metrics.query_requests);
     // Stream unless the client opted out or speaks HTTP/1.0 (chunked
     // framing needs 1.1).
-    let want_stream =
+    let chunked =
         request.minor_version >= 1 && http::query_param(&request.target, "stream") != Some("false");
     // (plan, served-from-cache) once the plan exists — survives into
     // the flight record even when the run itself fails.
     let mut compiled: Option<(Arc<PreparedQuery>, bool)> = None;
     let id_header: [(&str, &str); 1] = [("X-Request-Id", &request_id)];
-    let outcome: Result<QueryOutcome, QueryFailure> = (|| {
+    // Whether the chunked head has gone to the socket. Until it has, a
+    // failure is still an ordinary 400; after, it can only truncate.
+    let mut streamed = false;
+    let mut body = String::new();
+    // A failure is (kind, message, tuples the run produced).
+    let outcome: Result<(EvalStatsSnapshot, QueryProfile), (&str, String, u64)> = (|| {
         let query = std::str::from_utf8(&request.body)
-            .map_err(|_| QueryFailure::early("body", "query text must be UTF-8"))?;
+            .map_err(|_| ("body", "query text must be UTF-8".to_string(), 0))?;
         let (plan, compiled_now) = shared
             .cache
             .get_or_compile_status(&shared.engine, query)
-            .map_err(|e| QueryFailure::early("compile", e.to_string()))?;
+            .map_err(|e| ("compile", e.to_string(), 0))?;
         compiled = Some((Arc::clone(&plan), !compiled_now));
         if compiled_now {
             // Count each rewrite once per compilation, not per request:
@@ -502,102 +485,43 @@ fn handle_query(
         // belong to this request alone, then fold into the totals.
         let mut ctx = shared.catalog.new_context();
         ctx.enable_profiling();
-        if want_stream {
-            // Chunked streaming: the response head goes out lazily with
-            // the first serialized batch, so an engine error before the
-            // first result byte still becomes an ordinary 400.
-            let mut head_written = false;
-            let run = plan.run_serialized(&ctx, &mut |chunk: &str| {
-                if !head_written {
-                    http::write_chunked_head(
-                        stream,
-                        200,
-                        "application/xml; charset=utf-8",
-                        &id_header,
-                        keep_alive,
-                    )?;
-                    head_written = true;
-                }
-                http::write_chunk(stream, chunk.as_bytes())
-            });
-            match run {
-                Ok(_) => {
-                    // An empty result still owes the client its head.
-                    let finish = if head_written {
-                        http::finish_chunked(stream)
-                    } else {
-                        http::write_chunked_head(
-                            stream,
-                            200,
-                            "application/xml; charset=utf-8",
-                            &id_header,
-                            keep_alive,
-                        )
-                        .and_then(|()| http::finish_chunked(stream))
-                    };
-                    if let Err(e) = finish {
-                        return Err(QueryFailure::Sink {
-                            message: e.to_string(),
-                        });
-                    }
-                    let (stats, profile) = snapshot_run(shared, &mut ctx);
-                    Ok(QueryOutcome {
-                        body: None,
-                        stats,
-                        profile,
-                    })
-                }
-                Err(xqa_engine::StreamError::BeforeFirstItem(e)) => {
-                    Err(QueryFailure::early("runtime", e.to_string()))
-                }
-                Err(xqa_engine::StreamError::MidStream {
-                    error,
-                    items_emitted,
-                }) => Err(QueryFailure::MidStream {
-                    message: error.to_string(),
-                    items: items_emitted,
-                }),
-                Err(xqa_engine::StreamError::Sink { error, .. }) => Err(QueryFailure::Sink {
-                    message: error.to_string(),
-                }),
-            }
-        } else {
-            // Buffered: the same serialized run, its chunks collected
-            // into the body before anything reaches the socket.
-            let mut body = String::new();
-            plan.run_serialized(&ctx, &mut |chunk: &str| {
+        // Buffered, the body collects every chunk; chunked, the head
+        // goes out with the first chunk.
+        let mut send = |chunk: &str| {
+            if !chunked {
                 body.push_str(chunk);
-                Ok(())
-            })
-            .map_err(|e| match e {
-                xqa_engine::StreamError::BeforeFirstItem(error)
-                | xqa_engine::StreamError::MidStream { error, .. } => {
-                    QueryFailure::early("runtime", error.to_string())
-                }
-                // Appending to a `String` does not fail.
-                sink => QueryFailure::early("runtime", sink.to_string()),
-            })?;
-            let (stats, profile) = snapshot_run(shared, &mut ctx);
-            Ok(QueryOutcome {
-                body: Some(body),
-                stats,
-                profile,
-            })
+                return Ok(());
+            }
+            if !streamed {
+                streamed = true;
+                http::write_chunked_head(stream, 200, XML, &id_header, keep_alive)?;
+            }
+            http::write_chunk(stream, chunk.as_bytes())
+        };
+        let run = match plan.run_serialized(&ctx, &mut send) {
+            // `send("")` writes no chunk, only the head an empty result
+            // still owes the client; then the terminal chunk.
+            Ok(_) if chunked => send("")
+                .and_then(|()| http::finish_chunked(stream))
+                .map_err(|e| ("sink", e.to_string())),
+            Ok(_) => Ok(()),
+            Err(StreamError::Engine { error, .. }) => Err(("runtime", error.to_string())),
+            Err(StreamError::Sink { error, .. }) => Err(("sink", error.to_string())),
+        };
+        match run {
+            Ok(()) => Ok(snapshot_run(shared, &mut ctx)),
+            Err((kind, message)) => Err((kind, message, ctx.stats.snapshot().tuples_produced)),
         }
     })();
     let elapsed = start.elapsed();
     shared.metrics.query_latency.record(elapsed);
     if shared.flight.enabled() {
-        let (streamed, run) = match &outcome {
-            Ok(o) => (o.body.is_none(), Ok((&o.stats, &o.profile))),
-            Err(QueryFailure::Early { kind, message }) => {
-                (false, Err((format!("{kind}: {message}"), 0)))
+        let run = match &outcome {
+            Ok((stats, profile)) => Ok((stats, profile)),
+            Err(("runtime", message, tuples)) if streamed => {
+                Err((format!("runtime (mid-stream): {message}"), *tuples))
             }
-            Err(QueryFailure::MidStream { message, items }) => (
-                true,
-                Err((format!("runtime (mid-stream): {message}"), *items)),
-            ),
-            Err(QueryFailure::Sink { message }) => (true, Err((format!("sink: {message}"), 0))),
+            Err((kind, message, tuples)) => Err((format!("{kind}: {message}"), *tuples)),
         };
         shared.flight.record(FlightRecord::new(
             request_id.clone(),
@@ -610,80 +534,50 @@ fn handle_query(
         ));
     }
     match outcome {
-        Ok(outcome) => {
+        Ok(_) => {
             Metrics::bump(&shared.metrics.query_ok);
-            match outcome.body {
-                // Already streamed out chunk by chunk; nothing to write.
-                None => Metrics::bump(&shared.metrics.streamed_responses),
-                Some(body) => respond_with(
-                    stream,
-                    200,
-                    "application/xml; charset=utf-8",
-                    &id_header,
-                    body.as_bytes(),
-                    keep_alive,
-                ),
+            if streamed {
+                Metrics::bump(&shared.metrics.streamed_responses);
+            } else {
+                respond(stream, 200, XML, &id_header, body.as_bytes(), keep_alive);
             }
             keep_alive
         }
-        Err(QueryFailure::Early { kind, message }) => {
+        // No byte has left: an ordinary 400.
+        Err((kind, message, _)) if !streamed => {
             Metrics::bump(&shared.metrics.query_errors);
-            let body = format!(
+            let json = format!(
                 "{{\"request_id\":\"{}\",\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}",
                 json_escape(&request_id),
-                json_escape(&kind),
+                json_escape(kind),
                 json_escape(&message)
             );
-            respond_with(
-                stream,
-                400,
-                "application/json",
-                &id_header,
-                body.as_bytes(),
-                keep_alive,
-            );
+            respond(stream, 400, JSON, &id_header, json.as_bytes(), keep_alive);
             keep_alive
         }
-        Err(QueryFailure::MidStream { message, items }) => {
-            // Response bytes already left: truncate the chunked body
-            // (no terminal chunk) and close so the client sees the
-            // failure instead of a silently short result.
-            Metrics::bump(&shared.metrics.query_errors);
+        // The head already left: the chunked body stays truncated (no
+        // terminal chunk) and the connection closes, so the client sees
+        // the failure instead of a silently short result. A sink failure
+        // means the client hung up (or the socket died).
+        Err((kind, message, _)) => {
             Metrics::bump(&shared.metrics.mid_stream_aborts);
-            eprintln!(
-                "[xqa-service] query #{request_id} failed mid-stream after {items} items: {message}"
-            );
-            false
-        }
-        Err(QueryFailure::Sink { .. }) => {
-            // The client hung up (or the socket died); nothing to send.
-            Metrics::bump(&shared.metrics.mid_stream_aborts);
+            if kind != "sink" {
+                Metrics::bump(&shared.metrics.query_errors);
+                eprintln!("[xqa-service] query #{request_id} failed mid-stream: {message}");
+            }
             false
         }
     }
 }
 
-fn respond_text(stream: &mut impl Write, status: u16, body: &str, keep_alive: bool) {
-    respond(
-        stream,
-        status,
-        "text/plain; charset=utf-8",
-        body.as_bytes(),
-        keep_alive,
-    );
-}
+/// The content types the server answers with.
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json";
+const XML: &str = "application/xml; charset=utf-8";
 
+/// Write one whole response. The client may already be gone; nothing
+/// useful to do about it.
 fn respond(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) {
-    respond_with(stream, status, content_type, &[], body, keep_alive);
-}
-
-fn respond_with(
     stream: &mut impl Write,
     status: u16,
     content_type: &str,
@@ -691,7 +585,6 @@ fn respond_with(
     body: &[u8],
     keep_alive: bool,
 ) {
-    // The client may already be gone; nothing useful to do about it.
     let _ = http::write_response_with_headers(
         stream,
         status,

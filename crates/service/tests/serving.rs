@@ -527,15 +527,14 @@ fn streamed_and_buffered_bodies_are_byte_identical() {
 fn error_before_first_byte_is_a_clean_400_even_when_streaming() {
     let server = default_server();
     let addr = server.local_addr();
-    let fetch = |target: &str| -> (String, String) {
+    let fetch = |request_line: &str, query: &str| -> (String, String) {
         let stream = TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
         let mut stream = stream;
-        let query = "1 div 0";
         stream
             .write_all(
                 format!(
-                    "POST {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                    "{request_line}\r\nHost: t\r\nConnection: close\r\n\
                      X-Request-Id: err-diff\r\nContent-Length: {}\r\n\r\n{query}",
                     query.len()
                 )
@@ -544,14 +543,28 @@ fn error_before_first_byte_is_a_clean_400_even_when_streaming() {
             .expect("send");
         read_response(&mut reader)
     };
-    let (streamed_head, streamed) = fetch("/query");
-    let (buffered_head, buffered) = fetch("/query?stream=false");
-    assert_eq!(status_of(&streamed_head), 400, "{streamed}");
-    assert_eq!(status_of(&buffered_head), 400, "{buffered}");
-    assert!(streamed.contains("\"kind\":\"runtime\""), "{streamed}");
-    assert!(streamed.contains("FOAR0001"), "{streamed}");
-    // With the request id pinned, the error envelope is byte-identical.
-    assert_eq!(streamed, buffered);
+    // The second query's first batch is one empty string: it reaches
+    // the sink but serializes to no bytes, so the failure in the next
+    // batch still precedes the first result byte.
+    for (query, code) in [
+        ("1 div 0", "FOAR0001"),
+        (
+            "for $i in 1 to 65 return if ($i = 1) then \"\" else if ($i = 65) then error() else ()",
+            "FOER0000",
+        ),
+    ] {
+        let (streamed_head, streamed) = fetch("POST /query HTTP/1.1", query);
+        let (buffered_head, buffered) = fetch("POST /query?stream=false HTTP/1.1", query);
+        let (http10_head, http10) = fetch("POST /query HTTP/1.0", query);
+        assert_eq!(status_of(&streamed_head), 400, "{query}: {streamed}");
+        assert_eq!(status_of(&buffered_head), 400, "{query}: {buffered}");
+        assert_eq!(status_of(&http10_head), 400, "{query}: {http10}");
+        assert!(streamed.contains("\"kind\":\"runtime\""), "{streamed}");
+        assert!(streamed.contains(code), "{streamed}");
+        // With the request id pinned, the error envelope is byte-identical.
+        assert_eq!(streamed, buffered, "{query}");
+        assert_eq!(streamed, http10, "{query}");
+    }
     server.shutdown();
 }
 
@@ -601,6 +614,37 @@ fn mid_stream_errors_truncate_the_chunked_body_and_close() {
         "{metrics}"
     );
     assert!(metrics.contains("xqa_query_errors_total 1"), "{metrics}");
+
+    // The record counts the tuples the run produced, as an in-process
+    // run of the same query over the same document does, not the items
+    // that reached the socket.
+    let id = header_value(raw.split_once("\r\n\r\n").unwrap().0, "x-request-id").unwrap();
+    let mut probe = TcpStream::connect(addr).expect("connect debug");
+    probe
+        .write_all(
+            format!("GET /debug/query/{id} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+                .as_bytes(),
+        )
+        .expect("send debug");
+    let mut record = String::new();
+    probe.read_to_string(&mut record).expect("read debug");
+    let mut catalog = DocumentCatalog::new();
+    catalog
+        .set_context_xml("<r><v>1</v><v>2</v><v>3</v></r>")
+        .unwrap();
+    let engine = xqa_engine::Engine::new().with_statistics(catalog.build_indexes());
+    let ctx = catalog.new_context();
+    engine
+        .compile(query)
+        .unwrap()
+        .run(&ctx)
+        .expect_err("x = 150 divides by zero");
+    let tuples = ctx.stats.snapshot().tuples_produced;
+    assert!(tuples > 0);
+    assert!(
+        record.contains(&format!("\"tuples\":{tuples},")),
+        "{tuples}: {record}"
+    );
     server.shutdown();
 }
 
