@@ -34,7 +34,8 @@ const KEYS: [HintKey; 5] = [
         key: "access",
         on: "index",
         off: "walk",
-        pins: "//T scans and value predicates: always via the indexes | always tree-walk",
+        pins: "//T scans, value predicates and $v/N group keys: always via the indexes \
+               | always tree-walk and canonical keys",
         absent: "statistics decide",
     },
     HintKey {
@@ -93,8 +94,12 @@ pub struct PlanHints {
     /// `access=index|walk`: annotate every eligible `//T` scan and
     /// value predicate to resolve through the document store's indexes
     /// (the runtime still walks per document when no store covers it or
-    /// the value index cannot answer exactly), or always tree-walk.
-    /// Absent: annotate only when attached statistics favor the index.
+    /// the value index cannot answer exactly), and every `group by` on
+    /// `$v/N` keys to group on the store's value ids (falling back to
+    /// canonical keys at the first tuple the store cannot code), or
+    /// always tree-walk and group on canonical keys. Absent: annotate
+    /// only when attached statistics favor the index, or report every
+    /// key name all-leaf.
     pub index_scan: Option<bool>,
     /// `topk=on|off`: push `[position() le k]`-style bounds over an
     /// `order by` into the sort as a heap limit, or always sort in

@@ -268,6 +268,14 @@ pub struct OpIr {
     /// `xs:integer`; the rule has turned every `count($nest)` into a
     /// read of the slot.
     pub counted_nests: Vec<usize>,
+    /// Set by the planner's value-id grouping rule on a `group by` whose
+    /// every key is `$v/N` (one predicate-free `child::N` step from a
+    /// variable): per key, `$v`'s slot and `N`. The group operator then
+    /// keys a tuple by the document store's dictionary ids of `$v`'s
+    /// `N` children instead of a canonical key string, and falls back to
+    /// the canonical string for the rest of the run at the first tuple
+    /// the store cannot code (`GroupTable` in `pipeline/partial.rs`).
+    pub value_keys: Vec<(Slot, QName)>,
 }
 
 impl From<ClauseIr> for OpIr {
@@ -278,6 +286,7 @@ impl From<ClauseIr> for OpIr {
             join: None,
             estimate: None,
             counted_nests: Vec::new(),
+            value_keys: Vec::new(),
         }
     }
 }
@@ -286,20 +295,28 @@ impl OpIr {
     /// The plan detail: a join's key description, a bounded order-by's
     /// `limit=k`, the index access path of a `for` over an annotated
     /// path (so plans show where the tuples come from), a group-by's
-    /// counted nests as `agg count($v)`; else empty.
+    /// `keys by value id` and its counted nests as `agg count($v)`; else
+    /// empty.
     pub fn detail(&self) -> String {
         if let Some(j) = &self.join {
             return j.key_desc();
         }
         match &self.clause {
             ClauseIr::OrderBy(OrderByIr { limit: Some(k), .. }) => format!("limit={k}"),
-            ClauseIr::GroupBy(g) if !self.counted_nests.is_empty() => {
-                let counts: Vec<String> = self
-                    .counted_nests
-                    .iter()
-                    .map(|&i| format!("count(${})", g.nests[i].var))
-                    .collect();
-                format!("agg {}", counts.join(", "))
+            ClauseIr::GroupBy(g) => {
+                let mut facts = Vec::new();
+                if !self.value_keys.is_empty() {
+                    facts.push("keys by value id".to_string());
+                }
+                if !self.counted_nests.is_empty() {
+                    let counts: Vec<String> = self
+                        .counted_nests
+                        .iter()
+                        .map(|&i| format!("count(${})", g.nests[i].var))
+                        .collect();
+                    facts.push(format!("agg {}", counts.join(", ")));
+                }
+                facts.join(", ")
             }
             ClauseIr::For {
                 expr: Ir::Path(p), ..
@@ -922,6 +939,7 @@ mod tests {
         );
         for op in &f.ops {
             assert!(op.join.is_none() && op.estimate.is_none() && op.counted_nests.is_empty());
+            assert!(op.value_keys.is_empty());
         }
         assert_eq!(f.return_estimate, None);
         assert!(crate::explain::explain_query(&query).contains(

@@ -259,6 +259,28 @@ impl GroupIndex {
     }
 }
 
+/// A map from value-id codes to group indices: the `group by`
+/// operator's index while it groups on a document store's dictionary
+/// ids (DESIGN.md §12). A code is a flat `u32` tuple, compared whole, so
+/// a hit needs no verifying comparison; only a vacant code is copied
+/// into the map.
+#[derive(Debug, Default)]
+pub struct CodeIndex {
+    groups: HashMap<Box<[u32]>, usize>,
+}
+
+impl CodeIndex {
+    /// The group coded `code`, or `Err(new_index)` once `new_index` is
+    /// recorded for it.
+    pub fn find_or_insert(&mut self, code: &[u32], new_index: usize) -> Result<usize, usize> {
+        if let Some(&idx) = self.groups.get(code) {
+            return Ok(idx);
+        }
+        self.groups.insert(code.into(), new_index);
+        Err(new_index)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -249,17 +249,22 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
     };
     // `None`: the exchange's workers evaluated `return` themselves and
     // their fragments are already in the sink.
-    let sink_stats = match source {
-        Some(source) => Some(return_at(f, source, interp, env, sink)?),
-        None => None,
+    let mut sink_stats = None;
+    let run = match source {
+        Some(source) => {
+            let stats = sink_stats.insert(SinkStats::default());
+            return_at(f, source, interp, env, sink, stats)
+        }
+        None => Ok(()),
     };
+    // A run that fails on the way records what it did up to the error.
     if let (Some(profiler), Some(clock), Some(start)) = (profiler, clock, start) {
         let total = clock.now_nanos().saturating_sub(start);
         let tail = counters.iter().map(|c| c.get()).collect();
         let p = build_profile(f, tail, exchanged.as_ref(), sink_stats, total);
         profiler.record(std::ptr::from_ref(f) as usize, p);
     }
-    Ok(())
+    run
 }
 
 /// Lower clauses `range` of `f` onto `input`, each operator metered by
@@ -286,15 +291,16 @@ fn build_chain<'p>(
 /// (`return at $rank`, numbered *after* any order by) and evaluates the
 /// return expression per tuple into `sink`, batch by batch. A direct
 /// element constructor builds the whole batch's rows into one arena
-/// ([`Interpreter::construct_rows`]).
+/// ([`Interpreter::construct_rows`]). What it consumed accumulates in
+/// `stats`, a failed run's included.
 fn return_at(
     f: &FlworIr,
     mut source: BoxSource<'_>,
     interp: &Interpreter,
     env: &mut Env,
     sink: &mut Sink,
-) -> EngineResult<SinkStats> {
-    let mut stats = SinkStats::default();
+    stats: &mut SinkStats,
+) -> EngineResult<()> {
     let mut ordinal = 0i64;
     while let Some(batch) = source.next_batch(interp, env)? {
         stats.batches += 1;
@@ -317,7 +323,7 @@ fn return_at(
         }
         sink.end_batch()?;
     }
-    Ok(stats)
+    Ok(())
 }
 
 /// What the sink consumed: the operator-level counters for `ReturnAt`'s
@@ -1391,7 +1397,8 @@ impl<'p> Morsels<'_, 'p> {
             Some(partial) => partial.drain(chain.as_mut(), m, interp, env),
             None => {
                 let mut fragment = Sink::new(None);
-                return_at(self.f, chain, interp, env, &mut fragment)?;
+                let mut stats = SinkStats::default();
+                return_at(self.f, chain, interp, env, &mut fragment, &mut stats)?;
                 // The receiver outlives every worker; a send cannot fail.
                 let _ = tx.send((m, fragment.out.build()));
                 Ok(())

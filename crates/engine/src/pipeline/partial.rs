@@ -21,11 +21,13 @@ use super::{Tag, Tuple, TupleSource};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
-use crate::keys::GroupIndex;
+use crate::keys::{CodeIndex, GroupIndex};
 use std::cmp::Ordering;
+use std::sync::Arc;
+use xqa_storage::{DocumentStore, NameId};
 use xqa_xdm::{
-    deep_equal, effective_boolean_value, sort_compare, AtomicValue, ErrorCode, Sequence,
-    SequenceBuilder,
+    deep_equal, effective_boolean_value, sort_compare, AtomicValue, ErrorCode, Item, NodeKind,
+    QName, Sequence, SequenceBuilder,
 };
 
 /// One breaker's state over a share of the tuple stream.
@@ -61,6 +63,10 @@ impl<'p> Partial<'p> {
                     .collect(),
                 has_using: g.keys.iter().any(|k| k.using.is_some()),
                 groups: Vec::new(),
+                coding: match op.value_keys.as_slice() {
+                    [] => Coding::Off,
+                    keys => Coding::Unbound(keys),
+                },
                 index: GroupIndex::new(),
                 scratch: String::new(),
                 key_buf: Vec::with_capacity(g.keys.len()),
@@ -182,8 +188,9 @@ impl<'p> Partial<'p> {
     }
 }
 
-/// The hash aggregation behind `group by ... nest ...`
-/// ([`GroupIndex`], scratch-buffer key building).
+/// The hash aggregation behind `group by ... nest ...`: by value-id
+/// code while [`Coding::Bound`], else by canonical key ([`GroupIndex`],
+/// scratch-buffer key building).
 struct GroupTable<'p> {
     g: &'p GroupByIr,
     /// Per nest: whether the planner made it a running count
@@ -192,12 +199,95 @@ struct GroupTable<'p> {
     /// Some key compares under a user-supplied `using` function.
     has_using: bool,
     groups: Vec<GroupState>,
+    /// Whether groups are found by value-id code; `index` holds no
+    /// group until the table falls back.
+    coding: Coding<'p>,
     index: GroupIndex,
     scratch: String,
     /// The current tuple's key values and nest values, reused across
     /// tuples: a tuple that joins an existing group allocates neither.
     key_buf: Vec<Sequence>,
     nest_buf: Vec<Member>,
+}
+
+/// Whether a [`GroupTable`] groups on value ids ([`OpIr::value_keys`]).
+enum Coding<'p> {
+    /// Yes, once the first tuple picks the store.
+    Unbound(&'p [(Slot, QName)]),
+    /// Yes, until the first tuple the store cannot code.
+    Bound(Box<ValueIds<'p>>),
+    /// No: by canonical key for the rest of the run.
+    Off,
+}
+
+/// Grouping on dictionary ids. Every key is `$v/N`; a tuple's code is,
+/// per key, the number of `$v`'s `N` children and then their value ids
+/// ([`DocumentStore::leaf_value_id`]). Within one store, equal codes are
+/// exactly deep-equal key sequences, so no key sequence is built or
+/// compared for a tuple that joins a group.
+struct ValueIds<'p> {
+    /// Per key: `$v`'s slot and `N`.
+    keys: &'p [(Slot, QName)],
+    /// The store the first tuple's `$v` lies in. Every coded tuple's
+    /// `$v` lies in it: ids of two stores do not compare.
+    store: Arc<DocumentStore>,
+    /// Per key, the id of `N` in the store's document (`None`: no node
+    /// there has that name).
+    names: Vec<Option<NameId>>,
+    index: CodeIndex,
+    /// The current tuple's code.
+    code: Vec<u32>,
+}
+
+impl<'p> ValueIds<'p> {
+    /// Bind `keys` to the store of the first key's `$v` in the tuple
+    /// applied to `env`; `None` when that is not one node of an indexed
+    /// document.
+    fn bind(keys: &'p [(Slot, QName)], interp: &Interpreter, env: &Env) -> Option<Self> {
+        let (slot, _) = keys.first()?;
+        let [Item::Node(v)] = env.slots[*slot].as_slice() else {
+            return None;
+        };
+        let store = Arc::clone(interp.dynamic.store(v.document().serial())?);
+        let names = keys
+            .iter()
+            .map(|(_, n)| store.document().name_id(n))
+            .collect();
+        Some(ValueIds {
+            keys,
+            store,
+            names,
+            index: CodeIndex::default(),
+            code: Vec::new(),
+        })
+    }
+
+    /// Code the tuple applied to `env`. Returns how many children the
+    /// key steps looked at, or `None` when some `$v` is not one element
+    /// node of the bound store's document or some matching child has no
+    /// value id (attributes, non-leaf content).
+    fn encode(&mut self, env: &Env) -> Option<u64> {
+        self.code.clear();
+        let (store, mut visited) = (&*self.store, 0);
+        let doc = store.document();
+        for ((slot, _), &name) in self.keys.iter().zip(&self.names) {
+            let [Item::Node(v)] = env.slots[*slot].as_slice() else {
+                return None;
+            };
+            if !Arc::ptr_eq(v.document(), doc) || v.kind() != NodeKind::Element {
+                return None;
+            }
+            let count_at = self.code.len();
+            self.code.push(0);
+            let mut children = doc.child_element_ids(v.id(), name);
+            for child in &mut children {
+                self.code.push(store.leaf_value_id(child)?);
+                self.code[count_at] += 1;
+            }
+            visited += children.examined();
+        }
+        Some(visited)
+    }
 }
 
 struct GroupState {
@@ -254,7 +344,7 @@ impl Nest {
     }
 }
 
-impl GroupTable<'_> {
+impl<'p> GroupTable<'p> {
     /// Add the tuple currently applied to `env` to its group.
     fn insert(
         &mut self,
@@ -263,6 +353,26 @@ impl GroupTable<'_> {
         interp: &Interpreter,
         env: &mut Env,
     ) -> EngineResult<()> {
+        if let Coding::Unbound(keys) = self.coding {
+            self.coding = ValueIds::bind(keys, interp, env)
+                .map_or(Coding::Off, |ids| Coding::Bound(Box::new(ids)));
+        }
+        // For a coded tuple, the group it joins (`None`: it opens one).
+        let coded = match &mut self.coding {
+            Coding::Bound(ids) => ids.encode(env).map(|visited| {
+                let hit = ids.index.find_or_insert(&ids.code, self.groups.len()).ok();
+                if hit.is_some() {
+                    // The coded key steps looked at what the paths
+                    // would have; a tuple opening a group evaluates them.
+                    interp.stats.nodes_visited.add(visited);
+                }
+                hit
+            }),
+            _ => None,
+        };
+        if coded.is_none() {
+            self.fall_back();
+        }
         let GroupTable {
             g,
             counted,
@@ -272,11 +382,14 @@ impl GroupTable<'_> {
             scratch,
             key_buf,
             nest_buf,
+            ..
         } = self;
         key_buf.clear();
         nest_buf.clear();
-        for key in &g.keys {
-            key_buf.push(interp.eval(&key.expr, env)?);
+        if !matches!(coded, Some(Some(_))) {
+            for key in &g.keys {
+                key_buf.push(interp.eval(&key.expr, env)?);
+            }
         }
         for nest in &g.nests {
             let value = interp.eval(&nest.expr, env)?;
@@ -287,37 +400,41 @@ impl GroupTable<'_> {
             nest_buf.push((okeys, (tag, value)));
         }
 
-        let group_idx = if *has_using {
-            // Custom equality (§3.3): linear scan with the
-            // user-supplied comparator for `using` keys and
-            // deep-equal for the rest.
-            let mut found = None;
-            'groups: for (gi, group) in groups.iter().enumerate() {
-                for (key, (stored, candidate)) in
-                    g.keys.iter().zip(group.keys.iter().zip(key_buf.iter()))
-                {
-                    let equal = match key.using {
-                        Some(fid) => {
-                            let result = interp
-                                .call_user_values(fid, vec![stored.clone(), candidate.clone()])?;
-                            effective_boolean_value(&result).map_err(EngineError::from)?
+        let group_idx = match coded {
+            Some(found) => found,
+            None if *has_using => {
+                // Custom equality (§3.3): linear scan with the
+                // user-supplied comparator for `using` keys and
+                // deep-equal for the rest.
+                let mut found = None;
+                'groups: for (gi, group) in groups.iter().enumerate() {
+                    for (key, (stored, candidate)) in
+                        g.keys.iter().zip(group.keys.iter().zip(key_buf.iter()))
+                    {
+                        let equal = match key.using {
+                            Some(fid) => {
+                                let result = interp.call_user_values(
+                                    fid,
+                                    vec![stored.clone(), candidate.clone()],
+                                )?;
+                                effective_boolean_value(&result).map_err(EngineError::from)?
+                            }
+                            None => deep_equal(stored, candidate),
+                        };
+                        if !equal {
+                            continue 'groups;
                         }
-                        None => deep_equal(stored, candidate),
-                    };
-                    if !equal {
-                        continue 'groups;
                     }
+                    found = Some(gi);
+                    break;
                 }
-                found = Some(gi);
-                break;
+                found
             }
-            found
-        } else {
-            index
+            None => index
                 .find_or_insert_buf(scratch, key_buf, groups.len(), |i| {
                     groups[i].keys.as_slice()
                 })
-                .ok()
+                .ok(),
         };
 
         match group_idx {
@@ -340,10 +457,40 @@ impl GroupTable<'_> {
         Ok(())
     }
 
-    /// Fold another table's groups in by canonical key. A `using` key
-    /// defeats this (user equality has no canonical form), which is why
+    /// Stop grouping on value ids for the rest of the run: index every
+    /// group so far by its canonical key. Groups keep their order and
+    /// their `first` tags; codes that differ are never deep-equal, so
+    /// each group gets an entry of its own.
+    fn fall_back(&mut self) {
+        if matches!(self.coding, Coding::Off) {
+            return;
+        }
+        self.coding = Coding::Off;
+        let GroupTable {
+            groups,
+            index,
+            scratch,
+            ..
+        } = self;
+        for (i, group) in groups.iter().enumerate() {
+            let _ =
+                index.find_or_insert_buf(scratch, &group.keys, i, |j| groups[j].keys.as_slice());
+        }
+    }
+
+    /// Fold another table's groups in by canonical key (a table that
+    /// groups on value ids falls back first). A `using` key defeats
+    /// this (user equality has no canonical form), which is why
     /// [`parallel_eligible`] keeps such chains on one partial.
-    fn merge(&mut self, other: GroupTable<'_>) {
+    fn merge(&mut self, other: GroupTable<'p>) {
+        if other.groups.is_empty() {
+            return;
+        }
+        if self.groups.is_empty() {
+            *self = other;
+            return;
+        }
+        self.fall_back();
         let GroupTable {
             groups,
             index,
@@ -711,5 +858,64 @@ mod tests {
     #[test]
     fn tagged_collect_partials_merge_to_the_single_partial_result() {
         assert_merge_identity("for $x at $i in () return at $r ($r, $i)", None);
+    }
+
+    /// The six `Qgb` templates coded and, as the same plan with its
+    /// value-id annotation cleared, uncoded: equal results and equal
+    /// `nodes_visited`, `tuples_grouped` and `groups_emitted`, at
+    /// threads 1 and 4 (about 1 300 lineitems: two morsels).
+    #[test]
+    fn coded_and_uncoded_groupings_count_the_same_work() {
+        let mut ctx = DynamicContext::new();
+        ctx.set_context_document(&xqa_workload::generate_orders(
+            &xqa_workload::OrdersConfig {
+                orders: 320,
+                ..Default::default()
+            },
+        ));
+        ctx.index_documents();
+        let keys: [&[&str]; 6] = [
+            &["shipinstruct"],
+            &["shipmode"],
+            &["tax"],
+            &["shipinstruct", "shipmode"],
+            &["shipinstruct", "tax"],
+            &["quantity"],
+        ];
+        for keys in keys {
+            let by: Vec<String> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, key)| format!("$litem/{key} into $k{i}"))
+                .collect();
+            let query = format!(
+                "for $litem in //order/lineitem group by {} nest $litem into $items \
+                 return <r> {{$k0, count($items)}} </r>",
+                by.join(", ")
+            );
+            for threads in [1, 4] {
+                let engine = Engine::with_options(crate::EngineOptions {
+                    threads,
+                    hints: "access=index".parse().expect("valid hints"),
+                });
+                let coded = engine.compile(&query).expect("compiles").compiled().clone();
+                let mut uncoded = coded.clone();
+                let Ir::Flwor(f) = &mut uncoded.body else {
+                    panic!("FLWOR body expected");
+                };
+                let group = f.ops.iter_mut().find(|op| !op.value_keys.is_empty());
+                group.expect("a coded group by").value_keys.clear();
+                let run = |plan: &CompiledQuery| {
+                    let before = ctx.stats.snapshot();
+                    let out = crate::eval::execute(plan, &ctx).expect("runs");
+                    let s = ctx.stats.snapshot().delta(&before);
+                    (
+                        xqa_xmlparse::serialize_sequence(&out),
+                        [s.nodes_visited, s.tuples_grouped, s.groups_emitted],
+                    )
+                };
+                assert_eq!(run(&coded), run(&uncoded), "{query} at threads={threads}");
+            }
+        }
     }
 }

@@ -399,7 +399,7 @@ mod tests {
         assert_eq!(
             signature,
             "ForScan(index scan //x) -> HashJoin(key=$slot0/k = $slot1/k) -> \
-             GroupConsume [materializes] -> OrderBy(limit=1) [heap] -> ReturnAt"
+             GroupConsume(keys by value id) [materializes] -> OrderBy(limit=1) [heap] -> ReturnAt"
         );
         let explain = plan.explain();
         assert!(

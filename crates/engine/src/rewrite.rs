@@ -129,10 +129,12 @@ struct Rule {
 ///    `descendant::T` step.
 /// 6. *index annotation* before join unnesting, so the build-side
 ///    cardinality gate sees the final access paths.
-/// 7. *join unnesting*.
-/// 8. *estimates* last, after every plan-shaping rule (they read top-k
+/// 7. *value-id grouping*, under the index annotation's gate: it only
+///    chooses how a `group by` finds its groups.
+/// 8. *join unnesting*.
+/// 9. *estimates* last, after every plan-shaping rule (they read top-k
 ///    limits, access paths and join annotations).
-const RULES: [Rule; 8] = [
+const RULES: [Rule; 9] = [
     Rule {
         kind: Some(RewriteKind::ImplicitGroupBy),
         located: false,
@@ -166,8 +168,14 @@ const RULES: [Rule; 8] = [
     Rule {
         kind: Some(RewriteKind::IndexScan),
         located: true,
-        enabled: |cx| cx.hints.index_scan.unwrap_or(cx.stats.is_some()),
+        enabled: index_access,
         apply: annotate_index_scans,
+    },
+    Rule {
+        kind: None,
+        located: false,
+        enabled: index_access,
+        apply: annotate_value_keys,
     },
     Rule {
         kind: Some(RewriteKind::JoinUnnest),
@@ -182,6 +190,12 @@ const RULES: [Rule; 8] = [
         apply: stamp_estimates,
     },
 ];
+
+/// The `access` gate of the index annotation and value-id grouping
+/// rules: the hint when pinned, else whether a catalog is attached.
+fn index_access(cx: &Cx<'_>) -> bool {
+    cx.hints.index_scan.unwrap_or(cx.stats.is_some())
+}
 
 /// Shape the compiled plan: run every enabled rule of [`RULES`], in
 /// order, over every root of the query. `hints` are taken as given;
@@ -841,6 +855,49 @@ fn value_eq_probe(pred: &Ir) -> Option<(QName, ValueProbeIr)> {
         _ => return None,
     };
     Some((child.clone(), probe))
+}
+
+// ---- value-id grouping ------------------------------------------------
+
+/// Record [`OpIr::value_keys`] on every `group by` whose keys are all
+/// `$v/N` — one predicate-free `child::N` step from a variable, no
+/// `using` — so the group operator keys tuples by the document store's
+/// dictionary ids of those children. Under `access=index` every such
+/// `group by` qualifies; without a hint the attached statistics must
+/// report every `N` as all-leaf in every document (an unseen `N` has no
+/// children to code). Like the index annotation this is a choice, not a
+/// promise: the operator falls back to canonical keys at the first tuple
+/// the store cannot code, so results are those of the uncoded plan.
+fn annotate_value_keys(root: &mut Ir, cx: &mut Cx<'_>) {
+    walk(root, false, &mut |ir| {
+        let Ir::Flwor(f) = ir else { return };
+        for op in &mut f.ops {
+            let ClauseIr::GroupBy(g) = &op.clause else {
+                continue;
+            };
+            if let Some(keys) = value_keys(g, cx) {
+                op.value_keys = keys;
+            }
+        }
+    });
+}
+
+/// Per key, `$v`'s slot and `N`, when every key qualifies.
+fn value_keys(g: &GroupByIr, cx: &Cx<'_>) -> Option<Vec<(Slot, QName)>> {
+    g.keys
+        .iter()
+        .map(|key| {
+            let Ir::Path(p) = &key.expr else {
+                return None;
+            };
+            let (PathStartIr::Expr(Ir::Var(v)), None) = (&p.start, key.using) else {
+                return None;
+            };
+            let name = plain_child_step(p)?;
+            let leaf = cx.hints.index_scan.is_some() || cx.stats?.value_eq_indexable(name, false);
+            leaf.then(|| (*v, name.clone()))
+        })
+        .collect()
 }
 
 // ---- join unnesting ---------------------------------------------------

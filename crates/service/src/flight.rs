@@ -58,15 +58,18 @@ pub struct FlightRecord {
     /// Tuples the evaluation produced (the `tuples_produced` counter),
     /// failed runs included; 0 when the plan never ran.
     pub tuples: u64,
-    /// Largest per-operator q-error in the profile, when estimates
-    /// were available.
+    /// Largest per-operator q-error in the profile of a successful run,
+    /// when estimates were available. A failed run's actuals stop short,
+    /// so it reports none.
     pub worst_q_error: Option<f64>,
-    /// Pre-rendered JSON of the [`EvalStats`] snapshot.
+    /// Pre-rendered JSON of the [`EvalStats`] snapshot of a run that
+    /// executed, failed runs included; `None` when the plan never ran.
     ///
     /// [`EvalStats`]: xqa_engine::EvalStats
     pub stats_json: Option<String>,
     /// Pre-rendered JSON of the full [`QueryProfile`] — one entry per
-    /// FLWOR, with per-operator est/actual counters.
+    /// FLWOR, with per-operator est/actual counters — of a run that
+    /// executed, failed runs included; `None` when the plan never ran.
     ///
     /// [`QueryProfile`]: xqa_engine::QueryProfile
     pub profile_json: Option<String>,
@@ -107,13 +110,17 @@ fn truncate_query(query: &str) -> String {
     query.chars().take(MAX_QUERY_CHARS).collect::<String>() + "..."
 }
 
+/// What one executed run leaves for its record: its evaluator counters
+/// and its operator profile.
+type RunFacts<'a> = (&'a EvalStatsSnapshot, &'a QueryProfile);
+
 impl FlightRecord {
     /// The record of one query run, for the server and the CLI alike.
     /// `plan` is the compiled plan and whether it came from the plan
     /// cache (`None` when the query never compiled); a plan compiled
     /// for this run contributes its compile trace, stamped `trace_id`.
-    /// `run` is the finished run's stats and profile, or its error and
-    /// the tuples it had produced before failing.
+    /// `run` is the finished run's facts, or its error and — when the
+    /// plan ran before failing — the facts of what it did.
     pub fn new(
         request_id: String,
         query: &str,
@@ -121,7 +128,7 @@ impl FlightRecord {
         trace_id: u64,
         latency: Duration,
         streamed: bool,
-        run: Result<(&EvalStatsSnapshot, &QueryProfile), (String, u64)>,
+        run: Result<RunFacts<'_>, (String, Option<RunFacts<'_>>)>,
     ) -> FlightRecord {
         // Rewrite kinds in firing order, each once: a property of the
         // plan shape, so cache hits carry them too.
@@ -136,15 +143,13 @@ impl FlightRecord {
             Some((p, false)) => p.trace_json(trace_id),
             _ => "[]".to_string(),
         };
-        let (error, tuples, worst_q_error, stats_json, profile_json) = match run {
-            Ok((stats, profile)) => (
+        let (error, facts, worst_q_error) = match run {
+            Ok(facts @ (_, profile)) => (
                 None,
-                stats.tuples_produced,
+                Some(facts),
                 profile.worst_misestimate().map(|m| m.q_error),
-                Some(stats.to_json()),
-                Some(profile.to_json()),
             ),
-            Err((error, tuples)) => (Some(error), tuples, None, None, None),
+            Err((error, facts)) => (Some(error), facts, None),
         };
         FlightRecord {
             request_id,
@@ -155,10 +160,10 @@ impl FlightRecord {
             cached_plan: plan.is_some_and(|(_, cached)| cached),
             streamed,
             latency_us: latency.as_micros() as u64,
-            tuples,
+            tuples: facts.map_or(0, |(stats, _)| stats.tuples_produced),
             worst_q_error,
-            stats_json,
-            profile_json,
+            stats_json: facts.map(|(stats, _)| stats.to_json()),
+            profile_json: facts.map(|(_, profile)| profile.to_json()),
             trace_json,
             rewrites,
         }
@@ -599,7 +604,7 @@ mod tests {
             1,
             Duration::from_micros(7),
             false,
-            Err(("compile: unexpected end".to_string(), 0)),
+            Err(("compile: unexpected end".to_string(), None)),
         ));
         assert_eq!(recorder.len(), 1);
         assert_eq!(recorder.fingerprint_count(), 0);

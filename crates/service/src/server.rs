@@ -423,7 +423,8 @@ fn client_request_id(request: &Request) -> Option<String> {
     sane.then(|| id.to_string())
 }
 
-/// Fold one finished run's stats and profile into the service totals.
+/// Fold one executed run's stats and profile into the service totals,
+/// whether it succeeded or failed: the work was done either way.
 fn snapshot_run(
     shared: &Shared,
     ctx: &mut xqa_engine::DynamicContext,
@@ -465,14 +466,16 @@ fn handle_query(
     // failure is still an ordinary 400; after, it can only truncate.
     let mut streamed = false;
     let mut body = String::new();
-    // A failure is (kind, message, tuples the run produced).
-    let outcome: Result<(EvalStatsSnapshot, QueryProfile), (&str, String, u64)> = (|| {
+    // A failure is (kind, message, the stats and profile of the run
+    // when the plan ran).
+    type Facts = (EvalStatsSnapshot, QueryProfile);
+    let outcome: Result<Facts, (&str, String, Option<Box<Facts>>)> = (|| {
         let query = std::str::from_utf8(&request.body)
-            .map_err(|_| ("body", "query text must be UTF-8".to_string(), 0))?;
+            .map_err(|_| ("body", "query text must be UTF-8".to_string(), None))?;
         let (plan, compiled_now) = shared
             .cache
             .get_or_compile_status(&shared.engine, query)
-            .map_err(|e| ("compile", e.to_string(), 0))?;
+            .map_err(|e| ("compile", e.to_string(), None))?;
         compiled = Some((Arc::clone(&plan), !compiled_now));
         if compiled_now {
             // Count each rewrite once per compilation, not per request:
@@ -508,9 +511,10 @@ fn handle_query(
             Err(StreamError::Engine { error, .. }) => Err(("runtime", error.to_string())),
             Err(StreamError::Sink { error, .. }) => Err(("sink", error.to_string())),
         };
+        let facts = snapshot_run(shared, &mut ctx);
         match run {
-            Ok(()) => Ok(snapshot_run(shared, &mut ctx)),
-            Err((kind, message)) => Err((kind, message, ctx.stats.snapshot().tuples_produced)),
+            Ok(()) => Ok(facts),
+            Err((kind, message)) => Err((kind, message, Some(Box::new(facts)))),
         }
     })();
     let elapsed = start.elapsed();
@@ -518,10 +522,16 @@ fn handle_query(
     if shared.flight.enabled() {
         let run = match &outcome {
             Ok((stats, profile)) => Ok((stats, profile)),
-            Err(("runtime", message, tuples)) if streamed => {
-                Err((format!("runtime (mid-stream): {message}"), *tuples))
+            Err((kind, message, facts)) => {
+                let error = match *kind {
+                    "runtime" if streamed => format!("runtime (mid-stream): {message}"),
+                    kind => format!("{kind}: {message}"),
+                };
+                Err((
+                    error,
+                    facts.as_deref().map(|(stats, profile)| (stats, profile)),
+                ))
             }
-            Err((kind, message, tuples)) => Err((format!("{kind}: {message}"), *tuples)),
         };
         shared.flight.record(FlightRecord::new(
             request_id.clone(),

@@ -648,6 +648,98 @@ fn mid_stream_errors_truncate_the_chunked_body_and_close() {
     server.shutdown();
 }
 
+/// GET `target` on a fresh connection; the body.
+fn get_body(addr: std::net::SocketAddr, target: &str) -> String {
+    let mut probe = TcpStream::connect(addr).expect("connect probe");
+    probe
+        .write_all(
+            format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .expect("send probe");
+    let mut response = String::new();
+    probe.read_to_string(&mut response).expect("read probe");
+    response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_string())
+        .unwrap_or_default()
+}
+
+/// A run that fails after its plan ran did the work all the same: its
+/// evaluator counters and operator tuples reach `/metrics`, and its
+/// record carries its stats and profile next to the error, buffered or
+/// cut off mid-stream. A compile failure has neither.
+#[test]
+fn failed_runs_reach_the_totals_and_their_records() {
+    let server = default_server();
+    let addr = server.local_addr();
+    // Batches of 64: x = 150 divides by zero in the third, so the run
+    // has produced 192 tuples when it fails.
+    let query = "for $x in 1 to 200 return $x idiv (150 - $x)";
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            format!(
+                "POST /query?stream=false HTTP/1.1\r\nHost: t\r\nX-Request-Id: buffered-1\r\n\
+                 Connection: close\r\nContent-Length: {}\r\n\r\n{query}",
+                query.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read");
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    let metrics = get_body(addr, "/metrics");
+    assert!(
+        metrics.contains("xqa_eval_tuples_produced_total 192\n"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("xqa_op_tuples_total{op=\"ForScan\"} 192\n"),
+        "{metrics}"
+    );
+    let record = get_body(addr, "/debug/query/buffered-1");
+    assert!(record.contains("\"tuples_produced\":192,"), "{record}");
+    assert!(record.contains("\"pipelines\":[{"), "{record}");
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(post_query_raw(query, "X-Request-Id: mid-1\r\n").as_bytes())
+        .expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read to close");
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+    let record = get_body(addr, "/debug/query/mid-1");
+    assert!(
+        record.contains("\"error\":\"runtime (mid-stream): "),
+        "{record}"
+    );
+    assert!(record.contains("\"worst_q_error\":null"), "{record}");
+    assert!(record.contains("\"tuples_produced\":192,"), "{record}");
+    assert!(record.contains("\"pipelines\":[{"), "{record}");
+    let metrics = get_body(addr, "/metrics");
+    assert!(
+        metrics.contains("xqa_eval_tuples_produced_total 384\n"),
+        "{metrics}"
+    );
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .write_all(
+            post_query_raw("for $x in", "X-Request-Id: bad-1\r\nConnection: close\r\n").as_bytes(),
+        )
+        .expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read");
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    let record = get_body(addr, "/debug/query/bad-1");
+    assert!(
+        record.contains("\"stats\":null,\"profile\":null"),
+        "{record}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn streamed_responses_move_the_streaming_metrics_and_flight_records() {
     let server = default_server();

@@ -390,6 +390,27 @@ impl DocumentStore {
         Some(self.parents_of(leaves.copied()))
     }
 
+    /// The dictionary id of element `id`'s value among the leaves of its
+    /// name, for an element without attributes whose name's value index
+    /// is complete. Two such elements of one name are deep-equal exactly
+    /// when their ids are equal: both have no attributes, and their one
+    /// text child (or no child at all) is their value. `None` for any
+    /// other node — an element with attributes, or one whose name has
+    /// some non-leaf element (no dictionary is kept for that name) — so
+    /// a caller grouping on ids must fall back to deep-equal there.
+    pub fn leaf_value_id(&self, id: NodeId) -> Option<u32> {
+        let doc = &self.doc;
+        if doc.kind_of(id) != NodeKind::Element || doc.attribute_count_of(id) != 0 {
+            return None;
+        }
+        let vi = &self.values[doc.name_id_of(id)? as usize];
+        if !vi.complete {
+            return None;
+        }
+        let value = leaf_value(doc, id)?;
+        vi.find(doc, self.hasher.hash_one(value), value).ok()
+    }
+
     fn parents_of(&self, leaves: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
         let mut parents: Vec<NodeId> = leaves.filter_map(|id| self.doc.parent_of(id)).collect();
         parents.sort_unstable();

@@ -225,6 +225,27 @@ impl Document {
         (first <= rec.subtree_end).then_some(first)
     }
 
+    /// Ids of node `id`'s child elements whose name has id `name` (the
+    /// `child::name` step on ids): each child costs an integer compare.
+    /// `None` matches no child.
+    pub fn child_element_ids(&self, id: NodeId, name: Option<NameId>) -> ChildElementIds<'_> {
+        let rec = self.rec(id);
+        ChildElementIds {
+            doc: self,
+            // An absent name matches no record: `NO_NAME` is what
+            // unnamed nodes carry, and those are not elements.
+            name: name.unwrap_or(NO_NAME),
+            next: id + rec.attrs + 1,
+            end: rec.subtree_end,
+            examined: 0,
+        }
+    }
+
+    /// How many attributes node `id` carries (0 unless an element).
+    pub fn attribute_count_of(&self, id: NodeId) -> u32 {
+        self.rec(id).attrs
+    }
+
     /// Raw stored text of node `id` (`None` for elements and documents).
     pub fn text_of(&self, id: NodeId) -> Option<&str> {
         match self.rec(id).kind {
@@ -433,33 +454,58 @@ impl NodeHandle {
     /// step): the name resolves to its id once, each child then costs an
     /// integer compare, and only a match gets a handle.
     pub fn child_elements_named(&self, name: &QName) -> ChildElements<'_> {
-        let rec = self.rec();
         ChildElements {
             parent: self,
-            // An absent name matches no record: `NO_NAME` is what
-            // unnamed nodes carry, and those are not elements.
-            name: self.doc.name_id(name).unwrap_or(NO_NAME),
-            next: self.id + rec.attrs + 1,
-            end: rec.subtree_end,
-            examined: 0,
+            ids: self.doc.child_element_ids(self.id, self.doc.name_id(name)),
         }
     }
 }
 
-/// Iterator over the child elements of one name, in document order (see
-/// [`NodeHandle::child_elements_named`]).
-pub struct ChildElements<'a> {
-    parent: &'a NodeHandle,
+/// Ids of the child elements of one name, in document order (see
+/// [`Document::child_element_ids`]).
+pub struct ChildElementIds<'a> {
+    doc: &'a Document,
     name: NameId,
     next: NodeId,
     end: NodeId,
     examined: u64,
 }
 
-impl ChildElements<'_> {
+impl ChildElementIds<'_> {
     /// How many children, matching or not, the walk has looked at.
     pub fn examined(&self) -> u64 {
         self.examined
+    }
+}
+
+impl Iterator for ChildElementIds<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        while self.next <= self.end {
+            let id = self.next;
+            let rec = self.doc.rec(id);
+            self.next = rec.subtree_end + 1;
+            self.examined += 1;
+            if rec.name == self.name && rec.kind == NodeKind::Element {
+                return Some(id);
+            }
+        }
+        None
+    }
+}
+
+/// The child elements of one name as handles (see
+/// [`NodeHandle::child_elements_named`]).
+pub struct ChildElements<'a> {
+    parent: &'a NodeHandle,
+    ids: ChildElementIds<'a>,
+}
+
+impl ChildElements<'_> {
+    /// How many children, matching or not, the walk has looked at.
+    pub fn examined(&self) -> u64 {
+        self.ids.examined()
     }
 }
 
@@ -467,17 +513,7 @@ impl Iterator for ChildElements<'_> {
     type Item = NodeHandle;
 
     fn next(&mut self) -> Option<NodeHandle> {
-        let doc = &self.parent.doc;
-        while self.next <= self.end {
-            let id = self.next;
-            let rec = doc.rec(id);
-            self.next = rec.subtree_end + 1;
-            self.examined += 1;
-            if rec.name == self.name && rec.kind == NodeKind::Element {
-                return Some(self.parent.at(id));
-            }
-        }
-        None
+        self.ids.next().map(|id| self.parent.at(id))
     }
 }
 

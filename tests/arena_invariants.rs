@@ -537,6 +537,87 @@ fn value_lookups_agree_with_a_walk_at_realistic_cardinality() {
     assert!(probed > 2_000, "only {probed} distinct values probed");
 }
 
+/// `DocumentStore::leaf_value_id` against the tree: an element has an
+/// id exactly when it carries no attributes and every element of its
+/// name is an indexable leaf, two elements of one name share an id
+/// exactly when their texts are equal, and no other node has one.
+/// Returns how many elements got an id.
+fn check_value_ids(doc: &Arc<Document>) -> usize {
+    let store = DocumentStore::build(doc);
+    let nodes = || (0..doc.len() as NodeId).filter_map(|id| doc.handle(id));
+    let leaf_text = |n: &NodeHandle| -> Option<String> {
+        let mut children = n.children();
+        match (children.next(), children.next()) {
+            (None, _) => Some(String::new()),
+            (Some(only), None) if only.kind() == NodeKind::Text => Some(n.string_value()),
+            _ => None,
+        }
+    };
+    let mut coded = 0;
+    for name in store.names() {
+        let of_name: Vec<NodeHandle> = nodes()
+            .filter(|n| n.kind() == NodeKind::Element && n.name() == Some(name))
+            .collect();
+        let all_leaf = of_name.iter().all(|n| leaf_text(n).is_some());
+        let (mut text_of, mut id_of) = (HashMap::new(), HashMap::new());
+        for n in &of_name {
+            let id = store.leaf_value_id(n.id());
+            let bare = n.attributes().len() == 0;
+            assert_eq!(id.is_some(), all_leaf && bare, "{name}: {n:?}");
+            let (Some(id), Some(text)) = (id, leaf_text(n)) else {
+                continue;
+            };
+            coded += 1;
+            assert_eq!(
+                *text_of.entry(id).or_insert(text.clone()),
+                text,
+                "{name}: id {id}"
+            );
+            assert_eq!(
+                *id_of.entry(text.clone()).or_insert(id),
+                id,
+                "{name}: {text:?}"
+            );
+        }
+    }
+    for n in nodes().filter(|n| n.kind() != NodeKind::Element) {
+        assert_eq!(store.leaf_value_id(n.id()), None, "{n:?}");
+    }
+    coded
+}
+
+/// Value ids on the 2K-lineitem `cold_run` document, on a crafted one
+/// (attributes on leaves, empty elements, mixed content, `-0` and `0`,
+/// repeated children) and on generated trees.
+#[test]
+fn value_ids_are_equal_exactly_for_equal_leaf_texts() {
+    let orders = generate_orders(&OrdersConfig::with_total_lineitems(2_000));
+    assert!(check_value_ids(&orders) > 20_000);
+    let crafted = xqa::parse_document(
+        "<r><x><k a=\"1\">p</k><k>p</k><k/><k></k><k>-0</k><k>0</k><k>0</k><k>p</k></x>\
+         <x><m>t<i/>u</m><m>t</m><z>1</z><z b=\"2\">1</z><e/><e><!--c--></e>\
+         <w>a</w><w>a</w><w>b</w></x></r>",
+    )
+    .unwrap();
+    // `k`: 7 bare of 8; `m` and `e` have a non-leaf element; `i`: 1;
+    // `z`: 1 of 2; `w`: 3; `x` and `r` hold elements.
+    assert_eq!(check_value_ids(&crafted), 12);
+    let store = DocumentStore::build(&crafted);
+    let k: Vec<Option<u32>> = (0..crafted.len() as NodeId)
+        .filter(|&id| crafted.handle(id).unwrap().name() == Some(&QName::local("k")))
+        .map(|id| store.leaf_value_id(id))
+        .collect();
+    assert_eq!(k.len(), 8);
+    assert_eq!((k[0], k[1]), (None, k[7]));
+    assert_eq!(k[2], k[3], "`<k/>` and `<k></k>` are both empty");
+    assert_ne!(k[4], k[5], "`-0` and `0` are two texts");
+    assert_eq!(k[5], k[6]);
+    let mut rng = DetRng::seed_from_u64(0x1d5);
+    for _ in 0..150 {
+        check_value_ids(&build(&gen_log(&mut rng)));
+    }
+}
+
 #[test]
 fn empty_document_and_standalone_attribute() {
     let doc = build(&[]);
