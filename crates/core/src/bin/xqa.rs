@@ -228,29 +228,33 @@ fn run(args: &Args) -> Result<(), String> {
     if args.explain {
         eprint!("{}", query.explain());
     }
-    let result = query.run(&ctx).map_err(|e| e.to_string())?;
-    let options = if args.pretty {
-        SerializeOptions::pretty()
-    } else {
-        SerializeOptions::default()
-    };
-    println!("{}", serialize_sequence_with(&result, options));
+    let result = query.run(&ctx);
+    if let Ok(items) = &result {
+        let options = if args.pretty {
+            SerializeOptions::pretty()
+        } else {
+            SerializeOptions::default()
+        };
+        println!("{}", serialize_sequence_with(items, options));
+    }
     let latency = started.elapsed();
     let profile = if args.profile || args.diag_json.is_some() {
         let p = ctx.take_profile().unwrap_or_default();
-        if args.profile {
+        if args.profile && result.is_ok() {
             eprint!("{}", query.explain_analyze(&p, &ctx.stats.snapshot()));
         }
         Some(p)
     } else {
         None
     };
-    if args.stats {
+    if args.stats && result.is_ok() {
         eprintln!("stats: {}", ctx.stats.snapshot());
     }
     if let Some(file) = &args.diag_json {
         // The record a server deposits for the same request: compiled
-        // now, buffered, never failed.
+        // now, buffered; a failed run keeps what it did up to the error.
+        let stats = ctx.stats.snapshot();
+        let facts = (&stats, profile.as_ref().expect("profiling enabled"));
         let record = FlightRecord::new(
             QUERY_ID.to_string(),
             &query_source,
@@ -258,15 +262,15 @@ fn run(args: &Args) -> Result<(), String> {
             QUERY_ID,
             latency,
             false,
-            Ok((
-                &ctx.stats.snapshot(),
-                profile.as_ref().expect("profiling enabled"),
-            )),
+            match &result {
+                Ok(_) => Ok(facts),
+                Err(e) => Err((format!("runtime: {e}"), Some(facts))),
+            },
         );
         std::fs::write(file, record.full_json())
             .map_err(|e| format!("cannot write {file}: {e}"))?;
     }
-    Ok(())
+    result.map(drop).map_err(|e| e.to_string())
 }
 
 struct ServeArgs {

@@ -546,6 +546,46 @@ fn the_cli_record_is_the_served_record() {
     assert_eq!(signatures(&cli), signatures(&served));
 }
 
+/// A run that fails still writes its record: `ok` false, the error, and
+/// the stats and profile of what ran before it (192 tuples: the `for`
+/// had bound three batches of 64 when `$x = 150` divided by zero).
+#[test]
+fn a_failed_run_writes_its_record() {
+    let diag = write_temp("failed-diag.json", "");
+    std::fs::remove_file(&diag).expect("start without the file");
+    let out = xqa()
+        .args([
+            "-q",
+            "for $x in 1 to 200 return $x idiv (150 - $x)",
+            "--diag-json",
+        ])
+        .arg(&diag)
+        .output()
+        .expect("run xqa");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let record = json_members(&std::fs::read_to_string(&diag).expect("diag file written"));
+    let value = |key: &str| -> String {
+        record
+            .iter()
+            .find_map(|(k, v)| (k == key).then(|| v.clone()))
+            .unwrap_or_else(|| panic!("no {key} in {record:?}"))
+    };
+    assert_eq!(value("ok"), "false");
+    assert!(value("error").contains("FOAR0001"), "{record:?}");
+    let stats = json_members(&value("stats"));
+    let produced = stats
+        .iter()
+        .find_map(|(k, v)| (k == "tuples_produced").then(|| v.parse::<u64>().expect("a count")))
+        .expect("tuples_produced");
+    assert!(produced >= 192, "{produced}");
+    assert!(value("profile").contains("\"pipelines\":[{"), "{record:?}");
+}
+
 #[test]
 fn hint_flag_controls_unnesting() {
     let input = write_temp(

@@ -20,13 +20,16 @@
 //! The per-operator model is deliberately simple and documented here
 //! so misestimates are attributable:
 //!
-//! - `ForScan` — fan-out per input tuple from [`source_cardinality`];
-//!   unknown sources poison the rest of the chain (`None` propagates).
+//! - `ForScan` — fan-out per input tuple from [`source_cardinality`],
+//!   times `1/ndv` per value probe ([`OpIr::probes`]); unknown sources
+//!   poison the rest of the chain (`None` propagates).
 //! - `LetBind` / `CountBind` — 1:1, estimate passes through. A
 //!   `HashJoin`-annotated `let` is still 1:1 on the *tuple* stream (it
 //!   binds a sequence per tuple); the matched-pairs volume is the
 //!   classic [`join_cardinality`] `|build| × |probe| / ndv(key)`.
-//! - `Filter` — equality predicates against a value-indexed leaf use
+//! - `Filter` — the leading conjuncts the `for` before it probed are
+//!   not counted again, and a filter with none left passes its input;
+//!   one remaining equality predicate against a value-indexed leaf uses
 //!   the catalog's distinct-value count (`1/ndv` selectivity); a
 //!   `HashJoin`-annotated existential filter uses [`join_cardinality`]
 //!   capped at its input; everything else keeps the fixed
@@ -40,7 +43,7 @@
 //! - `ReturnAt` — one output ordinal per input tuple.
 
 use crate::ir::*;
-use crate::rewrite::EqPred;
+use crate::rewrite::{conjuncts, EqPred};
 use xqa_storage::CatalogStatistics;
 
 /// Default selectivity assumed for an unanalyzed `where` predicate.
@@ -55,12 +58,25 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
     // Tuples flowing into the next operator; the chain starts with the
     // single empty tuple every FLWOR conceptually begins from.
     let mut card: Option<u64> = Some(1);
+    // Leading conjuncts of the next `where` the `for` before it probed.
+    let mut probed = 0;
     for op in &mut f.ops {
         card = match &op.clause {
             ClauseIr::For { expr, .. } => {
                 let fanout = source_cardinality(expr, stats);
+                // A value probe on `c` keeps `1/ndv(c)` of the rows.
+                let sel: f64 = op
+                    .probes
+                    .iter()
+                    .map(
+                        |(c, _)| match stats.and_then(|stats| stats.distinct_values(c)) {
+                            Some(ndv) => 1.0 / ndv as f64,
+                            None => FILTER_SELECTIVITY,
+                        },
+                    )
+                    .product();
                 match (card, fanout) {
-                    (Some(n), Some(k)) => Some(n.saturating_mul(k)),
+                    (Some(n), Some(k)) => Some((n.saturating_mul(k) as f64 * sel).ceil() as u64),
                     _ => None,
                 }
             }
@@ -73,9 +89,13 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
                     (Some(n), Some(m)) => Some(n.min(m)),
                     _ => card.map(filter_fallback),
                 },
-                None => card.map(|n| match eq_pred_selectivity(pred, stats) {
-                    Some(sel) => ((n as f64 * sel).ceil() as u64).max(1),
-                    None => filter_fallback(n),
+                None => card.map(|n| match conjuncts(pred)[probed..] {
+                    [] => n,
+                    [pred] => match eq_pred_selectivity(pred, stats) {
+                        Some(sel) => ((n as f64 * sel).ceil() as u64).max(1),
+                        None => filter_fallback(n),
+                    },
+                    _ => filter_fallback(n),
                 }),
             },
             ClauseIr::Window(_) => None,
@@ -86,6 +106,7 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
             },
         };
         op.estimate = card;
+        probed = op.probes.len();
     }
     // The sink emits one output ordinal per surviving tuple.
     f.return_estimate = card;

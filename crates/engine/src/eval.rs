@@ -503,10 +503,7 @@ impl<'a> Interpreter<'a> {
                 Some(ids.iter().filter_map(|&id| doc.handle(id)).collect())
             }
             AccessPathIr::IndexValueEq { child, probe } => {
-                let parents = match probe {
-                    ValueProbeIr::Str(s) => store.parents_by_string_eq(child, s)?,
-                    ValueProbeIr::Num(v) => store.parents_by_numeric_eq(child, *v)?,
-                };
+                let parents = probe.parents(store, child)?;
                 let origin = node.id();
                 let end = store.subtree_end(origin);
                 Some(

@@ -34,8 +34,8 @@ const KEYS: [HintKey; 5] = [
         key: "access",
         on: "index",
         off: "walk",
-        pins: "//T scans, value predicates and $v/N group keys: always via the indexes \
-               | always tree-walk and canonical keys",
+        pins: "//T scans, value predicates, $v/N group keys and for-where value probes: \
+               always via the indexes | always tree-walk, canonical keys, no probes",
         absent: "statistics decide",
     },
     HintKey {

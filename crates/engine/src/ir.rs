@@ -13,7 +13,8 @@
 
 use crate::functions::Builtin;
 use xqa_frontend::ast::{ArithOp, NodeComparison, Quantifier, SetOp};
-use xqa_xdm::{CompOp, Decimal, QName};
+use xqa_storage::DocumentStore;
+use xqa_xdm::{AtomicValue, CompOp, Decimal, NodeId, QName};
 
 /// Index of a variable slot in the current frame.
 pub type Slot = usize;
@@ -276,6 +277,11 @@ pub struct OpIr {
     /// the canonical string for the rest of the run at the first tuple
     /// the store cannot code (`GroupTable` in `pipeline/partial.rs`).
     pub value_keys: Vec<(Slot, QName)>,
+    /// Set by the planner's value-probe rule on a `for` directly followed
+    /// by a `where` whose leading conjuncts are `$v/c = $x`: per conjunct,
+    /// `c` and `$x`'s slot. `ForScan` drops the nodes the value index
+    /// proves they reject (`binding_sequence` in `pipeline.rs`).
+    pub probes: Vec<(QName, Slot)>,
 }
 
 impl From<ClauseIr> for OpIr {
@@ -287,6 +293,7 @@ impl From<ClauseIr> for OpIr {
             estimate: None,
             counted_nests: Vec::new(),
             value_keys: Vec::new(),
+            probes: Vec::new(),
         }
     }
 }
@@ -294,9 +301,9 @@ impl From<ClauseIr> for OpIr {
 impl OpIr {
     /// The plan detail: a join's key description, a bounded order-by's
     /// `limit=k`, the index access path of a `for` over an annotated
-    /// path (so plans show where the tuples come from), a group-by's
-    /// `keys by value id` and its counted nests as `agg count($v)`; else
-    /// empty.
+    /// path (so plans show where the tuples come from) and its value
+    /// probes as `probe c ..`, a group-by's `keys by value id` and its
+    /// counted nests as `agg count($v)`; else empty.
     pub fn detail(&self) -> String {
         if let Some(j) = &self.join {
             return j.key_desc();
@@ -318,9 +325,19 @@ impl OpIr {
                 }
                 facts.join(", ")
             }
-            ClauseIr::For {
-                expr: Ir::Path(p), ..
-            } => p.describe_access(false),
+            ClauseIr::For { expr, .. } => {
+                let mut facts = Vec::new();
+                if let Ir::Path(p) = expr {
+                    facts.push(p.describe_access(false));
+                }
+                if !self.probes.is_empty() {
+                    let names: Vec<String> =
+                        self.probes.iter().map(|(c, _)| c.to_string()).collect();
+                    facts.push(format!("probe {}", names.join(" ")));
+                }
+                facts.retain(|fact| !fact.is_empty());
+                facts.join(", ")
+            }
             _ => String::new(),
         }
     }
@@ -769,6 +786,28 @@ pub enum ValueProbeIr {
     /// A numeric literal — `xs:double` equality on leaf values (the
     /// same promotion general comparison applies to untyped operands).
     Num(f64),
+}
+
+impl ValueProbeIr {
+    /// The probe for a comparison key atom: a string or untyped atom
+    /// compares as a string, a numeric one as its `xs:double` image.
+    /// `None` for every other type.
+    pub(crate) fn of_atom(key: &AtomicValue) -> Option<ValueProbeIr> {
+        match key {
+            AtomicValue::String(s) | AtomicValue::Untyped(s) => Some(ValueProbeIr::Str(s.clone())),
+            v if v.is_numeric() => v.to_double().ok().map(ValueProbeIr::Num),
+            _ => None,
+        }
+    }
+
+    /// The parents of `child` leaves equal to this probe, sorted and
+    /// distinct, or `None` when `store` cannot answer exactly.
+    pub(crate) fn parents(&self, store: &DocumentStore, child: &QName) -> Option<Vec<NodeId>> {
+        match self {
+            ValueProbeIr::Str(s) => store.parents_by_string_eq(child, s),
+            ValueProbeIr::Num(v) => store.parents_by_numeric_eq(child, *v),
+        }
+    }
 }
 
 /// Where a path starts.

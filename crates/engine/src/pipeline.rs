@@ -53,8 +53,8 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, OnceLock};
 use xqa_xdm::sequence::SequenceIntoIter;
 use xqa_xdm::{
-    effective_boolean_value, value_compare, AtomicValue, CompOp, ErrorCode, Item, Sequence,
-    SequenceBuilder,
+    effective_boolean_value, value_compare, AtomicValue, CompOp, ErrorCode, Item, NodeHandle,
+    NodeId, QName, Sequence, SequenceBuilder,
 };
 
 /// Tuples per batch. Large enough to amortize the virtual `next_batch`
@@ -216,7 +216,7 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
         let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
             unreachable!("parallel-eligible FLWOR starts with a for clause");
         };
-        seed = Some(interp.eval(expr, env)?);
+        seed = Some(binding_sequence(interp, expr, &f.ops[0].probes, env)?);
     }
 
     let start = clock.as_ref().map(|c| c.now_nanos());
@@ -365,6 +365,7 @@ fn clause_source<'p>(
                 at_slot: *at_slot,
                 ty: ty.as_ref(),
                 expr,
+                probes: &op.probes,
                 batch: Vec::new().into_iter(),
                 items: items.into_iter(),
                 item_pos,
@@ -563,6 +564,7 @@ struct ForScan<'p> {
     at_slot: Option<Slot>,
     ty: Option<&'p SeqTypeIr>,
     expr: &'p Ir,
+    probes: &'p [(QName, Slot)],
     batch: std::vec::IntoIter<Tuple>,
     items: SequenceIntoIter,
     item_pos: i64,
@@ -603,7 +605,7 @@ impl TupleSource for ForScan<'_> {
             match self.batch.next() {
                 Some(base) => {
                     base.apply(env);
-                    self.items = interp.eval(self.expr, env)?.into_iter();
+                    self.items = binding_sequence(interp, self.expr, self.probes, env)?.into_iter();
                     self.item_pos = 0;
                     self.base = base;
                 }
@@ -618,6 +620,81 @@ impl TupleSource for ForScan<'_> {
             }
         }
     }
+}
+
+/// A `for` clause's binding sequence: `expr`'s value less the nodes its
+/// value probes ([`OpIr::probes`]) prove the `where` after the `for`
+/// rejects (DESIGN.md §5.1). Atomics, nodes of documents without a
+/// store and every survivor still meet the `where`.
+fn binding_sequence(
+    interp: &Interpreter,
+    expr: &Ir,
+    probes: &[(QName, Slot)],
+    env: &mut Env,
+) -> EngineResult<Sequence> {
+    let items = interp.eval(expr, env)?;
+    // A probe applies to a key of one string, untyped or numeric atom.
+    let keys: Vec<(&QName, ValueProbeIr)> = probes
+        .iter()
+        .map_while(|(c, x)| match env.slots[*x].as_slice() {
+            [key] => Some((c, ValueProbeIr::of_atom(&key.atomize())?)),
+            _ => None,
+        })
+        .collect();
+    if keys.is_empty() {
+        return Ok(items);
+    }
+    // Per document met so far, the parents every applied probe answered
+    // with; `None` when it has no store or its store answers no probe.
+    let mut docs: Vec<(u64, Option<Vec<NodeId>>)> = Vec::new();
+    let mut survives = |node: &NodeHandle| {
+        let serial = node.document().serial();
+        let i = match docs.iter().rposition(|(s, _)| *s == serial) {
+            Some(i) => i,
+            None => {
+                docs.push((serial, probed_parents(interp, serial, &keys)));
+                docs.len() - 1
+            }
+        };
+        docs[i]
+            .1
+            .as_ref()
+            .is_none_or(|kept| kept.binary_search(&node.id()).is_ok())
+    };
+    Ok(items
+        .iter()
+        .filter(|item| match item {
+            Item::Node(node) => survives(node),
+            Item::Atomic(_) => true,
+        })
+        .cloned()
+        .collect())
+}
+
+/// The intersection of the parents the probes answer in document
+/// `serial`'s store, taken in order up to the first the store cannot
+/// answer exactly: a later conjunct runs only after the earlier ones
+/// held, so an earlier one the index cannot decide might have raised.
+fn probed_parents(
+    interp: &Interpreter,
+    serial: u64,
+    keys: &[(&QName, ValueProbeIr)],
+) -> Option<Vec<NodeId>> {
+    let store = interp.dynamic.store(serial)?;
+    let mut kept: Option<Vec<NodeId>> = None;
+    for (c, key) in keys {
+        let Some(parents) = key.parents(store, c) else {
+            break;
+        };
+        kept = Some(match kept {
+            None => parents,
+            Some(kept) => kept
+                .into_iter()
+                .filter(|id| parents.binary_search(id).is_ok())
+                .collect(),
+        });
+    }
+    kept
 }
 
 /// `let $v := e`: 1:1 streaming binder.

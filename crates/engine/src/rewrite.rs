@@ -22,12 +22,12 @@
 //!   source `S` and `C`'s conjunct list: the join graph of *XQuery Join
 //!   Graph Isolation* (Grust et al.) cut down to one edge.
 //!
-//! Join unnesting, the value-equality index shape, implicit group-by
-//! detection and the estimator's equality selectivity are each one
-//! match on those views. The views never reorder operands in the IR: a
-//! hash join must raise what the nested loop raises first, so the
-//! original predicate ([`JoinIr::pred`]) stays in place, and the
-//! fallback scan evaluates it as written.
+//! Join unnesting, the value-equality index shape, a `for`'s value
+//! probes, implicit group-by detection and the estimator's equality
+//! selectivity are each one match on those views. The views never
+//! reorder operands in the IR: a hash join must raise what the nested
+//! loop raises first, so the original predicate ([`JoinIr::pred`])
+//! stays in place, and the fallback scan evaluates it as written.
 //!
 //! # Implicit group-by
 //!
@@ -132,9 +132,11 @@ struct Rule {
 /// 7. *value-id grouping*, under the index annotation's gate: it only
 ///    chooses how a `group by` finds its groups.
 /// 8. *join unnesting*.
-/// 9. *estimates* last, after every plan-shaping rule (they read top-k
-///    limits, access paths and join annotations).
-const RULES: [Rule; 9] = [
+/// 9. *value probes*, under the index annotation's gate, after join
+///    unnesting: a `where` the join rule annotated is not probed.
+/// 10. *estimates* last, after every plan-shaping rule (they read top-k
+///     limits, access paths, join annotations and value probes).
+const RULES: [Rule; 10] = [
     Rule {
         kind: Some(RewriteKind::ImplicitGroupBy),
         located: false,
@@ -186,13 +188,20 @@ const RULES: [Rule; 9] = [
     Rule {
         kind: None,
         located: false,
+        enabled: index_access,
+        apply: annotate_value_probes,
+    },
+    Rule {
+        kind: None,
+        located: false,
         enabled: |_| true,
         apply: stamp_estimates,
     },
 ];
 
-/// The `access` gate of the index annotation and value-id grouping
-/// rules: the hint when pinned, else whether a catalog is attached.
+/// The `access` gate of the index annotation, value-id grouping and
+/// value-probe rules: the hint when pinned, else whether a catalog is
+/// attached.
 fn index_access(cx: &Cx<'_>) -> bool {
     cx.hints.index_scan.unwrap_or(cx.stats.is_some())
 }
@@ -242,7 +251,7 @@ pub fn plan(
 
 /// The conjuncts of a predicate, left to right: `a and (b and c)` is
 /// `[a, b, c]`, anything else is itself.
-fn conjuncts(pred: &Ir) -> Vec<&Ir> {
+pub(crate) fn conjuncts(pred: &Ir) -> Vec<&Ir> {
     fn collect<'a>(pred: &'a Ir, out: &mut Vec<&'a Ir>) {
         match pred {
             Ir::And(a, b) => {
@@ -898,6 +907,56 @@ fn value_keys(g: &GroupByIr, cx: &Cx<'_>) -> Option<Vec<(Slot, QName)>> {
             leaf.then(|| (*v, name.clone()))
         })
         .collect()
+}
+
+// ---- value probes ----------------------------------------------------
+
+/// Record [`OpIr::probes`] on every `for` directly followed by a `where`
+/// the join rule left alone: the `where`'s leading conjuncts of the form
+/// `$v/c = $x` — a general comparison, in either operand order, of one
+/// predicate-free `child::c` step from the `for`'s variable `$v` and a
+/// variable `$x` bound before the `for`. A `for` with `at` or a declared
+/// type declines: dropping items would renumber the positions or skip
+/// the type check. The first other conjunct ends the list, since `and`
+/// evaluates its operands in order and a dropped tuple must be one whose
+/// `where` would not have raised.
+fn annotate_value_probes(root: &mut Ir, _: &mut Cx<'_>) {
+    walk(root, false, &mut |ir| {
+        let Ir::Flwor(f) = ir else { return };
+        for i in 1..f.ops.len() {
+            let (scan, next) = (&f.ops[i - 1], &f.ops[i]);
+            let (
+                ClauseIr::For {
+                    slot,
+                    at_slot: None,
+                    ty: None,
+                    ..
+                },
+                ClauseIr::Where(pred),
+                None,
+            ) = (&scan.clause, &next.clause, &next.join)
+            else {
+                continue;
+            };
+            let probes = conjuncts(pred)
+                .into_iter()
+                .map_while(|conjunct| {
+                    let eq = EqPred::of(conjunct).filter(|eq| !eq.value_comp)?;
+                    let (c, key) = eq.orient(|side| match side {
+                        Ir::Path(p) if matches!(p.start, PathStartIr::Expr(Ir::Var(v)) if v == *slot) => {
+                            plain_child_step(p)
+                        }
+                        _ => None,
+                    })?;
+                    match key {
+                        Ir::Var(x) if x != slot => Some((c.clone(), *x)),
+                        _ => None,
+                    }
+                })
+                .collect();
+            f.ops[i - 1].probes = probes;
+        }
+    });
 }
 
 // ---- join unnesting ---------------------------------------------------

@@ -240,46 +240,91 @@ fn flwors_with_equal_labels_stay_apart() {
     }
 }
 
-/// The paper's two-key `Q` re-scans `//li` once per `($a, $b)` pair:
+/// The two-key `Q` over four `li` rows: `a` takes 1, 1, 2, 3 and `b`
+/// takes x, y, x, z, so each has three distinct values and the inner
+/// FLWOR runs once per `($a, $b)` pair, nine times; four pairs match
+/// one row each.
+const TWO_KEY_DOC: &str = "<r><li><a>1</a><b>x</b></li><li><a>1</a><b>y</b></li>\
+                           <li><a>2</a><b>x</b></li><li><a>3</a><b>z</b></li></r>";
+const TWO_KEY_Q: &str = "for $a in distinct-values(//li/a), $b in distinct-values(//li/b) \
+                         let $items := for $i in //li where $i/a = $a and $i/b = $b return $i \
+                         return count($items)";
+
+/// The profile of the two-key `Q` over [`TWO_KEY_DOC`], indexed and
+/// with its statistics attached, under `hints`.
+fn two_key_profile(hints: &str, threads: usize) -> QueryProfile {
+    let doc = xqa_xmlparse::parse_document(TWO_KEY_DOC).expect("well-formed");
+    let mut ctx = DynamicContext::new();
+    ctx.set_context_document(&doc);
+    ctx.index_documents();
+    let stats = Arc::new(xqa_storage::CatalogStatistics::from_stores(
+        ctx.stores().map(Arc::as_ref),
+    ));
+    let engine = Engine::with_options(EngineOptions {
+        threads,
+        hints: hints.parse().expect("valid hints"),
+    })
+    .with_statistics(stats);
+    let plan = engine.compile(TWO_KEY_Q).expect("compiles");
+    ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
+    ctx.enable_profiling();
+    plan.run(&ctx).expect("runs");
+    ctx.take_profile().expect("profiling was enabled")
+}
+
+/// Under `access=walk` the two-key `Q` re-scans `//li` once per pair:
 /// nine executions of an exact four-row scan read 36/36, and the worst
-/// misestimate is the two-key conjunct the planner cannot see through.
+/// misestimate is the two-key conjunct the planner cannot see through
+/// (the default 1/2 selectivity: 18 estimated, 4 kept).
 #[test]
 fn the_two_key_q_blames_the_conjunct_not_the_rescan() {
-    let doc = xqa_xmlparse::parse_document(
-        "<r><li><a>1</a><b>x</b></li><li><a>1</a><b>y</b></li>\
-         <li><a>2</a><b>x</b></li><li><a>3</a><b>z</b></li></r>",
-    )
-    .expect("well-formed");
-    let query = "for $a in distinct-values(//li/a), $b in distinct-values(//li/b) \
-                 let $items := for $i in //li where $i/a = $a and $i/b = $b return $i \
-                 return count($items)";
     for threads in THREADS {
-        let mut ctx = DynamicContext::new();
-        ctx.set_context_document(&doc);
-        ctx.index_documents();
-        let stats = Arc::new(xqa_storage::CatalogStatistics::from_stores(
-            ctx.stores().map(Arc::as_ref),
-        ));
-        let engine = Engine::with_options(EngineOptions {
-            threads,
-            ..Default::default()
-        })
-        .with_statistics(stats);
-        let plan = engine.compile(query).expect("compiles");
-        ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
-        ctx.enable_profiling();
-        plan.run(&ctx).expect("runs");
-        let profile = ctx.take_profile().expect("profiling was enabled");
-
+        let profile = two_key_profile("access=walk", threads);
         let inner = &profile.pipelines[0];
         assert_eq!(inner.executions, 9);
         let scan = &inner.ops[0];
-        assert_eq!(scan.label(), "ForScan(index scan //li)");
+        assert_eq!(scan.label(), "ForScan");
         assert_eq!((scan.estimate, scan.tuples_out), (Some(36), 36));
         assert_eq!(scan.q_error(), Some(1.0));
         let worst = profile.worst_misestimate().expect("estimated");
         assert!(!worst.label.starts_with("ForScan"), "{worst:?}");
         assert_eq!((worst.estimated, worst.actual), (18, 4), "{worst:?}");
         assert_eq!(worst.q_error, 4.5);
+    }
+}
+
+/// Unhinted, the inner `for` probes both conjuncts through the value
+/// index, so each execution binds only the rows matching its pair: 4
+/// tuples over the nine executions, one for each matching pair. Per
+/// execution the scan is estimated at `⌈4 × 1/3 × 1/3⌉ = 1` (each key
+/// has three distinct values) and the `where`, whose conjuncts were
+/// all probed, passes its input: 9 estimated against 4 at the scan,
+/// the filter and the sink alike, q = 9/4 = 2.25.
+#[test]
+fn the_probed_two_key_q_binds_only_the_matching_rows() {
+    for threads in THREADS {
+        let profile = two_key_profile("", threads);
+        let inner = &profile.pipelines[0];
+        assert_eq!(inner.executions, 9);
+        let rows: Vec<(String, Option<u64>, u64)> = inner
+            .ops
+            .iter()
+            .map(|op| (op.label(), op.estimate, op.tuples_out))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (
+                    "ForScan(index scan //li, probe a b)".to_string(),
+                    Some(9),
+                    4
+                ),
+                ("Filter".to_string(), Some(9), 4),
+                ("ReturnAt".to_string(), Some(9), 4),
+            ]
+        );
+        let worst = profile.worst_misestimate().expect("estimated");
+        assert_eq!((worst.estimated, worst.actual), (9, 4), "{worst:?}");
+        assert_eq!(worst.q_error, 2.25);
     }
 }
