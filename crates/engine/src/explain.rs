@@ -213,22 +213,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
             line(out, depth + 1, "satisfies");
             write_ir(out, threads, satisfies, depth + 2);
         }
-        Ir::Flwor(f) => {
-            line(out, depth, "FLWOR");
-            line(
-                out,
-                depth + 1,
-                &format!("pipeline: {}", render_plan(f, threads)),
-            );
-            for op in &f.ops {
-                write_clause(out, threads, op, depth + 1);
-            }
-            match f.return_at {
-                Some(slot) => line(out, depth + 1, &format!("return at slot{slot}")),
-                None => line(out, depth + 1, "return"),
-            }
-            write_ir(out, threads, &f.return_expr, depth + 2);
-        }
+        Ir::Flwor(f) => write_flwor(out, threads, f, depth, true),
         Ir::Path(p) => {
             let start = match &p.start {
                 PathStartIr::Context => "context".to_string(),
@@ -343,6 +328,27 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
     }
 }
 
+/// A FLWOR's clauses, after its `pipeline:` line when `runs`: the
+/// nested FLWOR of a hash-joined `let` never runs, so it has none.
+fn write_flwor(out: &mut String, threads: usize, f: &FlworIr, depth: usize, runs: bool) {
+    line(out, depth, "FLWOR");
+    if runs {
+        line(
+            out,
+            depth + 1,
+            &format!("pipeline: {}", render_plan(f, threads)),
+        );
+    }
+    for op in &f.ops {
+        write_clause(out, threads, op, depth + 1);
+    }
+    match f.return_at {
+        Some(slot) => line(out, depth + 1, &format!("return at slot{slot}")),
+        None => line(out, depth + 1, "return"),
+    }
+    write_ir(out, threads, &f.return_expr, depth + 2);
+}
+
 fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
     // The `[hash join key=…]` tag on a join-annotated `let` / `where`:
     // the clause runs as a HashJoin probe, not by re-evaluating the
@@ -365,7 +371,10 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
         }
         ClauseIr::Let { slot, expr, .. } => {
             line(out, depth, &format!("let slot{slot} :={join_tag}"));
-            write_ir(out, threads, expr, depth + 1);
+            match expr {
+                Ir::Flwor(f) if op.join.is_some() => write_flwor(out, threads, f, depth + 1, false),
+                expr => write_ir(out, threads, expr, depth + 1),
+            }
         }
         ClauseIr::Where(cond) => {
             line(out, depth, &format!("where{join_tag}"));

@@ -282,6 +282,13 @@ pub struct OpIr {
     /// `c` and `$x`'s slot. `ForScan` drops the nodes the value index
     /// proves they reject (`binding_sequence` in `pipeline.rs`).
     pub probes: Vec<(QName, Slot)>,
+    /// Set by the planner's source-hoisting rule on a `for` that is not
+    /// its FLWOR's first clause, or on a `let $v := G` whose FLWOR `G`
+    /// starts with a `for`, when that source reads no slot the enclosing
+    /// FLWOR (or `G`) binds: the pipeline evaluates the source at the
+    /// first tuple and keeps it for the rest of the FLWOR execution
+    /// (`SourceCell` in `pipeline.rs`).
+    pub hoist: bool,
 }
 
 impl From<ClauseIr> for OpIr {
@@ -294,6 +301,7 @@ impl From<ClauseIr> for OpIr {
             counted_nests: Vec::new(),
             value_keys: Vec::new(),
             probes: Vec::new(),
+            hoist: false,
         }
     }
 }
@@ -301,9 +309,11 @@ impl From<ClauseIr> for OpIr {
 impl OpIr {
     /// The plan detail: a join's key description, a bounded order-by's
     /// `limit=k`, the index access path of a `for` over an annotated
-    /// path (so plans show where the tuples come from) and its value
-    /// probes as `probe c ..`, a group-by's `keys by value id` and its
-    /// counted nests as `agg count($v)`; else empty.
+    /// path (so plans show where the tuples come from), a kept source as
+    /// `source once` and its value probes as `probe c ..`, a `let` that
+    /// keeps its FLWOR's first source as `inner source once`, a
+    /// group-by's `keys by value id` and its counted nests as
+    /// `agg count($v)`; else empty.
     pub fn detail(&self) -> String {
         if let Some(j) = &self.join {
             return j.key_desc();
@@ -330,6 +340,9 @@ impl OpIr {
                 if let Ir::Path(p) = expr {
                     facts.push(p.describe_access(false));
                 }
+                if self.hoist {
+                    facts.push("source once".to_string());
+                }
                 if !self.probes.is_empty() {
                     let names: Vec<String> =
                         self.probes.iter().map(|(c, _)| c.to_string()).collect();
@@ -338,6 +351,7 @@ impl OpIr {
                 facts.retain(|fact| !fact.is_empty());
                 facts.join(", ")
             }
+            ClauseIr::Let { .. } if self.hoist => "inner source once".to_string(),
             _ => String::new(),
         }
     }

@@ -44,6 +44,7 @@ use crate::keys::atomic_key;
 use crate::profile::{Clock, OpProfile, PipelineProfile};
 use crate::types::matches_seq_type;
 use partial::Partial;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -160,7 +161,7 @@ impl<'a, 'e> Sink<'a, 'e> {
 /// Evaluate a FLWOR through the streaming pipeline into one `Sequence`.
 pub(crate) fn run(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineResult<Sequence> {
     let mut sink = Sink::new(None);
-    drive(interp, f, env, &mut sink)?;
+    drive(interp, f, env, &mut sink, None)?;
     Ok(sink.out.build())
 }
 
@@ -175,7 +176,7 @@ pub(crate) fn run_streaming(
     emit: &mut EmitBatch,
 ) -> EngineResult<u64> {
     let mut sink = Sink::new(Some(emit));
-    drive(interp, f, env, &mut sink)?;
+    drive(interp, f, env, &mut sink, None)?;
     Ok(sink.items)
 }
 
@@ -203,9 +204,18 @@ pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResul
 /// than one [`MORSEL`] go through the [`exchange`] and the calling
 /// thread runs only what follows the first breaker, smaller ones seed
 /// the ordinary chain.
-fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> EngineResult<()> {
+///
+/// `first` is the cell a hoisted `let $v := f` keeps `f`'s first
+/// source in across `f`'s runs (see [`run_cells`]).
+fn drive(
+    interp: &Interpreter,
+    f: &FlworIr,
+    env: &mut Env,
+    sink: &mut Sink,
+    first: Option<&SourceCell>,
+) -> EngineResult<()> {
     let n = f.ops.len();
-    let cells = join_cells(f);
+    let cells = run_cells(f, first);
     let profiler = interp.dynamic.profiler().cloned();
     let clock = profiling_clock(interp);
     let counters = op_counters(clock.is_some(), n);
@@ -216,7 +226,8 @@ fn drive(interp: &Interpreter, f: &FlworIr, env: &mut Env, sink: &mut Sink) -> E
         let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
             unreachable!("parallel-eligible FLWOR starts with a for clause");
         };
-        seed = Some(binding_sequence(interp, expr, &f.ops[0].probes, env)?);
+        let source = for_source(interp, expr, cells[0].source.as_ref(), env)?;
+        seed = Some(binding_sequence(interp, source, &f.ops[0].probes, env)?);
     }
 
     let start = clock.as_ref().map(|c| c.now_nanos());
@@ -276,7 +287,7 @@ fn build_chain<'p>(
     range: Range<usize>,
     input: BoxSource<'p>,
     mut seed: Option<(Sequence, i64)>,
-    cells: &[Option<JoinCell>],
+    cells: &[RunCell],
     counters: &[Rc<Cell<OpCounters>>],
 ) -> BoxSource<'p> {
     let mut source = input;
@@ -337,17 +348,17 @@ struct SinkStats {
 /// Lower one clause record onto `input`, yielding the operator
 /// [`OpKind::of`] names. A record the join-unnesting rule annotated
 /// lowers to the hash-join operator instead of its nested form; `cell`
-/// is the run-scoped build-table cell shared by every lowering of the
-/// same record (see [`join_cells`]). A `for` given a `seed` (see
-/// [`build_chain`]) starts out holding it and never pulls `input` or
-/// evaluates its expression.
+/// holds the run-scoped build table or kept source shared by every
+/// lowering of the same record (see [`run_cells`]). A `for` given a
+/// `seed` (see [`build_chain`]) starts out holding it and never pulls
+/// `input` or evaluates its expression.
 fn clause_source<'p>(
     op: &'p OpIr,
-    cell: Option<JoinCell>,
+    cell: RunCell,
     input: BoxSource<'p>,
     seed: Option<(Sequence, i64)>,
 ) -> BoxSource<'p> {
-    if let Some((j, cell)) = op.join.as_ref().zip(cell) {
+    if let Some((j, cell)) = op.join.as_ref().zip(cell.join) {
         return Box::new(HashJoin { input, j, cell });
     }
     match &op.clause {
@@ -365,6 +376,7 @@ fn clause_source<'p>(
                 at_slot: *at_slot,
                 ty: ty.as_ref(),
                 expr,
+                kept: cell.source,
                 probes: &op.probes,
                 batch: Vec::new().into_iter(),
                 items: items.into_iter(),
@@ -378,6 +390,7 @@ fn clause_source<'p>(
             slot: *slot,
             ty: ty.as_ref(),
             expr,
+            kept: cell.source,
         }),
         ClauseIr::Where(cond) => Box::new(Filter { input, cond }),
         ClauseIr::Count { slot } => Box::new(CountBind {
@@ -564,6 +577,8 @@ struct ForScan<'p> {
     at_slot: Option<Slot>,
     ty: Option<&'p SeqTypeIr>,
     expr: &'p Ir,
+    /// Where a hoisted source ([`OpIr::hoist`]) is kept.
+    kept: Option<SourceCell>,
     probes: &'p [(QName, Slot)],
     batch: std::vec::IntoIter<Tuple>,
     items: SequenceIntoIter,
@@ -605,7 +620,8 @@ impl TupleSource for ForScan<'_> {
             match self.batch.next() {
                 Some(base) => {
                     base.apply(env);
-                    self.items = binding_sequence(interp, self.expr, self.probes, env)?.into_iter();
+                    let source = for_source(interp, self.expr, self.kept.as_ref(), env)?;
+                    self.items = binding_sequence(interp, source, self.probes, env)?.into_iter();
                     self.item_pos = 0;
                     self.base = base;
                 }
@@ -622,17 +638,81 @@ impl TupleSource for ForScan<'_> {
     }
 }
 
-/// A `for` clause's binding sequence: `expr`'s value less the nodes its
-/// value probes ([`OpIr::probes`]) prove the `where` after the `for`
-/// rejects (DESIGN.md §5.1). Atomics, nodes of documents without a
-/// store and every survivor still meet the `where`.
-fn binding_sequence(
+/// A `for` source's value, as [`binding_sequence`] reads it.
+#[derive(Clone)]
+struct SourceValue {
+    items: Sequence,
+    /// Set on a kept source whose items are all nodes of the document
+    /// with this serial, in strictly increasing id order: a probe then
+    /// picks its parents out of them by binary search.
+    ordered_doc: Option<u64>,
+}
+
+impl SourceValue {
+    /// A source evaluated for one tuple: never inspected for order,
+    /// since the filter it would save costs as much as the check.
+    fn fresh(items: Sequence) -> SourceValue {
+        SourceValue {
+            items,
+            ordered_doc: None,
+        }
+    }
+
+    /// A source kept for a FLWOR execution, with its order checked once.
+    fn kept(items: Sequence) -> SourceValue {
+        let ordered_doc = match items.first() {
+            Some(Item::Node(first)) => {
+                let serial = first.document().serial();
+                let id = |item: &Item| match item {
+                    Item::Node(node) if node.document().serial() == serial => Some(node.id()),
+                    _ => None,
+                };
+                let ordered = items.iter().all(|item| id(item).is_some())
+                    && items.windows(2).all(|pair| id(&pair[0]) < id(&pair[1]));
+                ordered.then_some(serial)
+            }
+            _ => None,
+        };
+        SourceValue { items, ordered_doc }
+    }
+}
+
+/// A hoisted `for` source ([`OpIr::hoist`]) kept for one FLWOR
+/// execution, shared like a [`JoinCell`] by every lowering of its clause
+/// in the run: the first tuple evaluates it, every later one reuses the
+/// value or replays its error, as re-evaluating the source would.
+type SourceCell = Arc<OnceLock<Result<SourceValue, EngineError>>>;
+
+/// A `for` clause's source for the current tuple: the value kept in
+/// `kept`, evaluated into it at the first tuple, or `expr` evaluated now.
+fn for_source<'k>(
     interp: &Interpreter,
     expr: &Ir,
+    kept: Option<&'k SourceCell>,
+    env: &mut Env,
+) -> EngineResult<Cow<'k, SourceValue>> {
+    Ok(match kept {
+        Some(cell) => Cow::Borrowed(
+            cell.get_or_init(|| interp.eval(expr, env).map(SourceValue::kept))
+                .as_ref()
+                .map_err(EngineError::clone)?,
+        ),
+        None => Cow::Owned(SourceValue::fresh(interp.eval(expr, env)?)),
+    })
+}
+
+/// A `for` clause's binding sequence: its source's items less the nodes
+/// its value probes ([`OpIr::probes`]) prove the `where` after the `for`
+/// rejects (DESIGN.md §5.1). Atomics, nodes of documents without a
+/// store and every survivor still meet the `where`. Over an ordered
+/// source ([`SourceValue::ordered_doc`]) each probed parent is looked up
+/// in the items, O(k log n) for k parents; anything else is filtered.
+fn binding_sequence(
+    interp: &Interpreter,
+    source: Cow<'_, SourceValue>,
     probes: &[(QName, Slot)],
     env: &mut Env,
 ) -> EngineResult<Sequence> {
-    let items = interp.eval(expr, env)?;
     // A probe applies to a key of one string, untyped or numeric atom.
     let keys: Vec<(&QName, ValueProbeIr)> = probes
         .iter()
@@ -642,7 +722,22 @@ fn binding_sequence(
         })
         .collect();
     if keys.is_empty() {
-        return Ok(items);
+        return Ok(source.into_owned().items);
+    }
+    let items = &source.items;
+    if let Some(serial) = source.ordered_doc {
+        let Some(parents) = probed_parents(interp, serial, &keys) else {
+            return Ok(source.into_owned().items);
+        };
+        let id = |item: &Item| match item {
+            Item::Node(node) => node.id(),
+            Item::Atomic(_) => unreachable!("an ordered source holds nodes only"),
+        };
+        return Ok(parents
+            .iter()
+            .filter_map(|parent| items.binary_search_by_key(parent, id).ok())
+            .map(|i| items[i].clone())
+            .collect());
     }
     // Per document met so far, the parents every applied probe answered
     // with; `None` when it has no store or its store answers no probe.
@@ -697,12 +792,15 @@ fn probed_parents(
     kept
 }
 
-/// `let $v := e`: 1:1 streaming binder.
+/// `let $v := e`: 1:1 streaming binder. A hoisted `let $v := G`
+/// ([`OpIr::hoist`]) runs its FLWOR `G` per tuple over `G`'s first
+/// source kept in `kept`.
 struct LetBind<'p> {
     input: BoxSource<'p>,
     slot: Slot,
     ty: Option<&'p SeqTypeIr>,
     expr: &'p Ir,
+    kept: Option<SourceCell>,
 }
 
 impl TupleSource for LetBind<'_> {
@@ -716,7 +814,14 @@ impl TupleSource for LetBind<'_> {
         };
         for t in &mut batch {
             t.apply(env);
-            let seq = interp.eval(self.expr, env)?;
+            let seq = match (self.expr, &self.kept) {
+                (Ir::Flwor(g), Some(kept)) => {
+                    let mut sink = Sink::new(None);
+                    drive(interp, g, env, &mut sink, Some(kept))?;
+                    sink.out.build()
+                }
+                (expr, _) => interp.eval(expr, env)?,
+            };
             check_let_type(&seq, self.ty)?;
             t.bind(self.slot, seq);
         }
@@ -850,13 +955,33 @@ struct JoinTable {
 /// error.
 type JoinCell = Arc<OnceLock<Result<JoinTable, EngineError>>>;
 
-/// Per clause record, a cell where it carries a join annotation,
-/// created per pipeline execution (enclosing bindings are fixed for the
-/// duration of one `run`, so the table is reusable exactly within it).
-fn join_cells(f: &FlworIr) -> Vec<Option<JoinCell>> {
+/// What one clause record keeps across the tuples of one FLWOR
+/// execution, shared by every lowering of the record in that run.
+#[derive(Clone)]
+struct RunCell {
+    /// A join-annotated record's build table.
+    join: Option<JoinCell>,
+    /// A hoisted `for`'s source, or a hoisted `let`'s inner first one.
+    source: Option<SourceCell>,
+}
+
+/// Per clause record, a build-table cell where it carries a join
+/// annotation and a source cell where it is hoisted, created per
+/// pipeline execution (enclosing bindings are fixed for the duration of
+/// one `run`, so what a cell holds is reusable exactly within it). The
+/// first record takes `first` instead: the cell a hoisted `let` keeps
+/// this FLWOR's first source in across its runs.
+fn run_cells(f: &FlworIr, first: Option<&SourceCell>) -> Vec<RunCell> {
     f.ops
         .iter()
-        .map(|op| op.join.as_ref().map(|_| JoinCell::default()))
+        .enumerate()
+        .map(|(i, op)| RunCell {
+            join: op.join.as_ref().map(|_| JoinCell::default()),
+            source: match first.filter(|_| i == 0) {
+                Some(cell) => Some(Arc::clone(cell)),
+                None => op.hoist.then(SourceCell::default),
+            },
+        })
         .collect()
 }
 
@@ -1253,7 +1378,7 @@ fn exchange<'p>(
     env: &mut Env,
     items: &[Item],
     threads: usize,
-    cells: &[Option<JoinCell>],
+    cells: &[RunCell],
     sink: &mut Sink,
 ) -> EngineResult<(Option<Partial<'p>>, ExchangeProfile)> {
     // The split point: the first breaker, or the whole chain. Clauses
@@ -1379,7 +1504,7 @@ struct Morsels<'a, 'p> {
     cut: usize,
     /// The outer `for` binding sequence, claimed a [`MORSEL`] at a time.
     items: &'a [Item],
-    cells: &'a [Option<JoinCell>],
+    cells: &'a [RunCell],
     /// The next unclaimed morsel index.
     next: AtomicUsize,
     /// The smallest morsel index that raised so far (0 once the sink

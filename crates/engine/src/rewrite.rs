@@ -134,9 +134,11 @@ struct Rule {
 /// 8. *join unnesting*.
 /// 9. *value probes*, under the index annotation's gate, after join
 ///    unnesting: a `where` the join rule annotated is not probed.
-/// 10. *estimates* last, after every plan-shaping rule (they read top-k
+/// 10. *source hoisting*, after join unnesting: a `let` the join rule
+///     annotated never runs its FLWOR, so it keeps no source.
+/// 11. *estimates* last, after every plan-shaping rule (they read top-k
 ///     limits, access paths, join annotations and value probes).
-const RULES: [Rule; 10] = [
+const RULES: [Rule; 11] = [
     Rule {
         kind: Some(RewriteKind::ImplicitGroupBy),
         located: false,
@@ -190,6 +192,12 @@ const RULES: [Rule; 10] = [
         located: false,
         enabled: index_access,
         apply: annotate_value_probes,
+    },
+    Rule {
+        kind: None,
+        located: false,
+        enabled: |_| true,
+        apply: hoist_invariant_sources,
     },
     Rule {
         kind: None,
@@ -955,6 +963,47 @@ fn annotate_value_probes(root: &mut Ir, _: &mut Cx<'_>) {
                 })
                 .collect();
             f.ops[i - 1].probes = probes;
+        }
+    });
+}
+
+// ---- source hoisting --------------------------------------------------
+
+/// Set [`OpIr::hoist`] where a `for` source stays the same for a whole
+/// FLWOR execution: (a) a `for` that is not the FLWOR's first clause,
+/// and (b) a `let $v := G` the join rule left alone whose FLWOR `G`
+/// starts with a `for`, keeping `G`'s first source across `G`'s runs.
+/// The source must read no slot the enclosing FLWOR binds (nor, in (b),
+/// one `G` binds) and be [`rebuild_safe`]: a constructor mints new
+/// nodes per evaluation, and a user function body is not inspected.
+/// The first clause of a FLWOR runs once per execution anyway.
+fn hoist_invariant_sources(root: &mut Ir, _: &mut Cx<'_>) {
+    let invariant =
+        |src: &Ir, bound: &HashSet<Slot>| rebuild_safe(src) && !refs_any_slot(src, bound);
+    walk(root, false, &mut |ir| {
+        let Ir::Flwor(f) = ir else { return };
+        let bound = flwor_bound_slots(f);
+        for (i, op) in f.ops.iter_mut().enumerate() {
+            op.hoist = match (&op.clause, &op.join) {
+                (ClauseIr::For { expr, .. }, _) => i > 0 && invariant(expr, &bound),
+                (
+                    ClauseIr::Let {
+                        expr: Ir::Flwor(g), ..
+                    },
+                    None,
+                ) => match g.ops.first() {
+                    Some(OpIr {
+                        clause: ClauseIr::For { expr, .. },
+                        ..
+                    }) => {
+                        let mut bound = bound.clone();
+                        bound.extend(flwor_bound_slots(g));
+                        invariant(expr, &bound)
+                    }
+                    _ => false,
+                },
+                _ => false,
+            };
         }
     });
 }

@@ -67,10 +67,14 @@ fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile, Ev
 /// `query`'s `explain analyze` equals the golden file `name`, serial
 /// and at four threads alike.
 fn assert_matches_golden(name: &str, query: &str) {
-    let render = |threads| {
+    check_golden(name, &THREADS, |threads| {
         let (plan, profile, stats) = profiled_run(query, threads);
         plan.explain_analyze(&profile, &stats)
-    };
+    });
+}
+
+/// `render(threads)` equals the golden file `name` at each of `threads`.
+fn check_golden(name: &str, threads: &[usize], render: impl Fn(usize) -> String) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
@@ -84,11 +88,11 @@ fn assert_matches_golden(name: &str, query: &str) {
             path.display()
         )
     });
-    for threads in THREADS {
+    for &threads in threads {
         assert_eq!(
             render(threads),
             expected,
-            "explain analyze at {threads} thread(s) drifted from golden {name}\n\
+            "output at {threads} thread(s) drifted from golden {name}\n\
              run with UPDATE_GOLDEN=1 to regenerate"
         );
     }
@@ -107,6 +111,20 @@ fn window_matches_golden() {
 #[test]
 fn join_matches_golden() {
     assert_matches_golden("explain_analyze_join.txt", JOIN_QUERY);
+}
+
+/// The plan of the hash-joined [`JOIN_QUERY`]: the nested FLWOR under
+/// the `[hash join ..]` tag never runs, so it prints no `pipeline:` line
+/// (the one-thread plan; more threads only tag the outer pipeline
+/// `[parallel ×N]`).
+#[test]
+fn join_explain_matches_golden() {
+    check_golden("explain_join.txt", &[1], |threads| {
+        engine_for(JOIN_QUERY, threads)
+            .compile(JOIN_QUERY)
+            .expect("compiles")
+            .explain()
+    });
 }
 
 /// The three golden queries exercise every pipeline operator kind.

@@ -351,11 +351,13 @@ impl DocumentStore {
     }
 
     /// Parents of `child` leaves whose string value equals `value`,
-    /// sorted in document order and deduplicated. `None` when the value
-    /// index cannot answer exactly (some element of that name is not an
-    /// indexable leaf).
+    /// sorted in document order and deduplicated; none for a name the
+    /// document lacks. `None` when the value index cannot answer exactly
+    /// (some element of that name is not an indexable leaf).
     pub fn parents_by_string_eq(&self, child: &QName, value: &str) -> Option<Vec<NodeId>> {
-        let name_id = self.element_name(child)?;
+        let Some(name_id) = self.element_name(child) else {
+            return Some(Vec::new());
+        };
         let vi = &self.values[name_id as usize];
         if !vi.complete {
             return None;
@@ -367,12 +369,14 @@ impl DocumentStore {
     }
 
     /// Parents of `child` leaves whose value compares `eq` to `value`
-    /// under `xs:double` semantics. `None` when the numeric index cannot
-    /// answer exactly (non-leaf elements, or some value outside the
-    /// double lexical space — the walk would raise where the index
-    /// would silently skip).
+    /// under `xs:double` semantics; none for a name the document lacks.
+    /// `None` when the numeric index cannot answer exactly (non-leaf
+    /// elements, or some value outside the double lexical space — the
+    /// walk would raise where the index would silently skip).
     pub fn parents_by_numeric_eq(&self, child: &QName, value: f64) -> Option<Vec<NodeId>> {
-        let name_id = self.element_name(child)?;
+        let Some(name_id) = self.element_name(child) else {
+            return Some(Vec::new());
+        };
         let vi = &self.values[name_id as usize];
         if !vi.complete || !vi.all_numeric {
             return None;
@@ -678,8 +682,10 @@ mod tests {
         assert!(store.value_eq_applicable(&q("tag"), false));
         assert!(!store.value_eq_applicable(&q("tag"), true));
         assert!(store.parents_by_numeric_eq(&q("tag"), 1.0).is_none());
-        // Absent names cannot hide anything.
+        // Absent names cannot hide anything: they answer empty.
         assert!(store.value_eq_applicable(&q("absent"), true));
+        assert_eq!(store.parents_by_string_eq(&q("absent"), "x"), Some(vec![]));
+        assert_eq!(store.parents_by_numeric_eq(&q("absent"), 1.0), Some(vec![]));
     }
 
     #[test]

@@ -272,8 +272,9 @@ fn check_store(doc: &Arc<Document>, nodes: &[RefNode]) {
                 of_name.is_empty(),
                 "{name}"
             );
-            assert!(store.parents_by_string_eq(&q, "1").is_none(), "{name}");
-            assert!(store.parents_by_numeric_eq(&q, 1.0).is_none(), "{name}");
+            let answer = of_name.is_empty().then(Vec::new);
+            assert_eq!(store.parents_by_string_eq(&q, "1"), answer, "{name}");
+            assert_eq!(store.parents_by_numeric_eq(&q, 1.0), answer, "{name}");
             continue;
         };
         assert!(store.value_eq_applicable(&q, false));

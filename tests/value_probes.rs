@@ -451,3 +451,33 @@ fn the_rule_declines_a_hash_joined_where() {
     assert!(probes(query, "access=index,join=hash").is_empty());
     assert!(probes(query, "access=index").is_empty());
 }
+
+/// A child name the document lacks answers empty, exactly: an index
+/// value scan finds no row without walking, and a `for` probe on it
+/// prunes the binding sequence to nothing (the walk keeps every row and
+/// the `where` rejects each). The results are the walk's.
+#[test]
+fn an_absent_child_name_answers_empty() {
+    let doc = orders(300);
+    let ctx = Docs::Context(Arc::clone(&doc)).ctx(true);
+    let counters = |query: &str, hints: &str| {
+        ctx.stats.reset();
+        let out = outcome(&engine(hints, 1, None), query, &ctx).expect("runs");
+        let s = ctx.stats.snapshot();
+        (
+            out,
+            s.scan_index_hits,
+            s.scan_walk_tuples,
+            s.tuples_produced,
+        )
+    };
+    let scan = "count(//order[zz = \"a\"])";
+    assert_eq!(counters(scan, "access=index"), ("0".to_string(), 1, 0, 0));
+    assert_eq!(counters(scan, "access=walk").0, "0");
+    let probe = "for $m in (\"a\") \
+                 return count(for $i in //order/lineitem where $i/zz = $m return $i)";
+    assert_eq!(counters(probe, "access=index"), ("0".to_string(), 1, 0, 1));
+    let (out, _, _, walked) = counters(probe, "access=walk");
+    assert_eq!(out, "0");
+    assert!(walked > 1000, "{walked} tuples");
+}
