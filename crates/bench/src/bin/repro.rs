@@ -17,7 +17,7 @@
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::time::Duration;
 use xqa::{DynamicContext, Engine, EngineOptions, PreparedQuery};
-use xqa_bench::{measure_point, q_query, qgb_query, time, Dataset, EXPERIMENTS};
+use xqa_bench::{baseline_engine, measure_point, q_query, qgb_query, time, Dataset, EXPERIMENTS};
 
 /// Timed runs per ablation and top-k measurement, after one warm-up.
 const RUNS: u32 = 3;
@@ -112,7 +112,7 @@ fn table1() {
 
     let dataset = Dataset::generate(2_000);
     let ctx = dataset.context();
-    let engine = Engine::new();
+    let engine = baseline_engine("");
     for e in EXPERIMENTS {
         let qgb = engine.compile(&qgb_query(e.keys)).expect("Qgb compiles");
         let q = engine.compile(&q_query(e.keys)).expect("Q compiles");
@@ -219,11 +219,8 @@ fn ablation() {
 
     // 1. Implicit group-by detection on the Q form.
     let q_src = q_query(&["shipmode"]);
-    let plain = Engine::new();
-    let detecting = Engine::with_options(EngineOptions {
-        hints: "implicit-groupby=on".parse().unwrap(),
-        ..Default::default()
-    });
+    let plain = baseline_engine("");
+    let detecting = baseline_engine("implicit-groupby=on");
     let t_q = mean(&plain.compile(&q_src).unwrap(), &ctx);
     let rewritten = detecting.compile(&q_src).unwrap();
     assert!(rewritten

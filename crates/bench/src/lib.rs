@@ -12,7 +12,7 @@ pub mod svg;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xqa::{DynamicContext, Engine, EngineResult};
+use xqa::{DynamicContext, Engine, EngineOptions, EngineResult};
 use xqa_workload::{generate_orders, OrdersConfig};
 
 /// One experiment of the paper's chart: a set of grouping elements and
@@ -60,6 +60,23 @@ pub const EXPERIMENTS: [Experiment; 6] = [
         groups: 50,
     },
 ];
+
+/// The hints of the paper's Section-6 baseline, which performs "no
+/// rewrites": no index and no hash join, so `Q` runs as written, one
+/// inner scan per distinct key. Unpinned, the planner unnests `Q`'s
+/// self-join into a hash join.
+pub const PAPER_BASELINE_HINTS: &str = "join=nested,access=walk";
+
+/// An engine compiling under [`PAPER_BASELINE_HINTS`] plus `extra`
+/// hints (`""` for none).
+pub fn baseline_engine(extra: &str) -> Engine {
+    Engine::with_options(EngineOptions {
+        hints: format!("{PAPER_BASELINE_HINTS},{extra}")
+            .parse()
+            .expect("valid hints"),
+        ..Default::default()
+    })
+}
 
 /// Table 1, right template — *with* explicit group by (`Qgb`).
 pub fn qgb_query(keys: &[&str]) -> String {
@@ -168,7 +185,7 @@ pub fn measure_point(
     runs: u32,
 ) -> EngineResult<ChartPoint> {
     let ctx = dataset.context();
-    let engine = Engine::new();
+    let engine = baseline_engine("");
     let qgb = engine.compile(&qgb_query(experiment.keys))?;
     let q = engine.compile(&q_query(experiment.keys))?;
     let (mut qgb_groups, mut q_groups) = (0, 0);
@@ -218,6 +235,16 @@ mod tests {
                 "{} should produce {} groups",
                 e.id, e.groups
             );
+        }
+    }
+
+    #[test]
+    fn the_baseline_q_runs_as_written() {
+        for e in EXPERIMENTS {
+            let plan = baseline_engine("").compile(&q_query(e.keys)).unwrap();
+            let explain = plan.explain();
+            assert!(!explain.contains("[hash join"), "{}: {explain}", e.id);
+            assert!(!explain.contains("index scan"), "{}: {explain}", e.id);
         }
     }
 

@@ -204,8 +204,7 @@ fn run(args: &Args) -> Result<(), String> {
         Arc::new(MonotonicClock::new())
     };
     // Load documents before compiling: the indexed stores built over
-    // them yield the statistics the planner's access-path decisions
-    // consult.
+    // them yield the statistics the plan's cardinality estimates read.
     let mut catalog = load_catalog(args.input.as_deref(), &args.docs, &args.collections)?;
     let statistics = catalog.build_indexes();
     let mut ctx = catalog.new_context();

@@ -65,7 +65,7 @@ pub use xqa_service as service;
 
 /// The indexed document-store layer: element postings and typed-value
 /// indexes over the document's interned names and interval labels, and
-/// the per-path statistics the planner consults.
+/// the per-name statistics the planner's cardinality estimates read.
 pub use xqa_storage as storage;
 
 use xqa_xdm::Sequence;

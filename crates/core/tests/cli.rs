@@ -167,6 +167,8 @@ fn stats_and_explain_go_to_stderr() {
             "for $v in //v group by $v into $k return $k",
             "--stats",
             "--explain",
+            "--hint",
+            "access=walk",
         ])
         .arg(&input)
         .output()
@@ -623,8 +625,8 @@ fn hint_flag_controls_unnesting() {
         !run(&nested).contains("[hash join"),
         "join=nested must not unnest"
     );
-    // The CLI builds catalog statistics from the input, so without a
-    // hint the planner unnests too.
+    // Without a hint the planner unnests too: `join=hash` is the
+    // default.
     assert!(run(&[]).contains("[hash join"), "no hint must unnest");
     // --diag-json records the hints in the compile event.
     let diag = write_temp("diag.json", "");

@@ -4,10 +4,10 @@
 //! ([`crate::rewrite::plan`]) stamps every compiled FLWOR, innermost
 //! first, with [`estimate_chain`]: per pipeline operator (plus the
 //! `ReturnAt` sink) the row count it is *expected* to emit. The
-//! estimates come from the same [`CatalogStatistics`] the access-path
-//! planner consults (PR 6), falling back to structural facts the IR
-//! itself proves (literal ranges, literal sequences, nested-FLWOR sink
-//! estimates).
+//! estimates come from the attached [`CatalogStatistics`] — the one
+//! thing in the planner that reads them; no plan decision does — falling
+//! back to structural facts the IR itself proves (literal ranges, literal
+//! sequences, nested-FLWOR sink estimates).
 //!
 //! At run time the [`crate::pipeline`] instrumentation counts *actual*
 //! tuples per operator; `explain analyze` joins the two into an
@@ -21,8 +21,9 @@
 //! so misestimates are attributable:
 //!
 //! - `ForScan` — fan-out per input tuple from [`source_cardinality`],
-//!   times `1/ndv` per value probe ([`OpIr::probes`]); unknown sources
-//!   poison the rest of the chain (`None` propagates).
+//!   times `1/ndv` per value probe ([`OpIr::probes`]); a
+//!   `distinct-values(P/k)` source yields the catalog's `ndv(k)`; unknown
+//!   sources poison the rest of the chain (`None` propagates).
 //! - `LetBind` / `CountBind` — 1:1, estimate passes through. A
 //!   `HashJoin`-annotated `let` is still 1:1 on the *tuple* stream (it
 //!   binds a sequence per tuple); the matched-pairs volume is the
@@ -37,11 +38,13 @@
 //!   an unanalyzed predicate).
 //! - `WindowScan` — emits an unknown number of windows → `None`.
 //! - `GroupConsume` — distinct-group count guessed as `⌈√n⌉` of its
-//!   input (no distinct-value statistics are kept yet).
+//!   input (the catalog's per-name distinct counts are not applied to
+//!   grouping keys).
 //! - `OrderBy` — `min(n, limit)` when top-k pushdown bounded it,
 //!   otherwise a pass-through.
 //! - `ReturnAt` — one output ordinal per input tuple.
 
+use crate::functions::Builtin;
 use crate::ir::*;
 use crate::rewrite::{conjuncts, EqPred};
 use xqa_storage::CatalogStatistics;
@@ -119,7 +122,7 @@ fn filter_fallback(n: u64) -> u64 {
 /// Classic equi-join output cardinality under uniformity:
 /// `|build| × |probe| / ndv(key)` — every probe key matches
 /// `|build| / ndv` build rows on average.
-pub(crate) fn join_cardinality(build: u64, probe: u64, ndv: u64) -> u64 {
+fn join_cardinality(build: u64, probe: u64, ndv: u64) -> u64 {
     ((build as f64) * (probe as f64) / (ndv.max(1) as f64)).ceil() as u64
 }
 
@@ -152,17 +155,11 @@ fn key_leaf_name(key: &Ir) -> Option<xqa_xdm::QName> {
 
 /// Selectivity of an equality `where` predicate whose compared side is
 /// a predicate-free named path (`$x/c = lit`, `//T/c = $v`, either
-/// operand order): `1/ndv` when the catalog can answer equality on that
-/// leaf exactly. `None` falls back to [`FILTER_SELECTIVITY`].
+/// operand order): `1/ndv` when the catalog counts that leaf's distinct
+/// values. `None` falls back to [`FILTER_SELECTIVITY`].
 fn eq_pred_selectivity(pred: &Ir, stats: Option<&CatalogStatistics>) -> Option<f64> {
     let stats = stats?;
-    let (ndv, _) = EqPred::of(pred)?.orient(|side| {
-        let name = key_leaf_name(side)?;
-        if !stats.value_eq_indexable(&name, false) {
-            return None;
-        }
-        stats.distinct_values(&name)
-    })?;
+    let (ndv, _) = EqPred::of(pred)?.orient(|side| stats.distinct_values(&key_leaf_name(side)?))?;
     Some(1.0 / ndv as f64)
 }
 
@@ -170,7 +167,7 @@ fn eq_pred_selectivity(pred: &Ir, stats: Option<&CatalogStatistics>) -> Option<f
 /// yield. `None` means "no idea" — the honest answer for arbitrary
 /// expressions — and poisons downstream estimates rather than
 /// fabricating a magic constant.
-pub(crate) fn source_cardinality(expr: &Ir, stats: Option<&CatalogStatistics>) -> Option<u64> {
+fn source_cardinality(expr: &Ir, stats: Option<&CatalogStatistics>) -> Option<u64> {
     match expr {
         Ir::Int(_) | Ir::Dec(_) | Ir::Dbl(_) | Ir::Str(_) => Some(1),
         Ir::Empty => Some(0),
@@ -182,6 +179,10 @@ pub(crate) fn source_cardinality(expr: &Ir, stats: Option<&CatalogStatistics>) -
         },
         Ir::Flwor(f) => f.return_estimate,
         Ir::Path(p) => path_cardinality(p, stats?),
+        Ir::CallBuiltin(Builtin::DistinctValues, args) => match args.as_slice() {
+            [arg @ Ir::Path(p)] if document_wide(p) => stats?.distinct_values(&key_leaf_name(arg)?),
+            _ => None,
+        },
         _ => None,
     }
 }
@@ -195,7 +196,7 @@ pub(crate) fn source_cardinality(expr: &Ir, stats: Option<&CatalogStatistics>) -
 /// probed value; without it the group-count heuristic `⌈√n⌉` stands in
 /// (and subsumes the probe predicate itself).
 fn path_cardinality(p: &PathIr, stats: &CatalogStatistics) -> Option<u64> {
-    if !matches!(p.start, PathStartIr::Root | PathStartIr::Context) {
+    if !document_wide(p) {
         return None;
     }
     let (deepest, predicates) = p.steps.iter().rev().find_map(|step| match step {
@@ -218,6 +219,12 @@ fn path_cardinality(p: &PathIr, stats: &CatalogStatistics) -> Option<u64> {
         est *= FILTER_SELECTIVITY;
     }
     Some(est.ceil() as u64)
+}
+
+/// Whether a path starts where the catalog's whole-document counts apply:
+/// the root or the context item, not a variable bound per tuple.
+fn document_wide(p: &PathIr) -> bool {
+    matches!(p.start, PathStartIr::Root | PathStartIr::Context)
 }
 
 /// Integer square root (newton), enough for group-count guessing.

@@ -11,7 +11,7 @@
 use crate::casts::cast_atomic;
 use crate::context::{DynamicContext, Focus};
 use crate::error::{EngineError, EngineResult};
-use crate::eval::no_context;
+use crate::eval::{no_context, opt_atomic};
 use crate::ir::CastTarget;
 use crate::keys::AtomicDistinctSet;
 use xqa_xdm::{
@@ -606,18 +606,6 @@ fn zero_or_one_focus(
         n => Err(EngineError::dynamic(
             ErrorCode::XPTY0004,
             format!("{what}: expected at most one item, got {n}"),
-        )),
-    }
-}
-
-/// An optional atomized singleton argument.
-fn opt_atomic(seq: &[Item], what: &str) -> EngineResult<Option<AtomicValue>> {
-    match seq {
-        [] => Ok(None),
-        [item] => Ok(Some(item.atomize())),
-        _ => Err(EngineError::dynamic(
-            ErrorCode::XPTY0004,
-            format!("{what}: expected at most one item, got {}", seq.len()),
         )),
     }
 }

@@ -5,19 +5,28 @@
 use std::fmt;
 
 /// One hint: its key, the value that pins the decision on, the value
-/// that pins it off, and what each side runs. `FromStr`, `Display` and
-/// [`PlanHints::table`] all read this list and nothing else.
+/// that pins it off, what each side runs, and which side an absent hint
+/// runs. `FromStr`, `Display` and [`PlanHints::table`] all read this
+/// list and nothing else.
 struct HintKey {
     key: &'static str,
     on: &'static str,
     off: &'static str,
     pins: &'static str,
-    absent: &'static str,
+    default_on: bool,
 }
 
 impl HintKey {
     fn grammar(&self) -> String {
         format!("{}={}|{}", self.key, self.on, self.off)
+    }
+
+    fn spelling(&self, on: bool) -> &'static str {
+        if on {
+            self.on
+        } else {
+            self.off
+        }
     }
 }
 
@@ -28,7 +37,7 @@ const KEYS: [HintKey; 5] = [
         on: "hash",
         off: "nested",
         pins: "joinable nested FLWORs: unnest all to a hash join | never unnest",
-        absent: "statistics decide",
+        default_on: true,
     },
     HintKey {
         key: "access",
@@ -36,14 +45,14 @@ const KEYS: [HintKey; 5] = [
         off: "walk",
         pins: "//T scans, value predicates, $v/N group keys and for-where value probes: \
                always via the indexes | always tree-walk, canonical keys, no probes",
-        absent: "statistics decide",
+        default_on: true,
     },
     HintKey {
         key: "topk",
         on: "on",
         off: "off",
         pins: "positional bound over order by: bounded heap | full sort",
-        absent: "on",
+        default_on: true,
     },
     HintKey {
         key: "implicit-groupby",
@@ -51,20 +60,21 @@ const KEYS: [HintKey; 5] = [
         off: "off",
         pins: "distinct-values self-join: rewrite to group by (sound when every item \
                has each key exactly once) | leave as written",
-        absent: "off",
+        default_on: false,
     },
     HintKey {
         key: "nest-agg",
         on: "on",
         off: "off",
         pins: "group-by nests read only by count(): keep a running count | keep every member",
-        absent: "on",
+        default_on: true,
     },
 ];
 
 /// Optional pins on the planner's decisions. An absent hint (`None`,
-/// the default) means the engine decides; `Some(true)` / `Some(false)`
-/// force one side. All but `implicit_groupby` never change a result:
+/// the default) runs the key's default side, `Some(true)` /
+/// `Some(false)` force one side; a plan is a function of the query text
+/// and these hints alone. All but `implicit_groupby` never change a result:
 /// every forced path keeps the per-item fallbacks that make it
 /// byte-identical to its reference. `implicit_groupby` is the paper's
 /// opt-in rewrite and carries its premise (see [`crate::rewrite`]).
@@ -84,12 +94,10 @@ const KEYS: [HintKey; 5] = [
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PlanHints {
     /// `join=hash|nested`: unnest every eligible nested-FLWOR equality
-    /// join into a `HashJoin` regardless of statistics (the runtime
-    /// still falls back to an ordered build scan per probe when atom
-    /// classes make hashing unable to reproduce comparison errors), or
-    /// never unnest. Absent: unnest only when catalog statistics are
-    /// attached and the estimated build side is at most
-    /// [`crate::rewrite::MAX_HASH_BUILD_ROWS`].
+    /// join into a `HashJoin` (the runtime still falls back to an
+    /// ordered build scan per probe when atom classes make hashing
+    /// unable to reproduce comparison errors), or never unnest. Absent:
+    /// hash.
     pub hash_join: Option<bool>,
     /// `access=index|walk`: annotate every eligible `//T` scan and
     /// value predicate to resolve through the document store's indexes
@@ -97,9 +105,7 @@ pub struct PlanHints {
     /// the value index cannot answer exactly), and every `group by` on
     /// `$v/N` keys to group on the store's value ids (falling back to
     /// canonical keys at the first tuple the store cannot code), or
-    /// always tree-walk and group on canonical keys. Absent: annotate
-    /// only when attached statistics favor the index, or report every
-    /// key name all-leaf.
+    /// always tree-walk and group on canonical keys. Absent: index.
     pub index_scan: Option<bool>,
     /// `topk=on|off`: push `[position() le k]`-style bounds over an
     /// `order by` into the sort as a heap limit, or always sort in
@@ -129,12 +135,14 @@ impl PlanHints {
         ]
     }
 
-    /// One line per hint — `key=on|off`, what each side runs, and what
-    /// the engine does when the hint is absent — for `xqa --help` and
-    /// the README.
+    /// One line per hint — `key=on|off`, what each side runs, and the
+    /// side an absent hint runs — for `xqa --help` and the README.
     pub fn table() -> String {
         KEYS.iter()
-            .map(|k| format!("  {:<26}{} (absent: {})\n", k.grammar(), k.pins, k.absent))
+            .map(|k| {
+                let default = k.spelling(k.default_on);
+                format!("  {:<26}{} (default: {default})\n", k.grammar(), k.pins)
+            })
             .collect()
     }
 }
@@ -145,7 +153,7 @@ impl fmt::Display for PlanHints {
         let mut sep = "";
         for (k, slot) in KEYS.iter().zip(hints.slots()) {
             if let Some(on) = *slot {
-                write!(f, "{sep}{}={}", k.key, if on { k.on } else { k.off })?;
+                write!(f, "{sep}{}={}", k.key, k.spelling(on))?;
                 sep = ",";
             }
         }

@@ -141,9 +141,9 @@ impl std::fmt::Display for RewriteNote {
 #[derive(Debug, Default, Clone)]
 pub struct Engine {
     options: EngineOptions,
-    /// Catalog statistics the access-path planner consults, attached by
-    /// the service/CLI after loading documents. `None` = no catalog →
-    /// without hints every plan keeps the tree walk and the nested loop.
+    /// Catalog statistics the plan's cardinality estimates read,
+    /// attached by the service/CLI after loading documents. `None`: only
+    /// structurally provable sources are estimated; the plan is the same.
     statistics: Option<std::sync::Arc<xqa_storage::CatalogStatistics>>,
 }
 
@@ -161,7 +161,8 @@ impl Engine {
         }
     }
 
-    /// Attach catalog statistics for plan-time access-path decisions.
+    /// Attach catalog statistics for the plan's cardinality estimates;
+    /// no plan decision reads them.
     pub fn set_statistics(
         &mut self,
         stats: std::sync::Arc<xqa_storage::CatalogStatistics>,

@@ -76,20 +76,9 @@ use xqa_frontend::ast::{Axis, Quantifier};
 use xqa_storage::CatalogStatistics;
 use xqa_xdm::{CompOp, QName};
 
-/// Without a hint, a descendant scan is only index-annotated when the
-/// scanned name accounts for at most this fraction of all catalog
-/// elements. Above it, the walk visits about as many nodes as the
-/// posting list holds, so the index buys nothing but handle churn.
-const MAX_INDEX_SELECTIVITY: f64 = 0.5;
-
-/// Without a hint, join unnesting declines to build a hash table the
-/// planner expects to exceed this many rows (it would trade O(n·m) time
-/// for an oversized materialization); `join=hash` ignores the bound.
-pub const MAX_HASH_BUILD_ROWS: u64 = 10_000_000;
-
 /// What a rule sees besides the root it is planning.
 struct Cx<'a> {
-    hints: PlanHints,
+    /// Read by the estimates alone: no plan decision depends on them.
     stats: Option<&'a CatalogStatistics>,
     /// Note details the running rule has fired, over all roots so far.
     fired: Vec<String>,
@@ -105,10 +94,10 @@ struct Rule {
     /// Whether the driver ends each note with where it fired,
     /// ` (in query body)` / `(in global $g)` / `(in function f#1)`.
     located: bool,
-    /// Whether the rule runs at all under these hints and statistics.
-    /// A pinned hint decides; the two statistics-driven rules otherwise
-    /// run exactly when a catalog is attached.
-    enabled: fn(&Cx<'_>) -> bool,
+    /// Whether the rule runs at all under these hints: the pin, else the
+    /// hint's default ([`crate::PlanHints::table`]). Nothing else turns
+    /// a rule on or off.
+    enabled: fn(&PlanHints) -> bool,
     /// Plan one root.
     apply: fn(&mut Ir, &mut Cx<'_>),
 }
@@ -127,12 +116,12 @@ struct Rule {
 ///    predicate stays in place.
 /// 5. *path fusion* before index annotation, so `//T` is visible as one
 ///    `descendant::T` step.
-/// 6. *index annotation* before join unnesting, so the build-side
-///    cardinality gate sees the final access paths.
-/// 7. *value-id grouping*, under the index annotation's gate: it only
+/// 6. *index annotation* before join unnesting, so the build source the
+///    join clones carries its access path.
+/// 7. *value-id grouping*, under the index annotation's hint: it only
 ///    chooses how a `group by` finds its groups.
 /// 8. *join unnesting*.
-/// 9. *value probes*, under the index annotation's gate, after join
+/// 9. *value probes*, under the index annotation's hint, after join
 ///    unnesting: a `where` the join rule annotated is not probed.
 /// 10. *source hoisting*, after join unnesting: a `let` the join rule
 ///     annotated never runs its FLWOR, so it keeps no source.
@@ -142,7 +131,7 @@ const RULES: [Rule; 11] = [
     Rule {
         kind: Some(RewriteKind::ImplicitGroupBy),
         located: false,
-        enabled: |cx| cx.hints.implicit_groupby == Some(true),
+        enabled: |hints| hints.implicit_groupby == Some(true),
         apply: implicit_groupby,
     },
     Rule {
@@ -154,13 +143,13 @@ const RULES: [Rule; 11] = [
     Rule {
         kind: None,
         located: false,
-        enabled: |cx| cx.hints.nest_agg != Some(false),
+        enabled: |hints| hints.nest_agg != Some(false),
         apply: aggregate_count_nests,
     },
     Rule {
         kind: Some(RewriteKind::TopKPushdown),
         located: true,
-        enabled: |cx| cx.hints.topk != Some(false),
+        enabled: |hints| hints.topk != Some(false),
         apply: pushdown_topk,
     },
     Rule {
@@ -184,7 +173,7 @@ const RULES: [Rule; 11] = [
     Rule {
         kind: Some(RewriteKind::JoinUnnest),
         located: true,
-        enabled: |cx| cx.hints.hash_join.unwrap_or(cx.stats.is_some()),
+        enabled: |hints| hints.hash_join != Some(false),
         apply: unnest_joins,
     },
     Rule {
@@ -207,16 +196,16 @@ const RULES: [Rule; 11] = [
     },
 ];
 
-/// The `access` gate of the index annotation, value-id grouping and
-/// value-probe rules: the hint when pinned, else whether a catalog is
-/// attached.
-fn index_access(cx: &Cx<'_>) -> bool {
-    cx.hints.index_scan.unwrap_or(cx.stats.is_some())
+/// The `access` hint of the index annotation, value-id grouping and
+/// value-probe rules: on unless `access=walk`.
+fn index_access(hints: &PlanHints) -> bool {
+    hints.index_scan != Some(false)
 }
 
 /// Shape the compiled plan: run every enabled rule of [`RULES`], in
 /// order, over every root of the query. `hints` are taken as given;
-/// `stats` are the attached catalog statistics, if any.
+/// `stats` are the attached catalog statistics, if any, and only the
+/// estimates read them.
 /// Returns what fired, rule by rule, root by root.
 pub fn plan(
     query: &mut CompiledQuery,
@@ -224,14 +213,13 @@ pub fn plan(
     stats: Option<&CatalogStatistics>,
 ) -> Vec<RewriteNote> {
     let mut cx = Cx {
-        hints,
         stats,
         fired: Vec::new(),
         tally: 0,
     };
     let mut notes = Vec::new();
     for rule in &RULES {
-        if !(rule.enabled)(&cx) {
+        if !(rule.enabled)(&hints) {
             continue;
         }
         cx.tally = 0;
@@ -756,11 +744,8 @@ fn fuse_pair(steps: &mut Vec<StepIr>, i: usize, ok: impl Fn(&NodeTestIr, &[Ir]) 
 // ---- index-scan annotation --------------------------------------------
 
 /// Annotate leading `descendant::T` path steps with an index access
-/// path (see [`AccessPathIr`]). Under [`crate::PlanHints::index_scan`]
-/// `Some(false)` the rule never runs, `Some(true)` annotates every
-/// matching shape, `None` annotates where the attached catalog
-/// statistics favor the index (the rule does not run without
-/// statistics). Two shapes qualify:
+/// path (see [`AccessPathIr`]); `access=walk` turns the rule off. Two
+/// shapes qualify:
 ///
 /// - `descendant::T` with no predicates → [`AccessPathIr::IndexDescendant`]:
 ///   a label-range slice of `T`'s element postings.
@@ -769,16 +754,14 @@ fn fuse_pair(steps: &mut Vec<StepIr>, i: usize, ok: impl Fn(&NodeTestIr, &[Ir]) 
 ///   either order) → [`AccessPathIr::IndexValueEq`]: candidate parents
 ///   from the typed-value index, residual predicate re-evaluated. The
 ///   exact shape guarantees the predicate is position-free, so
-///   prefiltering cannot renumber anything; without a hint the
-///   statistics must also confirm the value index answers exactly
-///   (every `c` is a leaf, and for numeric probes every value parses as
-///   `xs:double` — otherwise the walk could raise a cast error the
-///   index would skip).
+///   prefiltering cannot renumber anything.
 ///
 /// The annotation is a plan-time *choice*, not a promise: the evaluator
 /// still falls back to the walk per context item when no store covers
-/// its document or the store's gates refuse, so results are always
-/// byte-identical to the walk.
+/// its document or the store cannot answer exactly (some `c` is not a
+/// leaf, or for a numeric probe some value is not an `xs:double`, where
+/// the walk could raise a cast error the index would skip), so results
+/// are always byte-identical to the walk.
 fn annotate_index_scans(root: &mut Ir, cx: &mut Cx<'_>) {
     walk(root, false, &mut |ir| {
         let Ir::Path(p) = ir else { return };
@@ -791,7 +774,7 @@ fn annotate_index_scans(root: &mut Ir, cx: &mut Cx<'_>) {
             matches!(test, NodeTestIr::Name(_))
                 && matches!(preds, [pred] if value_eq_probe(pred).is_some())
         });
-        if let Some((access, note)) = choose_access_path(p, cx.hints.index_scan, cx.stats) {
+        if let Some((access, note)) = choose_access_path(p) {
             p.access = access;
             cx.fired.push(format!("index scan: {note}"));
         }
@@ -800,11 +783,7 @@ fn annotate_index_scans(root: &mut Ir, cx: &mut Cx<'_>) {
 
 /// Decide the access path for one compiled path, if an index shape
 /// matches. Returns the annotation plus its rewrite-note text.
-fn choose_access_path(
-    p: &PathIr,
-    hint: Option<bool>,
-    stats: Option<&CatalogStatistics>,
-) -> Option<(AccessPathIr, String)> {
+fn choose_access_path(p: &PathIr) -> Option<(AccessPathIr, String)> {
     let StepIr::Axis {
         axis: Axis::Descendant,
         test: NodeTestIr::Name(name),
@@ -814,28 +793,12 @@ fn choose_access_path(
         return None;
     };
     match predicates.as_slice() {
-        [] => {
-            let note = |why: std::fmt::Arguments<'_>| {
-                format!("descendant scan //{name} resolved via label-range postings ({why})")
-            };
-            let note = match hint {
-                Some(_) => note(format_args!("forced")),
-                None => {
-                    let selectivity = stats?.descendant_selectivity(name);
-                    if selectivity > MAX_INDEX_SELECTIVITY {
-                        return None;
-                    }
-                    note(format_args!("selectivity {selectivity:.3}"))
-                }
-            };
-            Some((AccessPathIr::IndexDescendant, note))
-        }
+        [] => Some((
+            AccessPathIr::IndexDescendant,
+            format!("descendant scan //{name} resolved via label-range postings"),
+        )),
         [pred] => {
             let (child, probe) = value_eq_probe(pred)?;
-            let numeric = matches!(probe, ValueProbeIr::Num(_));
-            if hint.is_none() && !stats?.value_eq_indexable(&child, numeric) {
-                return None;
-            }
             let desc = match &probe {
                 ValueProbeIr::Str(s) => format!("//{name}[{child} = {s:?}]"),
                 ValueProbeIr::Num(v) => format!("//{name}[{child} = {v}]"),
@@ -879,20 +842,18 @@ fn value_eq_probe(pred: &Ir) -> Option<(QName, ValueProbeIr)> {
 /// Record [`OpIr::value_keys`] on every `group by` whose keys are all
 /// `$v/N` — one predicate-free `child::N` step from a variable, no
 /// `using` — so the group operator keys tuples by the document store's
-/// dictionary ids of those children. Under `access=index` every such
-/// `group by` qualifies; without a hint the attached statistics must
-/// report every `N` as all-leaf in every document (an unseen `N` has no
-/// children to code). Like the index annotation this is a choice, not a
-/// promise: the operator falls back to canonical keys at the first tuple
-/// the store cannot code, so results are those of the uncoded plan.
-fn annotate_value_keys(root: &mut Ir, cx: &mut Cx<'_>) {
+/// dictionary ids of those children. Like the index annotation this is a
+/// choice, not a promise: the operator falls back to canonical keys at
+/// the first tuple the store cannot code, so results are those of the
+/// uncoded plan.
+fn annotate_value_keys(root: &mut Ir, _: &mut Cx<'_>) {
     walk(root, false, &mut |ir| {
         let Ir::Flwor(f) = ir else { return };
         for op in &mut f.ops {
             let ClauseIr::GroupBy(g) = &op.clause else {
                 continue;
             };
-            if let Some(keys) = value_keys(g, cx) {
+            if let Some(keys) = value_keys(g) {
                 op.value_keys = keys;
             }
         }
@@ -900,7 +861,7 @@ fn annotate_value_keys(root: &mut Ir, cx: &mut Cx<'_>) {
 }
 
 /// Per key, `$v`'s slot and `N`, when every key qualifies.
-fn value_keys(g: &GroupByIr, cx: &Cx<'_>) -> Option<Vec<(Slot, QName)>> {
+fn value_keys(g: &GroupByIr) -> Option<Vec<(Slot, QName)>> {
     g.keys
         .iter()
         .map(|key| {
@@ -910,9 +871,7 @@ fn value_keys(g: &GroupByIr, cx: &Cx<'_>) -> Option<Vec<(Slot, QName)>> {
             let (PathStartIr::Expr(Ir::Var(v)), None) = (&p.start, key.using) else {
                 return None;
             };
-            let name = plain_child_step(p)?;
-            let leaf = cx.hints.index_scan.is_some() || cx.stats?.value_eq_indexable(name, false);
-            leaf.then(|| (*v, name.clone()))
+            Some((*v, plain_child_step(p)?.clone()))
         })
         .collect()
 }
@@ -1028,18 +987,14 @@ fn hoist_invariant_sources(root: &mut Ir, _: &mut Cx<'_>) {
 /// runtime's per-probe fallback scan still evaluates the exact original
 /// predicate.
 ///
-/// Gate ([`crate::PlanHints::hash_join`]): under `Some(false)` the rule
-/// never runs. `None` requires attached statistics and declines a build
-/// side the planner estimates above [`MAX_HASH_BUILD_ROWS`] (unknown
-/// estimates are allowed — the hash table is never larger than what the
-/// nested loop re-scans per tuple). `Some(true)` annotates every
+/// `join=nested` turns the rule off; otherwise it annotates every
 /// matching shape.
 fn unnest_joins(root: &mut Ir, cx: &mut Cx<'_>) {
     walk(root, false, &mut |ir| {
         let Ir::Flwor(f) = ir else { return };
         let bound = flwor_bound_slots(f);
         for op in &mut f.ops {
-            let Some(join) = match_join(&op.clause, &bound, cx) else {
+            let Some(join) = match_join(&op.clause, &bound) else {
                 continue;
             };
             cx.fired.push(format!(
@@ -1092,7 +1047,7 @@ fn flwor_bound_slots(f: &FlworIr) -> HashSet<Slot> {
     bound
 }
 
-fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>, cx: &Cx<'_>) -> Option<JoinIr> {
+fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>) -> Option<JoinIr> {
     let join = NestedJoin::of(clause)?;
     if !rebuild_safe(join.src) || refs_any_slot(join.src, bound) {
         return None;
@@ -1106,11 +1061,6 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>, cx: &Cx<'_>) -> Option<J
     let y = HashSet::from([join.y]);
     let (build_key, probe_key) = eq.orient(|side| refs_any_slot(side, &y).then_some(side))?;
     if refs_any_slot(probe_key, &y) || refs_any_slot(build_key, bound) {
-        return None;
-    }
-    if cx.hints.hash_join.is_none()
-        && estimate::source_cardinality(join.src, cx.stats).is_some_and(|n| n > MAX_HASH_BUILD_ROWS)
-    {
         return None;
     }
     Some(JoinIr {

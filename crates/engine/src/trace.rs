@@ -94,8 +94,12 @@ mod tests {
             .filter_map(|l| l.split("\"phase\":\"").nth(1))
             .map(|rest| &rest[..rest.find('"').unwrap()])
             .collect();
-        assert_eq!(phases, ["parse", "rewrite-fired", "compile"]);
-        assert_eq!(json.matches("\"query_id\":7,").count(), 3);
+        // Path fusion, then the index scan.
+        assert_eq!(
+            phases,
+            ["parse", "rewrite-fired", "rewrite-fired", "compile"]
+        );
+        assert_eq!(json.matches("\"query_id\":7,").count(), 4);
         assert!(plan.parse_ns <= plan.plan_ns);
     }
 

@@ -10,8 +10,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use xqa_engine::{
-    DynamicContext, Engine, EngineOptions, EvalStatsSnapshot, OpKind, PlanHints, PreparedQuery,
-    QueryProfile, TickClock,
+    DynamicContext, Engine, EngineOptions, EvalStatsSnapshot, OpKind, PreparedQuery, QueryProfile,
+    TickClock,
 };
 
 /// 1ms per clock read: large enough that rendered times are round.
@@ -37,24 +37,22 @@ const WINDOW_QUERY: &str = "for tumbling window $w in (1 to 20) \
      start at $s when $s mod 5 = 1 \
      return <w>{sum($w)}</w>";
 
-/// A joinable nested FLWOR, exercising the HashJoin operator (needs
-/// the `join=hash` hint — without one, and without catalog statistics,
-/// it stays nested).
+/// A joinable nested FLWOR, exercising the HashJoin operator (the
+/// default `join=hash`).
 const JOIN_QUERY: &str = "for $x in 1 to 8 \
      let $m := for $y in (2, 4, 6) where $y = $x return $y \
      return <j>{$x}:{count($m)}</j>";
 
-fn engine_for(query: &str, threads: usize) -> Engine {
-    let hints = if query == JOIN_QUERY {
-        "join=hash".parse().unwrap()
-    } else {
-        PlanHints::default()
-    };
-    Engine::with_options(EngineOptions { threads, hints })
+/// An unhinted engine at `threads`.
+fn engine(threads: usize) -> Engine {
+    Engine::with_options(EngineOptions {
+        threads,
+        ..Default::default()
+    })
 }
 
 fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile, EvalStatsSnapshot) {
-    let engine = engine_for(query, threads);
+    let engine = engine(threads);
     let plan = engine.compile(query).expect("compiles");
     let mut ctx = DynamicContext::new();
     ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
@@ -120,7 +118,7 @@ fn join_matches_golden() {
 #[test]
 fn join_explain_matches_golden() {
     check_golden("explain_join.txt", &[1], |threads| {
-        engine_for(JOIN_QUERY, threads)
+        engine(threads)
             .compile(JOIN_QUERY)
             .expect("compiles")
             .explain()
@@ -344,5 +342,31 @@ fn the_probed_two_key_q_binds_only_the_matching_rows() {
         let worst = profile.worst_misestimate().expect("estimated");
         assert_eq!((worst.estimated, worst.actual), (9, 4), "{worst:?}");
         assert_eq!(worst.q_error, 2.25);
+    }
+}
+
+/// The outer pipeline of the two-key `Q` ranges over
+/// `distinct-values(//li/a)` and `distinct-values(//li/b)`: the catalog's
+/// distinct counts estimate both sources, three values each, so every
+/// row reads `q=1.0` (3 `$a`, 9 pairs).
+#[test]
+fn distinct_values_sources_are_estimated_from_the_catalog() {
+    for threads in THREADS {
+        let profile = two_key_profile("", threads);
+        let outer = &profile.pipelines[1];
+        let rows: Vec<(String, Option<u64>, u64)> = outer
+            .ops
+            .iter()
+            .map(|op| (op.label(), op.estimate, op.tuples_out))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("ForScan".to_string(), Some(3), 3),
+                ("ForScan(source once)".to_string(), Some(9), 9),
+                ("LetBind(inner source once)".to_string(), Some(9), 9),
+                ("ReturnAt".to_string(), Some(9), 9),
+            ]
+        );
     }
 }

@@ -12,8 +12,8 @@ use xqa_storage::CatalogStatistics;
 /// 1ms per clock read, matching the other explain-analyze goldens.
 const TICK_NANOS: u64 = 1_000_000;
 
-/// Six `item` elements (of 19 elements total, selectivity well under
-/// the auto-mode gate), each with a numeric `p` leaf.
+/// Six `item` elements, each with a numeric `p` leaf, among 19
+/// elements.
 const DOC: &str = "<r>\
      <item><p>1</p></item><item><p>2</p></item><item><p>3</p></item>\
      <item><p>1</p></item><item><p>2</p></item><item><p>3</p></item>\

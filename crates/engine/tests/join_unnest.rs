@@ -1,6 +1,6 @@
 //! The join-unnesting rewrite end to end: detection, explain
-//! annotations, hash execution vs. the nested-loop plan, the mode
-//! gate, and the join counters.
+//! annotations, hash execution vs. the nested-loop plan, the `join`
+//! hint, and the join counters.
 //!
 //! Regenerate goldens with `UPDATE_GOLDEN=1 cargo test`.
 
@@ -98,10 +98,10 @@ fn unhinted_planner_unnests(stats: Option<&CatalogStatistics>) -> bool {
 }
 
 #[test]
-fn without_a_hint_statistics_decide() {
-    assert!(!unhinted_planner_unnests(None), "no catalog: stay nested");
+fn without_a_hint_the_join_unnests_with_or_without_statistics() {
+    assert!(unhinted_planner_unnests(None), "no catalog");
     let (_, stats) = indexed_ctx();
-    assert!(unhinted_planner_unnests(Some(&stats)));
+    assert!(unhinted_planner_unnests(Some(&stats)), "catalog attached");
 }
 
 #[test]

@@ -135,7 +135,7 @@ fn events_are_stamped_with_query_id_and_monotone_timestamps() {
         .compile("for $v in //item return $v")
         .expect("compiles");
     let events = events(&plan.trace_json(42));
-    assert_eq!(events.len(), 3, "parse, path fusion, compile");
+    assert_eq!(events.len(), 4, "parse, path fusion, index scan, compile");
     assert!(events.iter().all(|e| e.1 == 42));
     assert!(
         events.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -168,7 +168,7 @@ const GOLDEN_CASES: &[(&str, &str, bool, &str)] = &[
          local:f() + $g",
     ),
     (
-        "index scan under statistics",
+        "index scans, statistics attached",
         "",
         true,
         "count(//item) + count(//item[p = 2])",

@@ -4,9 +4,11 @@
 //! inputs that fully determine a compiled plan — so a server can skip
 //! the parse/compile/rewrite pipeline for repeated queries. The
 //! catalog version comes from the statistics attached to the engine
-//! (zero when none): reindexing the catalog bumps the version, so
-//! plans whose access-path decisions were made against stale
-//! statistics are never served. Each entry carries the recency stamp
+//! (zero when none): reindexing the catalog bumps the version, so a
+//! plan whose cardinality estimates were made against stale statistics
+//! is never served (no plan decision reads the statistics; the
+//! estimates feed `explain analyze` and the q-errors). Each entry
+//! carries the recency stamp
 //! of its last use; a hit restamps it, and an insert at capacity evicts
 //! the smallest stamp by a scan of the (at most `capacity`) entries,
 //! which only a miss that compiled pays. A `Mutex` guards the map

@@ -179,7 +179,7 @@ impl DocumentCatalog {
     /// in the catalog (context document, named documents, collection
     /// members), through a fresh context's
     /// [`DynamicContext::index_documents`], and derive the catalog-wide
-    /// [`CatalogStatistics`] the planner consults. Subsequent
+    /// [`CatalogStatistics`] the planner's estimates read. Subsequent
     /// [`DocumentCatalog::new_context`] calls register the stores so
     /// queries can take the index access path. Returns the statistics;
     /// calling again rebuilds every store.

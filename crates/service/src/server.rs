@@ -185,7 +185,7 @@ impl Server {
         };
         // Index the server's copy of the catalog so every request
         // context carries document stores, and hand the derived
-        // statistics to the engine for plan-time access-path decisions
+        // statistics to the engine for the plans' cardinality estimates
         // (the statistics version also keys the plan cache).
         let mut catalog = catalog.clone();
         let statistics = catalog.build_indexes();
@@ -873,8 +873,7 @@ mod tests {
 
     #[test]
     fn join_queries_move_the_join_metrics_and_surface_rewrites() {
-        // The server compiles with catalog statistics, so the default
-        // Auto join mode unnests this joinable self-join shape.
+        // Unhinted, the planner unnests this joinable self-join shape.
         let server = test_server();
         let addr = server.local_addr();
         let query = "for $m in distinct-values(//v) \

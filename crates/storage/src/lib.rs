@@ -24,8 +24,8 @@
 //!   equality predicates become dictionary/range lookups that return the
 //!   leaf *parents*.
 //! - **Statistics** ([`NameStats`], merged into [`CatalogStatistics`]):
-//!   per-path cardinalities the optimizer consults when choosing index
-//!   scan vs. tree walk.
+//!   per-name cardinalities and distinct-value counts the planner's
+//!   cardinality estimates read.
 //! - **Versioning**: every store gets a process-monotonic version from
 //!   one global counter, so a plan cache keyed by catalog version
 //!   invalidates precisely when any document is (re)loaded.
@@ -482,12 +482,11 @@ fn leaf_value(doc: &Document, id: NodeId) -> Option<&str> {
     }
 }
 
-/// Statistics merged across every store in a catalog: what the
-/// optimizer consults at plan time to choose index scan vs. tree walk.
+/// Statistics merged across every store in a catalog: what the planner's
+/// cardinality estimates read. No plan decision depends on them.
 #[derive(Debug, Default, Clone)]
 pub struct CatalogStatistics {
     version: u64,
-    total_elements: u64,
     per_name: HashMap<QName, NameStats>,
 }
 
@@ -498,7 +497,6 @@ impl CatalogStatistics {
         let mut merged = CatalogStatistics::default();
         for store in stores {
             merged.version = merged.version.max(store.version());
-            merged.total_elements += store.total_elements();
             for (id, name) in store.element_names() {
                 let stats = store.stats_of(id);
                 let entry = merged.per_name.entry(name.clone()).or_insert(NameStats {
@@ -525,24 +523,6 @@ impl CatalogStatistics {
         self.per_name.get(name).map(|s| s.elements).unwrap_or(0)
     }
 
-    /// Fraction of all elements a `descendant::name` scan selects.
-    /// Unseen names select nothing.
-    pub fn descendant_selectivity(&self, name: &QName) -> f64 {
-        if self.total_elements == 0 {
-            return 0.0;
-        }
-        self.element_count(name) as f64 / self.total_elements as f64
-    }
-
-    /// Whether an equality predicate on `child`'s content can be served
-    /// exactly by the value index in every catalog document.
-    pub fn value_eq_indexable(&self, child: &QName, numeric: bool) -> bool {
-        match self.per_name.get(child) {
-            Some(s) => s.all_leaf && (!numeric || s.all_numeric),
-            None => true,
-        }
-    }
-
     /// Distinct leaf values of `child` summed across the catalog (the
     /// per-name ndv the estimator divides equality selectivities by).
     /// `None` when the name is unseen or some document's elements of
@@ -550,11 +530,6 @@ impl CatalogStatistics {
     pub fn distinct_values(&self, child: &QName) -> Option<u64> {
         let s = self.per_name.get(child)?;
         (s.all_leaf && s.distinct_values > 0).then_some(s.distinct_values)
-    }
-
-    /// Total elements across the catalog.
-    pub fn total_elements(&self) -> u64 {
-        self.total_elements
     }
 }
 
@@ -740,14 +715,12 @@ mod tests {
         let merged = CatalogStatistics::from_stores([&s1, &s2]);
         assert_eq!(merged.version(), s2.version());
         assert_eq!(merged.element_count(&q("price")), 6);
-        assert_eq!(merged.total_elements(), 24);
-        assert!(merged.value_eq_indexable(&q("price"), true));
-        assert!(merged.value_eq_indexable(&q("tag"), false));
-        assert!(!merged.value_eq_indexable(&q("tag"), true));
-        assert!(!merged.value_eq_indexable(&q("item"), false));
-        assert!(merged.value_eq_indexable(&q("absent"), true));
-        let sel = merged.descendant_selectivity(&q("item"));
-        assert!((sel - 0.25).abs() < 1e-9, "{sel}");
+        // Distinct string values add up across documents; a non-leaf or
+        // unseen name has no count.
+        assert_eq!(merged.distinct_values(&q("price")), Some(6));
+        assert_eq!(merged.distinct_values(&q("tag")), Some(4));
+        assert_eq!(merged.distinct_values(&q("item")), None);
+        assert_eq!(merged.distinct_values(&q("absent")), None);
     }
 
     #[test]

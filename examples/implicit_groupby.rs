@@ -33,7 +33,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut ctx = DynamicContext::new();
     ctx.set_context_document(&doc);
 
-    let plain = Engine::new();
+    // The paper's 1.0 baseline: without `join=nested` the planner
+    // would unnest `Q`'s self-join into a hash join.
+    let plain = Engine::with_options(EngineOptions {
+        hints: "join=nested".parse().unwrap(),
+        ..Default::default()
+    });
     let detecting = Engine::with_options(EngineOptions {
         hints: "implicit-groupby=on".parse().unwrap(),
         ..Default::default()

@@ -3,8 +3,8 @@
 //! `$v`'s `N` children, and falls back to canonical deep-equal keys at
 //! the first tuple the store cannot code (DESIGN.md §5.1, §12).
 //!
-//! The coded plans (`access=index`, or no hint with statistics attached)
-//! must give byte-identical results, or the same error code, as the
+//! The coded plans (`access=index`, the default, with or without
+//! statistics attached) must give byte-identical results, or the same error code, as the
 //! uncoded ones (`access=walk`, or no stores), each at threads 1 and 4.
 //! The cases aim at every way a code could go wrong: attributes on key
 //! leaves, two documents whose dictionaries number the same text

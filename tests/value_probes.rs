@@ -3,10 +3,10 @@
 //! document store's typed-value index proves those conjuncts reject
 //! (DESIGN.md §5.1). The `where` still runs on every survivor.
 //!
-//! The probed plans (`access=index`, or no hint with statistics
-//! attached, and `access=index` over a context with no stores) must
-//! give byte-identical results, or the same error code, as the
-//! `access=walk` plan, each at threads 1 and 4. The cases aim at every
+//! The probed plans (the default `access=index`, also under
+//! `join=nested` so that a join shape keeps its `where`, and over a
+//! context with no stores) must give byte-identical results, or the
+//! same error code, as the `access=walk` plan, each at threads 1 and 4. The cases aim at every
 //! way a probe could drop a tuple the `where` would keep, or swallow an
 //! error it would raise: each key type, leaves that are absent, not
 //! leaves, carry attributes or are not numbers, items that are not
@@ -96,7 +96,8 @@ fn probes(query: &str, hints: &str) -> Vec<String> {
 }
 
 /// Probed ≡ walked on `query` over `docs`, then `probed` says whether
-/// the `access=index` plan carries a probe. Returns the outcome.
+/// the `join=nested` plan (index access, the default) carries a probe.
+/// Returns the outcome.
 fn assert_probed_matches_walk(docs: &Docs, query: &str, probed: bool) -> Result<String, ErrorCode> {
     let indexed = docs.ctx(true);
     let bare = docs.ctx(false);
@@ -108,9 +109,9 @@ fn assert_probed_matches_walk(docs: &Docs, query: &str, probed: bool) -> Result<
         // (hints, context, statistics): the walk first, the reference.
         let cells = [
             ("access=walk", &indexed, Some(&stats)),
-            ("access=index", &indexed, Some(&stats)),
             ("", &indexed, Some(&stats)),
-            ("access=index", &bare, None),
+            ("join=nested", &indexed, Some(&stats)),
+            ("join=nested", &bare, None),
         ];
         for (hints, ctx, stats) in cells {
             let out = outcome(&engine(hints, threads, stats), query, ctx);
@@ -122,7 +123,7 @@ fn assert_probed_matches_walk(docs: &Docs, query: &str, probed: bool) -> Result<
     for (label, out) in &runs[1..] {
         assert_eq!(first, out, "{first_label} vs {label}:\n{query}");
     }
-    assert_eq!(!probes(query, "access=index").is_empty(), probed, "{query}");
+    assert_eq!(!probes(query, "join=nested").is_empty(), probed, "{query}");
     assert!(probes(query, "access=walk").is_empty(), "{query}");
     runs.swap_remove(0).1
 }
@@ -173,16 +174,17 @@ fn the_six_q_templates_probe_identically() {
     };
     for keys in keys {
         let query = q_query(keys);
+        // Unnested, the one-key template has no `where` left to probe.
         assert_eq!(
-            probes(&query, "access=index"),
+            probes(&query, "join=nested"),
             [format!("probe {}", keys.join(" "))]
         );
         let out = assert_probed_matches_walk(&docs, &query, true).expect("runs");
         assert!(out.matches("<r>").count() >= 4, "{out}");
         // The probed inner `for` binds only the matching rows.
         let (probed, walked) = (
-            tuples(&query, "access=index"),
-            tuples(&query, "access=walk"),
+            tuples(&query, "join=nested"),
+            tuples(&query, "join=nested,access=walk"),
         );
         assert!(probed * 2 < walked, "{keys:?}: {probed} vs {walked} tuples");
     }
@@ -400,10 +402,11 @@ fn the_rule_probes_leading_general_comparisons_with_a_variable() {
         probes_in("for $i in //x where $i/k = $m and $m = $i/j and $i/l > 1 return $i"),
         ["probe k j"]
     );
-    // Not under `access=walk`, and not without the hint or statistics.
+    // Not under `access=walk`; unhinted, as under `access=index`, with
+    // no statistics attached.
     let query = format!("{KEYED}for $i in //x where $i/k = $m return $i)");
     assert!(probes(&query, "access=walk").is_empty());
-    assert!(probes(&query, "").is_empty());
+    assert_eq!(probes(&query, ""), ["probe k"]);
 }
 
 #[test]
