@@ -59,7 +59,8 @@ options:
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
       --threads N           intra-query parallelism: worker threads for
-                            eligible FLWORs (default 1 = serial)
+                            FLWORs whose `group by` / `order by` merges
+                            partials (default 1 = serial)
       --hint K=V[,K=V...]   pin planner decisions (hints below)
   -h, --help                show this help
 serve options:

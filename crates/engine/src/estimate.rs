@@ -37,16 +37,17 @@
 //!   [`FILTER_SELECTIVITY`] (the classic System-R default of 1/2 for
 //!   an unanalyzed predicate).
 //! - `WindowScan` — emits an unknown number of windows → `None`.
-//! - `GroupConsume` — distinct-group count guessed as `⌈√n⌉` of its
-//!   input (the catalog's per-name distinct counts are not applied to
-//!   grouping keys).
+//! - `GroupConsume` — when every key is a predicate-free `$v/k` child
+//!   path whose leaf the catalog counts, `min(n, Π ndv(k))` groups;
+//!   otherwise the distinct-group count is guessed as `⌈√n⌉` of its
+//!   input.
 //! - `OrderBy` — `min(n, limit)` when top-k pushdown bounded it,
 //!   otherwise a pass-through.
 //! - `ReturnAt` — one output ordinal per input tuple.
 
 use crate::functions::Builtin;
 use crate::ir::*;
-use crate::rewrite::{conjuncts, EqPred};
+use crate::rewrite::{conjuncts, value_keys, EqPred};
 use xqa_storage::CatalogStatistics;
 
 /// Default selectivity assumed for an unanalyzed `where` predicate.
@@ -102,7 +103,10 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
                 }),
             },
             ClauseIr::Window(_) => None,
-            ClauseIr::GroupBy(_) => card.map(|n| isqrt(n).max(1)),
+            ClauseIr::GroupBy(g) => card.map(|n| match key_combinations(g, stats) {
+                Some(groups) => n.min(groups),
+                None => isqrt(n).max(1),
+            }),
             ClauseIr::OrderBy(ob) => match ob.limit {
                 Some(k) => Some(card.map_or(k as u64, |n| n.min(k as u64))),
                 None => card,
@@ -150,6 +154,16 @@ fn key_leaf_name(key: &Ir) -> Option<xqa_xdm::QName> {
             ..
         } if predicates.is_empty() => Some(q.clone()),
         _ => None,
+    })
+}
+
+/// `Π ndv(k)` over the keys of a `group by` whose keys are all `$v/k`
+/// ([`value_keys`]) with leaves the catalog counts: the most groups the
+/// keys can form. `None` for any other key.
+fn key_combinations(g: &GroupByIr, stats: Option<&CatalogStatistics>) -> Option<u64> {
+    let stats = stats?;
+    value_keys(g)?.iter().try_fold(1u64, |groups, (_, k)| {
+        Some(groups.saturating_mul(stats.distinct_values(k)?))
     })
 }
 

@@ -465,7 +465,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
 fn render_plan(f: &FlworIr, threads: usize) -> String {
     let mut plan: String = f.ops.iter().map(|op| op.label() + " -> ").collect();
     plan.push_str(&OpKind::ReturnAt.label(""));
-    if f.parallel && threads > 1 {
+    if f.parallel.is_some() && threads > 1 {
         let _ = write!(plan, " [parallel ×{threads}]");
     }
     plan

@@ -223,12 +223,13 @@ pub struct FlworIr {
     pub return_at: Option<Slot>,
     /// The return expression.
     pub return_expr: Ir,
-    /// Compile-time parallel eligibility: whether the outermost `for`
-    /// binding sequence may be split into morsels executed by worker
-    /// threads (see [`parallel_eligible`]). Whether that actually
-    /// happens is decided at run time from the effective thread count
-    /// and the input size.
-    pub parallel: bool,
+    /// Compile-time parallel eligibility: the clause index of the
+    /// breaker up to which the outermost `for` binding sequence may be
+    /// split into morsels executed by worker threads, `None` when it may
+    /// not (see [`parallel_eligible`]). Whether that actually happens is
+    /// decided at run time from the effective thread count and the
+    /// input size.
+    pub parallel: Option<usize>,
     /// The planner's row estimate for the `ReturnAt` sink: one output
     /// ordinal per tuple that survives the last operator. `None` until
     /// [`crate::rewrite::plan`] runs, and where it has no basis.
@@ -558,10 +559,13 @@ pub enum JoinKindIr {
 }
 
 /// Compile-time analysis: may this clause chain run morsel-parallel
-/// over the outermost `for` binding sequence?
+/// over the outermost `for` binding sequence, and if so, at which
+/// clause do the workers hand over? `Some(i)` names the first breaker,
+/// clause `i`; `None` keeps the chain serial.
 ///
-/// The chain is eligible when it starts with a `for` and every clause
-/// up to (and including) the first breaker is safe to evaluate on a
+/// Only a chain whose workers build partial state to merge is eligible:
+/// it starts with a `for` and reaches a breaker, and every clause up to
+/// (and including) that first breaker is safe to evaluate on a
 /// partition of the input:
 ///
 /// - `for` / `let` / `where` / `window` are tuple-local — safe.
@@ -573,25 +577,29 @@ pub enum JoinKindIr {
 /// - `order by` (the other breaker) merges per-worker sorted runs with
 ///   the original ordinal as tie-breaker — always safe.
 ///
+/// A chain with no breaker has nothing to merge: scattering its morsels
+/// only to put the `return` output back in order measured slower than
+/// the serial chain on two cores, and its first chunk came later
+/// (EXPERIMENTS.md), so it runs serially at every thread count.
 /// Clauses *after* the first breaker run serially on the coordinator
 /// over the merged output, so they don't affect eligibility. `return
 /// at $rank` ranks are assigned post-merge and are likewise safe.
-pub fn parallel_eligible(clauses: &[ClauseIr]) -> bool {
+pub fn parallel_eligible(clauses: &[ClauseIr]) -> Option<usize> {
     if !matches!(clauses.first(), Some(ClauseIr::For { .. })) {
-        return false;
+        return None;
     }
-    for clause in &clauses[1..] {
+    for (i, clause) in clauses.iter().enumerate().skip(1) {
         match clause {
             ClauseIr::For { .. }
             | ClauseIr::Let { .. }
             | ClauseIr::Where(_)
             | ClauseIr::Window(_) => {}
-            ClauseIr::Count { .. } => return false,
-            ClauseIr::GroupBy(g) => return g.keys.iter().all(|k| k.using.is_none()),
-            ClauseIr::OrderBy(_) => return true,
+            ClauseIr::Count { .. } => return None,
+            ClauseIr::GroupBy(g) => return g.keys.iter().all(|k| k.using.is_none()).then_some(i),
+            ClauseIr::OrderBy(_) => return Some(i),
         }
     }
-    true
+    None
 }
 
 /// One clause of the pipeline.

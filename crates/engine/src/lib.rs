@@ -58,8 +58,9 @@ pub struct EngineOptions {
     /// `0` (the default) and `1` run the whole pipeline on the calling
     /// thread. Values above 1 split an outermost `for` binding sequence
     /// of more than one morsel across that many scoped worker threads
-    /// (the same operators, one breaker partial per worker, merged);
-    /// output is byte-identical to serial.
+    /// when the FLWOR's `group by` / `order by` merges partials (the
+    /// same operators, one breaker partial per worker, merged); output
+    /// is byte-identical to serial.
     pub threads: usize,
     /// Pins on the planner's decisions (see [`PlanHints`]); none by
     /// default.
@@ -163,15 +164,6 @@ impl Engine {
 
     /// Attach catalog statistics for the plan's cardinality estimates;
     /// no plan decision reads them.
-    pub fn set_statistics(
-        &mut self,
-        stats: std::sync::Arc<xqa_storage::CatalogStatistics>,
-    ) -> &mut Self {
-        self.statistics = Some(stats);
-        self
-    }
-
-    /// Builder form of [`Engine::set_statistics`].
     pub fn with_statistics(
         mut self,
         stats: std::sync::Arc<xqa_storage::CatalogStatistics>,

@@ -22,12 +22,13 @@
 //!
 //! There is one driver, [`drive`]: [`build_chain`] lowers clauses to
 //! operators, `return_at` pulls the chain into a [`Sink`] that either
-//! collects one `Sequence` or emits batch by batch. When more than one
-//! thread is available and the outer `for` binds more than one
-//! [`MORSEL`], an [`exchange`] runs the chain up to the first breaker on
-//! worker threads, one partial per worker, and merges the partials; the
-//! serial pipeline is the same chain with a single partial that never
-//! merges, run on the calling thread.
+//! collects one `Sequence` or emits batch by batch. When a chain has a
+//! breaker whose partials merge, more than one thread is available and
+//! the outer `for` binds more than one [`MORSEL`], an [`exchange`] runs
+//! the chain up to that breaker on worker threads, one partial per
+//! worker, and merges the partials; the serial pipeline is the same
+//! chain with a single partial that never merges, run on the calling
+//! thread.
 //!
 //! In-place slot writes are sound because the compiler never reuses slot
 //! numbers: dropping a binding from scope only hides it, so every
@@ -50,7 +51,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, OnceLock};
 use xqa_xdm::sequence::SequenceIntoIter;
 use xqa_xdm::{
@@ -143,8 +143,8 @@ impl<'a, 'e> Sink<'a, 'e> {
         }
     }
 
-    /// One batch's (or one morsel fragment's) items are all in `out`:
-    /// when emitting, hand them over.
+    /// One batch's items are all in `out`: when emitting, hand them
+    /// over.
     fn end_batch(&mut self) -> EngineResult<()> {
         let Some(emit) = self.emit.as_mut() else {
             return Ok(());
@@ -166,9 +166,8 @@ pub(crate) fn run(interp: &Interpreter, f: &FlworIr, env: &mut Env) -> EngineRes
 }
 
 /// Evaluate a FLWOR handing each batch's return-expression output to
-/// `emit` as soon as the batch is pulled (behind a parallel exchange:
-/// each morsel's, in morsel order, as soon as it and every earlier
-/// morsel are done). Returns the total number of items emitted.
+/// `emit` as soon as the batch is pulled. Returns the total number of
+/// items emitted.
 pub(crate) fn run_streaming(
     interp: &Interpreter,
     f: &FlworIr,
@@ -220,9 +219,9 @@ fn drive(
     let clock = profiling_clock(interp);
     let counters = op_counters(clock.is_some(), n);
 
-    let threads = if f.parallel { interp.threads } else { 1 };
+    let cut = f.parallel.filter(|_| interp.threads > 1);
     let mut seed = None;
-    if threads > 1 {
+    if cut.is_some() {
         let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
             unreachable!("parallel-eligible FLWOR starts with a for clause");
         };
@@ -232,42 +231,29 @@ fn drive(
 
     let start = clock.as_ref().map(|c| c.now_nanos());
     let mut exchanged = None;
-    let source = match seed {
-        Some(items) if items.len() > MORSEL => {
-            let (merged, profile) = exchange(interp, f, env, &items, threads, &cells, sink)?;
-            let cut = profile.cut;
+    let source = match (cut, seed) {
+        (Some(cut), Some(items)) if items.len() > MORSEL => {
+            let (partial, profile) = exchange(interp, f, env, &items, cut, &cells)?;
             exchanged = Some(profile);
-            merged.map(|partial| {
-                // A tagged collect (`cut == n`) is no clause and gets
-                // no profile row: `counters` has no entry for it.
-                let breaker = Box::new(Breaker {
-                    input: Box::new(Singleton { done: true }),
-                    partial: Some(partial),
-                    output: Vec::new().into_iter(),
-                });
-                let breaker = instrument(breaker, counters.get(cut));
-                build_chain(f, cut + 1..n, breaker, None, &cells, &counters)
-            })
+            let breaker = Box::new(Breaker {
+                input: Box::new(Singleton { done: true }),
+                partial: Some(partial),
+                output: Vec::new().into_iter(),
+            });
+            let breaker = instrument(breaker, counters.get(cut));
+            build_chain(f, cut + 1..n, breaker, None, &cells, &counters)
         }
-        seed => Some(build_chain(
+        (_, seed) => build_chain(
             f,
             0..n,
             Box::new(Singleton { done: false }),
             seed.map(|items| (items, 0)),
             &cells,
             &counters,
-        )),
+        ),
     };
-    // `None`: the exchange's workers evaluated `return` themselves and
-    // their fragments are already in the sink.
-    let mut sink_stats = None;
-    let run = match source {
-        Some(source) => {
-            let stats = sink_stats.insert(SinkStats::default());
-            return_at(f, source, interp, env, sink, stats)
-        }
-        None => Ok(()),
-    };
+    let mut sink_stats = SinkStats::default();
+    let run = return_at(f, source, interp, env, sink, &mut sink_stats);
     // A run that fails on the way records what it did up to the error.
     if let (Some(profiler), Some(clock), Some(start)) = (profiler, clock, start) {
         let total = clock.now_nanos().saturating_sub(start);
@@ -401,7 +387,7 @@ fn clause_source<'p>(
         ClauseIr::Window(w) => Box::new(WindowScan { input, w }),
         ClauseIr::GroupBy(_) | ClauseIr::OrderBy(_) => Box::new(Breaker {
             input,
-            partial: Partial::for_op(op),
+            partial: Some(Partial::for_op(op)),
             output: Vec::new().into_iter(),
         }),
     }
@@ -485,14 +471,13 @@ impl TupleSource for Instrumented<'_> {
 /// tuple counts are exact and their nanos are *CPU time across all
 /// workers* (the pipeline total stays wall time; `workers` in the
 /// profile flags the discrepancy for renderers). Worker time spent
-/// outside the chains — absorbing into partials, or evaluating
-/// `return` — and the coordinator's merge go to the breaker's row, or
-/// to the sink's when there is no breaker.
+/// outside the chains — absorbing into partials — and the coordinator's
+/// merge go to the breaker's row.
 fn build_profile(
     f: &FlworIr,
     tail: Vec<OpCounters>,
     exchange: Option<&ExchangeProfile>,
-    sink_stats: Option<SinkStats>,
+    sink_stats: SinkStats,
     total_nanos: u64,
 ) -> PipelineProfile {
     let n = f.ops.len();
@@ -527,23 +512,13 @@ fn build_profile(
         ops.push(op);
     }
     let accounted: u64 = ops.iter().map(|o| o.nanos).sum();
-    let (batches, tuples_out, nanos) = match sink_stats {
-        Some(s) => (s.batches, s.tuples, total_nanos.saturating_sub(accounted)),
-        // No sink ran on the calling thread: the workers evaluated the
-        // return expression; mirror the chain's top row.
-        None => (
-            chains.iter().map(|c| c[n - 1].batches).sum(),
-            upstream_out,
-            outside,
-        ),
-    };
     ops.push(OpProfile {
         kind: OpKind::ReturnAt,
         detail: String::new(),
-        batches,
+        batches: sink_stats.batches,
         tuples_in: upstream_out,
-        tuples_out,
-        nanos,
+        tuples_out: sink_stats.tuples,
+        nanos: total_nanos.saturating_sub(accounted),
         estimate: f.return_estimate,
     });
     PipelineProfile {
@@ -1330,18 +1305,14 @@ impl TupleSource for Breaker<'_> {
 // ──────────────────── morsel-driven parallelism ────────────────────
 //
 // A parallel-eligible chain (outer `for`, then only tuple-local
-// streaming clauses up to at most one breaker) is split at the breaker:
-// workers claim [`MORSEL`]-sized chunks of the outer binding sequence
-// from a shared atomic counter and run their own clone of the streaming
-// chain into a *partitioned* breaker state, one [`Partial`] per worker.
-// The coordinator merges the partials — every tuple carries a [`Tag`],
-// so finishing the merged partial yields the exact serial tuple order —
-// and feeds any clauses after the breaker, plus the `return` sink,
-// serially. A chain with no breaker and no `return at` has nothing to
-// merge: workers evaluate `return` themselves and the coordinator —
-// the calling thread, which is also the first worker — hands each
-// morsel's fragment to the sink, in morsel order, between its own
-// morsels.
+// streaming clauses up to a breaker whose partials merge) is split at
+// the breaker: workers claim [`MORSEL`]-sized chunks of the outer
+// binding sequence from a shared atomic counter and run their own clone
+// of the streaming chain into a *partitioned* breaker state, one
+// [`Partial`] per worker. The coordinator merges the partials — every
+// tuple carries a [`Tag`], so finishing the merged partial yields the
+// exact serial tuple order — and feeds any clauses after the breaker,
+// plus the `return` sink, serially.
 
 /// What an [`exchange`] measured, for [`build_profile`]. Clock-derived
 /// fields are zero when not profiling.
@@ -1358,9 +1329,9 @@ struct ExchangeProfile {
 
 /// Everything a worker reports back.
 struct WorkerReport<'p> {
-    /// The worker's partial (`None` in fragment mode), or its first
-    /// error with the index of the morsel that raised it.
-    outcome: Result<Option<Partial<'p>>, (usize, EngineError)>,
+    /// The worker's partial, or its first error with the index of the
+    /// morsel that raised it.
+    outcome: Result<Partial<'p>, (usize, EngineError)>,
     counters: Vec<OpCounters>,
     /// Wall time of the claim loop on the shared profiling clock (0
     /// when not profiling — no clock reads off the profiled path).
@@ -1368,29 +1339,20 @@ struct WorkerReport<'p> {
 }
 
 /// Morsel-parallel execution of an eligible FLWOR's clauses up to its
-/// first breaker, over its already evaluated outer binding sequence.
-/// Returns the merged partial of that breaker (a tagged collect when
-/// the chain has none but ranks its output), or `None` after handing
-/// every morsel's `return` fragment to `sink` in morsel order.
+/// first breaker, clause `cut` ([`FlworIr::parallel`]), over its
+/// already evaluated outer binding sequence. Clauses after the breaker
+/// (and the sink) run on the calling thread over the merged,
+/// serial-order stream, so they need no eligibility restrictions of
+/// their own. Returns the merged partial of that breaker.
 fn exchange<'p>(
     interp: &Interpreter,
     f: &'p FlworIr,
     env: &mut Env,
     items: &[Item],
-    threads: usize,
+    cut: usize,
     cells: &[RunCell],
-    sink: &mut Sink,
-) -> EngineResult<(Option<Partial<'p>>, ExchangeProfile)> {
-    // The split point: the first breaker, or the whole chain. Clauses
-    // after the breaker (and the sink) run on the calling thread over
-    // the merged, serial-order stream, so they need no eligibility
-    // restrictions of their own.
-    let cut = f
-        .ops
-        .iter()
-        .position(|op| OpKind::of(op).materializes())
-        .unwrap_or(f.ops.len());
-    let workers = threads.min(items.len().div_ceil(MORSEL));
+) -> EngineResult<(Partial<'p>, ExchangeProfile)> {
+    let workers = interp.threads.min(items.len().div_ceil(MORSEL));
     let clock = profiling_clock(interp);
     let morsels = Morsels {
         f,
@@ -1404,88 +1366,58 @@ fn exchange<'p>(
     // a single `add_snapshot` call per worker per query instead of
     // contended per-batch atomics on the shared sink.
     let worker_stats: Vec<EvalStats> = (0..workers).map(|_| EvalStats::default()).collect();
-    let (tx, rx) = mpsc::channel::<(usize, Sequence)>();
-    let mut reports: Vec<WorkerReport> = Vec::with_capacity(workers);
-    let mut sunk: EngineResult<()> = Ok(());
-    std::thread::scope(|s| {
-        // Interpreter is Send but not Sync (its recursion-depth Cell):
-        // fork on the coordinator, move into the thread.
-        let mut forks = worker_stats.iter().map(|ws| {
-            let wenv = Env {
-                slots: env.slots.clone(),
-                focus: env.focus.clone(),
-            };
-            (interp.fork(ws), wenv, tx.clone())
-        });
-        // The calling thread is the first worker, so `threads` bounds
-        // the threads that run, not only the ones spawned.
-        let (interp0, env0, tx0) = forks.next().expect("at least one worker");
-        let handles: Vec<_> = forks
-            .map(|(winterp, wenv, wtx)| {
+    // Interpreter is Send but not Sync (its recursion-depth Cell):
+    // fork on the coordinator, move into the thread.
+    let fork = |ws| {
+        let wenv = Env {
+            slots: env.slots.clone(),
+            focus: env.focus.clone(),
+        };
+        (interp.fork(ws), wenv)
+    };
+    let (own, others) = std::thread::scope(|s| {
+        let handles: Vec<_> = worker_stats[1..]
+            .iter()
+            .map(|ws| {
+                let (winterp, wenv) = fork(ws);
                 let morsels = &morsels;
-                s.spawn(move || morsels.work(winterp, wenv, wtx, &mut || ()))
+                s.spawn(move || morsels.work(winterp, wenv))
             })
             .collect();
-        drop(tx);
-        // Fragments arrive in completion order; hold each until every
-        // earlier morsel's has gone to the sink.
-        let mut pending: HashMap<usize, Sequence> = HashMap::new();
-        let mut next_out = 0usize;
-        let mut deliver = |(m, frag): (usize, Sequence)| {
-            pending.insert(m, frag);
-            while let Some(frag) = pending.remove(&next_out) {
-                next_out += 1;
-                if sunk.is_ok() {
-                    sink.out.append(frag);
-                    sunk = sink.end_batch();
-                    if sunk.is_err() {
-                        // Nobody is listening: stop claiming morsels.
-                        morsels.error_floor.store(0, AtomicOrdering::Relaxed);
-                    }
-                }
-            }
-        };
-        // Between its own morsels this thread delivers what has
-        // arrived; once it runs out of morsels it waits for the rest
-        // (the channel closes when the last worker drops its sender).
-        let mut arrived = || rx.try_iter().for_each(&mut deliver);
-        reports.push(morsels.work(interp0, env0, tx0, &mut arrived));
-        rx.iter().for_each(&mut deliver);
-        for h in handles {
-            reports.push(h.join().expect("parallel pipeline worker panicked"));
-        }
+        // The calling thread is the first worker, so `threads` bounds
+        // the threads that run, not only the ones spawned.
+        let (interp0, env0) = fork(&worker_stats[0]);
+        let own = morsels.work(interp0, env0);
+        let others: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("parallel pipeline worker panicked"))
+            .collect();
+        (own, others)
     });
     for ws in &worker_stats {
         interp.stats.add_snapshot(&ws.snapshot());
     }
-    sunk?;
 
     let merge_began = clock.as_ref().map(|c| c.now_nanos());
-    let mut chains = Vec::with_capacity(workers);
-    let mut loop_nanos = 0;
-    let mut merged: Option<Partial> = None;
-    let mut first_error: Option<(usize, EngineError)> = None;
-    for r in reports {
+    let mut chains = vec![own.counters];
+    let mut loop_nanos = own.loop_nanos;
+    let mut merged = own.outcome;
+    for r in others {
         loop_nanos += r.loop_nanos;
         chains.push(r.counters);
-        match r.outcome {
-            Ok(None) => {}
-            Ok(Some(partial)) => match &mut merged {
-                Some(m) => m.merge(partial),
-                None => merged = Some(partial),
-            },
+        merged = match (merged, r.outcome) {
+            (Ok(mut m), Ok(partial)) => {
+                m.merge(partial);
+                Ok(m)
+            }
             // Keep the error from the smallest morsel index: tuple
             // results are independent, so that is exactly the error the
             // serial pipeline would have raised first.
-            Err((m, e)) => match &first_error {
-                Some((fm, _)) if *fm <= m => {}
-                _ => first_error = Some((m, e)),
-            },
-        }
+            (Err(a), Err(b)) => Err(if b.0 < a.0 { b } else { a }),
+            (Err(e), Ok(_)) | (Ok(_), Err(e)) => Err(e),
+        };
     }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
+    let merged = merged.map_err(|(_, e)| e)?;
     let merge_nanos = clock
         .zip(merge_began)
         .map_or(0, |(c, began)| c.now_nanos().saturating_sub(began));
@@ -1507,31 +1439,20 @@ struct Morsels<'a, 'p> {
     cells: &'a [RunCell],
     /// The next unclaimed morsel index.
     next: AtomicUsize,
-    /// The smallest morsel index that raised so far (0 once the sink
-    /// failed): nothing past it is worth claiming.
+    /// The smallest morsel index that raised so far: nothing past it is
+    /// worth claiming.
     error_floor: AtomicUsize,
 }
 
 impl<'p> Morsels<'_, 'p> {
     /// One worker: claim morsels until the input (or the error floor)
     /// is exhausted, streaming each through a private chain into this
-    /// worker's partial — or, in fragment mode, through `return` and
-    /// down `tx`. `between_morsels` runs after every finished morsel
-    /// (the calling thread, itself a worker, delivers fragments there).
-    fn work(
-        &self,
-        interp: Interpreter,
-        mut env: Env,
-        tx: Sender<(usize, Sequence)>,
-        between_morsels: &mut dyn FnMut(),
-    ) -> WorkerReport<'p> {
+    /// worker's partial.
+    fn work(&self, interp: Interpreter, mut env: Env) -> WorkerReport<'p> {
         let clock = profiling_clock(&interp);
         let loop_start = clock.as_ref().map(|c| c.now_nanos());
         let counters = op_counters(clock.is_some(), self.f.ops.len());
-        let mut partial = match self.f.ops.get(self.cut) {
-            Some(breaker) => Partial::for_op(breaker),
-            None => self.f.return_at.map(|_| Partial::collect()),
-        };
+        let mut partial = Partial::for_op(&self.f.ops[self.cut]);
         let morsel_count = self.items.len().div_ceil(MORSEL);
         let mut error = None;
         loop {
@@ -1542,13 +1463,11 @@ impl<'p> Morsels<'_, 'p> {
             if m >= morsel_count || m > self.error_floor.load(AtomicOrdering::Relaxed) {
                 break;
             }
-            let done = self.run_morsel(m, &interp, &mut env, partial.as_mut(), &tx, &counters);
-            if let Err(e) = done {
+            if let Err(e) = self.run_morsel(m, &interp, &mut env, &mut partial, &counters) {
                 self.error_floor.fetch_min(m, AtomicOrdering::Relaxed);
                 error = Some((m, e));
                 break;
             }
-            between_morsels();
         }
         let loop_nanos = loop_start
             .zip(clock)
@@ -1570,16 +1489,15 @@ impl<'p> Morsels<'_, 'p> {
     }
 
     /// Stream morsel `m` through a fresh clone of the pre-breaker
-    /// chain. The seeded `ForScan` starts its `at` ordinals at the
-    /// morsel's global offset, so positional variables are identical to
-    /// the serial run.
+    /// chain into `partial`. The seeded `ForScan` starts its `at`
+    /// ordinals at the morsel's global offset, so positional variables
+    /// are identical to the serial run.
     fn run_morsel(
         &self,
         m: usize,
         interp: &Interpreter,
         env: &mut Env,
-        partial: Option<&mut Partial<'p>>,
-        tx: &Sender<(usize, Sequence)>,
+        partial: &mut Partial<'p>,
         counters: &[Rc<Cell<OpCounters>>],
     ) -> EngineResult<()> {
         let lo = m * MORSEL;
@@ -1595,16 +1513,6 @@ impl<'p> Morsels<'_, 'p> {
             self.cells,
             counters,
         );
-        match partial {
-            Some(partial) => partial.drain(chain.as_mut(), m, interp, env),
-            None => {
-                let mut fragment = Sink::new(None);
-                let mut stats = SinkStats::default();
-                return_at(self.f, chain, interp, env, &mut fragment, &mut stats)?;
-                // The receiver outlives every worker; a send cannot fail.
-                let _ = tx.send((m, fragment.out.build()));
-                Ok(())
-            }
-        }
+        partial.drain(chain.as_mut(), m, interp, env)
     }
 }

@@ -1,8 +1,8 @@
 //! Breaker partial states: the `absorb` / `merge` / `finish` contract.
 //!
 //! A pipeline breaker (`group by`, `order by` with or without a top-k
-//! limit, and the tagged collect a parallel `return at` needs) keeps
-//! its state in a [`Partial`] covering a share of the tuple stream:
+//! limit) keeps its state in a [`Partial`] covering a share of the
+//! tuple stream:
 //!
 //! - [`Partial::absorb`] takes one batch of one morsel and tags every
 //!   tuple with its position in the serial stream;
@@ -46,15 +46,11 @@ enum Kind<'p> {
         /// Tuples a saturated top-k heap rejected or evicted.
         pruned: u64,
     },
-    /// No breaker clause, but `return at` needs the tuples back in
-    /// serial order before it can number them.
-    Collect(Vec<(Tag, Tuple)>),
 }
 
 impl<'p> Partial<'p> {
-    /// The empty partial of a breaker clause record (`None` for a
-    /// streaming clause).
-    pub(super) fn for_op(op: &'p OpIr) -> Option<Partial<'p>> {
+    /// The empty partial of a breaker clause record.
+    pub(super) fn for_op(op: &'p OpIr) -> Partial<'p> {
         let kind = match &op.clause {
             ClauseIr::GroupBy(g) => Kind::Group(GroupTable {
                 g,
@@ -80,17 +76,9 @@ impl<'p> Partial<'p> {
                 },
                 pruned: 0,
             },
-            _ => return None,
+            _ => unreachable!("only a group by or an order by keeps a partial"),
         };
-        Some(Partial { kind, absorbed: 0 })
-    }
-
-    /// The empty tagged-collect partial.
-    pub(super) fn collect() -> Partial<'p> {
-        Partial {
-            kind: Kind::Collect(Vec::new()),
-            absorbed: 0,
-        }
+        Partial { kind, absorbed: 0 }
     }
 
     /// Absorb everything `source` yields, as morsel `morsel`.
@@ -132,7 +120,6 @@ impl<'p> Partial<'p> {
                     *pruned += u64::from(run.saturated());
                     run.offer(keys, tag, t)?;
                 }
-                Kind::Collect(entries) => entries.push((tag, t)),
             }
         }
         Ok(())
@@ -150,7 +137,6 @@ impl<'p> Partial<'p> {
                 run.entries.extend(o.entries);
                 *pruned += p;
             }
-            (Kind::Collect(entries), Kind::Collect(other)) => entries.extend(other),
             _ => unreachable!("partials of one breaker share a kind"),
         }
     }
@@ -179,10 +165,6 @@ impl<'p> Partial<'p> {
                 }
                 interp.stats.tuples_pruned_topk.add(pruned);
                 Ok(entries.into_iter().map(|(_, (_, t))| t).collect())
-            }
-            Kind::Collect(mut entries) => {
-                entries.sort_unstable_by_key(|(tag, _)| *tag);
-                Ok(entries.into_iter().map(|(_, t)| t).collect())
             }
         }
     }
@@ -808,14 +790,11 @@ mod tests {
         else {
             panic!("`for $x at $i` expected");
         };
-        let mut breaker = f.ops.get(1).cloned();
-        if let Some(ClauseIr::OrderBy(ob)) = breaker.as_mut().map(|op| &mut op.clause) {
+        let mut breaker = f.ops[1].clone();
+        if let ClauseIr::OrderBy(ob) = &mut breaker.clause {
             ob.limit = limit;
         }
-        let new_partial = || match &breaker {
-            Some(op) => Partial::for_op(op).expect("a breaker clause"),
-            None => Partial::collect(),
-        };
+        let new_partial = || Partial::for_op(&breaker);
         let mut rng = DetRng::seed_from_u64(0x5eed);
         for _ in 0..40 {
             let tuples = stream(&mut rng, *slot, *at);
@@ -853,11 +832,6 @@ mod tests {
         for k in [0, 1, 7, 1000] {
             assert_merge_identity("for $x at $i in () order by $x mod 4 return $i", Some(k));
         }
-    }
-
-    #[test]
-    fn tagged_collect_partials_merge_to_the_single_partial_result() {
-        assert_merge_identity("for $x at $i in () return at $r ($r, $i)", None);
     }
 
     /// The six `Qgb` templates coded and, as the same plan with its

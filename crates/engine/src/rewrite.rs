@@ -861,7 +861,7 @@ fn annotate_value_keys(root: &mut Ir, _: &mut Cx<'_>) {
 }
 
 /// Per key, `$v`'s slot and `N`, when every key qualifies.
-fn value_keys(g: &GroupByIr) -> Option<Vec<(Slot, QName)>> {
+pub(crate) fn value_keys(g: &GroupByIr) -> Option<Vec<(Slot, QName)>> {
     g.keys
         .iter()
         .map(|key| {

@@ -370,3 +370,40 @@ fn distinct_values_sources_are_estimated_from_the_catalog() {
         );
     }
 }
+
+/// A `group by` over `$v/k` keys is estimated at `min(n, Π ndv(k))`
+/// groups: over the four `li` rows of [`TWO_KEY_DOC`], `a` alone forms
+/// its three distinct values and `(a, b)` four of the nine pairs, so
+/// both `GroupConsume` rows read `q=1.0` (`⌈√4⌉ = 2` read 2/3 and 2/4).
+#[test]
+fn group_by_child_keys_are_estimated_from_the_catalog() {
+    let doc = xqa_xmlparse::parse_document(TWO_KEY_DOC).expect("well-formed");
+    let mut ctx = DynamicContext::new();
+    ctx.set_context_document(&doc);
+    ctx.index_documents();
+    let stats = Arc::new(xqa_storage::CatalogStatistics::from_stores(
+        ctx.stores().map(Arc::as_ref),
+    ));
+    ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
+    ctx.enable_profiling();
+    for (keys, groups) in [("$i/a into $a", 3), ("$i/a into $a, $i/b into $b", 4)] {
+        let query =
+            format!("for $i in //li group by {keys} nest $i into $items return count($items)");
+        let plan = engine(1)
+            .with_statistics(Arc::clone(&stats))
+            .compile(&query)
+            .expect("compiles");
+        plan.run(&ctx).expect("runs");
+        let profile = ctx.take_profile().expect("profiling was enabled");
+        let group = profile.pipelines[0]
+            .ops
+            .iter()
+            .find(|op| op.kind == OpKind::GroupConsume)
+            .expect("a GroupConsume row");
+        assert_eq!(
+            (group.estimate, group.tuples_out),
+            (Some(groups), groups),
+            "{query}"
+        );
+    }
+}

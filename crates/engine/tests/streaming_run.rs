@@ -111,11 +111,13 @@ fn parallel_path_streams_identical_bytes() {
         threads: 4,
         ..EngineOptions::default()
     });
-    // > MORSEL items so the morsel-parallel executor engages.
-    let query = "for $x in 1 to 5000 where $x mod 7 = 0 return <n>{$x}</n>";
+    // > MORSEL items and an `order by` (input order) so the
+    // morsel-parallel executor engages.
+    let query = "for $x in 1 to 5000 where $x mod 7 = 0 order by $x return <n>{$x}</n>";
     let plan = engine.compile(query).unwrap();
-    let ctx = DynamicContext::new();
+    let mut ctx = DynamicContext::new();
     let expected = serialize_sequence(&plan.run(&ctx).unwrap());
+    ctx.enable_profiling();
     let mut ser = SequenceSerializer::new(SerializeOptions::default());
     let mut out = String::new();
     plan.run_streaming(&ctx, &mut |items| {
@@ -124,6 +126,9 @@ fn parallel_path_streams_identical_bytes() {
     })
     .expect("parallel streaming run");
     assert_eq!(out, expected);
+    let profile = ctx.take_profile().expect("profiling was enabled");
+    let workers = profile.pipelines.iter().map(|p| p.workers).max();
+    assert!(workers > Some(1), "the exchange did not run: {workers:?}");
 }
 
 #[test]
@@ -245,9 +250,10 @@ fn failing_stream(query: &str, threads: usize) -> (String, StreamError) {
 
 #[test]
 fn parallel_error_after_emission_truncates_a_serial_prefix() {
-    // Fails at $x = 4500, in the fifth morsel: the four before it reach
-    // the sink first, in order, while the serial stream gets 70 batches
-    // (4480 items) out.
+    // Fails at $x = 4500, in the fifth morsel. The chain has no breaker,
+    // so at threads 4 it runs the serial chain too: 70 batches (4480
+    // items) reach the sink before the error, a prefix of the serial
+    // stream.
     let query = "for $x in 1 to 5000 return 1 div (4500 - $x)";
     let (serial_out, serial_err) = failing_stream(query, 1);
     let (parallel_out, parallel_err) = failing_stream(query, 4);
@@ -276,8 +282,39 @@ fn parallel_error_after_emission_truncates_a_serial_prefix() {
     );
 }
 
+/// A breaker-free FLWOR at `threads: 4` runs the serial chain: its
+/// first chunk is one 64-item batch, not a 1 024-item morsel, its
+/// profile records one worker, and its plan carries no `[parallel` tag.
 #[test]
-fn parallel_sink_failure_classifies_as_sink_error_and_stops_the_workers() {
+fn breaker_free_flwors_run_serially_at_four_threads() {
+    let engine = Engine::with_options(EngineOptions {
+        threads: 4,
+        ..EngineOptions::default()
+    });
+    let plan = engine
+        .compile("for $x in 1 to 5000 return <n>{$x}</n>")
+        .unwrap();
+    assert!(!plan.explain().contains("[parallel"), "{}", plan.explain());
+    let mut ctx = DynamicContext::new();
+    ctx.enable_profiling();
+    let mut chunks: Vec<usize> = Vec::new();
+    plan.run_streaming(&ctx, &mut |items| {
+        chunks.push(items.len());
+        Ok(())
+    })
+    .expect("streaming run");
+    assert!(chunks[0] <= 64, "first chunk of {} items", chunks[0]);
+    assert_eq!(chunks.iter().sum::<usize>(), 5000);
+    let profile = ctx.take_profile().expect("profiling was enabled");
+    let workers: Vec<u64> = profile.pipelines.iter().map(|p| p.workers).collect();
+    assert_eq!(workers, [1]);
+}
+
+/// A sink failure at `threads: 4` surfaces as a sink error and stops a
+/// breaker-free run within one batch: the first batch's hand-over fails
+/// and nothing more is pulled.
+#[test]
+fn parallel_sink_failure_stops_the_run_within_one_batch() {
     const ITEMS: u64 = 300_000;
     let engine = Engine::with_options(EngineOptions {
         threads: 4,
@@ -287,8 +324,10 @@ fn parallel_sink_failure_classifies_as_sink_error_and_stops_the_workers() {
         .compile(&format!("for $x in 1 to {ITEMS} return <n>{{$x}}</n>"))
         .unwrap();
     let ctx = DynamicContext::new();
+    let mut calls = 0;
     let err = plan
         .run_streaming(&ctx, &mut |_| {
+            calls += 1;
             Err(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
                 "client hung up",
@@ -305,10 +344,8 @@ fn parallel_sink_failure_classifies_as_sink_error_and_stops_the_workers() {
         }
         other => panic!("expected Sink, got {other:?}"),
     }
-    // The first fragment's failure stops the claiming of morsels: only
-    // the ones in flight are finished.
-    let produced = ctx.stats.snapshot().tuples_produced;
-    assert!(produced < ITEMS, "all {produced} tuples were produced");
+    assert_eq!(calls, 1);
+    assert_eq!(ctx.stats.snapshot().tuples_produced, 64);
 }
 
 /// Rows a `return` constructor builds share one arena per batch, yet

@@ -200,7 +200,7 @@ fn compile_trace_matches_golden() {
             hints: hints.parse().expect("valid hints"),
         });
         if with_stats {
-            engine.set_statistics(golden_statistics());
+            engine = engine.with_statistics(golden_statistics());
         }
         let trace = engine.compile(query).expect("compiles").trace_json(7);
         let events = events(&trace);

@@ -92,20 +92,35 @@ fn comparison_type_error_parity() {
     assert_error_parity("for $x in 1 to 50 where $x eq \"a\" return $x", "XPTY0004");
 }
 
+/// Asserts that `query` runs behind the exchange at threads 4: its plan
+/// is tagged parallel there, and its outer `for` (over `1 to 4000`)
+/// binds more than one morsel. A failed run records no profile, so the
+/// plan tag is what shows it.
+fn assert_exchanged(query: &str) {
+    let engine = Engine::with_options(EngineOptions {
+        threads: 4,
+        ..Default::default()
+    });
+    let explain = engine.compile(query).expect("compile").explain();
+    assert!(explain.contains("[parallel ×4]"), "{explain}");
+}
+
 /// Multi-morsel input where two different tuples raise two *different*
 /// errors: the serial scan hits the division at $x = 1200 before the
 /// type error at $x = 2500, so the parallel run — where workers race
-/// over morsels — must surface the division error too.
+/// over morsels — must surface the division error too. The `order by
+/// $x` keeps the input order and makes the chain parallel-eligible, so
+/// both errors are raised on the exchange's workers.
 #[test]
 fn first_failing_morsel_parity() {
-    assert_error_parity(
-        "for $x in 1 to 4000 \
-         let $y := if ($x = 1200) then $x idiv ($x - $x) \
-                   else if ($x = 2500) then $x + \"a\" \
-                   else $x \
-         return $y",
-        "integer division by zero",
-    );
+    let query = "for $x in 1 to 4000 \
+                 let $y := if ($x = 1200) then $x idiv ($x - $x) \
+                           else if ($x = 2500) then $x + \"a\" \
+                           else $x \
+                 order by $x \
+                 return $y";
+    assert_exchanged(query);
+    assert_error_parity(query, "integer division by zero");
 }
 
 /// The same shape with only the later (type) error left in place:
@@ -113,10 +128,10 @@ fn first_failing_morsel_parity() {
 /// first-failing-morsel assertion is not vacuous.
 #[test]
 fn later_morsel_error_surfaces_when_alone() {
-    assert_error_parity(
-        "for $x in 1 to 4000 \
-         let $y := if ($x = 2500) then $x + \"a\" else $x \
-         return $y",
-        "XPTY0004",
-    );
+    let query = "for $x in 1 to 4000 \
+                 let $y := if ($x = 2500) then $x + \"a\" else $x \
+                 order by $x \
+                 return $y";
+    assert_exchanged(query);
+    assert_error_parity(query, "XPTY0004");
 }

@@ -411,11 +411,13 @@ fn a_collection_with_stores_on_two_documents_filters() {
 /// A kept source behind a parallel exchange: a hoisted `for` after a
 /// split outer `for` is evaluated once for all workers, and a hoisted
 /// `let`'s inner FLWOR seeds its exchange from the kept, probed source.
+/// Each chain ends in an `order by`, the breaker that makes it
+/// parallel-eligible.
 #[test]
 fn kept_sources_behind_an_exchange() {
     let (ctx, stats) = indexed(&xml("<r><x>1</x><x>2</x></r>"));
-    let query = "count(for $i in 1 to 2100 for $y in (//x)[1] return $y)";
-    let twin = "count(for $i in 1 to 2100 for $y in (//x)[exists($i)][1] return $y)";
+    let query = "count(for $i in 1 to 2100 for $y in (//x)[1] order by $i return $y)";
+    let twin = "count(for $i in 1 to 2100 for $y in (//x)[exists($i)][1] order by $i return $y)";
     assert!(keeps_a_source(query, "", &stats));
     assert_eq!(
         assert_twins_agree(&ctx, &stats, query, twin).as_deref(),
@@ -436,10 +438,11 @@ fn kept_sources_behind_an_exchange() {
     text.push_str("</r>");
     let (ctx, stats) = indexed(&xml(&text));
     let query = "for $m in (\"a\", \"b\", \"c\") \
-                 let $v := for $x in //x where $x/k = $m return $x/n \
+                 let $v := for $x in //x where $x/k = $m order by number($x/n) return $x/n \
                  return <m>{count($v)}</m>";
     let twin = "for $m in (\"a\", \"b\", \"c\") \
-                let $v := for $x in (//x)[exists($m)] where $x/k = $m return $x/n \
+                let $v := for $x in (//x)[exists($m)] where $x/k = $m \
+                          order by number($x/n) return $x/n \
                 return <m>{count($v)}</m>";
     assert!(keeps_a_source(query, "join=nested", &stats));
     assert_eq!(

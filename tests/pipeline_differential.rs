@@ -226,8 +226,9 @@ const ORACLE_ROWS: [i64; 8] = [137, 274, 411, 548, 685, 822, 959, 1096];
 
 /// Generated tumbling and sliding windows — with and without `end` and
 /// `only end`, binding every boundary variable — match the oracle at
-/// threads 1 and 4. The outer `for` binds more than one morsel, so at
-/// threads 4 the exchange runs the window operator on its workers.
+/// threads 1 and 4. The outer `for` binds more than one morsel and an
+/// `order by $o`, which keeps the input order, follows the window, so
+/// at threads 4 the exchange runs the window operator on its workers.
 #[test]
 fn windows_match_the_oracle() {
     let (serial, parallel) = threaded_engines();
@@ -374,6 +375,20 @@ fn assert_threads_identical_ctx(query: &str, ctx: &mut DynamicContext) {
     }
 }
 
+/// Asserts that `query` runs behind the exchange at threads 4 under
+/// `hints`: its profiled run fans out to more than one worker.
+fn assert_exchanges(query: &str, hints: &str) {
+    let mut ctx = DynamicContext::new();
+    ctx.enable_profiling();
+    hinted_engine(hints, 4)
+        .compile(query)
+        .and_then(|plan| plan.run(&ctx))
+        .unwrap_or_else(|e| panic!("run (threads=4): {e}\n{query}"));
+    let profile = ctx.take_profile().expect("profiling was enabled");
+    let workers = profile.pipelines.iter().map(|p| p.workers).max();
+    assert!(workers > Some(1), "no exchange at threads=4:\n{query}");
+}
+
 /// The orders-document corpus of the threads differential.
 const ORDERS_CORPUS: [&str; 8] = [
         "for $li in //order/lineitem \
@@ -464,7 +479,7 @@ fn parallel_corpus_differential() {
 
 #[test]
 fn parallel_large_streamed_chain() {
-    // No breaker: per-morsel output fragments concatenated in order.
+    // No breaker: the serial chain at every thread count.
     assert_threads_identical_ctx(
         "for $x in 1 to 4000 \
          let $y := $x * 3 \
@@ -477,17 +492,19 @@ fn parallel_large_streamed_chain() {
 #[test]
 fn parallel_large_positional_at() {
     // `at` ordinals are global positions, not morsel-local ones.
-    assert_threads_identical_ctx(
+    let query = corpus::behind_exchange(
         "for $x at $i in 2 to 4001 \
          where $x mod 997 = 0 \
          return <r>{$i}:{$x}</r>",
-        &mut DynamicContext::new(),
     );
+    assert_exchanges(&query, "");
+    assert_threads_identical_ctx(&query, &mut DynamicContext::new());
 }
 
 #[test]
 fn parallel_large_rank_without_order() {
-    // No breaker but `return at`: ranks are assigned after the merge.
+    // No breaker, with `return at`: the serial chain at every thread
+    // count.
     assert_threads_identical_ctx(
         "for $x in 1 to 3000 \
          where $x mod 2 = 0 \
@@ -563,7 +580,10 @@ fn parallel_large_groupby_then_downstream_clauses() {
 #[test]
 fn parallel_error_matches_serial() {
     // The parallel run must surface exactly the error the serial run
-    // raises first, even when later morsels would also fail.
+    // raises first, even when later morsels would also fail. The error
+    // is raised in `return`, so at threads 4 this breaker-free chain
+    // runs serially; `expr_error_semantics.rs` raises errors in two
+    // morsels behind the exchange.
     let (serial, parallel) = threaded_engines();
     let query = "for $x in 1 to 3000 return $x idiv ($x - 1500)";
     let ctx = DynamicContext::new();
@@ -912,9 +932,10 @@ fn typed_join_corpus_raises_the_same_error() {
 
 /// Document-free shapes: large ones where the probe side (and in one
 /// case the build side) splits into multiple morsels, exercising the
-/// shared build cell and per-worker probing, and mixed-type numeric
-/// keys whose promotion to `xs:double` rounds (`9007199254740993 =
-/// 9007199254740992e0` holds), which must hash to one bucket.
+/// shared build cell and per-worker probing (again behind the exchange,
+/// given a breaker), and mixed-type numeric keys whose promotion to
+/// `xs:double` rounds (`9007199254740993 = 9007199254740992e0` holds),
+/// which must hash to one bucket.
 #[test]
 fn join_large_morsel_differential() {
     let corpus = [
@@ -938,6 +959,11 @@ fn join_large_morsel_differential() {
     for query in corpus {
         assert_join_modes_identical(query, &ctx);
     }
+    for query in &corpus[..3] {
+        let query = corpus::behind_exchange(query);
+        assert_exchanges(&query, "join=hash");
+        assert_join_modes_identical(&query, &ctx);
+    }
 }
 
 /// Behind the exchange every worker probes one shared build: however
@@ -946,7 +972,8 @@ fn join_large_morsel_differential() {
 /// behind the `for` and one behind a filtering clause (a second `for`
 /// keeping one outer item in three; `where` may not precede a `let`)
 /// count exactly what they count at threads=1: |SRC| build tuples and
-/// one hash probe per probing tuple.
+/// one hash probe per probing tuple. An `order by $x` puts each behind
+/// the exchange.
 #[test]
 fn join_builds_once_behind_the_exchange() {
     let corpus = [
@@ -965,10 +992,12 @@ fn join_builds_once_behind_the_exchange() {
     ];
     let ctx = DynamicContext::new();
     for (query, probes) in corpus {
+        let query = corpus::behind_exchange(query);
+        assert_exchanges(&query, "join=hash");
         for threads in [1, 4] {
             let before = ctx.stats.snapshot();
             hinted_engine("join=hash", threads)
-                .compile(query)
+                .compile(&query)
                 .expect("compile")
                 .run(&ctx)
                 .expect("run");
@@ -1327,7 +1356,7 @@ impl WindowSpec {
             );
             attrs += r#" e="{$e}" j="{$j}" ep="{$ep}" en="{$en}""#;
         }
-        q + &format!(" return <w {attrs}>{{$w}}</w>")
+        q + &format!(" order by $o return <w {attrs}>{{$w}}</w>")
     }
 
     /// The serialized result by the XQuery 3.0 rules: a window starts at

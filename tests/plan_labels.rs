@@ -70,7 +70,8 @@ fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> ([usize;
 #[test]
 fn profile_signatures_are_explain_lines_and_profile_json_parses() {
     // About 1 300 lineitems: an outer `for` over them spans two
-    // morsels, so at `threads: 4` it runs behind the exchange.
+    // morsels, so at `threads: 4` its chain runs behind the exchange
+    // when a `group by` or `order by` follows it.
     let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
         orders: 320,
         ..Default::default()
@@ -92,11 +93,11 @@ fn profile_signatures_are_explain_lines_and_profile_json_parses() {
         let mut first: Option<Outcome> = None;
         for hints in corpus::HINT_CELLS {
             for threads in [1, 4] {
-                let mut engine = Engine::with_options(EngineOptions {
+                let engine = Engine::with_options(EngineOptions {
                     threads,
                     hints: hints.parse().expect("valid hints"),
-                });
-                engine.set_statistics(Arc::clone(&stats));
+                })
+                .with_statistics(Arc::clone(&stats));
                 let plan = engine
                     .compile(&query)
                     .unwrap_or_else(|e| panic!("compile under [{hints}]: {e}\n{query}"));
@@ -124,8 +125,10 @@ fn profile_signatures_are_explain_lines_and_profile_json_parses() {
     // counts, less the first.
     assert!(compared > 550, "only {compared} outcomes compared");
     assert!(pipelines > 650, "only {pipelines} pipelines ran");
+    // Only chains with a `group by` / `order by` exchange: 132 of them
+    // did when this floor was set.
     assert!(
-        exchanged > 100,
+        exchanged > 120,
         "only {exchanged} pipelines ran in parallel"
     );
 }

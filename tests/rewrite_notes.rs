@@ -36,7 +36,7 @@ fn compile(
         hints: hints.parse().expect("valid hints"),
     });
     if let Some(stats) = stats {
-        engine.set_statistics(Arc::clone(stats));
+        engine = engine.with_statistics(Arc::clone(stats));
     }
     engine
         .compile(query)

@@ -193,7 +193,8 @@ fn the_six_q_templates_probe_identically() {
 #[test]
 fn an_exchange_seed_is_probed_like_a_scan() {
     // 1 500 rows, 1 200 of them `a`: more than one morsel survives the
-    // probe, so at threads 4 the inner `for` seeds the exchange.
+    // probe, and the inner FLWOR's `order by` is a breaker, so at
+    // threads 4 the inner `for` seeds the exchange.
     let mut xml = String::from("<r>");
     for i in 0..1500 {
         let k = if i % 5 == 0 { "b" } else { "a" };
@@ -202,7 +203,8 @@ fn an_exchange_seed_is_probed_like_a_scan() {
     xml.push_str("</r>");
     let docs = Docs::xml(&xml);
     let query = "for $m in (\"a\", \"b\", \"c\") \
-                 return <m>{count(for $x in //x where $x/k = $m return $x/n)}</m>";
+                 return <m>{count(for $x in //x where $x/k = $m \
+                                  order by number($x/n) return $x/n)}</m>";
     assert_eq!(
         assert_probed_matches_walk(&docs, query, true).as_deref(),
         Ok("<m>1200</m><m>300</m><m>0</m>")
