@@ -308,7 +308,8 @@ impl From<ClauseIr> for OpIr {
 }
 
 impl OpIr {
-    /// The plan detail: a join's key description, a bounded order-by's
+    /// The plan detail: a join's key description (and `value index c` when its
+    /// build key reads the value index), a bounded order-by's
     /// `limit=k`, the index access path of a `for` over an annotated
     /// path (so plans show where the tuples come from), a kept source as
     /// `source once` and its value probes as `probe c ..`, a `let` that
@@ -317,7 +318,10 @@ impl OpIr {
     /// `agg count($v)`; else empty.
     pub fn detail(&self) -> String {
         if let Some(j) = &self.join {
-            return j.key_desc();
+            return match &j.index_key {
+                Some(c) => format!("{}, value index {c}", j.key_desc()),
+                None => j.key_desc(),
+            };
         }
         match &self.clause {
             ClauseIr::OrderBy(OrderByIr { limit: Some(k), .. }) => format!("limit={k}"),
@@ -491,6 +495,11 @@ pub struct JoinIr {
     /// XPTY0004 on more), `false` for a general comparison (`=`,
     /// existential over both atomized sequences).
     pub value_comp: bool,
+    /// Set by the planner's value-probe rule when the build key is
+    /// `$y/c` (one predicate-free `child::c` step from `$y`) under `=`:
+    /// `c`. `HashJoin` then answers a probe from the document store's
+    /// value index where it can (`HashJoin` in `pipeline.rs`).
+    pub index_key: Option<QName>,
 }
 
 impl JoinIr {

@@ -43,6 +43,7 @@ use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
 use crate::keys::atomic_key;
 use crate::profile::{Clock, OpProfile, PipelineProfile};
+use crate::rewrite::conjuncts;
 use crate::types::matches_seq_type;
 use partial::Partial;
 use std::borrow::Cow;
@@ -54,8 +55,8 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use xqa_xdm::sequence::SequenceIntoIter;
 use xqa_xdm::{
-    effective_boolean_value, value_compare, AtomicValue, CompOp, ErrorCode, Item, NodeHandle,
-    NodeId, QName, Sequence, SequenceBuilder,
+    effective_boolean_value, value_compare, AtomicValue, CompOp, ErrorCode, Item, NodeId, QName,
+    Sequence, SequenceBuilder,
 };
 
 /// Tuples per batch. Large enough to amortize the virtual `next_batch`
@@ -232,8 +233,8 @@ fn drive(
     let start = clock.as_ref().map(|c| c.now_nanos());
     let mut exchanged = None;
     let source = match (cut, seed) {
-        (Some(cut), Some(items)) if items.len() > MORSEL => {
-            let (partial, profile) = exchange(interp, f, env, &items, cut, &cells)?;
+        (Some(cut), Some(seed)) if seed.items.len() > MORSEL => {
+            let (partial, profile) = exchange(interp, f, env, &seed, cut, &cells)?;
             exchanged = Some(profile);
             let breaker = Box::new(Breaker {
                 input: Box::new(Singleton { done: true }),
@@ -247,7 +248,7 @@ fn drive(
             f,
             0..n,
             Box::new(Singleton { done: false }),
-            seed.map(|items| (items, 0)),
+            seed.map(|bound| (bound, 0)),
             &cells,
             &counters,
         ),
@@ -268,17 +269,22 @@ fn drive(
 /// its entry in `counters` (empty when not profiling). `seed` is the
 /// already evaluated binding sequence of the range's first clause —
 /// the outer `for` — with the ordinal its `at` positions start after.
+/// A probed `for` and the `where` after it share an [`ExactFlag`].
 fn build_chain<'p>(
     f: &'p FlworIr,
     range: Range<usize>,
     input: BoxSource<'p>,
-    mut seed: Option<(Sequence, i64)>,
+    mut seed: Option<(Bindings, i64)>,
     cells: &[RunCell],
     counters: &[Rc<Cell<OpCounters>>],
 ) -> BoxSource<'p> {
     let mut source = input;
+    let mut probed = None;
     for i in range {
-        let lowered = clause_source(&f.ops[i], cells[i].clone(), source, seed.take());
+        let op = &f.ops[i];
+        let flag = (!op.probes.is_empty()).then(ExactFlag::default);
+        let after = std::mem::replace(&mut probed, flag.clone().map(|f| (f, op.probes.len())));
+        let lowered = clause_source(op, cells[i].clone(), source, seed.take(), flag, after);
         source = instrument(lowered, counters.get(i));
     }
     source
@@ -337,12 +343,16 @@ struct SinkStats {
 /// holds the run-scoped build table or kept source shared by every
 /// lowering of the same record (see [`run_cells`]). A `for` given a
 /// `seed` (see [`build_chain`]) starts out holding it and never pulls
-/// `input` or evaluates its expression.
+/// `input` or evaluates its expression. A probed `for` raises `flag` on
+/// its exact batches; a `where` right after one gets `after_probe`, that
+/// flag and the number of conjuncts the `for` probed.
 fn clause_source<'p>(
     op: &'p OpIr,
     cell: RunCell,
     input: BoxSource<'p>,
-    seed: Option<(Sequence, i64)>,
+    seed: Option<(Bindings, i64)>,
+    flag: Option<ExactFlag>,
+    after_probe: Option<(ExactFlag, usize)>,
 ) -> BoxSource<'p> {
     if let Some((j, cell)) = op.join.as_ref().zip(cell.join) {
         return Box::new(HashJoin { input, j, cell });
@@ -355,7 +365,7 @@ fn clause_source<'p>(
             expr,
         } => {
             let input_done = seed.is_some();
-            let (items, item_pos) = seed.unwrap_or_default();
+            let (bound, item_pos) = seed.unwrap_or_default();
             Box::new(ForScan {
                 input,
                 slot: *slot,
@@ -365,7 +375,9 @@ fn clause_source<'p>(
                 kept: cell.source,
                 probes: &op.probes,
                 batch: Vec::new().into_iter(),
-                items: items.into_iter(),
+                items: bound.items.into_iter(),
+                exact: bound.exact,
+                flag,
                 item_pos,
                 base: Tuple::default(),
                 input_done,
@@ -378,7 +390,11 @@ fn clause_source<'p>(
             expr,
             kept: cell.source,
         }),
-        ClauseIr::Where(cond) => Box::new(Filter { input, cond }),
+        ClauseIr::Where(cond) => Box::new(Filter {
+            input,
+            cond,
+            residual: after_probe.map(|(flag, probed)| (flag, conjuncts(cond).split_off(probed))),
+        }),
         ClauseIr::Count { slot } => Box::new(CountBind {
             input,
             slot: *slot,
@@ -557,9 +573,25 @@ struct ForScan<'p> {
     probes: &'p [(QName, Slot)],
     batch: std::vec::IntoIter<Tuple>,
     items: SequenceIntoIter,
+    /// Whether `items` came from exact probes ([`Bindings::exact`]).
+    exact: bool,
+    /// Set when probed: raised on each batch of exact tuples. A batch
+    /// ends wherever exactness changes, so one flag covers it.
+    flag: Option<ExactFlag>,
     item_pos: i64,
     base: Tuple,
     input_done: bool,
+}
+
+impl ForScan<'_> {
+    /// Hand `out` on: its tuples counted and its flag set.
+    fn emit(&self, interp: &Interpreter, out: Vec<Tuple>, exact: bool) -> Vec<Tuple> {
+        interp.stats.tuples_produced.add(out.len() as u64);
+        if let Some(flag) = &self.flag {
+            flag.set(exact);
+        }
+        out
+    }
 }
 
 impl TupleSource for ForScan<'_> {
@@ -588,21 +620,24 @@ impl TupleSource for ForScan<'_> {
                 }
                 out.push(t);
                 if out.len() >= BATCH {
-                    interp.stats.tuples_produced.add(out.len() as u64);
-                    return Ok(Some(out));
+                    return Ok(Some(self.emit(interp, out, self.exact)));
                 }
             }
             match self.batch.next() {
                 Some(base) => {
                     base.apply(env);
                     let source = for_source(interp, self.expr, self.kept.as_ref(), env)?;
-                    self.items = binding_sequence(interp, source, self.probes, env)?.into_iter();
+                    let bound = binding_sequence(interp, source, self.probes, env)?;
+                    self.items = bound.items.into_iter();
                     self.item_pos = 0;
                     self.base = base;
+                    let was = std::mem::replace(&mut self.exact, bound.exact);
+                    if was != bound.exact && !out.is_empty() {
+                        return Ok(Some(self.emit(interp, out, was)));
+                    }
                 }
                 None if self.input_done => {
-                    interp.stats.tuples_produced.add(out.len() as u64);
-                    return Ok(if out.is_empty() { None } else { Some(out) });
+                    return Ok((!out.is_empty()).then(|| self.emit(interp, out, self.exact)));
                 }
                 None => match self.input.next_batch(interp, env)? {
                     Some(b) => self.batch = b.into_iter(),
@@ -635,21 +670,40 @@ impl SourceValue {
 
     /// A source kept for a FLWOR execution, with its order checked once.
     fn kept(items: Sequence) -> SourceValue {
-        let ordered_doc = match items.first() {
-            Some(Item::Node(first)) => {
-                let serial = first.document().serial();
-                let id = |item: &Item| match item {
-                    Item::Node(node) if node.document().serial() == serial => Some(node.id()),
-                    _ => None,
-                };
-                let ordered = items.iter().all(|item| id(item).is_some())
-                    && items.windows(2).all(|pair| id(&pair[0]) < id(&pair[1]));
-                ordered.then_some(serial)
-            }
-            _ => None,
-        };
+        let ordered_doc = ordered_doc(&items);
         SourceValue { items, ordered_doc }
     }
+}
+
+/// The serial of the document whose nodes `items` all are, in strictly
+/// increasing id order; `None` for anything else, empty included.
+fn ordered_doc(items: &[Item]) -> Option<u64> {
+    let Some(Item::Node(first)) = items.first() else {
+        return None;
+    };
+    let serial = first.document().serial();
+    let id = |item: &Item| match item {
+        Item::Node(node) if node.document().serial() == serial => Some(node.id()),
+        _ => None,
+    };
+    let ordered = items.iter().all(|item| id(item).is_some())
+        && items.windows(2).all(|pair| id(&pair[0]) < id(&pair[1]));
+    ordered.then_some(serial)
+}
+
+/// The items of `items`, nodes in increasing id order, whose ids are in
+/// `ids` (sorted): O(k log n) for k ids, in item order.
+fn nodes_with_ids<'a, 'i>(
+    items: &'a [Item],
+    ids: &'i [NodeId],
+) -> impl Iterator<Item = &'a Item> + use<'a, 'i> {
+    let id = |item: &Item| match item {
+        Item::Node(node) => node.id(),
+        Item::Atomic(_) => unreachable!("ordered items are nodes"),
+    };
+    ids.iter()
+        .filter_map(move |want| items.binary_search_by_key(want, id).ok())
+        .map(|i| &items[i])
 }
 
 /// A hoisted `for` source ([`OpIr::hoist`]) kept for one FLWOR
@@ -676,18 +730,33 @@ fn for_source<'k>(
     })
 }
 
+/// A `for` clause's binding sequence, as [`binding_sequence`] makes it.
+#[derive(Default)]
+struct Bindings {
+    items: Sequence,
+    /// Every value probe applied, and the store answered each exactly for
+    /// every item: the probed conjuncts hold on every item and cannot
+    /// raise, so the `where` after the `for` skips them.
+    exact: bool,
+}
+
+/// Raised by a probed `ForScan` on each batch of exact tuples
+/// ([`Bindings::exact`]), read by the `where` after it.
+type ExactFlag = Rc<Cell<bool>>;
+
 /// A `for` clause's binding sequence: its source's items less the nodes
 /// its value probes ([`OpIr::probes`]) prove the `where` after the `for`
 /// rejects (DESIGN.md §5.1). Atomics, nodes of documents without a
-/// store and every survivor still meet the `where`. Over an ordered
-/// source ([`SourceValue::ordered_doc`]) each probed parent is looked up
-/// in the items, O(k log n) for k parents; anything else is filtered.
+/// store and, unless the probes were exact, every survivor still meet
+/// the `where`. Over an ordered source ([`SourceValue::ordered_doc`])
+/// each probed parent is looked up in the items; anything else is
+/// filtered.
 fn binding_sequence(
     interp: &Interpreter,
     source: Cow<'_, SourceValue>,
     probes: &[(QName, Slot)],
     env: &mut Env,
-) -> EngineResult<Sequence> {
+) -> EngineResult<Bindings> {
     // A probe applies to a key of one string, untyped or numeric atom.
     let keys: Vec<(&QName, ValueProbeIr)> = probes
         .iter()
@@ -696,64 +765,80 @@ fn binding_sequence(
             _ => None,
         })
         .collect();
+    let unprobed = |source: Cow<'_, SourceValue>| Bindings {
+        items: source.into_owned().items,
+        exact: false,
+    };
     if keys.is_empty() {
-        return Ok(source.into_owned().items);
+        return Ok(unprobed(source));
     }
+    let applied = keys.len() == probes.len();
     let items = &source.items;
     if let Some(serial) = source.ordered_doc {
-        let Some(parents) = probed_parents(interp, serial, &keys) else {
-            return Ok(source.into_owned().items);
+        let Some((parents, all)) = probed_parents(interp, serial, &keys) else {
+            return Ok(unprobed(source));
         };
-        let id = |item: &Item| match item {
-            Item::Node(node) => node.id(),
-            Item::Atomic(_) => unreachable!("an ordered source holds nodes only"),
-        };
-        return Ok(parents
-            .iter()
-            .filter_map(|parent| items.binary_search_by_key(parent, id).ok())
-            .map(|i| items[i].clone())
-            .collect());
+        return Ok(Bindings {
+            items: nodes_with_ids(items, &parents).cloned().collect(),
+            exact: applied && all,
+        });
     }
-    // Per document met so far, the parents every applied probe answered
-    // with; `None` when it has no store or its store answers no probe.
-    let mut docs: Vec<(u64, Option<Vec<NodeId>>)> = Vec::new();
-    let mut survives = |node: &NodeHandle| {
-        let serial = node.document().serial();
-        let i = match docs.iter().rposition(|(s, _)| *s == serial) {
-            Some(i) => i,
-            None => {
-                docs.push((serial, probed_parents(interp, serial, &keys)));
-                docs.len() - 1
+    // Per document met so far, what `probed_parents` answered; `None`
+    // when it has no store or its store answers no probe.
+    let mut docs: Vec<(u64, Option<ProbeAnswer>)> = Vec::new();
+    let mut exact = applied;
+    let mut out = SequenceBuilder::new();
+    for item in items.iter() {
+        let answer = match item {
+            Item::Node(node) => {
+                let serial = node.document().serial();
+                let i = match docs.iter().rposition(|(s, _)| *s == serial) {
+                    Some(i) => i,
+                    None => {
+                        docs.push((serial, probed_parents(interp, serial, &keys)));
+                        docs.len() - 1
+                    }
+                };
+                docs[i]
+                    .1
+                    .as_ref()
+                    .map(|(kept, all)| (kept.binary_search(&node.id()).is_ok(), *all))
             }
+            Item::Atomic(_) => None,
         };
-        docs[i]
-            .1
-            .as_ref()
-            .is_none_or(|kept| kept.binary_search(&node.id()).is_ok())
-    };
-    Ok(items
-        .iter()
-        .filter(|item| match item {
-            Item::Node(node) => survives(node),
-            Item::Atomic(_) => true,
-        })
-        .cloned()
-        .collect())
+        // An item no store answers for stays, for the `where` to decide.
+        let (survives, all) = answer.unwrap_or((true, false));
+        exact &= all;
+        if survives {
+            out.push(item.clone());
+        }
+    }
+    Ok(Bindings {
+        items: out.build(),
+        exact,
+    })
 }
+
+/// What a document's store answers for a `for`'s probes: the parents
+/// they keep, and whether every probe applied.
+type ProbeAnswer = (Vec<NodeId>, bool);
 
 /// The intersection of the parents the probes answer in document
 /// `serial`'s store, taken in order up to the first the store cannot
-/// answer exactly: a later conjunct runs only after the earlier ones
-/// held, so an earlier one the index cannot decide might have raised.
+/// answer exactly (a later conjunct runs only after the earlier ones
+/// held, so an earlier one the index cannot decide might have raised),
+/// and whether that was every probe.
 fn probed_parents(
     interp: &Interpreter,
     serial: u64,
     keys: &[(&QName, ValueProbeIr)],
-) -> Option<Vec<NodeId>> {
+) -> Option<ProbeAnswer> {
     let store = interp.dynamic.store(serial)?;
     let mut kept: Option<Vec<NodeId>> = None;
+    let mut all = true;
     for (c, key) in keys {
         let Some(parents) = key.parents(store, c) else {
+            all = false;
             break;
         };
         kept = Some(match kept {
@@ -764,7 +849,7 @@ fn probed_parents(
                 .collect(),
         });
     }
-    kept
+    kept.map(|kept| (kept, all))
 }
 
 /// `let $v := e`: 1:1 streaming binder. A hoisted `let $v := G`
@@ -820,6 +905,11 @@ fn check_let_type(seq: &Sequence, ty: Option<&SeqTypeIr>) -> EngineResult<()> {
 struct Filter<'p> {
     input: BoxSource<'p>,
     cond: &'p Ir,
+    /// Right after a probed `for`: its [`ExactFlag`] and the conjuncts
+    /// after the probed ones. On an exact batch only those run, in
+    /// order, stopping at the first false, as `and` would once the
+    /// probed conjuncts held.
+    residual: Option<(ExactFlag, Vec<&'p Ir>)>,
 }
 
 impl TupleSource for Filter<'_> {
@@ -831,12 +921,22 @@ impl TupleSource for Filter<'_> {
         let Some(batch) = self.input.next_batch(interp, env)? else {
             return Ok(None);
         };
+        let residual = match &self.residual {
+            Some((exact, conjuncts)) if exact.get() => Some(conjuncts.as_slice()),
+            _ => None,
+        };
+        if residual.is_some_and(<[_]>::is_empty) {
+            return Ok(Some(batch));
+        }
         let before = batch.len();
         let mut out = Vec::with_capacity(before);
         for t in batch {
             t.apply(env);
-            let v = interp.eval(self.cond, env)?;
-            if effective_boolean_value(&v).map_err(EngineError::from)? {
+            let keep = match residual {
+                Some(conjuncts) => all_hold(interp, conjuncts, env)?,
+                None => interp.eval_ebv(self.cond, env)?,
+            };
+            if keep {
                 out.push(t);
             }
         }
@@ -848,6 +948,17 @@ impl TupleSource for Filter<'_> {
     }
 }
 
+/// Whether every conjunct holds, evaluated left to right up to the
+/// first that does not.
+fn all_hold(interp: &Interpreter, conjuncts: &[&Ir], env: &mut Env) -> EngineResult<bool> {
+    for conjunct in conjuncts {
+        if !interp.eval_ebv(conjunct, env)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 // ──────────────────────── hash join ────────────────────────
 //
 // The planner's join-unnesting rule (`crate::rewrite`)
@@ -855,9 +966,16 @@ impl TupleSource for Filter<'_> {
 // a `where some $y in SRC satisfies KEY-pred` clause whose SRC is
 // independent of the enclosing bindings. The operator here replaces
 // the per-tuple nested loop: SRC is materialized *once per FLWOR
-// execution*, its key atoms bucketed by the canonical-key machinery of
-// `crate::keys`, and each probing tuple does one hash lookup plus an
-// exact verifying comparison per candidate.
+// execution*, and each probing tuple does one keyed lookup.
+//
+// Where the build key is `$y/c` under `=` (`JoinIr::index_key`), SRC's
+// items are nodes of one document in increasing id order and the probe
+// key is one string, untyped or numeric atom, the document store's
+// value index answers the lookup exactly, as it answers a probed `for`
+// (`binding_sequence`): the matching items are picked out of SRC by
+// binary search. Every other probe reads a table of SRC's key atoms,
+// bucketed by the canonical-key machinery of `crate::keys` at the first
+// such probe, with an exact verifying comparison per candidate.
 //
 // Output is byte-identical to the nested plan, including errors:
 //
@@ -908,11 +1026,46 @@ fn atoms_match(probe: &[AtomicValue], build: &[AtomicValue]) -> bool {
 }
 
 /// The materialized build side of one hash join.
-struct JoinTable {
+struct JoinBuild {
     /// SRC items in evaluation order.
     items: Vec<Item>,
-    /// Per item, the atomized key (aligned with `items`; truncated and
-    /// unused when `scan_only`).
+    /// Set when the build key reads the value index
+    /// ([`JoinIr::index_key`]) and `items` are nodes of the document
+    /// with this serial in increasing id order ([`ordered_doc`]).
+    ordered_doc: Option<u64>,
+    /// The bucket table, built at the first probe the store does not
+    /// answer.
+    table: OnceLock<JoinTable>,
+}
+
+impl JoinBuild {
+    /// The bucket table, built now if no probe has needed it yet.
+    fn table(&self, j: &JoinIr, interp: &Interpreter, env: &mut Env) -> &JoinTable {
+        self.table
+            .get_or_init(|| build_join_table(j, &self.items, interp, env))
+    }
+
+    /// The items matching a probe of key `atoms`, in SRC order, where
+    /// the store answers it exactly: the build is ordered and the key is
+    /// one atom [`ValueProbeIr::of_atom`] accepts.
+    fn store_matches(
+        &self,
+        j: &JoinIr,
+        interp: &Interpreter,
+        atoms: &[AtomicValue],
+    ) -> Option<Vec<&Item>> {
+        let [atom] = atoms else { return None };
+        let store = interp.dynamic.store(self.ordered_doc?)?;
+        let c = j.index_key.as_ref()?;
+        let parents = ValueProbeIr::of_atom(atom)?.parents(store, c)?;
+        Some(nodes_with_ids(&self.items, &parents).collect())
+    }
+}
+
+/// A build side's bucket table.
+struct JoinTable {
+    /// Per item, the atomized key (aligned with the items; truncated
+    /// and unused when `scan_only`).
     keys: Vec<Vec<AtomicValue>>,
     /// Canonical atom key → ascending indices of items carrying it.
     buckets: HashMap<String, Vec<usize>>,
@@ -926,9 +1079,8 @@ struct JoinTable {
 /// The per-run, per-clause build cell, shared by every lowering of the
 /// clause in one run — the serial chain, or each worker's per-morsel
 /// chains and the coordinator's. Whichever probes first builds; the
-/// others wait on the cell and reuse the table, or replay the build's
-/// error.
-type JoinCell = Arc<OnceLock<Result<JoinTable, EngineError>>>;
+/// others wait on the cell and reuse the build, or replay its error.
+type JoinCell = Arc<OnceLock<Result<JoinBuild, EngineError>>>;
 
 /// What one clause record keeps across the tuples of one FLWOR
 /// execution, shared by every lowering of the record in that run.
@@ -977,13 +1129,25 @@ fn key_atoms(
     }
 }
 
-/// Evaluate SRC, then key, classify and bucket its items. A key that
-/// raises does not surface here: whether and when it would have in the
-/// nested plan depends on the probe (a `some` stops at its first
-/// preceding match), so the table just degrades to scan-only and the
-/// per-probe scan re-raises it at exactly the nested position.
-fn build_join_table(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineResult<JoinTable> {
+/// Evaluate SRC into the build, its order checked once when the build
+/// key reads the value index.
+fn build_join(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineResult<JoinBuild> {
     let items: Vec<Item> = interp.eval(&j.build_src, env)?.into_iter().collect();
+    interp.stats.join_build_tuples.add(items.len() as u64);
+    let ordered_doc = j.index_key.as_ref().and_then(|_| ordered_doc(&items));
+    Ok(JoinBuild {
+        items,
+        ordered_doc,
+        table: OnceLock::new(),
+    })
+}
+
+/// Key, classify and bucket the build items. A key that raises does not
+/// surface here: whether and when it would have in the nested plan
+/// depends on the probe (a `some` stops at its first preceding match),
+/// so the table just degrades to scan-only and the per-probe scan
+/// re-raises it at exactly the nested position.
+fn build_join_table(j: &JoinIr, items: &[Item], interp: &Interpreter, env: &mut Env) -> JoinTable {
     let mut keys = Vec::with_capacity(items.len());
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
     let mut classes = 0;
@@ -999,21 +1163,22 @@ fn build_join_table(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineRe
             classes |= atom_class(a);
             scratch.clear();
             atomic_key(a, &mut scratch);
-            let bucket = buckets.entry(scratch.clone()).or_default();
-            if bucket.last() != Some(&idx) {
-                bucket.push(idx);
+            match buckets.get_mut(scratch.as_str()) {
+                Some(bucket) if bucket.last() == Some(&idx) => {}
+                Some(bucket) => bucket.push(idx),
+                None => {
+                    buckets.insert(scratch.clone(), vec![idx]);
+                }
             }
         }
         keys.push(atoms);
     }
-    interp.stats.join_build_tuples.add(items.len() as u64);
-    Ok(JoinTable {
-        items,
+    JoinTable {
         keys,
         buckets,
         classes,
         scan_only: scan_only || classes.count_ones() > 1,
-    })
+    }
 }
 
 /// Candidate build indices for a probe: the union of its atoms'
@@ -1035,41 +1200,59 @@ fn join_candidates(table: &JoinTable, atoms: &[AtomicValue]) -> Vec<usize> {
 
 /// Hand the build items matching the current tuple to `take`, in SRC
 /// order, until `take` returns `false` (a `let` takes every match, a
-/// `some` stops at the first). A probe whose atoms share the build's
-/// class takes the hash lookup. Any other probe replays the nested
-/// `for $y in SRC where pred` (or `some $y in SRC satisfies pred`) loop
-/// verbatim over the materialized items: same values, same errors, same
-/// error order — SRC is constructor-free, so materializing it once
-/// preserves item and node identity — and, as in the quantifier, a
-/// predicate after the match a `some` stopped at is never evaluated.
+/// `some` stops at the first). A probe the store answers takes its
+/// matches; one whose atoms share the build's class takes the hash
+/// lookup. Any other probe replays the nested `for $y in SRC where pred`
+/// (or `some $y in SRC satisfies pred`) loop verbatim over the
+/// materialized items: same values, same errors, same error order — SRC
+/// is constructor-free, so materializing it once preserves item and node
+/// identity — and, as in the quantifier, a predicate after the match a
+/// `some` stopped at is never evaluated.
 fn probe(
     j: &JoinIr,
-    table: &JoinTable,
+    build: &JoinBuild,
     interp: &Interpreter,
     env: &mut Env,
     mut take: impl FnMut(&Item) -> bool,
 ) -> EngineResult<()> {
-    if table.items.is_empty() {
+    if build.items.is_empty() {
         // The nested loop iterates nothing and never touches the
         // probe-side expression.
         return Ok(());
     }
-    if !table.scan_only {
+    // An ordered build's keys are `$y/c` over nodes, which never raise,
+    // so its probe key is evaluated before the table is asked for.
+    let table = match build.ordered_doc {
+        Some(_) => None,
+        None => Some(build.table(j, interp, env)),
+    };
+    if !table.is_some_and(|t| t.scan_only) {
         let atoms = key_atoms(j, &j.probe_key, interp, env)?;
+        if let Some(matches) = build.store_matches(j, interp, &atoms) {
+            interp.stats.join_hash_probes.add(1);
+            for item in matches {
+                if !take(item) {
+                    break;
+                }
+            }
+            return Ok(());
+        }
+        let table = table.unwrap_or_else(|| build.table(j, interp, env));
         // An all-empty build side (classes == 0) can never pair with
         // anything: no comparison happens, so any probe is safe (and
         // matches nothing).
-        if table.classes == 0 || atoms.iter().all(|a| atom_class(a) == table.classes) {
+        let hashable = table.classes == 0 || atoms.iter().all(|a| atom_class(a) == table.classes);
+        if !table.scan_only && hashable {
             interp.stats.join_hash_probes.add(1);
             for idx in join_candidates(table, &atoms) {
-                if atoms_match(&atoms, &table.keys[idx]) && !take(&table.items[idx]) {
+                if atoms_match(&atoms, &table.keys[idx]) && !take(&build.items[idx]) {
                     break;
                 }
             }
             return Ok(());
         }
     }
-    for item in &table.items {
+    for item in &build.items {
         env.slots[j.build_slot] = Sequence::One(item.clone());
         if interp.eval_ebv(&j.pred, env)? && !take(item) {
             break;
@@ -1101,15 +1284,15 @@ impl TupleSource for HashJoin<'_> {
             t.apply(env);
             // Every probe after the first replays the build's error, as
             // re-evaluating SRC would.
-            let table = self
+            let build = self
                 .cell
-                .get_or_init(|| build_join_table(self.j, interp, env))
+                .get_or_init(|| build_join(self.j, interp, env))
                 .as_ref()
                 .map_err(EngineError::clone)?;
             match &self.j.kind {
                 JoinKindIr::LetMany { slot, ty } => {
                     let mut matches = SequenceBuilder::new();
-                    probe(self.j, table, interp, env, |item| {
+                    probe(self.j, build, interp, env, |item| {
                         matches.push(item.clone());
                         true
                     })?;
@@ -1120,7 +1303,7 @@ impl TupleSource for HashJoin<'_> {
                 }
                 JoinKindIr::ExistsSemi => {
                     let mut found = false;
-                    probe(self.j, table, interp, env, |_| {
+                    probe(self.j, build, interp, env, |_| {
                         found = true;
                         false
                     })?;
@@ -1348,16 +1531,17 @@ fn exchange<'p>(
     interp: &Interpreter,
     f: &'p FlworIr,
     env: &mut Env,
-    items: &[Item],
+    seed: &Bindings,
     cut: usize,
     cells: &[RunCell],
 ) -> EngineResult<(Partial<'p>, ExchangeProfile)> {
-    let workers = interp.threads.min(items.len().div_ceil(MORSEL));
+    let workers = interp.threads.min(seed.items.len().div_ceil(MORSEL));
     let clock = profiling_clock(interp);
     let morsels = Morsels {
         f,
         cut,
-        items,
+        items: &seed.items,
+        exact: seed.exact,
         cells,
         next: AtomicUsize::new(0),
         error_floor: AtomicUsize::new(usize::MAX),
@@ -1436,6 +1620,8 @@ struct Morsels<'a, 'p> {
     cut: usize,
     /// The outer `for` binding sequence, claimed a [`MORSEL`] at a time.
     items: &'a [Item],
+    /// Whether its probes were exact ([`Bindings::exact`]).
+    exact: bool,
     cells: &'a [RunCell],
     /// The next unclaimed morsel index.
     next: AtomicUsize,
@@ -1504,12 +1690,15 @@ impl<'p> Morsels<'_, 'p> {
         let hi = self.items.len().min(lo + MORSEL);
         // ForScan owns its item iterator, so the morsel slice is cloned
         // into the worker here; `Item` is an Arc-backed handle.
-        let seed = (Sequence::from_slice(&self.items[lo..hi]), lo as i64);
+        let seed = Bindings {
+            items: Sequence::from_slice(&self.items[lo..hi]),
+            exact: self.exact,
+        };
         let mut chain = build_chain(
             self.f,
             0..self.cut,
             Box::new(Singleton { done: true }),
-            Some(seed),
+            Some((seed, lo as i64)),
             self.cells,
             counters,
         );

@@ -398,7 +398,7 @@ mod tests {
         let signature = profile.pipelines[0].signature();
         assert_eq!(
             signature,
-            "ForScan(index scan //x) -> HashJoin(key=$slot0/k = $slot1/k) -> \
+            "ForScan(index scan //x) -> HashJoin(key=$slot0/k = $slot1/k, value index k) -> \
              GroupConsume(keys by value id) [materializes] -> OrderBy(limit=1) [heap] -> ReturnAt"
         );
         let explain = plan.explain();

@@ -373,6 +373,17 @@ fn plain_child_step(p: &PathIr) -> Option<&QName> {
     }
 }
 
+/// The name `c` of `$v/c`, one plain `child::c` step from the variable
+/// in `slot`.
+fn child_of(ir: &Ir, slot: Slot) -> Option<&QName> {
+    match ir {
+        Ir::Path(p) if matches!(p.start, PathStartIr::Expr(Ir::Var(v)) if v == slot) => {
+            plain_child_step(p)
+        }
+        _ => None,
+    }
+}
+
 /// Structural identity of two IR fragments. `Ir` holds `f64` literals,
 /// so it derives no `PartialEq`; its derived
 /// `Debug` rendering spells out every field, slot numbers included.
@@ -887,9 +898,17 @@ pub(crate) fn value_keys(g: &GroupByIr) -> Option<Vec<(Slot, QName)>> {
 /// the type check. The first other conjunct ends the list, since `and`
 /// evaluates its operands in order and a dropped tuple must be one whose
 /// `where` would not have raised.
+///
+/// Also record [`JoinIr::index_key`] on every join whose build key is
+/// `$y/c` under `=`: the same lookup answers its probes.
 fn annotate_value_probes(root: &mut Ir, _: &mut Cx<'_>) {
     walk(root, false, &mut |ir| {
         let Ir::Flwor(f) = ir else { return };
+        for j in f.ops.iter_mut().filter_map(|op| op.join.as_mut()) {
+            if !j.value_comp {
+                j.index_key = child_of(&j.build_key, j.build_slot).cloned();
+            }
+        }
         for i in 1..f.ops.len() {
             let (scan, next) = (&f.ops[i - 1], &f.ops[i]);
             let (
@@ -909,12 +928,7 @@ fn annotate_value_probes(root: &mut Ir, _: &mut Cx<'_>) {
                 .into_iter()
                 .map_while(|conjunct| {
                     let eq = EqPred::of(conjunct).filter(|eq| !eq.value_comp)?;
-                    let (c, key) = eq.orient(|side| match side {
-                        Ir::Path(p) if matches!(p.start, PathStartIr::Expr(Ir::Var(v)) if v == *slot) => {
-                            plain_child_step(p)
-                        }
-                        _ => None,
-                    })?;
+                    let (c, key) = eq.orient(|side| child_of(side, *slot))?;
                     match key {
                         Ir::Var(x) if x != slot => Some((c.clone(), *x)),
                         _ => None,
@@ -1071,6 +1085,7 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>) -> Option<JoinIr> {
         build_key: build_key.clone(),
         probe_key: probe_key.clone(),
         value_comp: eq.value_comp,
+        index_key: None,
     })
 }
 

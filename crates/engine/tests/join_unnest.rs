@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use xqa_engine::{DynamicContext, Engine, EngineOptions, PlanHints, RewriteKind};
 use xqa_storage::CatalogStatistics;
+use xqa_xdm::ErrorCode;
 use xqa_xmlparse::serialize_sequence;
 
 /// Orders with repeating ship modes: the paper's §6 self-join shape.
@@ -193,4 +194,233 @@ fn empty_build_side_binds_empty() {
     let c = ctx();
     assert_eq!(run(&engine("join=hash"), &c, query), "0 0 0");
     assert_eq!(run(&engine("join=nested"), &c, query), "0 0 0");
+}
+
+// ---- the join reads the value index --------------------------------------
+//
+// Where the build key is `$y/c` under `=`, the unhinted plan answers a
+// probe from the document store's value index when it can; `access=walk`
+// keeps the bucket table and `join=nested` the probed nested loop. All
+// three must give the same bytes, or the same error code, at threads 1
+// and 4. Each way the store could answer wrongly is a case: every key
+// type, leaves that are absent, not leaves, carry attributes or are not
+// numbers, and build sources the store must decline.
+
+fn indexed(xml: &str) -> DynamicContext {
+    let doc = xqa_xmlparse::parse_document(xml).expect("well-formed");
+    let mut c = DynamicContext::new();
+    c.set_context_document(&doc);
+    c.index_documents();
+    c
+}
+
+/// `query`'s result under the store-answered join, the bucket table and
+/// the nested plan, which must agree; whether the unhinted plan's join
+/// reads the value index must be `reads_index`. Returns the outcome.
+fn assert_joined_matches_nested(
+    c: &DynamicContext,
+    query: &str,
+    reads_index: bool,
+) -> Result<String, ErrorCode> {
+    let mut runs = Vec::new();
+    for threads in [1, 4] {
+        for hints in ["join=nested", "", "access=walk"] {
+            let engine = Engine::with_options(EngineOptions {
+                threads,
+                hints: hints.parse().expect("valid hints"),
+            });
+            let plan = engine.compile(query).expect("compile");
+            let out = plan.run(c).map(|s| serialize_sequence(&s));
+            runs.push((
+                format!("{hints:?} threads={threads}"),
+                out.map_err(|e| e.code()),
+            ));
+        }
+    }
+    let (first_label, first) = &runs[0];
+    for (label, out) in &runs[1..] {
+        assert_eq!(first, out, "{first_label} vs {label}:\n{query}");
+    }
+    let explain = |hints: &str| engine(hints).compile(query).expect("compile").explain();
+    assert!(explain("").contains("HashJoin("), "{}", explain(""));
+    assert_eq!(
+        explain("").contains(", value index "),
+        reads_index,
+        "{query}"
+    );
+    assert!(!explain("access=walk").contains("value index"), "{query}");
+    runs.swap_remove(0).1
+}
+
+/// The matches' `n` children, joined on `$y/k = KEY`.
+fn keyed_join(key: &str) -> String {
+    format!(
+        "for $t in 1 let $key := {key} \
+         let $m := for $y in //x where $y/k = $key return $y \
+         return string-join(for $z in $m return string($z/n), \" \")"
+    )
+}
+
+#[test]
+fn every_key_type_joins_like_the_nested_loop() {
+    let numeric = indexed(
+        "<r><x><k>1</k><n>a</n></x><x><k>1.0</k><n>b</n></x><x><k> 1 </k><n>c</n></x>\
+         <x><k>-0</k><n>d</n></x><x><k>0</k><n>e</n></x><x><k>NaN</k><n>f</n></x>\
+         <x><k>2</k><n>g</n></x><x><k>1</k><k>2</k><n>h</n></x><x><n>i</n></x></r>",
+    );
+    let mixed = indexed(
+        "<r><x><k>1</k><n>a</n></x><x><k>true</k><n>b</n></x>\
+         <x><k>2020-01-01</k><n>c</n></x><x><k>s</k><n>d</n></x></r>",
+    );
+    let keys = [
+        ("\"1\"", Ok("a h"), Ok("a")),
+        ("xs:untypedAtomic(\"1\")", Ok("a h"), Ok("a")),
+        ("(//x/k)[1]", Ok("a h"), Ok("a")),
+        ("1", Ok("a b c h"), Err(ErrorCode::FORG0001)),
+        ("1.0", Ok("a b c h"), Err(ErrorCode::FORG0001)),
+        ("1e0", Ok("a b c h"), Err(ErrorCode::FORG0001)),
+        ("xs:double(\"NaN\")", Ok(""), Err(ErrorCode::FORG0001)),
+        ("-0e0", Ok("d e"), Err(ErrorCode::FORG0001)),
+        ("0", Ok("d e"), Err(ErrorCode::FORG0001)),
+        ("true()", Err(ErrorCode::FORG0001), Err(ErrorCode::FORG0001)),
+        (
+            "xs:date(\"2020-01-01\")",
+            Err(ErrorCode::FORG0001),
+            Err(ErrorCode::FORG0001),
+        ),
+        ("()", Ok(""), Ok("")),
+        ("(\"1\", \"2\")", Ok("a g h"), Ok("a")),
+        ("(2, 1)", Ok("a b c g h"), Err(ErrorCode::FORG0001)),
+    ];
+    for (key, on_numeric, on_mixed) in keys {
+        for (c, want) in [(&numeric, on_numeric), (&mixed, on_mixed)] {
+            assert_eq!(
+                assert_joined_matches_nested(c, &keyed_join(key), true),
+                want.map(String::from),
+                "{key}"
+            );
+        }
+    }
+}
+
+#[test]
+fn absent_nested_and_attribute_bearing_leaves_join_like_the_nested_loop() {
+    let c = indexed(
+        "<r><x><k a=\"1\">p</k><j><i>p</i></j><n>1</n></x><x><k>p</k><j>p</j><n>2</n></x>\
+         <x><k>q</k><j><i>q</i>q</j><n>3</n></x></r>",
+    );
+    for (child, want) in [("zz", ""), ("j", "1 2"), ("k", "1 2")] {
+        let query = format!(
+            "for $t in 1 let $key := \"p\" \
+             let $m := for $y in //x where $y/{child} = $key return $y \
+             return string-join(for $z in $m return string($z/n), \" \")"
+        );
+        assert_eq!(
+            assert_joined_matches_nested(&c, &query, true).as_deref(),
+            Ok(want),
+            "{child}"
+        );
+    }
+}
+
+#[test]
+fn the_existential_shape_reads_the_index() {
+    let c = indexed(DOC);
+    assert_eq!(
+        assert_joined_matches_nested(&c, SEMI_JOIN, true).as_deref(),
+        Ok("2 2 2")
+    );
+    // The store answers without walking a build key: fewer nodes than the
+    // bucket table visits.
+    let visits = |hints: &str| {
+        let before = c.stats.snapshot().nodes_visited;
+        run(&engine(hints), &c, SELF_JOIN);
+        c.stats.snapshot().nodes_visited - before
+    };
+    assert!(visits("") < visits("access=walk"));
+}
+
+#[test]
+fn an_empty_build_never_evaluates_a_raising_probe_key() {
+    let c = indexed(DOC);
+    let query = "for $a in (1, 2) \
+                 let $m := for $y in //nosuch where $y/k = $a idiv 0 return $y \
+                 return count($m)";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, true).as_deref(),
+        Ok("0 0")
+    );
+}
+
+#[test]
+fn an_atomic_build_declines_the_store() {
+    let c = indexed(DOC);
+    let query = "for $a in (\"AIR\") \
+                 let $m := for $y in (//order/lineitem, 1) where $y/shipmode = $a return $y \
+                 return count($m)";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, true),
+        Err(ErrorCode::XPTY0004)
+    );
+}
+
+#[test]
+fn a_constructed_build_declines_the_store() {
+    let c = indexed(DOC);
+    let query =
+        "let $c := <r><x><k>a</k><n>1</n></x><x><k>b</k><n>2</n></x><x><k>a</k><n>3</n></x></r> \
+                 return (for $a in (\"a\", \"b\") \
+                         let $m := for $y in $c/x where $y/k = $a return $y \
+                         return <m>{string-join(for $z in $m return string($z/n), \" \")}</m>)";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, true).as_deref(),
+        Ok("<m>1 3</m><m>2</m>")
+    );
+}
+
+#[test]
+fn an_unordered_build_declines_the_store() {
+    // The store's answer is in document order; the nested loop's is the
+    // build's own.
+    let c = indexed("<r><a><k>p</k></a><b><k>p</k></b><a><k>q</k></a></r>");
+    let query = "for $key in (\"p\", \"q\") \
+                 let $m := for $y in (//b, //a) where $y/k = $key return $y \
+                 return <m>{for $z in $m return name($z)}</m>";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, true).as_deref(),
+        Ok("<m>b a</m><m>a</m>")
+    );
+}
+
+#[test]
+fn a_build_from_two_documents_declines_the_store() {
+    let doc = |xml: &str| xqa_xmlparse::parse_document(xml).expect("well-formed");
+    let docs = [
+        doc("<r><x><k>a</k><n>1</n></x><x><k>b</k><n>2</n></x></r>"),
+        doc("<r><x><k>b</k><n>3</n></x><x><k>a</k><n>4</n></x></r>"),
+    ];
+    let mut c = DynamicContext::new();
+    c.set_default_collection(docs.iter().map(|d| d.root()).collect());
+    for d in &docs {
+        c.register_store(Arc::new(xqa_storage::DocumentStore::build(d)));
+    }
+    let query = "for $key in (\"a\", \"b\") \
+                 let $m := for $y in collection()//x where $y/k = $key return $y \
+                 return <m>{string-join(for $z in $m return string($z/n), \" \")}</m>";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, true).as_deref(),
+        Ok("<m>1 4</m><m>2 3</m>")
+    );
+}
+
+#[test]
+fn a_value_comparison_declines_the_index() {
+    let c = indexed("<r><x><k>a</k></x><x><k>b</k></x><x><k>a</k><k>b</k></x></r>");
+    let query = "for $key in (\"a\", \"b\") \
+                 let $m := for $y in //x where $y/k eq $key return $y \
+                 return count($m)";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, false),
+        Err(ErrorCode::XPTY0004)
+    );
 }

@@ -153,7 +153,8 @@ fn a_string_literal_join_key_stays_inside_its_json_string() {
         )
         .expect("compiles");
     assert!(
-        plan.explain().contains("HashJoin(key=\"a\" = $slot1/k)"),
+        plan.explain()
+            .contains("HashJoin(key=\"a\" = $slot1/k, value index k)"),
         "{}",
         plan.explain()
     );
