@@ -16,9 +16,10 @@ use crate::types::{function_conversion, matches_seq_type};
 use std::cell::Cell;
 use std::sync::Arc;
 use xqa_frontend::ast::{ArithOp, Axis, NodeComparison, Quantifier, SetOp};
+use xqa_storage::{DocumentStore, PathIds};
 use xqa_xdm::{
-    effective_boolean_value, general_compare, AtomicValue, Decimal, Document, DocumentBuilder,
-    ErrorCode, Item, NodeHandle, NodeId, NodeKind, Sequence, SequenceBuilder,
+    atomize_sequence, effective_boolean_value, general_compare, AtomicValue, Decimal, Document,
+    DocumentBuilder, ErrorCode, Item, NodeHandle, NodeId, NodeKind, Sequence, SequenceBuilder,
 };
 
 /// Maximum user-function recursion depth. Kept conservative because each
@@ -273,6 +274,9 @@ impl<'a> Interpreter<'a> {
                 self.apply_predicates(seq, predicates, env)
             }
             Ir::CallBuiltin(b, args) => {
+                if let (Builtin::DistinctValues, [Ir::Path(p)]) = (b, args.as_slice()) {
+                    return self.distinct_values_of_path(p, env);
+                }
                 let mut evaluated = Vec::with_capacity(args.len());
                 for a in args {
                     evaluated.push(self.eval(a, env)?);
@@ -454,7 +458,64 @@ impl<'a> Interpreter<'a> {
     // ---- paths ---------------------------------------------------------
 
     fn eval_path(&self, p: &PathIr, env: &mut Env) -> EngineResult<Sequence> {
-        let mut current: Sequence = match &p.start {
+        let start = self.path_start(p, env)?;
+        match self.path_on_ids(p, &start) {
+            Some((store, path)) => Ok(handles(store.document(), &path.ids)),
+            None => self.eval_steps(p, start, env),
+        }
+    }
+
+    /// `distinct-values` of a path. When the path runs on ids and its
+    /// elements' name keeps a value column, the first element of each
+    /// value id is atomized, and no other: every such element atomizes
+    /// to `xs:untypedAtomic` of its text (attributes take no part), and
+    /// untyped values are equal exactly when their texts are.
+    fn distinct_values_of_path(&self, p: &PathIr, env: &mut Env) -> EngineResult<Sequence> {
+        let start = self.path_start(p, env)?;
+        let nodes = match self.path_on_ids(p, &start) {
+            Some((store, path)) => match store.first_of_each_value(&path) {
+                Some(firsts) => return Ok(atomize_sequence(&handles(store.document(), &firsts))),
+                None => handles(store.document(), &path.ids),
+            },
+            None => self.eval_steps(p, start, env)?,
+        };
+        let cx = FnCtx {
+            focus: env.focus.as_ref(),
+            dynamic: self.dynamic,
+        };
+        functions::dispatch(Builtin::DistinctValues, vec![nodes], &cx)
+    }
+
+    /// `p` run on node ids ([`DocumentStore::child_path`]) when its
+    /// leading step is index-resolved, it starts at one node of a
+    /// document with a store, and every later step is a predicate-free
+    /// `child::Name`. It counts what the step-by-step run counts for the
+    /// index: one hit and the leading step's postings; and the postings
+    /// the merges examined as visited nodes, in place of the children a
+    /// walk would visit. `None` for any other path, and when the leading
+    /// step's elements nest inside each other.
+    fn path_on_ids(&self, p: &PathIr, start: &Sequence) -> Option<(&Arc<DocumentStore>, PathIds)> {
+        let (AccessPathIr::IndexDescendant, [Item::Node(origin)]) = (&p.access, start.as_slice())
+        else {
+            return None;
+        };
+        let (first, rest) = p.steps.split_first()?;
+        let first = plain_step(first, Axis::Descendant)?;
+        let children = rest
+            .iter()
+            .map(|step| plain_step(step, Axis::Child))
+            .collect::<Option<Vec<_>>>()?;
+        let store = self.dynamic.store(origin.document().serial())?;
+        let path = store.child_path(origin.id(), first, &children)?;
+        self.stats.scan_index_hits.add(1);
+        self.stats.scan_index_tuples.add(path.scanned);
+        self.stats.nodes_visited.add(path.examined);
+        Some((store, path))
+    }
+
+    /// The node or nodes a path's first step starts from.
+    fn path_start(&self, p: &PathIr, env: &mut Env) -> EngineResult<Sequence> {
+        Ok(match &p.start {
             PathStartIr::Context => match &env.focus {
                 Some(f) => Sequence::one(f.item.clone()),
                 None => return Err(no_context("relative path")),
@@ -475,7 +536,16 @@ impl<'a> Interpreter<'a> {
                 None => return Err(no_context("'/'")),
             },
             PathStartIr::Expr(e) => self.eval(e, env)?,
-        };
+        })
+    }
+
+    /// Run `p` from `start` step by step, on handles.
+    fn eval_steps(
+        &self,
+        p: &PathIr,
+        mut current: Sequence,
+        env: &mut Env,
+    ) -> EngineResult<Sequence> {
         // The access path annotates the leading step only.
         let mut access = &p.access;
         for step in &p.steps {
@@ -1223,6 +1293,26 @@ fn double_arith(op: ArithOp, x: f64, y: f64) -> EngineResult<AtomicValue> {
         }
         ArithOp::Mod => AtomicValue::Double(x % y),
     })
+}
+
+/// The name of a predicate-free `axis::Name` step.
+fn plain_step(step: &StepIr, axis: Axis) -> Option<&xqa_xdm::QName> {
+    match step {
+        StepIr::Axis {
+            axis: a,
+            test: NodeTestIr::Name(name),
+            predicates,
+        } if *a == axis && predicates.is_empty() => Some(name),
+        _ => None,
+    }
+}
+
+/// Handles on the nodes `ids` of `doc`, in that order.
+fn handles(doc: &Arc<Document>, ids: &[NodeId]) -> Sequence {
+    ids.iter()
+        .filter_map(|&id| doc.handle(id))
+        .map(Item::Node)
+        .collect()
 }
 
 /// Sort nodes into document order and drop duplicate identities.

@@ -92,6 +92,9 @@ struct ValueIndex {
     /// `(value, distinct id)` over the numeric distinct values, sorted.
     /// Values are [`numeric_key`]s: NaN, equal to nothing, is left out.
     numeric: Vec<(f64, u32)>,
+    /// Per element of this name, parallel to its postings: its distinct
+    /// id (empty unless `complete`).
+    column: Vec<u32>,
 }
 
 impl ValueIndex {
@@ -142,7 +145,11 @@ impl ValueIndex {
     }
 
     fn bytes(&self) -> u64 {
-        let ids = self.table.len() + self.keys.len() + self.offsets.len() + self.leaves.len();
+        let ids = self.table.len()
+            + self.keys.len()
+            + self.offsets.len()
+            + self.leaves.len()
+            + self.column.len();
         (ids * 4 + self.hashes.len() * 8 + self.numeric.len() * 16) as u64
     }
 }
@@ -206,8 +213,8 @@ impl ValueBuilder {
     }
 
     /// Pack the leaves, `postings` (the name's elements, in document
-    /// order), into one array grouped by distinct id, and sort the
-    /// numeric mirror.
+    /// order), into one array grouped by distinct id, sort the numeric
+    /// mirror, and keep each leaf's distinct id as the column.
     fn finish(self, postings: &[NodeId]) -> ValueIndex {
         let (mut index, mut cursor) = (self.index, self.counts);
         if !index.complete {
@@ -229,6 +236,7 @@ impl ValueBuilder {
         cursor.insert(0, 0);
         index.offsets = cursor;
         index.leaves = leaves;
+        index.column = self.leaf_values;
         index
             .numeric
             .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -331,11 +339,108 @@ impl DocumentStore {
         let Some(name_id) = self.element_name(name) else {
             return &[];
         };
-        let postings = &self.element_postings[name_id as usize];
+        &self.element_postings[name_id as usize][self.descendant_range(origin, name_id)]
+    }
+
+    /// Where the elements named `name` strictly inside `origin`'s
+    /// subtree sit in the name's postings.
+    fn descendant_range(&self, origin: NodeId, name: NameId) -> std::ops::Range<usize> {
+        let postings = &self.element_postings[name as usize];
         let end = self.doc.subtree_end(origin);
-        let lo = postings.partition_point(|&id| id <= origin);
-        let hi = postings.partition_point(|&id| id <= end);
-        &postings[lo..hi]
+        postings.partition_point(|&id| id <= origin)..postings.partition_point(|&id| id <= end)
+    }
+
+    /// The elements `origin//first/c1/../cn` selects, run on ids: the
+    /// leading step is `first`'s postings sliced to `origin`'s interval,
+    /// and each `children` name is one `children_named` merge. The
+    /// result is in document order and distinct. `None` when some
+    /// `first` element nests inside another while there are children
+    /// steps: the merge needs contexts with disjoint subtrees.
+    pub fn child_path(
+        &self,
+        origin: NodeId,
+        first: &QName,
+        children: &[&QName],
+    ) -> Option<PathIds> {
+        let Some(first_id) = self.element_name(first) else {
+            return Some(PathIds::default());
+        };
+        let range = self.descendant_range(origin, first_id);
+        let slice = &self.element_postings[first_id as usize][range.clone()];
+        // In preorder, sorted ids are disjoint exactly when each one
+        // starts after the subtree of the one before.
+        if !children.is_empty() && slice.windows(2).any(|w| w[1] <= self.doc.subtree_end(w[0])) {
+            return None;
+        }
+        let mut path = PathIds {
+            name: Some(first_id),
+            ids: slice.to_vec(),
+            positions: (range.start as u32..range.end as u32).collect(),
+            scanned: slice.len() as u64,
+            examined: 0,
+        };
+        // Children of disjoint parents are disjoint themselves.
+        for &name in children {
+            let step = self.children_named(&path.ids, name);
+            path = PathIds {
+                scanned: path.scanned,
+                examined: path.examined + step.examined,
+                ..step
+            };
+        }
+        Some(path)
+    }
+
+    /// The child elements named `name` of `parents`, which must be
+    /// sorted and have disjoint subtrees: a merge of `parents` with
+    /// `name`'s postings. Per parent `p` the postings cursor gallops to
+    /// the first id past `p`, then keeps the postings inside `p`'s
+    /// interval whose parent is `p`. The cost is the gallops plus the
+    /// postings inside the parents; nothing is walked.
+    fn children_named(&self, parents: &[NodeId], name: &QName) -> PathIds {
+        let Some(name_id) = self.element_name(name) else {
+            return PathIds::default();
+        };
+        let postings = &self.element_postings[name_id as usize];
+        let mut path = PathIds {
+            name: Some(name_id),
+            ..PathIds::default()
+        };
+        let mut at = 0;
+        for &p in parents {
+            at = gallop(postings, at, p);
+            let end = self.doc.subtree_end(p);
+            while let Some(&id) = postings.get(at).filter(|&&id| id <= end) {
+                path.examined += 1;
+                if self.doc.parent_of(id) == Some(p) {
+                    path.ids.push(id);
+                    path.positions.push(at as u32);
+                }
+                at += 1;
+            }
+        }
+        path
+    }
+
+    /// Of `path`'s elements, the first one of each distinct value, in
+    /// path order: the elements' ids in their name's value column are
+    /// equal exactly when their string values are. `None` when the
+    /// name's value index is not complete (some element of the name is
+    /// not a leaf, so no column is kept).
+    pub fn first_of_each_value(&self, path: &PathIds) -> Option<Vec<NodeId>> {
+        let Some(name) = path.name else {
+            return Some(Vec::new());
+        };
+        let vi = &self.values[name as usize];
+        if !vi.complete {
+            return None;
+        }
+        let mut seen = vec![false; vi.keys.len()];
+        let firsts = path.positions.iter().zip(&path.ids).filter(|&(&pos, _)| {
+            let v = vi.column[pos as usize] as usize;
+            !std::mem::replace(&mut seen[v], true)
+        });
+        Some(firsts.map(|(_, &id)| id).collect())
     }
 
     /// Whether equality lookups on `child`'s leaf values are exact:
@@ -411,8 +516,8 @@ impl DocumentStore {
         if !vi.complete {
             return None;
         }
-        let value = leaf_value(doc, id)?;
-        vi.find(doc, self.hasher.hash_one(value), value).ok()
+        let postings = &self.element_postings[doc.name_id_of(id)? as usize];
+        postings.binary_search(&id).ok().map(|pos| vi.column[pos])
     }
 
     fn parents_of(&self, leaves: impl Iterator<Item = NodeId>) -> Vec<NodeId> {
@@ -464,6 +569,38 @@ impl DocumentStore {
             .filter(|(_, (_, postings))| !postings.is_empty())
             .map(|(id, (name, _))| (id, name))
     }
+}
+
+/// Elements of one name in one document, in document order, as a
+/// path run on ids yields them ([`DocumentStore::child_path`]).
+#[derive(Debug, Default, PartialEq)]
+pub struct PathIds {
+    /// The elements' name; `None` when the document has no element of
+    /// that name, and then there are no elements.
+    name: Option<NameId>,
+    /// The elements.
+    pub ids: Vec<NodeId>,
+    /// Each element's position in its name's postings, where its value
+    /// id sits in the name's column.
+    positions: Vec<u32>,
+    /// Postings the leading step sliced.
+    pub scanned: u64,
+    /// Postings the child steps' merges examined.
+    pub examined: u64,
+}
+
+/// The first index at or after `from` whose id is past `after`:
+/// exponential steps out from `from`, then a binary search in the last
+/// step. A merge that moved on by `k` postings pays `O(log k)` for it.
+fn gallop(postings: &[NodeId], from: usize, after: NodeId) -> usize {
+    let mut step = 1;
+    let mut lo = from;
+    while lo + step <= postings.len() && postings[lo + step - 1] <= after {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(postings.len());
+    lo + postings[lo..hi].partition_point(|&id| id <= after)
 }
 
 /// The indexable-leaf value of an element: its text content when the
@@ -721,6 +858,142 @@ mod tests {
         assert_eq!(merged.distinct_values(&q("tag")), Some(4));
         assert_eq!(merged.distinct_values(&q("item")), None);
         assert_eq!(merged.distinct_values(&q("absent")), None);
+    }
+
+    /// The ids `origin//first/c1/../cn` selects, walked child by child.
+    fn walked_path(
+        doc: &Arc<Document>,
+        origin: NodeId,
+        first: &str,
+        children: &[&str],
+    ) -> Vec<NodeId> {
+        let mut ids: Vec<NodeId> = doc
+            .handle(origin)
+            .unwrap()
+            .descendants()
+            .filter(|n| n.kind() == NodeKind::Element && n.name() == Some(&q(first)))
+            .map(|n| n.id())
+            .collect();
+        for name in children {
+            let id = doc.name_id(&q(name));
+            ids = ids
+                .iter()
+                .flat_map(|&p| doc.child_element_ids(p, id))
+                .collect();
+        }
+        ids
+    }
+
+    #[test]
+    fn child_paths_merge_exactly_the_children() {
+        let doc = orders_doc();
+        let store = DocumentStore::build(&doc);
+        let paths: [(&str, &[&str]); 7] = [
+            ("order", &["item", "price"]),
+            ("order", &["item"]),
+            ("orders", &["order", "item", "tag"]),
+            ("item", &["tag"]),
+            ("orders", &["item"]),
+            ("order", &["absent", "tag"]),
+            ("absent", &["item"]),
+        ];
+        for (first, children) in paths {
+            for origin in 0..doc.len() as NodeId {
+                let names: Vec<QName> = children.iter().map(|c| q(c)).collect();
+                let names: Vec<&QName> = names.iter().collect();
+                let path = store.child_path(origin, &q(first), &names).unwrap();
+                let walked = walked_path(&doc, origin, first, children);
+                assert_eq!(path.ids, walked, "{first}/{children:?} from node {origin}");
+                // Each position is the element's place in its postings.
+                let postings = path
+                    .name
+                    .map_or(&[][..], |n| &store.element_postings[n as usize][..]);
+                for (&id, &pos) in path.ids.iter().zip(&path.positions) {
+                    assert_eq!(postings[pos as usize], id);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_merge_keeps_children_only_and_declines_nested_contexts() {
+        // <r><a><b>1</b><c><b>2</b></c><a><b>3</b></a><b>4</b></a></r>
+        let mut b = DocumentBuilder::new();
+        b.start_element(q("r"));
+        b.start_element(q("a"));
+        b.start_element(q("b")).text("1").end_element();
+        b.start_element(q("c"));
+        b.start_element(q("b")).text("2").end_element();
+        b.end_element();
+        b.start_element(q("a"));
+        b.start_element(q("b")).text("3").end_element();
+        b.end_element();
+        b.start_element(q("b")).text("4").end_element();
+        b.end_element();
+        b.end_element();
+        let doc = b.finish();
+        let store = DocumentStore::build(&doc);
+        // `a` nests inside `a`: the merge would need disjoint contexts.
+        assert_eq!(store.child_path(0, &q("a"), &[&q("b")]), None);
+        // Without children steps, nesting does not matter.
+        assert_eq!(store.child_path(0, &q("a"), &[]).unwrap().ids.len(), 2);
+        // `b` inside `c` is a grandchild of `c`'s parent: not kept, but
+        // examined.
+        let c = store.child_path(0, &q("c"), &[]).unwrap().ids;
+        let parents = [doc.parent_of(c[0]).unwrap()];
+        let path = store.children_named(&parents, &q("b"));
+        assert_eq!(path.ids, walked_path(&doc, 0, "r", &["a", "b"]));
+        assert_eq!((path.ids.len(), path.examined), (2, 4));
+    }
+
+    #[test]
+    fn first_of_each_value_reads_the_column_attributes_or_not() {
+        // <r><k a="1">p</k><k>q</k><k>p</k><k b="2">q</k><k/><k></k></r>
+        let mut b = DocumentBuilder::new();
+        b.start_element(q("r"));
+        b.start_element(q("k"))
+            .attribute(q("a"), "1")
+            .text("p")
+            .end_element();
+        b.start_element(q("k")).text("q").end_element();
+        b.start_element(q("k")).text("p").end_element();
+        b.start_element(q("k"))
+            .attribute(q("b"), "2")
+            .text("q")
+            .end_element();
+        b.start_element(q("k")).end_element();
+        b.start_element(q("k")).text("").end_element();
+        b.end_element();
+        let doc = b.finish();
+        let store = DocumentStore::build(&doc);
+        let path = store.child_path(0, &q("r"), &[&q("k")]).unwrap();
+        let firsts = store.first_of_each_value(&path).unwrap();
+        let texts: Vec<String> = firsts
+            .iter()
+            .map(|&id| doc.handle(id).unwrap().string_value())
+            .collect();
+        assert_eq!(texts, ["p", "q", ""]);
+        // The first `k` carries an attribute: it has a column id, but no
+        // `leaf_value_id` (grouping is deep-equal).
+        assert_eq!(firsts[0], path.ids[0]);
+        assert_eq!(store.leaf_value_id(path.ids[0]), None);
+        assert_eq!(store.leaf_value_id(path.ids[2]), Some(0));
+        // A name with a non-leaf element keeps no column.
+        let store = DocumentStore::build(&orders_doc());
+        let path = store.child_path(0, &q("order"), &[&q("item")]).unwrap();
+        assert_eq!(path.ids.len(), 3);
+        assert_eq!(store.first_of_each_value(&path), None);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_id_past_a_bound() {
+        let postings: Vec<NodeId> = (0..40).map(|i| 3 * i + 1).collect();
+        for from in 0..=postings.len() {
+            for after in 0..125 {
+                let want = from.max(postings.partition_point(|&id| id <= after));
+                assert_eq!(gallop(&postings, from, after), want, "{from} {after}");
+            }
+        }
     }
 
     #[test]
