@@ -43,8 +43,9 @@ const KEYS: [HintKey; 5] = [
         key: "access",
         on: "index",
         off: "walk",
-        pins: "//T scans, value predicates, $v/N group keys and for-where value probes: \
-               always via the indexes | always tree-walk, canonical keys, no probes",
+        pins: "//T scans, value predicates, $v/N group keys, for-where value probes and \
+               hash-join $y/c probes: always via the indexes | always tree-walk, canonical \
+               keys, no probes, bucket-table joins",
         default_on: true,
     },
     HintKey {
@@ -96,16 +97,24 @@ pub struct PlanHints {
     /// `join=hash|nested`: unnest every eligible nested-FLWOR equality
     /// join into a `HashJoin` (the runtime still falls back to an
     /// ordered build scan per probe when atom classes make hashing
-    /// unable to reproduce comparison errors), or never unnest. Absent:
-    /// hash.
+    /// unable to reproduce comparison errors), or never unnest. Under
+    /// `access=index` a join whose build key is `$y/c` under `=` asks the
+    /// document store's value index for each probe it can answer exactly
+    /// and reads its bucket table for the rest; under `access=walk` it
+    /// always reads the bucket table. Absent: hash.
     pub hash_join: Option<bool>,
     /// `access=index|walk`: annotate every eligible `//T` scan and
     /// value predicate to resolve through the document store's indexes
     /// (the runtime still walks per document when no store covers it or
     /// the value index cannot answer exactly), and every `group by` on
     /// `$v/N` keys to group on the store's value ids (falling back to
-    /// canonical keys at the first tuple the store cannot code), or
-    /// always tree-walk and group on canonical keys. Absent: index.
+    /// canonical keys at the first tuple the store cannot code), every
+    /// `for` before a `where $v/c = $x` to probe the value index, and
+    /// every hash join on a `$y/c` build key to answer its probes from
+    /// the value index (falling back to its bucket table where the
+    /// store cannot answer exactly), or always tree-walk, group on
+    /// canonical keys, probe nothing and join through the bucket table.
+    /// Absent: index.
     pub index_scan: Option<bool>,
     /// `topk=on|off`: push `[position() le k]`-style bounds over an
     /// `order by` into the sort as a heap limit, or always sort in

@@ -226,7 +226,7 @@ fn drive(
         let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
             unreachable!("parallel-eligible FLWOR starts with a for clause");
         };
-        let source = for_source(interp, expr, cells[0].source.as_ref(), env)?;
+        let source = for_source(interp, expr, cells[0].as_ref(), env)?;
         seed = Some(binding_sequence(interp, source, &f.ops[0].probes, env)?);
     }
 
@@ -275,7 +275,7 @@ fn build_chain<'p>(
     range: Range<usize>,
     input: BoxSource<'p>,
     mut seed: Option<(Bindings, i64)>,
-    cells: &[RunCell],
+    cells: &[Option<SourceCell>],
     counters: &[Rc<Cell<OpCounters>>],
 ) -> BoxSource<'p> {
     let mut source = input;
@@ -340,23 +340,24 @@ struct SinkStats {
 /// Lower one clause record onto `input`, yielding the operator
 /// [`OpKind::of`] names. A record the join-unnesting rule annotated
 /// lowers to the hash-join operator instead of its nested form; `cell`
-/// holds the run-scoped build table or kept source shared by every
-/// lowering of the same record (see [`run_cells`]). A `for` given a
+/// is the record's run-scoped kept source, shared by every lowering of
+/// the same record (see [`run_cells`]). A `for` given a
 /// `seed` (see [`build_chain`]) starts out holding it and never pulls
 /// `input` or evaluates its expression. A probed `for` raises `flag` on
 /// its exact batches; a `where` right after one gets `after_probe`, that
 /// flag and the number of conjuncts the `for` probed.
 fn clause_source<'p>(
     op: &'p OpIr,
-    cell: RunCell,
+    cell: Option<SourceCell>,
     input: BoxSource<'p>,
     seed: Option<(Bindings, i64)>,
     flag: Option<ExactFlag>,
     after_probe: Option<(ExactFlag, usize)>,
 ) -> BoxSource<'p> {
-    if let Some((j, cell)) = op.join.as_ref().zip(cell.join) {
-        return Box::new(HashJoin { input, j, cell });
-    }
+    let kept = match (&op.join, cell) {
+        (Some(j), Some(cell)) => return Box::new(HashJoin { input, j, cell }),
+        (_, cell) => cell,
+    };
     match &op.clause {
         ClauseIr::For {
             slot,
@@ -372,7 +373,7 @@ fn clause_source<'p>(
                 at_slot: *at_slot,
                 ty: ty.as_ref(),
                 expr,
-                kept: cell.source,
+                kept,
                 probes: &op.probes,
                 batch: Vec::new().into_iter(),
                 items: bound.items.into_iter(),
@@ -388,7 +389,7 @@ fn clause_source<'p>(
             slot: *slot,
             ty: ty.as_ref(),
             expr,
-            kept: cell.source,
+            kept,
         }),
         ClauseIr::Where(cond) => Box::new(Filter {
             input,
@@ -648,14 +649,19 @@ impl TupleSource for ForScan<'_> {
     }
 }
 
-/// A `for` source's value, as [`binding_sequence`] reads it.
+/// A `for` source's or a hash join's build side's value, as
+/// [`binding_sequence`] and [`probe`] read it.
 #[derive(Clone)]
 struct SourceValue {
     items: Sequence,
     /// Set on a kept source whose items are all nodes of the document
-    /// with this serial, in strictly increasing id order: a probe then
-    /// picks its parents out of them by binary search.
+    /// with this serial, in strictly increasing id order: a store lookup
+    /// then picks its parents out of them by binary search
+    /// ([`ordered_matches`]).
     ordered_doc: Option<u64>,
+    /// A hash join's bucket table over `items`, built at the first probe
+    /// the store does not answer.
+    table: OnceLock<JoinTable>,
 }
 
 impl SourceValue {
@@ -665,13 +671,24 @@ impl SourceValue {
         SourceValue {
             items,
             ordered_doc: None,
+            table: OnceLock::new(),
         }
     }
 
     /// A source kept for a FLWOR execution, with its order checked once.
     fn kept(items: Sequence) -> SourceValue {
         let ordered_doc = ordered_doc(&items);
-        SourceValue { items, ordered_doc }
+        SourceValue {
+            items,
+            ordered_doc,
+            table: OnceLock::new(),
+        }
+    }
+
+    /// The bucket table, built now if no probe has needed it yet.
+    fn table(&self, j: &JoinIr, interp: &Interpreter, env: &mut Env) -> &JoinTable {
+        self.table
+            .get_or_init(|| build_join_table(j, &self.items, interp, env))
     }
 }
 
@@ -693,24 +710,52 @@ fn ordered_doc(items: &[Item]) -> Option<u64> {
 
 /// The items of `items`, nodes in increasing id order, whose ids are in
 /// `ids` (sorted): O(k log n) for k ids, in item order.
-fn nodes_with_ids<'a, 'i>(
-    items: &'a [Item],
-    ids: &'i [NodeId],
-) -> impl Iterator<Item = &'a Item> + use<'a, 'i> {
+fn nodes_with_ids(items: &[Item], ids: Vec<NodeId>) -> impl Iterator<Item = &Item> {
     let id = |item: &Item| match item {
         Item::Node(node) => node.id(),
         Item::Atomic(_) => unreachable!("ordered items are nodes"),
     };
-    ids.iter()
-        .filter_map(move |want| items.binary_search_by_key(want, id).ok())
+    ids.into_iter()
+        .filter_map(move |want| items.binary_search_by_key(&want, id).ok())
         .map(|i| &items[i])
 }
 
-/// A hoisted `for` source ([`OpIr::hoist`]) kept for one FLWOR
-/// execution, shared like a [`JoinCell`] by every lowering of its clause
-/// in the run: the first tuple evaluates it, every later one reuses the
-/// value or replays its error, as re-evaluating the source would.
+/// The one store lookup over a kept source: where `source` is ordered
+/// ([`SourceValue::ordered_doc`]) and its document's store answers the
+/// first of `keys`, the items whose ids [`probed_parents`] keeps, in
+/// item order, and whether every key was answered.
+fn ordered_matches<'a>(
+    interp: &Interpreter,
+    source: &'a SourceValue,
+    keys: &[(&QName, ValueProbeIr)],
+) -> Option<(impl Iterator<Item = &'a Item>, bool)> {
+    let (parents, all) = probed_parents(interp, source.ordered_doc?, keys)?;
+    Some((nodes_with_ids(&source.items, parents), all))
+}
+
+/// A source kept for one FLWOR execution: a hoisted record's
+/// ([`OpIr::hoist`]) or a hash join's build side ([`OpIr::join`]),
+/// shared by every lowering of its clause in the run. The first tuple
+/// evaluates it, every later one reuses the value or replays its error,
+/// as re-evaluating the source would.
 type SourceCell = Arc<OnceLock<Result<SourceValue, EngineError>>>;
+
+/// Per clause record, a kept-source cell where it is hoisted or
+/// join-annotated, created per pipeline execution (enclosing bindings
+/// are fixed for the duration of one `run`, so what a cell holds is
+/// reusable exactly within it). The first record takes `first` instead:
+/// the cell a hoisted `let` keeps this FLWOR's first source in across
+/// its runs.
+fn run_cells(f: &FlworIr, first: Option<&SourceCell>) -> Vec<Option<SourceCell>> {
+    f.ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| match first.filter(|_| i == 0) {
+            Some(cell) => Some(Arc::clone(cell)),
+            None => (op.hoist || op.join.is_some()).then(SourceCell::default),
+        })
+        .collect()
+}
 
 /// A `for` clause's source for the current tuple: the value kept in
 /// `kept`, evaluated into it at the first tuple, or `expr` evaluated now.
@@ -773,22 +818,19 @@ fn binding_sequence(
         return Ok(unprobed(source));
     }
     let applied = keys.len() == probes.len();
-    let items = &source.items;
-    if let Some(serial) = source.ordered_doc {
-        let Some((parents, all)) = probed_parents(interp, serial, &keys) else {
-            return Ok(unprobed(source));
-        };
-        return Ok(Bindings {
-            items: nodes_with_ids(items, &parents).cloned().collect(),
+    if source.ordered_doc.is_some() {
+        let answered = ordered_matches(interp, &source, &keys).map(|(matches, all)| Bindings {
+            items: matches.cloned().collect(),
             exact: applied && all,
         });
+        return Ok(answered.unwrap_or_else(|| unprobed(source)));
     }
     // Per document met so far, what `probed_parents` answered; `None`
     // when it has no store or its store answers no probe.
     let mut docs: Vec<(u64, Option<ProbeAnswer>)> = Vec::new();
     let mut exact = applied;
     let mut out = SequenceBuilder::new();
-    for item in items.iter() {
+    for item in source.items.iter() {
         let answer = match item {
             Item::Node(node) => {
                 let serial = node.document().serial();
@@ -965,22 +1007,25 @@ fn all_hold(interp: &Interpreter, conjuncts: &[&Ir], env: &mut Env) -> EngineRes
 // marks a `let $m := for $y in SRC where KEY-pred return $y` clause or
 // a `where some $y in SRC satisfies KEY-pred` clause whose SRC is
 // independent of the enclosing bindings. The operator here replaces
-// the per-tuple nested loop: SRC is materialized *once per FLWOR
-// execution*, and each probing tuple does one keyed lookup.
+// the per-tuple nested loop: SRC is kept *once per FLWOR execution*
+// in the record's `SourceCell`, as a hoisted `for` keeps its source,
+// and each probing tuple does one keyed lookup.
 //
 // Where the build key is `$y/c` under `=` (`JoinIr::index_key`), SRC's
 // items are nodes of one document in increasing id order and the probe
 // key is one string, untyped or numeric atom, the document store's
-// value index answers the lookup exactly, as it answers a probed `for`
-// (`binding_sequence`): the matching items are picked out of SRC by
-// binary search. Every other probe reads a table of SRC's key atoms,
-// bucketed by the canonical-key machinery of `crate::keys` at the first
-// such probe, with an exact verifying comparison per candidate.
+// value index answers the lookup exactly through the lookup a probed
+// `for` makes (`ordered_matches`): the matching items are picked out of
+// SRC by binary search. Every other probe reads a table of SRC's key
+// atoms (`SourceValue::table`), bucketed by the canonical-key machinery
+// of `crate::keys` at the first such probe, with an exact verifying
+// comparison per candidate.
 //
 // Output is byte-identical to the nested plan, including errors:
 //
 // - The build is lazy (first probing tuple). Zero probing tuples never
-//   evaluate SRC — exactly like the nested loop.
+//   evaluate SRC — exactly like the nested loop — and every later probe
+//   replays its error.
 // - Bucket hits are *candidates only*: equal values always share a
 //   canonical key, the converse is verified with the real `eq`, and
 //   candidates are visited in build order, so a many-match `let` binds
@@ -991,8 +1036,8 @@ fn all_hold(interp: &Interpreter, conjuncts: &[&Ir], env: &mut Env) -> EngineRes
 //   total, across classes it can error. A build side that mixes
 //   classes or raised evaluating any key, and any probing tuple whose
 //   atoms fall outside the build's class, fall back to a literal
-//   nested-loop scan of the materialized items — same values, same
-//   errors, same error order as the nested plan.
+//   nested-loop scan of the kept items — same values, same errors,
+//   same error order as the nested plan.
 
 /// Comparison classes: `=`/`eq` between two atoms of the same class
 /// never raises, and value equality implies canonical-key equality.
@@ -1025,44 +1070,8 @@ fn atoms_match(probe: &[AtomicValue], build: &[AtomicValue]) -> bool {
     probe.iter().any(|p| build.iter().any(|b| eq(p, b)))
 }
 
-/// The materialized build side of one hash join.
-struct JoinBuild {
-    /// SRC items in evaluation order.
-    items: Vec<Item>,
-    /// Set when the build key reads the value index
-    /// ([`JoinIr::index_key`]) and `items` are nodes of the document
-    /// with this serial in increasing id order ([`ordered_doc`]).
-    ordered_doc: Option<u64>,
-    /// The bucket table, built at the first probe the store does not
-    /// answer.
-    table: OnceLock<JoinTable>,
-}
-
-impl JoinBuild {
-    /// The bucket table, built now if no probe has needed it yet.
-    fn table(&self, j: &JoinIr, interp: &Interpreter, env: &mut Env) -> &JoinTable {
-        self.table
-            .get_or_init(|| build_join_table(j, &self.items, interp, env))
-    }
-
-    /// The items matching a probe of key `atoms`, in SRC order, where
-    /// the store answers it exactly: the build is ordered and the key is
-    /// one atom [`ValueProbeIr::of_atom`] accepts.
-    fn store_matches(
-        &self,
-        j: &JoinIr,
-        interp: &Interpreter,
-        atoms: &[AtomicValue],
-    ) -> Option<Vec<&Item>> {
-        let [atom] = atoms else { return None };
-        let store = interp.dynamic.store(self.ordered_doc?)?;
-        let c = j.index_key.as_ref()?;
-        let parents = ValueProbeIr::of_atom(atom)?.parents(store, c)?;
-        Some(nodes_with_ids(&self.items, &parents).collect())
-    }
-}
-
 /// A build side's bucket table.
+#[derive(Clone)]
 struct JoinTable {
     /// Per item, the atomized key (aligned with the items; truncated
     /// and unused when `scan_only`).
@@ -1074,42 +1083,6 @@ struct JoinTable {
     /// Every probe must take the verbatim nested-loop scan: a build key
     /// raised, or the build atoms span comparison classes.
     scan_only: bool,
-}
-
-/// The per-run, per-clause build cell, shared by every lowering of the
-/// clause in one run — the serial chain, or each worker's per-morsel
-/// chains and the coordinator's. Whichever probes first builds; the
-/// others wait on the cell and reuse the build, or replay its error.
-type JoinCell = Arc<OnceLock<Result<JoinBuild, EngineError>>>;
-
-/// What one clause record keeps across the tuples of one FLWOR
-/// execution, shared by every lowering of the record in that run.
-#[derive(Clone)]
-struct RunCell {
-    /// A join-annotated record's build table.
-    join: Option<JoinCell>,
-    /// A hoisted `for`'s source, or a hoisted `let`'s inner first one.
-    source: Option<SourceCell>,
-}
-
-/// Per clause record, a build-table cell where it carries a join
-/// annotation and a source cell where it is hoisted, created per
-/// pipeline execution (enclosing bindings are fixed for the duration of
-/// one `run`, so what a cell holds is reusable exactly within it). The
-/// first record takes `first` instead: the cell a hoisted `let` keeps
-/// this FLWOR's first source in across its runs.
-fn run_cells(f: &FlworIr, first: Option<&SourceCell>) -> Vec<RunCell> {
-    f.ops
-        .iter()
-        .enumerate()
-        .map(|(i, op)| RunCell {
-            join: op.join.as_ref().map(|_| JoinCell::default()),
-            source: match first.filter(|_| i == 0) {
-                Some(cell) => Some(Arc::clone(cell)),
-                None => op.hoist.then(SourceCell::default),
-            },
-        })
-        .collect()
 }
 
 /// One key side (`build_key` with `$y` bound, or `probe_key`),
@@ -1127,19 +1100,6 @@ fn key_atoms(
     } else {
         Ok(seq.iter().map(Item::atomize).collect())
     }
-}
-
-/// Evaluate SRC into the build, its order checked once when the build
-/// key reads the value index.
-fn build_join(j: &JoinIr, interp: &Interpreter, env: &mut Env) -> EngineResult<JoinBuild> {
-    let items: Vec<Item> = interp.eval(&j.build_src, env)?.into_iter().collect();
-    interp.stats.join_build_tuples.add(items.len() as u64);
-    let ordered_doc = j.index_key.as_ref().and_then(|_| ordered_doc(&items));
-    Ok(JoinBuild {
-        items,
-        ordered_doc,
-        table: OnceLock::new(),
-    })
 }
 
 /// Key, classify and bucket the build items. A key that raises does not
@@ -1204,13 +1164,13 @@ fn join_candidates(table: &JoinTable, atoms: &[AtomicValue]) -> Vec<usize> {
 /// matches; one whose atoms share the build's class takes the hash
 /// lookup. Any other probe replays the nested `for $y in SRC where pred`
 /// (or `some $y in SRC satisfies pred`) loop verbatim over the
-/// materialized items: same values, same errors, same error order — SRC
-/// is constructor-free, so materializing it once preserves item and node
-/// identity — and, as in the quantifier, a predicate after the match a
-/// `some` stopped at is never evaluated.
+/// kept items: same values, same errors, same error order — SRC is
+/// constructor-free, so keeping it once preserves item and node identity
+/// — and, as in the quantifier, a predicate after the match a `some`
+/// stopped at is never evaluated.
 fn probe(
     j: &JoinIr,
-    build: &JoinBuild,
+    build: &SourceValue,
     interp: &Interpreter,
     env: &mut Env,
     mut take: impl FnMut(&Item) -> bool,
@@ -1220,15 +1180,20 @@ fn probe(
         // probe-side expression.
         return Ok(());
     }
-    // An ordered build's keys are `$y/c` over nodes, which never raise,
-    // so its probe key is evaluated before the table is asked for.
-    let table = match build.ordered_doc {
-        Some(_) => None,
-        None => Some(build.table(j, interp, env)),
+    // A store-answerable build's keys are `$y/c` over nodes, which never
+    // raise, so its probe key is evaluated before the table is asked
+    // for; any other build's keys may raise first.
+    let table = match (&j.index_key, build.ordered_doc) {
+        (Some(_), Some(_)) => None,
+        _ => Some(build.table(j, interp, env)),
     };
     if !table.is_some_and(|t| t.scan_only) {
         let atoms = key_atoms(j, &j.probe_key, interp, env)?;
-        if let Some(matches) = build.store_matches(j, interp, &atoms) {
+        let key = match (&j.index_key, atoms.as_slice()) {
+            (Some(c), [atom]) => ValueProbeIr::of_atom(atom).map(|key| (c, key)),
+            _ => None,
+        };
+        if let Some((matches, _)) = key.and_then(|key| ordered_matches(interp, build, &[key])) {
             interp.stats.join_hash_probes.add(1);
             for item in matches {
                 if !take(item) {
@@ -1252,7 +1217,7 @@ fn probe(
             return Ok(());
         }
     }
-    for item in &build.items {
+    for item in build.items.iter() {
         env.slots[j.build_slot] = Sequence::One(item.clone());
         if interp.eval_ebv(&j.pred, env)? && !take(item) {
             break;
@@ -1262,11 +1227,11 @@ fn probe(
 }
 
 /// The hash-join operator: a streaming binder (`let` shape) or filter
-/// (`some` shape) probing the run's shared build table.
+/// (`some` shape) probing the build side kept in the run's shared cell.
 struct HashJoin<'p> {
     input: BoxSource<'p>,
     j: &'p JoinIr,
-    cell: JoinCell,
+    cell: SourceCell,
 }
 
 impl TupleSource for HashJoin<'_> {
@@ -1282,11 +1247,12 @@ impl TupleSource for HashJoin<'_> {
         let mut out = Vec::with_capacity(before);
         for mut t in batch {
             t.apply(env);
-            // Every probe after the first replays the build's error, as
-            // re-evaluating SRC would.
             let build = self
                 .cell
-                .get_or_init(|| build_join(self.j, interp, env))
+                .get_or_init(|| {
+                    let build = interp.eval(&self.j.build_src, env).map(SourceValue::kept);
+                    build.inspect(|b| interp.stats.join_build_tuples.add(b.items.len() as u64))
+                })
                 .as_ref()
                 .map_err(EngineError::clone)?;
             match &self.j.kind {
@@ -1533,7 +1499,7 @@ fn exchange<'p>(
     env: &mut Env,
     seed: &Bindings,
     cut: usize,
-    cells: &[RunCell],
+    cells: &[Option<SourceCell>],
 ) -> EngineResult<(Partial<'p>, ExchangeProfile)> {
     let workers = interp.threads.min(seed.items.len().div_ceil(MORSEL));
     let clock = profiling_clock(interp);
@@ -1622,7 +1588,7 @@ struct Morsels<'a, 'p> {
     items: &'a [Item],
     /// Whether its probes were exact ([`Bindings::exact`]).
     exact: bool,
-    cells: &'a [RunCell],
+    cells: &'a [Option<SourceCell>],
     /// The next unclaimed morsel index.
     next: AtomicUsize,
     /// The smallest morsel index that raised so far: nothing past it is

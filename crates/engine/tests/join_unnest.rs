@@ -424,3 +424,19 @@ fn a_value_comparison_declines_the_index() {
         Err(ErrorCode::XPTY0004)
     );
 }
+
+#[test]
+fn an_ordered_build_off_the_index_raises_its_build_key_first() {
+    // `//x` is ordered, but the build key is no `$y/c`: the store cannot
+    // answer, so the table (whose first key raises FORG0001) is asked for
+    // before the probe key (`($a, $a)` under `eq` raises XPTY0004), as the
+    // nested `where` evaluates its left operand first.
+    let c = indexed("<r><x><k>a</k></x><x><k>1</k></x></r>");
+    let query = "for $a in (1, 2) \
+                 let $m := for $y in //x where xs:integer($y/k) eq ($a, $a) return $y \
+                 return count($m)";
+    assert_eq!(
+        assert_joined_matches_nested(&c, query, false),
+        Err(ErrorCode::FORG0001)
+    );
+}
