@@ -47,7 +47,7 @@
 
 use crate::functions::Builtin;
 use crate::ir::*;
-use crate::rewrite::{conjuncts, value_keys, EqPred};
+use crate::rewrite::{conjuncts, joined, value_keys, EqPred, Joined};
 use xqa_storage::CatalogStatistics;
 
 /// Default selectivity assumed for an unanalyzed `where` predicate.
@@ -85,11 +85,11 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
                 }
             }
             ClauseIr::Let { .. } | ClauseIr::Count { .. } => card,
-            ClauseIr::Where(pred) => match &op.join {
+            ClauseIr::Where(pred) => match joined(op) {
                 // Semi-join: tuples whose probe key hits the build
                 // table, estimated from the equi-join formula capped at
                 // the input (each tuple survives at most once).
-                Some(j) => match (card, join_estimate(j, card, stats)) {
+                Some(j) => match (card, join_estimate(&j, card, stats)) {
                     (Some(n), Some(m)) => Some(n.min(m)),
                     _ => card.map(filter_fallback),
                 },
@@ -133,13 +133,9 @@ fn join_cardinality(build: u64, probe: u64, ndv: u64) -> u64 {
 /// Matched-pairs estimate for an annotated join: build-side cardinality
 /// from [`source_cardinality`], key ndv from the catalog's per-name
 /// distinct counts (keyed by the build key's deepest named step).
-fn join_estimate(
-    j: &crate::ir::JoinIr,
-    probe: Option<u64>,
-    stats: Option<&CatalogStatistics>,
-) -> Option<u64> {
-    let build = source_cardinality(&j.build_src, stats)?;
-    let ndv = stats?.distinct_values(&key_leaf_name(&j.build_key)?)?;
+fn join_estimate(j: &Joined, probe: Option<u64>, stats: Option<&CatalogStatistics>) -> Option<u64> {
+    let build = source_cardinality(j.join.src, stats)?;
+    let ndv = stats?.distinct_values(&key_leaf_name(j.build_key)?)?;
     Some(join_cardinality(build, probe?, ndv))
 }
 

@@ -353,9 +353,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
     // The `[hash join key=…]` tag on a join-annotated `let` / `where`:
     // the clause runs as a HashJoin probe, not by re-evaluating the
     // nested expression per tuple.
-    let join_tag = op
-        .join
-        .as_ref()
+    let join_tag = crate::rewrite::joined(op)
         .map(|j| format!(" [hash join {}]", j.key_desc()))
         .unwrap_or_default();
     match &op.clause {

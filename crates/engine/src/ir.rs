@@ -308,8 +308,8 @@ impl From<ClauseIr> for OpIr {
 }
 
 impl OpIr {
-    /// The plan detail: a join's key description (and `value index c` when its
-    /// build key reads the value index), a bounded order-by's
+    /// The plan detail: a join's key description (and `value index c` when
+    /// the store answers its `$y/c` build key), a bounded order-by's
     /// `limit=k`, the index access path of a `for` over an annotated
     /// path (so plans show where the tuples come from), a kept source as
     /// `source once` and its value probes as `probe c ..`, a `let` that
@@ -317,8 +317,8 @@ impl OpIr {
     /// group-by's `keys by value id` and its counted nests as
     /// `agg count($v)`; else empty.
     pub fn detail(&self) -> String {
-        if let Some(j) = &self.join {
-            return match &j.index_key {
+        if let Some(j) = crate::rewrite::joined(self) {
+            return match j.index_key {
                 Some(c) => format!("{}, value index {c}", j.key_desc()),
                 None => j.key_desc(),
             };
@@ -467,57 +467,29 @@ impl OpKind {
     }
 }
 
-/// A join-graph annotation: one nested-FLWOR equality predicate proven
-/// unnestable into a hash join (see [`crate::rewrite`] for the exact
-/// detection rules).
+/// A join-graph annotation on a nested selection whose predicate is
+/// one equality, proven unnestable into a hash join (see
+/// [`crate::rewrite`] for the detection rules). It records only what the
+/// planner decided: `HashJoin`, `explain` and the estimator read the
+/// inner variable, the source, the predicate and the `let`'s slot and
+/// type from the clause itself (`rewrite::joined`).
 #[derive(Debug, Clone)]
 pub struct JoinIr {
-    /// What the probe result feeds: a `let` binding of all matching
-    /// build items, or an existential `where` filter.
-    pub kind: JoinKindIr,
-    /// Slot of the inner binding variable (`$y`), bound per build item
-    /// when key expressions and the residual predicate are evaluated.
-    pub build_slot: Slot,
-    /// The build-side source — independent of every slot the enclosing
-    /// FLWOR binds, so it is evaluated once per FLWOR execution.
-    pub build_src: Ir,
-    /// The original equality predicate, as written: the fallback scan
-    /// evaluates it per build item. Hash candidates are verified on
-    /// the key atoms instead.
-    pub pred: Ir,
-    /// The predicate side that references `$y` — atomized per build
-    /// item into the hash-table keys.
-    pub build_key: Ir,
-    /// The predicate side independent of `$y` — atomized per probe
-    /// tuple into lookup keys.
-    pub probe_key: Ir,
-    /// `true` for a value comparison (`eq`, singleton atomization with
-    /// XPTY0004 on more), `false` for a general comparison (`=`,
-    /// existential over both atomized sequences).
-    pub value_comp: bool,
-    /// Set by the planner's value-probe rule when the build key is
-    /// `$y/c` (one predicate-free `child::c` step from `$y`) under `=`:
-    /// `c`. `HashJoin` then answers a probe from the document store's
-    /// value index where it can (`HashJoin` in `pipeline.rs`).
-    pub index_key: Option<QName>,
-}
-
-impl JoinIr {
-    /// The `key=probe ~ build` description explain output and rewrite
-    /// notes print.
-    pub fn key_desc(&self) -> String {
-        format!(
-            "key={} {} {}",
-            expr_oneline(&self.probe_key),
-            if self.value_comp { "eq" } else { "=" },
-            expr_oneline(&self.build_key)
-        )
-    }
+    /// Whether the build key, the operand that references `$y` (atomized
+    /// per build item into the table's keys), is the equality's right
+    /// operand; the probe key is the other one (atomized per probing
+    /// tuple into lookup keys).
+    pub build_rhs: bool,
+    /// Set by the planner's value-probe rule (on unless `access=walk`):
+    /// where the build key is `$y/c` under `=`, `HashJoin` answers a
+    /// probe from the document store's value index where it can
+    /// (`HashJoin` in `pipeline.rs`).
+    pub indexed: bool,
 }
 
 /// A compact one-line rendering of a join key expression for rewrite
 /// notes and the `[hash join key=…]` explain tag.
-fn expr_oneline(ir: &Ir) -> String {
+pub(crate) fn expr_oneline(ir: &Ir) -> String {
     match ir {
         Ir::Var(s) => format!("$slot{s}"),
         Ir::Global(g) => format!("$global{g}"),
@@ -548,23 +520,6 @@ fn expr_oneline(ir: &Ir) -> String {
         }
         _ => "expr()".to_string(),
     }
-}
-
-/// The output shape of an unnested join.
-#[derive(Debug, Clone)]
-pub enum JoinKindIr {
-    /// From `let $m := (for $y in S where <eq> return $y)`: bind `$m`
-    /// to every matching build item, in build order.
-    LetMany {
-        /// The `let` clause's slot.
-        slot: Slot,
-        /// The `let` clause's declared type check, if any.
-        ty: Option<SeqTypeIr>,
-    },
-    /// From `where some $y in S satisfies <eq>`: keep the tuple iff any
-    /// build item matches (first match short-circuits, like the
-    /// quantifier it replaces).
-    ExistsSemi,
 }
 
 /// Compile-time analysis: may this clause chain run morsel-parallel

@@ -43,7 +43,7 @@ use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
 use crate::keys::atomic_key;
 use crate::profile::{Clock, OpProfile, PipelineProfile};
-use crate::rewrite::conjuncts;
+use crate::rewrite::{conjuncts, joined, Joined};
 use crate::types::matches_seq_type;
 use partial::Partial;
 use std::borrow::Cow;
@@ -354,7 +354,7 @@ fn clause_source<'p>(
     flag: Option<ExactFlag>,
     after_probe: Option<(ExactFlag, usize)>,
 ) -> BoxSource<'p> {
-    let kept = match (&op.join, cell) {
+    let kept = match (joined(op), cell) {
         (Some(j), Some(cell)) => return Box::new(HashJoin { input, j, cell }),
         (_, cell) => cell,
     };
@@ -686,7 +686,7 @@ impl SourceValue {
     }
 
     /// The bucket table, built now if no probe has needed it yet.
-    fn table(&self, j: &JoinIr, interp: &Interpreter, env: &mut Env) -> &JoinTable {
+    fn table(&self, j: &Joined, interp: &Interpreter, env: &mut Env) -> &JoinTable {
         self.table
             .get_or_init(|| build_join_table(j, &self.items, interp, env))
     }
@@ -1006,12 +1006,13 @@ fn all_hold(interp: &Interpreter, conjuncts: &[&Ir], env: &mut Env) -> EngineRes
 // The planner's join-unnesting rule (`crate::rewrite`)
 // marks a `let $m := for $y in SRC where KEY-pred return $y` clause or
 // a `where some $y in SRC satisfies KEY-pred` clause whose SRC is
-// independent of the enclosing bindings. The operator here replaces
-// the per-tuple nested loop: SRC is kept *once per FLWOR execution*
-// in the record's `SourceCell`, as a hoisted `for` keeps its source,
-// and each probing tuple does one keyed lookup.
+// independent of the enclosing bindings; the operator reads SRC, `$y`
+// and KEY-pred back from the clause (`Joined`). It replaces the
+// per-tuple nested loop: SRC is kept *once per FLWOR execution* in the
+// record's `SourceCell`, as a hoisted `for` keeps its source, and each
+// probing tuple does one keyed lookup.
 //
-// Where the build key is `$y/c` under `=` (`JoinIr::index_key`), SRC's
+// Where the build key is `$y/c` under `=` (`Joined::index_key`), SRC's
 // items are nodes of one document in increasing id order and the probe
 // key is one string, untyped or numeric atom, the document store's
 // value index answers the lookup exactly through the lookup a probed
@@ -1089,7 +1090,7 @@ struct JoinTable {
 /// atomized under the comparison's rules: a value comparison admits at
 /// most one atom, a general comparison atomizes the whole sequence.
 fn key_atoms(
-    j: &JoinIr,
+    j: &Joined,
     key: &Ir,
     interp: &Interpreter,
     env: &mut Env,
@@ -1107,15 +1108,15 @@ fn key_atoms(
 /// depends on the probe (a `some` stops at its first preceding match),
 /// so the table just degrades to scan-only and the per-probe scan
 /// re-raises it at exactly the nested position.
-fn build_join_table(j: &JoinIr, items: &[Item], interp: &Interpreter, env: &mut Env) -> JoinTable {
+fn build_join_table(j: &Joined, items: &[Item], interp: &Interpreter, env: &mut Env) -> JoinTable {
     let mut keys = Vec::with_capacity(items.len());
     let mut buckets: HashMap<String, Vec<usize>> = HashMap::new();
     let mut classes = 0;
     let mut scan_only = false;
     let mut scratch = String::new();
     for (idx, item) in items.iter().enumerate() {
-        env.slots[j.build_slot] = Sequence::One(item.clone());
-        let Ok(atoms) = key_atoms(j, &j.build_key, interp, env) else {
+        env.slots[j.join.y] = Sequence::One(item.clone());
+        let Ok(atoms) = key_atoms(j, j.build_key, interp, env) else {
             scan_only = true;
             break;
         };
@@ -1169,7 +1170,7 @@ fn join_candidates(table: &JoinTable, atoms: &[AtomicValue]) -> Vec<usize> {
 /// — and, as in the quantifier, a predicate after the match a `some`
 /// stopped at is never evaluated.
 fn probe(
-    j: &JoinIr,
+    j: &Joined,
     build: &SourceValue,
     interp: &Interpreter,
     env: &mut Env,
@@ -1183,13 +1184,13 @@ fn probe(
     // A store-answerable build's keys are `$y/c` over nodes, which never
     // raise, so its probe key is evaluated before the table is asked
     // for; any other build's keys may raise first.
-    let table = match (&j.index_key, build.ordered_doc) {
+    let table = match (j.index_key, build.ordered_doc) {
         (Some(_), Some(_)) => None,
         _ => Some(build.table(j, interp, env)),
     };
     if !table.is_some_and(|t| t.scan_only) {
-        let atoms = key_atoms(j, &j.probe_key, interp, env)?;
-        let key = match (&j.index_key, atoms.as_slice()) {
+        let atoms = key_atoms(j, j.probe_key, interp, env)?;
+        let key = match (j.index_key, atoms.as_slice()) {
             (Some(c), [atom]) => ValueProbeIr::of_atom(atom).map(|key| (c, key)),
             _ => None,
         };
@@ -1218,8 +1219,8 @@ fn probe(
         }
     }
     for item in build.items.iter() {
-        env.slots[j.build_slot] = Sequence::One(item.clone());
-        if interp.eval_ebv(&j.pred, env)? && !take(item) {
+        env.slots[j.join.y] = Sequence::One(item.clone());
+        if interp.eval_ebv(j.pred, env)? && !take(item) {
             break;
         }
     }
@@ -1230,7 +1231,7 @@ fn probe(
 /// (`some` shape) probing the build side kept in the run's shared cell.
 struct HashJoin<'p> {
     input: BoxSource<'p>,
-    j: &'p JoinIr,
+    j: Joined<'p>,
     cell: SourceCell,
 }
 
@@ -1250,26 +1251,26 @@ impl TupleSource for HashJoin<'_> {
             let build = self
                 .cell
                 .get_or_init(|| {
-                    let build = interp.eval(&self.j.build_src, env).map(SourceValue::kept);
+                    let build = interp.eval(self.j.join.src, env).map(SourceValue::kept);
                     build.inspect(|b| interp.stats.join_build_tuples.add(b.items.len() as u64))
                 })
                 .as_ref()
                 .map_err(EngineError::clone)?;
-            match &self.j.kind {
-                JoinKindIr::LetMany { slot, ty } => {
+            match self.j.join.binds {
+                Some((slot, ty)) => {
                     let mut matches = SequenceBuilder::new();
-                    probe(self.j, build, interp, env, |item| {
+                    probe(&self.j, build, interp, env, |item| {
                         matches.push(item.clone());
                         true
                     })?;
                     let seq = matches.build();
-                    check_let_type(&seq, ty.as_ref())?;
-                    t.bind(*slot, seq);
+                    check_let_type(&seq, ty)?;
+                    t.bind(slot, seq);
                     out.push(t);
                 }
-                JoinKindIr::ExistsSemi => {
+                None => {
                     let mut found = false;
-                    probe(self.j, build, interp, env, |_| {
+                    probe(&self.j, build, interp, env, |_| {
                         found = true;
                         false
                     })?;
@@ -1279,7 +1280,7 @@ impl TupleSource for HashJoin<'_> {
                 }
             }
         }
-        if matches!(self.j.kind, JoinKindIr::ExistsSemi) {
+        if self.j.join.binds.is_none() {
             interp
                 .stats
                 .tuples_pruned_filter

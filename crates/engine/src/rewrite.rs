@@ -26,8 +26,9 @@
 //! probes, implicit group-by detection and the estimator's equality
 //! selectivity are each one match on those views. The views never
 //! reorder operands in the IR: a hash join must raise what the nested
-//! loop raises first, so the original predicate ([`JoinIr::pred`])
-//! stays in place, and the fallback scan evaluates it as written.
+//! loop raises first, so its annotation ([`JoinIr`]) records only which
+//! operand is its build key, the operator reads the clause back through
+//! [`joined`], and the fallback scan evaluates the predicate as written.
 //!
 //! # Implicit group-by
 //!
@@ -109,15 +110,13 @@ struct Rule {
 ///    then plan the grouped form like any explicit `group by`.
 /// 2. *constant folding* before top-k, so literal bounds like
 ///    `[position() le 5 + 5]` are visible as literals.
-/// 3. *nest aggregation* after implicit group-by (whose `count($items)`
-///    it also sees) and before join unnesting, which copies the clause
-///    expressions this rule rewrites into its annotations.
+/// 3. *nest aggregation* after implicit group-by, whose `count($items)`
+///    it also sees.
 /// 4. *top-k pushdown* only changes how the order-by runs; the residual
 ///    predicate stays in place.
 /// 5. *path fusion* before index annotation, so `//T` is visible as one
 ///    `descendant::T` step.
-/// 6. *index annotation* before join unnesting, so the build source the
-///    join clones carries its access path.
+/// 6. *index annotation*.
 /// 7. *value-id grouping*, under the index annotation's hint: it only
 ///    chooses how a `group by` finds its groups.
 /// 8. *join unnesting*.
@@ -298,24 +297,25 @@ impl<'a> EqPred<'a> {
     }
 }
 
-/// A nested equality join: `let $m := (for $y in S where C return $y)`
+/// A nested selection: `let $m := (for $y in S where C return $y)`
 /// with no `at` / type / `return at` decoration on the inner FLWOR, or
 /// `where some $y in S satisfies C` with its single binding.
-struct NestedJoin<'a> {
-    /// What the matches feed: the `let` binding, or the existential
-    /// filter.
-    kind: JoinKindIr,
+pub(crate) struct NestedJoin<'a> {
+    /// What the matches feed: the `let`'s slot and declared type, or
+    /// `None` for the existential filter, which keeps the tuple iff any
+    /// item matches.
+    pub(crate) binds: Option<(Slot, Option<&'a SeqTypeIr>)>,
     /// Slot of the inner variable `$y`.
-    y: Slot,
+    pub(crate) y: Slot,
     /// The inner source `S`.
-    src: &'a Ir,
+    pub(crate) src: &'a Ir,
     /// `C`, as its conjuncts.
     conjuncts: Vec<&'a Ir>,
 }
 
 impl<'a> NestedJoin<'a> {
     fn of(clause: &'a ClauseIr) -> Option<NestedJoin<'a>> {
-        let (kind, y, src, pred) = match clause {
+        let (binds, y, src, pred) = match clause {
             ClauseIr::Let {
                 slot,
                 ty,
@@ -334,11 +334,7 @@ impl<'a> NestedJoin<'a> {
                 {
                     return None;
                 }
-                let kind = JoinKindIr::LetMany {
-                    slot: *slot,
-                    ty: ty.clone(),
-                };
-                (kind, *y, src, pred)
+                (Some((*slot, ty.as_ref())), *y, src, pred)
             }
             ClauseIr::Where(Ir::Quantified {
                 kind: Quantifier::Some,
@@ -348,16 +344,66 @@ impl<'a> NestedJoin<'a> {
                 let [(y, src)] = bindings.as_slice() else {
                     return None;
                 };
-                (JoinKindIr::ExistsSemi, *y, src, &**satisfies)
+                (None, *y, src, &**satisfies)
             }
             _ => return None,
         };
         Some(NestedJoin {
-            kind,
+            binds,
             y,
             src,
             conjuncts: conjuncts(pred),
         })
+    }
+}
+
+/// A join-annotated clause read back through its [`NestedJoin`] view,
+/// its key operands as [`JoinIr`] oriented them.
+pub(crate) struct Joined<'a> {
+    pub(crate) join: NestedJoin<'a>,
+    /// `C`, one equality: the fallback scan evaluates it as written.
+    pub(crate) pred: &'a Ir,
+    /// The operand independent of `$y`.
+    pub(crate) probe_key: &'a Ir,
+    /// The operand that references `$y`.
+    pub(crate) build_key: &'a Ir,
+    /// `eq` rather than `=`.
+    pub(crate) value_comp: bool,
+    /// `c` where the store may answer a build key `$y/c` under `=`
+    /// ([`JoinIr::indexed`]).
+    pub(crate) index_key: Option<&'a QName>,
+}
+
+/// The join `op` runs, if the join-unnesting rule annotated it.
+pub(crate) fn joined(op: &OpIr) -> Option<Joined<'_>> {
+    let j = op.join.as_ref()?;
+    let join = NestedJoin::of(&op.clause)?;
+    let [pred] = join.conjuncts[..] else {
+        return None;
+    };
+    let eq = EqPred::of(pred)?;
+    let (probe_key, build_key) = match j.build_rhs {
+        true => (eq.lhs, eq.rhs),
+        false => (eq.rhs, eq.lhs),
+    };
+    let index_key = child_of(build_key, join.y).filter(|_| j.indexed && !eq.value_comp);
+    Some(Joined {
+        join,
+        pred,
+        probe_key,
+        build_key,
+        value_comp: eq.value_comp,
+        index_key,
+    })
+}
+
+impl Joined<'_> {
+    /// The `key=probe ~ build` description explain output and rewrite
+    /// notes print.
+    pub(crate) fn key_desc(&self) -> String {
+        let op = if self.value_comp { "eq" } else { "=" };
+        let (probe, build) = (expr_oneline(self.probe_key), expr_oneline(self.build_key));
+        format!("key={probe} {op} {build}")
     }
 }
 
@@ -382,6 +428,15 @@ fn child_of(ir: &Ir, slot: Slot) -> Option<&QName> {
         }
         _ => None,
     }
+}
+
+/// A conjunct `$v/c = K`: a general comparison, in either operand
+/// order, of `$v/c` (see [`child_of`]) and `K`. Returns `c`, the `$v/c`
+/// operand and `K`.
+fn child_eq(conjunct: &Ir, slot: Slot) -> Option<(&QName, &Ir, &Ir)> {
+    let eq = EqPred::of(conjunct).filter(|eq| !eq.value_comp)?;
+    let ((c, path), key) = eq.orient(|side| Some((child_of(side, slot)?, side)))?;
+    Some((c, path, key))
 }
 
 /// Structural identity of two IR fragments. `Ir` holds `f64` literals,
@@ -416,11 +471,7 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
         .iter()
         .position(|c| !matches!(c, ClauseIr::For { .. }))?;
     let join = NestedJoin::of(clauses[fors])?;
-    let JoinKindIr::LetMany {
-        slot: items,
-        ty: None,
-    } = join.kind
-    else {
+    let Some((items, None)) = join.binds else {
         return None;
     };
     let Ir::Path(source) = join.src else {
@@ -463,17 +514,8 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
             return None;
         }
         let key_path = join.conjuncts.iter().find_map(|&c| {
-            let eq = EqPred::of(c).filter(|eq| !eq.value_comp)?;
-            let (path, other) = eq.orient(|side| match side {
-                Ir::Path(p)
-                    if matches!(&p.start, PathStartIr::Expr(Ir::Var(v)) if *v == join.y)
-                        && plain_child_step(p) == Some(key) =>
-                {
-                    Some(side)
-                }
-                _ => None,
-            })?;
-            matches!(other, Ir::Var(v) if v == slot).then_some(path)
+            let (c, path, other) = child_eq(c, join.y)?;
+            (c == key && matches!(other, Ir::Var(v) if v == slot)).then_some(path)
         })?;
         keys.push(GroupKeyIr {
             expr: Ir::CallBuiltin(Builtin::Data, vec![key_path.clone()]),
@@ -899,15 +941,13 @@ pub(crate) fn value_keys(g: &GroupByIr) -> Option<Vec<(Slot, QName)>> {
 /// evaluates its operands in order and a dropped tuple must be one whose
 /// `where` would not have raised.
 ///
-/// Also record [`JoinIr::index_key`] on every join whose build key is
-/// `$y/c` under `=`: the same lookup answers its probes.
+/// Also set [`JoinIr::indexed`] on every join: where its build key is
+/// `$y/c` under `=`, the same lookup answers its probes.
 fn annotate_value_probes(root: &mut Ir, _: &mut Cx<'_>) {
     walk(root, false, &mut |ir| {
         let Ir::Flwor(f) = ir else { return };
         for j in f.ops.iter_mut().filter_map(|op| op.join.as_mut()) {
-            if !j.value_comp {
-                j.index_key = child_of(&j.build_key, j.build_slot).cloned();
-            }
+            j.indexed = true;
         }
         for i in 1..f.ops.len() {
             let (scan, next) = (&f.ops[i - 1], &f.ops[i]);
@@ -926,13 +966,9 @@ fn annotate_value_probes(root: &mut Ir, _: &mut Cx<'_>) {
             };
             let probes = conjuncts(pred)
                 .into_iter()
-                .map_while(|conjunct| {
-                    let eq = EqPred::of(conjunct).filter(|eq| !eq.value_comp)?;
-                    let (c, key) = eq.orient(|side| child_of(side, *slot))?;
-                    match key {
-                        Ir::Var(x) if x != slot => Some((c.clone(), *x)),
-                        _ => None,
-                    }
+                .map_while(|conjunct| match child_eq(conjunct, *slot)? {
+                    (c, _, Ir::Var(x)) if x != slot => Some((c.clone(), *x)),
+                    _ => None,
                 })
                 .collect();
             f.ops[i - 1].probes = probes;
@@ -996,10 +1032,10 @@ fn hoist_invariant_sources(root: &mut Ir, _: &mut Cx<'_>) {
 /// (recursion). The probe side may be anything — it is (re)evaluated
 /// per tuple either way.
 ///
-/// The clause's original IR is left untouched; the annotation only
-/// changes which operator its record runs as ([`OpKind::of`]), so the
-/// runtime's per-probe fallback scan still evaluates the exact original
-/// predicate.
+/// The clause's IR is left untouched; the annotation only records which
+/// operand is the build key and changes which operator its record runs
+/// as ([`OpKind::of`]), so the runtime's per-probe fallback scan still
+/// evaluates the exact original predicate.
 ///
 /// `join=nested` turns the rule off; otherwise it annotates every
 /// matching shape.
@@ -1008,18 +1044,18 @@ fn unnest_joins(root: &mut Ir, cx: &mut Cx<'_>) {
         let Ir::Flwor(f) = ir else { return };
         let bound = flwor_bound_slots(f);
         for op in &mut f.ops {
-            let Some(join) = match_join(&op.clause, &bound) else {
+            op.join = match_join(&op.clause, &bound);
+            let Some(j) = joined(op) else {
                 continue;
             };
             cx.fired.push(format!(
                 "hash join: {} unnested on {}",
-                match join.kind {
-                    JoinKindIr::LetMany { slot, .. } => format!("let slot{slot} binding"),
-                    JoinKindIr::ExistsSemi => "existential filter".to_string(),
+                match j.join.binds {
+                    Some((slot, _)) => format!("let slot{slot} binding"),
+                    None => "existential filter".to_string(),
                 },
-                join.key_desc(),
+                j.key_desc(),
             ));
-            op.join = Some(join);
         }
     });
 }
@@ -1078,14 +1114,8 @@ fn match_join(clause: &ClauseIr, bound: &HashSet<Slot>) -> Option<JoinIr> {
         return None;
     }
     Some(JoinIr {
-        kind: join.kind,
-        build_slot: join.y,
-        build_src: join.src.clone(),
-        pred: (*pred).clone(),
-        build_key: build_key.clone(),
-        probe_key: probe_key.clone(),
-        value_comp: eq.value_comp,
-        index_key: None,
+        build_rhs: std::ptr::eq(build_key, eq.rhs),
+        indexed: false,
     })
 }
 

@@ -440,3 +440,109 @@ fn an_ordered_build_off_the_index_raises_its_build_key_first() {
         Err(ErrorCode::FORG0001)
     );
 }
+
+// The join annotation records only which operand of the clause's
+// equality is the build key; the operator, `explain`, the estimator and
+// the rewrite note read the rest back from the clause. These cases hold
+// each part of that read-back against the nested loop.
+
+/// `count` of the lineitems whose ship mode matches `$m`, joined on `pred`.
+fn mode_join(pred: &str) -> String {
+    format!(
+        "for $m in (\"AIR\", \"SHIP\", \"TRUCK\") \
+         let $items := for $i in //order/lineitem where {pred} return $i \
+         return count($items)"
+    )
+}
+
+/// The `HashJoin(...)` label of `query`'s unhinted plan.
+fn join_label(query: &str) -> String {
+    let text = engine("").compile(query).expect("compile").explain();
+    let at = text.find("HashJoin(").expect("a hash join");
+    text[at..].lines().next().unwrap_or_default().to_string()
+}
+
+#[test]
+fn either_operand_order_reads_back_the_same_key() {
+    let c = indexed(DOC);
+    let (built_left, built_right) = (mode_join("$i/shipmode = $m"), mode_join("$m = $i/shipmode"));
+    for query in [&built_left, &built_right] {
+        assert_eq!(
+            assert_joined_matches_nested(&c, query, true).as_deref(),
+            Ok("3 1 0")
+        );
+    }
+    assert_eq!(join_label(&built_left), join_label(&built_right));
+    assert_eq!(
+        join_label(&built_left),
+        "HashJoin(key=$slot0 = $slot1/shipmode, value index shipmode) -> ReturnAt"
+    );
+    let (eq_left, eq_right) = (
+        mode_join("$i/shipmode eq $m"),
+        mode_join("$m eq $i/shipmode"),
+    );
+    for query in [&eq_left, &eq_right] {
+        assert_eq!(
+            assert_joined_matches_nested(&c, query, false).as_deref(),
+            Ok("3 1 0")
+        );
+    }
+    assert_eq!(
+        join_label(&eq_left),
+        "HashJoin(key=$slot0 eq $slot1/shipmode) -> ReturnAt"
+    );
+}
+
+#[test]
+fn the_let_type_is_read_from_the_clause() {
+    let c = indexed(DOC);
+    let typed = |ty: &str| {
+        format!(
+            "for $m in (\"AIR\", \"SHIP\") \
+             let $items as {ty} := for $i in //order/lineitem where $i/shipmode = $m return $i \
+             return count($items)"
+        )
+    };
+    assert_eq!(
+        assert_joined_matches_nested(&c, &typed("element(lineitem)+"), true).as_deref(),
+        Ok("3 1")
+    );
+    assert_eq!(
+        assert_joined_matches_nested(&c, &typed("element(lineitem)?"), true),
+        Err(ErrorCode::XPTY0004)
+    );
+}
+
+/// A predicate of more than one conjunct declines: the two-key `Q`
+/// shapes stay on the nested path, whose `LetBind` and execute time the
+/// ledger samples (ROADMAP, "Ledger coupling"). Every mode answers alike.
+#[test]
+fn a_conjunction_declines_the_join() {
+    let c = indexed(DOC);
+    for query in [
+        mode_join("$i/shipmode = $m and $i/qty > 2"),
+        "for $o in //order \
+         where some $i in //order/lineitem satisfies \
+             $i/shipmode = $o/lineitem[1]/shipmode and $i/qty > 4 \
+         return count($o/lineitem)"
+            .to_string(),
+    ] {
+        let mut outs = Vec::new();
+        for threads in [1, 4] {
+            for hints in ["join=hash", "", "join=nested", "access=walk"] {
+                let engine = Engine::with_options(EngineOptions {
+                    threads,
+                    hints: hints.parse().expect("valid hints"),
+                });
+                let plan = engine.compile(&query).expect("compile");
+                assert!(!plan.explain().contains("hash join"), "{hints}: {query}");
+                outs.push(
+                    plan.run(&c)
+                        .map(|s| serialize_sequence(&s))
+                        .map_err(|e| e.code()),
+                );
+            }
+        }
+        assert!(outs.iter().all(|o| *o == outs[0]), "{query}: {outs:?}");
+    }
+}
