@@ -32,7 +32,6 @@ struct Args {
     profile: bool,
     diag_json: Option<String>,
     deterministic_clock: bool,
-    threads: usize,
     hints: PlanHints,
 }
 
@@ -58,9 +57,6 @@ options:
                             compile with its hints) and the rewrite kinds
       --deterministic-clock profile with a fixed-tick clock so timings are
                             reproducible (for tests and goldens)
-      --threads N           intra-query parallelism: worker threads for
-                            FLWORs whose `group by` / `order by` merges
-                            partials (default 1 = serial)
       --hint K=V[,K=V...]   pin planner decisions (hints below)
   -h, --help                show this help
 serve options:
@@ -132,7 +128,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
         profile: false,
         diag_json: None,
         deterministic_clock: false,
-        threads: 0,
         hints: PlanHints::default(),
     };
     let mut it = raw;
@@ -164,13 +159,6 @@ fn parse_args(raw: impl Iterator<Item = String>) -> Result<Args, String> {
                 args.diag_json = Some(it.next().ok_or("--diag-json requires a file")?);
             }
             "--deterministic-clock" => args.deterministic_clock = true,
-            "--threads" => {
-                let n = it.next().ok_or("--threads requires a number")?;
-                args.threads = n.parse().map_err(|_| format!("invalid thread count {n}"))?;
-                if args.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
             "--hint" => args.hints = parse_hint_spec(it.next())?,
             other if other.starts_with('-') => return Err(format!("unknown option {other}")),
             other => positional.push(other.to_string()),
@@ -214,8 +202,8 @@ fn run(args: &Args) -> Result<(), String> {
         ctx.enable_profiling();
     }
     let engine = Engine::with_options(EngineOptions {
-        threads: args.threads,
         hints: args.hints,
+        ..EngineOptions::default()
     })
     .with_statistics(statistics);
     // The record's latency spans compile, run and serialize, as a

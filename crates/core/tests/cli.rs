@@ -298,44 +298,16 @@ fn help_and_unknown_flags() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// Intra-query parallelism is opt-in: without `--threads` the grouped
-/// query's plan carries no `[parallel` tag, `--threads 2` adds it, and
-/// the plan fingerprint is the same at every thread count.
+/// Intra-query parallelism is gone: `--threads` is an unknown option,
+/// a usage error (exit 2).
 #[test]
-fn parallelism_is_opt_in() {
-    let grouped = "for $x in 1 to 5000 group by $x mod 2 into $k nest $x into $xs \
-                   return count($xs)";
-    let run = |threads: &[&str]| {
-        let diag = write_temp(&format!("opt-in-{}.json", threads.join("")), "");
-        let out = xqa()
-            .args(["--explain", "-q", grouped, "--diag-json"])
-            .arg(&diag)
-            .args(threads)
-            .output()
-            .expect("run xqa");
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let record = std::fs::read_to_string(&diag).expect("read diag json");
-        let fingerprint = json_members(&record)
-            .into_iter()
-            .find(|(k, _)| k == "fingerprint")
-            .expect("fingerprint")
-            .1;
-        (
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-            fingerprint,
-        )
-    };
-    let (serial, print) = run(&[]);
-    assert!(!serial.contains("[parallel"), "{serial}");
-    let (two, _) = run(&["--threads", "2"]);
-    assert!(two.contains("[parallel ×2]"), "{two}");
-    for threads in [["--threads", "1"], ["--threads", "4"]] {
-        assert_eq!(run(&threads).1, print, "fingerprint at {threads:?}");
-    }
+fn the_threads_option_is_rejected() {
+    let out = xqa()
+        .args(["--threads", "2", "-q", "1"])
+        .output()
+        .expect("run xqa");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option --threads"));
 }
 
 /// `xqa serve` runs every plan serially and has no second thread knob.
@@ -350,12 +322,10 @@ fn serve_runs_plans_serially() {
     let _ = child.wait();
     let (status, body) = metrics.expect("GET /metrics");
     assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-    for sample in ["xqa_workers 2", "xqa_query_threads 1"] {
-        assert!(
-            body.lines().any(|l| l == sample),
-            "{sample} missing:\n{body}"
-        );
-    }
+    assert!(
+        body.lines().any(|l| l == "xqa_workers 2"),
+        "xqa_workers 2 missing:\n{body}"
+    );
     let out = xqa()
         .args([
             "serve",
@@ -661,8 +631,8 @@ fn hint_flag_controls_unnesting() {
 }
 
 /// The paper query of the `explain analyze` group/top-k golden, profiled
-/// through the CLI: at `--threads` 1 and 4 the `explain analyze` block
-/// is the engine's golden file, byte for byte, and the `--diag-json`
+/// through the CLI: the `explain analyze` block is the engine's golden
+/// file, byte for byte, and the `--diag-json`
 /// record's profile names every operator of the pipeline.
 #[test]
 fn profiled_paper_query_matches_the_explain_analyze_golden() {
@@ -672,38 +642,36 @@ fn profiled_paper_query_matches_the_explain_analyze_golden() {
                  return at $r <g r=\"{$r}\">{$k}:{count($xs)}</g>)[position() le 3]";
     let golden = include_str!("../../engine/tests/golden/explain_analyze_group_topk.txt");
     let diag = write_temp("golden-diag.json", "");
-    for threads in ["1", "4"] {
-        let out = xqa()
-            .args(["-q", query, "--profile", "--deterministic-clock"])
-            .args(["--threads", threads, "--diag-json"])
-            .arg(&diag)
-            .output()
-            .expect("run xqa");
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert!(out.status.success(), "{stderr}");
-        let at = stderr
-            .find("explain analyze:")
-            .unwrap_or_else(|| panic!("no explain analyze: {stderr}"));
-        assert_eq!(&stderr[at..], golden, "threads={threads}");
-        let record = std::fs::read_to_string(&diag).expect("diag file");
-        let json = json_members(&record)
-            .into_iter()
-            .find_map(|(key, value)| (key == "profile").then_some(value))
-            .unwrap_or_else(|| panic!("no profile: {record}"));
-        for op in [
-            "ForScan",
-            "CountBind",
-            "LetBind",
-            "Filter",
-            "GroupConsume",
-            "OrderBy",
-            "ReturnAt",
-        ] {
-            assert!(
-                json.contains(&format!("\"op\":\"{op}\"")),
-                "threads={threads}: {op} missing from {json}"
-            );
-        }
+    let out = xqa()
+        .args(["-q", query, "--profile", "--deterministic-clock"])
+        .arg("--diag-json")
+        .arg(&diag)
+        .output()
+        .expect("run xqa");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{stderr}");
+    let at = stderr
+        .find("explain analyze:")
+        .unwrap_or_else(|| panic!("no explain analyze: {stderr}"));
+    assert_eq!(&stderr[at..], golden);
+    let record = std::fs::read_to_string(&diag).expect("diag file");
+    let json = json_members(&record)
+        .into_iter()
+        .find_map(|(key, value)| (key == "profile").then_some(value))
+        .unwrap_or_else(|| panic!("no profile: {record}"));
+    for op in [
+        "ForScan",
+        "CountBind",
+        "LetBind",
+        "Filter",
+        "GroupConsume",
+        "OrderBy",
+        "ReturnAt",
+    ] {
+        assert!(
+            json.contains(&format!("\"op\":\"{op}\"")),
+            "{op} missing from {json}"
+        );
     }
 }
 

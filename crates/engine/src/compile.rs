@@ -54,7 +54,6 @@ pub fn compile(module: &ast::Module) -> EngineResult<ir::CompiledQuery> {
         body,
         frame_size: c.frame.max_slots,
         ordered: module.prolog.ordering != Some(ast::OrderingMode::Unordered),
-        threads: 1,
     })
 }
 
@@ -572,12 +571,10 @@ impl Compiler {
             self.group_hidden.pop();
         }
         self.frame.truncate(flwor_mark);
-        let parallel = ir::parallel_eligible(&clauses);
         Ok(Ir::Flwor(Box::new(ir::FlworIr {
             ops: clauses.into_iter().map(ir::OpIr::from).collect(),
             return_at,
             return_expr,
-            parallel,
             return_estimate: None,
         })))
     }

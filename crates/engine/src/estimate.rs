@@ -31,9 +31,11 @@
 //! - `Filter` — the leading conjuncts the `for` before it probed are
 //!   not counted again, and a filter with none left passes its input;
 //!   one remaining equality predicate against a value-indexed leaf uses
-//!   the catalog's distinct-value count (`1/ndv` selectivity); a
-//!   `HashJoin`-annotated existential filter uses [`join_cardinality`]
-//!   capped at its input; everything else keeps the fixed
+//!   the catalog's distinct-value count (`1/ndv` selectivity); one
+//!   remaining `exists($s)` of a `$s` an earlier `let` binds to a
+//!   nested FLWOR keeps `min(1, r)` of its input, `r` that FLWOR's sink
+//!   estimate; a `HashJoin`-annotated existential filter uses
+//!   [`join_cardinality`] capped at its input; everything else keeps the fixed
 //!   [`FILTER_SELECTIVITY`] (the classic System-R default of 1/2 for
 //!   an unanalyzed predicate).
 //! - `WindowScan` — emits an unknown number of windows → `None`.
@@ -64,6 +66,9 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
     let mut card: Option<u64> = Some(1);
     // Leading conjuncts of the next `where` the `for` before it probed.
     let mut probed = 0;
+    // Per earlier `let` of a nested FLWOR: its slot and that FLWOR's
+    // sink estimate, which an `exists($slot)` filter reads.
+    let mut nested: Vec<(Slot, Option<u64>)> = Vec::new();
     for op in &mut f.ops {
         card = match &op.clause {
             ClauseIr::For { expr, .. } => {
@@ -84,7 +89,13 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
                     _ => None,
                 }
             }
-            ClauseIr::Let { .. } | ClauseIr::Count { .. } => card,
+            ClauseIr::Let { slot, expr, .. } => {
+                if let Ir::Flwor(inner) = expr {
+                    nested.push((*slot, inner.return_estimate));
+                }
+                card
+            }
+            ClauseIr::Count { .. } => card,
             ClauseIr::Where(pred) => match joined(op) {
                 // Semi-join: tuples whose probe key hits the build
                 // table, estimated from the equi-join formula capped at
@@ -97,7 +108,10 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
                     [] => n,
                     [pred] => match eq_pred_selectivity(pred, stats) {
                         Some(sel) => ((n as f64 * sel).ceil() as u64).max(1),
-                        None => filter_fallback(n),
+                        None => match nested_exists(pred, &nested) {
+                            Some(rows) => n * rows.min(1),
+                            None => filter_fallback(n),
+                        },
                     },
                     _ => filter_fallback(n),
                 }),
@@ -121,6 +135,18 @@ pub(crate) fn estimate_chain(f: &mut FlworIr, stats: Option<&CatalogStatistics>)
 
 fn filter_fallback(n: u64) -> u64 {
     (n as f64 * FILTER_SELECTIVITY).ceil() as u64
+}
+
+/// The sink estimate of the nested FLWOR `pred` tests as
+/// `exists($s)`, `$s` bound by one of the `nested` lets.
+fn nested_exists(pred: &Ir, nested: &[(Slot, Option<u64>)]) -> Option<u64> {
+    let Ir::CallBuiltin(Builtin::Exists, args) = pred else {
+        return None;
+    };
+    let [Ir::Var(s)] = args.as_slice() else {
+        return None;
+    };
+    nested.iter().rev().find(|(slot, _)| slot == s)?.1
 }
 
 /// Classic equi-join output cardinality under uniformity:
@@ -315,6 +341,32 @@ mod tests {
     fn nested_flwor_sink_feeds_outer_source() {
         let q = stamped("for $x in (for $y in 1 to 10 return $y) return $x");
         assert_eq!(body_estimates(&q), vec![Some(10), Some(10)]);
+    }
+
+    #[test]
+    fn exists_of_a_let_bound_flwor_reads_its_sink_estimate() {
+        let q = stamped(
+            "for $x in 1 to 10 let $m := for $y in 1 to 3 return $y \
+             where exists($m) return $x",
+        );
+        assert_eq!(
+            body_estimates(&q),
+            vec![Some(10), Some(10), Some(10), Some(10)]
+        );
+        let q = stamped(
+            "for $x in 1 to 10 let $m := for $y in () return $y \
+             where exists($m) return $x",
+        );
+        assert_eq!(
+            body_estimates(&q),
+            vec![Some(10), Some(10), Some(0), Some(0)]
+        );
+        // Anything else under `exists` keeps the default.
+        let q = stamped("for $x in 1 to 10 let $m := (1, 2) where exists($m) return $x");
+        assert_eq!(
+            body_estimates(&q),
+            vec![Some(10), Some(10), Some(5), Some(5)]
+        );
     }
 
     #[test]

@@ -110,16 +110,8 @@ pub(crate) struct Interpreter<'a> {
     pub(crate) dynamic: &'a DynamicContext,
     pub(crate) globals: Vec<Sequence>,
     depth: Cell<usize>,
-    /// Where evaluator counters go. Normally `&dynamic.stats`; a forked
-    /// worker interpreter points at a thread-local sink merged into the
-    /// context stats once at pipeline close, so `--stats` totals don't
-    /// interleave mid-query across parallel workers.
+    /// Where evaluator counters go: `&dynamic.stats`.
     pub(crate) stats: &'a EvalStats,
-    /// Threads a parallel-eligible FLWOR may use: the query's requested
-    /// degree of parallelism, serial at 1 or below. 1 in forked workers,
-    /// so nested FLWORs inside a parallel region run serially instead
-    /// of oversubscribing.
-    pub(crate) threads: usize,
 }
 
 impl<'a> Interpreter<'a> {
@@ -135,7 +127,6 @@ impl<'a> Interpreter<'a> {
             globals: Vec::new(),
             depth: Cell::new(0),
             stats: &dynamic.stats,
-            threads: query.threads,
         };
         for g in &query.globals {
             let mut env = Env::new(g.frame_size, initial_focus(dynamic));
@@ -151,20 +142,6 @@ impl<'a> Interpreter<'a> {
             interp.globals.push(v);
         }
         Ok(interp)
-    }
-
-    /// A worker-thread clone of this interpreter: shares the compiled
-    /// query, dynamic context, and evaluated globals, but counts into
-    /// its own stats sink and may not re-parallelize.
-    pub(crate) fn fork<'b>(&'b self, stats: &'b EvalStats) -> Interpreter<'b> {
-        Interpreter {
-            query: self.query,
-            dynamic: self.dynamic,
-            globals: self.globals.clone(),
-            depth: Cell::new(self.depth.get()),
-            stats,
-            threads: 1,
-        }
     }
 
     pub(crate) fn eval(&self, ir: &Ir, env: &mut Env) -> EngineResult<Sequence> {

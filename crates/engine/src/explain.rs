@@ -11,30 +11,23 @@ use crate::ir::*;
 use crate::profile::QueryProfile;
 use std::fmt::Write;
 
-/// Render a whole compiled query. Eligible FLWOR pipelines are
-/// annotated `[parallel ×N]` when the query asks for more than one
-/// thread.
+/// Render a whole compiled query.
 pub fn explain_query(query: &CompiledQuery) -> String {
-    render(query, query.threads)
-}
-
-/// [`explain_query`] as if the query asked for `threads` threads.
-fn render(query: &CompiledQuery, threads: usize) -> String {
     let mut out = String::new();
     for (i, g) in query.globals.iter().enumerate() {
         let _ = writeln!(out, "global ${} (slot g{i}):", g.name);
-        write_ir(&mut out, threads, &g.init, 1);
+        write_ir(&mut out, &g.init, 1);
     }
     for f in &query.functions {
         let _ = writeln!(out, "function {}#{}:", f.name, f.arity);
-        write_ir(&mut out, threads, &f.body, 1);
+        write_ir(&mut out, &f.body, 1);
     }
     let _ = writeln!(
         out,
         "query body (frame size {}, streaming pipeline):",
         query.frame_size,
     );
-    write_ir(&mut out, threads, &query.body, 1);
+    write_ir(&mut out, &query.body, 1);
     out
 }
 
@@ -55,11 +48,7 @@ pub fn explain_analyze(profile: &QueryProfile, stats: &EvalStatsSnapshot) -> Str
             p.executions,
             fmt_time(p.total_nanos())
         );
-        if p.workers > 1 {
-            let _ = writeln!(out, "  plan: {} [parallel ×{}]", p.signature(), p.workers);
-        } else {
-            let _ = writeln!(out, "  plan: {}", p.signature());
-        }
+        let _ = writeln!(out, "  plan: {}", p.signature());
         for op in &p.ops {
             let mut row = format!(
                 "  {:<32} batches={:<6} tuples_in={:<8} tuples_out={:<8} time={}",
@@ -96,12 +85,9 @@ pub fn explain_analyze(profile: &QueryProfile, stats: &EvalStatsSnapshot) -> Str
 }
 
 /// A stable fingerprint of the rewritten plan: FNV-1a (64-bit) over the
-/// `explain` rendering at one thread — clause structure, operator plan
-/// and access paths all feed the hash, so two requests share a
-/// fingerprint exactly when the optimizer produced the same plan shape.
-/// The thread count is left out: it changes where a plan runs, not what
-/// the plan is, and the same plan on a 2-core and a 4-core machine
-/// shares one fingerprint. FNV-1a is spelled out here (not
+/// `explain` rendering — clause structure, operator plan and access
+/// paths all feed the hash, so two requests share a fingerprint exactly
+/// when the optimizer produced the same plan shape. FNV-1a is spelled out here (not
 /// `DefaultHasher`) so fingerprints are stable across Rust releases and
 /// processes — they key the service's flight-recorder aggregation and
 /// may be logged or compared offline.
@@ -109,7 +95,7 @@ pub fn plan_fingerprint(query: &CompiledQuery) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = OFFSET;
-    for byte in render(query, 1).bytes() {
+    for byte in explain_query(query).bytes() {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(PRIME);
     }
@@ -132,7 +118,7 @@ fn line(out: &mut String, depth: usize, text: &str) {
     out.push('\n');
 }
 
-fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
+fn write_ir(out: &mut String, ir: &Ir, depth: usize) {
     match ir {
         Ir::Str(s) => line(out, depth, &format!("string {s:?}")),
         Ir::Int(v) => line(out, depth, &format!("integer {v}")),
@@ -142,7 +128,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
         Ir::Seq(items) => {
             line(out, depth, "sequence");
             for item in items {
-                write_ir(out, threads, item, depth + 1);
+                write_ir(out, item, depth + 1);
             }
         }
         Ir::Var(slot) => line(out, depth, &format!("var slot{slot}")),
@@ -150,55 +136,55 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
         Ir::ContextItem => line(out, depth, "context-item"),
         Ir::Range(a, b) => {
             line(out, depth, "range");
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::Arith(op, a, b) => {
             line(out, depth, &format!("arith {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::Neg(a) => {
             line(out, depth, "negate");
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
         Ir::GeneralComp(op, a, b) => {
             line(out, depth, &format!("general-compare {op:?} (existential)"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::ValueComp(op, a, b) => {
             line(out, depth, &format!("value-compare {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::NodeComp(op, a, b) => {
             line(out, depth, &format!("node-compare {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::And(a, b) => {
             line(out, depth, "and");
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::Or(a, b) => {
             line(out, depth, "or");
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::SetOp(op, a, b) => {
             line(out, depth, &format!("set-op {op:?}"));
-            write_ir(out, threads, a, depth + 1);
-            write_ir(out, threads, b, depth + 1);
+            write_ir(out, a, depth + 1);
+            write_ir(out, b, depth + 1);
         }
         Ir::If(c, t, e) => {
             line(out, depth, "if");
-            write_ir(out, threads, c, depth + 1);
+            write_ir(out, c, depth + 1);
             line(out, depth, "then");
-            write_ir(out, threads, t, depth + 1);
+            write_ir(out, t, depth + 1);
             line(out, depth, "else");
-            write_ir(out, threads, e, depth + 1);
+            write_ir(out, e, depth + 1);
         }
         Ir::Quantified {
             kind,
@@ -208,12 +194,12 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
             line(out, depth, &format!("quantified {kind:?}"));
             for (slot, expr) in bindings {
                 line(out, depth + 1, &format!("bind slot{slot} in"));
-                write_ir(out, threads, expr, depth + 2);
+                write_ir(out, expr, depth + 2);
             }
             line(out, depth + 1, "satisfies");
-            write_ir(out, threads, satisfies, depth + 2);
+            write_ir(out, satisfies, depth + 2);
         }
-        Ir::Flwor(f) => write_flwor(out, threads, f, depth, true),
+        Ir::Flwor(f) => write_flwor(out, f, depth, true),
         Ir::Path(p) => {
             let start = match &p.start {
                 PathStartIr::Context => "context".to_string(),
@@ -226,7 +212,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                 &format!("path from {start}{}", p.describe_access(true)),
             );
             if let PathStartIr::Expr(e) = &p.start {
-                write_ir(out, threads, e, depth + 1);
+                write_ir(out, e, depth + 1);
             }
             for step in &p.steps {
                 match step {
@@ -245,14 +231,14 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                             ),
                         );
                         for p in predicates {
-                            write_ir(out, threads, p, depth + 2);
+                            write_ir(out, p, depth + 2);
                         }
                     }
                     StepIr::Expr { expr, predicates } => {
                         line(out, depth + 1, &format!("step expr{}", preds(predicates)));
-                        write_ir(out, threads, expr, depth + 2);
+                        write_ir(out, expr, depth + 2);
                         for p in predicates {
-                            write_ir(out, threads, p, depth + 2);
+                            write_ir(out, p, depth + 2);
                         }
                     }
                 }
@@ -260,21 +246,21 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
         }
         Ir::Filter { base, predicates } => {
             line(out, depth, &format!("filter{}", preds(predicates)));
-            write_ir(out, threads, base, depth + 1);
+            write_ir(out, base, depth + 1);
             for p in predicates {
-                write_ir(out, threads, p, depth + 1);
+                write_ir(out, p, depth + 1);
             }
         }
         Ir::CallBuiltin(b, args) => {
             line(out, depth, &format!("call {}", functions::name(*b)));
             for a in args {
-                write_ir(out, threads, a, depth + 1);
+                write_ir(out, a, depth + 1);
             }
         }
         Ir::CallUser(id, args) => {
             line(out, depth, &format!("call user#{id}"));
             for a in args {
-                write_ir(out, threads, a, depth + 1);
+                write_ir(out, a, depth + 1);
             }
         }
         Ir::Element(el) => {
@@ -284,7 +270,7 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                 for part in parts {
                     match part {
                         AttrPartIr::Literal(s) => line(out, depth + 2, &format!("literal {s:?}")),
-                        AttrPartIr::Enclosed(e) => write_ir(out, threads, e, depth + 2),
+                        AttrPartIr::Enclosed(e) => write_ir(out, e, depth + 2),
                     }
                 }
             }
@@ -293,63 +279,59 @@ fn write_ir(out: &mut String, threads: usize, ir: &Ir, depth: usize) {
                     ContentIr::Literal(s) => line(out, depth + 1, &format!("text {s:?}")),
                     ContentIr::Enclosed(e) => {
                         line(out, depth + 1, "enclosed");
-                        write_ir(out, threads, e, depth + 2);
+                        write_ir(out, e, depth + 2);
                     }
-                    ContentIr::Child(e) => write_ir(out, threads, e, depth + 1),
+                    ContentIr::Child(e) => write_ir(out, e, depth + 1),
                 }
             }
         }
         Ir::Attribute { name, value } => {
             line(out, depth, &format!("construct attribute {name}"));
             if let Some(v) = value {
-                write_ir(out, threads, v, depth + 1);
+                write_ir(out, v, depth + 1);
             }
         }
         Ir::Text(content) => {
             line(out, depth, "construct text");
             if let Some(c) = content {
-                write_ir(out, threads, c, depth + 1);
+                write_ir(out, c, depth + 1);
             }
         }
         Ir::Comment(text) => line(out, depth, &format!("construct comment {text:?}")),
         Ir::Pi(target, _) => line(out, depth, &format!("construct pi <?{target}?>")),
         Ir::InstanceOf(a, _) => {
             line(out, depth, "instance-of");
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
         Ir::Cast(a, target, _) => {
             line(out, depth, &format!("cast as {target:?}"));
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
         Ir::Castable(a, target, _) => {
             line(out, depth, &format!("castable as {target:?}"));
-            write_ir(out, threads, a, depth + 1);
+            write_ir(out, a, depth + 1);
         }
     }
 }
 
 /// A FLWOR's clauses, after its `pipeline:` line when `runs`: the
 /// nested FLWOR of a hash-joined `let` never runs, so it has none.
-fn write_flwor(out: &mut String, threads: usize, f: &FlworIr, depth: usize, runs: bool) {
+fn write_flwor(out: &mut String, f: &FlworIr, depth: usize, runs: bool) {
     line(out, depth, "FLWOR");
     if runs {
-        line(
-            out,
-            depth + 1,
-            &format!("pipeline: {}", render_plan(f, threads)),
-        );
+        line(out, depth + 1, &format!("pipeline: {}", render_plan(f)));
     }
     for op in &f.ops {
-        write_clause(out, threads, op, depth + 1);
+        write_clause(out, op, depth + 1);
     }
     match f.return_at {
         Some(slot) => line(out, depth + 1, &format!("return at slot{slot}")),
         None => line(out, depth + 1, "return"),
     }
-    write_ir(out, threads, &f.return_expr, depth + 2);
+    write_ir(out, &f.return_expr, depth + 2);
 }
 
-fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
+fn write_clause(out: &mut String, op: &OpIr, depth: usize) {
     // The `[hash join key=…]` tag on a join-annotated `let` / `where`:
     // the clause runs as a HashJoin probe, not by re-evaluating the
     // nested expression per tuple.
@@ -365,18 +347,18 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
         } => {
             let at = at_slot.map(|s| format!(" at slot{s}")).unwrap_or_default();
             line(out, depth, &format!("for slot{slot}{at} in"));
-            write_ir(out, threads, expr, depth + 1);
+            write_ir(out, expr, depth + 1);
         }
         ClauseIr::Let { slot, expr, .. } => {
             line(out, depth, &format!("let slot{slot} :={join_tag}"));
             match expr {
-                Ir::Flwor(f) if op.join.is_some() => write_flwor(out, threads, f, depth + 1, false),
-                expr => write_ir(out, threads, expr, depth + 1),
+                Ir::Flwor(f) if op.join.is_some() => write_flwor(out, f, depth + 1, false),
+                expr => write_ir(out, expr, depth + 1),
             }
         }
         ClauseIr::Where(cond) => {
             line(out, depth, &format!("where{join_tag}"));
-            write_ir(out, threads, cond, depth + 1);
+            write_ir(out, cond, depth + 1);
         }
         ClauseIr::Count { slot } => {
             line(out, depth, &format!("count slot{slot}"));
@@ -392,12 +374,12 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
                     if w.only_end { " (only end)" } else { "" }
                 ),
             );
-            write_ir(out, threads, &w.expr, depth + 1);
+            write_ir(out, &w.expr, depth + 1);
             line(out, depth + 1, "start when");
-            write_ir(out, threads, &w.start.when, depth + 2);
+            write_ir(out, &w.start.when, depth + 2);
             if let Some(end) = &w.end {
                 line(out, depth + 1, "end when");
-                write_ir(out, threads, &end.when, depth + 2);
+                write_ir(out, &end.when, depth + 2);
             }
         }
         ClauseIr::GroupBy(g) => {
@@ -408,7 +390,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
                     None => String::new(),
                 };
                 line(out, depth + 1, &format!("key -> slot{}{using}", key.slot));
-                write_ir(out, threads, &key.expr, depth + 2);
+                write_ir(out, &key.expr, depth + 2);
             }
             for nest in &g.nests {
                 let ordered = if nest.order_by.is_some() {
@@ -421,7 +403,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
                     depth + 1,
                     &format!("nest -> slot{}{ordered}", nest.slot),
                 );
-                write_ir(out, threads, &nest.expr, depth + 2);
+                write_ir(out, &nest.expr, depth + 2);
                 if let Some(ob) = &nest.order_by {
                     for spec in &ob.specs {
                         line(
@@ -429,7 +411,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
                             depth + 2,
                             &format!("order key{}", if spec.descending { " desc" } else { "" }),
                         );
-                        write_ir(out, threads, &spec.expr, depth + 3);
+                        write_ir(out, &spec.expr, depth + 3);
                     }
                 }
             }
@@ -450,7 +432,7 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
                     depth + 1,
                     &format!("key{}", if spec.descending { " desc" } else { "" }),
                 );
-                write_ir(out, threads, &spec.expr, depth + 2);
+                write_ir(out, &spec.expr, depth + 2);
             }
         }
     }
@@ -458,14 +440,10 @@ fn write_clause(out: &mut String, threads: usize, op: &OpIr, depth: usize) {
 
 /// Render the operator plan as a `->` chain of [`OpIr::label`]s ending
 /// in the `ReturnAt` sink: operators without a tag stream tuples
-/// batch-at-a-time. A chain that is parallel-eligible and runs at more
-/// than one thread gets a `[parallel ×N]` suffix.
-fn render_plan(f: &FlworIr, threads: usize) -> String {
+/// batch-at-a-time.
+fn render_plan(f: &FlworIr) -> String {
     let mut plan: String = f.ops.iter().map(|op| op.label() + " -> ").collect();
     plan.push_str(&OpKind::ReturnAt.label(""));
-    if f.parallel.is_some() && threads > 1 {
-        let _ = write!(plan, " [parallel ×{threads}]");
-    }
     plan
 }
 
@@ -569,58 +547,23 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_leaves_out_the_thread_count_but_not_the_hints() {
-        let prepare = |src: &str, threads: usize, hints: &str| {
+    fn fingerprint_keeps_the_hints() {
+        let prepare = |hints: &str| {
             let hints = hints.parse().unwrap();
-            crate::Engine::with_options(crate::EngineOptions { threads, hints })
-                .compile(src)
-                .expect("compile")
+            crate::Engine::with_options(crate::EngineOptions {
+                hints,
+                ..Default::default()
+            })
+            .compile(
+                "for $a in distinct-values((1, 2, 2)) \
+                 let $m := for $y in (1, 2, 3) where $y = $a return $y \
+                 return count($m)",
+            )
+            .expect("compile")
         };
-        let grouped = "for $x in 1 to 10 group by $x mod 2 into $k nest $x into $xs \
-                       return count($xs)";
-        let prints: Vec<u64> = [0, 1, 2, 4]
-            .iter()
-            .map(|&threads| prepare(grouped, threads, "").fingerprint())
-            .collect();
-        assert_eq!(prints, [prints[0]; 4]);
-        assert!(prepare(grouped, 4, "").explain().contains("[parallel ×4]"));
-        assert!(!prepare(grouped, 1, "").explain().contains("[parallel"));
-        assert!(!prepare(grouped, 0, "").explain().contains("[parallel"));
-        let joined = "for $a in distinct-values((1, 2, 2)) \
-                      let $m := for $y in (1, 2, 3) where $y = $a return $y \
-                      return count($m)";
         assert_ne!(
-            prepare(joined, 4, "join=hash").fingerprint(),
-            prepare(joined, 4, "join=nested").fingerprint()
-        );
-    }
-
-    #[test]
-    fn default_options_run_serially_and_more_threads_exchange() {
-        let grouped = "for $x in 1 to 5000 group by $x mod 2 into $k nest $x into $xs \
-                       return count($xs)";
-        let workers = |options: crate::EngineOptions| {
-            let mut ctx = crate::DynamicContext::new();
-            ctx.enable_profiling();
-            crate::Engine::with_options(options)
-                .compile(grouped)
-                .and_then(|plan| plan.run(&ctx))
-                .expect("run");
-            let profile = ctx.take_profile().expect("profiling was enabled");
-            let workers: Vec<u64> = profile.pipelines.iter().map(|p| p.workers).collect();
-            assert!(!workers.is_empty(), "no pipeline recorded");
-            workers
-        };
-        assert!(workers(crate::EngineOptions::default())
-            .iter()
-            .all(|&w| w == 1));
-        let two = crate::EngineOptions {
-            threads: 2,
-            ..Default::default()
-        };
-        assert!(
-            workers(two).contains(&2),
-            "the exchange is unreachable at threads 2"
+            prepare("join=hash").fingerprint(),
+            prepare("join=nested").fingerprint()
         );
     }
 

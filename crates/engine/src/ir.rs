@@ -223,13 +223,6 @@ pub struct FlworIr {
     pub return_at: Option<Slot>,
     /// The return expression.
     pub return_expr: Ir,
-    /// Compile-time parallel eligibility: the clause index of the
-    /// breaker up to which the outermost `for` binding sequence may be
-    /// split into morsels executed by worker threads, `None` when it may
-    /// not (see [`parallel_eligible`]). Whether that actually happens is
-    /// decided at run time from the effective thread count and the
-    /// input size.
-    pub parallel: Option<usize>,
     /// The planner's row estimate for the `ReturnAt` sink: one output
     /// ordinal per tuple that survives the last operator. `None` until
     /// [`crate::rewrite::plan`] runs, and where it has no basis.
@@ -520,50 +513,6 @@ pub(crate) fn expr_oneline(ir: &Ir) -> String {
         }
         _ => "expr()".to_string(),
     }
-}
-
-/// Compile-time analysis: may this clause chain run morsel-parallel
-/// over the outermost `for` binding sequence, and if so, at which
-/// clause do the workers hand over? `Some(i)` names the first breaker,
-/// clause `i`; `None` keeps the chain serial.
-///
-/// Only a chain whose workers build partial state to merge is eligible:
-/// it starts with a `for` and reaches a breaker, and every clause up to
-/// (and including) that first breaker is safe to evaluate on a
-/// partition of the input:
-///
-/// - `for` / `let` / `where` / `window` are tuple-local — safe.
-/// - `count $c` assigns a sequential ordinal mid-chain; partitioned
-///   workers cannot see the global ordinal, so the chain is ineligible.
-/// - `group by` partitions merge per-worker hash tables by key, which
-///   requires the engine's canonical key equality; a `using` clause
-///   (user-defined equality) defeats that merge, so it gates.
-/// - `order by` (the other breaker) merges per-worker sorted runs with
-///   the original ordinal as tie-breaker — always safe.
-///
-/// A chain with no breaker has nothing to merge: scattering its morsels
-/// only to put the `return` output back in order measured slower than
-/// the serial chain on two cores, and its first chunk came later
-/// (EXPERIMENTS.md), so it runs serially at every thread count.
-/// Clauses *after* the first breaker run serially on the coordinator
-/// over the merged output, so they don't affect eligibility. `return
-/// at $rank` ranks are assigned post-merge and are likewise safe.
-pub fn parallel_eligible(clauses: &[ClauseIr]) -> Option<usize> {
-    if !matches!(clauses.first(), Some(ClauseIr::For { .. })) {
-        return None;
-    }
-    for (i, clause) in clauses.iter().enumerate().skip(1) {
-        match clause {
-            ClauseIr::For { .. }
-            | ClauseIr::Let { .. }
-            | ClauseIr::Where(_)
-            | ClauseIr::Window(_) => {}
-            ClauseIr::Count { .. } => return None,
-            ClauseIr::GroupBy(g) => return g.keys.iter().all(|k| k.using.is_none()).then_some(i),
-            ClauseIr::OrderBy(_) => return Some(i),
-        }
-    }
-    None
 }
 
 /// One clause of the pipeline.
@@ -896,9 +845,6 @@ pub struct CompiledQuery {
     /// Whether `declare ordering unordered` was in effect (informational;
     /// the engine always produces the ordered result).
     pub ordered: bool,
-    /// Requested degree of intra-query parallelism, copied from
-    /// [`crate::EngineOptions::threads`] (1 or below = serial).
-    pub threads: usize,
 }
 
 /// Where an expression root of a query sits; displays as rewrite notes

@@ -47,20 +47,18 @@ pub use profile::{Clock, Misestimate, MonotonicClock, QueryProfile, TickClock};
 use xqa_frontend::parse_query;
 use xqa_xdm::Sequence;
 
-/// Engine configuration: the degree of parallelism (a deployment
-/// setting) and the plan hints (everything that shapes the plan).
+/// Engine configuration: the plan hints (everything that shapes the
+/// plan).
 ///
 /// `PartialEq`/`Eq`/`Hash` are derived so options can key a prepared-plan
 /// cache together with the query text.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EngineOptions {
-    /// Degree of intra-query parallelism for the streaming pipeline.
-    /// `0` (the default) and `1` run the whole pipeline on the calling
-    /// thread. Values above 1 split an outermost `for` binding sequence
-    /// of more than one morsel across that many scoped worker threads
-    /// when the FLWOR's `group by` / `order by` merges partials (the
-    /// same operators, one breaker partial per worker, merged); output
-    /// is byte-identical to serial.
+    /// Retired and ignored: every plan runs on the calling thread
+    /// (DESIGN.md §10). Declared only because the benchmark ledger
+    /// builds it (`crates/bench/src/bin/ledger/workloads/mod.rs:173–176`);
+    /// the first non-benchmark change after ROADMAP item 1a, which
+    /// stops the ledger naming it, deletes it.
     pub threads: usize,
     /// Pins on the planner's decisions (see [`PlanHints`]); none by
     /// default.
@@ -191,7 +189,6 @@ impl Engine {
         let module = parse_query(source)?;
         let parse_ns = start.elapsed().as_nanos() as u64;
         let mut compiled = compile::compile(&module)?;
-        compiled.threads = self.options.threads;
         let rewrites = rewrite::plan(&mut compiled, hints, self.statistics.as_deref());
         let plan_ns = start.elapsed().as_nanos() as u64;
         let fingerprint = explain::plan_fingerprint(&compiled);

@@ -5,7 +5,7 @@
 //! engine scale) instead of materializing a `Vec<Tuple>` snapshot after
 //! every clause:
 //!
-//! - [`TupleSource`] is the pull interface. Operators exchange *batches*
+//! - [`TupleSource`] is the pull interface. Operators pass *batches*
 //!   of tuples ([`BATCH`] at a time) to amortize dynamic dispatch.
 //! - A [`Tuple`] is copy-on-write: a small delta of `(slot, value)`
 //!   bindings layered over the shared parent frame, instead of a full
@@ -22,13 +22,8 @@
 //!
 //! There is one driver, [`drive`]: [`build_chain`] lowers clauses to
 //! operators, `return_at` pulls the chain into a [`Sink`] that either
-//! collects one `Sequence` or emits batch by batch. When a chain has a
-//! breaker whose partials merge, more than one thread is available and
-//! the outer `for` binds more than one [`MORSEL`], an [`exchange`] runs
-//! the chain up to that breaker on worker threads, one partial per
-//! worker, and merges the partials; the serial pipeline is the same
-//! chain with a single partial that never merges, run on the calling
-//! thread.
+//! collects one `Sequence` or emits batch by batch. A chain runs on the
+//! calling thread; parallelism is between queries (DESIGN.md §10).
 //!
 //! In-place slot writes are sound because the compiler never reuses slot
 //! numbers: dropping a binding from scope only hides it, so every
@@ -37,7 +32,6 @@
 
 mod partial;
 
-use crate::context::EvalStats;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{opt_atomic, Env, Interpreter};
 use crate::ir::*;
@@ -47,12 +41,11 @@ use crate::rewrite::{conjuncts, joined, Joined};
 use crate::types::matches_seq_type;
 use partial::Partial;
 use std::borrow::Cow;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use xqa_xdm::sequence::SequenceIntoIter;
 use xqa_xdm::{
     effective_boolean_value, value_compare, AtomicValue, CompOp, ErrorCode, Item, NodeId, QName,
@@ -63,18 +56,12 @@ use xqa_xdm::{
 /// call, small enough that a streaming chain stays cache-resident.
 pub(crate) const BATCH: usize = 64;
 
-/// Items per morsel: the unit of work claimed by parallel workers from
-/// the outermost `for` binding sequence. Large enough that a claim (one
-/// atomic increment plus a slice copy) is noise, small enough to
-/// load-balance skewed per-item work across threads.
-pub(crate) const MORSEL: usize = 1024;
-
-/// Global position of a tuple in the serial stream: (morsel index,
-/// ordinal among the tuples its partial absorbed). Morsels are
-/// contiguous chunks and each morsel's chain runs serially into one
-/// partial, so sorting by tag restores exactly the serial tuple order —
-/// the stable-sort / first-appearance tie-breaking one partial
-/// absorbing the whole stream gets for free.
+/// Position of a tuple in its breaker's input stream: (morsel index,
+/// ordinal among the tuples its partial absorbed). A pipeline absorbs
+/// its whole input as morsel 0; partials of contiguous morsels merge
+/// ([`partial`]), and sorting by tag restores exactly the stream's
+/// tuple order — the stable-sort / first-appearance tie-breaking one
+/// partial absorbing the whole stream gets for free.
 type Tag = (usize, usize);
 
 /// A copy-on-write tuple: bindings this FLWOR has made, layered over the
@@ -198,13 +185,6 @@ pub(crate) fn emit_sequence(seq: &Sequence, emit: &mut EmitBatch) -> EngineResul
 /// the run, keyed by `f`'s address: one entry per FLWOR, however often
 /// it runs.
 ///
-/// A parallel-eligible chain (see [`crate::ir::parallel_eligible`])
-/// running where more than one thread is available evaluates the outer
-/// `for` binding sequence up front, as `ForScan` would: inputs larger
-/// than one [`MORSEL`] go through the [`exchange`] and the calling
-/// thread runs only what follows the first breaker, smaller ones seed
-/// the ordinary chain.
-///
 /// `first` is the cell a hoisted `let $v := f` keeps `f`'s first
 /// source in across `f`'s runs (see [`run_cells`]).
 fn drive(
@@ -219,72 +199,35 @@ fn drive(
     let profiler = interp.dynamic.profiler().cloned();
     let clock = profiling_clock(interp);
     let counters = op_counters(clock.is_some(), n);
-
-    let cut = f.parallel.filter(|_| interp.threads > 1);
-    let mut seed = None;
-    if cut.is_some() {
-        let ClauseIr::For { expr, .. } = &f.ops[0].clause else {
-            unreachable!("parallel-eligible FLWOR starts with a for clause");
-        };
-        let source = for_source(interp, expr, cells[0].as_ref(), env)?;
-        seed = Some(binding_sequence(interp, source, &f.ops[0].probes, env)?);
-    }
-
     let start = clock.as_ref().map(|c| c.now_nanos());
-    let mut exchanged = None;
-    let source = match (cut, seed) {
-        (Some(cut), Some(seed)) if seed.items.len() > MORSEL => {
-            let (partial, profile) = exchange(interp, f, env, &seed, cut, &cells)?;
-            exchanged = Some(profile);
-            let breaker = Box::new(Breaker {
-                input: Box::new(Singleton { done: true }),
-                partial: Some(partial),
-                output: Vec::new().into_iter(),
-            });
-            let breaker = instrument(breaker, counters.get(cut));
-            build_chain(f, cut + 1..n, breaker, None, &cells, &counters)
-        }
-        (_, seed) => build_chain(
-            f,
-            0..n,
-            Box::new(Singleton { done: false }),
-            seed.map(|bound| (bound, 0)),
-            &cells,
-            &counters,
-        ),
-    };
+    let source = build_chain(f, Box::new(Singleton { done: false }), &cells, &counters);
     let mut sink_stats = SinkStats::default();
     let run = return_at(f, source, interp, env, sink, &mut sink_stats);
     // A run that fails on the way records what it did up to the error.
     if let (Some(profiler), Some(clock), Some(start)) = (profiler, clock, start) {
         let total = clock.now_nanos().saturating_sub(start);
         let tail = counters.iter().map(|c| c.get()).collect();
-        let p = build_profile(f, tail, exchanged.as_ref(), sink_stats, total);
+        let p = build_profile(f, tail, sink_stats, total);
         profiler.record(std::ptr::from_ref(f) as usize, p);
     }
     run
 }
 
-/// Lower clauses `range` of `f` onto `input`, each operator metered by
-/// its entry in `counters` (empty when not profiling). `seed` is the
-/// already evaluated binding sequence of the range's first clause —
-/// the outer `for` — with the ordinal its `at` positions start after.
-/// A probed `for` and the `where` after it share an [`ExactFlag`].
+/// Lower the clauses of `f` onto `input`, each operator metered by its
+/// entry in `counters` (empty when not profiling). A probed `for` and
+/// the `where` after it share an [`ExactFlag`].
 fn build_chain<'p>(
     f: &'p FlworIr,
-    range: Range<usize>,
     input: BoxSource<'p>,
-    mut seed: Option<(Bindings, i64)>,
     cells: &[Option<SourceCell>],
     counters: &[Rc<Cell<OpCounters>>],
 ) -> BoxSource<'p> {
     let mut source = input;
     let mut probed = None;
-    for i in range {
-        let op = &f.ops[i];
+    for (i, op) in f.ops.iter().enumerate() {
         let flag = (!op.probes.is_empty()).then(ExactFlag::default);
         let after = std::mem::replace(&mut probed, flag.clone().map(|f| (f, op.probes.len())));
-        let lowered = clause_source(op, cells[i].clone(), source, seed.take(), flag, after);
+        let lowered = clause_source(op, cells[i].clone(), source, flag, after);
         source = instrument(lowered, counters.get(i));
     }
     source
@@ -341,16 +284,13 @@ struct SinkStats {
 /// [`OpKind::of`] names. A record the join-unnesting rule annotated
 /// lowers to the hash-join operator instead of its nested form; `cell`
 /// is the record's run-scoped kept source, shared by every lowering of
-/// the same record (see [`run_cells`]). A `for` given a
-/// `seed` (see [`build_chain`]) starts out holding it and never pulls
-/// `input` or evaluates its expression. A probed `for` raises `flag` on
+/// the same record (see [`run_cells`]). A probed `for` raises `flag` on
 /// its exact batches; a `where` right after one gets `after_probe`, that
 /// flag and the number of conjuncts the `for` probed.
 fn clause_source<'p>(
     op: &'p OpIr,
     cell: Option<SourceCell>,
     input: BoxSource<'p>,
-    seed: Option<(Bindings, i64)>,
     flag: Option<ExactFlag>,
     after_probe: Option<(ExactFlag, usize)>,
 ) -> BoxSource<'p> {
@@ -364,26 +304,22 @@ fn clause_source<'p>(
             at_slot,
             ty,
             expr,
-        } => {
-            let input_done = seed.is_some();
-            let (bound, item_pos) = seed.unwrap_or_default();
-            Box::new(ForScan {
-                input,
-                slot: *slot,
-                at_slot: *at_slot,
-                ty: ty.as_ref(),
-                expr,
-                kept,
-                probes: &op.probes,
-                batch: Vec::new().into_iter(),
-                items: bound.items.into_iter(),
-                exact: bound.exact,
-                flag,
-                item_pos,
-                base: Tuple::default(),
-                input_done,
-            })
-        }
+        } => Box::new(ForScan {
+            input,
+            slot: *slot,
+            at_slot: *at_slot,
+            ty: ty.as_ref(),
+            expr,
+            kept,
+            probes: &op.probes,
+            batch: Vec::new().into_iter(),
+            items: Sequence::Empty.into_iter(),
+            exact: false,
+            flag,
+            item_pos: 0,
+            base: Tuple::default(),
+            input_done: false,
+        }),
         ClauseIr::Let { slot, ty, expr } => Box::new(LetBind {
             input,
             slot: *slot,
@@ -410,9 +346,8 @@ fn clause_source<'p>(
     }
 }
 
-/// What one instrumented operator measured. Shared as `Rc<Cell<_>>`
-/// (not atomics) because one chain runs on one thread and
-/// [`TupleSource`] is not `Send`; workers hand plain copies back.
+/// What one instrumented operator measured, shared as `Rc<Cell<_>>`
+/// between the chain's decorator and the driver.
 #[derive(Debug, Clone, Copy, Default)]
 struct OpCounters {
     batches: u64,
@@ -477,56 +412,31 @@ impl TupleSource for Instrumented<'_> {
     }
 }
 
-/// Assemble the measured operator chain for one pipeline execution.
-/// `tail` is the calling thread's chain and `exchange` carries the
-/// workers' chains, every chain with one entry per clause (zero where
-/// it did not run the clause). Per chain, self time per operator = its
+/// Assemble the measured operator chain for one pipeline execution
+/// from `chain`, one entry per clause: self time per operator = its
 /// cumulative time minus its input's; tuples_in = the input operator's
 /// tuples_out (the `Singleton` root seeds exactly one tuple).
-///
-/// Rows sum over the chains, so behind an exchange their batch and
-/// tuple counts are exact and their nanos are *CPU time across all
-/// workers* (the pipeline total stays wall time; `workers` in the
-/// profile flags the discrepancy for renderers). Worker time spent
-/// outside the chains — absorbing into partials — and the coordinator's
-/// merge go to the breaker's row.
 fn build_profile(
     f: &FlworIr,
-    tail: Vec<OpCounters>,
-    exchange: Option<&ExchangeProfile>,
+    chain: Vec<OpCounters>,
     sink_stats: SinkStats,
     total_nanos: u64,
 ) -> PipelineProfile {
-    let n = f.ops.len();
-    let (cut, outside) = exchange.map_or((n, 0), |x| {
-        let pulled: u64 = x.chains.iter().map(|c| c[x.cut - 1].cum_nanos).sum();
-        (x.cut, x.loop_nanos.saturating_sub(pulled) + x.merge_nanos)
-    });
-    let chains: Vec<&Vec<OpCounters>> = exchange
-        .iter()
-        .flat_map(|x| &x.chains)
-        .chain([&tail])
-        .collect();
-    let mut ops = Vec::with_capacity(n + 1);
+    let mut ops = Vec::with_capacity(f.ops.len() + 1);
     let mut upstream_out = 1u64;
-    for (i, planned) in f.ops.iter().enumerate() {
-        let mut op = OpProfile {
+    let mut upstream_cum = 0u64;
+    for (planned, c) in f.ops.iter().zip(&chain) {
+        ops.push(OpProfile {
             kind: OpKind::of(planned),
             detail: planned.detail(),
-            batches: 0,
+            batches: c.batches,
             tuples_in: upstream_out,
-            tuples_out: 0,
-            nanos: if i == cut { outside } else { 0 },
+            tuples_out: c.tuples_out,
+            nanos: c.cum_nanos.saturating_sub(upstream_cum),
             estimate: planned.estimate,
-        };
-        for c in &chains {
-            op.batches += c[i].batches;
-            op.tuples_out += c[i].tuples_out;
-            let upstream_cum = if i > 0 { c[i - 1].cum_nanos } else { 0 };
-            op.nanos += c[i].cum_nanos.saturating_sub(upstream_cum);
-        }
-        upstream_out = op.tuples_out;
-        ops.push(op);
+        });
+        upstream_out = c.tuples_out;
+        upstream_cum = c.cum_nanos;
     }
     let accounted: u64 = ops.iter().map(|o| o.nanos).sum();
     ops.push(OpProfile {
@@ -538,11 +448,7 @@ fn build_profile(
         nanos: total_nanos.saturating_sub(accounted),
         estimate: f.return_estimate,
     });
-    PipelineProfile {
-        executions: 1,
-        workers: exchange.map_or(1, |x| x.chains.len() as u64),
-        ops,
-    }
+    PipelineProfile { executions: 1, ops }
 }
 
 /// The pipeline root: one tuple with no bindings (the incoming frame).
@@ -661,7 +567,7 @@ struct SourceValue {
     ordered_doc: Option<u64>,
     /// A hash join's bucket table over `items`, built at the first probe
     /// the store does not answer.
-    table: OnceLock<JoinTable>,
+    table: OnceCell<JoinTable>,
 }
 
 impl SourceValue {
@@ -671,7 +577,7 @@ impl SourceValue {
         SourceValue {
             items,
             ordered_doc: None,
-            table: OnceLock::new(),
+            table: OnceCell::new(),
         }
     }
 
@@ -681,7 +587,7 @@ impl SourceValue {
         SourceValue {
             items,
             ordered_doc,
-            table: OnceLock::new(),
+            table: OnceCell::new(),
         }
     }
 
@@ -738,7 +644,7 @@ fn ordered_matches<'a>(
 /// shared by every lowering of its clause in the run. The first tuple
 /// evaluates it, every later one reuses the value or replays its error,
 /// as re-evaluating the source would.
-type SourceCell = Arc<OnceLock<Result<SourceValue, EngineError>>>;
+type SourceCell = Rc<OnceCell<Result<SourceValue, EngineError>>>;
 
 /// Per clause record, a kept-source cell where it is hoisted or
 /// join-annotated, created per pipeline execution (enclosing bindings
@@ -751,7 +657,7 @@ fn run_cells(f: &FlworIr, first: Option<&SourceCell>) -> Vec<Option<SourceCell>>
         .iter()
         .enumerate()
         .map(|(i, op)| match first.filter(|_| i == 0) {
-            Some(cell) => Some(Arc::clone(cell)),
+            Some(cell) => Some(Rc::clone(cell)),
             None => (op.hoist || op.join.is_some()).then(SourceCell::default),
         })
         .collect()
@@ -776,7 +682,6 @@ fn for_source<'k>(
 }
 
 /// A `for` clause's binding sequence, as [`binding_sequence`] makes it.
-#[derive(Default)]
 struct Bindings {
     items: Sequence,
     /// Every value probe applied, and the store answered each exactly for
@@ -1426,9 +1331,7 @@ fn boundary_vars<'a>(
 /// first pull drains the input into the clause's [`Partial`] as one
 /// morsel and finishes it: a hash aggregation emitting one tuple per
 /// group in first-appearance order, or a full stable sort, or — when
-/// the top-k rewrite set a limit — the k least tuples. Behind an
-/// [`exchange`] the partial arrives already filled and merged, and the
-/// input is exhausted from the start.
+/// the top-k rewrite set a limit — the k least tuples.
 struct Breaker<'p> {
     input: BoxSource<'p>,
     /// `None` once finished into `output`.
@@ -1449,226 +1352,5 @@ impl TupleSource for Breaker<'_> {
         // Emit up to BATCH tuples of the buffered output.
         let out: Vec<Tuple> = self.output.by_ref().take(BATCH).collect();
         Ok(if out.is_empty() { None } else { Some(out) })
-    }
-}
-
-// ──────────────────── morsel-driven parallelism ────────────────────
-//
-// A parallel-eligible chain (outer `for`, then only tuple-local
-// streaming clauses up to a breaker whose partials merge) is split at
-// the breaker: workers claim [`MORSEL`]-sized chunks of the outer
-// binding sequence from a shared atomic counter and run their own clone
-// of the streaming chain into a *partitioned* breaker state, one
-// [`Partial`] per worker. The coordinator merges the partials — every
-// tuple carries a [`Tag`], so finishing the merged partial yields the
-// exact serial tuple order — and feeds any clauses after the breaker,
-// plus the `return` sink, serially.
-
-/// What an [`exchange`] measured, for [`build_profile`]. Clock-derived
-/// fields are zero when not profiling.
-struct ExchangeProfile {
-    /// The clause index the chain was split at.
-    cut: usize,
-    /// Per worker, its chain's counters (one entry per clause).
-    chains: Vec<Vec<OpCounters>>,
-    /// Wall time the workers spent in their claim loops, summed.
-    loop_nanos: u64,
-    /// Wall time the coordinator spent merging the partials.
-    merge_nanos: u64,
-}
-
-/// Everything a worker reports back.
-struct WorkerReport<'p> {
-    /// The worker's partial, or its first error with the index of the
-    /// morsel that raised it.
-    outcome: Result<Partial<'p>, (usize, EngineError)>,
-    counters: Vec<OpCounters>,
-    /// Wall time of the claim loop on the shared profiling clock (0
-    /// when not profiling — no clock reads off the profiled path).
-    loop_nanos: u64,
-}
-
-/// Morsel-parallel execution of an eligible FLWOR's clauses up to its
-/// first breaker, clause `cut` ([`FlworIr::parallel`]), over its
-/// already evaluated outer binding sequence. Clauses after the breaker
-/// (and the sink) run on the calling thread over the merged,
-/// serial-order stream, so they need no eligibility restrictions of
-/// their own. Returns the merged partial of that breaker.
-fn exchange<'p>(
-    interp: &Interpreter,
-    f: &'p FlworIr,
-    env: &mut Env,
-    seed: &Bindings,
-    cut: usize,
-    cells: &[Option<SourceCell>],
-) -> EngineResult<(Partial<'p>, ExchangeProfile)> {
-    let workers = interp.threads.min(seed.items.len().div_ceil(MORSEL));
-    let clock = profiling_clock(interp);
-    let morsels = Morsels {
-        f,
-        cut,
-        items: &seed.items,
-        exact: seed.exact,
-        cells,
-        next: AtomicUsize::new(0),
-        error_floor: AtomicUsize::new(usize::MAX),
-    };
-    // One private stats sink per worker, merged once after the join:
-    // a single `add_snapshot` call per worker per query instead of
-    // contended per-batch atomics on the shared sink.
-    let worker_stats: Vec<EvalStats> = (0..workers).map(|_| EvalStats::default()).collect();
-    // Interpreter is Send but not Sync (its recursion-depth Cell):
-    // fork on the coordinator, move into the thread.
-    let fork = |ws| {
-        let wenv = Env {
-            slots: env.slots.clone(),
-            focus: env.focus.clone(),
-        };
-        (interp.fork(ws), wenv)
-    };
-    let (own, others) = std::thread::scope(|s| {
-        let handles: Vec<_> = worker_stats[1..]
-            .iter()
-            .map(|ws| {
-                let (winterp, wenv) = fork(ws);
-                let morsels = &morsels;
-                s.spawn(move || morsels.work(winterp, wenv))
-            })
-            .collect();
-        // The calling thread is the first worker, so `threads` bounds
-        // the threads that run, not only the ones spawned.
-        let (interp0, env0) = fork(&worker_stats[0]);
-        let own = morsels.work(interp0, env0);
-        let others: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("parallel pipeline worker panicked"))
-            .collect();
-        (own, others)
-    });
-    for ws in &worker_stats {
-        interp.stats.add_snapshot(&ws.snapshot());
-    }
-
-    let merge_began = clock.as_ref().map(|c| c.now_nanos());
-    let mut chains = vec![own.counters];
-    let mut loop_nanos = own.loop_nanos;
-    let mut merged = own.outcome;
-    for r in others {
-        loop_nanos += r.loop_nanos;
-        chains.push(r.counters);
-        merged = match (merged, r.outcome) {
-            (Ok(mut m), Ok(partial)) => {
-                m.merge(partial);
-                Ok(m)
-            }
-            // Keep the error from the smallest morsel index: tuple
-            // results are independent, so that is exactly the error the
-            // serial pipeline would have raised first.
-            (Err(a), Err(b)) => Err(if b.0 < a.0 { b } else { a }),
-            (Err(e), Ok(_)) | (Ok(_), Err(e)) => Err(e),
-        };
-    }
-    let merged = merged.map_err(|(_, e)| e)?;
-    let merge_nanos = clock
-        .zip(merge_began)
-        .map_or(0, |(c, began)| c.now_nanos().saturating_sub(began));
-    let profile = ExchangeProfile {
-        cut,
-        chains,
-        loop_nanos,
-        merge_nanos,
-    };
-    Ok((merged, profile))
-}
-
-/// The state the workers of one [`exchange`] share.
-struct Morsels<'a, 'p> {
-    f: &'p FlworIr,
-    cut: usize,
-    /// The outer `for` binding sequence, claimed a [`MORSEL`] at a time.
-    items: &'a [Item],
-    /// Whether its probes were exact ([`Bindings::exact`]).
-    exact: bool,
-    cells: &'a [Option<SourceCell>],
-    /// The next unclaimed morsel index.
-    next: AtomicUsize,
-    /// The smallest morsel index that raised so far: nothing past it is
-    /// worth claiming.
-    error_floor: AtomicUsize,
-}
-
-impl<'p> Morsels<'_, 'p> {
-    /// One worker: claim morsels until the input (or the error floor)
-    /// is exhausted, streaming each through a private chain into this
-    /// worker's partial.
-    fn work(&self, interp: Interpreter, mut env: Env) -> WorkerReport<'p> {
-        let clock = profiling_clock(&interp);
-        let loop_start = clock.as_ref().map(|c| c.now_nanos());
-        let counters = op_counters(clock.is_some(), self.f.ops.len());
-        let mut partial = Partial::for_op(&self.f.ops[self.cut]);
-        let morsel_count = self.items.len().div_ceil(MORSEL);
-        let mut error = None;
-        loop {
-            let m = self.next.fetch_add(1, AtomicOrdering::Relaxed);
-            // Claims are monotonic, so every index below a claimed `m` is
-            // already owned by someone; past the error floor there is no
-            // point doing work whose output will be discarded.
-            if m >= morsel_count || m > self.error_floor.load(AtomicOrdering::Relaxed) {
-                break;
-            }
-            if let Err(e) = self.run_morsel(m, &interp, &mut env, &mut partial, &counters) {
-                self.error_floor.fetch_min(m, AtomicOrdering::Relaxed);
-                error = Some((m, e));
-                break;
-            }
-        }
-        let loop_nanos = loop_start
-            .zip(clock)
-            .map_or(0, |(s, c)| c.now_nanos().saturating_sub(s));
-        // Drain this thread's sequence-copy counters into the worker's
-        // private sink so the coordinator's single add_snapshot merge picks
-        // them up (the thread dies with the scope; counts would be lost).
-        let (copied, shared) = xqa_xdm::take_seq_counters();
-        interp.stats.seq_items_copied.add(copied);
-        interp.stats.seq_clones_shared.add(shared);
-        WorkerReport {
-            outcome: match error {
-                Some(e) => Err(e),
-                None => Ok(partial),
-            },
-            counters: counters.iter().map(|c| c.get()).collect(),
-            loop_nanos,
-        }
-    }
-
-    /// Stream morsel `m` through a fresh clone of the pre-breaker
-    /// chain into `partial`. The seeded `ForScan` starts its `at`
-    /// ordinals at the morsel's global offset, so positional variables
-    /// are identical to the serial run.
-    fn run_morsel(
-        &self,
-        m: usize,
-        interp: &Interpreter,
-        env: &mut Env,
-        partial: &mut Partial<'p>,
-        counters: &[Rc<Cell<OpCounters>>],
-    ) -> EngineResult<()> {
-        let lo = m * MORSEL;
-        let hi = self.items.len().min(lo + MORSEL);
-        // ForScan owns its item iterator, so the morsel slice is cloned
-        // into the worker here; `Item` is an Arc-backed handle.
-        let seed = Bindings {
-            items: Sequence::from_slice(&self.items[lo..hi]),
-            exact: self.exact,
-        };
-        let mut chain = build_chain(
-            self.f,
-            0..self.cut,
-            Box::new(Singleton { done: true }),
-            Some((seed, lo as i64)),
-            self.cells,
-            counters,
-        );
-        partial.drain(chain.as_mut(), m, interp, env)
     }
 }

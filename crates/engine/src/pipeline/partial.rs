@@ -11,11 +11,12 @@
 //!   tuples, in exactly the order one partial absorbing the whole
 //!   stream would produce.
 //!
-//! The serial pipeline is the one-partial case: the [`super::Breaker`]
+//! The pipeline is the one-partial case: the [`super::Breaker`]
 //! operator absorbs its whole input as morsel 0 and finishes, never
-//! merging. Morsel workers fill one partial each and the coordinator
-//! merges them; the tags make the result independent of which worker
-//! saw which morsel and of the order partials are merged in.
+//! merging. A stream split into morsels fills one partial per share and
+//! merges them (the merge-identity tests below); the tags make the
+//! result independent of which partial saw which morsel and of the
+//! order partials are merged in.
 
 use super::{Tag, Tuple, TupleSource};
 use crate::error::{EngineError, EngineResult};
@@ -126,7 +127,9 @@ impl<'p> Partial<'p> {
     }
 
     /// Fold `other` (same breaker, a disjoint set of morsels) into
-    /// this partial.
+    /// this partial. No pipeline merges: kept, with its merge-identity
+    /// tests, for deriving one grouping from another's partials.
+    #[allow(dead_code)]
     pub(super) fn merge(&mut self, other: Partial<'p>) {
         self.absorbed += other.absorbed;
         match (&mut self.kind, other.kind) {
@@ -462,8 +465,8 @@ impl<'p> GroupTable<'p> {
 
     /// Fold another table's groups in by canonical key (a table that
     /// groups on value ids falls back first). A `using` key defeats
-    /// this (user equality has no canonical form), which is why
-    /// [`parallel_eligible`] keeps such chains on one partial.
+    /// this (user equality has no canonical form), so a partial with
+    /// such a key is never merged.
     fn merge(&mut self, other: GroupTable<'p>) {
         if other.groups.is_empty() {
             return;
@@ -836,8 +839,8 @@ mod tests {
 
     /// The six `Qgb` templates coded and, as the same plan with its
     /// value-id annotation cleared, uncoded: equal results and equal
-    /// `nodes_visited`, `tuples_grouped` and `groups_emitted`, at
-    /// threads 1 and 4 (about 1 300 lineitems: two morsels).
+    /// `nodes_visited`, `tuples_grouped` and `groups_emitted` (about
+    /// 1 300 lineitems).
     #[test]
     fn coded_and_uncoded_groupings_count_the_same_work() {
         let mut ctx = DynamicContext::new();
@@ -867,29 +870,27 @@ mod tests {
                  return <r> {{$k0, count($items)}} </r>",
                 by.join(", ")
             );
-            for threads in [1, 4] {
-                let engine = Engine::with_options(crate::EngineOptions {
-                    threads,
-                    hints: "access=index".parse().expect("valid hints"),
-                });
-                let coded = engine.compile(&query).expect("compiles").compiled().clone();
-                let mut uncoded = coded.clone();
-                let Ir::Flwor(f) = &mut uncoded.body else {
-                    panic!("FLWOR body expected");
-                };
-                let group = f.ops.iter_mut().find(|op| !op.value_keys.is_empty());
-                group.expect("a coded group by").value_keys.clear();
-                let run = |plan: &CompiledQuery| {
-                    let before = ctx.stats.snapshot();
-                    let out = crate::eval::execute(plan, &ctx).expect("runs");
-                    let s = ctx.stats.snapshot().delta(&before);
-                    (
-                        xqa_xmlparse::serialize_sequence(&out),
-                        [s.nodes_visited, s.tuples_grouped, s.groups_emitted],
-                    )
-                };
-                assert_eq!(run(&coded), run(&uncoded), "{query} at threads={threads}");
-            }
+            let engine = Engine::with_options(crate::EngineOptions {
+                hints: "access=index".parse().expect("valid hints"),
+                ..Default::default()
+            });
+            let coded = engine.compile(&query).expect("compiles").compiled().clone();
+            let mut uncoded = coded.clone();
+            let Ir::Flwor(f) = &mut uncoded.body else {
+                panic!("FLWOR body expected");
+            };
+            let group = f.ops.iter_mut().find(|op| !op.value_keys.is_empty());
+            group.expect("a coded group by").value_keys.clear();
+            let run = |plan: &CompiledQuery| {
+                let before = ctx.stats.snapshot();
+                let out = crate::eval::execute(plan, &ctx).expect("runs");
+                let s = ctx.stats.snapshot().delta(&before);
+                (
+                    xqa_xmlparse::serialize_sequence(&out),
+                    [s.nodes_visited, s.tuples_grouped, s.groups_emitted],
+                )
+            };
+            assert_eq!(run(&coded), run(&uncoded), "{query}");
         }
     }
 }

@@ -181,11 +181,6 @@ pub struct Misestimate {
 pub struct PipelineProfile {
     /// How many times this pipeline ran.
     pub executions: u64,
-    /// The widest degree of parallelism any execution ran at (1 =
-    /// serial). Parallel executions sum worker-side operator counters,
-    /// so per-operator `nanos` are CPU time while the pipeline total
-    /// stays wall time.
-    pub workers: u64,
     /// Per-operator counters, source first, `ReturnAt` sink last.
     pub ops: Vec<OpProfile>,
 }
@@ -205,7 +200,6 @@ impl PipelineProfile {
 
     fn merge(&mut self, other: &PipelineProfile) {
         self.executions += other.executions;
-        self.workers = self.workers.max(other.workers);
         for (a, b) in self.ops.iter_mut().zip(&other.ops) {
             a.merge(b);
         }
@@ -214,10 +208,9 @@ impl PipelineProfile {
     fn to_json(&self) -> String {
         let ops: Vec<String> = self.ops.iter().map(|op| op.to_json()).collect();
         format!(
-            "{{\"signature\":\"{}\",\"executions\":{},\"workers\":{},\"total_ns\":{},\"ops\":[{}]}}",
+            "{{\"signature\":\"{}\",\"executions\":{},\"total_ns\":{},\"ops\":[{}]}}",
             json_escape(&self.signature()),
             self.executions,
-            self.workers,
             self.total_nanos(),
             ops.join(",")
         )
@@ -384,8 +377,8 @@ mod tests {
         ctx.index_documents();
         ctx.enable_profiling();
         let engine = crate::Engine::with_options(crate::EngineOptions {
-            threads: 1,
             hints: "access=index,join=hash".parse().expect("valid hints"),
+            ..Default::default()
         });
         let plan = engine
             .compile(
@@ -415,7 +408,6 @@ mod tests {
             scan.estimate = Some(10);
             PipelineProfile {
                 executions: 1,
-                workers: 1,
                 ops: vec![scan, op(OpKind::ReturnAt, "", 10)],
             }
         };
@@ -429,7 +421,6 @@ mod tests {
             1,
             PipelineProfile {
                 executions: 1,
-                workers: 1,
                 ops: vec![op(OpKind::LetBind, "", 1), op(OpKind::ReturnAt, "", 1)],
             },
         );
@@ -451,7 +442,6 @@ mod tests {
             0,
             PipelineProfile {
                 executions: 1,
-                workers: 1,
                 ops: vec![op(OpKind::ForScan, "", 1)],
             },
         );
@@ -474,7 +464,6 @@ mod tests {
             0,
             PipelineProfile {
                 executions: 1,
-                workers: 1,
                 ops: vec![op(OpKind::ForScan, "", 1)],
             },
         );
@@ -504,7 +493,6 @@ mod tests {
         filter.estimate = Some(40);
         q.pipelines.push(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![scan, filter],
         });
         let worst = q.worst_misestimate().expect("has estimates");
@@ -519,7 +507,6 @@ mod tests {
         let mut q = QueryProfile::default();
         q.pipelines.push(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![op(OpKind::OrderBy, "limit=3", 3)],
         });
         let json = q.to_json();
@@ -536,7 +523,6 @@ mod tests {
         scan.estimate = Some(3);
         q.pipelines.push(PipelineProfile {
             executions: 1,
-            workers: 1,
             ops: vec![scan],
         });
         let json = q.to_json();

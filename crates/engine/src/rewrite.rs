@@ -551,12 +551,11 @@ fn rewrite_implicit_groupby(f: &mut FlworIr) -> Option<usize> {
         var: format!("slot{items}"),
     }];
     let group = ClauseIr::GroupBy(GroupByIr { keys, nests });
-    let grouped: Vec<ClauseIr> = [scan, group]
+    f.ops = [scan, group]
         .into_iter()
         .chain(rest.first().copied().cloned())
+        .map(OpIr::from)
         .collect();
-    f.parallel = parallel_eligible(&grouped);
-    f.ops = grouped.into_iter().map(OpIr::from).collect();
     Some(fors)
 }
 

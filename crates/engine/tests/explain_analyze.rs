@@ -2,8 +2,7 @@
 //!
 //! Profiled runs use the deterministic [`TickClock`], so every timing
 //! in the rendered text depends only on how many times the pipeline
-//! read the clock — stable across machines and optimization levels —
-//! and each golden is checked serial and at four threads.
+//! read the clock — stable across machines and optimization levels.
 //! Regenerate the golden files with `UPDATE_GOLDEN=1 cargo test`.
 
 use std::collections::BTreeSet;
@@ -16,9 +15,6 @@ use xqa_engine::{
 
 /// 1ms per clock read: large enough that rendered times are round.
 const TICK_NANOS: u64 = 1_000_000;
-
-/// The thread counts every golden holds at.
-const THREADS: [usize; 2] = [1, 4];
 
 /// A paper-shaped aggregation: grouping with a pre-group filter and a
 /// bounded rank, exercising ForScan / CountBind / LetBind / Filter /
@@ -43,17 +39,8 @@ const JOIN_QUERY: &str = "for $x in 1 to 8 \
      let $m := for $y in (2, 4, 6) where $y = $x return $y \
      return <j>{$x}:{count($m)}</j>";
 
-/// An unhinted engine at `threads`.
-fn engine(threads: usize) -> Engine {
-    Engine::with_options(EngineOptions {
-        threads,
-        ..Default::default()
-    })
-}
-
-fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile, EvalStatsSnapshot) {
-    let engine = engine(threads);
-    let plan = engine.compile(query).expect("compiles");
+fn profiled_run(query: &str) -> (PreparedQuery, QueryProfile, EvalStatsSnapshot) {
+    let plan = Engine::new().compile(query).expect("compiles");
     let mut ctx = DynamicContext::new();
     ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
     ctx.enable_profiling();
@@ -62,23 +49,20 @@ fn profiled_run(query: &str, threads: usize) -> (PreparedQuery, QueryProfile, Ev
     (plan, profile, ctx.stats.snapshot())
 }
 
-/// `query`'s `explain analyze` equals the golden file `name`, serial
-/// and at four threads alike.
+/// `query`'s `explain analyze` equals the golden file `name`.
 fn assert_matches_golden(name: &str, query: &str) {
-    check_golden(name, &THREADS, |threads| {
-        let (plan, profile, stats) = profiled_run(query, threads);
-        plan.explain_analyze(&profile, &stats)
-    });
+    let (plan, profile, stats) = profiled_run(query);
+    check_golden(name, plan.explain_analyze(&profile, &stats));
 }
 
-/// `render(threads)` equals the golden file `name` at each of `threads`.
-fn check_golden(name: &str, threads: &[usize], render: impl Fn(usize) -> String) {
+/// `rendered` equals the golden file `name`.
+fn check_golden(name: &str, rendered: String) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, render(1)).expect("write golden");
+        std::fs::write(&path, &rendered).expect("write golden");
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -86,14 +70,11 @@ fn check_golden(name: &str, threads: &[usize], render: impl Fn(usize) -> String)
             path.display()
         )
     });
-    for &threads in threads {
-        assert_eq!(
-            render(threads),
-            expected,
-            "output at {threads} thread(s) drifted from golden {name}\n\
-             run with UPDATE_GOLDEN=1 to regenerate"
-        );
-    }
+    assert_eq!(
+        rendered, expected,
+        "output drifted from golden {name}\n\
+         run with UPDATE_GOLDEN=1 to regenerate"
+    );
 }
 
 #[test]
@@ -112,17 +93,11 @@ fn join_matches_golden() {
 }
 
 /// The plan of the hash-joined [`JOIN_QUERY`]: the nested FLWOR under
-/// the `[hash join ..]` tag never runs, so it prints no `pipeline:` line
-/// (the one-thread plan; more threads only tag the outer pipeline
-/// `[parallel ×N]`).
+/// the `[hash join ..]` tag never runs, so it prints no `pipeline:` line.
 #[test]
 fn join_explain_matches_golden() {
-    check_golden("explain_join.txt", &[1], |threads| {
-        engine(threads)
-            .compile(JOIN_QUERY)
-            .expect("compiles")
-            .explain()
-    });
+    let plan = Engine::new().compile(JOIN_QUERY).expect("compiles");
+    check_golden("explain_join.txt", plan.explain());
 }
 
 /// The three golden queries exercise every pipeline operator kind.
@@ -130,7 +105,7 @@ fn join_explain_matches_golden() {
 fn golden_queries_cover_every_op_kind() {
     let mut seen: BTreeSet<&'static str> = BTreeSet::new();
     for query in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY] {
-        let (_, profile, _) = profiled_run(query, 1);
+        let (_, profile, _) = profiled_run(query);
         for pipeline in &profile.pipelines {
             for op in &pipeline.ops {
                 seen.insert(op.kind.as_str());
@@ -146,11 +121,8 @@ fn golden_queries_cover_every_op_kind() {
 /// tuples_in equals its upstream's tuples_out.
 #[test]
 fn profiles_report_materialization_and_tuple_flow_consistently() {
-    for (query, threads) in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY]
-        .into_iter()
-        .flat_map(|q| THREADS.map(|t| (q, t)))
-    {
-        let (_, profile, _) = profiled_run(query, threads);
+    for query in [GROUP_TOPK_QUERY, WINDOW_QUERY, JOIN_QUERY] {
+        let (_, profile, _) = profiled_run(query);
         for pipeline in &profile.pipelines {
             for pair in pipeline.ops.windows(2) {
                 assert_eq!(
@@ -176,7 +148,7 @@ fn profiles_report_materialization_and_tuple_flow_consistently() {
 /// The JSON form carries the same per-operator numbers as the text.
 #[test]
 fn profile_json_names_every_operator() {
-    let (_, profile, _) = profiled_run(GROUP_TOPK_QUERY, 1);
+    let (_, profile, _) = profiled_run(GROUP_TOPK_QUERY);
     let json = profile.to_json();
     for op in [
         "ForScan",
@@ -222,38 +194,34 @@ fn est_actual(profile: &QueryProfile) -> Vec<(u64, EstActual)> {
 #[test]
 fn a_nested_flwor_is_one_entry_with_summed_estimates() {
     let query = "for $x in (1,2,3) return count(for $y in (1,2) return $y)";
-    for threads in THREADS {
-        let (_, profile, _) = profiled_run(query, threads);
-        assert_eq!(
-            est_actual(&profile),
-            [
-                (3, vec![(Some(6), 6), (Some(6), 6)]),
-                (1, vec![(Some(3), 3), (Some(3), 3)]),
-            ]
-        );
-        let worst = profile.worst_misestimate().expect("estimated");
-        assert_eq!(worst.q_error, 1.0);
-    }
+    let (_, profile, _) = profiled_run(query);
+    assert_eq!(
+        est_actual(&profile),
+        [
+            (3, vec![(Some(6), 6), (Some(6), 6)]),
+            (1, vec![(Some(3), 3), (Some(3), 3)]),
+        ]
+    );
+    let worst = profile.worst_misestimate().expect("estimated");
+    assert_eq!(worst.q_error, 1.0);
 }
 
 /// Two unrelated FLWORs with equal labels keep one entry each.
 #[test]
 fn flwors_with_equal_labels_stay_apart() {
     let query = "(for $x in (1,2) return $x, for $y in (3,4,5) return $y)";
-    for threads in THREADS {
-        let (_, profile, _) = profiled_run(query, threads);
-        assert_eq!(
-            est_actual(&profile),
-            [
-                (1, vec![(Some(2), 2), (Some(2), 2)]),
-                (1, vec![(Some(3), 3), (Some(3), 3)]),
-            ]
-        );
-        assert_eq!(
-            profile.pipelines[0].signature(),
-            profile.pipelines[1].signature()
-        );
-    }
+    let (_, profile, _) = profiled_run(query);
+    assert_eq!(
+        est_actual(&profile),
+        [
+            (1, vec![(Some(2), 2), (Some(2), 2)]),
+            (1, vec![(Some(3), 3), (Some(3), 3)]),
+        ]
+    );
+    assert_eq!(
+        profile.pipelines[0].signature(),
+        profile.pipelines[1].signature()
+    );
 }
 
 /// The two-key `Q` over four `li` rows: `a` takes 1, 1, 2, 3 and `b`
@@ -268,7 +236,7 @@ const TWO_KEY_Q: &str = "for $a in distinct-values(//li/a), $b in distinct-value
 
 /// The profile of the two-key `Q` over [`TWO_KEY_DOC`], indexed and
 /// with its statistics attached, under `hints`.
-fn two_key_profile(hints: &str, threads: usize) -> QueryProfile {
+fn two_key_profile(hints: &str) -> QueryProfile {
     let doc = xqa_xmlparse::parse_document(TWO_KEY_DOC).expect("well-formed");
     let mut ctx = DynamicContext::new();
     ctx.set_context_document(&doc);
@@ -277,8 +245,8 @@ fn two_key_profile(hints: &str, threads: usize) -> QueryProfile {
         ctx.stores().map(Arc::as_ref),
     ));
     let engine = Engine::with_options(EngineOptions {
-        threads,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     })
     .with_statistics(stats);
     let plan = engine.compile(TWO_KEY_Q).expect("compiles");
@@ -294,19 +262,17 @@ fn two_key_profile(hints: &str, threads: usize) -> QueryProfile {
 /// (the default 1/2 selectivity: 18 estimated, 4 kept).
 #[test]
 fn the_two_key_q_blames_the_conjunct_not_the_rescan() {
-    for threads in THREADS {
-        let profile = two_key_profile("access=walk", threads);
-        let inner = &profile.pipelines[0];
-        assert_eq!(inner.executions, 9);
-        let scan = &inner.ops[0];
-        assert_eq!(scan.label(), "ForScan");
-        assert_eq!((scan.estimate, scan.tuples_out), (Some(36), 36));
-        assert_eq!(scan.q_error(), Some(1.0));
-        let worst = profile.worst_misestimate().expect("estimated");
-        assert!(!worst.label.starts_with("ForScan"), "{worst:?}");
-        assert_eq!((worst.estimated, worst.actual), (18, 4), "{worst:?}");
-        assert_eq!(worst.q_error, 4.5);
-    }
+    let profile = two_key_profile("access=walk");
+    let inner = &profile.pipelines[0];
+    assert_eq!(inner.executions, 9);
+    let scan = &inner.ops[0];
+    assert_eq!(scan.label(), "ForScan");
+    assert_eq!((scan.estimate, scan.tuples_out), (Some(36), 36));
+    assert_eq!(scan.q_error(), Some(1.0));
+    let worst = profile.worst_misestimate().expect("estimated");
+    assert!(!worst.label.starts_with("ForScan"), "{worst:?}");
+    assert_eq!((worst.estimated, worst.actual), (18, 4), "{worst:?}");
+    assert_eq!(worst.q_error, 4.5);
 }
 
 /// Unhinted, the inner `for` probes both conjuncts through the value
@@ -318,31 +284,29 @@ fn the_two_key_q_blames_the_conjunct_not_the_rescan() {
 /// the filter and the sink alike, q = 9/4 = 2.25.
 #[test]
 fn the_probed_two_key_q_binds_only_the_matching_rows() {
-    for threads in THREADS {
-        let profile = two_key_profile("", threads);
-        let inner = &profile.pipelines[0];
-        assert_eq!(inner.executions, 9);
-        let rows: Vec<(String, Option<u64>, u64)> = inner
-            .ops
-            .iter()
-            .map(|op| (op.label(), op.estimate, op.tuples_out))
-            .collect();
-        assert_eq!(
-            rows,
-            [
-                (
-                    "ForScan(index scan //li, probe a b)".to_string(),
-                    Some(9),
-                    4
-                ),
-                ("Filter".to_string(), Some(9), 4),
-                ("ReturnAt".to_string(), Some(9), 4),
-            ]
-        );
-        let worst = profile.worst_misestimate().expect("estimated");
-        assert_eq!((worst.estimated, worst.actual), (9, 4), "{worst:?}");
-        assert_eq!(worst.q_error, 2.25);
-    }
+    let profile = two_key_profile("");
+    let inner = &profile.pipelines[0];
+    assert_eq!(inner.executions, 9);
+    let rows: Vec<(String, Option<u64>, u64)> = inner
+        .ops
+        .iter()
+        .map(|op| (op.label(), op.estimate, op.tuples_out))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            (
+                "ForScan(index scan //li, probe a b)".to_string(),
+                Some(9),
+                4
+            ),
+            ("Filter".to_string(), Some(9), 4),
+            ("ReturnAt".to_string(), Some(9), 4),
+        ]
+    );
+    let worst = profile.worst_misestimate().expect("estimated");
+    assert_eq!((worst.estimated, worst.actual), (9, 4), "{worst:?}");
+    assert_eq!(worst.q_error, 2.25);
 }
 
 /// The outer pipeline of the two-key `Q` ranges over
@@ -351,24 +315,22 @@ fn the_probed_two_key_q_binds_only_the_matching_rows() {
 /// row reads `q=1.0` (3 `$a`, 9 pairs).
 #[test]
 fn distinct_values_sources_are_estimated_from_the_catalog() {
-    for threads in THREADS {
-        let profile = two_key_profile("", threads);
-        let outer = &profile.pipelines[1];
-        let rows: Vec<(String, Option<u64>, u64)> = outer
-            .ops
-            .iter()
-            .map(|op| (op.label(), op.estimate, op.tuples_out))
-            .collect();
-        assert_eq!(
-            rows,
-            [
-                ("ForScan".to_string(), Some(3), 3),
-                ("ForScan(source once)".to_string(), Some(9), 9),
-                ("LetBind(inner source once)".to_string(), Some(9), 9),
-                ("ReturnAt".to_string(), Some(9), 9),
-            ]
-        );
-    }
+    let profile = two_key_profile("");
+    let outer = &profile.pipelines[1];
+    let rows: Vec<(String, Option<u64>, u64)> = outer
+        .ops
+        .iter()
+        .map(|op| (op.label(), op.estimate, op.tuples_out))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("ForScan".to_string(), Some(3), 3),
+            ("ForScan(source once)".to_string(), Some(9), 9),
+            ("LetBind(inner source once)".to_string(), Some(9), 9),
+            ("ReturnAt".to_string(), Some(9), 9),
+        ]
+    );
 }
 
 /// A `group by` over `$v/k` keys is estimated at `min(n, Π ndv(k))`
@@ -389,7 +351,7 @@ fn group_by_child_keys_are_estimated_from_the_catalog() {
     for (keys, groups) in [("$i/a into $a", 3), ("$i/a into $a, $i/b into $b", 4)] {
         let query =
             format!("for $i in //li group by {keys} nest $i into $items return count($items)");
-        let plan = engine(1)
+        let plan = Engine::new()
             .with_statistics(Arc::clone(&stats))
             .compile(&query)
             .expect("compiles");
@@ -405,5 +367,47 @@ fn group_by_child_keys_are_estimated_from_the_catalog() {
             (Some(groups), groups),
             "{query}"
         );
+    }
+}
+
+/// `EngineOptions::threads` is retired: at every value the plan's
+/// `explain` text and fingerprint, the serialized result, the evaluator
+/// counters and a fixed-tick profile are the default's.
+#[test]
+fn the_thread_count_is_retired() {
+    // Grouped, then ordered, over more than a thousand items.
+    let query = "for $x in 1 to 5000 group by $x mod 5 into $k nest $x into $xs \
+                 order by $k descending return <g>{$k}:{count($xs)}</g>";
+    let observe = |threads: usize| {
+        let plan = Engine::with_options(EngineOptions {
+            threads,
+            ..Default::default()
+        })
+        .compile(query)
+        .expect("compiles");
+        let mut ctx = DynamicContext::new();
+        ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
+        ctx.enable_profiling();
+        let mut out = String::new();
+        plan.run_serialized(&ctx, &mut |chunk| {
+            out.push_str(chunk);
+            Ok(())
+        })
+        .expect("runs");
+        let stats = ctx.stats.snapshot();
+        let profile = ctx.take_profile().expect("profiling was enabled");
+        let analyzed = plan.explain_analyze(&profile, &stats);
+        (
+            plan.explain(),
+            plan.fingerprint(),
+            out,
+            stats,
+            analyzed,
+            profile.to_json(),
+        )
+    };
+    let default = observe(0);
+    for threads in [1, 2, 4] {
+        assert_eq!(observe(threads), default, "threads={threads}");
     }
 }

@@ -31,20 +31,13 @@ fn indexed(xml: &str) -> (DynamicContext, Arc<CatalogStatistics>) {
     (ctx, stats)
 }
 
-/// An engine at `threads` with `stats` attached and no hints.
-fn engine(threads: usize, stats: Arc<CatalogStatistics>) -> Engine {
-    Engine::with_options(EngineOptions {
-        threads,
-        ..Default::default()
-    })
-    .with_statistics(stats)
-}
-
-/// The profiled `explain analyze` of `query` over `xml`, indexed, at
-/// `threads`.
-fn analyze(xml: &str, query: &str, threads: usize) -> String {
+/// The profiled `explain analyze` of `query` over `xml`, indexed.
+fn analyze(xml: &str, query: &str) -> String {
     let (mut ctx, stats) = indexed(xml);
-    let plan = engine(threads, stats).compile(query).expect("compile");
+    let plan = Engine::new()
+        .with_statistics(stats)
+        .compile(query)
+        .expect("compile");
     ctx.set_clock(Arc::new(TickClock::new(TICK_NANOS)));
     ctx.enable_profiling();
     plan.run(&ctx).expect("run");
@@ -52,15 +45,14 @@ fn analyze(xml: &str, query: &str, threads: usize) -> String {
     plan.explain_analyze(&profile, &ctx.stats.snapshot())
 }
 
-/// `render(threads)` equals the golden file `name` serial and at four
-/// threads alike; returns the text.
-fn assert_matches_golden(name: &str, render: impl Fn(usize) -> String) -> String {
+/// `rendered` equals the golden file `name`; returns the text.
+fn assert_matches_golden(name: &str, rendered: String) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        std::fs::write(&path, render(1)).expect("write golden");
+        std::fs::write(&path, &rendered).expect("write golden");
     }
     let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
@@ -68,26 +60,22 @@ fn assert_matches_golden(name: &str, render: impl Fn(usize) -> String) -> String
             path.display()
         )
     });
-    for threads in [1, 4] {
-        assert_eq!(
-            render(threads),
-            expected,
-            "output at {threads} thread(s) drifted from golden {name}\n\
-             run with UPDATE_GOLDEN=1 to regenerate"
-        );
-    }
+    assert_eq!(
+        rendered, expected,
+        "output drifted from golden {name}\n\
+         run with UPDATE_GOLDEN=1 to regenerate"
+    );
     expected
 }
 
 #[test]
 fn explain_renders_index_scan_annotations() {
     let (_, stats) = indexed(DOC);
-    let text = assert_matches_golden("explain_index_scan.txt", |threads| {
-        engine(threads, stats.clone())
-            .compile("count(//item) + count(//item[p = 2]) + count(//pad/missing)")
-            .expect("compile")
-            .explain()
-    });
+    let plan = Engine::new()
+        .with_statistics(stats)
+        .compile("count(//item) + count(//item[p = 2]) + count(//pad/missing)")
+        .expect("compile");
+    let text = assert_matches_golden("explain_index_scan.txt", plan.explain());
     // All three leading descendant steps are annotated — //pad/missing
     // resolves the //pad prefix via the index, then walks the child step.
     assert_eq!(text.matches("[index scan").count(), 3, "{text}");
@@ -117,15 +105,15 @@ fn explain_walk_mode_has_no_annotations() {
 
 #[test]
 fn explain_analyze_reports_index_scan_counters() {
-    let text = assert_matches_golden("explain_analyze_index_scan.txt", |threads| {
+    let text = assert_matches_golden(
+        "explain_analyze_index_scan.txt",
         analyze(
             DOC,
             "for $i in //item[p = 2] \
              order by string($i/p) \
              return at $r <hit rank=\"{$r}\"/>",
-            threads,
-        )
-    });
+        ),
+    );
     // The ForScan advertises its access path and the footer counts the
     // index-resolved tuples.
     assert!(text.contains("ForScan(index scan //item[p=..])"), "{text}");
@@ -154,12 +142,9 @@ const SKEW_DOC: &str = "<r>\
 
 #[test]
 fn explain_analyze_value_eq_estimate_uses_catalog_ndv() {
-    let text = assert_matches_golden("explain_analyze_value_eq_ndv.txt", |threads| {
-        analyze(
-            SKEW_DOC,
-            "for $i in //item[p = 1] return string($i/p)",
-            threads,
-        )
-    });
+    let text = assert_matches_golden(
+        "explain_analyze_value_eq_ndv.txt",
+        analyze(SKEW_DOC, "for $i in //item[p = 1] return string($i/p)"),
+    );
     assert!(text.contains("est/actual=6/6 (q=1.0)"), "{text}");
 }

@@ -201,8 +201,7 @@ fn empty_build_side_binds_empty() {
 // Where the build key is `$y/c` under `=`, the unhinted plan answers a
 // probe from the document store's value index when it can; `access=walk`
 // keeps the bucket table and `join=nested` the probed nested loop. All
-// three must give the same bytes, or the same error code, at threads 1
-// and 4. Each way the store could answer wrongly is a case: every key
+// three must give the same bytes, or the same error code. Each way the store could answer wrongly is a case: every key
 // type, leaves that are absent, not leaves, carry attributes or are not
 // numbers, and build sources the store must decline.
 
@@ -223,19 +222,10 @@ fn assert_joined_matches_nested(
     reads_index: bool,
 ) -> Result<String, ErrorCode> {
     let mut runs = Vec::new();
-    for threads in [1, 4] {
-        for hints in ["join=nested", "", "access=walk"] {
-            let engine = Engine::with_options(EngineOptions {
-                threads,
-                hints: hints.parse().expect("valid hints"),
-            });
-            let plan = engine.compile(query).expect("compile");
-            let out = plan.run(c).map(|s| serialize_sequence(&s));
-            runs.push((
-                format!("{hints:?} threads={threads}"),
-                out.map_err(|e| e.code()),
-            ));
-        }
+    for hints in ["join=nested", "", "access=walk"] {
+        let plan = engine(hints).compile(query).expect("compile");
+        let out = plan.run(c).map(|s| serialize_sequence(&s));
+        runs.push((format!("{hints:?}"), out.map_err(|e| e.code())));
     }
     let (first_label, first) = &runs[0];
     for (label, out) in &runs[1..] {
@@ -528,20 +518,14 @@ fn a_conjunction_declines_the_join() {
             .to_string(),
     ] {
         let mut outs = Vec::new();
-        for threads in [1, 4] {
-            for hints in ["join=hash", "", "join=nested", "access=walk"] {
-                let engine = Engine::with_options(EngineOptions {
-                    threads,
-                    hints: hints.parse().expect("valid hints"),
-                });
-                let plan = engine.compile(&query).expect("compile");
-                assert!(!plan.explain().contains("hash join"), "{hints}: {query}");
-                outs.push(
-                    plan.run(&c)
-                        .map(|s| serialize_sequence(&s))
-                        .map_err(|e| e.code()),
-                );
-            }
+        for hints in ["join=hash", "", "join=nested", "access=walk"] {
+            let plan = engine(hints).compile(&query).expect("compile");
+            assert!(!plan.explain().contains("hash join"), "{hints}: {query}");
+            outs.push(
+                plan.run(&c)
+                    .map(|s| serialize_sequence(&s))
+                    .map_err(|e| e.code()),
+            );
         }
         assert!(outs.iter().all(|o| *o == outs[0]), "{query}: {outs:?}");
     }

@@ -196,8 +196,8 @@ fn compile_trace_matches_golden() {
     let mut actual = String::new();
     for &(label, hints, with_stats, query) in GOLDEN_CASES {
         let mut engine = Engine::with_options(EngineOptions {
-            threads: 1,
             hints: hints.parse().expect("valid hints"),
+            ..Default::default()
         });
         if with_stats {
             engine = engine.with_statistics(golden_statistics());

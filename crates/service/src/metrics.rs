@@ -188,9 +188,6 @@ static REGISTRY: &[Entry] = &[
         Int(|s| s.started.elapsed().as_secs())),
     Family("xqa_workers", GAUGE, "Worker threads serving connections (`--workers`).",
         Int(|s| s.pool.size() as u64)),
-    Family("xqa_query_threads", GAUGE,
-        "Intra-query parallelism every plan runs at (1 = serial).",
-        Int(|s| s.engine.options().threads.max(1) as u64)),
     Family("xqa_worker_panics_total", COUNTER,
         "Connection jobs that panicked and were isolated by the pool.",
         Int(|s| s.pool.panic_count())),

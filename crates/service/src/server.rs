@@ -83,8 +83,7 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Maximum number of cached prepared plans.
     pub plan_cache_capacity: usize,
-    /// Options for the engine compiling every query, used as given:
-    /// every plan runs at `engine_options.threads` (serial by default).
+    /// Options for the engine compiling every query, used as given.
     pub engine_options: EngineOptions,
     /// Per-read deadline once a request has started arriving (keeps a
     /// slow-loris client from pinning a worker; expiry answers `408`).

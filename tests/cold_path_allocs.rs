@@ -148,10 +148,7 @@ fn constructed_rows_share_one_arena_per_batch() {
     let mut ctx = DynamicContext::new();
     ctx.set_context_document(&doc);
     ctx.index_documents();
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let plan = engine
         .compile(
             "for $li in (//order/lineitem)[position() le 1000] \
@@ -209,10 +206,7 @@ fn grouping_allocates_per_group_not_per_member() {
         &["quantity"],
     ];
     let ctx = orders_1k();
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let tuples = items_in(&ctx, &engine, "//order/lineitem");
     for keys in GROUP_KEYS {
         let (by, vars) = match keys {
@@ -245,10 +239,7 @@ fn grouping_allocates_per_group_not_per_member() {
 fn child_name_step_allocates_per_match_not_per_child() {
     const ALLOCS_PER_LINEITEM: f64 = 0.25;
     let ctx = orders_1k();
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let n = items_in(&ctx, &engine, "//order/lineitem");
     let plan = engine
         .compile("//order/lineitem/shipmode")
@@ -266,7 +257,7 @@ fn child_name_step_allocates_per_match_not_per_child() {
 }
 
 /// The ledger's three `export_stream` shapes, `for … where <leaf test>
-/// return <row>{…}</row>`, streamed and serialized at `threads = 1` as
+/// return <row>{…}</row>`, streamed and serialized as
 /// the ledger runs them. The scan and the `where` test are costed per
 /// tuple (the same query returning `()`), the rest per row built. A
 /// leaf test borrows the node's text and the rows of a batch share one
@@ -303,10 +294,7 @@ fn export_rows_allocate_per_batch_not_per_row() {
         ),
     ];
     let ctx = orders_1k();
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let streamed = |query: &str| {
         let plan = engine.compile(query).expect("compiles");
         let stream = || {
@@ -353,8 +341,8 @@ fn topk_pushdown_allocates_under_the_full_sort() {
     let ctx = orders_1k();
     let peak = |hints: &str| {
         let engine = Engine::with_options(EngineOptions {
-            threads: 1,
             hints: hints.parse().expect("valid hints"),
+            ..Default::default()
         });
         let plan = engine
             .compile(

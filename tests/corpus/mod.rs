@@ -62,12 +62,11 @@ fn qgb_query(keys: &[&str]) -> String {
 }
 
 /// `query` with a stable breaker: `order by $x` before its last
-/// `return` keeps the input order of `$x` and makes the chain
-/// parallel-eligible, so at threads 4 it runs behind the exchange. The
-/// threads differential builds these at run time (this file is not one
-/// of [`SOURCES`]), so the corpus keeps the breaker-free texts.
+/// `return` keeps the input order of `$x` and puts a sort behind the
+/// chain. The differential builds these at run time (this file is not
+/// one of [`SOURCES`]), so the corpus keeps the breaker-free texts.
 #[allow(dead_code)] // the plan suites run the corpus texts as written
-pub fn behind_exchange(query: &str) -> String {
+pub fn with_stable_sort(query: &str) -> String {
     let (head, ret) = query.rsplit_once(" return ").expect("a FLWOR");
     format!("{head} order by $x return {ret}")
 }

@@ -192,8 +192,8 @@ fn grouped_joined_and_index_scanned_plans_bump_their_counters() {
     ctx.set_context_document(&doc);
     ctx.index_documents();
     let engine = Engine::with_options(EngineOptions {
-        threads: 1,
         hints: "join=hash,access=index".parse().expect("valid hints"),
+        ..Default::default()
     });
     for query in [
         "for $li in //order/lineitem where $li/quantity > 2 \
@@ -239,10 +239,7 @@ fn grouped_joined_and_index_scanned_plans_bump_their_counters() {
 /// `engine.nodes_visited` stays comparable across the change to it.
 #[test]
 fn child_name_step_visits_every_child_once() {
-    let engine = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
+    let engine = Engine::new();
     let plan = engine
         .compile("let $n := . return count($n/c)")
         .expect("compiles");

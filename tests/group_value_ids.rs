@@ -5,7 +5,7 @@
 //!
 //! The coded plans (`access=index`, the default, with or without
 //! statistics attached) must give byte-identical results, or the same error code, as the
-//! uncoded ones (`access=walk`, or no stores), each at threads 1 and 4.
+//! uncoded ones (`access=walk`, or no stores).
 //! The cases aim at every way a code could go wrong: attributes on key
 //! leaves, two documents whose dictionaries number the same text
 //! differently, missing and repeated key children, a non-leaf key after
@@ -64,17 +64,17 @@ fn outcome(engine: &Engine, query: &str, ctx: &DynamicContext) -> Result<String,
 
 /// Whether the plan of `query` under `hints` groups on value ids.
 fn coded(query: &str, hints: &str, stats: &Arc<CatalogStatistics>) -> bool {
-    engine(hints, 1, Some(stats))
+    engine(hints, Some(stats))
         .compile(query)
         .expect("compiles")
         .explain()
         .contains("keys by value id")
 }
 
-fn engine(hints: &str, threads: usize, stats: Option<&Arc<CatalogStatistics>>) -> Engine {
+fn engine(hints: &str, stats: Option<&Arc<CatalogStatistics>>) -> Engine {
     let engine = Engine::with_options(EngineOptions {
-        threads,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     });
     match stats {
         Some(stats) => engine.with_statistics(Arc::clone(stats)),
@@ -97,19 +97,17 @@ fn assert_coded_matches_uncoded(
     assert_eq!(coded(query, "access=index", &stats), codes, "{query}");
     assert!(!coded(query, "access=walk", &stats), "{query}");
     let mut runs = Vec::new();
-    for threads in [1, 4] {
-        // (hints, context, statistics): the last cell has no stores.
-        let cells = [
-            ("access=index", &indexed, Some(&stats)),
-            ("", &indexed, Some(&stats)),
-            ("access=walk", &indexed, Some(&stats)),
-            ("access=index", &bare, None),
-        ];
-        for (hints, ctx, stats) in cells {
-            let out = outcome(&engine(hints, threads, stats), query, ctx);
-            let stores = if stats.is_some() { "" } else { " (no stores)" };
-            runs.push((format!("{hints:?}{stores} threads={threads}"), out));
-        }
+    // (hints, context, statistics): the last cell has no stores.
+    let cells = [
+        ("access=index", &indexed, Some(&stats)),
+        ("", &indexed, Some(&stats)),
+        ("access=walk", &indexed, Some(&stats)),
+        ("access=index", &bare, None),
+    ];
+    for (hints, ctx, stats) in cells {
+        let out = outcome(&engine(hints, stats), query, ctx);
+        let stores = if stats.is_some() { "" } else { " (no stores)" };
+        runs.push((format!("{hints:?}{stores}"), out));
     }
     let (first_label, first) = &runs[0];
     for (label, out) in &runs[1..] {
@@ -260,9 +258,7 @@ fn missing_and_repeated_key_children_code_as_sequences() {
 #[test]
 fn a_non_leaf_key_after_coded_tuples_keeps_first_appearance_order() {
     // 1 100 coded tuples, then a constructed `x` whose `k` has element
-    // content, then the same 1 100 again: more than one morsel on each
-    // side of the fallback, so at threads 4 coded and re-keyed partials
-    // merge too.
+    // content, then the same 1 100 again.
     let mut xml = String::from("<r>");
     for i in 0..1100 {
         xml.push_str(&format!("<x><k>v{}</k><n>{i}</n></x>", (i * 7) % 13));

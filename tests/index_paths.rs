@@ -4,8 +4,8 @@
 //! path dedups on the store's value column (DESIGN.md §5.1, §12).
 //!
 //! The default plan must give byte-identical results, or the same error
-//! code, as the `access=walk` plan and as a context with no stores, each
-//! at threads 1 and 4. The cases aim at every way the id path could
+//! code, as the `access=walk` plan and as a context with no stores. The
+//! cases aim at every way the id path could
 //! differ from the walk: `T` nested in `T`, grandchildren of a context,
 //! attributes on leaves, names with a non-leaf element, absent names and
 //! empty context sets, documents without a store, texts that are equal
@@ -57,10 +57,10 @@ impl Docs {
     }
 }
 
-fn engine(hints: &str, threads: usize) -> Engine {
+fn engine(hints: &str) -> Engine {
     Engine::with_options(EngineOptions {
-        threads,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     })
 }
 
@@ -74,19 +74,17 @@ fn outcome(engine: &Engine, query: &str, ctx: &DynamicContext) -> Result<String,
         .map_err(|e| e.code())
 }
 
-/// The default plan ≡ the walk ≡ no stores on `query` over `docs`, at
-/// threads 1 and 4. Returns the outcome.
+/// The default plan ≡ the walk ≡ no stores on `query` over `docs`.
+/// Returns the outcome.
 fn assert_ids_match_walk(docs: &Docs, query: &str) -> Result<String, ErrorCode> {
     let (indexed, bare) = (docs.ctx(true), docs.ctx(false));
-    let reference = outcome(&engine("access=walk", 1), query, &indexed);
-    for threads in [1, 4] {
-        for (hints, ctx) in [("", &indexed), ("access=walk", &indexed), ("", &bare)] {
-            assert_eq!(
-                outcome(&engine(hints, threads), query, ctx),
-                reference,
-                "{query}\nhints {hints:?}, threads {threads}"
-            );
-        }
+    let reference = outcome(&engine("access=walk"), query, &indexed);
+    for (hints, ctx) in [("", &indexed), ("access=walk", &indexed), ("", &bare)] {
+        assert_eq!(
+            outcome(&engine(hints), query, ctx),
+            reference,
+            "{query}\nhints {hints:?}"
+        );
     }
     reference
 }
@@ -125,10 +123,10 @@ fn qgb_query(keys: &[&str]) -> String {
 }
 
 /// `(nodes_visited, scan_index_hits, scan_index_tuples)` of one default
-/// run at threads 1.
+/// run.
 fn counts(ctx: &DynamicContext, query: &str) -> (u64, u64, u64) {
     ctx.stats.reset();
-    outcome(&engine("", 1), query, ctx).expect("runs");
+    outcome(&engine(""), query, ctx).expect("runs");
     let s = ctx.stats.snapshot();
     (s.nodes_visited, s.scan_index_hits, s.scan_index_tuples)
 }
@@ -302,8 +300,6 @@ fn distinct_values_keep_first_appearance_order() {
 
 #[test]
 fn the_paper_templates_match_the_walk() {
-    // Over 1 024 lineitems, so the group-by templates run in parallel
-    // at threads 4.
     let docs = Docs::Context(generate_orders(
         &OrdersConfig::with_total_lineitems(1500).seed(7),
     ));

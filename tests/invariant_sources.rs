@@ -6,7 +6,7 @@
 //!
 //! A hoisted plan must answer exactly as its un-hoistable twin, the same
 //! query whose source is made to read an outer variable
-//! (`(P)[exists($a)]`), in every hint mode at threads 1 and 4: the same
+//! (`(P)[exists($a)]`), in every hint mode: the same
 //! items, or the same error code. The cases aim at every way keeping a
 //! source could change an outcome: a source never evaluated because no
 //! tuple reaches it, one that raises, one that mints nodes, one that
@@ -32,8 +32,6 @@ use xqa_workload::{generate_orders, OrdersConfig};
 /// Every hint mode the twins are compared under.
 const MODES: [&str; 4] = ["", "access=index", "access=walk", "join=nested"];
 
-const THREADS: [usize; 2] = [1, 4];
-
 /// An indexed context over `doc`, with its catalog statistics.
 fn indexed(doc: &Arc<Document>) -> (DynamicContext, Arc<CatalogStatistics>) {
     let mut ctx = DynamicContext::new();
@@ -45,10 +43,10 @@ fn indexed(doc: &Arc<Document>) -> (DynamicContext, Arc<CatalogStatistics>) {
     (ctx, stats)
 }
 
-fn engine(hints: &str, threads: usize, stats: &Arc<CatalogStatistics>) -> Engine {
+fn engine(hints: &str, stats: &Arc<CatalogStatistics>) -> Engine {
     Engine::with_options(EngineOptions {
-        threads,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     })
     .with_statistics(Arc::clone(stats))
 }
@@ -65,7 +63,7 @@ fn outcome(engine: &Engine, query: &str, ctx: &DynamicContext) -> Result<String,
 
 /// The `explain` text of `query` under `hints`.
 fn explain(query: &str, hints: &str, stats: &Arc<CatalogStatistics>) -> String {
-    engine(hints, 1, stats)
+    engine(hints, stats)
         .compile(query)
         .unwrap_or_else(|e| panic!("compile: {e}\n{query}"))
         .explain()
@@ -76,25 +74,23 @@ fn keeps_a_source(query: &str, hints: &str, stats: &Arc<CatalogStatistics>) -> b
     explain(query, hints, stats).contains("source once")
 }
 
-/// `query` and its `twin` give one outcome in every mode at every
-/// thread count, and the twin keeps no source. Returns the outcome.
+/// `query` and its `twin` give one outcome in every mode, and the twin
+/// keeps no source. Returns the outcome.
 fn assert_twins_agree(
     ctx: &DynamicContext,
     stats: &Arc<CatalogStatistics>,
     query: &str,
     twin: &str,
 ) -> Result<String, ErrorCode> {
-    let reference = outcome(&engine("access=walk", 1, stats), twin, ctx);
+    let reference = outcome(&engine("access=walk", stats), twin, ctx);
     for hints in MODES {
         assert!(!keeps_a_source(twin, hints, stats), "{hints:?}: {twin}");
-        for threads in THREADS {
-            for q in [query, twin] {
-                assert_eq!(
-                    outcome(&engine(hints, threads, stats), q, ctx),
-                    reference,
-                    "{hints:?} threads={threads}:\n{q}"
-                );
-            }
+        for q in [query, twin] {
+            assert_eq!(
+                outcome(&engine(hints, stats), q, ctx),
+                reference,
+                "{hints:?}:\n{q}"
+            );
         }
     }
     reference
@@ -160,9 +156,9 @@ fn the_six_q_templates_answer_as_their_unhoistable_twins() {
 #[test]
 fn the_two_key_q_scans_each_source_once() {
     let (ctx, stats) = indexed(&orders(60));
-    let hits = |query: &str, threads: usize| {
+    let hits = |query: &str| {
         ctx.stats.reset();
-        outcome(&engine("", threads, &stats), query, &ctx).expect("runs");
+        outcome(&engine("", &stats), query, &ctx).expect("runs");
         ctx.stats.snapshot().scan_index_hits
     };
     for keys in [&["shipinstruct", "shipmode"][..], &["shipinstruct", "tax"]] {
@@ -175,11 +171,9 @@ fn the_two_key_q_scans_each_source_once() {
             ),
             "{plan}"
         );
-        for threads in THREADS {
-            assert_eq!(hits(&query, threads), 3, "{keys:?} threads={threads}");
-            // 1 + 4 per `$a` (shipinstruct has four values) + 1 per pair.
-            assert!(hits(&twin, threads) > 3 + 4, "{keys:?} threads={threads}");
-        }
+        assert_eq!(hits(&query), 3, "{keys:?}");
+        // 1 + 4 per `$a` (shipinstruct has four values) + 1 per pair.
+        assert!(hits(&twin) > 3 + 4, "{keys:?}");
     }
 }
 
@@ -208,12 +202,10 @@ fn a_source_no_tuple_reaches_is_never_evaluated() {
     }
     // Nor is one that would not raise: `//x` is never scanned.
     let query = "for $x in //nosuch for $y in //x return 1";
-    for threads in THREADS {
-        ctx.stats.reset();
-        let out = outcome(&engine("access=index", threads, &stats), query, &ctx);
-        assert_eq!(out.as_deref(), Ok(""));
-        assert_eq!(ctx.stats.snapshot().scan_index_hits, 1, "threads={threads}");
-    }
+    ctx.stats.reset();
+    let out = outcome(&engine("access=index", &stats), query, &ctx);
+    assert_eq!(out.as_deref(), Ok(""));
+    assert_eq!(ctx.stats.snapshot().scan_index_hits, 1);
 }
 
 #[test]
@@ -408,11 +400,9 @@ fn a_collection_with_stores_on_two_documents_filters() {
     }
 }
 
-/// A kept source behind a parallel exchange: a hoisted `for` after a
-/// split outer `for` is evaluated once for all workers, and a hoisted
-/// `let`'s inner FLWOR seeds its exchange from the kept, probed source.
-/// Each chain ends in an `order by`, the breaker that makes it
-/// parallel-eligible.
+/// A kept source under a sort: a hoisted `for` after an outer `for` of
+/// 2 100 items is evaluated once, and a hoisted `let`'s inner FLWOR
+/// sorts the kept, probed source. Each chain ends in an `order by`.
 #[test]
 fn kept_sources_behind_an_exchange() {
     let (ctx, stats) = indexed(&xml("<r><x>1</x><x>2</x></r>"));
@@ -423,12 +413,9 @@ fn kept_sources_behind_an_exchange() {
         assert_twins_agree(&ctx, &stats, query, twin).as_deref(),
         Ok("2100")
     );
-    let hits = |threads| {
-        ctx.stats.reset();
-        outcome(&engine("access=index", threads, &stats), query, &ctx).expect("runs");
-        ctx.stats.snapshot().scan_index_hits
-    };
-    assert_eq!((hits(1), hits(4)), (1, 1));
+    ctx.stats.reset();
+    outcome(&engine("access=index", &stats), query, &ctx).expect("runs");
+    assert_eq!(ctx.stats.snapshot().scan_index_hits, 1);
 
     let mut text = String::from("<r>");
     for i in 0..1500 {
@@ -494,12 +481,10 @@ fn a_constructed_source_keeps_no_source() {
         "count((for $x in (1, 2) let $v := for $y in <a/> return $y return $v)/.)",
     ] {
         assert!(!kept_anywhere(query), "{query}");
-        for threads in THREADS {
-            assert_eq!(
-                outcome(&engine("", threads, &stats), query, &ctx).as_deref(),
-                Ok("2")
-            );
-        }
+        assert_eq!(
+            outcome(&engine("", &stats), query, &ctx).as_deref(),
+            Ok("2")
+        );
     }
 }
 

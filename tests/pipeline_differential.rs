@@ -1,50 +1,35 @@
 //! Differential tests for the streaming tuple pipeline.
 //!
-//! The pipeline is held against itself across degrees of parallelism
-//! and across both sides of each plan hint (`access`, `join`,
-//! `nest-agg`).
-//! Every query here is evaluated at threads=1 (profiled — the run that
-//! also asserts instrumentation never changes results and that every
-//! FLWOR records its operator pipeline) and at threads=4, and the
-//! serialized results must be byte-identical.
+//! The pipeline is held against itself with and without profiling and
+//! across both sides of each plan hint (`access`, `join`, `nest-agg`).
+//! Every query here is evaluated plain and profiled — the run that
+//! also asserts that every FLWOR records its operator pipeline — and
+//! the serialized results must be byte-identical.
 
 use xqa::xdm::ErrorCode;
 use xqa::{serialize_sequence, DynamicContext, Engine, EngineOptions};
 
-/// An engine pinned to `hints` (the `--hint` grammar) at `threads`.
-fn hinted_engine(hints: &str, threads: usize) -> Engine {
+/// An engine pinned to `hints` (the `--hint` grammar).
+fn hinted_engine(hints: &str) -> Engine {
     Engine::with_options(EngineOptions {
-        threads,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     })
 }
 
-fn threaded_engines() -> (Engine, Engine) {
-    let serial = Engine::with_options(EngineOptions {
-        threads: 1,
-        ..Default::default()
-    });
-    let parallel = Engine::with_options(EngineOptions {
-        threads: 4,
-        ..Default::default()
-    });
-    (serial, parallel)
-}
-
+/// Runs `query` plain, then profiled: instrumentation must never change
+/// results, and every streaming FLWOR must record its pipeline.
 fn assert_identical_ctx(query: &str, ctx: &mut DynamicContext) {
-    let (serial, parallel) = threaded_engines();
-    let fast = serial
+    let plan = Engine::new()
         .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=1): {e}\n{query}"));
-    let slow = parallel
-        .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=4): {e}\n{query}"));
-    // The serial run is profiled: instrumentation must never change
-    // results, and every streaming FLWOR must record its pipeline.
-    ctx.enable_profiling();
-    let a = fast
+        .unwrap_or_else(|e| panic!("compile: {e}\n{query}"));
+    let a = plan
         .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=1): {e}\n{query}"));
+        .unwrap_or_else(|e| panic!("run: {e}\n{query}"));
+    ctx.enable_profiling();
+    let b = plan
+        .run(ctx)
+        .unwrap_or_else(|e| panic!("run (profiled): {e}\n{query}"));
     let profile = ctx.take_profile().expect("profiling was enabled");
     assert!(
         !profile.is_empty(),
@@ -53,13 +38,10 @@ fn assert_identical_ctx(query: &str, ctx: &mut DynamicContext) {
     for pipeline in &profile.pipelines {
         assert!(!pipeline.ops.is_empty(), "empty pipeline in profile");
     }
-    let b = slow
-        .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=4): {e}\n{query}"));
     assert_eq!(
         serialize_sequence(&a),
         serialize_sequence(&b),
-        "threads=1 and threads=4 disagree for:\n{query}"
+        "plain and profiled runs disagree for:\n{query}"
     );
 }
 
@@ -211,7 +193,7 @@ fn sliding_window_with_rank() {
 }
 
 // Windows against an independent oracle: generated integer sequences
-// and window clauses, evaluated by the engine at threads 1 and 4 and by
+// and window clauses, evaluated by the engine and by
 // a plain-Rust reading of the XQuery 3.0 window semantics (at the end of
 // this file, so that the string literals it adds to the query corpus
 // come after the existing ones).
@@ -221,17 +203,15 @@ fn sliding_window_with_rank() {
 const ORACLE_SEEDS: u64 = 256;
 
 /// The outer `for` values that get a window input; every other value
-/// of `1 to 1100` (more than one morsel) windows the empty sequence.
+/// of `1 to 1100` windows the empty sequence.
 const ORACLE_ROWS: [i64; 8] = [137, 274, 411, 548, 685, 822, 959, 1096];
 
 /// Generated tumbling and sliding windows — with and without `end` and
-/// `only end`, binding every boundary variable — match the oracle at
-/// threads 1 and 4. The outer `for` binds more than one morsel and an
-/// `order by $o`, which keeps the input order, follows the window, so
-/// at threads 4 the exchange runs the window operator on its workers.
+/// `only end`, binding every boundary variable — match the oracle. An
+/// `order by $o`, which keeps the input order, follows the window.
 #[test]
 fn windows_match_the_oracle() {
-    let (serial, parallel) = threaded_engines();
+    let engine = Engine::new();
     for seed in 0..ORACLE_SEEDS {
         let mut rng = xqa_workload::DetRng::seed_from_u64(seed);
         let spec = WindowSpec::draw(&mut rng);
@@ -244,25 +224,15 @@ fn windows_match_the_oracle() {
             .collect();
         let query = spec.query(&rows);
         let expected = spec.oracle(&rows);
-        for (engine, threads) in [(&serial, 1), (&parallel, 4)] {
-            let mut ctx = DynamicContext::new();
-            ctx.enable_profiling();
-            let result = engine
-                .compile(&query)
-                .and_then(|plan| plan.run(&ctx))
-                .unwrap_or_else(|e| panic!("seed {seed}, threads={threads}: {e}\n{query}"));
-            let profile = ctx.take_profile().expect("profiling was enabled");
-            let workers = profile.pipelines.iter().map(|p| p.workers).max();
-            assert!(
-                threads == 1 || workers > Some(1),
-                "seed {seed}: the exchange did not run at threads={threads}"
-            );
-            assert_eq!(
-                serialize_sequence(&result),
-                expected,
-                "seed {seed}, threads={threads} differs from the oracle for:\n{query}"
-            );
-        }
+        let result = engine
+            .compile(&query)
+            .and_then(|plan| plan.run(&DynamicContext::new()))
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{query}"));
+        assert_eq!(
+            serialize_sequence(&result),
+            expected,
+            "seed {seed} differs from the oracle for:\n{query}"
+        );
     }
 }
 
@@ -303,37 +273,32 @@ fn multiple_for_clauses() {
     );
 }
 
-// ---- intra-query parallelism ------------------------------------------
+// ---- large inputs ---------------------------------------------------
 //
-// Every query above (and a set of large-input shapes that actually split
-// into multiple morsels) is also evaluated with `threads: 1` vs
-// `threads: 4`; the serialized results must be byte-identical and the
-// evaluator accounting (tuples produced/grouped/pruned, groups emitted)
-// must match exactly.
+// Every query above (and a set of large-input shapes) is also run plain
+// and profiled by [`assert_same_work_ctx`]: the serialized results must
+// be byte-identical and the evaluator accounting (tuples
+// produced/grouped/pruned, groups emitted) must match exactly.
 
-fn assert_threads_identical_ctx(query: &str, ctx: &mut DynamicContext) {
-    let (serial, parallel) = threaded_engines();
-    let s = serial
+fn assert_same_work_ctx(query: &str, ctx: &mut DynamicContext) {
+    let plan = Engine::new()
         .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=1): {e}\n{query}"));
-    let p = parallel
-        .compile(query)
-        .unwrap_or_else(|e| panic!("compile (threads=4): {e}\n{query}"));
+        .unwrap_or_else(|e| panic!("compile: {e}\n{query}"));
     let base = ctx.stats.snapshot();
-    let a = s
+    let a = plan
         .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=1): {e}\n{query}"));
+        .unwrap_or_else(|e| panic!("run: {e}\n{query}"));
     let mid = ctx.stats.snapshot();
-    let b = p
+    ctx.enable_profiling();
+    let b = plan
         .run(ctx)
-        .unwrap_or_else(|e| panic!("run (threads=4): {e}\n{query}"));
+        .unwrap_or_else(|e| panic!("run (profiled): {e}\n{query}"));
     let end = ctx.stats.snapshot();
     assert_eq!(
         serialize_sequence(&a),
         serialize_sequence(&b),
-        "threads=1 and threads=4 disagree for:\n{query}"
+        "plain and profiled runs disagree for:\n{query}"
     );
-    // The parallel run must do the same logical work as the serial one.
     let deltas = [
         (
             "tuples_produced",
@@ -370,26 +335,12 @@ fn assert_threads_identical_ctx(query: &str, ctx: &mut DynamicContext) {
         assert_eq!(
             mid - base,
             end - mid,
-            "{name} differs between threads=1 and threads=4 for:\n{query}"
+            "{name} differs between the plain and the profiled run of:\n{query}"
         );
     }
 }
 
-/// Asserts that `query` runs behind the exchange at threads 4 under
-/// `hints`: its profiled run fans out to more than one worker.
-fn assert_exchanges(query: &str, hints: &str) {
-    let mut ctx = DynamicContext::new();
-    ctx.enable_profiling();
-    hinted_engine(hints, 4)
-        .compile(query)
-        .and_then(|plan| plan.run(&ctx))
-        .unwrap_or_else(|e| panic!("run (threads=4): {e}\n{query}"));
-    let profile = ctx.take_profile().expect("profiling was enabled");
-    let workers = profile.pipelines.iter().map(|p| p.workers).max();
-    assert!(workers > Some(1), "no exchange at threads=4:\n{query}");
-}
-
-/// The orders-document corpus of the threads differential.
+/// The orders-document corpus of the plain-vs-profiled differential.
 const ORDERS_CORPUS: [&str; 8] = [
         "for $li in //order/lineitem \
          group by $li/shipmode into $m \
@@ -463,24 +414,21 @@ const PLAIN_CORPUS: [&str; 7] = [
          return <r>{$y}{$x}</r>",
 ];
 
-/// The full corpus above and [`MIXED_CLAUSES`], replayed as a threads=1
-/// vs threads=4 differential. Inputs below one morsel take the
-/// pre-seeded serial fallback; the large-input tests further down
-/// exercise the real multi-worker split.
+/// The full corpus above and [`MIXED_CLAUSES`], replayed as a plain vs
+/// profiled differential.
 #[test]
 fn parallel_corpus_differential() {
     for query in ORDERS_CORPUS.into_iter().chain([MIXED_CLAUSES]) {
-        assert_threads_identical_ctx(query, &mut orders_ctx());
+        assert_same_work_ctx(query, &mut orders_ctx());
     }
     for query in PLAIN_CORPUS {
-        assert_threads_identical_ctx(query, &mut DynamicContext::new());
+        assert_same_work_ctx(query, &mut DynamicContext::new());
     }
 }
 
 #[test]
 fn parallel_large_streamed_chain() {
-    // No breaker: the serial chain at every thread count.
-    assert_threads_identical_ctx(
+    assert_same_work_ctx(
         "for $x in 1 to 4000 \
          let $y := $x * 3 \
          where $y mod 7 = 0 \
@@ -491,21 +439,19 @@ fn parallel_large_streamed_chain() {
 
 #[test]
 fn parallel_large_positional_at() {
-    // `at` ordinals are global positions, not morsel-local ones.
-    let query = corpus::behind_exchange(
+    // `at` ordinals are positions in the whole binding sequence.
+    let query = corpus::with_stable_sort(
         "for $x at $i in 2 to 4001 \
          where $x mod 997 = 0 \
          return <r>{$i}:{$x}</r>",
     );
-    assert_exchanges(&query, "");
-    assert_threads_identical_ctx(&query, &mut DynamicContext::new());
+    assert_same_work_ctx(&query, &mut DynamicContext::new());
 }
 
 #[test]
 fn parallel_large_rank_without_order() {
-    // No breaker, with `return at`: the serial chain at every thread
-    // count.
-    assert_threads_identical_ctx(
+    // No breaker, with `return at`.
+    assert_same_work_ctx(
         "for $x in 1 to 3000 \
          where $x mod 2 = 0 \
          return at $r <r>{$r}:{$x}</r>",
@@ -516,9 +462,8 @@ fn parallel_large_rank_without_order() {
 #[test]
 fn parallel_large_group_by_deep_equal_keys() {
     // Sequence-valued grouping keys exercise the deep-equal fallback in
-    // every worker's hash table and again in the cross-worker merge;
-    // with no order by, group order is first appearance across morsels.
-    assert_threads_identical_ctx(
+    // the hash table; with no order by, group order is first appearance.
+    assert_same_work_ctx(
         "for $x in 1 to 5000 \
          group by ($x mod 7, $x mod 3) into $k \
          nest $x into $xs \
@@ -529,7 +474,7 @@ fn parallel_large_group_by_deep_equal_keys() {
 
 #[test]
 fn parallel_large_group_by_ordered_nest() {
-    assert_threads_identical_ctx(
+    assert_same_work_ctx(
         "for $x in 1 to 5000 \
          group by $x mod 11 into $k \
          nest $x order by $x mod 13, $x into $xs \
@@ -541,9 +486,9 @@ fn parallel_large_group_by_ordered_nest() {
 
 #[test]
 fn parallel_large_top_k_ties_and_rank() {
-    // Massive ties on the sort key: the survivors and their ranks must
-    // match the serial stable order (tags break ties by input position).
-    assert_threads_identical_ctx(
+    // Massive ties on the sort key: the survivors and their ranks keep
+    // the stable order (tags break ties by input position).
+    assert_same_work_ctx(
         "(for $x in 1 to 5000 \
           order by $x mod 10 \
           return at $r <r rank=\"{$r}\">{$x}</r>)[position() le 25]",
@@ -553,7 +498,7 @@ fn parallel_large_top_k_ties_and_rank() {
 
 #[test]
 fn parallel_large_full_sort_stability() {
-    assert_threads_identical_ctx(
+    assert_same_work_ctx(
         "for $x in 1 to 3000 \
          order by $x mod 4 \
          return <r>{$x}</r>",
@@ -563,9 +508,9 @@ fn parallel_large_full_sort_stability() {
 
 #[test]
 fn parallel_large_groupby_then_downstream_clauses() {
-    // Clauses after the breaker (let/where/order by) run serially on
-    // the merged stream.
-    assert_threads_identical_ctx(
+    // Clauses after the breaker (let/where/order by) run on the grouped
+    // stream.
+    assert_same_work_ctx(
         "for $x in 1 to 5000 \
          group by $x mod 17 into $k \
          nest $x into $xs \
@@ -579,33 +524,21 @@ fn parallel_large_groupby_then_downstream_clauses() {
 
 #[test]
 fn parallel_error_matches_serial() {
-    // The parallel run must surface exactly the error the serial run
-    // raises first, even when later morsels would also fail. The error
-    // is raised in `return`, so at threads 4 this breaker-free chain
-    // runs serially; `expr_error_semantics.rs` raises errors in two
-    // morsels behind the exchange.
-    let (serial, parallel) = threaded_engines();
+    // The error is raised in `return`, at the 1 500th of 3 000 tuples.
     let query = "for $x in 1 to 3000 return $x idiv ($x - 1500)";
-    let ctx = DynamicContext::new();
-    let e1 = serial
+    let err = Engine::new()
         .compile(query)
         .expect("compile")
-        .run(&ctx)
-        .expect_err("threads=1 must fail");
-    let e4 = parallel
-        .compile(query)
-        .expect("compile")
-        .run(&ctx)
-        .expect_err("threads=4 must fail");
-    assert_eq!(e1.to_string(), e4.to_string());
+        .run(&DynamicContext::new())
+        .expect_err("the run must fail");
+    assert_eq!(err.code(), ErrorCode::FOAR0001);
 }
 
 // ---- access paths -----------------------------------------------------
 //
-// Every query below is evaluated four ways — access path forced to
-// `walk` and forced to `index`, each at threads=1 and threads=4 —
-// against a context whose documents carry indexed stores. All four
-// serialized results must be byte-identical: the index path is a pure
+// Every query below is evaluated two ways — access path forced to
+// `walk` and forced to `index` — against a context whose documents
+// carry indexed stores. Both serialized results must be byte-identical: the index path is a pure
 // access-method substitution, never a semantic one.
 
 fn indexed_orders_ctx() -> (
@@ -635,20 +568,15 @@ fn assert_access_paths_identical(
     stats: &std::sync::Arc<xqa::storage::CatalogStatistics>,
 ) {
     let mut outputs: Vec<(String, String)> = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in ["access=walk", "access=index"] {
-            let engine = hinted_engine(mode, threads).with_statistics(std::sync::Arc::clone(stats));
-            let plan = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"));
-            let out = plan
-                .run(ctx)
-                .unwrap_or_else(|e| panic!("run ({mode}, threads={threads}): {e}\n{query}"));
-            outputs.push((
-                format!("{mode} threads={threads}"),
-                serialize_sequence(&out),
-            ));
-        }
+    for mode in ["access=walk", "access=index"] {
+        let engine = hinted_engine(mode).with_statistics(std::sync::Arc::clone(stats));
+        let plan = engine
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile ({mode}): {e}\n{query}"));
+        let out = plan
+            .run(ctx)
+            .unwrap_or_else(|e| panic!("run ({mode}): {e}\n{query}"));
+        outputs.push((mode.to_string(), serialize_sequence(&out)));
     }
     let (baseline_label, baseline) = &outputs[0];
     for (label, out) in &outputs[1..] {
@@ -724,14 +652,14 @@ const ACCESS_PATH_CORPUS: [&str; 13] = [
 /// everything forced to `index` records index hits, and the same
 /// queries forced to `walk` record none. On a descendant scan and on a
 /// value probe the walk must also visit at least ten times the nodes
-/// the index plan visits or reads from postings: exact counters at
-/// threads=1, 16 012 vs 473 and 38 174 vs 224 when this floor was set.
+/// the index plan visits or reads from postings: exact counters were
+/// 16 012 vs 473 and 38 174 vs 224 when this floor was set.
 #[test]
 fn access_path_differential_takes_the_index() {
     let (ctx, stats) = indexed_orders_ctx();
     let query = "count(//lineitem[quantity = 10]) + count(//lineitem)";
     let run = |mode: &str, query: &str| {
-        let engine = hinted_engine(mode, 1).with_statistics(std::sync::Arc::clone(&stats));
+        let engine = hinted_engine(mode).with_statistics(std::sync::Arc::clone(&stats));
         let before = ctx.stats.snapshot();
         engine
             .compile(query)
@@ -766,39 +694,20 @@ fn access_path_differential_takes_the_index() {
     }
 }
 
-#[test]
-fn parallel_profile_reports_workers() {
-    // A profiled parallel run records the widest worker fan-out.
-    let parallel = Engine::with_options(EngineOptions {
-        threads: 4,
-        ..Default::default()
-    });
-    let query = parallel
-        .compile(
-            "for $x in 1 to 5000 \
-             group by $x mod 5 into $k \
-             nest $x into $xs \
-             order by $k \
-             return <g>{$k}:{count($xs)}</g>",
-        )
-        .expect("compile");
-    let mut ctx = DynamicContext::new();
-    ctx.enable_profiling();
-    query.run(&ctx).expect("run");
-    let profile = ctx.take_profile().expect("profile");
-    let workers = profile.pipelines.iter().map(|p| p.workers).max().unwrap();
-    assert_eq!(workers, 4, "expected a 4-worker parallel pipeline");
-}
-
 // ---- scalar-heavy shapes ----------------------------------------------
 //
 // Arithmetic, `mod`, `count` and `sum` in `let`, `where` and group keys,
-// within one morsel and across several, replayed threads=1 vs threads=4
-// like the large-input shapes above.
+// over small and large inputs, replayed plain vs profiled like the
+// large-input shapes above.
 
 #[test]
 fn expr_eval_parallel_morsel_differential() {
     let corpus = [
+        "for $x in 1 to 5000 \
+             group by $x mod 5 into $k \
+             nest $x into $xs \
+             order by $k \
+             return <g>{$k}:{count($xs)}</g>",
         "for $x in 1 to 5000 \
          group by $x mod 7 into $k \
          nest $x into $xs \
@@ -813,42 +722,39 @@ fn expr_eval_parallel_morsel_differential() {
          return <r>{$c}:{$y}</r>",
     ];
     for query in corpus {
-        assert_threads_identical_ctx(query, &mut DynamicContext::new());
+        assert_same_work_ctx(query, &mut DynamicContext::new());
     }
 }
 
 // ---- join unnesting ----------------------------------------------------
 //
-// Every query below is evaluated four ways — join strategy forced to
-// `hash` and forced to `nested`, each at threads=1 and threads=4. All
-// four outcomes must be identical, the serialized results byte for
+// Every query below is evaluated two ways — join strategy forced to
+// `hash` and forced to `nested`. Both outcomes must be identical, the serialized results byte for
 // byte, an error by its code: the hash join is a pure join-method
 // substitution for the nested loop, never a semantic one. Every corpus
 // entry is a joinable shape, so the hash-mode plans are additionally
 // required to carry the `[hash join ...]` annotation and the
 // nested-mode plans not to.
 
-/// The one outcome of `query` under all four join modes.
+/// The one outcome of `query` under both join modes.
 fn join_modes_outcome(query: &str, ctx: &DynamicContext) -> Result<String, ErrorCode> {
     let mut outputs = Vec::new();
-    for threads in [1usize, 4] {
-        for mode in ["join=hash", "join=nested"] {
-            let engine = hinted_engine(mode, threads);
-            let plan = engine
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile ({mode}, threads={threads}): {e}\n{query}"));
-            assert_eq!(
-                plan.explain().contains("[hash join"),
-                mode == "join=hash",
-                "{mode} planned the wrong join:\n{query}\n{}",
-                plan.explain()
-            );
-            let out = plan
-                .run(ctx)
-                .map(|items| serialize_sequence(&items))
-                .map_err(|e| e.code());
-            outputs.push((format!("{mode} threads={threads}"), out));
-        }
+    for mode in ["join=hash", "join=nested"] {
+        let engine = hinted_engine(mode);
+        let plan = engine
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile ({mode}): {e}\n{query}"));
+        assert_eq!(
+            plan.explain().contains("[hash join"),
+            mode == "join=hash",
+            "{mode} planned the wrong join:\n{query}\n{}",
+            plan.explain()
+        );
+        let out = plan
+            .run(ctx)
+            .map(|items| serialize_sequence(&items))
+            .map_err(|e| e.code());
+        outputs.push((mode.to_string(), out));
     }
     let (baseline_label, baseline) = &outputs[0];
     for (label, out) in &outputs[1..] {
@@ -930,10 +836,9 @@ fn typed_join_corpus_raises_the_same_error() {
     }
 }
 
-/// Document-free shapes: large ones where the probe side (and in one
-/// case the build side) splits into multiple morsels, exercising the
-/// shared build cell and per-worker probing (again behind the exchange,
-/// given a breaker), and mixed-type numeric keys whose promotion to
+/// Document-free shapes: large probe sides (and in one case a large
+/// build side), again with a stable sort after them, and mixed-type
+/// numeric keys whose promotion to
 /// `xs:double` rounds (`9007199254740993 = 9007199254740992e0` holds),
 /// which must hash to one bucket.
 #[test]
@@ -960,20 +865,16 @@ fn join_large_morsel_differential() {
         assert_join_modes_identical(query, &ctx);
     }
     for query in &corpus[..3] {
-        let query = corpus::behind_exchange(query);
-        assert_exchanges(&query, "join=hash");
-        assert_join_modes_identical(&query, &ctx);
+        assert_join_modes_identical(&corpus::with_stable_sort(query), &ctx);
     }
 }
 
-/// Behind the exchange every worker probes one shared build: however
-/// many first probes race, SRC is keyed once per FLWOR execution. At
-/// threads=4, over an outer `for` of three morsels, a join directly
-/// behind the `for` and one behind a filtering clause (a second `for`
-/// keeping one outer item in three; `where` may not precede a `let`)
-/// count exactly what they count at threads=1: |SRC| build tuples and
-/// one hash probe per probing tuple. An `order by $x` puts each behind
-/// the exchange.
+/// Every probe reads one build: SRC is keyed once per FLWOR execution.
+/// Over an outer `for` of 3 000 items, a join directly behind the `for`
+/// and one behind a filtering clause (a second `for` keeping one outer
+/// item in three; `where` may not precede a `let`) count |SRC| build
+/// tuples and one hash probe per probing tuple, with an `order by $x`
+/// after them.
 #[test]
 fn join_builds_once_behind_the_exchange() {
     let corpus = [
@@ -992,22 +893,19 @@ fn join_builds_once_behind_the_exchange() {
     ];
     let ctx = DynamicContext::new();
     for (query, probes) in corpus {
-        let query = corpus::behind_exchange(query);
-        assert_exchanges(&query, "join=hash");
-        for threads in [1, 4] {
-            let before = ctx.stats.snapshot();
-            hinted_engine("join=hash", threads)
-                .compile(&query)
-                .expect("compile")
-                .run(&ctx)
-                .expect("run");
-            let d = ctx.stats.snapshot().delta(&before);
-            assert_eq!(
-                (d.join_build_tuples, d.join_hash_probes),
-                (50, probes),
-                "threads={threads}: (build tuples, hash probes) for:\n{query}"
-            );
-        }
+        let query = corpus::with_stable_sort(query);
+        let before = ctx.stats.snapshot();
+        hinted_engine("join=hash")
+            .compile(&query)
+            .expect("compile")
+            .run(&ctx)
+            .expect("run");
+        let d = ctx.stats.snapshot().delta(&before);
+        assert_eq!(
+            (d.join_build_tuples, d.join_hash_probes),
+            (50, probes),
+            "(build tuples, hash probes) for:\n{query}"
+        );
     }
 }
 
@@ -1016,12 +914,12 @@ fn join_builds_once_behind_the_exchange() {
 /// Joining a 50-row `rates` document to the lineitems on `quantity`,
 /// the nested plan re-walks the lineitems once per rate, so it must
 /// visit at least ten times the nodes the hash plan does: exact
-/// counters at threads=1, 1 131 951 vs 22 462 when this floor was set.
+/// counters were 1 131 951 vs 22 462 when this floor was set.
 #[test]
 fn join_differential_takes_the_hash_path() {
     let run = |mode: &str, query: &str, ctx: &DynamicContext| {
         let before = ctx.stats.snapshot();
-        let out = hinted_engine(mode, 1)
+        let out = hinted_engine(mode)
             .compile(query)
             .expect("compile")
             .run(ctx)
@@ -1072,7 +970,8 @@ fn join_differential_takes_the_hash_path() {
 }
 
 /// A path-valued `for`, a function-calling `let` and a scalar `where`
-/// in one FLWOR over the orders document, for the threads differential.
+/// in one FLWOR over the orders document, for the plain-vs-profiled
+/// differential.
 const MIXED_CLAUSES: &str = "for $li in //order/lineitem \
      let $q := number($li/quantity) \
      where $q >= 0 \
@@ -1082,15 +981,13 @@ const MIXED_CLAUSES: &str = "for $li in //order/lineitem \
 //
 // A nest read only as `count($nest)` keeps a running item count per
 // group under `nest-agg=on` and every member under `nest-agg=off`. Both
-// sides, each at threads=1 and threads=4, must serialize the same
-// result or raise the same error, and the plan carries `agg count(`
+// sides must serialize the same result or raise the same error, and the plan carries `agg count(`
 // exactly when the rule fires.
 
 #[allow(dead_code)] // the hint cells are for the plan suites
 mod corpus;
 
-/// About 1 300 lineitems: a `for` over them spans two morsels, so at
-/// threads=4 the grouping runs on merged partials.
+/// About 1 300 lineitems.
 fn large_orders_ctx() -> DynamicContext {
     let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
         orders: 320,
@@ -1101,8 +998,8 @@ fn large_orders_ctx() -> DynamicContext {
     ctx
 }
 
-/// Run `query` with `nest-agg` on and off (on top of `base` hints) at
-/// threads 1 and 4; every outcome must be byte-identical. Returns
+/// Run `query` with `nest-agg` on and off (on top of `base` hints);
+/// both outcomes must be byte-identical. Returns
 /// whether the rule fired (the `nest-agg=on` plan carries `agg
 /// count(`); the `nest-agg=off` plan never does.
 fn assert_nest_agg_identical(query: &str, base: &str, ctx: &DynamicContext) -> bool {
@@ -1110,22 +1007,20 @@ fn assert_nest_agg_identical(query: &str, base: &str, ctx: &DynamicContext) -> b
     let mut fired = false;
     for agg in ["nest-agg=on", "nest-agg=off"] {
         let hints = [base, agg].join(",");
-        for threads in [1usize, 4] {
-            let plan = hinted_engine(&hints, threads)
-                .compile(query)
-                .unwrap_or_else(|e| panic!("compile [{hints}] threads={threads}: {e}\n{query}"));
-            let carries = plan.explain().contains("agg count(");
-            if agg == "nest-agg=off" {
-                assert!(!carries, "[{hints}] plan aggregates:\n{}", plan.explain());
-            } else {
-                fired = carries;
-            }
-            let outcome = match plan.run(ctx) {
-                Ok(seq) => serialize_sequence(&seq),
-                Err(e) => format!("error: {e}"),
-            };
-            outcomes.push((format!("[{hints}] threads={threads}"), outcome));
+        let plan = hinted_engine(&hints)
+            .compile(query)
+            .unwrap_or_else(|e| panic!("compile [{hints}]: {e}\n{query}"));
+        let carries = plan.explain().contains("agg count(");
+        if agg == "nest-agg=off" {
+            assert!(!carries, "[{hints}] plan aggregates:\n{}", plan.explain());
+        } else {
+            fired = carries;
         }
+        let outcome = match plan.run(ctx) {
+            Ok(seq) => serialize_sequence(&seq),
+            Err(e) => format!("error: {e}"),
+        };
+        outcomes.push((format!("[{hints}]"), outcome));
     }
     let (first, expected) = &outcomes[0];
     for (label, outcome) in &outcomes[1..] {

@@ -1,11 +1,11 @@
 //! One label per operator, wherever it is printed: for every corpus
 //! query (see `corpus/mod.rs`) under each hint cell the differential
-//! suites loop over, at `threads` 1 and 4, the plan signature of every
+//! suites loop over, the plan signature of every
 //! pipeline in the run's profile is a `pipeline:` line of the same
 //! plan's `explain()`, and the run's flight record (what `--diag-json`
 //! writes) is well-formed JSON. Every run outside the `implicit-groupby=on` cell
 //! also has one outcome, the serialized result or the error code: the
-//! one the first cell gives at threads 1.
+//! one the first cell gives.
 //!
 //! This file is deliberately not one of `corpus::SOURCES`: its query
 //! texts stay out of `tests/golden/rewrite_notes.txt`.
@@ -25,14 +25,12 @@ type Outcome = Result<String, ErrorCode>;
 /// about itself against what `explain` prints about the plan. A query
 /// may fail at run time (most of the corpus was written for other
 /// documents): the pipelines that ran before the error are checked all
-/// the same. Returns how many pipelines that was, how many of them ran
-/// behind a parallel exchange, and the run's outcome.
-fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> ([usize; 2], Outcome) {
+/// the same. Returns how many pipelines that was, and the run's outcome.
+fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> (usize, Outcome) {
     let explain = plan.explain();
     let lines: Vec<&str> = explain
         .lines()
         .filter_map(|line| line.trim_start().strip_prefix("pipeline: "))
-        .map(|line| line.split(" [parallel ×").next().expect("a first piece"))
         .collect();
     let outcome = plan
         .run(ctx)
@@ -63,15 +61,12 @@ fn check_run(plan: &PreparedQuery, ctx: &DynamicContext, what: &str) -> ([usize;
             &json[shown..]
         );
     }
-    let exchanged = profile.pipelines.iter().filter(|p| p.workers > 1).count();
-    ([profile.pipelines.len(), exchanged], outcome)
+    (profile.pipelines.len(), outcome)
 }
 
 #[test]
 fn profile_signatures_are_explain_lines_and_profile_json_parses() {
-    // About 1 300 lineitems: an outer `for` over them spans two
-    // morsels, so at `threads: 4` its chain runs behind the exchange
-    // when a `group by` or `order by` follows it.
+    // About 1 300 lineitems.
     let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
         orders: 320,
         ..Default::default()
@@ -84,7 +79,7 @@ fn profile_signatures_are_explain_lines_and_profile_json_parses() {
         ctx.stores().map(Arc::as_ref),
     ));
 
-    let (mut queries, mut pipelines, mut exchanged, mut compared) = (0, 0, 0, 0);
+    let (mut queries, mut pipelines, mut compared) = (0, 0, 0);
     for query in corpus::candidates() {
         if Engine::new().compile(&query).is_err() {
             continue;
@@ -92,45 +87,35 @@ fn profile_signatures_are_explain_lines_and_profile_json_parses() {
         queries += 1;
         let mut first: Option<Outcome> = None;
         for hints in corpus::HINT_CELLS {
-            for threads in [1, 4] {
-                let engine = Engine::with_options(EngineOptions {
-                    threads,
-                    hints: hints.parse().expect("valid hints"),
-                })
-                .with_statistics(Arc::clone(&stats));
-                let plan = engine
-                    .compile(&query)
-                    .unwrap_or_else(|e| panic!("compile under [{hints}]: {e}\n{query}"));
-                let what = format!("[{hints}] threads={threads} {query}");
-                let ([ran, parallel], outcome) = check_run(&plan, &ctx, &what);
-                pipelines += ran;
-                exchanged += parallel;
-                // The paper's opt-in rewrite carries its premise, so
-                // only that cell may change what a query gives.
-                if hints == "implicit-groupby=on" {
-                    continue;
-                }
-                match &first {
-                    None => first = Some(outcome),
-                    Some(first) => {
-                        assert_eq!(&outcome, first, "{what}: outcome differs from [] threads=1");
-                        compared += 1;
-                    }
+            let engine = Engine::with_options(EngineOptions {
+                hints: hints.parse().expect("valid hints"),
+                ..Default::default()
+            })
+            .with_statistics(Arc::clone(&stats));
+            let plan = engine
+                .compile(&query)
+                .unwrap_or_else(|e| panic!("compile under [{hints}]: {e}\n{query}"));
+            let what = format!("[{hints}] {query}");
+            let (ran, outcome) = check_run(&plan, &ctx, &what);
+            pipelines += ran;
+            // The paper's opt-in rewrite carries its premise, so
+            // only that cell may change what a query gives.
+            if hints == "implicit-groupby=on" {
+                continue;
+            }
+            match &first {
+                None => first = Some(outcome),
+                Some(first) => {
+                    assert_eq!(&outcome, first, "{what}: outcome differs from []");
+                    compared += 1;
                 }
             }
         }
     }
     assert!(queries > 100, "corpus shrank to {queries}");
-    // Five outcomes per query are compared: three cells at two thread
-    // counts, less the first.
-    assert!(compared > 550, "only {compared} outcomes compared");
-    assert!(pipelines > 650, "only {pipelines} pipelines ran");
-    // Only chains with a `group by` / `order by` exchange: 132 of them
-    // did when this floor was set.
-    assert!(
-        exchanged > 120,
-        "only {exchanged} pipelines ran in parallel"
-    );
+    // Two outcomes per query are compared: three cells, less the first.
+    assert!(compared > 220, "only {compared} outcomes compared");
+    assert!(pipelines > 325, "only {pipelines} pipelines ran");
 }
 
 /// A join key that is a string literal puts `"` into the operator's
@@ -143,8 +128,8 @@ fn a_string_literal_join_key_stays_inside_its_json_string() {
     ctx.set_context_document(&doc);
     ctx.enable_profiling();
     let engine = Engine::with_options(EngineOptions {
-        threads: 1,
         hints: "join=hash".parse().expect("valid hints"),
+        ..Default::default()
     });
     let plan = engine
         .compile(
@@ -158,7 +143,7 @@ fn a_string_literal_join_key_stays_inside_its_json_string() {
         "{}",
         plan.explain()
     );
-    assert_eq!(check_run(&plan, &ctx, "string-literal key").0, [1, 0]);
+    assert_eq!(check_run(&plan, &ctx, "string-literal key").0, 1);
 }
 
 /// Strict RFC 8259 well-formedness of one JSON document: `Err` carries

@@ -32,8 +32,8 @@ fn compile(
     stats: Option<&Arc<xqa::storage::CatalogStatistics>>,
 ) -> xqa::PreparedQuery {
     let mut engine = Engine::with_options(EngineOptions {
-        threads: 1,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     });
     if let Some(stats) = stats {
         engine = engine.with_statistics(Arc::clone(stats));

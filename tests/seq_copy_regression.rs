@@ -30,7 +30,7 @@ fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/seq_copy_ceiling.txt")
 }
 
-/// One deterministic threads=1 run; returns the copy-counter deltas.
+/// One deterministic run; returns the copy-counter deltas.
 fn measure() -> (u64, u64) {
     let doc = xqa_workload::generate_orders(&xqa_workload::OrdersConfig {
         orders: ORDERS,
@@ -41,8 +41,8 @@ fn measure() -> (u64, u64) {
     // `nest-agg=off`: the nest is only counted, and a counted nest keeps
     // no sequence to share; this measures the kept one.
     let engine = Engine::with_options(EngineOptions {
-        threads: 1,
         hints: "nest-agg=off".parse().expect("valid hints"),
+        ..Default::default()
     });
     let plan = engine.compile(QUERY).expect("compiles");
     let before = ctx.stats.snapshot();

@@ -6,7 +6,7 @@
 //! The probed plans (the default `access=index`, also under
 //! `join=nested` so that a join shape keeps its `where`, and over a
 //! context with no stores) must give byte-identical results, or the
-//! same error code, as the `access=walk` plan, each at threads 1 and 4. The cases aim at every
+//! same error code, as the `access=walk` plan. The cases aim at every
 //! way a probe could drop a tuple the `where` would keep, or swallow an
 //! error it would raise: each key type, leaves that are absent, not
 //! leaves, carry attributes or are not numbers, items that are not
@@ -68,10 +68,10 @@ fn outcome(engine: &Engine, query: &str, ctx: &DynamicContext) -> Result<String,
         .map_err(|e| e.code())
 }
 
-fn engine(hints: &str, threads: usize, stats: Option<&Arc<CatalogStatistics>>) -> Engine {
+fn engine(hints: &str, stats: Option<&Arc<CatalogStatistics>>) -> Engine {
     let engine = Engine::with_options(EngineOptions {
-        threads,
         hints: hints.parse().expect("valid hints"),
+        ..Default::default()
     });
     match stats {
         Some(stats) => engine.with_statistics(Arc::clone(stats)),
@@ -82,7 +82,7 @@ fn engine(hints: &str, threads: usize, stats: Option<&Arc<CatalogStatistics>>) -
 /// The `probe ..` parts of the plan labels of `query` under `hints`
 /// (no statistics), in plan order.
 fn probes(query: &str, hints: &str) -> Vec<String> {
-    let explain = engine(hints, 1, None)
+    let explain = engine(hints, None)
         .compile(query)
         .unwrap_or_else(|e| panic!("compile: {e}\n{query}"))
         .explain();
@@ -105,19 +105,17 @@ fn assert_probed_matches_walk(docs: &Docs, query: &str, probed: bool) -> Result<
         indexed.stores().map(Arc::as_ref),
     ));
     let mut runs = Vec::new();
-    for threads in [1, 4] {
-        // (hints, context, statistics): the walk first, the reference.
-        let cells = [
-            ("access=walk", &indexed, Some(&stats)),
-            ("", &indexed, Some(&stats)),
-            ("join=nested", &indexed, Some(&stats)),
-            ("join=nested", &bare, None),
-        ];
-        for (hints, ctx, stats) in cells {
-            let out = outcome(&engine(hints, threads, stats), query, ctx);
-            let stores = if stats.is_some() { "" } else { " (no stores)" };
-            runs.push((format!("{hints:?}{stores} threads={threads}"), out));
-        }
+    // (hints, context, statistics): the walk first, the reference.
+    let cells = [
+        ("access=walk", &indexed, Some(&stats)),
+        ("", &indexed, Some(&stats)),
+        ("join=nested", &indexed, Some(&stats)),
+        ("join=nested", &bare, None),
+    ];
+    for (hints, ctx, stats) in cells {
+        let out = outcome(&engine(hints, stats), query, ctx);
+        let stores = if stats.is_some() { "" } else { " (no stores)" };
+        runs.push((format!("{hints:?}{stores}"), out));
     }
     let (first_label, first) = &runs[0];
     for (label, out) in &runs[1..] {
@@ -169,7 +167,7 @@ fn the_six_q_templates_probe_identically() {
     let ctx = docs.ctx(true);
     let tuples = |query: &str, hints: &str| {
         ctx.stats.reset();
-        outcome(&engine(hints, 1, None), query, &ctx).expect("runs");
+        outcome(&engine(hints, None), query, &ctx).expect("runs");
         ctx.stats.snapshot().tuples_produced
     };
     for keys in keys {
@@ -192,9 +190,8 @@ fn the_six_q_templates_probe_identically() {
 
 #[test]
 fn an_exchange_seed_is_probed_like_a_scan() {
-    // 1 500 rows, 1 200 of them `a`: more than one morsel survives the
-    // probe, and the inner FLWOR's `order by` is a breaker, so at
-    // threads 4 the inner `for` seeds the exchange.
+    // 1 500 rows, 1 200 of them `a`: more than a thousand survive the
+    // probe into the inner FLWOR's `order by`.
     let mut xml = String::from("<r>");
     for i in 0..1500 {
         let k = if i % 5 == 0 { "b" } else { "a" };
@@ -377,14 +374,17 @@ fn a_collection_with_one_indexed_document() {
 /// index instead of walking every lineitem's key: exact counts (at the
 /// plans before, 7 998 comparisons and 125 972 / 240 945 visits). The
 /// visits are the postings the child steps' merges examine: 73 985 /
-/// 136 971 while each child step walked every context's children.
+/// 136 971 while each child step walked every context's children. With
+/// the catalog's statistics attached, the two-key `Q`'s `where
+/// exists($items)` is estimated from its nested FLWOR's sink estimate:
+/// exactly the pairs it keeps (the fixed 1/2 read 14 of 28).
 #[test]
 fn exact_probes_and_the_indexed_join_leave_no_key_to_recheck() {
     let doc = generate_orders(&OrdersConfig::with_total_lineitems(4000).seed(5000));
-    let ctx = Docs::Context(doc).ctx(true);
+    let mut ctx = Docs::Context(doc).ctx(true);
     let counts = |keys: &[&str], hints: &str| {
         ctx.stats.reset();
-        outcome(&engine(hints, 1, None), &q_query(keys), &ctx).expect("runs");
+        outcome(&engine(hints, None), &q_query(keys), &ctx).expect("runs");
         let s = ctx.stats.snapshot();
         (s.comparisons, s.nodes_visited)
     };
@@ -392,6 +392,25 @@ fn exact_probes_and_the_indexed_join_leave_no_key_to_recheck() {
     assert_eq!(counts(&["shipinstruct", "shipmode"], ""), (0, 19_995));
     // Nested and probed, the one-key shape compares nothing either.
     assert_eq!(counts(&["shipmode"], "join=nested"), (0, 11_997));
+
+    let stats = Arc::new(CatalogStatistics::from_stores(
+        ctx.stores().map(Arc::as_ref),
+    ));
+    ctx.enable_profiling();
+    let query = q_query(&["shipinstruct", "shipmode"]);
+    outcome(&engine("", Some(&stats)), &query, &ctx).expect("runs");
+    let profile = ctx.take_profile().expect("profiling was enabled");
+    let outer = profile
+        .pipelines
+        .iter()
+        .find(|p| p.ops.iter().any(|op| op.label().starts_with("LetBind")));
+    let filter = outer
+        .expect("the outer pipeline")
+        .ops
+        .iter()
+        .find(|op| op.label() == "Filter");
+    let filter = filter.expect("a Filter row");
+    assert_eq!((filter.estimate, filter.tuples_out), (Some(28), 28));
 }
 
 #[test]
@@ -562,7 +581,7 @@ fn an_absent_child_name_answers_empty() {
     let ctx = Docs::Context(Arc::clone(&doc)).ctx(true);
     let counters = |query: &str, hints: &str| {
         ctx.stats.reset();
-        let out = outcome(&engine(hints, 1, None), query, &ctx).expect("runs");
+        let out = outcome(&engine(hints, None), query, &ctx).expect("runs");
         let s = ctx.stats.snapshot();
         (
             out,
